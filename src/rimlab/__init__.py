@@ -15,6 +15,7 @@ from .analysis import (
     ap_defect,
     containment_decay,
     containment_defect,
+    fit_decay_rate,
     hausdorff_semidist,
     invariance_defect,
     periodicity_defect,
@@ -86,6 +87,7 @@ from .spectral import (
 from .tracking import (
     ForwardTrajectory,
     TrackingResult,
+    base_orbit,
     forward_horizon,
     lp_plus_apply,
     solve_tracking,

@@ -32,6 +32,7 @@ __all__ = [
     "pullback_attractor",
     "containment_defect",
     "containment_decay",
+    "fit_decay_rate",
     "hausdorff_semidist",
 ]
 
@@ -140,6 +141,18 @@ def invariance_defect(
     )
 
 
+def _graph_shift(tau, shift, x_grid, problem, tol) -> float:
+    """Largest graph distance |m_{tau+shift}(x) - m_tau(x)|_alpha over the grid."""
+    ctx_a = problem.lp_context(tau, tol=tol)
+    ctx_b = problem.lp_context(tau + shift, tol=tol)
+    value = 0.0
+    for x in np.atleast_2d(np.asarray(x_grid, dtype=float)):
+        base = ctx_a.project_p(x)
+        diff = manifold_point(base, ctx_b, tol) - manifold_point(base, ctx_a, tol)
+        value = max(value, ctx_a.norm_alpha(diff))
+    return float(value)
+
+
 def periodicity_defect(
     tau: float,
     period: float,
@@ -160,16 +173,10 @@ def periodicity_defect(
                 f"forcing has declared period {declared!r}, check requested {period}"
             )
     tol = problem.tol if tol is None else float(tol)
-    ctx_a = problem.lp_context(tau, tol=tol)
-    ctx_b = problem.lp_context(tau + period, tol=tol)
-    value = 0.0
-    for x in np.atleast_2d(np.asarray(x_grid, dtype=float)):
-        base = ctx_a.project_p(x)
-        diff = manifold_point(base, ctx_b, tol) - manifold_point(base, ctx_a, tol)
-        value = max(value, ctx_a.norm_alpha(diff))
+    value = _graph_shift(tau, period, x_grid, problem, tol)
     return DefectReport(
         kind="periodicity",
-        value=float(value),
+        value=value,
         bound=2.0 * tol + slack,
         context={"tau": tau, "period": period, "slack": slack, "tol": tol},
     )
@@ -191,16 +198,10 @@ def ap_defect(
     eps_g = almost_period_defect(problem.forcing, problem.spectrum, tau0)
     cert = problem.cert
     bound = 2.0 * eps_g / ((1.0 - cert.k) * cert.lambda_n) + 2.0 * tol
-    ctx_a = problem.lp_context(tau, tol=tol)
-    ctx_b = problem.lp_context(tau + tau0, tol=tol)
-    value = 0.0
-    for x in np.atleast_2d(np.asarray(x_grid, dtype=float)):
-        base = ctx_a.project_p(x)
-        diff = manifold_point(base, ctx_b, tol) - manifold_point(base, ctx_a, tol)
-        value = max(value, ctx_a.norm_alpha(diff))
+    value = _graph_shift(tau, tau0, x_grid, problem, tol)
     return DefectReport(
         kind="almost_periodicity",
-        value=float(value),
+        value=value,
         bound=float(bound),
         context={"tau": tau, "tau0": tau0, "eps_g": eps_g, "tol": tol},
     )
@@ -285,10 +286,19 @@ def containment_decay(
         containment_defect(pullback_attractor(tau, problem, t_m, ensemble), problem, tol)
         for t_m in pullback_times
     ]
+    return reports, fit_decay_rate(pullback_times, reports)
+
+
+def fit_decay_rate(pullback_times, reports: list[DefectReport]) -> float:
+    """Fitted exponential rate of defect values versus pullback time.
+
+    Negative means decay; NaN when fewer than two times are given.
+    """
+    if len(reports) < 2:
+        return float("nan")
     values = np.array([max(r.value, 1e-300) for r in reports])
     times = np.asarray(list(pullback_times), dtype=float)
-    rate = float(np.polyfit(times, np.log(values), 1)[0]) if len(reports) > 1 else float("nan")
-    return reports, rate
+    return float(np.polyfit(times, np.log(values), 1)[0])
 
 
 def hausdorff_semidist(

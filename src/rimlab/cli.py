@@ -24,6 +24,7 @@ from .analysis import (
     ap_defect,
     containment_decay,
     containment_defect,
+    fit_decay_rate,
     invariance_defect,
     periodicity_defect,
     pullback_attractor,
@@ -39,7 +40,7 @@ from .errors import (
 from .forcing import scan_almost_period
 from .lyapunov_perron import LIPSCHITZ_SLACK, build_chart, scan_gap
 from .problem import ModelProblem
-from .tracking import track_phi
+from .tracking import base_orbit, track_phi
 
 __all__ = ["main"]
 
@@ -95,6 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _setup(args):
     cfg = load_config(args.config)
     seed = cfg.seed if args.seed is None else int(args.seed)
+    if seed < 0:
+        raise ConfigError(f"--seed: must be >= 0 (got {seed})")
     threads = cfg.threads if args.threads is None else max(int(args.threads), 1)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -223,12 +226,14 @@ def _tracking_reports(
     u0s = _random_states(
         problem.seed, 101, cfg.track["count"], cfg.spectrum.size, cfg.track["radius"]
     )
-    solve = lambda u0: track_phi(u0, ctx, t_fwd=problem.t_fwd)
+    # every orbit's transformed base u0 - z(0), integrated in one batch
+    bases = base_orbit(u0s - ctx.z_at_zero(), ctx, problem.t_fwd).values
+    solve = lambda i: track_phi(u0s[i], ctx, t_fwd=problem.t_fwd, base=bases[:, i])
     if threads > 1 and len(u0s) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(solve, u0s))
+            results = list(pool.map(solve, range(len(u0s))))
     else:
-        results = [solve(u0) for u0 in u0s]
+        results = [solve(i) for i in range(len(u0s))]
     slack = cfg.verify["envelope_slack"]
     ratios, slopes = [], []
     for r in results:
@@ -448,9 +453,7 @@ def cmd_attractor(args) -> int:
             for p in cloud.points:
                 fh.write(",".join(repr(float(v)) for v in p) + "\n")
         reports.append(containment_defect(cloud, problem))
-    values = np.array([max(r.value, 1e-300) for r in reports])
-    times = np.asarray(att["pullback_times"], dtype=float)
-    rate = float(np.polyfit(times, np.log(values), 1)[0]) if len(reports) > 1 else None
+    rate = fit_decay_rate(att["pullback_times"], reports)  # NaN, written as null, for one time
     all_pass = all(r.passed for r in reports)
     _write_json(
         out / "attractor.json",

@@ -89,6 +89,8 @@ class _Section:
             out = float(value)
         except ValueError:
             self._fail(key, f"not a number: {value!r}")
+        if not math.isfinite(out):
+            self._fail(key, f"must be finite (got {value!r})")
         if minimum is not None and out < minimum:
             self._fail(key, f"must be >= {minimum}")
         if maximum is not None and out > maximum:
@@ -127,9 +129,12 @@ class _Section:
                 self._fail(key, "missing required value")
             return default
         try:
-            return [float(tok) for tok in str(value).split()]
+            out = [float(tok) for tok in str(value).split()]
         except ValueError:
             self._fail(key, f"not a list of numbers: {value!r}")
+        if not all(math.isfinite(x) for x in out):
+            self._fail(key, f"must be finite numbers (got {value!r})")
+        return out
 
     def auto_float(self, key: str, minimum=None):
         """A float or the literal 'auto' (returned as None)."""
@@ -188,11 +193,12 @@ def _parse_forcing(sec: _Section, n_modes: int) -> ForcingSignal:
             if len(toks) != 4:
                 sec._fail("terms", f"each row needs 'mode amplitude frequency phase': {line!r}")
             try:
-                terms.append(
-                    TrigTerm(int(toks[0]), float(toks[1]), float(toks[2]), float(toks[3]))
-                )
+                mode, amp, freq, phase = int(toks[0]), *map(float, toks[1:])
             except ValueError:
                 sec._fail("terms", f"non-numeric row: {line!r}")
+            if not all(map(math.isfinite, (amp, freq, phase))):
+                sec._fail("terms", f"non-finite row: {line!r}")
+            terms.append(TrigTerm(mode, amp, freq, phase))
         return ForcingSignal.trig(n_modes, terms, period)
     raw = sec.raw("table")
     if raw is None:
@@ -206,12 +212,14 @@ def _parse_forcing(sec: _Section, n_modes: int) -> ForcingSignal:
     arr = np.asarray(rows)
     if arr.ndim != 2 or arr.shape[1] != n_modes + 1:
         sec._fail("table", f"rows need 't v_1 .. v_{n_modes}'")
+    if not np.all(np.isfinite(arr)):
+        sec._fail("table", "values must be finite")
     return ForcingSignal.tabulated(arr[:, 0], arr[:, 1:], period)
 
 
 def _parse_noise(sec: _Section, n_modes: int) -> tuple[CovarianceSpec, int, bool]:
     kind = sec.str("kind", "zero", choices=("zero", "power_law", "explicit"))
-    seed = sec.int("seed", 0)
+    seed = sec.int("seed", 0, minimum=0)
     exact = sec.bool("exact_variance", False)
     if kind == "zero":
         return CovarianceSpec.zero(n_modes), seed, exact
@@ -227,8 +235,13 @@ def _parse_noise(sec: _Section, n_modes: int) -> tuple[CovarianceSpec, int, bool
 
 def load_config(path) -> RunConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text") from exc
     try:
         parser.read_string(text)
     except configparser.Error as exc:

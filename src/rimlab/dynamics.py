@@ -35,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .forcing import ForcingSignal, cell_convolution, shift_forcing
-from .randomness import OUProcess
+from .randomness import OUProcess, _write_series_csv
 from .spectral import Spectrum
 
 __all__ = ["Nonlinearity", "Trajectory", "integrate", "cocycle_psi", "cocycle_phi"]
@@ -96,15 +96,23 @@ class Nonlinearity:
             lipschitz = float(np.max(np.abs(np.diff(ys) / np.diff(xs))))
         return cls("custom_table", lipschitz, table_x=xs, table_y=ys)
 
-    def apply(self, u: np.ndarray, s: Spectrum) -> np.ndarray:
-        u = s.check_state(u)
+    def evaluator(self, s: Spectrum):
+        """F as a function of the state alone, with the weights computed once.
+
+        The returned function does no shape check; ``apply`` is the checked
+        entry point.
+        """
         if self.kind == "zero":
-            return np.zeros_like(u)
-        w = u * s.weights_alpha()
+            return np.zeros_like
+        wts = s.weights_alpha()
         if self.kind == "per_mode_sin":
-            return self.lipschitz * np.sin(w)
-        clipped = np.clip(w, self.table_x[0], self.table_x[-1])
-        return np.interp(clipped, self.table_x, self.table_y)
+            lip = self.lipschitz
+            return lambda u: lip * np.sin(u * wts)
+        xs, ys = self.table_x, self.table_y
+        return lambda u: np.interp(np.clip(u * wts, xs[0], xs[-1]), xs, ys)
+
+    def apply(self, u: np.ndarray, s: Spectrum) -> np.ndarray:
+        return self.evaluator(s)(s.check_state(u))
 
 
 @dataclass(frozen=True)
@@ -125,13 +133,7 @@ class Trajectory:
         return self.values[int(idx[0])]
 
     def to_csv(self, path) -> None:
-        n_modes = self.values.shape[-1]
-        header = "t," + ",".join(f"mode_{j + 1}" for j in range(n_modes))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            for t, row in zip(self.times, self.values):
-                cells = ",".join(repr(float(v)) for v in np.atleast_1d(row))
-                fh.write(repr(float(t)) + "," + cells + "\n")
+        _write_series_csv(path, self.times, self.values)
 
 
 def _step_weights(s: Spectrum, h: float):
@@ -209,9 +211,10 @@ def integrate(
     if return_trajectory:
         store = np.empty((n_steps + 1,) + v.shape)
         store[0] = v
+    rhs = f.evaluator(s)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
-            v = damp * v + w1 * f.apply(v + z[i], s) + cells[i]
+            v = damp * v + w1 * rhs(v + z[i]) + cells[i]
             if not np.all(np.isfinite(v)):
                 raise InstabilityError(
                     f"non-finite state at step {i + 1} (t = {times[i + 1]!r})"

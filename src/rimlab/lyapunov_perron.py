@@ -305,6 +305,18 @@ class LPContext:
         values[:, self.p_mask] = self.p_flow * x[self.p_mask]
         return BackwardTrajectory(self.times, values, self.cert.mu, self.spectrum)
 
+    def rebase(
+        self, xi: BackwardTrajectory, x_from: np.ndarray, x_to: np.ndarray
+    ) -> BackwardTrajectory:
+        """Move a history's resolved linear part e^{-At} x from x_from to x_to.
+
+        Applied to the fixed point at x_from, this is a warm start for the
+        solve at a nearby x_to.
+        """
+        values = xi.values.copy()
+        values[:, self.p_mask] += self.p_flow * (x_to - x_from)[self.p_mask]
+        return BackwardTrajectory(self.times, values, self.cert.mu, self.spectrum)
+
     def project_p(self, v: np.ndarray) -> np.ndarray:
         out = np.zeros_like(np.asarray(v, dtype=float))
         out[..., self.p_mask] = np.asarray(v, dtype=float)[..., self.p_mask]
@@ -361,12 +373,18 @@ def _check_selfmap_bound(xi, x, result, ctx):
 
 
 def solve_fixed_point(
-    x: np.ndarray, ctx: LPContext, tol: float | None = None
+    x: np.ndarray,
+    ctx: LPContext,
+    tol: float | None = None,
+    start: BackwardTrajectory | None = None,
 ) -> tuple[BackwardTrajectory, int]:
     """Picard iteration of the backward operator to S-norm accuracy tol.
 
-    Stops when consecutive iterates differ by at most (1-k) tol, which
-    bounds the distance to the fixed point by tol.  Raises
+    Iteration starts from ``start`` when given (e.g. a neighbouring point's
+    fixed point moved by ``LPContext.rebase``), else from the linear flow
+    of x.  Stops when consecutive iterates differ by at most (1-k) tol,
+    which bounds the distance to the fixed point by tol from any start.
+    Raises
     ContractionViolationError when measured ratios exceed the certified
     factor beyond the quadrature slack, or when the a-priori iteration cap
     is exceeded.
@@ -376,7 +394,7 @@ def solve_fixed_point(
         raise ParameterError("tolerance must be positive")
     k = ctx.cert.k
     thresh = (1.0 - k) * tol
-    xi = ctx.initial_guess(x)
+    xi = ctx.initial_guess(x) if start is None else start
     cap = None
     d_prev = None
     iterations = 0

@@ -30,25 +30,27 @@ differences, so the envelope transfers verbatim with the offset graph map.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.signal import lfilter
 
-from .dynamics import integrate
+from .dynamics import Trajectory, integrate
 from .errors import (
     ContractionViolationError,
     GridAlignmentError,
     ParameterError,
 )
 from .forcing import shift_forcing
-from .lyapunov_perron import LPContext, manifold_point, weighted_sup_norm
+from .lyapunov_perron import LPContext, solve_fixed_point, weighted_sup_norm
 from .spectral import Spectrum
 
 __all__ = [
     "ForwardTrajectory",
     "TrackingResult",
+    "base_orbit",
     "forward_horizon",
     "lp_plus_apply",
     "solve_tracking",
@@ -111,13 +113,36 @@ def forward_horizon(cert, tol: float, t_back: float) -> float:
     return math.log(10.0 / tol) / (cert.mu - cert.lambda_n)
 
 
+def _forward_cells(ctx: LPContext, t_fwd: float) -> int:
+    """Cells on the forward horizon, rounded up to whole steps (at least two)."""
+    return max(int(math.ceil(t_fwd / ctx.h - 1e-9)), 2)
+
+
+def base_orbit(v0: np.ndarray, ctx: LPContext, t_fwd: float) -> Trajectory:
+    """Transformed orbit of v0 on the forward tracking nodes of [0, t_fwd].
+
+    ``v0`` may be one state or a (B, N) batch; one orbit's values (a
+    ``[:, b]`` slice for a batch) is the ``base`` that ``solve_tracking``
+    and ``track_phi`` accept.
+    """
+    return integrate(
+        v0,
+        0.0,
+        _forward_cells(ctx, t_fwd) * ctx.h,
+        ctx.ou,
+        shift_forcing(ctx.forcing, ctx.tau),
+        ctx.nonlinearity,
+        ctx.spectrum,
+    )
+
+
 class _ForwardStencil:
     """Node set, OU window and filter coefficients for the forward operator."""
 
     def __init__(self, ctx: LPContext, t_fwd: float):
         self.ctx = ctx
         h = ctx.h
-        self.n_cells = max(int(math.ceil(t_fwd / h - 1e-9)), 2)
+        self.n_cells = _forward_cells(ctx, t_fwd)
         self.t_fwd = self.n_cells * h
         lo = ctx.ou.grid.offset(0.0)
         hi = ctx.ou.grid.offset(self.t_fwd)
@@ -139,8 +164,12 @@ class _ForwardStencil:
         return float(np.max(self.wmu * norms))
 
 
-def _apply_forward(stencil: _ForwardStencil, xi_values, base_values, v0, tol):
-    """One sweep of the forward operator; returns (values, y0, x0)."""
+def _apply_forward(stencil: _ForwardStencil, xi_values, base_values, v0, tol, warm=None):
+    """One sweep of the forward operator; returns (values, y0, x0, graph).
+
+    ``graph`` is the nested fixed point at x0, whose time-zero Q part is
+    m(x0).  ``warm``, a previous (graph, x0) pair, warm-starts that solve.
+    """
     ctx = stencil.ctx
     s = ctx.spectrum
     df = ctx.nonlinearity.apply(xi_values + base_values + stencil.z, s) - ctx.nonlinearity.apply(
@@ -152,7 +181,9 @@ def _apply_forward(stencil: _ForwardStencil, xi_values, base_values, v0, tol):
     seed_integral = np.zeros(s.size)
     seed_integral[stencil.p_cols] = np.sum(stencil.seed_weights * df[:-1, stencil.p_cols], axis=0)
     x0 = ctx.project_p(v0) - seed_integral
-    y0 = -ctx.project_q(v0) + manifold_point(x0, ctx, tol)
+    start = None if warm is None else ctx.rebase(warm[0], warm[1], x0)
+    graph, _ = solve_fixed_point(x0, ctx, tol, start=start)
+    y0 = -ctx.project_q(v0) + ctx.project_q(graph.final)
 
     out = np.zeros_like(xi_values)
     out[:, stencil.q_cols] = stencil.q_decay * y0[stencil.q_cols]
@@ -162,7 +193,7 @@ def _apply_forward(stencil: _ForwardStencil, xi_values, base_values, v0, tol):
         a = ctx.grow[j]
         rev = lfilter([a], [1.0, -a], u[::-1, j])
         out[:m_cells, j] = -rev[::-1]
-    return out, y0, x0
+    return out, y0, x0, graph
 
 
 def lp_plus_apply(
@@ -182,7 +213,7 @@ def lp_plus_apply(
     stencil = _ForwardStencil(ctx, float(xi.times[-1]))
     if xi.values.shape != base_values.shape or xi.values.shape[0] != stencil.times.size:
         raise GridAlignmentError("iterate and base orbit must share the forward nodes")
-    values, y0, x0 = _apply_forward(stencil, xi.values, base_values, v0, tol)
+    values, y0, x0, _ = _apply_forward(stencil, xi.values, base_values, v0, tol)
     return ForwardTrajectory(stencil.times, values, ctx.cert.mu, ctx.spectrum), y0, x0
 
 
@@ -191,8 +222,16 @@ def solve_tracking(
     ctx: LPContext,
     tol: float | None = None,
     t_fwd: float | None = None,
+    base=None,
 ) -> TrackingResult:
-    """Construct the shadowing manifold point for v0 with its decay envelope."""
+    """Construct the shadowing manifold point for v0 with its decay envelope.
+
+    ``base`` is the orbit of v0 on the forward nodes, as in
+    ``lp_plus_apply``; it is integrated here when not given.  The first
+    sweep's nested graph solve starts cold; each later one, and the final
+    graph-residual solve, starts from the previous fixed point moved to its
+    new base point.
+    """
     if ctx.cert.k >= 0.5:
         raise ParameterError(
             f"tracking requires k < 1/2 (got k={ctx.cert.k:g}, delta >= 1)"
@@ -203,24 +242,30 @@ def solve_tracking(
         t_fwd = forward_horizon(ctx.cert, tol, ctx.t_back)
     stencil = _ForwardStencil(ctx, t_fwd)
     v0 = ctx.spectrum.check_state(np.asarray(v0, dtype=float))
-
-    base = integrate(
-        v0,
-        0.0,
-        stencil.t_fwd,
-        ctx.ou,
-        shift_forcing(ctx.forcing, ctx.tau),
-        ctx.nonlinearity,
-        ctx.spectrum,
-    )
+    if base is None:
+        base = base_orbit(v0, ctx, t_fwd)
+    base_values = getattr(base, "values", base)
+    if base_values.shape != (stencil.times.size, ctx.spectrum.size) or not np.array_equal(
+        base_values[0], v0
+    ):
+        raise GridAlignmentError("base orbit must start at v0 on the forward nodes")
 
     thresh = (1.0 - delta) * tol
-    xi_values = np.zeros_like(base.values)
+    xi_values = np.zeros_like(base_values)
+    warm = None
+    first_graph = None
     cap = None
     d_prev = None
     iterations = 0
     while True:
-        new_values, y0, x0 = _apply_forward(stencil, xi_values, base.values, v0, tol)
+        new_values, y0, x0, graph = _apply_forward(
+            stencil, xi_values, base_values, v0, tol, warm
+        )
+        warm = (graph, x0)
+        if first_graph is None:
+            # From xi = 0 the seed integral vanishes, so x0 = P v0 exactly
+            # and this solve is the graph value m(P v0) the defect needs.
+            first_graph = graph
         iterations += 1
         d = stencil.s_plus_norm(new_values - xi_values)
         if d <= thresh:
@@ -243,12 +288,11 @@ def solve_tracking(
         d_prev = d
         xi_values = new_values
 
-    defect_vec = ctx.project_q(v0) - manifold_point(ctx.project_p(v0), ctx, tol)
-    defect = ctx.norm_alpha(defect_vec)
+    defect = ctx.norm_alpha(ctx.project_q(v0) - ctx.project_q(first_graph.final))
     v0_star = v0 + xi_values[0]
-    graph_residual = ctx.norm_alpha(
-        ctx.project_q(v0_star) - manifold_point(ctx.project_p(v0_star), ctx, tol)
-    )
+    x_star = ctx.project_p(v0_star)
+    star_graph, _ = solve_fixed_point(x_star, ctx, tol, start=ctx.rebase(graph, x0, x_star))
+    graph_residual = ctx.norm_alpha(ctx.project_q(v0_star) - ctx.project_q(star_graph.final))
     decay = np.linalg.norm(xi_values * ctx.wts_alpha, axis=1)
     return TrackingResult(
         v0=v0,
@@ -271,29 +315,17 @@ def track_phi(
     ctx: LPContext,
     tol: float | None = None,
     t_fwd: float | None = None,
+    base=None,
 ) -> TrackingResult:
     """Tracking in the original variables.
 
     The OU conjugation cancels in orbit differences, so the transformed
     solve applies verbatim; only the endpoints are offset by the driver
     state at time zero, and the defect is measured against the offset graph.
+    ``base``, when given, is the transformed orbit of u0 - z(0) on the
+    forward nodes (see ``base_orbit``).
     """
     u0 = ctx.spectrum.check_state(np.asarray(u0, dtype=float))
     z0 = ctx.z_at_zero()
-    result = solve_tracking(u0 - z0, ctx, tol, t_fwd)
-    return TrackingResult(
-        v0=result.v0,
-        v0_star=result.v0_star,
-        y0=result.y0,
-        x0=result.x0,
-        defect=result.defect,
-        prefactor=result.prefactor,
-        rate=result.rate,
-        times=result.times,
-        decay_curve=result.decay_curve,
-        iterations=result.iterations,
-        graph_residual=result.graph_residual,
-        u0=u0,
-        u0_star=result.v0_star + z0,
-        xi_values=result.xi_values,
-    )
+    result = solve_tracking(u0 - z0, ctx, tol, t_fwd, base)
+    return dataclasses.replace(result, u0=u0, u0_star=result.v0_star + z0)

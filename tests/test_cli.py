@@ -204,6 +204,16 @@ def test_track_outputs(small_config, tmp_path):
     assert curve[0] == "t,norm,envelope"
 
 
+def test_track_threads_match_serial(small_config, tmp_path):
+    # The thread pool maps the per-orbit sweeps over slices of one batched
+    # base integration; the outputs must not depend on the worker count.
+    for threads in ("1", "2"):
+        args = ["track", "--config", str(small_config), "--out", str(tmp_path / threads)]
+        assert main(args + ["--threads", threads]) == 0
+    for name in ("tracking.json", "decay_curve_00.csv", "decay_curve_01.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
 def test_periodicity_command(small_config, tmp_path):
     code = main(["periodicity", "--config", str(small_config), "--out", str(tmp_path)])
     assert code == 0
@@ -255,6 +265,35 @@ def test_module_entry_point(small_config, tmp_path):
     )
     assert proc.returncode == 0
     assert "yes" in proc.stdout
+
+
+# Each bad input maps to exit 2 with a one-line message: a config edit, or
+# arguments overriding the config ("{tmp}" is the test's directory).
+BAD_INPUTS = {
+    "nan_float": (("tol = 1e-5", "tol = nan"), []),
+    "inf_float": (("lipschitz = 0.1", "lipschitz = inf"), []),
+    "inf_in_list": (("pullback_times = 2.0 4.0", "pullback_times = 2.0 inf"), []),
+    "nan_in_terms": (("2 1.0 1.0 0.0", "2 nan 1.0 0.0"), []),
+    "negative_seed": (("seed = 7", "seed = -3"), []),
+    "negative_seed_flag": (None, ["--seed", "-3"]),
+    "missing_config": (None, ["--config", "{tmp}/missing.ini"]),
+    "unreadable_config": (None, ["--config", "{tmp}"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_without_traceback(tmp_path, case):
+    edit, extra = BAD_INPUTS[case]
+    cfg = tmp_path / "case.ini"
+    cfg.write_text(SMALL_CONFIG if edit is None else SMALL_CONFIG.replace(*edit), "utf-8")
+    args = ["--config", str(cfg), "--out", str(tmp_path / "out")]
+    args += [a.format(tmp=tmp_path) for a in extra]
+    proc = subprocess.run(
+        [sys.executable, "-m", "rimlab", "gap-scan", *args], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
 
 
 def test_truncation_margin_validated(tmp_path):

@@ -228,6 +228,28 @@ def test_batched_integration_matches_loop(spec8, noisy_ou):
         assert np.allclose(ends[i], single, rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize(
+    "f",
+    [
+        Nonlinearity.per_mode_sin(0.1),
+        Nonlinearity.custom_table([-2.0, 0.0, 1.0, 3.0], [-0.1, 0.0, 0.05, 0.08]),
+    ],
+    ids=["per_mode_sin", "custom_table"],
+)
+def test_batched_trajectory_matches_single_calls(spec8, noisy_ou, f):
+    # One batched integrate of B states reproduces B single-state histories.
+    _, ou = noisy_ou
+    g = rl.ForcingSignal.trig(8, [rl.TrigTerm(2, 1.0, 1.0, 0.0)])
+    batch = 0.5 * np.random.default_rng(11).standard_normal((4, 8))
+    both = integrate(batch, 0.0, 1.5, ou, g, f, spec8)
+    assert both.values.shape == (both.times.size, 4, 8)
+    for i in range(4):
+        single = integrate(batch[i], 0.0, 1.5, ou, g, f, spec8)
+        assert np.array_equal(single.times, both.times)
+        scale = np.max(np.abs(single.values))
+        assert np.max(np.abs(both.values[:, i] - single.values)) <= 1e-12 * scale
+
+
 def test_phi_identity_at_zero(spec8, noisy_ou):
     _, ou = noisy_ou
     g = rl.ForcingSignal.trig(8, [rl.TrigTerm(2, 1.0, 1.0, 0.0)])

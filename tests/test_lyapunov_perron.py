@@ -243,6 +243,21 @@ def test_solver_detects_wrong_certificate(problem_nl):
         solve_fixed_point(x, ctx)
 
 
+def test_warm_start_from_neighbour(problem_nl):
+    # A neighbouring point's fixed point, moved to x by rebase, is a start
+    # that converges to within tol of the cold solve in at most two applies.
+    ctx = problem_nl.lp_context(0.0)
+    x_near = np.zeros(16)
+    x_near[0] = 0.5
+    x = x_near.copy()
+    x[0] = 0.5001
+    near, _ = solve_fixed_point(x_near, ctx)
+    cold, cold_iters = solve_fixed_point(x, ctx)
+    warm, warm_iters = solve_fixed_point(x, ctx, start=ctx.rebase(near, x_near, x))
+    assert warm_iters <= 2 < cold_iters
+    assert ctx.s_norm(warm.values - cold.values) <= ctx.tol
+
+
 def test_selfmap_bound_in_debug_mode(problem_nl):
     ctx = problem_nl.lp_context(0.0, debug_selfmap=True)
     x = np.zeros(16)

@@ -3,10 +3,16 @@ import pytest
 
 import rimlab as rl
 from rimlab.dynamics import integrate
-from rimlab.errors import ParameterError
+from rimlab.errors import ContractionViolationError, GridAlignmentError, ParameterError
 from rimlab.forcing import shift_forcing
 from rimlab.lyapunov_perron import manifold_point
-from rimlab.tracking import ForwardTrajectory, lp_plus_apply, solve_tracking, track_phi
+from rimlab.tracking import (
+    ForwardTrajectory,
+    base_orbit,
+    lp_plus_apply,
+    solve_tracking,
+    track_phi,
+)
 
 
 def _random_forward(ctx, times, rng, scale=0.3):
@@ -193,3 +199,49 @@ def test_track_phi_envelope(problem_nl):
     result = track_phi(u0, ctx)
     assert result.envelope_ok(0.02)
     assert result.fitted_slope() <= -ctx.cert.mu + 0.1
+
+
+def test_batched_bases_match_single_tracking(problem_nl):
+    # Three orbits tracked from one batched base integration agree with
+    # track_phi run alone, and each defect is exactly the cold graph solve
+    # at P v0 (the first sweep's nested solve is reused for it).
+    ctx = problem_nl.lp_context(0.0)
+    t_fwd = 6.0
+    u0s = 0.5 * np.random.default_rng(8).standard_normal((3, 16))
+    bases = base_orbit(u0s - ctx.z_at_zero(), ctx, t_fwd)
+    assert bases.values.shape[1:] == (3, 16)
+    for i, u0 in enumerate(u0s):
+        batched = track_phi(u0, ctx, t_fwd=t_fwd, base=bases.values[:, i])
+        alone = track_phi(u0, ctx, t_fwd=t_fwd)
+        assert np.max(np.abs(batched.u0_star - alone.u0_star)) <= problem_nl.tol
+        v0 = batched.v0
+        fresh = ctx.norm_alpha(ctx.project_q(v0) - manifold_point(ctx.project_p(v0), ctx))
+        assert batched.defect == fresh
+        assert batched.graph_residual <= 2.0 * problem_nl.tol
+
+
+def test_base_must_belong_to_v0(problem_nl):
+    ctx = problem_nl.lp_context(0.0)
+    u0s = 0.5 * np.random.default_rng(9).standard_normal((2, 16))
+    bases = base_orbit(u0s - ctx.z_at_zero(), ctx, 2.0)
+    with pytest.raises(GridAlignmentError):
+        track_phi(u0s[0], ctx, t_fwd=2.0, base=bases.values[:, 1])
+    with pytest.raises(GridAlignmentError):
+        track_phi(u0s[0], ctx, t_fwd=3.0, base=bases.values[:, 0])
+
+
+def test_tracking_detects_wrong_certificate(problem_nl):
+    # The certificate guard still fires inside the (cold) first sweep.
+    ctx = rl.LPContext(
+        problem_nl.spectrum,
+        problem_nl.cert,  # certified for L = 0.1
+        rl.Nonlinearity.per_mode_sin(1.5),
+        problem_nl.forcing,
+        problem_nl.ou,
+        t_back=4.0,
+        seed=problem_nl.seed,
+    )
+    v0 = np.zeros(16)
+    v0[0] = 0.5
+    with pytest.raises(ContractionViolationError):
+        solve_tracking(v0, ctx, t_fwd=4.0)
