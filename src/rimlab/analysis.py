@@ -21,7 +21,7 @@ from .forcing import almost_period_defect, shift_forcing
 from .lyapunov_perron import ManifoldChart, manifold_point, tilde_manifold_point
 from .problem import ModelProblem
 from .randomness import shift_path
-from .spectral import Spectrum
+from .spectral import Spectrum, norm_alpha
 
 __all__ = [
     "DefectReport",
@@ -126,8 +126,7 @@ def invariance_defect(
         return_trajectory=False,
     )
     endpoints = np.atleast_2d(endpoints)
-    shifted_ou = problem.ou_for(shift_path(problem.path, t))
-    ctx_shift = problem.lp_context(chart.tau + t, ou=shifted_ou, tol=tol)
+    ctx_shift = problem.lp_context(chart.tau + t, ou=problem.shifted_ou(t), tol=tol)
     value = 0.0
     for q_pt in endpoints:
         m_val = manifold_point(ctx_shift.project_p(q_pt), ctx_shift, tol)
@@ -143,14 +142,12 @@ def invariance_defect(
 
 def _graph_shift(tau, shift, x_grid, problem, tol) -> float:
     """Largest graph distance |m_{tau+shift}(x) - m_tau(x)|_alpha over the grid."""
-    ctx_a = problem.lp_context(tau, tol=tol)
-    ctx_b = problem.lp_context(tau + shift, tol=tol)
+    m_a = problem.graph_values(tau, x_grid, tol)
+    m_b = problem.graph_values(tau + shift, x_grid, tol)
     value = 0.0
-    for x in np.atleast_2d(np.asarray(x_grid, dtype=float)):
-        base = ctx_a.project_p(x)
-        diff = manifold_point(base, ctx_b, tol) - manifold_point(base, ctx_a, tol)
-        value = max(value, ctx_a.norm_alpha(diff))
-    return float(value)
+    for a, b in zip(m_a, m_b):
+        value = max(value, norm_alpha(b - a, problem.spectrum))
+    return value
 
 
 def periodicity_defect(

@@ -38,7 +38,7 @@ from .errors import (
     RimlabError,
 )
 from .forcing import scan_almost_period
-from .lyapunov_perron import LIPSCHITZ_SLACK, build_chart, scan_gap
+from .lyapunov_perron import LIPSCHITZ_SLACK, scan_gap
 from .problem import ModelProblem
 from .tracking import base_orbit, track_phi
 
@@ -155,8 +155,7 @@ def _chart_grid(cfg: RunConfig) -> np.ndarray:
 
 
 def _build_configured_chart(cfg: RunConfig, problem: ModelProblem, threads: int):
-    ctx = problem.lp_context(cfg.chart["tau"])
-    return build_chart(_chart_grid(cfg), ctx, threads=threads), ctx
+    return problem.chart(cfg.chart["tau"], _chart_grid(cfg), threads=threads)
 
 
 def _write_chart_files(chart, cfg: RunConfig, out: Path, meta: dict) -> None:
@@ -286,7 +285,7 @@ def cmd_gap_scan(args) -> int:
 def cmd_build_manifold(args) -> int:
     cfg, seed, threads, out, meta = _setup(args)
     problem = build_problem(cfg, seed)
-    chart, _ = _build_configured_chart(cfg, problem, threads)
+    chart = _build_configured_chart(cfg, problem, threads)
     _write_chart_files(chart, cfg, out, {**meta, **_problem_meta(problem)})
     print(
         f"chart: {chart.x_grid.shape[0]} points, max residual "
@@ -303,7 +302,7 @@ def cmd_verify(args) -> int:
 
     chart = None
     if "invariance" in checks or "lipschitz" in checks:
-        chart, _ = _build_configured_chart(cfg, problem, threads)
+        chart = _build_configured_chart(cfg, problem, threads)
     if "lipschitz" in checks:
         reports.append(
             DefectReport(

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import (
     DomainError,
@@ -36,7 +35,7 @@ from .errors import (
 )
 from .forcing import ForcingSignal, cell_convolution, shift_forcing
 from .randomness import OUProcess, _write_series_csv
-from .spectral import Spectrum
+from .spectral import Spectrum, _filter_modes
 
 __all__ = ["Nonlinearity", "Trajectory", "integrate", "cocycle_psi", "cocycle_phi"]
 
@@ -189,9 +188,7 @@ def integrate(
 
     if f.kind == "zero":
         # Linear case: per-mode first-order recursion, solved in one filter pass.
-        driven = np.empty_like(cells)
-        for j in range(s.size):
-            driven[:, j] = lfilter([1.0], [1.0, -damp[j]], cells[:, j])
+        driven = _filter_modes(cells, damp)
         decay = np.exp(-s.lambdas * (times[1:, None] - r))  # (n_steps, N)
         if batched:
             values = np.concatenate(

@@ -24,7 +24,8 @@ the time integrator (nonlinearity frozen at left nodes, forcing cells in
 closed form), so a fixed point of the discrete operator is exactly a
 discrete flow trajectory; the infinite past is truncated at -T_b, whose
 tail is exponentially small in (lambda_{n+1} - mu) T_b.  Both recursions
-are first-order filters and are evaluated per mode.
+are first-order filters, evaluated per mode by ``spectral._filter_modes``
+on histories stored mode-major.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .dynamics import Nonlinearity
 from .errors import (
@@ -48,7 +48,7 @@ from .errors import (
 )
 from .forcing import ForcingSignal, cell_convolution, shift_forcing, temperedness_integral
 from .randomness import OUProcess
-from .spectral import Spectrum
+from .spectral import Spectrum, _filter_modes, _mode_major, _node_norms
 
 __all__ = [
     "c_alpha_constant",
@@ -220,9 +220,7 @@ class BackwardTrajectory:
 
 def weighted_sup_norm(times, values, mu: float, s: Spectrum) -> float:
     """max over nodes of e^{mu t} ||A^alpha v(t)||."""
-    wts = s.weights_alpha()
-    norms = np.linalg.norm(values * wts, axis=-1)
-    return float(np.max(np.exp(mu * np.asarray(times)) * norms))
+    return float(np.max(np.exp(mu * np.asarray(times)) * _node_norms(values, s.weights_alpha())))
 
 
 class LPContext:
@@ -231,7 +229,8 @@ class LPContext:
     Bundles the problem data (spectrum, certificate, nonlinearity, forcing
     translated by tau, OU driver) with everything that does not change
     between operator applications: the node set, the OU window, the exact
-    forcing cells and the per-mode filter coefficients.
+    forcing cells, the per-mode filter coefficients and F itself.  Node
+    arrays are stored mode-major, and so is every history built from them.
     """
 
     def __init__(
@@ -272,7 +271,8 @@ class LPContext:
         lo = ou.grid.offset(-self.t_back)
         hi = ou.grid.offset(0.0)
         self.times = np.arange(ou.grid.index(-self.t_back), 1) * self.h
-        self.z = ou.values[lo : hi + 1]
+        self.z = _mode_major(ou.values[lo : hi + 1])
+        self.f = nonlinearity.evaluator(spectrum)
 
         lam = spectrum.lambdas
         self.damp = np.exp(-lam * self.h)
@@ -283,11 +283,11 @@ class LPContext:
         self.q_mask = ~self.p_mask
         self.wts_alpha = spectrum.weights_alpha()
         self.wmu = np.exp(cert.mu * self.times)
-        self.gcells = cell_convolution(
-            shift_forcing(forcing, self.tau), spectrum, self.times[:-1], self.h
+        self.gcells = _mode_major(
+            cell_convolution(shift_forcing(forcing, self.tau), spectrum, self.times[:-1], self.h)
         )
         # Per-P-mode backward flow e^{-lambda t} on the window (t <= 0).
-        self.p_flow = np.exp(-np.outer(self.times, lam[self.p_mask]))
+        self.p_flow = _mode_major(np.exp(-np.outer(self.times, lam[self.p_mask])))
         self.ratio_slack = 5.0 * self.h * cert.lambda_np1
         self.z_s_norm = weighted_sup_norm(self.times, self.z, cert.mu, spectrum)
         self.g_past_integral = temperedness_integral(forcing, spectrum, tau=self.tau)
@@ -295,13 +295,12 @@ class LPContext:
     # ---- helpers --------------------------------------------------------
 
     def s_norm(self, values: np.ndarray) -> float:
-        norms = np.linalg.norm(values * self.wts_alpha, axis=-1)
-        return float(np.max(self.wmu * norms))
+        return float(np.max(self.wmu * _node_norms(values, self.wts_alpha)))
 
     def initial_guess(self, x: np.ndarray) -> BackwardTrajectory:
         """Backward linear flow of the base point (exact for F=0, g=0)."""
         x = self.spectrum.check_state(x)
-        values = np.zeros((self.times.size, self.spectrum.size))
+        values = np.zeros_like(self.z)
         values[:, self.p_mask] = self.p_flow * x[self.p_mask]
         return BackwardTrajectory(self.times, values, self.cert.mu, self.spectrum)
 
@@ -313,7 +312,7 @@ class LPContext:
         Applied to the fixed point at x_from, this is a warm start for the
         solve at a nearby x_to.
         """
-        values = xi.values.copy()
+        values = xi.values.copy(order="K")
         values[:, self.p_mask] += self.p_flow * (x_to - x_from)[self.p_mask]
         return BackwardTrajectory(self.times, values, self.cert.mu, self.spectrum)
 
@@ -339,18 +338,13 @@ def lp_apply(xi: BackwardTrajectory, x: np.ndarray, ctx: LPContext) -> BackwardT
     if xi.values.shape != (ctx.times.size, ctx.spectrum.size):
         raise GridAlignmentError("trajectory nodes do not match the context window")
     x = ctx.spectrum.check_state(x)
-    fw = ctx.nonlinearity.apply(xi.values + ctx.z, ctx.spectrum)
-    u = ctx.w1 * fw[:-1] + ctx.gcells  # per-cell increments, shape (M, N)
-    m = u.shape[0]
-    out = np.zeros_like(xi.values)
-    for j in np.nonzero(ctx.q_mask)[0]:
-        out[1:, j] = lfilter([1.0], [1.0, -ctx.damp[j]], u[:, j])
-    for col, j in enumerate(np.nonzero(ctx.p_mask)[0]):
-        a = ctx.grow[j]
-        rev = lfilter([a], [1.0, -a], u[::-1, j])
-        tail = np.zeros(m + 1)
-        tail[:m] = rev[::-1]
-        out[:, j] = ctx.p_flow[:, col] * x[j] - tail
+    u = ctx.w1 * ctx.f(xi.values + ctx.z)[:-1] + ctx.gcells  # per-cell increments
+    n = ctx.cert.n  # the resolved modes are the first n
+    out = np.empty_like(ctx.z)
+    out[0, n:] = 0.0
+    _filter_modes(u[:, n:], ctx.damp[n:], out=out[1:, n:])
+    out[:, :n] = ctx.p_flow * x[:n]
+    out[:-1, :n] -= _filter_modes(u[:, :n], ctx.grow[:n], ctx.grow[:n], reverse=True)
     result = BackwardTrajectory(ctx.times, out, ctx.cert.mu, ctx.spectrum)
     if ctx.debug_selfmap:
         _check_selfmap_bound(xi, x, result, ctx)

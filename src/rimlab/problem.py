@@ -3,7 +3,9 @@
 A ModelProblem owns the sampled Wiener path and derives the OU driver from
 it once; fixed-point contexts for any forcing translation, and for
 index-shifted copies of the path, are built from here so that every
-downstream object provably uses the same stored noise.
+downstream object provably uses the same stored noise.  Graph values on the
+stored path are solved at most once per (tau, tol, base point), so checks
+that revisit the chart's points reuse its solves.
 """
 
 from __future__ import annotations
@@ -15,8 +17,15 @@ import numpy as np
 from .dynamics import Nonlinearity
 from .errors import ConfigError
 from .forcing import ForcingSignal
-from .lyapunov_perron import GapCertificate, LPContext, backward_horizon
-from .randomness import CovarianceSpec, OUProcess, WienerPath, solve_ou
+from .lyapunov_perron import (
+    GapCertificate,
+    LPContext,
+    ManifoldChart,
+    backward_horizon,
+    build_chart,
+    manifold_point,
+)
+from .randomness import CovarianceSpec, OUProcess, WienerPath, shift_path, solve_ou
 from .spectral import Spectrum
 
 __all__ = ["ModelProblem"]
@@ -34,6 +43,8 @@ class ModelProblem:
     tol: float = 1e-6
     ou_exact_variance: bool = False
     _ou: OUProcess | None = field(default=None, repr=False)
+    _shifted: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _graph: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.path.n_modes != self.spectrum.size:
@@ -65,6 +76,18 @@ class ModelProblem:
         """OU driver on an index-shifted or coarsened copy of the stored path."""
         return solve_ou(path, self.spectrum, self.ou_exact_variance)
 
+    def shifted_ou(self, t: float) -> OUProcess:
+        """OU driver on the stored path shifted by t (the driver itself at t = 0).
+
+        The last shifted driver is kept, so a check and its caller that both
+        need the driver at t share one solve.
+        """
+        if t == 0.0:
+            return self.ou
+        if self._shifted is None or self._shifted[0] != t:
+            self._shifted = (t, self.ou_for(shift_path(self.path, t)))
+        return self._shifted[1]
+
     def lp_context(
         self,
         tau: float = 0.0,
@@ -84,6 +107,32 @@ class ModelProblem:
             seed=self.seed,
             debug_selfmap=debug_selfmap,
         )
+
+    def chart(
+        self, tau: float, x_grid: np.ndarray, tol: float | None = None, threads: int = 1
+    ) -> ManifoldChart:
+        """``build_chart`` at translation tau; its values join the graph-value store."""
+        chart = build_chart(x_grid, self.lp_context(tau, tol=tol), tol, threads)
+        for x, m in zip(chart.x_grid, chart.values):
+            self._graph[(chart.tau, chart.tol, x.tobytes())] = m.copy()
+        return chart
+
+    def graph_values(self, tau: float, x_grid: np.ndarray, tol: float | None = None) -> np.ndarray:
+        """Graph values m_tau(P x) over a grid of base points, each solved once.
+
+        Values are stored per (tau, tol, P x) and only missing ones are
+        solved; ``chart`` fills the same store.
+        """
+        tol = float(self.tol if tol is None else tol)
+        ctx = self.lp_context(tau, tol=tol)
+        values = []
+        for x in np.atleast_2d(np.asarray(x_grid, dtype=float)):
+            base = ctx.project_p(x)
+            key = (ctx.tau, tol, base.tobytes())
+            if key not in self._graph:
+                self._graph[key] = manifold_point(base, ctx, tol)
+            values.append(self._graph[key])
+        return np.array(values)
 
     @staticmethod
     def default_horizons(cert: GapCertificate, tol: float) -> tuple[float, float]:

@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import (
     DimensionMismatchError,
@@ -40,7 +39,7 @@ from .errors import (
     SupportRangeError,
     ValidationError,
 )
-from .spectral import Spectrum
+from .spectral import Spectrum, _filter_modes
 
 __all__ = [
     "TimeGrid",
@@ -276,10 +275,7 @@ def solve_ou(w: WienerPath, s: Spectrum, exact_variance: bool = False) -> OUProc
     values[0] = z0
     if n_cells:
         homog = np.exp(-lam * np.arange(1, n_cells + 1)[:, None] * h) * z0
-        driven = np.empty_like(u)
-        for j in range(s.size):
-            driven[:, j] = lfilter([1.0], [1.0, -damp[j]], u[:, j])
-        values[1:] = homog + driven
+        values[1:] = homog + _filter_modes(u, damp)
     return OUProcess(grid=w.grid, spectrum=s, values=values)
 
 

@@ -10,6 +10,12 @@ norms are weighted coefficient norms,
 There is deliberately no generic matrix path: per-mode evaluation makes the
 projection and smoothing estimates exact up to roundoff, so they can serve
 as test oracles rather than quadrature-limited approximations.
+
+Time histories are (nodes, modes) arrays.  Every time-stepping recursion in
+the package is the per-mode first-order filter ``_filter_modes`` run down
+the node axis, so the histories the fixed-point operators iterate on are
+stored mode-major (``_mode_major``): each mode's column is contiguous.
+``_node_norms`` reads that layout column by column.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.signal import lfilter
 
 from .errors import DimensionMismatchError, DomainError, SpectrumError
 
@@ -160,3 +167,64 @@ def norm_alpha(v: np.ndarray, s: Spectrum, alpha: float | None = None) -> float:
     """Weighted norm ||A^alpha v|| realising the D(A^alpha) norm."""
     v = s.check_state(v)
     return float(np.linalg.norm(v * s.weights_alpha(alpha), axis=-1))
+
+
+def _mode_major(a: np.ndarray) -> np.ndarray:
+    """The (nodes, modes) array ``a`` stored with each mode's column contiguous."""
+    return np.asfortranarray(a)
+
+
+def _filter_modes(u, a, b=1.0, reverse=False, out=None) -> np.ndarray:
+    """Per-mode first-order recurrence down the node axis of a (nodes, modes) array.
+
+    Column j obeys y_k = a_j y_{k-1} + b_j u_k from y_{-1} = 0, or, with
+    ``reverse``, y_k = a_j y_{k+1} + b_j u_k from the last node backwards;
+    ``a`` and ``b`` are per-mode arrays or scalars.  The result goes to
+    ``out`` when given, else to a new mode-major array.  Columns are
+    filtered one at a time, which is fastest when they are contiguous.
+    """
+    n_modes = u.shape[1]
+    a = np.broadcast_to(np.asarray(a, dtype=float), (n_modes,))
+    b = np.broadcast_to(np.asarray(b, dtype=float), (n_modes,))
+    if out is None:
+        out = np.empty(u.shape, order="F")
+    step = -1 if reverse else 1
+    for j in range(n_modes):
+        out[::step, j] = lfilter([b[j]], [1.0, -a[j]], u[::step, j])
+    return out
+
+
+def _node_norms(values: np.ndarray, wts: np.ndarray) -> np.ndarray:
+    """Per-node weighted norms ||wts * values[k]|| of a (nodes, modes) array.
+
+    The squares are summed column by column in the order of numpy's
+    pairwise row sum, so the result equals
+    ``np.linalg.norm(values * wts, axis=-1)`` bit for bit while reading
+    mode-major storage contiguously.
+    """
+    w = values * wts
+    np.multiply(w, w, out=w)
+    return np.sqrt(_pairwise_columns(w))
+
+
+def _pairwise_columns(sq: np.ndarray) -> np.ndarray:
+    """Row sums of ``sq`` in numpy's pairwise order (blocks of 8 up to 128)."""
+    n = sq.shape[1]
+    if n < 8:
+        total = np.zeros(sq.shape[0])
+        for j in range(n):
+            total += sq[:, j]
+        return total
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _pairwise_columns(sq[:, :half]) + _pairwise_columns(sq[:, half:])
+    stop = n - n % 8
+    acc = sq[:, :8] + sq[:, 8:16] if stop >= 16 else sq[:, :8].copy()
+    for i in range(16, stop, 8):
+        acc += sq[:, i : i + 8]
+    total = ((acc[:, 0] + acc[:, 1]) + (acc[:, 2] + acc[:, 3])) + (
+        (acc[:, 4] + acc[:, 5]) + (acc[:, 6] + acc[:, 7])
+    )
+    for j in range(stop, n):
+        total += sq[:, j]
+    return total

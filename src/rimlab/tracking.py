@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .dynamics import Trajectory, integrate
 from .errors import (
@@ -45,7 +44,7 @@ from .errors import (
 )
 from .forcing import shift_forcing
 from .lyapunov_perron import LPContext, solve_fixed_point, weighted_sup_norm
-from .spectral import Spectrum
+from .spectral import Spectrum, _filter_modes, _mode_major, _node_norms
 
 __all__ = [
     "ForwardTrajectory",
@@ -137,7 +136,10 @@ def base_orbit(v0: np.ndarray, ctx: LPContext, t_fwd: float) -> Trajectory:
 
 
 class _ForwardStencil:
-    """Node set, OU window and filter coefficients for the forward operator."""
+    """Node set, OU window and filter coefficients for the forward operator.
+
+    Node arrays are stored mode-major, like the backward operator's.
+    """
 
     def __init__(self, ctx: LPContext, t_fwd: float):
         self.ctx = ctx
@@ -147,21 +149,19 @@ class _ForwardStencil:
         lo = ctx.ou.grid.offset(0.0)
         hi = ctx.ou.grid.offset(self.t_fwd)
         self.times = np.arange(0, self.n_cells + 1) * h
-        self.z = ctx.ou.values[lo : hi + 1]
+        self.z = _mode_major(ctx.ou.values[lo : hi + 1])
         lam = ctx.spectrum.lambdas
         # Weights of the resolved-mode seed integral int e^{+lambda s} over a cell.
         self.p_cols = np.nonzero(ctx.p_mask)[0]
-        self.q_cols = np.nonzero(ctx.q_mask)[0]
         lam_p = lam[self.p_cols]
         self.seed_weights = np.exp(np.outer(self.times[:-1], lam_p)) * (
             np.expm1(lam_p * h) / lam_p
         )
-        self.q_decay = np.exp(-np.outer(self.times, lam[self.q_cols]))
+        self.q_decay = _mode_major(np.exp(-np.outer(self.times, lam[ctx.q_mask])))
         self.wmu = np.exp(ctx.cert.mu * self.times)
 
     def s_plus_norm(self, values: np.ndarray) -> float:
-        norms = np.linalg.norm(values * self.ctx.wts_alpha, axis=-1)
-        return float(np.max(self.wmu * norms))
+        return float(np.max(self.wmu * _node_norms(values, self.ctx.wts_alpha)))
 
 
 def _apply_forward(stencil: _ForwardStencil, xi_values, base_values, v0, tol, warm=None):
@@ -172,11 +172,8 @@ def _apply_forward(stencil: _ForwardStencil, xi_values, base_values, v0, tol, wa
     """
     ctx = stencil.ctx
     s = ctx.spectrum
-    df = ctx.nonlinearity.apply(xi_values + base_values + stencil.z, s) - ctx.nonlinearity.apply(
-        base_values + stencil.z, s
-    )
+    df = ctx.f(xi_values + base_values + stencil.z) - ctx.f(base_values + stencil.z)
     u = ctx.w1 * df[:-1]
-    m_cells = u.shape[0]
 
     seed_integral = np.zeros(s.size)
     seed_integral[stencil.p_cols] = np.sum(stencil.seed_weights * df[:-1, stencil.p_cols], axis=0)
@@ -185,14 +182,12 @@ def _apply_forward(stencil: _ForwardStencil, xi_values, base_values, v0, tol, wa
     graph, _ = solve_fixed_point(x0, ctx, tol, start=start)
     y0 = -ctx.project_q(v0) + ctx.project_q(graph.final)
 
-    out = np.zeros_like(xi_values)
-    out[:, stencil.q_cols] = stencil.q_decay * y0[stencil.q_cols]
-    for j in stencil.q_cols:
-        out[1:, j] += lfilter([1.0], [1.0, -ctx.damp[j]], u[:, j])
-    for j in stencil.p_cols:
-        a = ctx.grow[j]
-        rev = lfilter([a], [1.0, -a], u[::-1, j])
-        out[:m_cells, j] = -rev[::-1]
+    n = ctx.cert.n  # the resolved modes are the first n
+    out = np.empty_like(stencil.z)
+    out[:, n:] = stencil.q_decay * y0[n:]
+    out[1:, n:] += _filter_modes(u[:, n:], ctx.damp[n:])
+    out[-1, :n] = 0.0
+    out[:-1, :n] = -_filter_modes(u[:, :n], ctx.grow[:n], ctx.grow[:n], reverse=True)
     return out, y0, x0, graph
 
 
@@ -249,9 +244,10 @@ def solve_tracking(
         base_values[0], v0
     ):
         raise GridAlignmentError("base orbit must start at v0 on the forward nodes")
+    base_values = _mode_major(base_values)
 
     thresh = (1.0 - delta) * tol
-    xi_values = np.zeros_like(base_values)
+    xi_values = np.zeros_like(stencil.z)
     warm = None
     first_graph = None
     cap = None
@@ -293,7 +289,7 @@ def solve_tracking(
     x_star = ctx.project_p(v0_star)
     star_graph, _ = solve_fixed_point(x_star, ctx, tol, start=ctx.rebase(graph, x0, x_star))
     graph_residual = ctx.norm_alpha(ctx.project_q(v0_star) - ctx.project_q(star_graph.final))
-    decay = np.linalg.norm(xi_values * ctx.wts_alpha, axis=1)
+    decay = _node_norms(xi_values, ctx.wts_alpha)
     return TrackingResult(
         v0=v0,
         v0_star=v0_star,

@@ -194,8 +194,7 @@ def test_criterion_05_invariance(spectrum16, sine_forcing, cov16, chart_grid16):
         for (label, (problem, ctx, chart)), endpoints in zip(
             charts.items(), np.split(flowed, len(charts))
         ):
-            shifted_ou = problem.ou_for(rl.shift_path(problem.path, t))
-            ctx_shift = problem.lp_context(tau + t, ou=shifted_ou, tol=tol_run)
+            ctx_shift = problem.lp_context(tau + t, ou=problem.shifted_ou(t), tol=tol_run)
             cross[label].append(max(
                 ctx.norm_alpha(
                     ctx.project_q(q_pt)

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import rimlab as rl
+from rimlab import lyapunov_perron
 from rimlab.analysis import (
     AttractorCloud,
     DefectReport,
@@ -74,6 +77,27 @@ def test_periodicity_nonlinear(problem_nl, chart_grid16):
         report = periodicity_defect(tau, 2.0 * np.pi, chart_grid16[:3], problem_nl)
         assert report.passed
         assert report.value <= 2.0 * problem_nl.tol + 1e-4
+
+
+def test_periodicity_reuses_chart_graph_values(problem_nl, chart_grid16, monkeypatch):
+    # The chart's solves fill the problem's graph-value store, so the
+    # periodicity check at the chart's tau solves only the translated graph.
+    period = 2.0 * np.pi
+    grid = chart_grid16[::4]
+    uncached = periodicity_defect(0.0, period, grid, dataclasses.replace(problem_nl))
+    problem = dataclasses.replace(problem_nl)
+    problem.chart(0.0, grid)
+    solved_taus = []
+    solve = lyapunov_perron.solve_fixed_point
+
+    def counting(x, ctx, *args, **kwargs):
+        solved_taus.append(ctx.tau)
+        return solve(x, ctx, *args, **kwargs)
+
+    monkeypatch.setattr(lyapunov_perron, "solve_fixed_point", counting)
+    cached = periodicity_defect(0.0, period, grid, problem)
+    assert solved_taus == [period] * len(grid)
+    assert cached.value == uncached.value
 
 
 def test_periodicity_two_resolution_ratio(spectrum16, sine_forcing, cov16):

@@ -274,6 +274,13 @@ BAD_INPUTS = {
     "inf_float": (("lipschitz = 0.1", "lipschitz = inf"), []),
     "inf_in_list": (("pullback_times = 2.0 4.0", "pullback_times = 2.0 inf"), []),
     "nan_in_terms": (("2 1.0 1.0 0.0", "2 nan 1.0 0.0"), []),
+    "nan_in_table": (
+        (
+            "form = trig_sum\nterms =\n    2 1.0 1.0 0.0",
+            "form = tabulated\ntable =\n    -40.0 0 0.5 0 0 0 0 0 0\n    8.0 0 nan 0 0 0 0 0 0",
+        ),
+        [],
+    ),
     "negative_seed": (("seed = 7", "seed = -3"), []),
     "negative_seed_flag": (None, ["--seed", "-3"]),
     "missing_config": (None, ["--config", "{tmp}/missing.ini"]),

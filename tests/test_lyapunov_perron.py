@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.signal import lfilter
 
 import rimlab as rl
 from rimlab.errors import CertificateError, ContractionViolationError, ParameterError
@@ -159,6 +160,65 @@ def test_lp_contraction_ratios(problem_nl):
         num = ctx.s_norm(lp_apply(a, x, ctx).values - lp_apply(b, x, ctx).values)
         den = ctx.s_norm(a.values - b.values)
         assert num / den <= problem_nl.cert.k * (1 + 1e-6) + slack
+
+
+def _lp_apply_row_major(values, x, ctx):
+    # Frozen reference: the backward operator as written before histories
+    # were stored mode-major, on C-ordered copies, one lfilter per mode.
+    values = np.ascontiguousarray(values)
+    z = np.ascontiguousarray(ctx.z)
+    p_flow = np.ascontiguousarray(ctx.p_flow)
+    fw = ctx.nonlinearity.apply(values + z, ctx.spectrum)
+    u = ctx.w1 * fw[:-1] + np.ascontiguousarray(ctx.gcells)
+    m = u.shape[0]
+    out = np.zeros_like(values)
+    for j in np.nonzero(ctx.q_mask)[0]:
+        out[1:, j] = lfilter([1.0], [1.0, -ctx.damp[j]], u[:, j])
+    for col, j in enumerate(np.nonzero(ctx.p_mask)[0]):
+        a = ctx.grow[j]
+        rev = lfilter([a], [1.0, -a], u[::-1, j])
+        tail = np.zeros(m + 1)
+        tail[:m] = rev[::-1]
+        out[:, j] = p_flow[:, col] * x[j] - tail
+    return out
+
+
+@pytest.mark.parametrize("x1", [-0.8, 0.35])
+def test_lp_apply_and_solve_match_row_major_reference(problem_nl, x1):
+    ctx = problem_nl.lp_context(0.0)
+    x = np.zeros(16)
+    x[0] = x1
+    xi = ctx.initial_guess(x)
+    assert np.array_equal(lp_apply(xi, x, ctx).values, _lp_apply_row_major(xi.values, x, ctx))
+    # Picard iteration on the reference, with the row-wise S-norm and the
+    # same stopping rule, reaches the same history bit for bit.
+    solved, iterations = solve_fixed_point(x, ctx)
+    ref = np.ascontiguousarray(xi.values)
+    thresh = (1.0 - ctx.cert.k) * ctx.tol
+    for count in range(1, 50):
+        new = _lp_apply_row_major(ref, x, ctx)
+        d = np.max(ctx.wmu * np.linalg.norm((new - ref) * ctx.wts_alpha, axis=-1))
+        ref = new
+        if d <= thresh:
+            break
+    assert count == iterations
+    assert np.array_equal(solved.values, ref)
+
+
+def test_histories_are_mode_major(problem_nl):
+    # Every history the backward operator iterates on keeps each mode's
+    # column contiguous, the layout the per-mode filters scan.
+    ctx = problem_nl.lp_context(0.0)
+    x = np.zeros(16)
+    x[0] = 0.5
+    guess = ctx.initial_guess(x)
+    solved, _ = solve_fixed_point(x, ctx)
+    moved = ctx.rebase(solved, x, 0.9 * x)
+    row_major = BackwardTrajectory(
+        ctx.times, np.ascontiguousarray(guess.values), ctx.cert.mu, ctx.spectrum
+    )
+    for history in (guess, solved, moved, lp_apply(guess, x, ctx), lp_apply(row_major, x, ctx)):
+        assert history.values.flags.f_contiguous
 
 
 def test_solver_one_iteration_when_constant(problem_lin):

@@ -1,9 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 import rimlab as rl
 from rimlab.errors import DimensionMismatchError, DomainError, SpectrumError
-from rimlab.spectral import ProjectionSplit, apply_semigroup, frac_power, split_state
+from rimlab.spectral import (
+    ProjectionSplit,
+    _filter_modes,
+    _node_norms,
+    apply_semigroup,
+    frac_power,
+    split_state,
+)
 
 
 @pytest.fixture
@@ -150,3 +160,59 @@ def test_projection_dichotomy_bounds_plain():
 
 def test_projection_dichotomy_bounds_fractional():
     _dichotomy_case(0.25)
+
+
+# ---- per-mode recurrence and node norms ------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nodes=st.integers(1, 24),
+    modes=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    reverse=st.booleans(),
+    gain_a=st.booleans(),
+    order=st.sampled_from("CF"),
+)
+def test_filter_modes_matches_loop(nodes, modes, seed, reverse, gain_a, order):
+    # y_k = a_j y_{k-1} + b_j u_k per column (b = 1 or b = a), forward or
+    # reversed, on C- or F-ordered input: a plain loop agrees to rounding and
+    # per-column lfilter with the same coefficients agrees bit for bit.
+    rng = np.random.default_rng(seed)
+    u = np.asarray(rng.standard_normal((nodes, modes)), order=order)
+    a = rng.uniform(0.0, 1.5, modes)
+    b = a if gain_a else 1.0
+    got = _filter_modes(u, a, b, reverse=reverse)
+    assert got.flags.f_contiguous
+
+    loop = np.zeros((nodes, modes))
+    rows = range(nodes - 1, -1, -1) if reverse else range(nodes)
+    bj = np.broadcast_to(b, (modes,))
+    for j in range(modes):
+        y = 0.0
+        for k in rows:
+            y = a[j] * y + bj[j] * u[k, j]
+            loop[k, j] = y
+    assert np.allclose(got, loop, rtol=1e-12, atol=1e-12)
+
+    step = -1 if reverse else 1
+    for j in range(modes):
+        ref = lfilter([bj[j]], [1.0, -a[j]], np.ascontiguousarray(u[::step, j]))[::step]
+        assert np.array_equal(got[:, j], ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nodes=st.integers(1, 40),
+    modes=st.integers(1, 140),
+    seed=st.integers(0, 2**32 - 1),
+    order=st.sampled_from("CF"),
+)
+def test_node_norms_equal_row_norms(nodes, modes, seed, order):
+    # Bit-equal to numpy's row norm in either layout, so S-norms (and the
+    # chart residuals written from them) do not depend on storage order.
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((nodes, modes)) * np.exp(3.0 * rng.standard_normal((nodes, 1)))
+    wts = rng.uniform(0.5, 4.0, modes)
+    expected = np.linalg.norm(values * wts, axis=-1)
+    assert np.array_equal(_node_norms(np.asarray(values, order=order), wts), expected)
