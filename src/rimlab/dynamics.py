@@ -104,11 +104,14 @@ class Nonlinearity:
         if self.kind == "zero":
             return np.zeros_like
         wts = s.weights_alpha()
+        # At alpha = 0 the weights are all ones and u * 1.0 == u exactly,
+        # so the multiply is skipped.
+        weigh = (lambda u: u) if s.alpha == 0.0 else (lambda u: u * wts)
         if self.kind == "per_mode_sin":
             lip = self.lipschitz
-            return lambda u: lip * np.sin(u * wts)
+            return lambda u: lip * np.sin(weigh(u))
         xs, ys = self.table_x, self.table_y
-        return lambda u: np.interp(np.clip(u * wts, xs[0], xs[-1]), xs, ys)
+        return lambda u: np.interp(np.clip(weigh(u), xs[0], xs[-1]), xs, ys)
 
     def apply(self, u: np.ndarray, s: Spectrum) -> np.ndarray:
         return self.evaluator(s)(s.check_state(u))

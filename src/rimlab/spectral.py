@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import DimensionMismatchError, DomainError, SpectrumError
 
@@ -183,6 +182,11 @@ def _filter_modes(u, a, b=1.0, reverse=False, out=None) -> np.ndarray:
     ``out`` when given, else to a new mode-major array.  Columns are
     filtered one at a time, which is fastest when they are contiguous.
     """
+    # Imported here, not at module level: loading scipy.signal costs about
+    # 1.3 s, and commands that never step time (gap-scan, report) never
+    # reach this function.
+    from scipy.signal import lfilter
+
     n_modes = u.shape[1]
     a = np.broadcast_to(np.asarray(a, dtype=float), (n_modes,))
     b = np.broadcast_to(np.asarray(b, dtype=float), (n_modes,))

@@ -164,15 +164,17 @@ class _ForwardStencil:
         return float(np.max(self.wmu * _node_norms(values, self.ctx.wts_alpha)))
 
 
-def _apply_forward(stencil: _ForwardStencil, xi_values, base_values, v0, tol, warm=None):
+def _apply_forward(stencil: _ForwardStencil, xi_values, base_values, f_base, v0, tol, warm=None):
     """One sweep of the forward operator; returns (values, y0, x0, graph).
 
-    ``graph`` is the nested fixed point at x0, whose time-zero Q part is
-    m(x0).  ``warm``, a previous (graph, x0) pair, warm-starts that solve.
+    ``f_base`` is F(base + z) on the forward nodes, fixed for a whole
+    solve.  ``graph`` is the nested fixed point at x0, whose time-zero Q
+    part is m(x0).  ``warm``, a previous (graph, x0) pair, warm-starts that
+    solve.
     """
     ctx = stencil.ctx
     s = ctx.spectrum
-    df = ctx.f(xi_values + base_values + stencil.z) - ctx.f(base_values + stencil.z)
+    df = ctx.f(xi_values + base_values + stencil.z) - f_base
     u = ctx.w1 * df[:-1]
 
     seed_integral = np.zeros(s.size)
@@ -208,7 +210,8 @@ def lp_plus_apply(
     stencil = _ForwardStencil(ctx, float(xi.times[-1]))
     if xi.values.shape != base_values.shape or xi.values.shape[0] != stencil.times.size:
         raise GridAlignmentError("iterate and base orbit must share the forward nodes")
-    values, y0, x0, _ = _apply_forward(stencil, xi.values, base_values, v0, tol)
+    f_base = ctx.f(base_values + stencil.z)
+    values, y0, x0, _ = _apply_forward(stencil, xi.values, base_values, f_base, v0, tol)
     return ForwardTrajectory(stencil.times, values, ctx.cert.mu, ctx.spectrum), y0, x0
 
 
@@ -245,6 +248,7 @@ def solve_tracking(
     ):
         raise GridAlignmentError("base orbit must start at v0 on the forward nodes")
     base_values = _mode_major(base_values)
+    f_base = ctx.f(base_values + stencil.z)
 
     thresh = (1.0 - delta) * tol
     xi_values = np.zeros_like(stencil.z)
@@ -255,7 +259,7 @@ def solve_tracking(
     iterations = 0
     while True:
         new_values, y0, x0, graph = _apply_forward(
-            stencil, xi_values, base_values, v0, tol, warm
+            stencil, xi_values, base_values, f_base, v0, tol, warm
         )
         warm = (graph, x0)
         if first_graph is None:

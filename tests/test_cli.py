@@ -1,10 +1,16 @@
+import configparser
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rimlab.cli import main
 
@@ -373,3 +379,82 @@ def test_explicit_config_field_errors(tmp_path):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(bad, encoding="utf-8")
     assert main(["gap-scan", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+LINEAR_SINE = CONFIG_DIR / "linear_sine.ini"
+
+
+def _read_ini(path: Path) -> configparser.ConfigParser:
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser.read_string(path.read_text(encoding="utf-8"))
+    return parser
+
+
+# Each statement runs in a fresh interpreter, paired with whether it should
+# load SciPy: commands that never step time must not import it, and the OU
+# solve, which is a filter call, must.
+SCIPY_PROBES = {
+    "import": ("import rimlab.cli", False),
+    "gap_scan": ("main(['gap-scan', '--config', CFG, '--out', OUT])", False),
+    "report": ("main(['report', '--config', CFG, '--out', OUT])", False),
+    "ou": ("build_problem(load_config(CFG), 7).ou", True),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(SCIPY_PROBES))
+def test_scipy_loaded_only_by_the_filter(tmp_path, probe):
+    statement, loads_scipy = SCIPY_PROBES[probe]
+    doc = {
+        "all_pass": True,
+        "reports": [{"kind": "lipschitz", "passed": True, "value": 0.0, "bound": 1.3}],
+    }
+    (tmp_path / "verification.json").write_text(json.dumps(doc), encoding="utf-8")
+    script = "\n".join(
+        [
+            "import contextlib, io, json, sys",
+            "from rimlab.cli import main",
+            "from rimlab.config import build_problem, load_config",
+            f"CFG, OUT = {str(LINEAR_SINE)!r}, {str(tmp_path)!r}",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            f"    {statement}",
+            "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))",
+        ]
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    if loads_scipy:
+        assert "scipy.signal" in loaded
+    else:
+        assert loaded == []
+
+
+# Field-by-field mutations of a shipped config: every input must map to the
+# exit-code contract with a readable message, never a traceback.  None stands
+# for the key being removed; no value asks for a large grid.
+FUZZ_FIELDS = [(sec, key) for sec, keys in _read_ini(LINEAR_SINE).items() for key in keys]
+FUZZ_VALUES = ["", "nan", "inf", "-inf", "-1", "0", "abc", None]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(field=st.sampled_from(FUZZ_FIELDS), value=st.sampled_from(FUZZ_VALUES))
+def test_config_mutations_keep_exit_code_contract(field, value):
+    section, key = field
+    parser = _read_ini(LINEAR_SINE)
+    if value is None:
+        parser.remove_option(section, key)
+    else:
+        parser[section][key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "case.ini"
+        with open(cfg, "w", encoding="utf-8") as fh:
+            parser.write(fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        failed = any(line.startswith("FAIL") for line in out.getvalue().splitlines())
+        assert failed or err.getvalue().startswith("run failed:")
+    if code in (2, 3):
+        assert len(err.getvalue().strip().splitlines()) == 1

@@ -256,3 +256,34 @@ def test_phi_identity_at_zero(spec8, noisy_ou):
     u0 = np.array([1e-20, 0.4, -0.2, 0.0, 0.1, 0.0, 0.0, 0.0])
     out = cocycle_phi(0.0, 0.3, ou, u0, g, Nonlinearity.per_mode_sin(0.1), spec8)
     assert np.array_equal(out, u0)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        Nonlinearity.per_mode_sin(0.3),
+        Nonlinearity.custom_table([-2.0, 0.0, 1.0, 3.0], [-0.1, 0.0, 0.05, 0.08]),
+    ],
+    ids=["per_mode_sin", "custom_table"],
+)
+def test_evaluator_weights_only_when_alpha_positive(f):
+    # At alpha = 0 the evaluator skips the all-ones weight multiply; that must
+    # equal the weighted formula bit for bit (signed zeros and non-finite
+    # entries included) and in memory layout, which later axis sums read.
+    # At alpha > 0 the weights must still be applied.
+    u = np.asfortranarray(np.random.default_rng(4).standard_normal((50, 8)) * 3.0)
+    u[0, :4] = [-0.0, np.inf, -np.inf, np.nan]
+
+    def weighted(s):
+        v = u * s.weights_alpha()
+        if f.kind == "per_mode_sin":
+            return f.lipschitz * np.sin(v)
+        return np.interp(np.clip(v, f.table_x[0], f.table_x[-1]), f.table_x, f.table_y)
+
+    with np.errstate(invalid="ignore"):
+        for alpha in (0.0, 0.25):
+            s = rl.dirichlet_laplacian(8, alpha)
+            got, want = f.evaluator(s)(u), weighted(s)
+            assert got.tobytes() == want.tobytes() and got.strides == want.strides
+        unweighted = f.evaluator(rl.dirichlet_laplacian(8, 0.0))(u)
+    assert not np.array_equal(got[1:], unweighted[1:])

@@ -245,3 +245,28 @@ def test_tracking_detects_wrong_certificate(problem_nl):
     v0[0] = 0.5
     with pytest.raises(ContractionViolationError):
         solve_tracking(v0, ctx, t_fwd=4.0)
+
+
+def test_tracking_evaluates_base_nonlinearity_once(problem_nl):
+    # F(base + z) is fixed for a whole solve, so k sweeps make k + 1 F calls
+    # on the forward nodes (nested graph solves run on the longer backward
+    # window and are not counted).
+    ctx = problem_nl.lp_context(0.0)
+    t_fwd = 6.0
+    v0 = 0.5 * np.random.default_rng(10).standard_normal(16)
+    base = base_orbit(v0, ctx, t_fwd).values
+    expected = solve_tracking(v0, ctx, t_fwd=t_fwd, base=base)
+    assert base.shape[0] != ctx.times.size
+    f, calls = ctx.f, []
+
+    def counted(u):
+        if u.shape[0] == base.shape[0]:
+            calls.append(u.shape)
+        return f(u)
+
+    ctx.f = counted
+    result = solve_tracking(v0, ctx, t_fwd=t_fwd, base=base)
+    assert result.iterations >= 2
+    assert len(calls) == result.iterations + 1
+    assert np.array_equal(result.v0_star, expected.v0_star)
+    assert np.array_equal(result.decay_curve, expected.decay_curve)
