@@ -81,7 +81,6 @@ from .spectral import (
     dirichlet_laplacian,
     frac_power,
     norm_alpha,
-    norm_h,
     split_state,
 )
 from .tracking import (

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -85,7 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=(name != "report"), help="path to the run config")
         p.add_argument("--seed", type=int, default=None, help="override the noise seed")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=None, help="override worker count")
         p.set_defaults(func=func)
     return parser
 
@@ -98,11 +96,10 @@ def _setup(args):
     seed = cfg.seed if args.seed is None else int(args.seed)
     if seed < 0:
         raise ConfigError(f"--seed: must be >= 0 (got {seed})")
-    threads = cfg.threads if args.threads is None else max(int(args.threads), 1)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     meta = {"config_sha256": cfg.config_hash(seed), "seed": seed}
-    return cfg, seed, threads, out, meta
+    return cfg, seed, out, meta
 
 
 def _problem_meta(problem: ModelProblem) -> dict:
@@ -154,8 +151,8 @@ def _chart_grid(cfg: RunConfig) -> np.ndarray:
     return grid
 
 
-def _build_configured_chart(cfg: RunConfig, problem: ModelProblem, threads: int):
-    return problem.chart(cfg.chart["tau"], _chart_grid(cfg), threads=threads)
+def _build_configured_chart(cfg: RunConfig, problem: ModelProblem):
+    return problem.chart(cfg.chart["tau"], _chart_grid(cfg))
 
 
 def _write_chart_files(chart, cfg: RunConfig, out: Path, meta: dict) -> None:
@@ -218,21 +215,16 @@ def _random_states(seed: int, stream: int, count: int, n_modes: int, radius: flo
     return radius * rng.standard_normal((count, n_modes))
 
 
-def _tracking_reports(
-    cfg: RunConfig, problem: ModelProblem, threads: int = 1
-) -> tuple[list, list]:
+def _tracking_reports(cfg: RunConfig, problem: ModelProblem) -> tuple[list, list]:
     ctx = problem.lp_context(cfg.track["tau"])
     u0s = _random_states(
         problem.seed, 101, cfg.track["count"], cfg.spectrum.size, cfg.track["radius"]
     )
     # every orbit's transformed base u0 - z(0), integrated in one batch
     bases = base_orbit(u0s - ctx.z_at_zero(), ctx, problem.t_fwd).values
-    solve = lambda i: track_phi(u0s[i], ctx, t_fwd=problem.t_fwd, base=bases[:, i])
-    if threads > 1 and len(u0s) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(solve, range(len(u0s))))
-    else:
-        results = [solve(i) for i in range(len(u0s))]
+    results = [
+        track_phi(u0, ctx, t_fwd=problem.t_fwd, base=bases[:, i]) for i, u0 in enumerate(u0s)
+    ]
     slack = cfg.verify["envelope_slack"]
     ratios, slopes = [], []
     for r in results:
@@ -263,7 +255,7 @@ def _tracking_reports(
 
 
 def cmd_gap_scan(args) -> int:
-    cfg, seed, _, out, meta = _setup(args)
+    cfg, seed, out, meta = _setup(args)
     rows = scan_gap(cfg.spectrum, cfg.nonlinearity.lipschitz, cfg.gap_k)
     _write_json(out / "gap_scan.json", {**meta, "k": cfg.gap_k, "rows": rows})
     lines = [
@@ -283,9 +275,9 @@ def cmd_gap_scan(args) -> int:
 
 
 def cmd_build_manifold(args) -> int:
-    cfg, seed, threads, out, meta = _setup(args)
+    cfg, seed, out, meta = _setup(args)
     problem = build_problem(cfg, seed)
-    chart = _build_configured_chart(cfg, problem, threads)
+    chart = _build_configured_chart(cfg, problem)
     _write_chart_files(chart, cfg, out, {**meta, **_problem_meta(problem)})
     print(
         f"chart: {chart.x_grid.shape[0]} points, max residual "
@@ -295,14 +287,14 @@ def cmd_build_manifold(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg, seed, threads, out, meta = _setup(args)
+    cfg, seed, out, meta = _setup(args)
     problem = build_problem(cfg, seed)
     checks = cfg.verify["checks"]
     reports: list[DefectReport] = []
 
     chart = None
     if "invariance" in checks or "lipschitz" in checks:
-        chart = _build_configured_chart(cfg, problem, threads)
+        chart = _build_configured_chart(cfg, problem)
     if "lipschitz" in checks:
         reports.append(
             DefectReport(
@@ -319,7 +311,7 @@ def cmd_verify(args) -> int:
             )
         )
     if "tracking" in checks:
-        track_reports, _ = _tracking_reports(cfg, problem, threads)
+        track_reports, _ = _tracking_reports(cfg, problem)
         reports.extend(track_reports)
     if "periodicity" in checks:
         period = cfg.forcing.declared_period
@@ -368,9 +360,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_track(args) -> int:
-    cfg, seed, threads, out, meta = _setup(args)
+    cfg, seed, out, meta = _setup(args)
     problem = build_problem(cfg, seed)
-    reports, results = _tracking_reports(cfg, problem, threads)
+    reports, results = _tracking_reports(cfg, problem)
     entries = []
     for idx, r in enumerate(results):
         curve_path = out / f"decay_curve_{idx:02d}.csv"
@@ -411,7 +403,7 @@ def cmd_track(args) -> int:
 
 
 def cmd_periodicity(args) -> int:
-    cfg, seed, _, out, meta = _setup(args)
+    cfg, seed, out, meta = _setup(args)
     problem = build_problem(cfg, seed)
     period = cfg.forcing.declared_period
     if period is None:
@@ -438,7 +430,7 @@ def cmd_periodicity(args) -> int:
 
 
 def cmd_attractor(args) -> int:
-    cfg, seed, _, out, meta = _setup(args)
+    cfg, seed, out, meta = _setup(args)
     problem = build_problem(cfg, seed)
     att = cfg.attractor
     ensemble = _random_states(

@@ -44,7 +44,6 @@ class RunConfig:
     t_back: float | None
     t_fwd: float | None
     burn_in: float | None
-    threads: int
     chart: dict = field(default_factory=dict)
     track: dict = field(default_factory=dict)
     attractor: dict = field(default_factory=dict)
@@ -273,7 +272,6 @@ def load_config(path) -> RunConfig:
     t_back = num.auto_float("t_back", minimum=0.0)
     t_fwd = num.auto_float("t_fwd", minimum=0.0)
     burn_in = num.auto_float("burn_in", minimum=0.0)
-    threads = num.int("threads", 1, minimum=1)
 
     chart_sec = _Section(parser, "chart")
     chart = {
@@ -348,7 +346,6 @@ def load_config(path) -> RunConfig:
         t_back=t_back,
         t_fwd=t_fwd,
         burn_in=burn_in,
-        threads=threads,
         chart=chart,
         track=track,
         attractor=attractor,

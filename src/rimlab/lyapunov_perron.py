@@ -25,13 +25,13 @@ closed form), so a fixed point of the discrete operator is exactly a
 discrete flow trajectory; the infinite past is truncated at -T_b, whose
 tail is exponentially small in (lambda_{n+1} - mu) T_b.  Both recursions
 are first-order filters, evaluated per mode by ``spectral._filter_modes``
-on histories stored mode-major.
+on histories stored mode-major.  The forward tracking operator shares
+these sums (``_duhamel``) and the Picard loop (``_picard``).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -333,18 +333,30 @@ class LPContext:
         return self.z[-1]
 
 
+def _duhamel(u: np.ndarray, ctx: LPContext) -> np.ndarray:
+    """Cell-rule Duhamel sums of per-cell increments ``u`` on a node set.
+
+    Q modes accumulate forward from zero at the first node; P modes carry
+    minus the sum over the cells ahead, zero at the last node.  Both
+    operators add their homogeneous term to this.
+    """
+    n = ctx.cert.n  # the resolved modes are the first n
+    out = np.empty((u.shape[0] + 1, u.shape[1]), order="F")
+    out[0, n:] = 0.0
+    _filter_modes(u[:, n:], ctx.damp[n:], out=out[1:, n:])
+    out[-1, :n] = 0.0
+    out[:-1, :n] = -_filter_modes(u[:, :n], ctx.grow[:n], ctx.grow[:n], reverse=True)
+    return out
+
+
 def lp_apply(xi: BackwardTrajectory, x: np.ndarray, ctx: LPContext) -> BackwardTrajectory:
     """One application of the backward integral operator at every node."""
     if xi.values.shape != (ctx.times.size, ctx.spectrum.size):
         raise GridAlignmentError("trajectory nodes do not match the context window")
     x = ctx.spectrum.check_state(x)
     u = ctx.w1 * ctx.f(xi.values + ctx.z)[:-1] + ctx.gcells  # per-cell increments
-    n = ctx.cert.n  # the resolved modes are the first n
-    out = np.empty_like(ctx.z)
-    out[0, n:] = 0.0
-    _filter_modes(u[:, n:], ctx.damp[n:], out=out[1:, n:])
-    out[:, :n] = ctx.p_flow * x[:n]
-    out[:-1, :n] -= _filter_modes(u[:, :n], ctx.grow[:n], ctx.grow[:n], reverse=True)
+    out = _duhamel(u, ctx)
+    out[:, : ctx.cert.n] += ctx.p_flow * x[: ctx.cert.n]
     result = BackwardTrajectory(ctx.times, out, ctx.cert.mu, ctx.spectrum)
     if ctx.debug_selfmap:
         _check_selfmap_bound(xi, x, result, ctx)
@@ -366,6 +378,54 @@ def _check_selfmap_bound(xi, x, result, ctx):
         )
 
 
+def _picard(step, dist, start, factor: float, slack: float, tol: float):
+    """Picard iteration ``x <- step(x)`` of a contraction with factor ``factor``.
+
+    Returns (fixed point, iterations) once consecutive iterates are at
+    most (1 - factor) tol apart under ``dist``, which bounds the distance
+    to the fixed point by tol from any start.  Raises
+    ContractionViolationError when a measured ratio of consecutive
+    distances reaches 1 or exceeds factor + slack (the quadrature slack),
+    or when the a-priori iteration cap set from the first distance is
+    exceeded.
+    """
+    thresh = (1.0 - factor) * tol
+    # budget from the slack-adjusted ratio, so a contraction running
+    # exactly at the quadrature allowance is not misreported
+    rate = min(factor + slack, 0.999)
+    old = start
+    del start  # so a history is not held past its first step
+    cap = None
+    d_prev = None
+    iterations = 0
+    while True:
+        new = step(old)
+        iterations += 1
+        d = dist(new, old)
+        if d <= thresh:
+            return new, iterations
+        if cap is None:
+            cap = math.ceil(math.log(thresh / d) / math.log(rate)) + 1
+        if d_prev is not None:
+            ratio = d / d_prev
+            if ratio >= 1.0:
+                raise ContractionViolationError(
+                    f"iterate distances stopped decreasing (ratio {ratio:g}); "
+                    f"certified factor {factor:g} is empirically exceeded"
+                )
+            if ratio > factor + slack:
+                raise ContractionViolationError(
+                    f"measured contraction ratio {ratio:g} exceeds "
+                    f"factor + slack = {factor + slack:g}"
+                )
+        if iterations > cap:
+            raise ContractionViolationError(
+                f"fixed point not reached within the {cap}-iteration budget"
+            )
+        d_prev = d
+        old = new
+
+
 def solve_fixed_point(
     x: np.ndarray,
     ctx: LPContext,
@@ -376,51 +436,20 @@ def solve_fixed_point(
 
     Iteration starts from ``start`` when given (e.g. a neighbouring point's
     fixed point moved by ``LPContext.rebase``), else from the linear flow
-    of x.  Stops when consecutive iterates differ by at most (1-k) tol,
-    which bounds the distance to the fixed point by tol from any start.
-    Raises
-    ContractionViolationError when measured ratios exceed the certified
-    factor beyond the quadrature slack, or when the a-priori iteration cap
-    is exceeded.
+    of x.  Stops and raises as ``_picard`` does, with factor k and the
+    context's quadrature slack.
     """
     tol = ctx.tol if tol is None else float(tol)
     if tol <= 0.0:
         raise ParameterError("tolerance must be positive")
-    k = ctx.cert.k
-    thresh = (1.0 - k) * tol
-    xi = ctx.initial_guess(x) if start is None else start
-    cap = None
-    d_prev = None
-    iterations = 0
-    while True:
-        xi_new = lp_apply(xi, x, ctx)
-        iterations += 1
-        d = ctx.s_norm(xi_new.values - xi.values)
-        if d <= thresh:
-            return xi_new, iterations
-        if cap is None:
-            # budget from the slack-adjusted ratio, so a contraction running
-            # exactly at the quadrature allowance is not misreported
-            rate = min(k + ctx.ratio_slack, 0.999)
-            cap = math.ceil(math.log(thresh / d) / math.log(rate)) + 1
-        if d_prev is not None:
-            ratio = d / d_prev
-            if ratio >= 1.0:
-                raise ContractionViolationError(
-                    f"iterate distances stopped decreasing (ratio {ratio:g}); "
-                    f"certified k={k:g} is empirically exceeded"
-                )
-            if ratio > k + ctx.ratio_slack:
-                raise ContractionViolationError(
-                    f"measured contraction ratio {ratio:g} exceeds "
-                    f"k + slack = {k + ctx.ratio_slack:g}"
-                )
-        if iterations > cap:
-            raise ContractionViolationError(
-                f"fixed point not reached within the {cap}-iteration budget"
-            )
-        d_prev = d
-        xi = xi_new
+    return _picard(
+        lambda xi: lp_apply(xi, x, ctx),
+        lambda new, old: ctx.s_norm(new.values - old.values),
+        ctx.initial_guess(x) if start is None else start,
+        ctx.cert.k,
+        ctx.ratio_slack,
+        tol,
+    )
 
 
 def solve_with_residual(x: np.ndarray, ctx: LPContext, tol: float | None = None):
@@ -478,7 +507,6 @@ def build_chart(
     x_grid: np.ndarray,
     ctx: LPContext,
     tol: float | None = None,
-    threads: int = 1,
 ) -> ManifoldChart:
     """Evaluate the graph map over a grid of base points.
 
@@ -490,17 +518,13 @@ def build_chart(
         raise DomainError("chart grid must contain at least one point")
     x_grid = np.array([ctx.project_p(x) for x in x_grid])
 
-    def one(x):
+    values, residuals = [], []
+    for x in x_grid:
         xi, _, residual = solve_with_residual(x, ctx, tol)
-        return ctx.project_q(xi.final), residual
-
-    if threads > 1 and x_grid.shape[0] > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, x_grid))
-    else:
-        results = [one(x) for x in x_grid]
-    values = np.array([r[0] for r in results])
-    residuals = np.array([r[1] for r in results])
+        values.append(ctx.project_q(xi.final))
+        residuals.append(residual)
+    values = np.array(values)
+    residuals = np.array(residuals)
 
     lip = 0.0
     k_pts = x_grid.shape[0]

@@ -27,6 +27,7 @@ from .lyapunov_perron import (
 )
 from .randomness import CovarianceSpec, OUProcess, WienerPath, shift_path, solve_ou
 from .spectral import Spectrum
+from .tracking import forward_horizon
 
 __all__ = ["ModelProblem"]
 
@@ -108,11 +109,9 @@ class ModelProblem:
             debug_selfmap=debug_selfmap,
         )
 
-    def chart(
-        self, tau: float, x_grid: np.ndarray, tol: float | None = None, threads: int = 1
-    ) -> ManifoldChart:
+    def chart(self, tau: float, x_grid: np.ndarray, tol: float | None = None) -> ManifoldChart:
         """``build_chart`` at translation tau; its values join the graph-value store."""
-        chart = build_chart(x_grid, self.lp_context(tau, tol=tol), tol, threads)
+        chart = build_chart(x_grid, self.lp_context(tau, tol=tol), tol)
         for x, m in zip(chart.x_grid, chart.values):
             self._graph[(chart.tau, chart.tol, x.tobytes())] = m.copy()
         return chart
@@ -137,9 +136,4 @@ class ModelProblem:
     @staticmethod
     def default_horizons(cert: GapCertificate, tol: float) -> tuple[float, float]:
         t_back = backward_horizon(cert, tol)
-        t_fwd = (
-            t_back
-            if cert.lipschitz <= 0.0
-            else float(np.log(10.0 / tol) / (cert.mu - cert.lambda_n))
-        )
-        return t_back, t_fwd
+        return t_back, forward_horizon(cert, tol, t_back)

@@ -33,7 +33,6 @@ __all__ = [
     "frac_power",
     "apply_semigroup",
     "split_state",
-    "norm_h",
     "norm_alpha",
 ]
 
@@ -155,11 +154,6 @@ def split_state(v: np.ndarray, split: ProjectionSplit, s: Spectrum):
     p = np.where(mask, v, 0.0)
     q = np.where(mask, 0.0, v)
     return p, q
-
-
-def norm_h(v: np.ndarray) -> float:
-    """Coefficient 2-norm (the H norm)."""
-    return float(np.linalg.norm(np.asarray(v, dtype=float), axis=-1))
 
 
 def norm_alpha(v: np.ndarray, s: Spectrum, alpha: float | None = None) -> float:

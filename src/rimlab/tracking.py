@@ -37,14 +37,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import Trajectory, integrate
-from .errors import (
-    ContractionViolationError,
-    GridAlignmentError,
-    ParameterError,
-)
+from .errors import GridAlignmentError, ParameterError
 from .forcing import shift_forcing
-from .lyapunov_perron import LPContext, solve_fixed_point, weighted_sup_norm
-from .spectral import Spectrum, _filter_modes, _mode_major, _node_norms
+from .lyapunov_perron import LPContext, _duhamel, _picard, solve_fixed_point, weighted_sup_norm
+from .spectral import Spectrum, _mode_major, _node_norms
 
 __all__ = [
     "ForwardTrajectory",
@@ -169,8 +165,8 @@ def _apply_forward(stencil: _ForwardStencil, xi_values, base_values, f_base, v0,
 
     ``f_base`` is F(base + z) on the forward nodes, fixed for a whole
     solve.  ``graph`` is the nested fixed point at x0, whose time-zero Q
-    part is m(x0).  ``warm``, a previous (graph, x0) pair, warm-starts that
-    solve.
+    part is m(x0).  ``warm``, a previous sweep's (graph, x0, ...) tuple,
+    warm-starts that solve.
     """
     ctx = stencil.ctx
     s = ctx.spectrum
@@ -184,12 +180,8 @@ def _apply_forward(stencil: _ForwardStencil, xi_values, base_values, f_base, v0,
     graph, _ = solve_fixed_point(x0, ctx, tol, start=start)
     y0 = -ctx.project_q(v0) + ctx.project_q(graph.final)
 
-    n = ctx.cert.n  # the resolved modes are the first n
-    out = np.empty_like(stencil.z)
-    out[:, n:] = stencil.q_decay * y0[n:]
-    out[1:, n:] += _filter_modes(u[:, n:], ctx.damp[n:])
-    out[-1, :n] = 0.0
-    out[:-1, :n] = -_filter_modes(u[:, :n], ctx.grow[:n], ctx.grow[:n], reverse=True)
+    out = _duhamel(u, ctx)
+    out[:, ctx.cert.n :] += stencil.q_decay * y0[ctx.cert.n :]
     return out, y0, x0, graph
 
 
@@ -228,7 +220,8 @@ def solve_tracking(
     ``lp_plus_apply``; it is integrated here when not given.  The first
     sweep's nested graph solve starts cold; each later one, and the final
     graph-residual solve, starts from the previous fixed point moved to its
-    new base point.
+    new base point.  Sweeps stop and raise as ``_picard`` does, with factor
+    delta and the context's quadrature slack.
     """
     if ctx.cert.k >= 0.5:
         raise ParameterError(
@@ -250,45 +243,30 @@ def solve_tracking(
     base_values = _mode_major(base_values)
     f_base = ctx.f(base_values + stencil.z)
 
-    thresh = (1.0 - delta) * tol
-    xi_values = np.zeros_like(stencil.z)
-    warm = None
-    first_graph = None
-    cap = None
-    d_prev = None
-    iterations = 0
-    while True:
-        new_values, y0, x0, graph = _apply_forward(
-            stencil, xi_values, base_values, f_base, v0, tol, warm
+    first = latest = None  # (graph, x0, y0) of the first and the latest sweep
+
+    def sweep(xi_values):
+        nonlocal first, latest
+        values, y0, x0, graph = _apply_forward(
+            stencil, xi_values, base_values, f_base, v0, tol, latest
         )
-        warm = (graph, x0)
-        if first_graph is None:
+        latest = (graph, x0, y0)
+        if first is None:
             # From xi = 0 the seed integral vanishes, so x0 = P v0 exactly
             # and this solve is the graph value m(P v0) the defect needs.
-            first_graph = graph
-        iterations += 1
-        d = stencil.s_plus_norm(new_values - xi_values)
-        if d <= thresh:
-            xi_values = new_values
-            break
-        if cap is None:
-            rate = min(delta + ctx.ratio_slack, 0.999)
-            cap = math.ceil(math.log(thresh / d) / math.log(rate)) + 1
-        if d_prev is not None:
-            ratio = d / d_prev
-            if ratio >= 1.0 or ratio > delta + ctx.ratio_slack:
-                raise ContractionViolationError(
-                    f"tracking ratio {ratio:g} exceeds delta + slack = "
-                    f"{delta + ctx.ratio_slack:g}"
-                )
-        if iterations > cap:
-            raise ContractionViolationError(
-                f"tracking fixed point not reached within the {cap}-iteration budget"
-            )
-        d_prev = d
-        xi_values = new_values
+            first = latest
+        return values
 
-    defect = ctx.norm_alpha(ctx.project_q(v0) - ctx.project_q(first_graph.final))
+    xi_values, iterations = _picard(
+        sweep,
+        lambda new, old: stencil.s_plus_norm(new - old),
+        np.zeros_like(stencil.z),
+        delta,
+        ctx.ratio_slack,
+        tol,
+    )
+    graph, x0, y0 = latest
+    defect = ctx.norm_alpha(ctx.project_q(v0) - ctx.project_q(first[0].final))
     v0_star = v0 + xi_values[0]
     x_star = ctx.project_p(v0_star)
     star_graph, _ = solve_fixed_point(x_star, ctx, tol, start=ctx.rebase(graph, x0, x_star))

@@ -210,14 +210,15 @@ def test_track_outputs(small_config, tmp_path):
     assert curve[0] == "t,norm,envelope"
 
 
-def test_track_threads_match_serial(small_config, tmp_path):
-    # The thread pool maps the per-orbit sweeps over slices of one batched
-    # base integration; the outputs must not depend on the worker count.
-    for threads in ("1", "2"):
-        args = ["track", "--config", str(small_config), "--out", str(tmp_path / threads)]
-        assert main(args + ["--threads", threads]) == 0
-    for name in ("tracking.json", "decay_curve_00.csv", "decay_curve_01.csv"):
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+def test_threads_option_retired(tmp_path, capsys):
+    # numerics.threads is an unread key like any other; --threads is unknown.
+    cfg = tmp_path / "threads.ini"
+    cfg.write_text(SMALL_CONFIG.replace("tol = 1e-5", "tol = 1e-5\nthreads = 4"), "utf-8")
+    assert main(["track", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["track", "--config", str(cfg), "--out", str(tmp_path), "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 def test_periodicity_command(small_config, tmp_path):
@@ -382,6 +383,7 @@ def test_explicit_config_field_errors(tmp_path):
 
 
 LINEAR_SINE = CONFIG_DIR / "linear_sine.ini"
+DIRICHLET_NONLINEAR = CONFIG_DIR / "dirichlet_nonlinear.ini"
 
 
 def _read_ini(path: Path) -> configparser.ConfigParser:
@@ -432,15 +434,16 @@ def test_scipy_loaded_only_by_the_filter(tmp_path, probe):
 # Field-by-field mutations of a shipped config: every input must map to the
 # exit-code contract with a readable message, never a traceback.  None stands
 # for the key being removed; no value asks for a large grid.
-FUZZ_FIELDS = [(sec, key) for sec, keys in _read_ini(LINEAR_SINE).items() for key in keys]
+def _fields(path: Path) -> list:
+    return [(sec, key) for sec, keys in _read_ini(path).items() for key in keys]
+
+
 FUZZ_VALUES = ["", "nan", "inf", "-inf", "-1", "0", "abc", None]
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(field=st.sampled_from(FUZZ_FIELDS), value=st.sampled_from(FUZZ_VALUES))
-def test_config_mutations_keep_exit_code_contract(field, value):
+def _check_mutation(path: Path, command: str, field, value):
     section, key = field
-    parser = _read_ini(LINEAR_SINE)
+    parser = _read_ini(path)
     if value is None:
         parser.remove_option(section, key)
     else:
@@ -451,10 +454,24 @@ def test_config_mutations_keep_exit_code_contract(field, value):
             parser.write(fh)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["verify", "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+            code = main([command, "--config", str(cfg), "--out", str(Path(tmp) / "out")])
     assert code in (0, 1, 2, 3)
     if code == 1:
         failed = any(line.startswith("FAIL") for line in out.getvalue().splitlines())
         assert failed or err.getvalue().startswith("run failed:")
     if code in (2, 3):
         assert len(err.getvalue().strip().splitlines()) == 1
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(field=st.sampled_from(_fields(LINEAR_SINE)), value=st.sampled_from(FUZZ_VALUES))
+def test_config_mutations_keep_exit_code_contract(field, value):
+    _check_mutation(LINEAR_SINE, "verify", field, value)
+
+
+# The nonlinear config puts the Picard solve under the same contract.  Most
+# mutations exit 2 at once; the few that run build the full 9-point chart.
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(field=st.sampled_from(_fields(DIRICHLET_NONLINEAR)), value=st.sampled_from(FUZZ_VALUES))
+def test_nonlinear_config_mutations_keep_exit_code_contract(field, value):
+    _check_mutation(DIRICHLET_NONLINEAR, "build-manifold", field, value)

@@ -10,6 +10,7 @@ from rimlab.errors import CertificateError, ContractionViolationError, Parameter
 from rimlab.lyapunov_perron import (
     BackwardTrajectory,
     LPContext,
+    _picard,
     backward_horizon,
     build_chart,
     c_alpha_constant,
@@ -303,6 +304,39 @@ def test_solver_detects_wrong_certificate(problem_nl):
         solve_fixed_point(x, ctx)
 
 
+def _scalar_picard(step, factor, slack, tol):
+    """_picard on floats from 1.0, counting the steps it takes."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return step(x)
+
+    try:
+        return _picard(counted, lambda a, b: abs(a - b), 1.0, factor, slack, tol), len(calls)
+    except ContractionViolationError as exc:
+        return str(exc), len(calls)
+
+
+def test_picard_exits():
+    # Halving from 1 moves by 2^-k at step k: the stop at (1 - factor) tol
+    # = 2^-10 is met exactly, at the tenth step.
+    (fixed, iterations), calls = _scalar_picard(lambda x: x / 2, 0.5, 0.0, 2.0**-9)
+    assert (fixed, iterations, calls) == (2.0**-10, 10, 10)
+    # Constant distances (ratio 1) stay within factor + slack = 1.4, so only
+    # the ratio >= 1 guard can stop them.
+    message, calls = _scalar_picard(lambda x: x + 1.0, 0.9, 0.5, 1e-6)
+    assert "stopped decreasing" in message and calls == 2
+    message, calls = _scalar_picard(lambda x: 0.7 * x, 0.5, 0.1, 1e-6)
+    assert "exceeds factor + slack" in message and calls == 2
+    # factor + slack = 1.1 clips the budget's rate to 0.999.  Ratios of
+    # 0.9999 pass both guards, and from a first distance of 1e-4 to the
+    # stop at 0.1 tol = 0.99e-4 the cap is ceil(ln 0.99 / ln 0.999) + 1 = 12,
+    # exceeded at the thirteenth step.
+    message, calls = _scalar_picard(lambda x: 0.9999 * x, 0.9, 0.2, 0.99e-3)
+    assert "12-iteration budget" in message and calls == 13
+
+
 def test_warm_start_from_neighbour(problem_nl):
     # A neighbouring point's fixed point, moved to x by rebase, is a start
     # that converges to within tol of the cold solve in at most two applies.
@@ -449,13 +483,6 @@ def test_chart_offset_identity(problem_nl, chart_grid16):
         tilde = tilde_manifold_point(x + ctx.project_p(z0), ctx)
         plain = manifold_point(ctx.project_p(x), ctx)
         assert np.allclose(tilde, ctx.project_q(z0) + plain, atol=1e-14)
-
-
-def test_chart_threads_match_serial(problem_nl, chart_grid16):
-    ctx = problem_nl.lp_context(0.0)
-    serial = build_chart(chart_grid16[:4], ctx, threads=1)
-    parallel = build_chart(chart_grid16[:4], ctx, threads=4)
-    assert np.array_equal(serial.values, parallel.values)
 
 
 def test_horizon_convergence(problem_nl):
