@@ -37,7 +37,7 @@ from .errors import (
     RimlabError,
 )
 from .forcing import scan_almost_period
-from .lyapunov_perron import LIPSCHITZ_SLACK, scan_gap
+from .lyapunov_perron import LIPSCHITZ_SLACK, backward_horizon, scan_gap
 from .problem import ModelProblem
 from .tracking import base_orbit, track_phi
 
@@ -109,6 +109,7 @@ def _problem_meta(problem: ModelProblem) -> dict:
         "grid_t_min": grid.t_min,
         "grid_t_max": grid.t_max,
         "t_back": problem.t_back,
+        "t_back_required": backward_horizon(problem.cert, problem.tol),
         "t_fwd": problem.t_fwd,
         "tol": problem.tol,
         "n_total": problem.spectrum.size,

@@ -358,12 +358,23 @@ def load_config(path) -> RunConfig:
 def build_problem(cfg: RunConfig, seed_override: int | None = None) -> ModelProblem:
     """Assemble the model: certificate, horizons, grid sizing, path sample.
 
+    An explicit ``numerics.t_back`` shorter than ``backward_horizon`` (in
+    whole steps) is a ConfigError.
+
     The grid is sized once from the whole configuration (largest requested
     shift plus the OU burn-in margin), so every subcommand sees the same
     stored path for a given (config, seed).
     """
     cert = check_gap(cfg.spectrum, cfg.nonlinearity.lipschitz, cfg.gap_k, cfg.gap_n)
     t_back_auto, t_fwd_auto = ModelProblem.default_horizons(cert, cfg.tol)
+    h = cfg.h
+    # windows are whole steps, so compare the step counts they round up to
+    steps_needed = math.ceil(t_back_auto / h)
+    if cfg.t_back is not None and math.ceil(cfg.t_back / h) < steps_needed:
+        raise ConfigError(
+            f"numerics.t_back: {cfg.t_back:g} is below the required horizon "
+            f"{steps_needed * h:.10g} for tol {cfg.tol:g}"
+        )
     t_back = t_back_auto if cfg.t_back is None else cfg.t_back
     t_fwd = t_fwd_auto if cfg.t_fwd is None else cfg.t_fwd
     lam1 = float(cfg.spectrum.lambdas[0])
@@ -372,8 +383,13 @@ def build_problem(cfg: RunConfig, seed_override: int | None = None) -> ModelProb
     max_shift = max(
         [cfg.verify["invariance_t"]] + [float(t) for t in cfg.attractor["pullback_times"]]
     )
-    h = cfg.h
     t_back = math.ceil(t_back / h) * h
+    if cert.lambda_n * t_back > 500.0:
+        # LPContext refuses this window; refuse it before the path is sampled
+        raise ConfigError(
+            f"numerics.t_back: backward horizon {t_back:g} too long for the resolved "
+            f"modes (lambda_n * t_back = {cert.lambda_n * t_back:g} > 500)"
+        )
     t_fwd = math.ceil(t_fwd / h) * h
     t_min = -(t_back + burn_in + max_shift) - h
     t_max = max(t_fwd, cfg.verify["invariance_t"]) + h

@@ -22,8 +22,9 @@ delta = k + k/(2 - 2k), below one exactly when k < 1/2.
 Discretisation: both integrals use the kernel-exact cell rule shared with
 the time integrator (nonlinearity frozen at left nodes, forcing cells in
 closed form), so a fixed point of the discrete operator is exactly a
-discrete flow trajectory; the infinite past is truncated at -T_b, whose
-tail is exponentially small in (lambda_{n+1} - mu) T_b.  Both recursions
+discrete flow trajectory; the infinite past is truncated at -T_b, sized
+by ``backward_horizon`` so the graph value moves by at most tol/10
+(relative to the weighted norm of the history).  Both recursions
 are first-order filters, evaluated per mode by ``spectral._filter_modes``
 on histories stored mode-major.  The forward tracking operator shares
 these sums (``_duhamel``) and the Picard loop (``_picard``).
@@ -56,6 +57,7 @@ __all__ = [
     "gap_margin",
     "check_gap",
     "scan_gap",
+    "weighted_factor",
     "backward_horizon",
     "BackwardTrajectory",
     "LPContext",
@@ -185,19 +187,96 @@ def scan_gap(s: Spectrum, lipschitz: float, k: float) -> list[dict]:
     return rows
 
 
-def backward_horizon(cert: GapCertificate, tol: float) -> float:
-    """Horizon making both truncation tails at most tol/10.
+def weighted_factor(cert: GapCertificate, nu: float) -> float:
+    """Contraction factor k(nu) of the backward operator in the e^{nu t} norm.
 
-    The dropped far-past tail of the off-graph integral decays like
-    e^{-(lambda_{n+1} - mu) T}; when the nonlinearity is active the
-    resolved-mode integrand additionally carries e^{-(mu - lambda_n) T}.
+    For nu in (lambda_n, lambda_{n+1}) the dichotomy estimates
+    |A^a e^{-A t} P| <= lambda_n^a e^{-lambda_n t} (t <= 0) and
+    |A^a e^{-A t} Q| <= (lambda_{n+1}^a + a^a t^{-a}) e^{-lambda_{n+1} t}
+    (t > 0) give
+
+        k(nu) = L [lambda_n^a / (nu - lambda_n) + lambda_{n+1}^a / (lambda_{n+1} - nu)
+                   + c_a (lambda_{n+1} - nu)^{a-1}],
+
+    on (-inf, 0] and on every truncated window [-T, 0] alike.  The gap
+    condition makes k(mu) <= k; k is convex in nu.
+    """
+    if cert.lipschitz == 0.0:
+        return 0.0
+    a, lam_n, lam_np1 = cert.alpha, cert.lambda_n, cert.lambda_np1
+    return cert.lipschitz * (
+        lam_n**a / (nu - lam_n)
+        + lam_np1**a / (lam_np1 - nu)
+        + cert.c_alpha * (lam_np1 - nu) ** (a - 1.0)
+    )
+
+
+def _horizon_weight(cert: GapCertificate, tol: float) -> tuple[float, float]:
+    """(T*, nu*): the backward horizon and the weight that attains it.
+
+    Golden-section search of T(nu) = [ln(10/tol) - ln(1 - k(nu))] / (nu - mu)
+    over (mu, lambda_{n+1}), with T = inf where k(nu) >= 1.  The numerator
+    is convex in nu and the denominator affine and positive, so T is
+    quasiconvex and the search finds its minimum.  At L = 0, T decreases
+    to t1 = ln(10/tol) / (lambda_{n+1} - mu) as nu -> lambda_{n+1}, and
+    that limit is returned.
     """
     if tol <= 0.0:
         raise ParameterError("tolerance must be positive")
     target = math.log(10.0 / tol)
-    t1 = target / (cert.lambda_np1 - cert.mu)
-    t2 = target / (cert.mu - cert.lambda_n) if cert.lipschitz > 0.0 else 0.0
-    return max(t1, t2)
+    if cert.lipschitz == 0.0:
+        return target / (cert.lambda_np1 - cert.mu), cert.lambda_np1
+
+    def horizon(nu):
+        k = weighted_factor(cert, nu)
+        return (target - math.log1p(-k)) / (nu - cert.mu) if k < 1.0 else math.inf
+
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = cert.mu, cert.lambda_np1
+    a, b = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    ta, tb = horizon(a), horizon(b)
+    for _ in range(100):
+        # ties keep the left part: the feasible set k(nu) < 1 starts at mu
+        if ta <= tb:
+            hi, b, tb = b, a, ta
+            a = hi - shrink * (hi - lo)
+            ta = horizon(a)
+        else:
+            lo, a, ta = a, b, tb
+            b = lo + shrink * (hi - lo)
+            tb = horizon(b)
+    return (ta, a) if ta <= tb else (tb, b)
+
+
+def backward_horizon(cert: GapCertificate, tol: float) -> float:
+    """Horizon T* keeping the truncated graph value within tol/10 of m(x).
+
+    Let xi* be the fixed point on (-inf, 0] and xi_T that of the operator
+    truncated at -T.  The Q integral from -inf to t >= -T splits at -T
+    into e^{-A(t+T)} Q xi*(-T) plus the integral from -T, so on [-T, 0]
+
+        xi* = T_T xi* + r,   r(t) = e^{-A(t+T)} Q xi*(-T).
+
+    The forcing and the OU driver enter xi* and xi_T identically, so for
+    any weight nu in (mu, lambda_{n+1}) with k(nu) = ``weighted_factor``
+    below one, the e^{nu t}-weighted sup norm gives
+    |xi_T - xi*|_nu <= k(nu) |xi_T - xi*|_nu + |r|_nu.  Since
+    lambda_{n+1} > nu, |r|_nu <= e^{-nu T} |xi*(-T)|_a
+    <= e^{-(nu - mu) T} |xi*|_mu, and at t = 0 the weight is one:
+
+        |m_T(x) - m(x)|_a <= e^{-(nu - mu) T} |xi*|_mu / (1 - k(nu)).
+
+    Relative to |xi*|_mu (the unit-constant convention of the tolerance),
+    the bound is at most tol/10 once
+
+        T >= [ln(10/tol) + ln(1/(1 - k(nu)))] / (nu - mu),
+
+    and T* is the minimum of the right side over nu (``_horizon_weight``).
+    It is never below t1 = ln(10/tol) / (lambda_{n+1} - mu), and equals t1
+    when L = 0.  The bound holds for the graph value, not for the weighted
+    sup norm of the whole history, which near -T keeps an O(1) error.
+    """
+    return _horizon_weight(cert, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -209,18 +288,15 @@ class BackwardTrajectory:
     mu: float
     spectrum: Spectrum = field(repr=False)
 
-    def s_norm(self) -> float:
-        return weighted_sup_norm(self.times, self.values, self.mu, self.spectrum)
-
     @property
     def final(self) -> np.ndarray:
         """Value at time 0 (the graph point x + m(x))."""
         return self.values[-1]
 
 
-def weighted_sup_norm(times, values, mu: float, s: Spectrum) -> float:
-    """max over nodes of e^{mu t} ||A^alpha v(t)||."""
-    return float(np.max(np.exp(mu * np.asarray(times)) * _node_norms(values, s.weights_alpha())))
+def weighted_sup_norm(wmu: np.ndarray, values: np.ndarray, wts_alpha: np.ndarray) -> float:
+    """max over nodes t_k of wmu_k ||A^alpha v_k||, with wmu_k = e^{mu t_k} cached."""
+    return float(np.max(wmu * _node_norms(values, wts_alpha)))
 
 
 class LPContext:
@@ -289,13 +365,13 @@ class LPContext:
         # Per-P-mode backward flow e^{-lambda t} on the window (t <= 0).
         self.p_flow = _mode_major(np.exp(-np.outer(self.times, lam[self.p_mask])))
         self.ratio_slack = 5.0 * self.h * cert.lambda_np1
-        self.z_s_norm = weighted_sup_norm(self.times, self.z, cert.mu, spectrum)
+        self.z_s_norm = self.s_norm(self.z)
         self.g_past_integral = temperedness_integral(forcing, spectrum, tau=self.tau)
 
     # ---- helpers --------------------------------------------------------
 
     def s_norm(self, values: np.ndarray) -> float:
-        return float(np.max(self.wmu * _node_norms(values, self.wts_alpha)))
+        return weighted_sup_norm(self.wmu, values, self.wts_alpha)
 
     def initial_guess(self, x: np.ndarray) -> BackwardTrajectory:
         """Backward linear flow of the base point (exact for F=0, g=0)."""
@@ -364,10 +440,9 @@ def lp_apply(xi: BackwardTrajectory, x: np.ndarray, ctx: LPContext) -> BackwardT
 
 
 def _check_selfmap_bound(xi, x, result, ctx):
-    lhs = result.s_norm()
-    shifted = BackwardTrajectory(ctx.times, xi.values + ctx.z, ctx.cert.mu, ctx.spectrum)
+    lhs = ctx.s_norm(result.values)
     rhs = (
-        ctx.cert.k * shifted.s_norm()
+        ctx.cert.k * ctx.s_norm(xi.values + ctx.z)
         + ctx.norm_alpha(ctx.project_p(x))
         + ctx.g_past_integral
     )

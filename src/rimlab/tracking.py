@@ -62,9 +62,6 @@ class ForwardTrajectory:
     mu: float
     spectrum: Spectrum = field(repr=False)
 
-    def s_plus_norm(self) -> float:
-        return weighted_sup_norm(self.times, self.values, self.mu, self.spectrum)
-
 
 @dataclass(frozen=True)
 class TrackingResult:
@@ -155,9 +152,6 @@ class _ForwardStencil:
         )
         self.q_decay = _mode_major(np.exp(-np.outer(self.times, lam[ctx.q_mask])))
         self.wmu = np.exp(ctx.cert.mu * self.times)
-
-    def s_plus_norm(self, values: np.ndarray) -> float:
-        return float(np.max(self.wmu * _node_norms(values, self.ctx.wts_alpha)))
 
 
 def _apply_forward(stencil: _ForwardStencil, xi_values, base_values, f_base, v0, tol, warm=None):
@@ -259,7 +253,7 @@ def solve_tracking(
 
     xi_values, iterations = _picard(
         sweep,
-        lambda new, old: stencil.s_plus_norm(new - old),
+        lambda new, old: weighted_sup_norm(stencil.wmu, new - old, ctx.wts_alpha),
         np.zeros_like(stencil.z),
         delta,
         ctx.ratio_slack,

@@ -347,7 +347,7 @@ k = 0.45
 [numerics]
 h = 0.005
 tol = 1e-5
-t_back = 6.0
+t_back = 7.0
 t_fwd = 6.0
 
 [chart]
@@ -374,6 +374,33 @@ def test_explicit_config_surface(tmp_path):
     assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
 
 
+def test_short_backward_horizon_rejected(tmp_path, capsys):
+    # The derived horizon of EXPLICIT_CONFIG is 6.69 (6.695 in whole steps).
+    cfg = tmp_path / "short.ini"
+    cfg.write_text(EXPLICIT_CONFIG.replace("t_back = 7.0", "t_back = 6.0"), encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["build-manifold", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "numerics.t_back" in err[0] and "6.695" in err[0]
+    cfg.write_text(EXPLICIT_CONFIG.replace("t_back = 7.0", "t_back = 6.691"), encoding="utf-8")
+    assert main(["build-manifold", "--config", str(cfg), "--out", str(out)]) == 0
+    meta = json.loads((out / "chart_meta.json").read_text())
+    assert meta["t_back"] == pytest.approx(6.695)
+    assert meta["t_back_required"] == pytest.approx(6.6914, abs=1e-4)
+
+
+def test_overlong_backward_horizon_rejected_before_sampling(tmp_path, capsys):
+    # k near 1 at a near-zero gap margin derives T* of about 8.7e3: the
+    # window is refused before a path that long is sampled.
+    text = SMALL_CONFIG.replace("lipschitz = 0.1", "lipschitz = 0.7499955")
+    text = text.replace("k = 0.2", "k = 0.999999")
+    cfg = tmp_path / "long.ini"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["build-manifold", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "numerics.t_back" in err[0] and "> 500" in err[0]
+
+
 def test_explicit_config_field_errors(tmp_path):
     bad = EXPLICIT_CONFIG.replace("values = 0.1 0.05 0.02 0.01 0.005 0.002",
                                   "values = 0.1 0.05")
@@ -384,6 +411,7 @@ def test_explicit_config_field_errors(tmp_path):
 
 LINEAR_SINE = CONFIG_DIR / "linear_sine.ini"
 DIRICHLET_NONLINEAR = CONFIG_DIR / "dirichlet_nonlinear.ini"
+QUASI_PERIODIC = CONFIG_DIR / "quasi_periodic.ini"
 
 
 def _read_ini(path: Path) -> configparser.ConfigParser:
@@ -475,3 +503,9 @@ def test_config_mutations_keep_exit_code_contract(field, value):
 @given(field=st.sampled_from(_fields(DIRICHLET_NONLINEAR)), value=st.sampled_from(FUZZ_VALUES))
 def test_nonlinear_config_mutations_keep_exit_code_contract(field, value):
     _check_mutation(DIRICHLET_NONLINEAR, "build-manifold", field, value)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(field=st.sampled_from(_fields(QUASI_PERIODIC)), value=st.sampled_from(FUZZ_VALUES))
+def test_quasi_periodic_config_mutations_keep_exit_code_contract(field, value):
+    _check_mutation(QUASI_PERIODIC, "build-manifold", field, value)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.signal import lfilter
 
@@ -10,6 +12,7 @@ from rimlab.errors import CertificateError, ContractionViolationError, Parameter
 from rimlab.lyapunov_perron import (
     BackwardTrajectory,
     LPContext,
+    _horizon_weight,
     _picard,
     backward_horizon,
     build_chart,
@@ -22,6 +25,7 @@ from rimlab.lyapunov_perron import (
     solve_fixed_point,
     solve_with_residual,
     tilde_manifold_point,
+    weighted_factor,
 )
 from rimlab.forcing import temperedness_integral
 
@@ -88,14 +92,98 @@ def test_scan_gap_table():
     assert "mu" in rows[3]
 
 
+# The three instances the horizon is checked on: the workhorse, the
+# fractional alpha = 0.25 fixture of test_fractional, and a tight instance
+# whose gap margin is small (k = 0.49).
+HORIZON_INSTANCES = {
+    "workhorse": (16, 0.0, 0.1, 0.2, 0.05, 2.0),
+    "fractional": (12, 0.25, 0.1, 0.45, 0.02, 3.0),
+    "tight": (16, 0.0, 0.35, 0.49, 0.05, 2.0),
+}
+
+
+def _horizon_cert(name):
+    n_total, alpha, lip, k, _, _ = HORIZON_INSTANCES[name]
+    return check_gap(rl.dirichlet_laplacian(n_total, alpha), lip, k, 1)
+
+
 def test_backward_horizon_rule():
+    # T* makes the graph-value bound e^{-(nu-mu)T} / (1 - k(nu)) exactly
+    # tol/10 at a weight nu* where the weighted operator contracts.
+    tol = 1e-6
+    target = math.log(10.0 / tol)
+    sizes = {"workhorse": 9.3415, "fractional": 7.7138, "tight": 16.5611}
+    for name in HORIZON_INSTANCES:
+        cert = _horizon_cert(name)
+        t_back, nu = _horizon_weight(cert, tol)
+        assert t_back == backward_horizon(cert, tol) == pytest.approx(sizes[name], abs=1e-4)
+        assert cert.mu < nu < cert.lambda_np1
+        k_nu = weighted_factor(cert, nu)
+        assert k_nu < 1.0
+        assert np.exp(-(nu - cert.mu) * t_back) / (1.0 - k_nu) <= tol / 10 * (1 + 1e-9)
+        assert t_back >= target / (cert.lambda_np1 - cert.mu)
+        # nu* minimises the horizon: nearby weights need a longer window
+        for near in (nu - 1e-3, nu + 1e-3):
+            k_near = weighted_factor(cert, near)
+            if k_near < 1.0:
+                assert (target - math.log1p(-k_near)) / (near - cert.mu) >= t_back
+    # F = 0: the off-graph tail t1 alone, bit for bit
     s = rl.dirichlet_laplacian(16, 0.0)
-    cert = check_gap(s, 0.1, 0.2, 1)
-    t_back = backward_horizon(cert, 1e-6)
-    assert np.exp(-(cert.lambda_np1 - cert.mu) * t_back) <= 1e-7 * (1 + 1e-9)
-    assert np.exp(-(cert.mu - cert.lambda_n) * t_back) <= 1e-7 * (1 + 1e-9)
-    cert0 = check_gap(s, 0.0, 0.2, 1)
-    assert np.exp(-(cert0.lambda_np1 - cert0.mu) * backward_horizon(cert0, 1e-6)) <= 1e-7
+    for n in (1, 3):
+        cert = check_gap(s, 0.0, 0.2, n)
+        assert backward_horizon(cert, tol) == target / (cert.lambda_np1 - cert.mu)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    gaps=st.lists(st.floats(0.01, 50.0), min_size=5, max_size=5),
+    lam_1=st.floats(0.05, 50.0),
+    n=st.integers(1, 4),
+    alpha=st.floats(0.0, 0.49),
+    k=st.floats(0.01, 0.99),
+    frac=st.floats(0.01, 1.0),
+)
+def test_weighted_factor_at_mu_within_certificate(gaps, lam_1, n, alpha, k, frac):
+    # The derivation's premise: at nu = mu the weighted factor is the
+    # certified k or less, on any instance that passes the gap condition.
+    # L is a fraction of the largest admissible constant; at frac >= 0.01
+    # mu - lambda_n is resolved to about 1e-9 relative, hence the slack.
+    lams = lam_1 + np.concatenate([[0.0], np.cumsum(gaps)])
+    s = rl.Spectrum(lams, alpha)
+    lam_n, lam_np1 = lams[n - 1], lams[n]
+    ca = c_alpha_constant(alpha)
+    lip = frac * k * (lam_np1 - lam_n) / (
+        2.0 * (lam_np1**alpha + lam_n**alpha + ca * (lam_np1 - lam_n) ** alpha)
+    )
+    try:
+        cert = check_gap(s, lip, k, n)
+    except CertificateError:
+        assume(False)
+    assert weighted_factor(cert, cert.mu) <= k * (1 + 1e-8)
+    t_back, nu = _horizon_weight(cert, 1e-6)
+    assert math.isfinite(t_back) and weighted_factor(cert, nu) < 1.0
+    assert t_back >= math.log(1e7) / (cert.lambda_np1 - cert.mu)
+
+
+@pytest.mark.parametrize("name", sorted(HORIZON_INSTANCES))
+def test_graph_value_settled_at_horizon(name):
+    # m(x) on the window T* agrees with a window 3T* long to within tol/10.
+    tol = 1e-6
+    n_total, alpha, lip, k, scale, exponent = HORIZON_INSTANCES[name]
+    s = rl.dirichlet_laplacian(n_total, alpha)
+    cert = check_gap(s, lip, k, 1)
+    t_back = backward_horizon(cert, tol)
+    g = rl.ForcingSignal.trig(n_total, [rl.TrigTerm(2, 1.0, 1.0, 0.0)], period=2.0 * np.pi)
+    cov = rl.CovarianceSpec.power_law(n_total, scale, exponent)
+    grid = rl.TimeGrid.from_times(-(3.0 * t_back + 10.0) - 0.1, 0.1, 1e-3)
+    ou = rl.solve_ou(rl.sample_wiener(7, grid, cov), s)
+    f = rl.Nonlinearity.per_mode_sin(lip)
+    short, long = (LPContext(s, cert, f, g, ou, t_back=t, tol=tol) for t in (t_back, 3 * t_back))
+    for x1 in (-1.0, 0.25, 1.0):
+        x = np.zeros(n_total)
+        x[0] = x1
+        diff = manifold_point(x, short, tol / 1000) - manifold_point(x, long, tol / 1000)
+        assert short.norm_alpha(diff) <= tol / 10
 
 
 # ---- operator and fixed point ---------------------------------------------
@@ -278,7 +366,7 @@ def test_solver_apriori_bound(problem_nl):
     x[0] = 0.9
     xi, _ = solve_fixed_point(x, ctx)
     k = ctx.cert.k
-    lhs = (1 - k) * xi.s_norm()
+    lhs = (1 - k) * ctx.s_norm(xi.values)
     rhs = (
         k * ctx.z_s_norm
         + ctx.norm_alpha(x)
