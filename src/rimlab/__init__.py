@@ -47,7 +47,6 @@ from .forcing import (
     temperedness_integral,
 )
 from .lyapunov_perron import (
-    BackwardTrajectory,
     GapCertificate,
     LPContext,
     ManifoldChart,
@@ -75,16 +74,13 @@ from .randomness import (
     temperedness_ratio,
 )
 from .spectral import (
-    ProjectionSplit,
     Spectrum,
     apply_semigroup,
     dirichlet_laplacian,
     frac_power,
     norm_alpha,
-    split_state,
 )
 from .tracking import (
-    ForwardTrajectory,
     TrackingResult,
     base_orbit,
     forward_horizon,

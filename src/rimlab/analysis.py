@@ -99,7 +99,6 @@ def invariance_defect(
     chart: ManifoldChart,
     t: float,
     problem: ModelProblem,
-    tol: float | None = None,
     c_inv: float = 10.0,
 ) -> DefectReport:
     """Flow the chart forward and measure its distance to the shifted graph.
@@ -113,8 +112,6 @@ def invariance_defect(
     """
     if t < 0.0:
         raise DomainError("invariance check needs t >= 0")
-    tol = problem.tol if tol is None else float(tol)
-    ctx = problem.lp_context(chart.tau, tol=tol)
     endpoints = integrate(
         chart.points,
         0.0,
@@ -126,24 +123,24 @@ def invariance_defect(
         return_trajectory=False,
     )
     endpoints = np.atleast_2d(endpoints)
-    ctx_shift = problem.lp_context(chart.tau + t, ou=problem.shifted_ou(t), tol=tol)
+    ctx = problem.lp_context(chart.tau + t, ou=problem.shifted_ou(t))
     value = 0.0
     for q_pt in endpoints:
-        m_val = manifold_point(ctx_shift.project_p(q_pt), ctx_shift, tol)
-        value = max(value, ctx.norm_alpha(ctx.project_q(q_pt) - m_val))
-    bound = c_inv * (problem.h + tol)
+        m_val = manifold_point(ctx.project_p(q_pt), ctx)
+        value = max(value, norm_alpha(ctx.project_q(q_pt) - m_val, problem.spectrum))
+    bound = c_inv * (problem.h + problem.tol)
     return DefectReport(
         kind="invariance",
         value=float(value),
         bound=float(bound),
-        context={"t": t, "h": problem.h, "tol": tol, "c_inv": c_inv, "tau": chart.tau},
+        context={"t": t, "h": problem.h, "tol": problem.tol, "c_inv": c_inv, "tau": chart.tau},
     )
 
 
-def _graph_shift(tau, shift, x_grid, problem, tol) -> float:
+def _graph_shift(tau, shift, x_grid, problem) -> float:
     """Largest graph distance |m_{tau+shift}(x) - m_tau(x)|_alpha over the grid."""
-    m_a = problem.graph_values(tau, x_grid, tol)
-    m_b = problem.graph_values(tau + shift, x_grid, tol)
+    m_a = problem.graph_values(tau, x_grid)
+    m_b = problem.graph_values(tau + shift, x_grid)
     value = 0.0
     for a, b in zip(m_a, m_b):
         value = max(value, norm_alpha(b - a, problem.spectrum))
@@ -155,7 +152,6 @@ def periodicity_defect(
     period: float,
     x_grid: np.ndarray,
     problem: ModelProblem,
-    tol: float | None = None,
     slack: float = 1e-4,
 ) -> DefectReport:
     """Graph distance between translations by one declared forcing period.
@@ -169,13 +165,12 @@ def periodicity_defect(
             raise ParameterError(
                 f"forcing has declared period {declared!r}, check requested {period}"
             )
-    tol = problem.tol if tol is None else float(tol)
-    value = _graph_shift(tau, period, x_grid, problem, tol)
+    value = _graph_shift(tau, period, x_grid, problem)
     return DefectReport(
         kind="periodicity",
         value=value,
-        bound=2.0 * tol + slack,
-        context={"tau": tau, "period": period, "slack": slack, "tol": tol},
+        bound=2.0 * problem.tol + slack,
+        context={"tau": tau, "period": period, "slack": slack, "tol": problem.tol},
     )
 
 
@@ -184,23 +179,21 @@ def ap_defect(
     tau0: float,
     x_grid: np.ndarray,
     problem: ModelProblem,
-    tol: float | None = None,
 ) -> DefectReport:
     """Graph distance between translations by a measured near-period.
 
     A forcing defect eps_g over the translation tau0 propagates through the
     contraction to a graph defect of at most 2 eps_g / ((1-k) lambda_n).
     """
-    tol = problem.tol if tol is None else float(tol)
     eps_g = almost_period_defect(problem.forcing, problem.spectrum, tau0)
     cert = problem.cert
-    bound = 2.0 * eps_g / ((1.0 - cert.k) * cert.lambda_n) + 2.0 * tol
-    value = _graph_shift(tau, tau0, x_grid, problem, tol)
+    bound = 2.0 * eps_g / ((1.0 - cert.k) * cert.lambda_n) + 2.0 * problem.tol
+    value = _graph_shift(tau, tau0, x_grid, problem)
     return DefectReport(
         kind="almost_periodicity",
         value=value,
         bound=float(bound),
-        context={"tau": tau, "tau0": tau0, "eps_g": eps_g, "tol": tol},
+        context={"tau": tau, "tau0": tau0, "eps_g": eps_g, "tol": problem.tol},
     )
 
 
@@ -241,18 +234,16 @@ def pullback_attractor(
 def containment_defect(
     cloud: AttractorCloud,
     problem: ModelProblem,
-    tol: float | None = None,
     c_att: float = 1.0,
 ) -> DefectReport:
     """Distance of the pullback cloud to the offset graph at the same fibre."""
-    tol = problem.tol if tol is None else float(tol)
-    ctx = problem.lp_context(cloud.tau, tol=tol)
+    ctx = problem.lp_context(cloud.tau)
     value = 0.0
     for u in cloud.points:
-        m_val = tilde_manifold_point(u, ctx, tol)
-        value = max(value, ctx.norm_alpha(ctx.project_q(u) - m_val))
+        m_val = tilde_manifold_point(u, ctx)
+        value = max(value, norm_alpha(ctx.project_q(u) - m_val, problem.spectrum))
     lam1 = float(problem.spectrum.lambdas[0])
-    bound = tol + c_att * float(np.exp(-lam1 * cloud.pullback_time))
+    bound = problem.tol + c_att * float(np.exp(-lam1 * cloud.pullback_time))
     return DefectReport(
         kind="containment",
         value=float(value),
@@ -261,7 +252,7 @@ def containment_defect(
             "tau": cloud.tau,
             "pullback_time": cloud.pullback_time,
             "ensemble_size": cloud.ensemble_size,
-            "tol": tol,
+            "tol": problem.tol,
             "c_att": c_att,
         },
     )
@@ -272,7 +263,6 @@ def containment_decay(
     problem: ModelProblem,
     pullback_times,
     ensemble: np.ndarray,
-    tol: float | None = None,
 ) -> tuple[list[DefectReport], float]:
     """Containment defects over a sequence of pullback times plus a decay fit.
 
@@ -280,7 +270,7 @@ def containment_decay(
     defect versus pullback time (negative means decay).
     """
     reports = [
-        containment_defect(pullback_attractor(tau, problem, t_m, ensemble), problem, tol)
+        containment_defect(pullback_attractor(tau, problem, t_m, ensemble), problem)
         for t_m in pullback_times
     ]
     return reports, fit_decay_rate(pullback_times, reports)

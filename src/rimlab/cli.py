@@ -11,6 +11,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -182,7 +183,7 @@ def _write_chart_files(chart, cfg: RunConfig, out: Path, meta: dict) -> None:
             "tol": chart.tol,
             "lipschitz": chart.lipschitz,
             "max_residual": float(np.max(chart.residuals)),
-            "certificate": chart.cert.as_dict(),
+            "certificate": dataclasses.asdict(chart.cert),
         },
     )
     if cfg.chart["svg"]:

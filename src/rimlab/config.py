@@ -4,6 +4,8 @@ A run is fully described by one flat key-value file with sections (parsed
 by configparser) plus the noise seed; every output file records the SHA-256
 of the file content and the effective seed so runs can be reproduced
 byte for byte.  Validation failures name the offending ``section.field``.
+Every value that sizes an array is checked against ``ARRAY_BUDGET_BYTES``
+before anything is allocated.
 """
 
 from __future__ import annotations
@@ -24,6 +26,23 @@ from .randomness import CovarianceSpec, TimeGrid, sample_wiener
 from .spectral import Spectrum, dirichlet_laplacian
 
 __all__ = ["RunConfig", "load_config", "build_problem"]
+
+# Largest float64 array, in bytes, that one configured size may call for:
+# the sampled path (grid nodes x modes), the chart grid, the tracked and
+# pullback batches and the near-period scan.  Far above every shipped
+# config (the largest, the workhorse path, is about 6 MB), far below the
+# memory of a small machine.
+ARRAY_BUDGET_BYTES = 1 << 28
+
+
+def _check_budget(field: str, rows: float, n_modes: int) -> None:
+    """Refuse a (rows, n_modes) float64 array over the budget, naming ``field``."""
+    size = rows * n_modes * 8.0
+    if size > ARRAY_BUDGET_BYTES:
+        raise ConfigError(
+            f"{field}: needs an array of {rows:.4g} x {n_modes} values "
+            f"({size / 2**20:.4g} MiB), over the {ARRAY_BUDGET_BYTES >> 20} MiB budget"
+        )
 
 
 @dataclass
@@ -284,6 +303,7 @@ def load_config(path) -> RunConfig:
     }
     if chart["x_mode"] > gap_n:
         chart_sec._fail("x_mode", f"must be a resolved mode (<= n = {gap_n})")
+    _check_budget("chart.x_count", chart["x_count"], spectrum.size)
 
     track_sec = _Section(parser, "track")
     track = {
@@ -301,6 +321,7 @@ def load_config(path) -> RunConfig:
     }
     if any(t <= 0.0 for t in attractor["pullback_times"]):
         att_sec._fail("pullback_times", "must be positive")
+    _check_budget("attractor.ensemble_size", attractor["ensemble_size"], spectrum.size)
 
     per_sec = _Section(parser, "periodicity")
     periodicity = {
@@ -315,6 +336,13 @@ def load_config(path) -> RunConfig:
         "scan_step": ap_sec.float("scan_step", 0.01, minimum=0.0),
         "target": ap_sec.float("target", 1e-3, minimum=0.0),
     }
+    if almost_period["scan_step"] <= 0.0:
+        ap_sec._fail("scan_step", "must be positive")
+    _check_budget(
+        "almost_period.scan_step",
+        almost_period["scan_max"] / almost_period["scan_step"],
+        spectrum.size,
+    )
 
     ver_sec = _Section(parser, "verify")
     checks_raw = ver_sec.str("checks", "invariance lipschitz tracking")
@@ -359,7 +387,8 @@ def build_problem(cfg: RunConfig, seed_override: int | None = None) -> ModelProb
     """Assemble the model: certificate, horizons, grid sizing, path sample.
 
     An explicit ``numerics.t_back`` shorter than ``backward_horizon`` (in
-    whole steps) is a ConfigError.
+    whole steps) is a ConfigError, and so is a window, or a tracked batch
+    on the forward window, over the array budget.
 
     The grid is sized once from the whole configuration (largest requested
     shift plus the OU burn-in margin), so every subcommand sees the same
@@ -368,6 +397,28 @@ def build_problem(cfg: RunConfig, seed_override: int | None = None) -> ModelProb
     cert = check_gap(cfg.spectrum, cfg.nonlinearity.lipschitz, cfg.gap_k, cfg.gap_n)
     t_back_auto, t_fwd_auto = ModelProblem.default_horizons(cert, cfg.tol)
     h = cfg.h
+    t_back = t_back_auto if cfg.t_back is None else cfg.t_back
+    t_fwd = t_fwd_auto if cfg.t_fwd is None else cfg.t_fwd
+    lam1 = float(cfg.spectrum.lambdas[0])
+    burn_in = (10.0 / lam1) if cfg.burn_in is None else cfg.burn_in
+    pullback = max(cfg.attractor["pullback_times"], default=0.0)
+    invariance_t = cfg.verify["invariance_t"]
+
+    # every window in steps, before any is rounded to steps or sampled; the
+    # required horizon comes first, so a step too fine for it names h
+    n_modes = cfg.spectrum.size
+    for name, span in (
+        ("numerics.h", t_back_auto),
+        ("numerics.t_back", t_back),
+        ("numerics.t_fwd", t_fwd),
+        ("numerics.burn_in", burn_in),
+        ("attractor.pullback_times", pullback),
+        ("verify.invariance_t", invariance_t),
+    ):
+        _check_budget(name, span / h, n_modes)
+    # track integrates all its orbits in one (nodes, count, modes) batch
+    _check_budget("track.count", cfg.track["count"] * (t_fwd / h), n_modes)
+
     # windows are whole steps, so compare the step counts they round up to
     steps_needed = math.ceil(t_back_auto / h)
     if cfg.t_back is not None and math.ceil(cfg.t_back / h) < steps_needed:
@@ -375,14 +426,7 @@ def build_problem(cfg: RunConfig, seed_override: int | None = None) -> ModelProb
             f"numerics.t_back: {cfg.t_back:g} is below the required horizon "
             f"{steps_needed * h:.10g} for tol {cfg.tol:g}"
         )
-    t_back = t_back_auto if cfg.t_back is None else cfg.t_back
-    t_fwd = t_fwd_auto if cfg.t_fwd is None else cfg.t_fwd
-    lam1 = float(cfg.spectrum.lambdas[0])
-    burn_in = (10.0 / lam1) if cfg.burn_in is None else cfg.burn_in
-
-    max_shift = max(
-        [cfg.verify["invariance_t"]] + [float(t) for t in cfg.attractor["pullback_times"]]
-    )
+    max_shift = max(invariance_t, pullback)
     t_back = math.ceil(t_back / h) * h
     if cert.lambda_n * t_back > 500.0:
         # LPContext refuses this window; refuse it before the path is sampled
@@ -392,8 +436,9 @@ def build_problem(cfg: RunConfig, seed_override: int | None = None) -> ModelProb
         )
     t_fwd = math.ceil(t_fwd / h) * h
     t_min = -(t_back + burn_in + max_shift) - h
-    t_max = max(t_fwd, cfg.verify["invariance_t"]) + h
+    t_max = max(t_fwd, invariance_t) + h
     grid = TimeGrid.from_times(t_min, t_max, h)
+    _check_budget("numerics.h", grid.n_nodes, n_modes)
 
     seed = cfg.seed if seed_override is None else int(seed_override)
     path = sample_wiener(seed, grid, cfg.cov)

@@ -33,7 +33,7 @@ these sums (``_duhamel``) and the Picard loop (``_picard``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,9 +47,9 @@ from .errors import (
     ParameterError,
     ValidationError,
 )
-from .forcing import ForcingSignal, cell_convolution, shift_forcing, temperedness_integral
+from .forcing import ForcingSignal, cell_convolution, shift_forcing
 from .randomness import OUProcess
-from .spectral import Spectrum, _filter_modes, _mode_major, _node_norms
+from .spectral import Spectrum, _filter_modes, _mode_major, _node_norms, norm_alpha
 
 __all__ = [
     "c_alpha_constant",
@@ -59,7 +59,6 @@ __all__ = [
     "scan_gap",
     "weighted_factor",
     "backward_horizon",
-    "BackwardTrajectory",
     "LPContext",
     "lp_apply",
     "solve_fixed_point",
@@ -96,20 +95,6 @@ class GapCertificate:
     lambda_n: float
     lambda_np1: float
     margin: float
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "lipschitz": self.lipschitz,
-            "k": self.k,
-            "alpha": self.alpha,
-            "c_alpha": self.c_alpha,
-            "mu": self.mu,
-            "delta": self.delta,
-            "lambda_n": self.lambda_n,
-            "lambda_np1": self.lambda_np1,
-            "margin": self.margin,
-        }
 
 
 def _gap_parts(s: Spectrum, lipschitz: float, k: float, n: int):
@@ -279,21 +264,6 @@ def backward_horizon(cert: GapCertificate, tol: float) -> float:
     return _horizon_weight(cert, tol)[0]
 
 
-@dataclass(frozen=True)
-class BackwardTrajectory:
-    """Candidate history on the backward window, weighted by e^{mu t}."""
-
-    times: np.ndarray
-    values: np.ndarray
-    mu: float
-    spectrum: Spectrum = field(repr=False)
-
-    @property
-    def final(self) -> np.ndarray:
-        """Value at time 0 (the graph point x + m(x))."""
-        return self.values[-1]
-
-
 def weighted_sup_norm(wmu: np.ndarray, values: np.ndarray, wts_alpha: np.ndarray) -> float:
     """max over nodes t_k of wmu_k ||A^alpha v_k||, with wmu_k = e^{mu t_k} cached."""
     return float(np.max(wmu * _node_norms(values, wts_alpha)))
@@ -305,8 +275,14 @@ class LPContext:
     Bundles the problem data (spectrum, certificate, nonlinearity, forcing
     translated by tau, OU driver) with everything that does not change
     between operator applications: the node set, the OU window, the exact
-    forcing cells, the per-mode filter coefficients and F itself.  Node
-    arrays are stored mode-major, and so is every history built from them.
+    forcing cells, the per-mode filter coefficients and F itself.  The
+    solver tolerance ``tol`` is fixed here; without an explicit ``t_back``
+    the window is sized for it.
+
+    A history is a bare (nodes, modes) array on ``times``, stored
+    mode-major like every node array here; its last row is the graph point
+    x + m(x).  The resolved block P is the first ``cert.n`` columns, Q the
+    rest.
     """
 
     def __init__(
@@ -320,10 +296,11 @@ class LPContext:
         t_back: float | None = None,
         tol: float = 1e-6,
         seed: int | None = None,
-        debug_selfmap: bool = False,
     ):
         if cert.n >= spectrum.size:
             raise DimensionMismatchError("certificate index exceeds the truncation")
+        if tol <= 0.0:
+            raise ParameterError("tolerance must be positive")
         self.spectrum = spectrum
         self.cert = cert
         self.nonlinearity = nonlinearity
@@ -332,7 +309,6 @@ class LPContext:
         self.tau = float(tau)
         self.tol = float(tol)
         self.seed = seed
-        self.debug_selfmap = debug_selfmap
 
         self.h = ou.grid.h
         if t_back is None:
@@ -354,56 +330,50 @@ class LPContext:
         self.damp = np.exp(-lam * self.h)
         self.grow = np.exp(lam * self.h)
         self.w1 = -np.expm1(-lam * self.h) / lam
-        self.p_mask = np.zeros(spectrum.size, dtype=bool)
-        self.p_mask[: cert.n] = True
-        self.q_mask = ~self.p_mask
         self.wts_alpha = spectrum.weights_alpha()
         self.wmu = np.exp(cert.mu * self.times)
         self.gcells = _mode_major(
             cell_convolution(shift_forcing(forcing, self.tau), spectrum, self.times[:-1], self.h)
         )
         # Per-P-mode backward flow e^{-lambda t} on the window (t <= 0).
-        self.p_flow = _mode_major(np.exp(-np.outer(self.times, lam[self.p_mask])))
+        self.p_flow = _mode_major(np.exp(-np.outer(self.times, lam[: cert.n])))
         self.ratio_slack = 5.0 * self.h * cert.lambda_np1
-        self.z_s_norm = self.s_norm(self.z)
-        self.g_past_integral = temperedness_integral(forcing, spectrum, tau=self.tau)
 
     # ---- helpers --------------------------------------------------------
 
     def s_norm(self, values: np.ndarray) -> float:
         return weighted_sup_norm(self.wmu, values, self.wts_alpha)
 
-    def initial_guess(self, x: np.ndarray) -> BackwardTrajectory:
+    def initial_guess(self, x: np.ndarray) -> np.ndarray:
         """Backward linear flow of the base point (exact for F=0, g=0)."""
         x = self.spectrum.check_state(x)
-        values = np.zeros_like(self.z)
-        values[:, self.p_mask] = self.p_flow * x[self.p_mask]
-        return BackwardTrajectory(self.times, values, self.cert.mu, self.spectrum)
+        n = self.cert.n
+        xi = np.zeros_like(self.z)
+        xi[:, :n] = self.p_flow * x[:n]
+        return xi
 
-    def rebase(
-        self, xi: BackwardTrajectory, x_from: np.ndarray, x_to: np.ndarray
-    ) -> BackwardTrajectory:
+    def rebase(self, xi: np.ndarray, x_from: np.ndarray, x_to: np.ndarray) -> np.ndarray:
         """Move a history's resolved linear part e^{-At} x from x_from to x_to.
 
         Applied to the fixed point at x_from, this is a warm start for the
         solve at a nearby x_to.
         """
-        values = xi.values.copy(order="K")
-        values[:, self.p_mask] += self.p_flow * (x_to - x_from)[self.p_mask]
-        return BackwardTrajectory(self.times, values, self.cert.mu, self.spectrum)
+        n = self.cert.n
+        moved = xi.copy(order="K")
+        moved[:, :n] += self.p_flow * (x_to - x_from)[:n]
+        return moved
 
     def project_p(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(np.asarray(v, dtype=float))
-        out[..., self.p_mask] = np.asarray(v, dtype=float)[..., self.p_mask]
+        v = np.asarray(v, dtype=float)
+        out = np.zeros_like(v)
+        out[..., : self.cert.n] = v[..., : self.cert.n]
         return out
 
     def project_q(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(np.asarray(v, dtype=float))
-        out[..., self.q_mask] = np.asarray(v, dtype=float)[..., self.q_mask]
+        v = np.asarray(v, dtype=float)
+        out = np.zeros_like(v)
+        out[..., self.cert.n :] = v[..., self.cert.n :]
         return out
-
-    def norm_alpha(self, v: np.ndarray) -> float:
-        return float(np.linalg.norm(np.asarray(v, dtype=float) * self.wts_alpha, axis=-1))
 
     def z_at_zero(self) -> np.ndarray:
         return self.z[-1]
@@ -425,32 +395,15 @@ def _duhamel(u: np.ndarray, ctx: LPContext) -> np.ndarray:
     return out
 
 
-def lp_apply(xi: BackwardTrajectory, x: np.ndarray, ctx: LPContext) -> BackwardTrajectory:
+def lp_apply(xi: np.ndarray, x: np.ndarray, ctx: LPContext) -> np.ndarray:
     """One application of the backward integral operator at every node."""
-    if xi.values.shape != (ctx.times.size, ctx.spectrum.size):
-        raise GridAlignmentError("trajectory nodes do not match the context window")
+    if xi.shape != (ctx.times.size, ctx.spectrum.size):
+        raise GridAlignmentError("history nodes do not match the context window")
     x = ctx.spectrum.check_state(x)
-    u = ctx.w1 * ctx.f(xi.values + ctx.z)[:-1] + ctx.gcells  # per-cell increments
+    u = ctx.w1 * ctx.f(xi + ctx.z)[:-1] + ctx.gcells  # per-cell increments
     out = _duhamel(u, ctx)
     out[:, : ctx.cert.n] += ctx.p_flow * x[: ctx.cert.n]
-    result = BackwardTrajectory(ctx.times, out, ctx.cert.mu, ctx.spectrum)
-    if ctx.debug_selfmap:
-        _check_selfmap_bound(xi, x, result, ctx)
-    return result
-
-
-def _check_selfmap_bound(xi, x, result, ctx):
-    lhs = ctx.s_norm(result.values)
-    rhs = (
-        ctx.cert.k * ctx.s_norm(xi.values + ctx.z)
-        + ctx.norm_alpha(ctx.project_p(x))
-        + ctx.g_past_integral
-    )
-    slack = 1.0 + 10.0 * ctx.h * ctx.cert.lambda_np1
-    if lhs > rhs * slack + 1e-12:
-        raise ValidationError(
-            f"self-map bound violated: {lhs:g} > {rhs:g} (slack factor {slack:g})"
-        )
+    return out
 
 
 def _picard(step, dist, start, factor: float, slack: float, tol: float):
@@ -502,49 +455,43 @@ def _picard(step, dist, start, factor: float, slack: float, tol: float):
 
 
 def solve_fixed_point(
-    x: np.ndarray,
-    ctx: LPContext,
-    tol: float | None = None,
-    start: BackwardTrajectory | None = None,
-) -> tuple[BackwardTrajectory, int]:
-    """Picard iteration of the backward operator to S-norm accuracy tol.
+    x: np.ndarray, ctx: LPContext, start: np.ndarray | None = None
+) -> tuple[np.ndarray, int]:
+    """Picard iteration of the backward operator to S-norm accuracy ctx.tol.
 
-    Iteration starts from ``start`` when given (e.g. a neighbouring point's
-    fixed point moved by ``LPContext.rebase``), else from the linear flow
-    of x.  Stops and raises as ``_picard`` does, with factor k and the
-    context's quadrature slack.
+    Iteration starts from the history ``start`` when given (e.g. a
+    neighbouring point's fixed point moved by ``LPContext.rebase``), else
+    from the linear flow of x.  Stops and raises as ``_picard`` does, with
+    factor k and the context's quadrature slack.
     """
-    tol = ctx.tol if tol is None else float(tol)
-    if tol <= 0.0:
-        raise ParameterError("tolerance must be positive")
     return _picard(
         lambda xi: lp_apply(xi, x, ctx),
-        lambda new, old: ctx.s_norm(new.values - old.values),
+        lambda new, old: ctx.s_norm(new - old),
         ctx.initial_guess(x) if start is None else start,
         ctx.cert.k,
         ctx.ratio_slack,
-        tol,
+        ctx.tol,
     )
 
 
-def solve_with_residual(x: np.ndarray, ctx: LPContext, tol: float | None = None):
+def solve_with_residual(x: np.ndarray, ctx: LPContext):
     """Fixed point plus its measured operator residual (one extra apply)."""
-    xi, iterations = solve_fixed_point(x, ctx, tol)
-    residual = ctx.s_norm(lp_apply(xi, x, ctx).values - xi.values)
+    xi, iterations = solve_fixed_point(x, ctx)
+    residual = ctx.s_norm(lp_apply(xi, x, ctx) - xi)
     return xi, iterations, residual
 
 
-def manifold_point(x: np.ndarray, ctx: LPContext, tol: float | None = None) -> np.ndarray:
+def manifold_point(x: np.ndarray, ctx: LPContext) -> np.ndarray:
     """Off-graph part of the fixed point at time zero: the graph value m(x)."""
-    xi, _ = solve_fixed_point(x, ctx, tol)
-    return ctx.project_q(xi.final)
+    xi, _ = solve_fixed_point(x, ctx)
+    return ctx.project_q(xi[-1])
 
 
-def tilde_manifold_point(x: np.ndarray, ctx: LPContext, tol: float | None = None) -> np.ndarray:
+def tilde_manifold_point(x: np.ndarray, ctx: LPContext) -> np.ndarray:
     """Graph value of the original-variable manifold, offset by the OU state."""
     z0 = ctx.z_at_zero()
     base = ctx.project_p(np.asarray(x, dtype=float) - z0)
-    return ctx.project_q(z0) + manifold_point(base, ctx, tol)
+    return ctx.project_q(z0) + manifold_point(base, ctx)
 
 
 @dataclass(frozen=True)
@@ -578,11 +525,7 @@ class ManifoldChart:
         return self.x_grid + self.values
 
 
-def build_chart(
-    x_grid: np.ndarray,
-    ctx: LPContext,
-    tol: float | None = None,
-) -> ManifoldChart:
+def build_chart(x_grid: np.ndarray, ctx: LPContext) -> ManifoldChart:
     """Evaluate the graph map over a grid of base points.
 
     Records per-point fixed-point residuals and the empirical Lipschitz
@@ -595,8 +538,8 @@ def build_chart(
 
     values, residuals = [], []
     for x in x_grid:
-        xi, _, residual = solve_with_residual(x, ctx, tol)
-        values.append(ctx.project_q(xi.final))
+        xi, _, residual = solve_with_residual(x, ctx)
+        values.append(ctx.project_q(xi[-1]))
         residuals.append(residual)
     values = np.array(values)
     residuals = np.array(residuals)
@@ -605,9 +548,9 @@ def build_chart(
     k_pts = x_grid.shape[0]
     for i in range(k_pts):
         for j in range(i + 1, k_pts):
-            dx = ctx.norm_alpha(x_grid[i] - x_grid[j])
+            dx = norm_alpha(x_grid[i] - x_grid[j], ctx.spectrum)
             if dx > 1e-14:
-                lip = max(lip, ctx.norm_alpha(values[i] - values[j]) / dx)
+                lip = max(lip, norm_alpha(values[i] - values[j], ctx.spectrum) / dx)
 
     return ManifoldChart(
         tau=ctx.tau,
@@ -617,6 +560,6 @@ def build_chart(
         residuals=residuals,
         lipschitz=lip,
         cert=ctx.cert,
-        tol=ctx.tol if tol is None else float(tol),
+        tol=ctx.tol,
         t_back=ctx.t_back,
     )

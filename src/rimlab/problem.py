@@ -3,9 +3,10 @@
 A ModelProblem owns the sampled Wiener path and derives the OU driver from
 it once; fixed-point contexts for any forcing translation, and for
 index-shifted copies of the path, are built from here so that every
-downstream object provably uses the same stored noise.  Graph values on the
-stored path are solved at most once per (tau, tol, base point), so checks
-that revisit the chart's points reuse its solves.
+downstream object provably uses the same stored noise.  The solver
+tolerance ``tol`` is fixed per problem and passed to every context.  Graph
+values on the stored path are solved at most once per (tau, base point), so
+checks that revisit the chart's points reuse its solves.
 """
 
 from __future__ import annotations
@@ -89,13 +90,7 @@ class ModelProblem:
             self._shifted = (t, self.ou_for(shift_path(self.path, t)))
         return self._shifted[1]
 
-    def lp_context(
-        self,
-        tau: float = 0.0,
-        ou: OUProcess | None = None,
-        tol: float | None = None,
-        debug_selfmap: bool = False,
-    ) -> LPContext:
+    def lp_context(self, tau: float = 0.0, ou: OUProcess | None = None) -> LPContext:
         return LPContext(
             spectrum=self.spectrum,
             cert=self.cert,
@@ -104,32 +99,30 @@ class ModelProblem:
             ou=self.ou if ou is None else ou,
             tau=tau,
             t_back=self.t_back,
-            tol=self.tol if tol is None else tol,
+            tol=self.tol,
             seed=self.seed,
-            debug_selfmap=debug_selfmap,
         )
 
-    def chart(self, tau: float, x_grid: np.ndarray, tol: float | None = None) -> ManifoldChart:
+    def chart(self, tau: float, x_grid: np.ndarray) -> ManifoldChart:
         """``build_chart`` at translation tau; its values join the graph-value store."""
-        chart = build_chart(x_grid, self.lp_context(tau, tol=tol), tol)
+        chart = build_chart(x_grid, self.lp_context(tau))
         for x, m in zip(chart.x_grid, chart.values):
-            self._graph[(chart.tau, chart.tol, x.tobytes())] = m.copy()
+            self._graph[(chart.tau, x.tobytes())] = m.copy()
         return chart
 
-    def graph_values(self, tau: float, x_grid: np.ndarray, tol: float | None = None) -> np.ndarray:
+    def graph_values(self, tau: float, x_grid: np.ndarray) -> np.ndarray:
         """Graph values m_tau(P x) over a grid of base points, each solved once.
 
-        Values are stored per (tau, tol, P x) and only missing ones are
-        solved; ``chart`` fills the same store.
+        Values are stored per (tau, P x) and only missing ones are solved;
+        ``chart`` fills the same store.
         """
-        tol = float(self.tol if tol is None else tol)
-        ctx = self.lp_context(tau, tol=tol)
+        ctx = self.lp_context(tau)
         values = []
         for x in np.atleast_2d(np.asarray(x_grid, dtype=float)):
             base = ctx.project_p(x)
-            key = (ctx.tau, tol, base.tobytes())
+            key = (ctx.tau, base.tobytes())
             if key not in self._graph:
-                self._graph[key] = manifold_point(base, ctx, tol)
+                self._graph[key] = manifold_point(base, ctx)
             values.append(self._graph[key])
         return np.array(values)
 

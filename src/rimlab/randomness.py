@@ -166,12 +166,6 @@ class OUProcess:
     def at(self, t: float) -> np.ndarray:
         return self.values[self.grid.offset(t)]
 
-    def window(self, t_from: float, t_to: float) -> np.ndarray:
-        """Node values on [t_from, t_to] inclusive."""
-        a = self.grid.offset(t_from)
-        b = self.grid.offset(t_to)
-        return self.values[a : b + 1]
-
     def to_csv(self, path) -> None:
         _write_series_csv(path, self.grid.times(), self.values)
 

@@ -28,11 +28,9 @@ from .errors import DimensionMismatchError, DomainError, SpectrumError
 
 __all__ = [
     "Spectrum",
-    "ProjectionSplit",
     "dirichlet_laplacian",
     "frac_power",
     "apply_semigroup",
-    "split_state",
     "norm_alpha",
 ]
 
@@ -80,29 +78,6 @@ class Spectrum:
         return v
 
 
-@dataclass(frozen=True)
-class ProjectionSplit:
-    """Split of the eigenbasis into the first n resolved modes and the rest."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError("resolved-mode count must be at least 1")
-
-    def validate(self, s: Spectrum) -> None:
-        if self.n >= s.size:
-            raise DimensionMismatchError(
-                f"split n={self.n} needs n < {s.size} total modes"
-            )
-
-    def p_mask(self, s: Spectrum) -> np.ndarray:
-        self.validate(s)
-        mask = np.zeros(s.size, dtype=bool)
-        mask[: self.n] = True
-        return mask
-
-
 def dirichlet_laplacian(n_total: int, alpha: float = 0.0) -> Spectrum:
     """Spectrum lambda_j = j^2 of the 1-D Dirichlet Laplacian on (0, pi)."""
     if n_total < 2:
@@ -123,14 +98,15 @@ def apply_semigroup(
     t: float,
     v: np.ndarray,
     s: Spectrum,
-    split: ProjectionSplit | None = None,
+    n: int | None = None,
     part: str = "full",
 ) -> np.ndarray:
     """Apply e^{-At} to the selected spectral block of v.
 
-    ``part`` is one of "P", "Q", "full".  On the finite-dimensional P-block
-    the flow is invertible, so any real t is accepted there; the Q and full
-    flows are only defined forward in time.
+    ``part`` is one of "P" (the first n modes), "Q" (the rest) or "full",
+    which ignores n.  On the finite-dimensional P-block the flow is
+    invertible, so any real t is accepted there; the Q and full flows are
+    only defined forward in time.
     """
     v = s.check_state(v)
     if part not in ("P", "Q", "full"):
@@ -139,21 +115,16 @@ def apply_semigroup(
         raise DomainError("backward flow is only defined on the P block")
     if part == "full":
         return v * np.exp(-s.lambdas * t)
-    if split is None:
-        raise DomainError("P/Q application needs a projection split")
-    mask = split.p_mask(s) if part == "P" else ~split.p_mask(s)
+    if n is None:
+        raise DomainError("P/Q application needs the resolved-mode count n")
+    if n < 1:
+        raise DomainError("resolved-mode count must be at least 1")
+    if n >= s.size:
+        raise DimensionMismatchError(f"split n={n} needs n < {s.size} total modes")
+    block = slice(None, n) if part == "P" else slice(n, None)
     out = np.zeros_like(v)
-    out[..., mask] = v[..., mask] * np.exp(-s.lambdas[mask] * t)
+    out[..., block] = v[..., block] * np.exp(-s.lambdas[block] * t)
     return out
-
-
-def split_state(v: np.ndarray, split: ProjectionSplit, s: Spectrum):
-    """Return (p, q) with p supported on modes 1..n and q on the rest; p+q=v."""
-    v = s.check_state(v)
-    mask = split.p_mask(s)
-    p = np.where(mask, v, 0.0)
-    q = np.where(mask, 0.0, v)
-    return p, q
 
 
 def norm_alpha(v: np.ndarray, s: Spectrum, alpha: float | None = None) -> float:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,10 +40,9 @@ from .dynamics import Trajectory, integrate
 from .errors import GridAlignmentError, ParameterError
 from .forcing import shift_forcing
 from .lyapunov_perron import LPContext, _duhamel, _picard, solve_fixed_point, weighted_sup_norm
-from .spectral import Spectrum, _mode_major, _node_norms
+from .spectral import _mode_major, _node_norms, norm_alpha
 
 __all__ = [
-    "ForwardTrajectory",
     "TrackingResult",
     "base_orbit",
     "forward_horizon",
@@ -51,16 +50,6 @@ __all__ = [
     "solve_tracking",
     "track_phi",
 ]
-
-
-@dataclass(frozen=True)
-class ForwardTrajectory:
-    """Candidate orbit difference on [0, T_f], weighted by e^{+mu t}."""
-
-    times: np.ndarray
-    values: np.ndarray
-    mu: float
-    spectrum: Spectrum = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -131,7 +120,8 @@ def base_orbit(v0: np.ndarray, ctx: LPContext, t_fwd: float) -> Trajectory:
 class _ForwardStencil:
     """Node set, OU window and filter coefficients for the forward operator.
 
-    Node arrays are stored mode-major, like the backward operator's.
+    Node arrays are stored mode-major, like the backward operator's, and
+    an orbit difference is a bare (nodes, modes) array on ``times``.
     """
 
     def __init__(self, ctx: LPContext, t_fwd: float):
@@ -143,18 +133,18 @@ class _ForwardStencil:
         hi = ctx.ou.grid.offset(self.t_fwd)
         self.times = np.arange(0, self.n_cells + 1) * h
         self.z = _mode_major(ctx.ou.values[lo : hi + 1])
+        n = ctx.cert.n
         lam = ctx.spectrum.lambdas
+        lam_p = lam[:n]
         # Weights of the resolved-mode seed integral int e^{+lambda s} over a cell.
-        self.p_cols = np.nonzero(ctx.p_mask)[0]
-        lam_p = lam[self.p_cols]
         self.seed_weights = np.exp(np.outer(self.times[:-1], lam_p)) * (
             np.expm1(lam_p * h) / lam_p
         )
-        self.q_decay = _mode_major(np.exp(-np.outer(self.times, lam[ctx.q_mask])))
+        self.q_decay = _mode_major(np.exp(-np.outer(self.times, lam[n:])))
         self.wmu = np.exp(ctx.cert.mu * self.times)
 
 
-def _apply_forward(stencil: _ForwardStencil, xi_values, base_values, f_base, v0, tol, warm=None):
+def _apply_forward(stencil: _ForwardStencil, xi_values, base_values, f_base, v0, warm=None):
     """One sweep of the forward operator; returns (values, y0, x0, graph).
 
     ``f_base`` is F(base + z) on the forward nodes, fixed for a whole
@@ -163,48 +153,43 @@ def _apply_forward(stencil: _ForwardStencil, xi_values, base_values, f_base, v0,
     warm-starts that solve.
     """
     ctx = stencil.ctx
-    s = ctx.spectrum
+    n = ctx.cert.n
     df = ctx.f(xi_values + base_values + stencil.z) - f_base
     u = ctx.w1 * df[:-1]
 
-    seed_integral = np.zeros(s.size)
-    seed_integral[stencil.p_cols] = np.sum(stencil.seed_weights * df[:-1, stencil.p_cols], axis=0)
+    seed_integral = np.zeros(ctx.spectrum.size)
+    seed_integral[:n] = np.sum(stencil.seed_weights * df[:-1, :n], axis=0)
     x0 = ctx.project_p(v0) - seed_integral
     start = None if warm is None else ctx.rebase(warm[0], warm[1], x0)
-    graph, _ = solve_fixed_point(x0, ctx, tol, start=start)
-    y0 = -ctx.project_q(v0) + ctx.project_q(graph.final)
+    graph, _ = solve_fixed_point(x0, ctx, start=start)
+    y0 = -ctx.project_q(v0) + ctx.project_q(graph[-1])
 
     out = _duhamel(u, ctx)
-    out[:, ctx.cert.n :] += stencil.q_decay * y0[ctx.cert.n :]
+    out[:, n:] += stencil.q_decay * y0[n:]
     return out, y0, x0, graph
 
 
-def lp_plus_apply(
-    xi: ForwardTrajectory,
-    v0: np.ndarray,
-    base,
-    ctx: LPContext,
-    tol: float | None = None,
-):
+def lp_plus_apply(xi: np.ndarray, v0: np.ndarray, base, ctx: LPContext):
     """One application of the forward tracking operator.
 
-    ``base`` is the orbit of v0 on the same node set (a Trajectory or a
-    value array).  The off-graph seed is recomputed from the supplied
-    iterate, matching the coupled fixed-point system.
+    ``xi`` is an orbit difference on the forward nodes of [0, T_f], T_f
+    read off its node count; ``base`` is the orbit of v0 on the same nodes
+    (a Trajectory or a value array).  The off-graph seed is recomputed from
+    the supplied iterate, matching the coupled fixed-point system.  Returns
+    (T+ xi, y0, x0).
     """
     base_values = getattr(base, "values", base)
-    stencil = _ForwardStencil(ctx, float(xi.times[-1]))
-    if xi.values.shape != base_values.shape or xi.values.shape[0] != stencil.times.size:
+    stencil = _ForwardStencil(ctx, (xi.shape[0] - 1) * ctx.h)
+    if xi.shape != base_values.shape or xi.shape[0] != stencil.times.size:
         raise GridAlignmentError("iterate and base orbit must share the forward nodes")
     f_base = ctx.f(base_values + stencil.z)
-    values, y0, x0, _ = _apply_forward(stencil, xi.values, base_values, f_base, v0, tol)
-    return ForwardTrajectory(stencil.times, values, ctx.cert.mu, ctx.spectrum), y0, x0
+    values, y0, x0, _ = _apply_forward(stencil, xi, base_values, f_base, v0)
+    return values, y0, x0
 
 
 def solve_tracking(
     v0: np.ndarray,
     ctx: LPContext,
-    tol: float | None = None,
     t_fwd: float | None = None,
     base=None,
 ) -> TrackingResult:
@@ -221,10 +206,9 @@ def solve_tracking(
         raise ParameterError(
             f"tracking requires k < 1/2 (got k={ctx.cert.k:g}, delta >= 1)"
         )
-    tol = ctx.tol if tol is None else float(tol)
     delta = ctx.cert.delta
     if t_fwd is None:
-        t_fwd = forward_horizon(ctx.cert, tol, ctx.t_back)
+        t_fwd = forward_horizon(ctx.cert, ctx.tol, ctx.t_back)
     stencil = _ForwardStencil(ctx, t_fwd)
     v0 = ctx.spectrum.check_state(np.asarray(v0, dtype=float))
     if base is None:
@@ -241,9 +225,7 @@ def solve_tracking(
 
     def sweep(xi_values):
         nonlocal first, latest
-        values, y0, x0, graph = _apply_forward(
-            stencil, xi_values, base_values, f_base, v0, tol, latest
-        )
+        values, y0, x0, graph = _apply_forward(stencil, xi_values, base_values, f_base, v0, latest)
         latest = (graph, x0, y0)
         if first is None:
             # From xi = 0 the seed integral vanishes, so x0 = P v0 exactly
@@ -257,14 +239,16 @@ def solve_tracking(
         np.zeros_like(stencil.z),
         delta,
         ctx.ratio_slack,
-        tol,
+        ctx.tol,
     )
     graph, x0, y0 = latest
-    defect = ctx.norm_alpha(ctx.project_q(v0) - ctx.project_q(first[0].final))
+    defect = norm_alpha(ctx.project_q(v0) - ctx.project_q(first[0][-1]), ctx.spectrum)
     v0_star = v0 + xi_values[0]
     x_star = ctx.project_p(v0_star)
-    star_graph, _ = solve_fixed_point(x_star, ctx, tol, start=ctx.rebase(graph, x0, x_star))
-    graph_residual = ctx.norm_alpha(ctx.project_q(v0_star) - ctx.project_q(star_graph.final))
+    star_graph, _ = solve_fixed_point(x_star, ctx, start=ctx.rebase(graph, x0, x_star))
+    graph_residual = norm_alpha(
+        ctx.project_q(v0_star) - ctx.project_q(star_graph[-1]), ctx.spectrum
+    )
     decay = _node_norms(xi_values, ctx.wts_alpha)
     return TrackingResult(
         v0=v0,
@@ -285,7 +269,6 @@ def solve_tracking(
 def track_phi(
     u0: np.ndarray,
     ctx: LPContext,
-    tol: float | None = None,
     t_fwd: float | None = None,
     base=None,
 ) -> TrackingResult:
@@ -299,5 +282,5 @@ def track_phi(
     """
     u0 = ctx.spectrum.check_state(np.asarray(u0, dtype=float))
     z0 = ctx.z_at_zero()
-    result = solve_tracking(u0 - z0, ctx, tol, t_fwd, base)
+    result = solve_tracking(u0 - z0, ctx, t_fwd, base)
     return dataclasses.replace(result, u0=u0, u0_star=result.v0_star + z0)

@@ -276,38 +276,88 @@ def test_module_entry_point(small_config, tmp_path):
 
 # Each bad input maps to exit 2 with a one-line message: a config edit, or
 # arguments overriding the config ("{tmp}" is the test's directory).
+# case -> (config edit, extra arguments, command, field the message names).
+# Grid spans and the tracked batch are sized when the problem is built,
+# which gap-scan never does, so those cases run build-manifold.
 BAD_INPUTS = {
-    "nan_float": (("tol = 1e-5", "tol = nan"), []),
-    "inf_float": (("lipschitz = 0.1", "lipschitz = inf"), []),
-    "inf_in_list": (("pullback_times = 2.0 4.0", "pullback_times = 2.0 inf"), []),
-    "nan_in_terms": (("2 1.0 1.0 0.0", "2 nan 1.0 0.0"), []),
+    "nan_float": (("tol = 1e-5", "tol = nan"), [], "gap-scan", None),
+    "inf_float": (("lipschitz = 0.1", "lipschitz = inf"), [], "gap-scan", None),
+    "inf_in_list": (
+        ("pullback_times = 2.0 4.0", "pullback_times = 2.0 inf"), [], "gap-scan", None
+    ),
+    "nan_in_terms": (("2 1.0 1.0 0.0", "2 nan 1.0 0.0"), [], "gap-scan", None),
     "nan_in_table": (
         (
             "form = trig_sum\nterms =\n    2 1.0 1.0 0.0",
             "form = tabulated\ntable =\n    -40.0 0 0.5 0 0 0 0 0 0\n    8.0 0 nan 0 0 0 0 0 0",
         ),
         [],
+        "gap-scan",
+        None,
     ),
-    "negative_seed": (("seed = 7", "seed = -3"), []),
-    "negative_seed_flag": (None, ["--seed", "-3"]),
-    "missing_config": (None, ["--config", "{tmp}/missing.ini"]),
-    "unreadable_config": (None, ["--config", "{tmp}"]),
+    "negative_seed": (("seed = 7", "seed = -3"), [], "gap-scan", None),
+    "negative_seed_flag": (None, ["--seed", "-3"], "gap-scan", None),
+    "missing_config": (None, ["--config", "{tmp}/missing.ini"], "gap-scan", None),
+    "unreadable_config": (None, ["--config", "{tmp}"], "gap-scan", None),
+    "budget_h": (("h = 0.005", "h = 1e-13"), [], "build-manifold", "numerics.h"),
+    "budget_t_back": (
+        ("tol = 1e-5", "tol = 1e-5\nt_back = 1e12"), [], "build-manifold", "numerics.t_back"
+    ),
+    "budget_t_fwd": (
+        ("tol = 1e-5", "tol = 1e-5\nt_fwd = 1e12"), [], "build-manifold", "numerics.t_fwd"
+    ),
+    "budget_burn_in": (
+        ("tol = 1e-5", "tol = 1e-5\nburn_in = 1e12"), [], "build-manifold", "numerics.burn_in"
+    ),
+    "budget_pullback_times": (
+        ("pullback_times = 2.0 4.0", "pullback_times = 2.0 1e12"),
+        [],
+        "build-manifold",
+        "attractor.pullback_times",
+    ),
+    "budget_invariance_t": (
+        ("invariance_t = 0.5", "invariance_t = 1e12"), [], "build-manifold", "verify.invariance_t"
+    ),
+    "budget_track_count": (
+        ("count = 2", "count = 1000000000"), [], "build-manifold", "track.count"
+    ),
+    "budget_x_count": (("x_count = 5", "x_count = 1000000000"), [], "gap-scan", "chart.x_count"),
+    "budget_ensemble_size": (
+        ("ensemble_size = 4", "ensemble_size = 1000000000"),
+        [],
+        "gap-scan",
+        "attractor.ensemble_size",
+    ),
+    "budget_scan_step": (
+        ("[verify]", "[almost_period]\nscan_step = 1e-9\n\n[verify]"),
+        [],
+        "gap-scan",
+        "almost_period.scan_step",
+    ),
+    "zero_scan_step": (
+        ("[verify]", "[almost_period]\nscan_step = 0\n\n[verify]"),
+        [],
+        "gap-scan",
+        "almost_period.scan_step",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_2_without_traceback(tmp_path, case):
-    edit, extra = BAD_INPUTS[case]
+    edit, extra, command, field = BAD_INPUTS[case]
     cfg = tmp_path / "case.ini"
     cfg.write_text(SMALL_CONFIG if edit is None else SMALL_CONFIG.replace(*edit), "utf-8")
     args = ["--config", str(cfg), "--out", str(tmp_path / "out")]
     args += [a.format(tmp=tmp_path) for a in extra]
     proc = subprocess.run(
-        [sys.executable, "-m", "rimlab", "gap-scan", *args], capture_output=True, text=True
+        [sys.executable, "-m", "rimlab", command, *args], capture_output=True, text=True
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
+    if field is not None:
+        assert field + ":" in proc.stderr
 
 
 def test_truncation_margin_validated(tmp_path):

@@ -10,7 +10,6 @@ from scipy.signal import lfilter
 import rimlab as rl
 from rimlab.errors import CertificateError, ContractionViolationError, ParameterError
 from rimlab.lyapunov_perron import (
-    BackwardTrajectory,
     LPContext,
     _horizon_weight,
     _picard,
@@ -178,12 +177,14 @@ def test_graph_value_settled_at_horizon(name):
     grid = rl.TimeGrid.from_times(-(3.0 * t_back + 10.0) - 0.1, 0.1, 1e-3)
     ou = rl.solve_ou(rl.sample_wiener(7, grid, cov), s)
     f = rl.Nonlinearity.per_mode_sin(lip)
-    short, long = (LPContext(s, cert, f, g, ou, t_back=t, tol=tol) for t in (t_back, 3 * t_back))
+    short, long = (
+        LPContext(s, cert, f, g, ou, t_back=t, tol=tol / 1000) for t in (t_back, 3 * t_back)
+    )
     for x1 in (-1.0, 0.25, 1.0):
         x = np.zeros(n_total)
         x[0] = x1
-        diff = manifold_point(x, short, tol / 1000) - manifold_point(x, long, tol / 1000)
-        assert short.norm_alpha(diff) <= tol / 10
+        diff = manifold_point(x, short) - manifold_point(x, long)
+        assert rl.norm_alpha(diff, s) <= tol / 10
 
 
 # ---- operator and fixed point ---------------------------------------------
@@ -192,7 +193,7 @@ def test_graph_value_settled_at_horizon(name):
 def _random_history(ctx, rng, scale=0.5):
     vals = rng.standard_normal((ctx.times.size, ctx.spectrum.size))
     vals *= scale * np.exp(-ctx.cert.mu * ctx.times)[:, None]
-    return BackwardTrajectory(ctx.times, vals, ctx.cert.mu, ctx.spectrum)
+    return vals
 
 
 def test_lp_apply_pure_backward_flow(problem_lin):
@@ -210,9 +211,9 @@ def test_lp_apply_pure_backward_flow(problem_lin):
     x = np.zeros(16)
     x[0] = 0.8
     out = lp_apply(ctx.initial_guess(x), x, ctx)
-    expected = np.zeros_like(out.values)
+    expected = np.zeros_like(out)
     expected[:, 0] = 0.8 * np.exp(-1.0 * ctx.times)
-    assert np.allclose(out.values, expected, rtol=1e-13, atol=1e-13)
+    assert np.allclose(out, expected, rtol=1e-13, atol=1e-13)
 
 
 def test_lp_apply_sine_forcing_convolution(problem_lin):
@@ -226,15 +227,15 @@ def test_lp_apply_sine_forcing_convolution(problem_lin):
         ctx_t = problem_lin.lp_context(tau)
         out = lp_apply(ctx_t.initial_guess(x), x, ctx_t)
         oracle = (lam * np.sin(beta * tau) - beta * np.cos(beta * tau)) / (lam**2 + beta**2)
-        assert out.final[1] == pytest.approx(oracle, abs=1e-9)
-    assert out.final[1] != 0.0
+        assert out[-1, 1] == pytest.approx(oracle, abs=1e-9)
+    assert out[-1, 1] != 0.0
 
 
 def test_lp_apply_minus_one_seventeenth(problem_lin):
     ctx = problem_lin.lp_context(0.0)
     x = np.zeros(16)
     out = lp_apply(ctx.initial_guess(x), x, ctx)
-    assert out.final[1] == pytest.approx(-1.0 / 17.0, abs=1e-9)
+    assert out[-1, 1] == pytest.approx(-1.0 / 17.0, abs=1e-9)
 
 
 def test_lp_contraction_ratios(problem_nl):
@@ -246,8 +247,8 @@ def test_lp_contraction_ratios(problem_nl):
     for _ in range(16):
         a = _random_history(ctx, rng)
         b = _random_history(ctx, rng)
-        num = ctx.s_norm(lp_apply(a, x, ctx).values - lp_apply(b, x, ctx).values)
-        den = ctx.s_norm(a.values - b.values)
+        num = ctx.s_norm(lp_apply(a, x, ctx) - lp_apply(b, x, ctx))
+        den = ctx.s_norm(a - b)
         assert num / den <= problem_nl.cert.k * (1 + 1e-6) + slack
 
 
@@ -261,9 +262,9 @@ def _lp_apply_row_major(values, x, ctx):
     u = ctx.w1 * fw[:-1] + np.ascontiguousarray(ctx.gcells)
     m = u.shape[0]
     out = np.zeros_like(values)
-    for j in np.nonzero(ctx.q_mask)[0]:
+    for j in range(ctx.cert.n, ctx.spectrum.size):
         out[1:, j] = lfilter([1.0], [1.0, -ctx.damp[j]], u[:, j])
-    for col, j in enumerate(np.nonzero(ctx.p_mask)[0]):
+    for col, j in enumerate(range(ctx.cert.n)):
         a = ctx.grow[j]
         rev = lfilter([a], [1.0, -a], u[::-1, j])
         tail = np.zeros(m + 1)
@@ -278,11 +279,11 @@ def test_lp_apply_and_solve_match_row_major_reference(problem_nl, x1):
     x = np.zeros(16)
     x[0] = x1
     xi = ctx.initial_guess(x)
-    assert np.array_equal(lp_apply(xi, x, ctx).values, _lp_apply_row_major(xi.values, x, ctx))
+    assert np.array_equal(lp_apply(xi, x, ctx), _lp_apply_row_major(xi, x, ctx))
     # Picard iteration on the reference, with the row-wise S-norm and the
     # same stopping rule, reaches the same history bit for bit.
     solved, iterations = solve_fixed_point(x, ctx)
-    ref = np.ascontiguousarray(xi.values)
+    ref = np.ascontiguousarray(xi)
     thresh = (1.0 - ctx.cert.k) * ctx.tol
     for count in range(1, 50):
         new = _lp_apply_row_major(ref, x, ctx)
@@ -291,7 +292,7 @@ def test_lp_apply_and_solve_match_row_major_reference(problem_nl, x1):
         if d <= thresh:
             break
     assert count == iterations
-    assert np.array_equal(solved.values, ref)
+    assert np.array_equal(solved, ref)
 
 
 def test_histories_are_mode_major(problem_nl):
@@ -303,11 +304,9 @@ def test_histories_are_mode_major(problem_nl):
     guess = ctx.initial_guess(x)
     solved, _ = solve_fixed_point(x, ctx)
     moved = ctx.rebase(solved, x, 0.9 * x)
-    row_major = BackwardTrajectory(
-        ctx.times, np.ascontiguousarray(guess.values), ctx.cert.mu, ctx.spectrum
-    )
+    row_major = np.ascontiguousarray(guess)
     for history in (guess, solved, moved, lp_apply(guess, x, ctx), lp_apply(row_major, x, ctx)):
-        assert history.values.flags.f_contiguous
+        assert history.flags.f_contiguous
 
 
 def test_solver_one_iteration_when_constant(problem_lin):
@@ -339,7 +338,7 @@ def test_solver_ratio_sequence_below_k(problem_nl):
     dists = []
     for _ in range(6):
         xi_new = lp_apply(xi, x, ctx)
-        dists.append(ctx.s_norm(xi_new.values - xi.values))
+        dists.append(ctx.s_norm(xi_new - xi))
         xi = xi_new
     dists = np.array(dists)
     live = dists > 1e-14
@@ -353,7 +352,7 @@ def test_solver_iteration_cap(problem_nl):
     x[0] = 0.5
     xi, iterations = solve_fixed_point(x, ctx)
     xi0 = ctx.initial_guess(x)
-    d1 = ctx.s_norm(lp_apply(xi0, x, ctx).values - xi0.values)
+    d1 = ctx.s_norm(lp_apply(xi0, x, ctx) - xi0)
     thresh = (1 - ctx.cert.k) * ctx.tol
     cap = math.ceil(math.log(thresh / d1) / math.log(ctx.cert.k)) + 1
     assert iterations <= cap
@@ -366,10 +365,10 @@ def test_solver_apriori_bound(problem_nl):
     x[0] = 0.9
     xi, _ = solve_fixed_point(x, ctx)
     k = ctx.cert.k
-    lhs = (1 - k) * ctx.s_norm(xi.values)
+    lhs = (1 - k) * ctx.s_norm(xi)
     rhs = (
-        k * ctx.z_s_norm
-        + ctx.norm_alpha(x)
+        k * ctx.s_norm(ctx.z)
+        + rl.norm_alpha(x, ctx.spectrum)
         + temperedness_integral(problem_nl.forcing, problem_nl.spectrum, tau=0.7)
     )
     assert lhs <= rhs * (1 + 10 * problem_nl.h * ctx.cert.lambda_np1)
@@ -437,14 +436,28 @@ def test_warm_start_from_neighbour(problem_nl):
     cold, cold_iters = solve_fixed_point(x, ctx)
     warm, warm_iters = solve_fixed_point(x, ctx, start=ctx.rebase(near, x_near, x))
     assert warm_iters <= 2 < cold_iters
-    assert ctx.s_norm(warm.values - cold.values) <= ctx.tol
+    assert ctx.s_norm(warm - cold) <= ctx.tol
 
 
-def test_selfmap_bound_in_debug_mode(problem_nl):
-    ctx = problem_nl.lp_context(0.0, debug_selfmap=True)
+def test_selfmap_bound_along_picard_iterates(problem_nl):
+    # Every apply of the solve maps xi into the ball
+    # ||T xi|| <= k ||xi + z|| + ||A^a P x|| + past-integral of the forcing.
+    ctx = problem_nl.lp_context(0.0)
     x = np.zeros(16)
     x[0] = 0.4
-    solve_fixed_point(x, ctx)  # raises ValidationError on violation
+    _, iterations = solve_fixed_point(x, ctx)
+    g_past = temperedness_integral(problem_nl.forcing, problem_nl.spectrum, tau=ctx.tau)
+    slack = 1.0 + 10.0 * ctx.h * ctx.cert.lambda_np1
+    xi = ctx.initial_guess(x)
+    for _ in range(iterations):
+        out = lp_apply(xi, x, ctx)
+        rhs = (
+            ctx.cert.k * ctx.s_norm(xi + ctx.z)
+            + rl.norm_alpha(ctx.project_p(x), ctx.spectrum)
+            + g_past
+        )
+        assert ctx.s_norm(out) <= rhs * slack + 1e-12
+        xi = out
 
 
 # ---- graph map -------------------------------------------------------------
@@ -486,11 +499,11 @@ def test_manifold_norm_bound(problem_nl):
     m = manifold_point(x, ctx)
     k = ctx.cert.k
     rhs = (
-        k * ctx.z_s_norm
-        + ctx.norm_alpha(x)
+        k * ctx.s_norm(ctx.z)
+        + rl.norm_alpha(x, ctx.spectrum)
         + temperedness_integral(problem_nl.forcing, problem_nl.spectrum)
     ) / (1 - k)
-    assert ctx.norm_alpha(m) <= rhs * (1 + 10 * problem_nl.h * ctx.cert.lambda_np1)
+    assert rl.norm_alpha(m, ctx.spectrum) <= rhs * (1 + 10 * problem_nl.h * ctx.cert.lambda_np1)
 
 
 def test_graph_identity_resolved_part(problem_nl):
@@ -498,7 +511,7 @@ def test_graph_identity_resolved_part(problem_nl):
     x = np.zeros(16)
     x[0] = 0.6
     xi, _ = solve_fixed_point(x, ctx)
-    assert xi.final[0] == pytest.approx(0.6, abs=1e-14)
+    assert xi[-1, 0] == pytest.approx(0.6, abs=1e-14)
 
 
 def test_tilde_manifold_offsets(problem_nl, problem_lin_const):
@@ -589,7 +602,7 @@ def test_horizon_convergence(problem_nl):
             tol=1e-9,
             seed=problem_nl.seed,
         )
-        values.append(manifold_point(x, ctx_short, 1e-9))
+        values.append(manifold_point(x, ctx_short))
     deltas = [float(np.linalg.norm(values[i + 1] - values[i])) for i in range(2)]
     assert deltas[1] <= deltas[0]
 
@@ -600,6 +613,20 @@ def test_solve_with_residual_reports_small(problem_nl):
     x[0] = 0.2
     _, _, residual = solve_with_residual(x, ctx)
     assert residual <= problem_nl.tol
+
+
+def test_context_rejects_nonpositive_tol(problem_nl):
+    for tol in (0.0, -1e-6):
+        with pytest.raises(ParameterError):
+            LPContext(
+                problem_nl.spectrum,
+                problem_nl.cert,
+                problem_nl.nonlinearity,
+                problem_nl.forcing,
+                problem_nl.ou,
+                t_back=4.0,
+                tol=tol,
+            )
 
 
 def test_lp_apply_misaligned_window_errors(problem_nl):
@@ -644,7 +671,7 @@ def test_graph_values_first_order_in_step():
             spectrum=s, nonlinearity=f, forcing=g, path=path, cert=cert,
             t_back=16.2, t_fwd=16.2, tol=1e-11,
         )
-        return manifold_point(x, prob.lp_context(0.0), 1e-11)
+        return manifold_point(x, prob.lp_context(0.0))
 
     m_ref = graph_at(w_fine)
     errs = [

@@ -12,8 +12,8 @@ import pytest
 
 import rimlab as rl
 from rimlab.forcing import cell_convolution, shift_forcing
-from rimlab.lyapunov_perron import BackwardTrajectory, LPContext, lp_apply
-from rimlab.tracking import ForwardTrajectory, lp_plus_apply
+from rimlab.lyapunov_perron import LPContext, lp_apply
+from rimlab.tracking import lp_plus_apply
 from rimlab.dynamics import integrate
 
 
@@ -49,7 +49,7 @@ def _brute_backward(xi_values, x, ctx):
                 kernel_cells[c] = (
                     np.exp(-lam[j] * (t - s_hi)) - np.exp(-lam[j] * (t - s_lo))
                 ) / lam[j]
-            if ctx.p_mask[j]:
+            if j < ctx.cert.n:
                 total = np.exp(-lam[j] * t) * x[j]
                 for c in range(i, m):
                     total -= kernel_cells[c] * fw[c, j]
@@ -72,8 +72,7 @@ def test_backward_operator_matches_brute_force(setup):
     x[0] = 0.7
     vals = 0.5 * rng.standard_normal((ctx.times.size, 6))
     vals *= np.exp(-cert.mu * ctx.times)[:, None]
-    xi = BackwardTrajectory(ctx.times, vals, cert.mu, s)
-    fast = lp_apply(xi, x, ctx).values
+    fast = lp_apply(vals, x, ctx)
     brute = _brute_backward(vals, x, ctx)
     scale = np.max(np.abs(brute))
     assert np.max(np.abs(fast - brute)) <= 1e-11 * scale
@@ -95,7 +94,7 @@ def _brute_forward(xi_values, v0, base_values, times, z, ctx, y0):
                 kernel_cells[c] = (
                     np.exp(-lam[j] * (t - s_hi)) - np.exp(-lam[j] * (t - s_lo))
                 ) / lam[j]
-            if ctx.p_mask[j]:
+            if j < ctx.cert.n:
                 total = 0.0
                 for c in range(i, m):
                     total -= kernel_cells[c] * df[c, j]
@@ -117,13 +116,12 @@ def test_forward_operator_matches_brute_force(setup):
     base = integrate(v0, 0.0, t_fwd, ou, shift_forcing(g, 0.0), f, s)
     vals = 0.3 * rng.standard_normal((base.times.size, 6))
     vals *= np.exp(-cert.mu * base.times)[:, None]
-    xi = ForwardTrajectory(base.times, vals, cert.mu, s)
-    fast, y0, _ = lp_plus_apply(xi, v0, base, ctx)
+    fast, y0, _ = lp_plus_apply(vals, v0, base, ctx)
     lo = ou.grid.offset(0.0)
     z = ou.values[lo : lo + base.times.size]
     brute = _brute_forward(vals, v0, base.values, base.times, z, ctx, y0)
     scale = max(np.max(np.abs(brute)), 1e-12)
-    assert np.max(np.abs(fast.values - brute)) <= 1e-11 * scale
+    assert np.max(np.abs(fast - brute)) <= 1e-11 * scale
 
 
 def test_forcing_cells_reweight_consistently(setup):

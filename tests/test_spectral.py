@@ -7,12 +7,10 @@ from scipy.signal import lfilter
 import rimlab as rl
 from rimlab.errors import DimensionMismatchError, DomainError, SpectrumError
 from rimlab.spectral import (
-    ProjectionSplit,
     _filter_modes,
     _node_norms,
     apply_semigroup,
     frac_power,
-    split_state,
 )
 
 
@@ -67,23 +65,33 @@ def test_semigroup_identity_at_zero(two_mode):
 
 def test_semigroup_forward_p_block():
     s = rl.Spectrum(np.array([1.0, 4.0]))
-    out = apply_semigroup(np.log(2.0), np.array([8.0, 0.0]), s, ProjectionSplit(1), "P")
+    out = apply_semigroup(np.log(2.0), np.array([8.0, 0.0]), s, 1, "P")
     assert out[0] == pytest.approx(4.0, rel=1e-14)
     assert out[1] == 0.0
 
 
 def test_semigroup_backward_p_block():
     s = rl.Spectrum(np.array([1.0, 4.0]))
-    out = apply_semigroup(-1.0, np.array([1.0, 7.0]), s, ProjectionSplit(1), "P")
+    out = apply_semigroup(-1.0, np.array([1.0, 7.0]), s, 1, "P")
     assert out[0] == pytest.approx(np.e, rel=1e-14)
     assert out[1] == 0.0  # unselected modes are zeroed
 
 
 def test_semigroup_rejects_backward_q(two_mode):
     with pytest.raises(DomainError):
-        apply_semigroup(-0.1, np.array([1.0, 1.0]), two_mode, ProjectionSplit(1), "Q")
+        apply_semigroup(-0.1, np.array([1.0, 1.0]), two_mode, 1, "Q")
     with pytest.raises(DomainError):
         apply_semigroup(-0.1, np.array([1.0, 1.0]), two_mode)
+
+
+def test_semigroup_rejects_bad_resolved_count(two_mode):
+    v = np.array([1.0, 1.0])
+    with pytest.raises(DomainError):
+        apply_semigroup(0.1, v, two_mode, None, "P")
+    with pytest.raises(DomainError):
+        apply_semigroup(0.1, v, two_mode, 0, "P")
+    with pytest.raises(DimensionMismatchError):
+        apply_semigroup(0.1, v, two_mode, 2, "Q")
 
 
 def test_semigroup_law_composition():
@@ -97,58 +105,50 @@ def test_semigroup_law_composition():
 
 def test_backward_roundtrip_on_p_block():
     s = rl.dirichlet_laplacian(8)
-    split = ProjectionSplit(2)
     rng = np.random.default_rng(1)
     v = np.zeros(8)
     v[:2] = rng.standard_normal(2)
     t = 30.0 / 4.0  # lambda_n * t = 30 at lambda_2 = 4
-    back = apply_semigroup(-t, v, s, split, "P")
-    forth = apply_semigroup(t, back, s, split, "P")
+    back = apply_semigroup(-t, v, s, 2, "P")
+    forth = apply_semigroup(t, back, s, 2, "P")
     assert np.allclose(forth[:2], v[:2], rtol=1e-12, atol=0)
-
-
-def test_split_state_coordinates():
-    s = rl.Spectrum(np.array([1.0, 4.0]))
-    p, q = split_state(np.array([3.0, 5.0]), ProjectionSplit(1), s)
-    assert np.array_equal(p, [3.0, 0.0])
-    assert np.array_equal(q, [0.0, 5.0])
-
-
-def test_split_state_three_modes():
-    s = rl.Spectrum(np.array([1.0, 4.0, 9.0]))
-    p, q = split_state(np.array([1.0, 2.0, 3.0]), ProjectionSplit(2), s)
-    assert np.array_equal(p, [1.0, 2.0, 0.0])
-    assert np.array_equal(q, [0.0, 0.0, 3.0])
 
 
 def test_split_merge_roundtrip():
     s = rl.dirichlet_laplacian(10)
+    grid = rl.TimeGrid.from_times(-1.0, 0.1, 0.01)
+    ou = rl.solve_ou(rl.sample_wiener(0, grid, rl.CovarianceSpec.zero(10)), s)
+    ctx = rl.LPContext(
+        s, rl.check_gap(s, 0.0, 0.2, 4), rl.Nonlinearity.zero(), rl.ForcingSignal.zero(10), ou,
+        t_back=0.5,
+    )
     rng = np.random.default_rng(2)
     v = rng.standard_normal(10)
-    p, q = split_state(v, ProjectionSplit(4), s)
+    p, q = ctx.project_p(v), ctx.project_q(v)
     assert np.array_equal(p + q, v)
 
 
 def _dichotomy_case(alpha):
     s = rl.dirichlet_laplacian(12, alpha)
-    split = ProjectionSplit(3)
-    lam_n, lam_np1 = s.lambdas[2], s.lambdas[3]
+    n = 3
+    p_block = np.arange(s.size) < n
+    lam_n, lam_np1 = s.lambdas[n - 1], s.lambdas[n]
     rng = np.random.default_rng(5)
     wts = s.weights_alpha()
     for _ in range(200):
         v = rng.standard_normal(12)
         t = rng.uniform(0.01, 3.0)
-        vq = np.where(split.p_mask(s), 0.0, v)
-        smoothed = apply_semigroup(t, vq, s, split, "Q")
+        vq = np.where(p_block, 0.0, v)
+        smoothed = apply_semigroup(t, vq, s, n, "Q")
         lhs = np.linalg.norm(smoothed * wts)
         bound = (alpha**alpha if alpha > 0 else 1.0) * t ** (-alpha) + lam_np1**alpha
         assert lhs <= bound * np.exp(-lam_np1 * t) * np.linalg.norm(vq) * (1 + 1e-12)
         assert np.linalg.norm(smoothed) <= np.exp(-lam_np1 * t) * np.linalg.norm(vq) * (
             1 + 1e-12
         )
-        vp = np.where(split.p_mask(s), v, 0.0)
+        vp = np.where(p_block, v, 0.0)
         tb = -rng.uniform(0.01, 2.0)
-        grown = apply_semigroup(tb, vp, s, split, "P")
+        grown = apply_semigroup(tb, vp, s, n, "P")
         assert np.linalg.norm(grown * wts) <= lam_n**alpha * np.exp(
             -lam_n * tb
         ) * np.linalg.norm(vp) * (1 + 1e-12)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from rimlab.errors import ContractionViolationError, GridAlignmentError, Paramet
 from rimlab.forcing import shift_forcing
 from rimlab.lyapunov_perron import manifold_point
 from rimlab.tracking import (
-    ForwardTrajectory,
     base_orbit,
     lp_plus_apply,
     solve_tracking,
@@ -18,7 +19,7 @@ from rimlab.tracking import (
 def _random_forward(ctx, times, rng, scale=0.3):
     vals = rng.standard_normal((times.size, ctx.spectrum.size))
     vals *= scale * np.exp(-ctx.cert.mu * times)[:, None]
-    return ForwardTrajectory(times, vals, ctx.cert.mu, ctx.spectrum)
+    return vals
 
 
 def _base_orbit(problem, ctx, v0, t_fwd):
@@ -64,12 +65,12 @@ def test_forward_operator_linear_case(problem_lin):
     xi_b = _random_forward(ctx, base.times, rng)
     out_a, y0_a, _ = lp_plus_apply(xi_a, v0, base, ctx)
     out_b, y0_b, _ = lp_plus_apply(xi_b, v0, base, ctx)
-    assert np.array_equal(out_a.values, out_b.values)
+    assert np.array_equal(out_a, out_b)
     assert np.array_equal(y0_a, y0_b)
     expected = -ctx.project_q(v0) + manifold_point(ctx.project_p(v0), ctx)
     assert np.allclose(y0_a, expected, atol=1e-12)
     decay = np.exp(-np.outer(base.times, problem_lin.spectrum.lambdas))
-    assert np.allclose(out_a.values, decay * y0_a, atol=1e-12)
+    assert np.allclose(out_a, decay * y0_a, atol=1e-12)
 
 
 def test_forward_operator_contraction(problem_nl):
@@ -87,8 +88,8 @@ def test_forward_operator_contraction(problem_nl):
         xi_b = _random_forward(ctx, base.times, rng)
         out_a, _, _ = lp_plus_apply(xi_a, v0, base, ctx)
         out_b, _, _ = lp_plus_apply(xi_b, v0, base, ctx)
-        num = rl.lyapunov_perron.weighted_sup_norm(wmu, out_a.values - out_b.values, wts)
-        den = rl.lyapunov_perron.weighted_sup_norm(wmu, xi_a.values - xi_b.values, wts)
+        num = rl.lyapunov_perron.weighted_sup_norm(wmu, out_a - out_b, wts)
+        den = rl.lyapunov_perron.weighted_sup_norm(wmu, xi_a - xi_b, wts)
         assert num / den <= delta + slack
 
 
@@ -133,11 +134,11 @@ def test_tracking_envelope_and_slope(problem_nl):
 def test_consistency_with_dynamics(problem_nl):
     # The reconstructed orbit of the shadowing point matches base + xi at
     # every node to 1e-9 relative accuracy (tight-tolerance run).
-    ctx = problem_nl.lp_context(0.0, tol=5e-10)
+    ctx = dataclasses.replace(problem_nl, tol=5e-10).lp_context(0.0)
     rng = np.random.default_rng(4)
     v0 = 0.5 * rng.standard_normal(16)
     t_fwd = 6.0
-    result = solve_tracking(v0, ctx, tol=5e-10, t_fwd=t_fwd)
+    result = solve_tracking(v0, ctx, t_fwd=t_fwd)
     base = _base_orbit(problem_nl, ctx, v0, t_fwd)
     star = integrate(
         result.v0_star,
@@ -184,8 +185,8 @@ def test_track_phi_orbit_difference_identity(problem_nl):
     assert np.array_equal(result.u0_star, result.v0_star + z0)
     assert np.array_equal(result.v0, u0 - z0)
     # defect against the offset graph map equals the transformed defect
-    tilde_defect = ctx.norm_alpha(
-        ctx.project_q(u0) - rl.tilde_manifold_point(u0, ctx)
+    tilde_defect = rl.norm_alpha(
+        ctx.project_q(u0) - rl.tilde_manifold_point(u0, ctx), ctx.spectrum
     )
     assert tilde_defect == pytest.approx(result.defect, abs=2.0 * problem_nl.tol)
 
@@ -213,7 +214,9 @@ def test_batched_bases_match_single_tracking(problem_nl):
         alone = track_phi(u0, ctx, t_fwd=t_fwd)
         assert np.max(np.abs(batched.u0_star - alone.u0_star)) <= problem_nl.tol
         v0 = batched.v0
-        fresh = ctx.norm_alpha(ctx.project_q(v0) - manifold_point(ctx.project_p(v0), ctx))
+        fresh = rl.norm_alpha(
+            ctx.project_q(v0) - manifold_point(ctx.project_p(v0), ctx), ctx.spectrum
+        )
         assert batched.defect == fresh
         assert batched.graph_residual <= 2.0 * problem_nl.tol
 
