@@ -13,13 +13,14 @@ from .analysis import (
     AttractorCloud,
     DefectReport,
     ap_defect,
-    containment_decay,
     containment_defect,
     fit_decay_rate,
     hausdorff_semidist,
     invariance_defect,
+    lipschitz_defect,
     periodicity_defect,
     pullback_attractor,
+    tracking_defects,
 )
 from .dynamics import Nonlinearity, Trajectory, cocycle_phi, cocycle_psi, integrate
 from .errors import (

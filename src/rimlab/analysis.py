@@ -1,4 +1,8 @@
-"""Verification harness: invariance, periodicity, containment, set distances.
+"""Verification harness: every check of the manifold, with its bound.
+
+Each check (Lipschitz, invariance, tracking, periodicity, almost
+periodicity, containment) turns a measured quantity into a ``DefectReport``
+with its bound; no bound is written anywhere else.
 
 Every check here compares objects computed on the same stored noise path;
 time shifts of the path are index shifts, never fresh samples, so each
@@ -22,19 +26,25 @@ from .lyapunov_perron import ManifoldChart, manifold_point, tilde_manifold_point
 from .problem import ModelProblem
 from .randomness import shift_path
 from .spectral import Spectrum, norm_alpha
+from .tracking import TrackingResult
 
 __all__ = [
     "DefectReport",
     "AttractorCloud",
+    "LIPSCHITZ_SLACK",
+    "lipschitz_defect",
     "invariance_defect",
+    "tracking_defects",
     "periodicity_defect",
     "ap_defect",
     "pullback_attractor",
     "containment_defect",
-    "containment_decay",
     "fit_decay_rate",
     "hausdorff_semidist",
 ]
+
+# Tolerated excess over the certified Lipschitz bound of the chart map.
+LIPSCHITZ_SLACK = 0.05
 
 _KINDS = (
     "invariance",
@@ -78,7 +88,6 @@ class AttractorCloud:
     """Pullback ensemble endpoints approximating the attractor fibre."""
 
     tau: float
-    seed: int
     pullback_time: float
     points: np.ndarray
 
@@ -93,6 +102,16 @@ class AttractorCloud:
     @property
     def ensemble_size(self) -> int:
         return int(self.points.shape[0])
+
+
+def lipschitz_defect(chart: ManifoldChart) -> DefectReport:
+    """Empirical Lipschitz constant of the chart map against 1/(1-k)."""
+    return DefectReport(
+        kind="lipschitz",
+        value=chart.lipschitz,
+        bound=1.0 / (1.0 - chart.cert.k) + LIPSCHITZ_SLACK,
+        context={"points": int(chart.x_grid.shape[0]), "tau": chart.tau},
+    )
 
 
 def invariance_defect(
@@ -135,6 +154,40 @@ def invariance_defect(
         bound=float(bound),
         context={"t": t, "h": problem.h, "tol": problem.tol, "c_inv": c_inv, "tau": chart.tau},
     )
+
+
+def tracking_defects(
+    results: list[TrackingResult],
+    problem: ModelProblem,
+    tau: float,
+    envelope_slack: float,
+    slope_slack: float,
+) -> list[DefectReport]:
+    """Largest decay-curve/envelope ratio and largest fitted log slope over orbits.
+
+    An orbit whose envelope prefactor is 0 scores 0 when its curve stays
+    within 2 tol, and inf otherwise.
+    """
+    ratios = [
+        float(np.max(r.decay_curve / r.envelope()))
+        if r.prefactor > 0.0
+        else (0.0 if float(np.max(r.decay_curve)) <= 2.0 * problem.tol else np.inf)
+        for r in results
+    ]
+    slopes = [r.fitted_slope() for r in results]
+    checks = (
+        ("envelope", ratios, 1.0 + envelope_slack),
+        ("log_slope", slopes, -problem.cert.mu + slope_slack),
+    )
+    return [
+        DefectReport(
+            kind="tracking",
+            value=float(np.max(values)),
+            bound=bound,
+            context={"check": check, "count": len(results), "tau": tau},
+        )
+        for check, values, bound in checks
+    ]
 
 
 def _graph_shift(tau, shift, x_grid, problem) -> float:
@@ -226,24 +279,18 @@ def pullback_attractor(
         return_trajectory=False,
     )
     points = np.atleast_2d(v_end) + ou.at(pullback_time)
-    return AttractorCloud(
-        tau=tau, seed=problem.seed, pullback_time=pullback_time, points=points
-    )
+    return AttractorCloud(tau=tau, pullback_time=pullback_time, points=points)
 
 
-def containment_defect(
-    cloud: AttractorCloud,
-    problem: ModelProblem,
-    c_att: float = 1.0,
-) -> DefectReport:
-    """Distance of the pullback cloud to the offset graph at the same fibre."""
+def containment_defect(cloud: AttractorCloud, problem: ModelProblem) -> DefectReport:
+    """Distance of the pullback cloud to the offset graph, against tol + e^{-lambda_1 t}."""
     ctx = problem.lp_context(cloud.tau)
     value = 0.0
     for u in cloud.points:
         m_val = tilde_manifold_point(u, ctx)
         value = max(value, norm_alpha(ctx.project_q(u) - m_val, problem.spectrum))
     lam1 = float(problem.spectrum.lambdas[0])
-    bound = problem.tol + c_att * float(np.exp(-lam1 * cloud.pullback_time))
+    bound = problem.tol + float(np.exp(-lam1 * cloud.pullback_time))
     return DefectReport(
         kind="containment",
         value=float(value),
@@ -253,27 +300,9 @@ def containment_defect(
             "pullback_time": cloud.pullback_time,
             "ensemble_size": cloud.ensemble_size,
             "tol": problem.tol,
-            "c_att": c_att,
+            "c_att": 1.0,
         },
     )
-
-
-def containment_decay(
-    tau: float,
-    problem: ModelProblem,
-    pullback_times,
-    ensemble: np.ndarray,
-) -> tuple[list[DefectReport], float]:
-    """Containment defects over a sequence of pullback times plus a decay fit.
-
-    Returns the per-time reports and the fitted exponential rate of the
-    defect versus pullback time (negative means decay).
-    """
-    reports = [
-        containment_defect(pullback_attractor(tau, problem, t_m, ensemble), problem)
-        for t_m in pullback_times
-    ]
-    return reports, fit_decay_rate(pullback_times, reports)
 
 
 def fit_decay_rate(pullback_times, reports: list[DefectReport]) -> float:
@@ -288,15 +317,13 @@ def fit_decay_rate(pullback_times, reports: list[DefectReport]) -> float:
     return float(np.polyfit(times, np.log(values), 1)[0])
 
 
-def hausdorff_semidist(
-    a: np.ndarray, b: np.ndarray, s: Spectrum, alpha: float | None = None
-) -> float:
+def hausdorff_semidist(a: np.ndarray, b: np.ndarray, s: Spectrum) -> float:
     """One-sided set distance max_{p in a} min_{q in b} ||p - q||_alpha."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise DomainError("Hausdorff semi-distance needs nonempty point sets")
-    wts = s.weights_alpha(alpha)
+    wts = s.weights_alpha()
     diffs = (a[:, None, :] - b[None, :, :]) * wts
     dists = np.linalg.norm(diffs, axis=2)
     return float(np.max(np.min(dists, axis=1)))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -20,14 +21,14 @@ import numpy as np
 
 from . import svgplot
 from .analysis import (
-    DefectReport,
     ap_defect,
-    containment_decay,
     containment_defect,
     fit_decay_rate,
     invariance_defect,
+    lipschitz_defect,
     periodicity_defect,
     pullback_attractor,
+    tracking_defects,
 )
 from .config import RunConfig, build_problem, load_config
 from .errors import (
@@ -38,7 +39,7 @@ from .errors import (
     RimlabError,
 )
 from .forcing import scan_almost_period
-from .lyapunov_perron import LIPSCHITZ_SLACK, backward_horizon, scan_gap
+from .lyapunov_perron import backward_horizon, scan_gap
 from .problem import ModelProblem
 from .tracking import base_orbit, track_phi
 
@@ -153,10 +154,6 @@ def _chart_grid(cfg: RunConfig) -> np.ndarray:
     return grid
 
 
-def _build_configured_chart(cfg: RunConfig, problem: ModelProblem):
-    return problem.chart(cfg.chart["tau"], _chart_grid(cfg))
-
-
 def _write_chart_files(chart, cfg: RunConfig, out: Path, meta: dict) -> None:
     n = chart.cert.n
     n_total = cfg.spectrum.size
@@ -217,8 +214,49 @@ def _random_states(seed: int, stream: int, count: int, n_modes: int, radius: flo
     return radius * rng.standard_normal((count, n_modes))
 
 
-def _tracking_reports(cfg: RunConfig, problem: ModelProblem) -> tuple[list, list]:
-    ctx = problem.lp_context(cfg.track["tau"])
+def _report_line(passed: bool, label: str, value: float, bound: float | None) -> str:
+    bound = "-" if bound is None else f"{bound:.4g}"
+    return f"{'PASS' if passed else 'FAIL'} {label} value={value:.4g} bound={bound}"
+
+
+def _write_reports(
+    path: Path, meta: dict, problem: ModelProblem, reports, label: str, **extra
+) -> int:
+    """Write a report document with the command's ``extra`` keys, print one line
+    per report (``label`` formatted with its kind and context), return the exit code."""
+    all_pass = all(r.passed for r in reports)
+    _write_json(
+        path,
+        {
+            **meta,
+            **_problem_meta(problem),
+            "all_pass": all_pass,
+            "reports": [r.as_dict() for r in reports],
+            **extra,
+        },
+    )
+    for r in reports:
+        print(_report_line(r.passed, label.format(kind=r.kind, **r.context), r.value, r.bound))
+    return 0 if all_pass else 1
+
+
+# ---- checks: config fields to check arguments ----------------------------
+# Each takes (cfg, problem, chart), where chart() builds the configured chart
+# once per command, and returns one check's reports and its by-products.
+
+
+def _lipschitz(cfg: RunConfig, problem: ModelProblem, chart):
+    return [lipschitz_defect(chart())], None
+
+
+def _invariance(cfg: RunConfig, problem: ModelProblem, chart):
+    v = cfg.verify
+    return [invariance_defect(chart(), v["invariance_t"], problem, c_inv=v["c_inv"])], None
+
+
+def _tracking(cfg: RunConfig, problem: ModelProblem, chart=None):
+    tau = cfg.track["tau"]
+    ctx = problem.lp_context(tau)
     u0s = _random_states(
         problem.seed, 101, cfg.track["count"], cfg.spectrum.size, cfg.track["radius"]
     )
@@ -227,30 +265,49 @@ def _tracking_reports(cfg: RunConfig, problem: ModelProblem) -> tuple[list, list
     results = [
         track_phi(u0, ctx, t_fwd=problem.t_fwd, base=bases[:, i]) for i, u0 in enumerate(u0s)
     ]
-    slack = cfg.verify["envelope_slack"]
-    ratios, slopes = [], []
-    for r in results:
-        envelope = r.envelope(0.0)
-        if r.prefactor > 0.0:
-            ratios.append(float(np.max(r.decay_curve / envelope)))
-        else:
-            ratios.append(0.0 if float(np.max(r.decay_curve)) <= 2.0 * problem.tol else np.inf)
-        slopes.append(r.fitted_slope())
-    reports = [
-        DefectReport(
-            kind="tracking",
-            value=float(np.max(ratios)),
-            bound=1.0 + slack,
-            context={"check": "envelope", "count": len(results), "tau": cfg.track["tau"]},
-        ),
-        DefectReport(
-            kind="tracking",
-            value=float(np.max(slopes)),
-            bound=-problem.cert.mu + cfg.verify["slope_slack"],
-            context={"check": "log_slope", "count": len(results), "tau": cfg.track["tau"]},
-        ),
+    v = cfg.verify
+    return tracking_defects(results, problem, tau, v["envelope_slack"], v["slope_slack"]), results
+
+
+def _periodicity(cfg: RunConfig, problem: ModelProblem, chart=None):
+    period = cfg.forcing.declared_period
+    if period is None:
+        raise ConfigError("forcing.period: the periodicity check needs a declared period")
+    grid, slack = _chart_grid(cfg), cfg.periodicity["slack"]
+    taus = cfg.periodicity["taus"]
+    return [periodicity_defect(tau, period, grid, problem, slack=slack) for tau in taus], None
+
+
+def _almost_period(cfg: RunConfig, problem: ModelProblem, chart=None):
+    ap = cfg.almost_period
+    tau0 = ap["tau0"]
+    if tau0 is None:
+        tau0, _ = scan_almost_period(
+            cfg.forcing, cfg.spectrum, ap["target"], ap["scan_max"], ap["scan_step"]
+        )
+    return [ap_defect(cfg.chart["tau"], tau0, _chart_grid(cfg), problem)], None
+
+
+def _containment(cfg: RunConfig, problem: ModelProblem, chart=None):
+    att = cfg.attractor
+    ensemble = _random_states(
+        problem.seed, 100, att["ensemble_size"], cfg.spectrum.size, att["radius"]
+    )
+    clouds = [
+        pullback_attractor(att["tau"], problem, t_m, ensemble) for t_m in att["pullback_times"]
     ]
-    return reports, results
+    return [containment_defect(cloud, problem) for cloud in clouds], clouds
+
+
+# verify runs the configured checks in this order, whatever order the config lists
+_CHECKS = (
+    ("lipschitz", _lipschitz),
+    ("invariance", _invariance),
+    ("tracking", _tracking),
+    ("periodicity", _periodicity),
+    ("almost_period", _almost_period),
+    ("containment", _containment),
+)
 
 
 # ---- subcommands ---------------------------------------------------------
@@ -279,7 +336,7 @@ def cmd_gap_scan(args) -> int:
 def cmd_build_manifold(args) -> int:
     cfg, seed, out, meta = _setup(args)
     problem = build_problem(cfg, seed)
-    chart = _build_configured_chart(cfg, problem)
+    chart = problem.chart(cfg.chart["tau"], _chart_grid(cfg))
     _write_chart_files(chart, cfg, out, {**meta, **_problem_meta(problem)})
     print(
         f"chart: {chart.x_grid.shape[0]} points, max residual "
@@ -291,177 +348,65 @@ def cmd_build_manifold(args) -> int:
 def cmd_verify(args) -> int:
     cfg, seed, out, meta = _setup(args)
     problem = build_problem(cfg, seed)
-    checks = cfg.verify["checks"]
-    reports: list[DefectReport] = []
+    chart = functools.cache(lambda: problem.chart(cfg.chart["tau"], _chart_grid(cfg)))
+    reports = []
+    for name, check in _CHECKS:
+        if name in cfg.verify["checks"]:
+            reports += check(cfg, problem, chart)[0]
+    return _write_reports(out / "verification.json", meta, problem, reports, "{kind:<18}")
 
-    chart = None
-    if "invariance" in checks or "lipschitz" in checks:
-        chart = _build_configured_chart(cfg, problem)
-    if "lipschitz" in checks:
-        reports.append(
-            DefectReport(
-                kind="lipschitz",
-                value=chart.lipschitz,
-                bound=1.0 / (1.0 - problem.cert.k) + LIPSCHITZ_SLACK,
-                context={"points": int(chart.x_grid.shape[0]), "tau": chart.tau},
-            )
-        )
-    if "invariance" in checks:
-        reports.append(
-            invariance_defect(
-                chart, cfg.verify["invariance_t"], problem, c_inv=cfg.verify["c_inv"]
-            )
-        )
-    if "tracking" in checks:
-        track_reports, _ = _tracking_reports(cfg, problem)
-        reports.extend(track_reports)
-    if "periodicity" in checks:
-        period = cfg.forcing.declared_period
-        if period is None:
-            raise ConfigError("verify.checks: periodicity requires forcing.period")
-        for tau in cfg.periodicity["taus"]:
-            reports.append(
-                periodicity_defect(
-                    tau, period, _chart_grid(cfg), problem, slack=cfg.periodicity["slack"]
-                )
-            )
-    if "almost_period" in checks:
-        ap = cfg.almost_period
-        if ap["tau0"] is None:
-            tau0, _ = scan_almost_period(
-                cfg.forcing, cfg.spectrum, ap["target"], ap["scan_max"], ap["scan_step"]
-            )
-        else:
-            tau0 = ap["tau0"]
-        reports.append(ap_defect(cfg.chart["tau"], tau0, _chart_grid(cfg), problem))
-    if "containment" in checks:
-        att = cfg.attractor
-        ensemble = _random_states(
-            problem.seed, 100, att["ensemble_size"], cfg.spectrum.size, att["radius"]
-        )
-        cont_reports, rate = containment_decay(
-            att["tau"], problem, att["pullback_times"], ensemble
-        )
-        reports.extend(cont_reports)
 
-    all_pass = all(r.passed for r in reports)
-    _write_json(
-        out / "verification.json",
-        {
-            **meta,
-            **_problem_meta(problem),
-            "all_pass": all_pass,
-            "reports": [r.as_dict() for r in reports],
-        },
-    )
-    for r in reports:
-        tag = "PASS" if r.passed else "FAIL"
-        bound = "-" if r.bound is None else f"{r.bound:.4g}"
-        print(f"{tag} {r.kind:<18} value={r.value:.4g} bound={bound}")
-    return 0 if all_pass else 1
+# TrackingResult fields copied into each orbit entry of tracking.json
+_ORBIT_FIELDS = (
+    "u0", "u0_star", "v0", "v0_star", "defect", "prefactor", "rate", "iterations", "graph_residual"
+)
 
 
 def cmd_track(args) -> int:
     cfg, seed, out, meta = _setup(args)
     problem = build_problem(cfg, seed)
-    reports, results = _tracking_reports(cfg, problem)
+    reports, results = _tracking(cfg, problem)
     entries = []
     for idx, r in enumerate(results):
         curve_path = out / f"decay_curve_{idx:02d}.csv"
         with open(curve_path, "w", encoding="utf-8") as fh:
             fh.write("t,norm,envelope\n")
-            for t, c, e in zip(r.times, r.decay_curve, r.envelope(0.0)):
+            for t, c, e in zip(r.times, r.decay_curve, r.envelope()):
                 fh.write(f"{float(t)!r},{float(c)!r},{float(e)!r}\n")
-        entries.append(
-            {
-                "u0": r.u0,
-                "u0_star": r.u0_star,
-                "v0": r.v0,
-                "v0_star": r.v0_star,
-                "defect": r.defect,
-                "prefactor": r.prefactor,
-                "rate": r.rate,
-                "fitted_slope": r.fitted_slope(),
-                "iterations": r.iterations,
-                "graph_residual": r.graph_residual,
-                "decay_csv": curve_path.name,
-            }
-        )
-    all_pass = all(r.passed for r in reports)
-    _write_json(
-        out / "tracking.json",
-        {
-            **meta,
-            **_problem_meta(problem),
-            "all_pass": all_pass,
-            "reports": [r.as_dict() for r in reports],
-            "orbits": entries,
-        },
+        entry = {key: getattr(r, key) for key in _ORBIT_FIELDS}
+        entries.append({**entry, "fitted_slope": r.fitted_slope(), "decay_csv": curve_path.name})
+    return _write_reports(
+        out / "tracking.json", meta, problem, reports, "tracking[{check}]", orbits=entries
     )
-    for r in reports:
-        print(f"{'PASS' if r.passed else 'FAIL'} tracking[{r.context['check']}] "
-              f"value={r.value:.4g} bound={r.bound:.4g}")
-    return 0 if all_pass else 1
 
 
 def cmd_periodicity(args) -> int:
     cfg, seed, out, meta = _setup(args)
     problem = build_problem(cfg, seed)
-    period = cfg.forcing.declared_period
-    if period is None:
-        raise ConfigError("periodicity: forcing.period must be declared")
-    reports = [
-        periodicity_defect(tau, period, _chart_grid(cfg), problem,
-                           slack=cfg.periodicity["slack"])
-        for tau in cfg.periodicity["taus"]
-    ]
-    all_pass = all(r.passed for r in reports)
-    _write_json(
-        out / "periodicity.json",
-        {
-            **meta,
-            **_problem_meta(problem),
-            "all_pass": all_pass,
-            "reports": [r.as_dict() for r in reports],
-        },
+    reports, _ = _periodicity(cfg, problem)
+    return _write_reports(
+        out / "periodicity.json", meta, problem, reports, "periodicity tau={tau}"
     )
-    for r in reports:
-        print(f"{'PASS' if r.passed else 'FAIL'} periodicity tau={r.context['tau']} "
-              f"value={r.value:.4g} bound={r.bound:.4g}")
-    return 0 if all_pass else 1
 
 
 def cmd_attractor(args) -> int:
     cfg, seed, out, meta = _setup(args)
     problem = build_problem(cfg, seed)
-    att = cfg.attractor
-    ensemble = _random_states(
-        problem.seed, 100, att["ensemble_size"], cfg.spectrum.size, att["radius"]
-    )
-    reports = []
-    for idx, t_m in enumerate(att["pullback_times"]):
-        cloud = pullback_attractor(att["tau"], problem, t_m, ensemble)
+    reports, clouds = _containment(cfg, problem)
+    for idx, cloud in enumerate(clouds):
         with open(out / f"cloud_{idx:02d}.csv", "w", encoding="utf-8") as fh:
             fh.write(",".join(f"mode_{j + 1}" for j in range(cfg.spectrum.size)) + "\n")
             for p in cloud.points:
                 fh.write(",".join(repr(float(v)) for v in p) + "\n")
-        reports.append(containment_defect(cloud, problem))
-    rate = fit_decay_rate(att["pullback_times"], reports)  # NaN, written as null, for one time
-    all_pass = all(r.passed for r in reports)
-    _write_json(
+    rate = fit_decay_rate(cfg.attractor["pullback_times"], reports)  # NaN (null) for one time
+    return _write_reports(
         out / "attractor.json",
-        {
-            **meta,
-            **_problem_meta(problem),
-            "all_pass": all_pass,
-            "fitted_decay_rate": rate,
-            "reports": [r.as_dict() for r in reports],
-        },
+        meta,
+        problem,
+        reports,
+        "containment t={pullback_time}",
+        fitted_decay_rate=rate,
     )
-    for r in reports:
-        print(f"{'PASS' if r.passed else 'FAIL'} containment "
-              f"t={r.context['pullback_time']} value={r.value:.4g} bound={r.bound:.4g}")
-    return 0 if all_pass else 1
 
 
 def cmd_report(args) -> int:
@@ -475,12 +420,9 @@ def cmd_report(args) -> int:
         f"seed {doc.get('seed')})",
         "",
     ]
-    values, bounds, labels = [], [], []
+    values, bounds = [], []
     for r in doc.get("reports", []):
-        tag = "PASS" if r["passed"] else "FAIL"
-        bound = "-" if r["bound"] is None else f"{r['bound']:.4g}"
-        lines.append(f"  {tag} {r['kind']:<18} value={r['value']:.4g} bound={bound}")
-        labels.append(r["kind"])
+        lines.append("  " + _report_line(r["passed"], f"{r['kind']:<18}", r["value"], r["bound"]))
         values.append(r["value"])
         bounds.append(r["bound"] if r["bound"] is not None else r["value"])
     lines.append("")

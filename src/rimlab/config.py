@@ -22,7 +22,7 @@ from .errors import ConfigError
 from .forcing import ForcingSignal, TrigTerm
 from .lyapunov_perron import check_gap
 from .problem import ModelProblem
-from .randomness import CovarianceSpec, TimeGrid, sample_wiener
+from .randomness import CovarianceSpec, TimeGrid, sample_wiener, whole_steps
 from .spectral import Spectrum, dirichlet_laplacian
 
 __all__ = ["RunConfig", "load_config", "build_problem"]
@@ -420,21 +420,21 @@ def build_problem(cfg: RunConfig, seed_override: int | None = None) -> ModelProb
     _check_budget("track.count", cfg.track["count"] * (t_fwd / h), n_modes)
 
     # windows are whole steps, so compare the step counts they round up to
-    steps_needed = math.ceil(t_back_auto / h)
-    if cfg.t_back is not None and math.ceil(cfg.t_back / h) < steps_needed:
+    steps_needed = whole_steps(t_back_auto, h)
+    if cfg.t_back is not None and whole_steps(cfg.t_back, h) < steps_needed:
         raise ConfigError(
             f"numerics.t_back: {cfg.t_back:g} is below the required horizon "
             f"{steps_needed * h:.10g} for tol {cfg.tol:g}"
         )
     max_shift = max(invariance_t, pullback)
-    t_back = math.ceil(t_back / h) * h
+    t_back = whole_steps(t_back, h) * h
     if cert.lambda_n * t_back > 500.0:
         # LPContext refuses this window; refuse it before the path is sampled
         raise ConfigError(
             f"numerics.t_back: backward horizon {t_back:g} too long for the resolved "
             f"modes (lambda_n * t_back = {cert.lambda_n * t_back:g} > 500)"
         )
-    t_fwd = math.ceil(t_fwd / h) * h
+    t_fwd = whole_steps(t_fwd, h) * h
     t_min = -(t_back + burn_in + max_shift) - h
     t_max = max(t_fwd, invariance_t) + h
     grid = TimeGrid.from_times(t_min, t_max, h)

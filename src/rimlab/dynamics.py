@@ -153,7 +153,6 @@ def integrate(
     g: ForcingSignal,
     f: Nonlinearity,
     s: Spectrum,
-    h: float | None = None,
     return_trajectory: bool = True,
 ):
     """Exponential-Euler orbit of the transformed equation from r to t_end.
@@ -166,8 +165,6 @@ def integrate(
     """
     if t_end < r:
         raise DomainError("integration requires r <= t_end")
-    if h is not None and abs(h - ou.grid.h) > 1e-12 * ou.grid.h:
-        raise GridAlignmentError("integration step must match the stored grid step")
     h = ou.grid.h
     if float(np.max(s.lambdas)) * h > 0.5:
         raise ParameterError(

@@ -227,14 +227,14 @@ def cell_convolution(g: ForcingSignal, s: Spectrum, t_lefts: np.ndarray, h: floa
     return out
 
 
-def sup_norm_alpha(g: ForcingSignal, s: Spectrum, alpha: float | None = None) -> float:
+def sup_norm_alpha(g: ForcingSignal, s: Spectrum) -> float:
     """Upper bound for sup_t of the weighted norm ||A^alpha g(t)||.
 
     Exact for zero/constant; for trig sums the per-mode amplitudes are summed
     (triangle inequality) before taking the mode norm; for tables the sampled
     maximum is used.
     """
-    wts = s.weights_alpha(alpha)
+    wts = s.weights_alpha()
     if g.form == "zero":
         return 0.0
     if g.form == "constant":
@@ -248,13 +248,7 @@ def sup_norm_alpha(g: ForcingSignal, s: Spectrum, alpha: float | None = None) ->
     return float(np.max(norms))
 
 
-def temperedness_integral(
-    g: ForcingSignal,
-    s: Spectrum,
-    tau: float = 0.0,
-    lambda1: float | None = None,
-    alpha: float | None = None,
-) -> float:
+def temperedness_integral(g: ForcingSignal, s: Spectrum, tau: float = 0.0) -> float:
     """The weighted past integral  int_{-inf}^0 e^{lambda_1 sigma}
     ||A^alpha g(sigma + tau)|| d sigma.
 
@@ -263,18 +257,16 @@ def temperedness_integral(
     are integrated by trapezoid over their covered range, with a divergence
     check at the left end.
     """
-    lam1 = float(s.lambdas[0] if lambda1 is None else lambda1)
-    if lam1 <= 0.0:
-        raise ValidationError("leading rate must be positive")
+    lam1 = float(s.lambdas[0])
     if g.form in ("zero", "constant", "trig_sum"):
-        return sup_norm_alpha(g, s, alpha) / lam1
+        return sup_norm_alpha(g, s) / lam1
     lo = g.table_t[0] - tau
     hi = min(0.0, g.table_t[-1] - tau)
     if hi <= lo:
         return 0.0
     n = max(int(np.ceil((hi - lo) / min(0.01 / lam1, hi - lo))), 16)
     sigma = np.linspace(lo, hi, min(n, 200_000))
-    wts = s.weights_alpha(alpha)
+    wts = s.weights_alpha()
     vals = np.linalg.norm(g.eval_many(sigma + tau) * wts, axis=1)
     integrand = np.exp(lam1 * sigma) * vals
     head = integrand[: min(6, integrand.size)]
@@ -285,25 +277,19 @@ def temperedness_integral(
     return float(np.trapezoid(integrand, sigma))
 
 
-def almost_period_defect(
-    g: ForcingSignal,
-    s: Spectrum,
-    tau0: float,
-    alpha: float | None = None,
-    n_samples: int = 1024,
-) -> float:
-    """Sampled sup over a dense window of ||g(r + tau0) - g(r)||_alpha."""
+def almost_period_defect(g: ForcingSignal, s: Spectrum, tau0: float) -> float:
+    """Sampled sup over 1024 points of a window of ||g(r + tau0) - g(r)||_alpha."""
     if tau0 == 0.0 or g.form in ("zero", "constant"):
         return 0.0
-    wts = s.weights_alpha(alpha)
+    wts = s.weights_alpha()
     if g.form == "trig_sum":
         span = 4.0 * max(2.0 * np.pi / t.frequency for t in g.terms)
-        r = np.linspace(0.0, span, max(n_samples, 1000))
+        r = np.linspace(0.0, span, 1024)
     else:
         lo, hi = g.table_t[0], g.table_t[-1] - tau0
         if hi <= lo:
             raise SupportRangeError("table too short for the requested near-period")
-        r = np.linspace(lo, hi, max(n_samples, 1000))
+        r = np.linspace(lo, hi, 1024)
     diff = (g.eval_many(r + tau0) - g.eval_many(r)) * wts
     return float(np.max(np.linalg.norm(diff, axis=1)))
 
@@ -314,10 +300,8 @@ def scan_almost_period(
     target: float,
     tau_max: float,
     step: float = 1e-2,
-    tau_min: float = 1.0,
-    alpha: float | None = None,
 ):
-    """Scan for a translation tau0 <= tau_max with defect at most ``target``.
+    """Scan for a translation 1 <= tau0 < tau_max with defect at most ``target``.
 
     For trig sums the scan uses the per-term bound
     2|a| lambda^alpha |sin(beta tau0 / 2)|, which dominates the sampled
@@ -325,11 +309,11 @@ def scan_almost_period(
     re-measured densely.  Returns (tau0, defect).
     """
     if g.form in ("zero", "constant"):
-        return float(tau_min), 0.0
+        return 1.0, 0.0
     if g.form != "trig_sum":
         raise ValidationError("near-period scan supports trig-sum signals only")
-    taus = np.arange(tau_min, tau_max, step)
-    wts = s.weights_alpha(alpha)
+    taus = np.arange(1.0, tau_max, step)
+    wts = s.weights_alpha()
     per_mode = np.zeros((taus.size, s.size))
     for term in g.terms:
         per_mode[:, term.mode - 1] += 2.0 * abs(term.amplitude) * np.abs(
@@ -342,4 +326,4 @@ def scan_almost_period(
             f"no near-period with defect <= {target} found below {tau_max}"
         )
     tau0 = float(taus[idx])
-    return tau0, almost_period_defect(g, s, tau0, alpha)
+    return tau0, almost_period_defect(g, s, tau0)

@@ -100,7 +100,6 @@ class ModelProblem:
             tau=tau,
             t_back=self.t_back,
             tol=self.tol,
-            seed=self.seed,
         )
 
     def chart(self, tau: float, x_grid: np.ndarray) -> ManifoldChart:

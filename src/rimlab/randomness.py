@@ -27,6 +27,7 @@ e^{-lambda_1 (t - t_min)}, so analysis windows should stay at least
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,7 @@ from .errors import (
 from .spectral import Spectrum, _filter_modes
 
 __all__ = [
+    "whole_steps",
     "TimeGrid",
     "CovarianceSpec",
     "WienerPath",
@@ -52,6 +54,12 @@ __all__ = [
     "solve_ou",
     "temperedness_ratio",
 ]
+
+
+def whole_steps(t: float, h: float) -> int:
+    """Steps h covering the span t: ceil(t / h - 1e-9), so a whole number of
+    steps up to rounding (4.001 / 0.001 = 4001.0000000000005) gains none."""
+    return int(math.ceil(t / h - 1e-9))
 
 
 @dataclass(frozen=True)
@@ -72,9 +80,7 @@ class TimeGrid:
     def from_times(cls, t_min: float, t_max: float, h: float) -> "TimeGrid":
         if h <= 0.0:
             raise DomainError("grid step must be positive")
-        i_min = int(np.floor(t_min / h + 1e-9))
-        i_max = int(np.ceil(t_max / h - 1e-9))
-        return cls(h, i_min, i_max)
+        return cls(h, -whole_steps(-t_min, h), whole_steps(t_max, h))
 
     @property
     def t_min(self) -> float:
@@ -273,13 +279,13 @@ def solve_ou(w: WienerPath, s: Spectrum, exact_variance: bool = False) -> OUProc
     return OUProcess(grid=w.grid, spectrum=s, values=values)
 
 
-def temperedness_ratio(z: OUProcess, c: float, alpha: float | None = None) -> float:
+def temperedness_ratio(z: OUProcess, c: float) -> float:
     """Diagnostic sup over grid t <= 0 of e^{c t} ||A^alpha z(t)||."""
     if c <= 0.0:
         raise DomainError("temperedness rate must be positive")
     k0 = -z.grid.i_min
     t = z.grid.times()[: k0 + 1]
-    wts = z.spectrum.weights_alpha(alpha)
+    wts = z.spectrum.weights_alpha()
     norms = np.linalg.norm(z.values[: k0 + 1] * wts, axis=1)
     return float(np.max(np.exp(c * t) * norms))
 

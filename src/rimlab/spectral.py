@@ -62,12 +62,9 @@ class Spectrum:
     def size(self) -> int:
         return int(self.lambdas.size)
 
-    def weights_alpha(self, alpha: float | None = None) -> np.ndarray:
-        """Per-mode weights lambda_j^alpha."""
-        a = self.alpha if alpha is None else alpha
-        if a == 0.0:
-            return np.ones_like(self.lambdas)
-        return self.lambdas**a
+    def weights_alpha(self) -> np.ndarray:
+        """Per-mode weights lambda_j^alpha (exactly 1 at alpha = 0)."""
+        return self.lambdas**self.alpha
 
     def check_state(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -91,7 +88,7 @@ def frac_power(alpha: float, v: np.ndarray, s: Spectrum) -> np.ndarray:
     if alpha < 0.0:
         raise DomainError("fractional power requires alpha >= 0")
     v = s.check_state(v)
-    return v * s.weights_alpha(alpha)
+    return v * s.lambdas**alpha  # lambda**0.0 is exactly 1
 
 
 def apply_semigroup(
@@ -127,10 +124,10 @@ def apply_semigroup(
     return out
 
 
-def norm_alpha(v: np.ndarray, s: Spectrum, alpha: float | None = None) -> float:
+def norm_alpha(v: np.ndarray, s: Spectrum) -> float:
     """Weighted norm ||A^alpha v|| realising the D(A^alpha) norm."""
     v = s.check_state(v)
-    return float(np.linalg.norm(v * s.weights_alpha(alpha), axis=-1))
+    return float(np.linalg.norm(v * s.weights_alpha(), axis=-1))
 
 
 def _mode_major(a: np.ndarray) -> np.ndarray:

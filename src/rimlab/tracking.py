@@ -40,6 +40,7 @@ from .dynamics import Trajectory, integrate
 from .errors import GridAlignmentError, ParameterError
 from .forcing import shift_forcing
 from .lyapunov_perron import LPContext, _duhamel, _picard, solve_fixed_point, weighted_sup_norm
+from .randomness import whole_steps
 from .spectral import _mode_major, _node_norms, norm_alpha
 
 __all__ = [
@@ -71,16 +72,13 @@ class TrackingResult:
     u0_star: np.ndarray | None = None
     xi_values: np.ndarray | None = None
 
-    def envelope(self, slack: float = 0.0) -> np.ndarray:
-        return self.prefactor * np.exp(-self.rate * self.times) * (1.0 + slack)
+    def envelope(self) -> np.ndarray:
+        return self.prefactor * np.exp(-self.rate * self.times)
 
-    def envelope_ok(self, slack: float) -> bool:
-        return bool(np.all(self.decay_curve <= self.envelope(slack)))
-
-    def fitted_slope(self, floor_ratio: float = 1e-10) -> float:
-        """Least-squares slope of log decay versus time, above the noise floor."""
+    def fitted_slope(self) -> float:
+        """Least-squares slope of log decay versus time, above 1e-10 of its peak."""
         curve = self.decay_curve
-        keep = curve > max(float(curve.max()) * floor_ratio, 0.0)
+        keep = curve > max(float(curve.max()) * 1e-10, 0.0)
         if np.count_nonzero(keep) < 2:
             return float("nan")
         coeffs = np.polyfit(self.times[keep], np.log(curve[keep]), 1)
@@ -96,7 +94,7 @@ def forward_horizon(cert, tol: float, t_back: float) -> float:
 
 def _forward_cells(ctx: LPContext, t_fwd: float) -> int:
     """Cells on the forward horizon, rounded up to whole steps (at least two)."""
-    return max(int(math.ceil(t_fwd / ctx.h - 1e-9)), 2)
+    return max(whole_steps(t_fwd, ctx.h), 2)
 
 
 def base_orbit(v0: np.ndarray, ctx: LPContext, t_fwd: float) -> Trajectory:

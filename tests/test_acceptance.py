@@ -234,7 +234,7 @@ def test_criterion_06_exponential_tracking(problem_nl):
     for _ in range(16):
         u0 = 0.6 * rng.standard_normal(16)
         result = track_phi(u0, ctx)
-        envelope = result.envelope(0.0)
+        envelope = result.envelope()
         worst_ratio = max(worst_ratio, float(np.max(result.decay_curve / envelope)))
         worst_slope = max(worst_slope, result.fitted_slope())
     ok = worst_ratio <= 1.02 and worst_slope <= -cert.mu + 0.1

@@ -9,8 +9,8 @@ from rimlab.analysis import (
     AttractorCloud,
     DefectReport,
     ap_defect,
-    containment_decay,
     containment_defect,
+    fit_decay_rate,
     hausdorff_semidist,
     invariance_defect,
     periodicity_defect,
@@ -212,7 +212,7 @@ def test_containment_trivial_zero(spectrum16):
         t_fwd=6.0,
         tol=1e-6,
     )
-    cloud = AttractorCloud(tau=0.0, seed=1, pullback_time=8.0, points=np.zeros((3, 16)))
+    cloud = AttractorCloud(tau=0.0, pullback_time=8.0, points=np.zeros((3, 16)))
     report = containment_defect(cloud, prob)
     assert report.value == 0.0
     assert report.passed
@@ -232,7 +232,11 @@ def test_containment_linear_constant(problem_lin_const):
 def test_containment_halves_with_pullback_time(problem_nl):
     rng = np.random.default_rng(3)
     ensemble = rng.standard_normal((6, 16))
-    reports, rate = containment_decay(0.0, problem_nl, [4.0, 8.0], ensemble)
+    reports = [
+        containment_defect(pullback_attractor(0.0, problem_nl, t_m, ensemble), problem_nl)
+        for t_m in (4.0, 8.0)
+    ]
+    rate = fit_decay_rate([4.0, 8.0], reports)
     assert reports[1].value <= 0.5 * reports[0].value
     assert rate < 0.0
 

@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rimlab.cli import main
+from rimlab.config import build_problem, load_config
+from rimlab.tracking import base_orbit
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -196,6 +198,39 @@ def test_verify_trivial_config_all_pass(tmp_path):
     cfg.write_text(trivial, encoding="utf-8")
     code = main(["verify", "--config", str(cfg), "--out", str(tmp_path)])
     assert code == 0
+
+
+def test_lipschitz_check_can_fail(tmp_path, monkeypatch, capsys):
+    # bound 1/(1-k) + slack = 1.25 - 2 = -0.75, below the chart's constant 0
+    monkeypatch.setattr("rimlab.analysis.LIPSCHITZ_SLACK", -2.0)
+    cfg = tmp_path / "lipschitz.ini"
+    cfg.write_text(
+        SMALL_CONFIG.replace(
+            "checks = invariance lipschitz tracking periodicity", "checks = lipschitz"
+        ),
+        encoding="utf-8",
+    )
+    code = main(["verify", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("FAIL lipschitz") for line in lines)
+    doc = json.loads((tmp_path / "verification.json").read_text())
+    assert doc["all_pass"] is False
+
+
+def test_verify_runs_checks_in_fixed_order(tmp_path, capsys):
+    checks = "invariance lipschitz tracking periodicity"
+    runs = []
+    for name, order in (("given", checks), ("reversed", " ".join(reversed(checks.split())))):
+        cfg = tmp_path / f"{name}.ini"
+        cfg.write_text(SMALL_CONFIG.replace(f"checks = {checks}", f"checks = {order}"), "utf-8")
+        out = tmp_path / name
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+        runs.append((capsys.readouterr().out, json.loads((out / "verification.json").read_text())))
+    (stdout_a, doc_a), (stdout_b, doc_b) = runs
+    assert stdout_a == stdout_b
+    assert doc_a["reports"] == doc_b["reports"]
+    assert doc_a["config_sha256"] != doc_b["config_sha256"]
 
 
 def test_track_outputs(small_config, tmp_path):
@@ -462,6 +497,20 @@ def test_explicit_config_field_errors(tmp_path):
 LINEAR_SINE = CONFIG_DIR / "linear_sine.ini"
 DIRICHLET_NONLINEAR = CONFIG_DIR / "dirichlet_nonlinear.ini"
 QUASI_PERIODIC = CONFIG_DIR / "quasi_periodic.ini"
+
+
+def test_windows_round_to_whole_steps(tmp_path):
+    # 4.001 / 0.001 and 8.002 / 0.001 land just above 4001 and 8002 in
+    # floating point; neither window may take an extra step.
+    text = LINEAR_SINE.read_text(encoding="utf-8")
+    text = text.replace("t_back = 8.1", "t_back = 8.002").replace("t_fwd = 8.1", "t_fwd = 4.001")
+    cfg = tmp_path / "steps.ini"
+    cfg.write_text(text, encoding="utf-8")
+    problem = build_problem(load_config(cfg))
+    ctx = problem.lp_context()
+    assert ctx.n_cells == 8002
+    forward = base_orbit(np.zeros(problem.spectrum.size), ctx, problem.t_fwd)
+    assert forward.times.size - 1 == 4001
 
 
 def _read_ini(path: Path) -> configparser.ConfigParser:

@@ -206,7 +206,6 @@ def test_lp_apply_pure_backward_flow(problem_lin):
         g0,
         problem_lin.ou,
         t_back=4.0,
-        seed=problem_lin.seed,
     )
     x = np.zeros(16)
     x[0] = 0.8
@@ -318,7 +317,6 @@ def test_solver_one_iteration_when_constant(problem_lin):
         g0,
         problem_lin.ou,
         t_back=4.0,
-        seed=problem_lin.seed,
     )
     x = np.zeros(16)
     x[0] = -0.4
@@ -383,7 +381,6 @@ def test_solver_detects_wrong_certificate(problem_nl):
         problem_nl.forcing,
         problem_nl.ou,
         t_back=4.0,
-        seed=problem_nl.seed,
     )
     x = np.zeros(16)
     x[0] = 0.5
@@ -472,7 +469,6 @@ def test_manifold_zero_without_data(problem_lin):
         g0,
         problem_lin.ou,
         t_back=4.0,
-        seed=problem_lin.seed,
     )
     x = np.zeros(16)
     x[0] = 1.0
@@ -532,7 +528,6 @@ def test_tilde_manifold_offsets(problem_nl, problem_lin_const):
         problem_nl.forcing,
         rl.solve_ou(w0, problem_nl.spectrum),
         t_back=6.0,
-        seed=1,
     )
     a = tilde_manifold_point(x, ctx0)
     b = manifold_point(x, ctx0)
@@ -600,7 +595,6 @@ def test_horizon_convergence(problem_nl):
             problem_nl.ou,
             t_back=t_back,
             tol=1e-9,
-            seed=problem_nl.seed,
         )
         values.append(manifold_point(x, ctx_short))
     deltas = [float(np.linalg.norm(values[i + 1] - values[i])) for i in range(2)]
@@ -640,7 +634,6 @@ def test_lp_apply_misaligned_window_errors(problem_nl):
         problem_nl.forcing,
         problem_nl.ou,
         t_back=4.0,
-        seed=problem_nl.seed,
     )
     x = np.zeros(16)
     with pytest.raises(GridAlignmentError):

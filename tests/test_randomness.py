@@ -8,6 +8,7 @@ from rimlab.errors import (
     GridAlignmentError,
     SupportRangeError,
 )
+from rimlab.randomness import whole_steps
 
 
 def small_grid(h=0.05, lo=-12.0, hi=1.0):
@@ -29,6 +30,14 @@ def test_grid_index_alignment():
         grid.index(0.026)
     with pytest.raises(SupportRangeError):
         grid.index(500.0)
+
+
+def test_whole_steps_of_exact_multiples():
+    # k * 0.001 / 0.001 lands just above k for some k; no such span gains a step
+    assert [k for k in range(1, 20_000) if whole_steps(k * 0.001, 0.001) != k] == []
+    assert whole_steps(4.0015, 0.001) == 4002
+    grid = rl.TimeGrid.from_times(-8.002, 4.001, 0.001)
+    assert (grid.i_min, grid.i_max) == (-8002, 4001)
 
 
 def test_zero_covariance_gives_zero_path():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rimlab as rl
+from rimlab.analysis import tracking_defects
 from rimlab.dynamics import integrate
 from rimlab.errors import ContractionViolationError, GridAlignmentError, ParameterError
 from rimlab.forcing import shift_forcing
@@ -115,7 +116,8 @@ def test_linear_pure_q_decay(problem_lin):
     # curve equals |e^{-At} y0| which is dominated by the mode-2 rate
     idx = np.searchsorted(result.times, 1.0)
     assert result.decay_curve[idx] <= np.exp(-lam2 * 1.0) * y0_norm * (1 + 1e-6)
-    assert result.envelope_ok(0.02)
+    envelope, _ = tracking_defects([result], problem_lin, 0.0, 0.02, 0.1)
+    assert envelope.passed
 
 
 def test_tracking_envelope_and_slope(problem_nl):
@@ -196,7 +198,8 @@ def test_track_phi_envelope(problem_nl):
     rng = np.random.default_rng(7)
     u0 = 0.7 * rng.standard_normal(16)
     result = track_phi(u0, ctx)
-    assert result.envelope_ok(0.02)
+    envelope, _ = tracking_defects([result], problem_nl, 0.0, 0.02, 0.1)
+    assert envelope.passed
     assert result.fitted_slope() <= -ctx.cert.mu + 0.1
 
 
@@ -240,7 +243,6 @@ def test_tracking_detects_wrong_certificate(problem_nl):
         problem_nl.forcing,
         problem_nl.ou,
         t_back=4.0,
-        seed=problem_nl.seed,
     )
     v0 = np.zeros(16)
     v0[0] = 0.5
