@@ -7,8 +7,9 @@ with its bound; no bound is written anywhere else.
 Every check here compares objects computed on the same stored noise path;
 time shifts of the path are index shifts, never fresh samples, so each
 reported defect is a deterministic function of (seed, configuration).
-Reported bounds carry explicit, configuration-recorded slack constants:
-the continuum statements (defect exactly zero, containment exact) are only
+Reported bounds carry the fixed slack constants below, so a configuration
+enters a bound only through the problem and its numerics (h, tol).  The
+continuum statements (defect exactly zero, containment exact) are only
 recovered in the joint limit of step, tolerance and horizons, which the
 two-resolution ratio checks in the test suite certify.
 """
@@ -32,6 +33,10 @@ __all__ = [
     "DefectReport",
     "AttractorCloud",
     "LIPSCHITZ_SLACK",
+    "INVARIANCE_CONSTANT",
+    "ENVELOPE_SLACK",
+    "SLOPE_SLACK",
+    "PERIODICITY_SLACK",
     "lipschitz_defect",
     "invariance_defect",
     "tracking_defects",
@@ -43,8 +48,12 @@ __all__ = [
     "hausdorff_semidist",
 ]
 
-# Tolerated excess over the certified Lipschitz bound of the chart map.
-LIPSCHITZ_SLACK = 0.05
+# Bound constants, fixed here: no config value or keyword sets one.
+LIPSCHITZ_SLACK = 0.05  # excess over the chart's certified Lipschitz bound 1/(1-k)
+INVARIANCE_CONSTANT = 10.0  # invariance bound: this times (h + tol)
+ENVELOPE_SLACK = 0.02  # relative excess of a decay curve over its envelope
+SLOPE_SLACK = 0.1  # excess of a fitted log slope over -mu
+PERIODICITY_SLACK = 1e-4  # periodicity bound: 2 tol plus this
 
 _KINDS = (
     "invariance",
@@ -114,12 +123,7 @@ def lipschitz_defect(chart: ManifoldChart) -> DefectReport:
     )
 
 
-def invariance_defect(
-    chart: ManifoldChart,
-    t: float,
-    problem: ModelProblem,
-    c_inv: float = 10.0,
-) -> DefectReport:
+def invariance_defect(chart: ManifoldChart, t: float, problem: ModelProblem) -> DefectReport:
     """Flow the chart forward and measure its distance to the shifted graph.
 
     Each chart point is evolved for time t under the transformed dynamics;
@@ -147,12 +151,18 @@ def invariance_defect(
     for q_pt in endpoints:
         m_val = manifold_point(ctx.project_p(q_pt), ctx)
         value = max(value, norm_alpha(ctx.project_q(q_pt) - m_val, problem.spectrum))
-    bound = c_inv * (problem.h + problem.tol)
+    bound = INVARIANCE_CONSTANT * (problem.h + problem.tol)
     return DefectReport(
         kind="invariance",
         value=float(value),
         bound=float(bound),
-        context={"t": t, "h": problem.h, "tol": problem.tol, "c_inv": c_inv, "tau": chart.tau},
+        context={
+            "t": t,
+            "h": problem.h,
+            "tol": problem.tol,
+            "c_inv": INVARIANCE_CONSTANT,
+            "tau": chart.tau,
+        },
     )
 
 
@@ -160,24 +170,26 @@ def tracking_defects(
     results: list[TrackingResult],
     problem: ModelProblem,
     tau: float,
-    envelope_slack: float,
-    slope_slack: float,
 ) -> list[DefectReport]:
     """Largest decay-curve/envelope ratio and largest fitted log slope over orbits.
 
-    An orbit whose envelope prefactor is 0 scores 0 when its curve stays
-    within 2 tol, and inf otherwise.
+    An orbit that starts on the manifold (its curve stays within 2 tol)
+    scores 0 on the envelope check when its prefactor is 0, and -inf on the
+    slope check when its curve leaves no slope to fit.  Any other orbit with
+    a prefactor of 0 or no fitted slope scores inf.
     """
-    ratios = [
-        float(np.max(r.decay_curve / r.envelope()))
-        if r.prefactor > 0.0
-        else (0.0 if float(np.max(r.decay_curve)) <= 2.0 * problem.tol else np.inf)
-        for r in results
-    ]
-    slopes = [r.fitted_slope() for r in results]
+    ratios, slopes = [], []
+    for r in results:
+        on_graph = float(np.max(r.decay_curve)) <= 2.0 * problem.tol
+        if r.prefactor > 0.0:
+            ratios.append(float(np.max(r.decay_curve / r.envelope())))
+        else:
+            ratios.append(0.0 if on_graph else np.inf)
+        slope = r.fitted_slope()
+        slopes.append(slope if not np.isnan(slope) else -np.inf if on_graph else np.inf)
     checks = (
-        ("envelope", ratios, 1.0 + envelope_slack),
-        ("log_slope", slopes, -problem.cert.mu + slope_slack),
+        ("envelope", ratios, 1.0 + ENVELOPE_SLACK),
+        ("log_slope", slopes, -problem.cert.mu + SLOPE_SLACK),
     )
     return [
         DefectReport(
@@ -205,7 +217,6 @@ def periodicity_defect(
     period: float,
     x_grid: np.ndarray,
     problem: ModelProblem,
-    slack: float = 1e-4,
 ) -> DefectReport:
     """Graph distance between translations by one declared forcing period.
 
@@ -222,8 +233,8 @@ def periodicity_defect(
     return DefectReport(
         kind="periodicity",
         value=value,
-        bound=2.0 * problem.tol + slack,
-        context={"tau": tau, "period": period, "slack": slack, "tol": problem.tol},
+        bound=2.0 * problem.tol + PERIODICITY_SLACK,
+        context={"tau": tau, "period": period, "slack": PERIODICITY_SLACK, "tol": problem.tol},
     )
 
 

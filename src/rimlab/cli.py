@@ -183,30 +183,26 @@ def _write_chart_files(chart, cfg: RunConfig, out: Path, meta: dict) -> None:
             "certificate": dataclasses.asdict(chart.cert),
         },
     )
-    if cfg.chart["svg"]:
-        sweep = cfg.chart["x_mode"] - 1
-        if chart.x_grid.shape[0] > 1:
-            xs = chart.x_grid[:, sweep]
-            show = [
-                (f"mode {j + 1}", chart.values[:, j])
-                for j in range(n, min(n + 3, n_total))
-            ]
-            svgplot.line_plot(
-                out / "chart.svg",
-                xs,
-                show,
-                title="manifold graph",
-                xlabel=f"x (mode {sweep + 1})",
-                ylabel="m(x)",
-            )
-        else:
-            svgplot.histogram(
-                out / "chart.svg",
-                chart.residuals,
-                bins=8,
-                title="chart residuals",
-                xlabel="residual",
-            )
+    sweep = cfg.chart["x_mode"] - 1
+    if chart.x_grid.shape[0] > 1:
+        xs = chart.x_grid[:, sweep]
+        show = [(f"mode {j + 1}", chart.values[:, j]) for j in range(n, min(n + 3, n_total))]
+        svgplot.line_plot(
+            out / "chart.svg",
+            xs,
+            show,
+            title="manifold graph",
+            xlabel=f"x (mode {sweep + 1})",
+            ylabel="m(x)",
+        )
+    else:
+        svgplot.histogram(
+            out / "chart.svg",
+            chart.residuals,
+            bins=8,
+            title="chart residuals",
+            xlabel="residual",
+        )
 
 
 def _random_states(seed: int, stream: int, count: int, n_modes: int, radius: float):
@@ -250,8 +246,7 @@ def _lipschitz(cfg: RunConfig, problem: ModelProblem, chart):
 
 
 def _invariance(cfg: RunConfig, problem: ModelProblem, chart):
-    v = cfg.verify
-    return [invariance_defect(chart(), v["invariance_t"], problem, c_inv=v["c_inv"])], None
+    return [invariance_defect(chart(), cfg.verify["invariance_t"], problem)], None
 
 
 def _tracking(cfg: RunConfig, problem: ModelProblem, chart=None):
@@ -265,17 +260,15 @@ def _tracking(cfg: RunConfig, problem: ModelProblem, chart=None):
     results = [
         track_phi(u0, ctx, t_fwd=problem.t_fwd, base=bases[:, i]) for i, u0 in enumerate(u0s)
     ]
-    v = cfg.verify
-    return tracking_defects(results, problem, tau, v["envelope_slack"], v["slope_slack"]), results
+    return tracking_defects(results, problem, tau), results
 
 
 def _periodicity(cfg: RunConfig, problem: ModelProblem, chart=None):
     period = cfg.forcing.declared_period
     if period is None:
         raise ConfigError("forcing.period: the periodicity check needs a declared period")
-    grid, slack = _chart_grid(cfg), cfg.periodicity["slack"]
-    taus = cfg.periodicity["taus"]
-    return [periodicity_defect(tau, period, grid, problem, slack=slack) for tau in taus], None
+    grid = _chart_grid(cfg)
+    return [periodicity_defect(tau, period, grid, problem) for tau in cfg.periodicity["taus"]], None
 
 
 def _almost_period(cfg: RunConfig, problem: ModelProblem, chart=None):
@@ -409,32 +402,50 @@ def cmd_attractor(args) -> int:
     )
 
 
+def _read_reports(doc_path: Path) -> tuple[dict, list]:
+    """A verification document and its reports as (passed, kind, value, bound),
+    a null value or bound read as NaN; a malformed one is a ConfigError."""
+    try:
+        doc = json.loads(doc_path.read_text(encoding="utf-8"))
+        rows = [
+            (
+                bool(r["passed"]),
+                str(r["kind"]),
+                *(float("nan") if r[k] is None else float(r[k]) for k in ("value", "bound")),
+            )
+            for r in doc.get("reports", [])
+        ]
+    except (OSError, ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise ConfigError(
+            f"report: {doc_path} is not a verification document "
+            "(each report needs kind, value, bound and passed)"
+        ) from exc
+    return doc, rows
+
+
 def cmd_report(args) -> int:
     out = Path(args.out)
     doc_path = out / "verification.json"
     if not doc_path.exists():
         raise ConfigError(f"report: no verification.json under {out}")
-    doc = json.loads(doc_path.read_text(encoding="utf-8"))
+    doc, rows = _read_reports(doc_path)
     lines = [
-        f"verification report (config {doc.get('config_sha256', '?')[:12]}, "
+        f"verification report (config {str(doc.get('config_sha256', '?'))[:12]}, "
         f"seed {doc.get('seed')})",
         "",
     ]
-    values, bounds = [], []
-    for r in doc.get("reports", []):
-        lines.append("  " + _report_line(r["passed"], f"{r['kind']:<18}", r["value"], r["bound"]))
-        values.append(r["value"])
-        bounds.append(r["bound"] if r["bound"] is not None else r["value"])
+    for passed, kind, value, bound in rows:
+        lines.append("  " + _report_line(passed, f"{kind:<18}", value, bound))
     lines.append("")
     lines.append("all_pass: " + ("yes" if doc.get("all_pass") else "no"))
     text = "\n".join(lines) + "\n"
     (out / "report.txt").write_text(text, encoding="utf-8")
-    if values:
-        idx = np.arange(len(values), dtype=float)
+    if rows:
+        values, bounds = np.array([row[2:] for row in rows]).T
         svgplot.line_plot(
             out / "report.svg",
-            idx,
-            [("value", np.asarray(values)), ("bound", np.asarray(bounds))],
+            np.arange(len(rows), dtype=float),
+            [("value", values), ("bound", bounds)],
             title="defects vs bounds",
             xlabel="check index",
             ylabel="magnitude",

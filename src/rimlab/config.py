@@ -55,7 +55,6 @@ class RunConfig:
     forcing: ForcingSignal
     cov: CovarianceSpec
     seed: int
-    ou_exact_variance: bool
     gap_n: int
     gap_k: float
     h: float
@@ -128,17 +127,6 @@ class _Section:
         if minimum is not None and out < minimum:
             self._fail(key, f"must be >= {minimum}")
         return out
-
-    def bool(self, key: str, default=False):
-        value = self.data.get(key)
-        if value is None:
-            return default
-        text = str(value).strip().lower()
-        if text in ("1", "true", "yes", "on"):
-            return True
-        if text in ("0", "false", "no", "off"):
-            return False
-        self._fail(key, f"not a boolean: {value!r}")
 
     def floats(self, key: str, default=None):
         value = self.data.get(key)
@@ -235,20 +223,19 @@ def _parse_forcing(sec: _Section, n_modes: int) -> ForcingSignal:
     return ForcingSignal.tabulated(arr[:, 0], arr[:, 1:], period)
 
 
-def _parse_noise(sec: _Section, n_modes: int) -> tuple[CovarianceSpec, int, bool]:
+def _parse_noise(sec: _Section, n_modes: int) -> tuple[CovarianceSpec, int]:
     kind = sec.str("kind", "zero", choices=("zero", "power_law", "explicit"))
     seed = sec.int("seed", 0, minimum=0)
-    exact = sec.bool("exact_variance", False)
     if kind == "zero":
-        return CovarianceSpec.zero(n_modes), seed, exact
+        return CovarianceSpec.zero(n_modes), seed
     if kind == "power_law":
         scale = sec.float("scale", minimum=0.0)
         exponent = sec.float("exponent", 2.0)
-        return CovarianceSpec.power_law(n_modes, scale, exponent), seed, exact
+        return CovarianceSpec.power_law(n_modes, scale, exponent), seed
     values = sec.floats("values")
     if len(values) != n_modes:
         sec._fail("values", f"need {n_modes} values, got {len(values)}")
-    return CovarianceSpec(np.asarray(values)), seed, exact
+    return CovarianceSpec(np.asarray(values)), seed
 
 
 def load_config(path) -> RunConfig:
@@ -268,7 +255,7 @@ def load_config(path) -> RunConfig:
     spectrum = _parse_spectrum(_Section(parser, "spectrum"))
     nonlinearity = _parse_nonlinearity(_Section(parser, "nonlinearity"))
     forcing = _parse_forcing(_Section(parser, "forcing"), spectrum.size)
-    cov, seed, exact = _parse_noise(_Section(parser, "noise"), spectrum.size)
+    cov, seed = _parse_noise(_Section(parser, "noise"), spectrum.size)
 
     cert_sec = _Section(parser, "certificate")
     gap_n = cert_sec.int("n", minimum=1)
@@ -299,7 +286,6 @@ def load_config(path) -> RunConfig:
         "x_min": chart_sec.float("x_min", -1.0),
         "x_max": chart_sec.float("x_max", 1.0),
         "x_count": chart_sec.int("x_count", 9, minimum=1),
-        "svg": chart_sec.bool("svg", True),
     }
     if chart["x_mode"] > gap_n:
         chart_sec._fail("x_mode", f"must be a resolved mode (<= n = {gap_n})")
@@ -324,10 +310,7 @@ def load_config(path) -> RunConfig:
     _check_budget("attractor.ensemble_size", attractor["ensemble_size"], spectrum.size)
 
     per_sec = _Section(parser, "periodicity")
-    periodicity = {
-        "taus": per_sec.floats("taus", [0.0]),
-        "slack": per_sec.float("slack", 1e-4, minimum=0.0),
-    }
+    periodicity = {"taus": per_sec.floats("taus", [0.0])}
 
     ap_sec = _Section(parser, "almost_period")
     almost_period = {
@@ -354,9 +337,6 @@ def load_config(path) -> RunConfig:
     verify = {
         "checks": checks,
         "invariance_t": ver_sec.float("invariance_t", 1.0, minimum=0.0),
-        "c_inv": ver_sec.float("c_inv", 10.0, minimum=0.0),
-        "envelope_slack": ver_sec.float("envelope_slack", 0.02, minimum=0.0),
-        "slope_slack": ver_sec.float("slope_slack", 0.1, minimum=0.0),
     }
 
     return RunConfig(
@@ -366,7 +346,6 @@ def load_config(path) -> RunConfig:
         forcing=forcing,
         cov=cov,
         seed=seed,
-        ou_exact_variance=exact,
         gap_n=gap_n,
         gap_k=gap_k,
         h=h,
@@ -451,5 +430,4 @@ def build_problem(cfg: RunConfig, seed_override: int | None = None) -> ModelProb
         t_back=t_back,
         t_fwd=t_fwd,
         tol=cfg.tol,
-        ou_exact_variance=cfg.ou_exact_variance,
     )

@@ -43,7 +43,6 @@ class ModelProblem:
     t_back: float
     t_fwd: float
     tol: float = 1e-6
-    ou_exact_variance: bool = False
     _ou: OUProcess | None = field(default=None, repr=False)
     _shifted: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _graph: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -71,12 +70,12 @@ class ModelProblem:
     @property
     def ou(self) -> OUProcess:
         if self._ou is None:
-            self._ou = solve_ou(self.path, self.spectrum, self.ou_exact_variance)
+            self._ou = solve_ou(self.path, self.spectrum)
         return self._ou
 
     def ou_for(self, path: WienerPath) -> OUProcess:
         """OU driver on an index-shifted or coarsened copy of the stored path."""
-        return solve_ou(path, self.spectrum, self.ou_exact_variance)
+        return solve_ou(path, self.spectrum)
 
     def shifted_ou(self, t: float) -> OUProcess:
         """OU driver on the stored path shifted by t (the driver itself at t = 0).

@@ -15,9 +15,6 @@ i.e. the stochastic convolution over a step is approximated with the same
 increment the path stores, weighted by the averaged kernel.  That keeps z
 a deterministic functional of the stored path, so index-shifting the path
 shifts z exactly; the price is O(h) weak error in the one-step variance.
-Passing ``exact_variance=True`` instead samples the exactly distributed
-conditional convolution, which restores the one-step law but breaks the
-path-functoriality (fresh Gaussians are consumed per step).
 
 The initial value at the left end of the grid is drawn from the
 stationary law N(0, q/(2 lambda)); the burn-in transient decays like
@@ -237,7 +234,7 @@ def coarsen_path(w: WienerPath, factor: int) -> WienerPath:
     )
 
 
-def solve_ou(w: WienerPath, s: Spectrum, exact_variance: bool = False) -> OUProcess:
+def solve_ou(w: WienerPath, s: Spectrum) -> OUProcess:
     """Generate the stationary OU driver along the stored path.
 
     Per mode, z obeys the exact damped recursion with the convolution
@@ -258,17 +255,7 @@ def solve_ou(w: WienerPath, s: Spectrum, exact_variance: bool = False) -> OUProc
     z0 = rng0.standard_normal(s.size) * np.sqrt(q / (2.0 * lam))
 
     dw = w.increments()
-    if not exact_variance:
-        u = dw * (-np.expm1(-lam * h) / (lam * h))
-    else:
-        # Conditional law of the convolution given the stored increment.
-        cov_iw = q * (-np.expm1(-lam * h)) / lam
-        var_i = q * (-np.expm1(-2.0 * lam * h)) / (2.0 * lam)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            slope = np.where(q > 0.0, cov_iw / (q * h), 0.0)
-            resid = np.sqrt(np.maximum(var_i - slope * cov_iw, 0.0))
-        rng1 = np.random.default_rng(np.random.SeedSequence([int(w.seed), 2]))
-        u = dw * slope + rng1.standard_normal(dw.shape) * resid
+    u = dw * (-np.expm1(-lam * h) / (lam * h))
 
     n_cells = dw.shape[0]
     values = np.empty_like(w.values)

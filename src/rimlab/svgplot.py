@@ -62,12 +62,13 @@ def line_plot(path, x, series, title="", xlabel="", ylabel="", logy=False) -> No
         cleaned.append((label, ys))
     y_all = np.concatenate([ys for _, ys in cleaned]) if cleaned else np.zeros(1)
     x_lo, x_hi = float(np.min(x)), float(np.max(x))
-    y_lo, y_hi = float(np.min(y_all)), float(np.max(y_all))
+    # a NaN value (a null in a report) is left out of its line
+    y_lo, y_hi = float(np.nanmin(y_all)), float(np.nanmax(y_all))
     parts = _frame(title, xlabel, ("log10 " if logy else "") + ylabel, x_lo, x_hi, y_lo, y_hi)
     for idx, (label, ys) in enumerate(cleaned):
         px = _scale(x, x_lo, x_hi, _ML, _W - _MR)
         py = _scale(ys, y_lo, y_hi, _H - _MB, _MT)
-        pts = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(px, py))
+        pts = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(px, py) if np.isfinite(b))
         color = _COLORS[idx % len(_COLORS)]
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'

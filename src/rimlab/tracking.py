@@ -101,8 +101,8 @@ def base_orbit(v0: np.ndarray, ctx: LPContext, t_fwd: float) -> Trajectory:
     """Transformed orbit of v0 on the forward tracking nodes of [0, t_fwd].
 
     ``v0`` may be one state or a (B, N) batch; one orbit's values (a
-    ``[:, b]`` slice for a batch) is the ``base`` that ``solve_tracking``
-    and ``track_phi`` accept.
+    ``[:, b]`` slice of ``.values`` for a batch) is the ``base`` array that
+    ``lp_plus_apply``, ``solve_tracking`` and ``track_phi`` accept.
     """
     return integrate(
         v0,
@@ -167,21 +167,20 @@ def _apply_forward(stencil: _ForwardStencil, xi_values, base_values, f_base, v0,
     return out, y0, x0, graph
 
 
-def lp_plus_apply(xi: np.ndarray, v0: np.ndarray, base, ctx: LPContext):
+def lp_plus_apply(xi: np.ndarray, v0: np.ndarray, base: np.ndarray, ctx: LPContext):
     """One application of the forward tracking operator.
 
     ``xi`` is an orbit difference on the forward nodes of [0, T_f], T_f
-    read off its node count; ``base`` is the orbit of v0 on the same nodes
-    (a Trajectory or a value array).  The off-graph seed is recomputed from
-    the supplied iterate, matching the coupled fixed-point system.  Returns
+    read off its node count; ``base`` is the value array of v0's orbit on
+    the same nodes.  The off-graph seed is recomputed from the supplied
+    iterate, matching the coupled fixed-point system.  Returns
     (T+ xi, y0, x0).
     """
-    base_values = getattr(base, "values", base)
     stencil = _ForwardStencil(ctx, (xi.shape[0] - 1) * ctx.h)
-    if xi.shape != base_values.shape or xi.shape[0] != stencil.times.size:
+    if xi.shape != base.shape or xi.shape[0] != stencil.times.size:
         raise GridAlignmentError("iterate and base orbit must share the forward nodes")
-    f_base = ctx.f(base_values + stencil.z)
-    values, y0, x0, _ = _apply_forward(stencil, xi, base_values, f_base, v0)
+    f_base = ctx.f(base + stencil.z)
+    values, y0, x0, _ = _apply_forward(stencil, xi, base, f_base, v0)
     return values, y0, x0
 
 
@@ -189,11 +188,11 @@ def solve_tracking(
     v0: np.ndarray,
     ctx: LPContext,
     t_fwd: float | None = None,
-    base=None,
+    base: np.ndarray | None = None,
 ) -> TrackingResult:
     """Construct the shadowing manifold point for v0 with its decay envelope.
 
-    ``base`` is the orbit of v0 on the forward nodes, as in
+    ``base`` is the value array of v0's orbit on the forward nodes, as in
     ``lp_plus_apply``; it is integrated here when not given.  The first
     sweep's nested graph solve starts cold; each later one, and the final
     graph-residual solve, starts from the previous fixed point moved to its
@@ -210,13 +209,10 @@ def solve_tracking(
     stencil = _ForwardStencil(ctx, t_fwd)
     v0 = ctx.spectrum.check_state(np.asarray(v0, dtype=float))
     if base is None:
-        base = base_orbit(v0, ctx, t_fwd)
-    base_values = getattr(base, "values", base)
-    if base_values.shape != (stencil.times.size, ctx.spectrum.size) or not np.array_equal(
-        base_values[0], v0
-    ):
+        base = base_orbit(v0, ctx, t_fwd).values
+    if base.shape != (stencil.times.size, ctx.spectrum.size) or not np.array_equal(base[0], v0):
         raise GridAlignmentError("base orbit must start at v0 on the forward nodes")
-    base_values = _mode_major(base_values)
+    base_values = _mode_major(base)
     f_base = ctx.f(base_values + stencil.z)
 
     first = latest = None  # (graph, x0, y0) of the first and the latest sweep
@@ -268,15 +264,15 @@ def track_phi(
     u0: np.ndarray,
     ctx: LPContext,
     t_fwd: float | None = None,
-    base=None,
+    base: np.ndarray | None = None,
 ) -> TrackingResult:
     """Tracking in the original variables.
 
     The OU conjugation cancels in orbit differences, so the transformed
     solve applies verbatim; only the endpoints are offset by the driver
     state at time zero, and the defect is measured against the offset graph.
-    ``base``, when given, is the transformed orbit of u0 - z(0) on the
-    forward nodes (see ``base_orbit``).
+    ``base``, when given, is the value array of the transformed orbit of
+    u0 - z(0) on the forward nodes (see ``base_orbit``).
     """
     u0 = ctx.spectrum.check_state(np.asarray(u0, dtype=float))
     z0 = ctx.z_at_zero()

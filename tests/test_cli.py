@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rimlab import config as config_module
 from rimlab.cli import main
 from rimlab.config import build_problem, load_config
 from rimlab.tracking import base_orbit
@@ -50,7 +51,6 @@ tol = 1e-5
 
 [chart]
 x_count = 5
-svg = true
 
 [track]
 count = 2
@@ -63,7 +63,6 @@ radius = 0.5
 
 [periodicity]
 taus = 0.0
-slack = 1e-4
 
 [verify]
 checks = invariance lipschitz tracking periodicity
@@ -172,32 +171,80 @@ def test_verify_passes_and_reports(small_config, tmp_path):
     assert all(r["passed"] for r in doc["reports"])
 
 
-def test_verify_failure_exits_1(small_config, tmp_path):
-    cfg = tmp_path / "strict.ini"
-    cfg.write_text(
-        SMALL_CONFIG.replace("invariance_t = 0.5", "invariance_t = 0.5\nc_inv = 0.0"),
-        encoding="utf-8",
-    )
-    code = main(["verify", "--config", str(cfg), "--out", str(tmp_path)])
+def test_verify_failure_exits_1(small_config, tmp_path, monkeypatch):
+    # bound 0 * (h + tol) = 0, below the measured invariance defect
+    monkeypatch.setattr("rimlab.analysis.INVARIANCE_CONSTANT", 0.0)
+    code = main(["verify", "--config", str(small_config), "--out", str(tmp_path)])
     assert code == 1
     doc = json.loads((tmp_path / "verification.json").read_text())
     assert doc["all_pass"] is False
 
 
-def test_verify_trivial_config_all_pass(tmp_path):
-    cfg = tmp_path / "trivial.ini"
+def _trivial_config() -> str:
+    """SMALL_CONFIG with zero nonlinearity, forcing and noise: the graph is 0."""
     trivial = SMALL_CONFIG.replace("kind = per_mode_sin", "kind = zero")
     trivial = trivial.replace("form = trig_sum", "form = zero").replace(
         "terms =\n    2 1.0 1.0 0.0\nperiod = 6.283185307179586", ""
     )
     trivial = trivial.replace("kind = power_law", "kind = zero")
-    trivial = trivial.replace(
+    return trivial.replace(
         "checks = invariance lipschitz tracking periodicity",
         "checks = invariance lipschitz tracking containment",
     )
-    cfg.write_text(trivial, encoding="utf-8")
+
+
+def test_verify_trivial_config_all_pass(tmp_path):
+    cfg = tmp_path / "trivial.ini"
+    cfg.write_text(_trivial_config(), encoding="utf-8")
     code = main(["verify", "--config", str(cfg), "--out", str(tmp_path)])
     assert code == 0
+
+
+def test_orbits_started_on_the_manifold_pass_tracking(tmp_path, capsys):
+    # At radius 0 every tracked orbit starts at 0, on the zero graph: its
+    # decay curve is identically 0 and leaves no log slope to fit, which
+    # scores -inf (written as null) rather than a failing NaN.
+    cfg = tmp_path / "on_graph.ini"
+    cfg.write_text(_trivial_config().replace("radius = 0.5", "radius = 0.0"), "utf-8")
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:3] for line in lines if "tracking" in line] == [
+        ["PASS", "tracking", "value=0"],
+        ["PASS", "tracking", "value=-inf"],
+    ]
+    doc = json.loads((tmp_path / "verification.json").read_text())
+    (slope,) = [r for r in doc["reports"] if r["context"].get("check") == "log_slope"]
+    assert slope["value"] is None and slope["passed"] is True
+    assert main(["report", "--out", str(tmp_path)]) == 0
+    assert "value=nan" in (tmp_path / "report.txt").read_text()
+
+
+def test_config_cannot_move_a_verdict(small_config, tmp_path):
+    # Retired keys that once set a check bound or picked a code path are
+    # unread: the same reports and the same files, whatever their values.
+    edits = (
+        ("invariance_t = 0.5", "c_inv = 0\nenvelope_slack = 1e9\nslope_slack = 1e9"),
+        ("taus = 0.0", "slack = 1e9"),
+        ("seed = 7", "exact_variance = true"),
+        ("x_count = 5", "svg = false"),
+    )
+    text = SMALL_CONFIG
+    for anchor, added in edits:
+        assert text.count(anchor) == 1
+        text = text.replace(anchor, f"{anchor}\n{added}")
+    retired = tmp_path / "retired.ini"
+    retired.write_text(text, encoding="utf-8")
+    runs = []
+    for cfg in (small_config, retired):
+        out = tmp_path / cfg.stem
+        codes = [
+            main([command, "--config", str(cfg), "--out", str(out)])
+            for command in ("build-manifold", "verify")
+        ]
+        doc = json.loads((out / "verification.json").read_text())
+        runs.append((codes, doc["reports"], sorted(f.name for f in out.iterdir())))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == [0, 0] and "chart.svg" in runs[0][2]
 
 
 def test_lipschitz_check_can_fail(tmp_path, monkeypatch, capsys):
@@ -279,6 +326,45 @@ def test_report_command(small_config, tmp_path):
     text = (tmp_path / "report.txt").read_text()
     assert "all_pass: yes" in text
     assert (tmp_path / "report.svg").exists()
+
+
+def test_report_renders_null_as_nan(tmp_path, capsys):
+    # the report writer turns a non-finite value or bound into null
+    doc = {
+        "all_pass": True,
+        "reports": [
+            {"kind": "tracking", "passed": True, "value": None, "bound": 1.3},
+            {"kind": "lipschitz", "passed": True, "value": 0.5, "bound": None},
+        ],
+    }
+    (tmp_path / "verification.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["report", "--out", str(tmp_path)]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert ["PASS", "tracking", "value=nan", "bound=1.3"] in lines
+    assert ["PASS", "lipschitz", "value=0.5", "bound=nan"] in lines
+    assert (tmp_path / "report.svg").exists()
+
+
+_REPORT = {"kind": "lipschitz", "passed": True, "value": 0.5, "bound": 1.3}
+MALFORMED_REPORTS = {
+    "not_json": "{not json",
+    "not_a_document": "[1, 2]",
+    **{
+        f"missing_{key}": json.dumps(
+            {"all_pass": True, "reports": [{k: v for k, v in _REPORT.items() if k != key}]}
+        )
+        for key in _REPORT
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_REPORTS))
+def test_report_rejects_malformed_document(tmp_path, capsys, case):
+    doc_path = tmp_path / "verification.json"
+    doc_path.write_text(MALFORMED_REPORTS[case], encoding="utf-8")
+    assert main(["report", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and str(doc_path) in err[0]
 
 
 def test_almost_period_check(tmp_path):
@@ -517,6 +603,36 @@ def _read_ini(path: Path) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     parser.read_string(path.read_text(encoding="utf-8"))
     return parser
+
+
+class _ReadKeys(dict):
+    """A config section's values that record every key looked up."""
+
+    def __init__(self, section: str, data: dict, seen: set):
+        super().__init__(data)
+        self.section, self.seen = section, seen
+
+    def get(self, key, default=None):
+        self.seen.add((self.section, key))
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.ini")), ids=lambda p: p.stem)
+def test_shipped_config_keys_are_all_read(path, monkeypatch):
+    # load_config ignores a key it does not read (a retired option, a typo),
+    # so a shipped config must set only keys that it reads.
+    seen = set()
+    init = config_module._Section.__init__
+
+    def recording_init(self, parser, name):
+        init(self, parser, name)
+        self.data = _ReadKeys(name, self.data, seen)
+
+    monkeypatch.setattr(config_module._Section, "__init__", recording_init)
+    load_config(path)
+    parser = _read_ini(path)
+    keys = {(section, key) for section in parser.sections() for key in parser[section]}
+    assert keys - seen == set()
 
 
 # Each statement runs in a fresh interpreter, paired with whether it should

@@ -92,8 +92,7 @@ def test_fractional_tracking_envelope(problem_frac):
     rng = np.random.default_rng(22)
     u0 = 0.4 * rng.standard_normal(12)
     result = track_phi(u0, ctx, t_fwd=problem_frac.t_fwd)
-    slack = 10.0 * problem_frac.h * problem_frac.cert.lambda_np1
-    envelope, _ = tracking_defects([result], problem_frac, 0.0, slack, 0.1)
+    envelope, _ = tracking_defects([result], problem_frac, 0.0)
     assert envelope.passed
     assert result.fitted_slope() <= -problem_frac.cert.mu + 0.1
 

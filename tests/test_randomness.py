@@ -142,19 +142,6 @@ def test_ou_long_run_variance():
     assert np.all(np.abs(sample_var / (q / (2.0 * s.lambdas)) - 1.0) < 0.05)
 
 
-def test_ou_exact_variance_one_step_law():
-    # The conditional sampler restores the exact one-step convolution variance.
-    s = rl.Spectrum(np.array([2.0, 5.0]))
-    grid = rl.TimeGrid.from_times(-1.0, 2000.0, 0.05)
-    q = np.array([1.0, 2.0])
-    w = rl.sample_wiener(31, grid, rl.CovarianceSpec(q))
-    z = rl.solve_ou(w, s, exact_variance=True)
-    damp = np.exp(-s.lambdas * grid.h)
-    conv = z.values[1:] - damp * z.values[:-1]
-    target = q * -np.expm1(-2.0 * s.lambdas * grid.h) / (2.0 * s.lambdas)
-    assert np.all(np.abs(np.var(conv, axis=0) / target - 1.0) < 0.05)
-
-
 def test_ou_shift_conjugation():
     # z built on the shifted path equals the shifted z, within the stated
     # burn-in tolerance (exact here because the stationary draw is seeded).

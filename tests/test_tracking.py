@@ -64,8 +64,8 @@ def test_forward_operator_linear_case(problem_lin):
     base = _base_orbit(problem_lin, ctx, v0, t_fwd)
     xi_a = _random_forward(ctx, base.times, rng)
     xi_b = _random_forward(ctx, base.times, rng)
-    out_a, y0_a, _ = lp_plus_apply(xi_a, v0, base, ctx)
-    out_b, y0_b, _ = lp_plus_apply(xi_b, v0, base, ctx)
+    out_a, y0_a, _ = lp_plus_apply(xi_a, v0, base.values, ctx)
+    out_b, y0_b, _ = lp_plus_apply(xi_b, v0, base.values, ctx)
     assert np.array_equal(out_a, out_b)
     assert np.array_equal(y0_a, y0_b)
     expected = -ctx.project_q(v0) + manifold_point(ctx.project_p(v0), ctx)
@@ -87,8 +87,8 @@ def test_forward_operator_contraction(problem_nl):
     for _ in range(8):
         xi_a = _random_forward(ctx, base.times, rng)
         xi_b = _random_forward(ctx, base.times, rng)
-        out_a, _, _ = lp_plus_apply(xi_a, v0, base, ctx)
-        out_b, _, _ = lp_plus_apply(xi_b, v0, base, ctx)
+        out_a, _, _ = lp_plus_apply(xi_a, v0, base.values, ctx)
+        out_b, _, _ = lp_plus_apply(xi_b, v0, base.values, ctx)
         num = rl.lyapunov_perron.weighted_sup_norm(wmu, out_a - out_b, wts)
         den = rl.lyapunov_perron.weighted_sup_norm(wmu, xi_a - xi_b, wts)
         assert num / den <= delta + slack
@@ -116,7 +116,7 @@ def test_linear_pure_q_decay(problem_lin):
     # curve equals |e^{-At} y0| which is dominated by the mode-2 rate
     idx = np.searchsorted(result.times, 1.0)
     assert result.decay_curve[idx] <= np.exp(-lam2 * 1.0) * y0_norm * (1 + 1e-6)
-    envelope, _ = tracking_defects([result], problem_lin, 0.0, 0.02, 0.1)
+    envelope, _ = tracking_defects([result], problem_lin, 0.0)
     assert envelope.passed
 
 
@@ -198,7 +198,7 @@ def test_track_phi_envelope(problem_nl):
     rng = np.random.default_rng(7)
     u0 = 0.7 * rng.standard_normal(16)
     result = track_phi(u0, ctx)
-    envelope, _ = tracking_defects([result], problem_nl, 0.0, 0.02, 0.1)
+    envelope, _ = tracking_defects([result], problem_nl, 0.0)
     assert envelope.passed
     assert result.fitted_slope() <= -ctx.cert.mu + 0.1
 
