@@ -23,7 +23,7 @@ import numpy as np
 from .dynamics import integrate
 from .errors import DomainError, ParameterError, ValidationError
 from .forcing import almost_period_defect, shift_forcing
-from .lyapunov_perron import ManifoldChart, manifold_point, tilde_manifold_point
+from .lyapunov_perron import ManifoldChart, _sweep
 from .problem import ModelProblem
 from .randomness import shift_path
 from .spectral import Spectrum, norm_alpha
@@ -83,13 +83,18 @@ class DefectReport:
         return self.bound is None or self.value <= self.bound
 
     def as_dict(self) -> dict:
-        return {
+        """The report as a document entry; a non-finite value, which JSON
+        writes as null, also keeps its text ("-inf", "inf", "nan")."""
+        doc = {
             "kind": self.kind,
             "value": self.value,
             "bound": self.bound,
             "passed": self.passed,
             "context": dict(sorted(self.context.items())),
         }
+        if not np.isfinite(self.value):
+            doc["value_nonfinite"] = str(float(self.value))
+        return doc
 
 
 @dataclass(frozen=True)
@@ -128,7 +133,8 @@ def invariance_defect(chart: ManifoldChart, t: float, problem: ModelProblem) -> 
 
     Each chart point is evolved for time t under the transformed dynamics;
     the off-graph part of the endpoint is compared against a fresh
-    fixed-point solve at translated forcing on the index-shifted path.
+    fixed-point solve at translated forcing on the index-shifted path (the
+    endpoints are solved in order as one ``_sweep``).
     Flow and graph share one cell rule at the problem's step, so this
     matched-resolution defect sits at the solver and truncation floor, not
     at O(h).
@@ -148,8 +154,8 @@ def invariance_defect(chart: ManifoldChart, t: float, problem: ModelProblem) -> 
     endpoints = np.atleast_2d(endpoints)
     ctx = problem.lp_context(chart.tau + t, ou=problem.shifted_ou(t))
     value = 0.0
-    for q_pt in endpoints:
-        m_val = manifold_point(ctx.project_p(q_pt), ctx)
+    for q_pt, xi in zip(endpoints, _sweep(ctx.project_p(endpoints), ctx)):
+        m_val = ctx.project_q(xi[-1])
         value = max(value, norm_alpha(ctx.project_q(q_pt) - m_val, problem.spectrum))
     bound = INVARIANCE_CONSTANT * (problem.h + problem.tol)
     return DefectReport(
@@ -296,9 +302,11 @@ def pullback_attractor(
 def containment_defect(cloud: AttractorCloud, problem: ModelProblem) -> DefectReport:
     """Distance of the pullback cloud to the offset graph, against tol + e^{-lambda_1 t}."""
     ctx = problem.lp_context(cloud.tau)
+    z0 = ctx.z_at_zero()
     value = 0.0
-    for u in cloud.points:
-        m_val = tilde_manifold_point(u, ctx)
+    # the offset graph value of ``tilde_manifold_point``, solved as one sweep
+    for u, xi in zip(cloud.points, _sweep(ctx.project_p(cloud.points - z0), ctx)):
+        m_val = ctx.project_q(z0) + ctx.project_q(xi[-1])
         value = max(value, norm_alpha(ctx.project_q(u) - m_val, problem.spectrum))
     lam1 = float(problem.spectrum.lambdas[0])
     bound = problem.tol + float(np.exp(-lam1 * cloud.pullback_time))

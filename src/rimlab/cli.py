@@ -403,22 +403,29 @@ def cmd_attractor(args) -> int:
 
 
 def _read_reports(doc_path: Path) -> tuple[dict, list]:
-    """A verification document and its reports as (passed, kind, value, bound),
-    a null value or bound read as NaN; a malformed one is a ConfigError."""
+    """A verification document and its reports as (passed, kind, value, bound).
+
+    A null value reads as its ``value_nonfinite`` text, a null bound or a
+    null value without that text as NaN; a malformed document is a
+    ConfigError.
+    """
     try:
         doc = json.loads(doc_path.read_text(encoding="utf-8"))
         rows = [
             (
-                bool(r["passed"]),
+                r["passed"],
                 str(r["kind"]),
-                *(float("nan") if r[k] is None else float(r[k]) for k in ("value", "bound")),
+                float(r.get("value_nonfinite", "nan")) if r["value"] is None else float(r["value"]),
+                float("nan") if r["bound"] is None else float(r["bound"]),
             )
             for r in doc.get("reports", [])
         ]
+        if not all(isinstance(row[0], bool) for row in rows):
+            raise TypeError("a passed flag is not a boolean")
     except (OSError, ValueError, TypeError, KeyError, AttributeError) as exc:
         raise ConfigError(
             f"report: {doc_path} is not a verification document "
-            "(each report needs kind, value, bound and passed)"
+            "(each report needs kind, value, bound and a true/false passed)"
         ) from exc
     return doc, rows
 
@@ -429,6 +436,12 @@ def cmd_report(args) -> int:
     if not doc_path.exists():
         raise ConfigError(f"report: no verification.json under {out}")
     doc, rows = _read_reports(doc_path)
+    all_pass = all(row[0] for row in rows)
+    if doc.get("all_pass") is not all_pass:
+        raise ConfigError(
+            f"report: {doc_path} has all_pass = {json.dumps(doc.get('all_pass'))}, "
+            f"but its reports' passed flags give {json.dumps(all_pass)}"
+        )
     lines = [
         f"verification report (config {str(doc.get('config_sha256', '?'))[:12]}, "
         f"seed {doc.get('seed')})",
@@ -437,7 +450,7 @@ def cmd_report(args) -> int:
     for passed, kind, value, bound in rows:
         lines.append("  " + _report_line(passed, f"{kind:<18}", value, bound))
     lines.append("")
-    lines.append("all_pass: " + ("yes" if doc.get("all_pass") else "no"))
+    lines.append("all_pass: " + ("yes" if all_pass else "no"))
     text = "\n".join(lines) + "\n"
     (out / "report.txt").write_text(text, encoding="utf-8")
     if rows:
@@ -452,7 +465,7 @@ def cmd_report(args) -> int:
             logy=True,
         )
     print(text, end="")
-    return 0 if doc.get("all_pass") else 1
+    return 0 if all_pass else 1
 
 
 if __name__ == "__main__":

@@ -209,17 +209,32 @@ def integrate(
         store = np.empty((n_steps + 1,) + v.shape)
         store[0] = v
     rhs = f.evaluator(s)
+    v_end = _euler_steps(v, z, cells, damp, w1, rhs, store=store)
+    # A non-finite component stays non-finite (damp > 0, and a sum with a
+    # non-finite term is non-finite), so the end state shows every failure;
+    # a checked re-run from the start names the first failing step.
+    if not np.all(np.isfinite(v_end)):
+        _euler_steps(v, z, cells, damp, w1, rhs, times=times)
+    if return_trajectory:
+        return Trajectory(times, store)
+    return v_end
+
+
+def _euler_steps(v, z, cells, damp, w1, rhs, store=None, times=None):
+    """Nonlinear exponential-Euler steps from v, one per forcing cell.
+
+    Writes each new state to ``store`` when given.  With ``times``, raises
+    InstabilityError at the first non-finite state, naming its step and time.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps):
+        for i in range(cells.shape[0]):
             v = damp * v + w1 * rhs(v + z[i]) + cells[i]
-            if not np.all(np.isfinite(v)):
+            if times is not None and not np.all(np.isfinite(v)):
                 raise InstabilityError(
                     f"non-finite state at step {i + 1} (t = {times[i + 1]!r})"
                 )
             if store is not None:
                 store[i + 1] = v
-    if return_trajectory:
-        return Trajectory(times, store)
     return v
 
 

@@ -468,11 +468,19 @@ def solve_fixed_point(
     )
 
 
-def solve_with_residual(x: np.ndarray, ctx: LPContext):
-    """Fixed point plus its measured operator residual (one extra apply)."""
-    xi, iterations = solve_fixed_point(x, ctx)
-    residual = ctx.s_norm(lp_apply(xi, x, ctx) - xi)
-    return xi, iterations, residual
+def _sweep(xs, ctx: LPContext):
+    """Fixed points at the base points ``xs``, solved in order as one continuation.
+
+    The first solve starts cold; each later one starts from the previous
+    fixed point moved to its base point by ``LPContext.rebase``.  The stop
+    rule bounds the distance to the fixed point by tol from any start, so a
+    warm start saves iterations and loosens nothing.  Yields each fixed point.
+    """
+    xi = x_prev = None
+    for x in xs:
+        xi, _ = solve_fixed_point(x, ctx, None if xi is None else ctx.rebase(xi, x_prev, x))
+        x_prev = x
+        yield xi
 
 
 def manifold_point(x: np.ndarray, ctx: LPContext) -> np.ndarray:
@@ -516,8 +524,9 @@ class ManifoldChart:
 def build_chart(x_grid: np.ndarray, ctx: LPContext) -> ManifoldChart:
     """Evaluate the graph map over a grid of base points.
 
-    Records per-point fixed-point residuals and the empirical Lipschitz
-    constant over all grid pairs.
+    The points are solved in grid order as one ``_sweep``.  Records
+    per-point fixed-point residuals (one extra operator application each)
+    and the empirical Lipschitz constant over all grid pairs.
     """
     x_grid = np.atleast_2d(np.asarray(x_grid, dtype=float))
     if x_grid.shape[0] < 1:
@@ -525,10 +534,9 @@ def build_chart(x_grid: np.ndarray, ctx: LPContext) -> ManifoldChart:
     x_grid = np.array([ctx.project_p(x) for x in x_grid])
 
     values, residuals = [], []
-    for x in x_grid:
-        xi, _, residual = solve_with_residual(x, ctx)
+    for x, xi in zip(x_grid, _sweep(x_grid, ctx)):
         values.append(ctx.project_q(xi[-1]))
-        residuals.append(residual)
+        residuals.append(ctx.s_norm(lp_apply(xi, x, ctx) - xi))
     values = np.array(values)
     residuals = np.array(residuals)
 

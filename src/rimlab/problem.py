@@ -22,9 +22,9 @@ from .lyapunov_perron import (
     GapCertificate,
     LPContext,
     ManifoldChart,
+    _sweep,
     backward_horizon,
     build_chart,
-    manifold_point,
 )
 from .randomness import CovarianceSpec, OUProcess, WienerPath, shift_path, solve_ou
 from .spectral import Spectrum
@@ -111,18 +111,19 @@ class ModelProblem:
     def graph_values(self, tau: float, x_grid: np.ndarray) -> np.ndarray:
         """Graph values m_tau(P x) over a grid of base points, each solved once.
 
-        Values are stored per (tau, P x) and only missing ones are solved;
-        ``chart`` fills the same store.
+        Values are stored per (tau, P x) and only missing ones are solved, in
+        grid order as one ``_sweep``; ``chart`` fills the same store.
         """
         ctx = self.lp_context(tau)
-        values = []
+        keys, missing = [], {}
         for x in np.atleast_2d(np.asarray(x_grid, dtype=float)):
             base = ctx.project_p(x)
-            key = (ctx.tau, base.tobytes())
-            if key not in self._graph:
-                self._graph[key] = manifold_point(base, ctx)
-            values.append(self._graph[key])
-        return np.array(values)
+            keys.append((ctx.tau, base.tobytes()))
+            if keys[-1] not in self._graph:
+                missing.setdefault(keys[-1], base)
+        for key, xi in zip(missing, _sweep(missing.values(), ctx)):
+            self._graph[key] = ctx.project_q(xi[-1])
+        return np.array([self._graph[key] for key in keys])
 
     @staticmethod
     def default_horizons(cert: GapCertificate, tol: float) -> tuple[float, float]:

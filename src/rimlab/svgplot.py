@@ -57,12 +57,13 @@ def line_plot(path, x, series, title="", xlabel="", ylabel="", logy=False) -> No
     cleaned = []
     for label, ys in series:
         ys = np.asarray(ys, dtype=float)
+        # a non-finite value (a null or "-inf" in a report) is left out of its line
+        ys = np.where(np.isfinite(ys), ys, np.nan)
         if logy:
             ys = np.log10(np.maximum(np.abs(ys), 1e-300))
         cleaned.append((label, ys))
     y_all = np.concatenate([ys for _, ys in cleaned]) if cleaned else np.zeros(1)
     x_lo, x_hi = float(np.min(x)), float(np.max(x))
-    # a NaN value (a null in a report) is left out of its line
     y_lo, y_hi = float(np.nanmin(y_all)), float(np.nanmax(y_all))
     parts = _frame(title, xlabel, ("log10 " if logy else "") + ylabel, x_lo, x_hi, y_lo, y_hi)
     for idx, (label, ys) in enumerate(cleaned):

@@ -203,7 +203,8 @@ def test_verify_trivial_config_all_pass(tmp_path):
 def test_orbits_started_on_the_manifold_pass_tracking(tmp_path, capsys):
     # At radius 0 every tracked orbit starts at 0, on the zero graph: its
     # decay curve is identically 0 and leaves no log slope to fit, which
-    # scores -inf (written as null) rather than a failing NaN.
+    # scores -inf rather than a failing NaN.  The document writes it as null
+    # and keeps its sign in value_nonfinite, so report prints it as verify did.
     cfg = tmp_path / "on_graph.ini"
     cfg.write_text(_trivial_config().replace("radius = 0.5", "radius = 0.0"), "utf-8")
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
@@ -215,8 +216,13 @@ def test_orbits_started_on_the_manifold_pass_tracking(tmp_path, capsys):
     doc = json.loads((tmp_path / "verification.json").read_text())
     (slope,) = [r for r in doc["reports"] if r["context"].get("check") == "log_slope"]
     assert slope["value"] is None and slope["passed"] is True
+    assert slope["value_nonfinite"] == "-inf"
+    assert all("value_nonfinite" not in r for r in doc["reports"] if r is not slope)
+    capsys.readouterr()
     assert main(["report", "--out", str(tmp_path)]) == 0
-    assert "value=nan" in (tmp_path / "report.txt").read_text()
+    printed = [line.split()[:3] for line in capsys.readouterr().out.splitlines()]
+    assert printed.count(["PASS", "tracking", "value=-inf"]) == 1
+    assert "value=nan" not in (tmp_path / "report.txt").read_text()
 
 
 def test_config_cannot_move_a_verdict(small_config, tmp_path):
@@ -345,6 +351,31 @@ def test_report_renders_null_as_nan(tmp_path, capsys):
     assert (tmp_path / "report.svg").exists()
 
 
+@pytest.mark.parametrize("all_pass", [True, False])
+def test_report_verdict_comes_from_passed_flags(tmp_path, all_pass):
+    # A hand-edited document whose all_pass disagrees with its reports'
+    # passed flags exits 2 with one line; one that agrees sets the exit code.
+    reports = [
+        {"kind": "lipschitz", "passed": False, "value": 2.0, "bound": 1.3},
+        {"kind": "invariance", "passed": True, "value": 1e-8, "bound": 1e-2},
+    ]
+    doc_path = tmp_path / "verification.json"
+    doc_path.write_text(json.dumps({"all_pass": all_pass, "reports": reports}), "utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "rimlab", "report", "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    if all_pass:
+        assert proc.returncode == 2 and proc.stdout == ""
+        err = proc.stderr.strip().splitlines()
+        assert len(err) == 1 and "all_pass" in err[0] and str(doc_path) in err[0]
+        assert not (tmp_path / "report.txt").exists()
+    else:
+        assert proc.returncode == 1 and proc.stderr == ""
+        assert "all_pass: no" in (tmp_path / "report.txt").read_text()
+
+
 _REPORT = {"kind": "lipschitz", "passed": True, "value": 0.5, "bound": 1.3}
 MALFORMED_REPORTS = {
     "not_json": "{not json",
@@ -355,6 +386,9 @@ MALFORMED_REPORTS = {
         )
         for key in _REPORT
     },
+    "passed_not_a_boolean": json.dumps(
+        {"all_pass": True, "reports": [{**_REPORT, "passed": "false", "value": 2.0}]}
+    ),
 }
 
 

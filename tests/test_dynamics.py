@@ -204,16 +204,41 @@ def test_step_stability_guard(quiet_ou):
         integrate(np.zeros(8), 0.0, 0.5, quiet_ou, g, Nonlinearity.zero(), stiff)
 
 
+def _first_nonfinite_step(v, ou, f, s, t_end):
+    """Per-step reference: the exponential-Euler step (zero forcing) after
+    which the state is first non-finite, checked at every step."""
+    h = ou.grid.h
+    n_steps = round(t_end / h)
+    z = ou.values[ou.grid.offset(0.0) :]
+    damp = np.exp(-s.lambdas * h)
+    w1 = -np.expm1(-s.lambdas * h) / s.lambdas
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps):
+            v = damp * v + w1 * f.apply(v + z[i], s)
+            if not np.all(np.isfinite(v)):
+                return i + 1
+    return None
+
+
 def test_instability_reports_step():
-    # Saturation level F_max / lambda_1 above the float range overflows;
-    # the error names the failing step.
+    # Saturation level F_max / lambda_1 above the float range overflows.
+    # Finiteness is checked once per integration; the error still names the
+    # step and time at which a per-step check first fails, for one state and
+    # for a batch in which only the second orbit blows up (the first stays
+    # at 0 = F(0)), with and without the stored trajectory.
     slow = rl.Spectrum(np.array([0.5, 2.0]))
     grid = rl.TimeGrid.from_times(-1.0, 3.0, 1e-3)
     ou = rl.solve_ou(rl.sample_wiener(1, grid, rl.CovarianceSpec.zero(2)), slow)
     f = Nonlinearity.custom_table(np.array([-1.0, 0.0, 1.0]), np.array([-1.5e308, 0.0, 1.5e308]))
     g = rl.ForcingSignal.zero(2)
-    with pytest.raises(InstabilityError, match="step"):
-        integrate(np.full(2, 1.0), 0.0, 3.0, ou, g, f, slow)
+    times = np.arange(0, 3001) * 1e-3
+    for v0 in (np.full(2, 1.0), np.array([[0.0, 0.0], [1.0, 1.0]])):
+        step = _first_nonfinite_step(v0, ou, f, slow, 3.0)
+        assert step is not None and 1 < step < 3000
+        for return_trajectory in (True, False):
+            with pytest.raises(InstabilityError) as exc:
+                integrate(v0, 0.0, 3.0, ou, g, f, slow, return_trajectory=return_trajectory)
+            assert str(exc.value) == f"non-finite state at step {step} (t = {times[step]!r})"
 
 
 def test_batched_integration_matches_loop(spec8, noisy_ou):

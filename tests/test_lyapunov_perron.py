@@ -8,11 +8,13 @@ from scipy.integrate import quad
 from scipy.signal import lfilter
 
 import rimlab as rl
+from rimlab import lyapunov_perron
 from rimlab.errors import CertificateError, ContractionViolationError, ParameterError
 from rimlab.lyapunov_perron import (
     LPContext,
     _horizon_weight,
     _picard,
+    _sweep,
     backward_horizon,
     build_chart,
     c_alpha_constant,
@@ -22,11 +24,11 @@ from rimlab.lyapunov_perron import (
     manifold_point,
     scan_gap,
     solve_fixed_point,
-    solve_with_residual,
     tilde_manifold_point,
     weighted_factor,
 )
 from rimlab.forcing import temperedness_integral
+from rimlab.spectral import norm_alpha
 
 
 # ---- constants and certificate -------------------------------------------
@@ -601,12 +603,50 @@ def test_horizon_convergence(problem_nl):
     assert deltas[1] <= deltas[0]
 
 
-def test_solve_with_residual_reports_small(problem_nl):
+def test_chart_residuals_report_small(problem_nl):
+    # A chart residual is the measured operator residual of its fixed point;
+    # a one-point chart solves cold, so it is that of the cold solve.
     ctx = problem_nl.lp_context(0.0)
     x = np.zeros(16)
     x[0] = 0.2
-    _, _, residual = solve_with_residual(x, ctx)
-    assert residual <= problem_nl.tol
+    xi, _ = solve_fixed_point(x, ctx)
+    chart = build_chart(x, ctx)
+    assert chart.residuals[0] == ctx.s_norm(lp_apply(xi, x, ctx) - xi)
+    assert chart.residuals[0] <= problem_nl.tol
+
+
+# ---- continuation sweeps ---------------------------------------------------
+
+
+def test_sweep_matches_cold_solves(problem_nl, chart_grid16):
+    # Each warm-started value is within 2 tol of a cold solve: both stop
+    # within tol of the same fixed point.
+    ctx = problem_nl.lp_context(0.0)
+    rng = np.random.default_rng(5)
+    for xs in (chart_grid16, ctx.project_p(rng.standard_normal((6, 16)))):
+        for x, xi in zip(xs, _sweep(xs, ctx)):
+            cold = manifold_point(x, ctx)
+            assert norm_alpha(ctx.project_q(xi[-1]) - cold, ctx.spectrum) <= 2.0 * ctx.tol
+
+
+def test_one_point_sweep_is_a_cold_solve(problem_nl):
+    ctx = problem_nl.lp_context(0.0)
+    x = np.zeros(16)
+    x[0] = -0.3
+    (xi,) = _sweep([x], ctx)
+    assert np.array_equal(xi, solve_fixed_point(x, ctx)[0])
+
+
+def test_chart_sweep_saves_operator_applications(problem_nl, chart_grid16, monkeypatch):
+    # Warm starts make a 9-point chart cheaper than 9 cold solves plus the
+    # 9 residual applications.
+    ctx = problem_nl.lp_context(0.0)
+    cold = sum(solve_fixed_point(x, ctx)[1] for x in chart_grid16) + len(chart_grid16)
+    calls = []
+    apply = lyapunov_perron.lp_apply
+    monkeypatch.setattr(lyapunov_perron, "lp_apply", lambda *a: calls.append(1) or apply(*a))
+    build_chart(chart_grid16, ctx)
+    assert len(calls) < cold
 
 
 def test_context_rejects_nonpositive_tol(problem_nl):
