@@ -15,7 +15,6 @@ from .analysis import (
     ap_defect,
     containment_defect,
     fit_decay_rate,
-    hausdorff_semidist,
     invariance_defect,
     lipschitz_defect,
     periodicity_defect,
@@ -42,10 +41,8 @@ from .forcing import (
     TrigTerm,
     almost_period_defect,
     cell_convolution,
-    eval_forcing,
     scan_almost_period,
     shift_forcing,
-    temperedness_integral,
 )
 from .lyapunov_perron import (
     GapCertificate,
@@ -55,7 +52,6 @@ from .lyapunov_perron import (
     build_chart,
     c_alpha_constant,
     check_gap,
-    gap_margin,
     lp_apply,
     manifold_point,
     scan_gap,
@@ -72,15 +68,8 @@ from .randomness import (
     sample_wiener,
     shift_path,
     solve_ou,
-    temperedness_ratio,
 )
-from .spectral import (
-    Spectrum,
-    apply_semigroup,
-    dirichlet_laplacian,
-    frac_power,
-    norm_alpha,
-)
+from .spectral import Spectrum, dirichlet_laplacian, norm_alpha
 from .tracking import (
     TrackingResult,
     base_orbit,

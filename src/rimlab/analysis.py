@@ -20,13 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import integrate
+from .dynamics import cocycle_phi, cocycle_psi
 from .errors import DomainError, ParameterError, ValidationError
-from .forcing import almost_period_defect, shift_forcing
+from .forcing import almost_period_defect
 from .lyapunov_perron import ManifoldChart, _sweep
 from .problem import ModelProblem
 from .randomness import shift_path
-from .spectral import Spectrum, norm_alpha
+from .spectral import norm_alpha
 from .tracking import TrackingResult
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "pullback_attractor",
     "containment_defect",
     "fit_decay_rate",
-    "hausdorff_semidist",
 ]
 
 # Bound constants, fixed here: no config value or keyword sets one.
@@ -131,27 +130,23 @@ def lipschitz_defect(chart: ManifoldChart) -> DefectReport:
 def invariance_defect(chart: ManifoldChart, t: float, problem: ModelProblem) -> DefectReport:
     """Flow the chart forward and measure its distance to the shifted graph.
 
-    Each chart point is evolved for time t under the transformed dynamics;
-    the off-graph part of the endpoint is compared against a fresh
-    fixed-point solve at translated forcing on the index-shifted path (the
-    endpoints are solved in order as one ``_sweep``).
+    Each chart point is evolved for time t >= 0 by the transformed cocycle
+    ``cocycle_psi``; the off-graph part of the endpoint is compared against
+    a fresh fixed-point solve at translated forcing on the index-shifted
+    path (the endpoints are solved in order as one ``_sweep``).
     Flow and graph share one cell rule at the problem's step, so this
     matched-resolution defect sits at the solver and truncation floor, not
     at O(h).
     """
-    if t < 0.0:
-        raise DomainError("invariance check needs t >= 0")
-    endpoints = integrate(
-        chart.points,
-        0.0,
+    endpoints = cocycle_psi(
         t,
+        chart.tau,
         problem.ou,
-        shift_forcing(problem.forcing, chart.tau),
+        chart.points,
+        problem.forcing,
         problem.nonlinearity,
         problem.spectrum,
-        return_trajectory=False,
     )
-    endpoints = np.atleast_2d(endpoints)
     ctx = problem.lp_context(chart.tau + t, ou=problem.shifted_ou(t))
     value = 0.0
     for q_pt, xi in zip(endpoints, _sweep(ctx.project_p(endpoints), ctx)):
@@ -275,39 +270,37 @@ def pullback_attractor(
 ) -> AttractorCloud:
     """Evolve an ensemble from the pulled-back initial time up to time zero.
 
-    Every member is mapped through the original-variable solution operator
-    started at tau - pullback_time on the index-shifted path, so the
-    endpoint cloud approximates the attractor fibre at (tau, omega).
+    Every member is mapped through the original-variable cocycle
+    ``cocycle_phi`` started at tau - pullback_time on the index-shifted
+    path, so the endpoint cloud approximates the attractor fibre at
+    (tau, omega).
     """
     if pullback_time <= 0.0:
         raise DomainError("pullback time must be positive")
-    ensemble = np.atleast_2d(np.asarray(ensemble, dtype=float))
-    shifted = shift_path(problem.path, -pullback_time)
-    ou = problem.ou_for(shifted)
-    v0 = ensemble - ou.at(0.0)
-    v_end = integrate(
-        v0,
-        0.0,
+    points = cocycle_phi(
         pullback_time,
-        ou,
-        shift_forcing(problem.forcing, tau - pullback_time),
+        tau - pullback_time,
+        problem.ou_for(shift_path(problem.path, -pullback_time)),
+        np.atleast_2d(np.asarray(ensemble, dtype=float)),
+        problem.forcing,
         problem.nonlinearity,
         problem.spectrum,
-        return_trajectory=False,
     )
-    points = np.atleast_2d(v_end) + ou.at(pullback_time)
     return AttractorCloud(tau=tau, pullback_time=pullback_time, points=points)
 
 
 def containment_defect(cloud: AttractorCloud, problem: ModelProblem) -> DefectReport:
-    """Distance of the pullback cloud to the offset graph, against tol + e^{-lambda_1 t}."""
-    ctx = problem.lp_context(cloud.tau)
-    z0 = ctx.z_at_zero()
+    """Distance of the pullback cloud to the offset graph, against tol + e^{-lambda_1 t}.
+
+    The graph values come from ``ModelProblem.graph_values`` on the stored path.
+    """
+    z0 = problem.ou.at(0.0)
     value = 0.0
-    # the offset graph value of ``tilde_manifold_point``, solved as one sweep
-    for u, xi in zip(cloud.points, _sweep(ctx.project_p(cloud.points - z0), ctx)):
-        m_val = ctx.project_q(z0) + ctx.project_q(xi[-1])
-        value = max(value, norm_alpha(ctx.project_q(u) - m_val, problem.spectrum))
+    # Q part of u - (z(0) + m(P(u - z(0)))), off the graph of ``tilde_manifold_point``
+    for u, m in zip(cloud.points, problem.graph_values(cloud.tau, cloud.points - z0)):
+        off = u - (z0 + m)
+        off[: problem.cert.n] = 0.0
+        value = max(value, norm_alpha(off, problem.spectrum))
     lam1 = float(problem.spectrum.lambdas[0])
     bound = problem.tol + float(np.exp(-lam1 * cloud.pullback_time))
     return DefectReport(
@@ -334,15 +327,3 @@ def fit_decay_rate(pullback_times, reports: list[DefectReport]) -> float:
     values = np.array([max(r.value, 1e-300) for r in reports])
     times = np.asarray(list(pullback_times), dtype=float)
     return float(np.polyfit(times, np.log(values), 1)[0])
-
-
-def hausdorff_semidist(a: np.ndarray, b: np.ndarray, s: Spectrum) -> float:
-    """One-sided set distance max_{p in a} min_{q in b} ||p - q||_alpha."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise DomainError("Hausdorff semi-distance needs nonempty point sets")
-    wts = s.weights_alpha()
-    diffs = (a[:, None, :] - b[None, :, :]) * wts
-    dists = np.linalg.norm(diffs, axis=2)
-    return float(np.max(np.min(dists, axis=1)))

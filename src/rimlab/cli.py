@@ -184,25 +184,14 @@ def _write_chart_files(chart, cfg: RunConfig, out: Path, meta: dict) -> None:
         },
     )
     sweep = cfg.chart["x_mode"] - 1
-    if chart.x_grid.shape[0] > 1:
-        xs = chart.x_grid[:, sweep]
-        show = [(f"mode {j + 1}", chart.values[:, j]) for j in range(n, min(n + 3, n_total))]
-        svgplot.line_plot(
-            out / "chart.svg",
-            xs,
-            show,
-            title="manifold graph",
-            xlabel=f"x (mode {sweep + 1})",
-            ylabel="m(x)",
-        )
-    else:
-        svgplot.histogram(
-            out / "chart.svg",
-            chart.residuals,
-            bins=8,
-            title="chart residuals",
-            xlabel="residual",
-        )
+    svgplot.line_plot(
+        out / "chart.svg",
+        chart.x_grid[:, sweep],
+        [(f"mode {j + 1}", chart.values[:, j]) for j in range(n, min(n + 3, n_total))],
+        title="manifold graph",
+        xlabel=f"x (mode {sweep + 1})",
+        ylabel="m(x)",
+    )
 
 
 def _random_states(seed: int, stream: int, count: int, n_modes: int, radius: float):

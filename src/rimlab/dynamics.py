@@ -28,13 +28,12 @@ import numpy as np
 
 from .errors import (
     DomainError,
-    GridAlignmentError,
     InstabilityError,
     ParameterError,
     ValidationError,
 )
 from .forcing import ForcingSignal, cell_convolution, shift_forcing
-from .randomness import OUProcess, _write_series_csv
+from .randomness import OUProcess
 from .spectral import Spectrum, _filter_modes
 
 __all__ = ["Nonlinearity", "Trajectory", "integrate", "cocycle_psi", "cocycle_phi"]
@@ -123,19 +122,6 @@ class Trajectory:
 
     times: np.ndarray
     values: np.ndarray
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.values[-1]
-
-    def at(self, t: float) -> np.ndarray:
-        idx = np.nonzero(np.isclose(self.times, t, rtol=0.0, atol=1e-9 * max(1.0, abs(t))))[0]
-        if idx.size != 1:
-            raise GridAlignmentError(f"t={t} is not a node of this trajectory")
-        return self.values[int(idx[0])]
-
-    def to_csv(self, path) -> None:
-        _write_series_csv(path, self.times, self.values)
 
 
 def _step_weights(s: Spectrum, h: float):
@@ -231,7 +217,7 @@ def _euler_steps(v, z, cells, damp, w1, rhs, store=None, times=None):
             v = damp * v + w1 * rhs(v + z[i]) + cells[i]
             if times is not None and not np.all(np.isfinite(v)):
                 raise InstabilityError(
-                    f"non-finite state at step {i + 1} (t = {times[i + 1]!r})"
+                    f"non-finite state at step {i + 1} (t = {float(times[i + 1])})"
                 )
             if store is not None:
                 store[i + 1] = v

@@ -5,6 +5,21 @@ exit 2, a failed spectral-gap certificate exits 3, and verification
 failures exit 1.
 """
 
+__all__ = [
+    "RimlabError",
+    "DimensionMismatchError",
+    "DomainError",
+    "SpectrumError",
+    "GridAlignmentError",
+    "SupportRangeError",
+    "ParameterError",
+    "CertificateError",
+    "ContractionViolationError",
+    "InstabilityError",
+    "ValidationError",
+    "ConfigError",
+]
+
 
 class RimlabError(Exception):
     """Base class for all library errors."""

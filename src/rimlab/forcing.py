@@ -37,13 +37,10 @@ from .spectral import Spectrum
 __all__ = [
     "TrigTerm",
     "ForcingSignal",
-    "eval_forcing",
     "shift_forcing",
     "cell_convolution",
-    "temperedness_integral",
     "almost_period_defect",
     "scan_almost_period",
-    "sup_norm_alpha",
 ]
 
 _FORMS = ("zero", "constant", "trig_sum", "tabulated")
@@ -171,11 +168,6 @@ class ForcingSignal:
         return out
 
 
-def eval_forcing(g: ForcingSignal, t: float) -> np.ndarray:
-    """Value of the signal at one time, as a full mode-coefficient vector."""
-    return g.eval_many(np.array([t]))[0]
-
-
 def shift_forcing(g: ForcingSignal, tau: float) -> ForcingSignal:
     """Exact translation: eval(shift(g, tau), t) == eval(g, t + tau)."""
     if tau == 0.0 or g.form in ("zero", "constant"):
@@ -225,56 +217,6 @@ def cell_convolution(g: ForcingSignal, s: Spectrum, t_lefts: np.ndarray, h: floa
         theta = term.frequency * t_lefts + term.phase
         out[:, j] += term.amplitude * (np.exp(1j * theta) * coeff).imag
     return out
-
-
-def sup_norm_alpha(g: ForcingSignal, s: Spectrum) -> float:
-    """Upper bound for sup_t of the weighted norm ||A^alpha g(t)||.
-
-    Exact for zero/constant; for trig sums the per-mode amplitudes are summed
-    (triangle inequality) before taking the mode norm; for tables the sampled
-    maximum is used.
-    """
-    wts = s.weights_alpha()
-    if g.form == "zero":
-        return 0.0
-    if g.form == "constant":
-        return float(np.linalg.norm(g.amplitudes * wts))
-    if g.form == "trig_sum":
-        per_mode = np.zeros(s.size)
-        for term in g.terms:
-            per_mode[term.mode - 1] += abs(term.amplitude)
-        return float(np.linalg.norm(per_mode * wts))
-    norms = np.linalg.norm(g.table_v * wts, axis=1)
-    return float(np.max(norms))
-
-
-def temperedness_integral(g: ForcingSignal, s: Spectrum, tau: float = 0.0) -> float:
-    """The weighted past integral  int_{-inf}^0 e^{lambda_1 sigma}
-    ||A^alpha g(sigma + tau)|| d sigma.
-
-    Bounded analytic forms use the envelope value sup||A^alpha g|| / lambda_1
-    (exact for constants, an upper bound for trig sums); tabulated signals
-    are integrated by trapezoid over their covered range, with a divergence
-    check at the left end.
-    """
-    lam1 = float(s.lambdas[0])
-    if g.form in ("zero", "constant", "trig_sum"):
-        return sup_norm_alpha(g, s) / lam1
-    lo = g.table_t[0] - tau
-    hi = min(0.0, g.table_t[-1] - tau)
-    if hi <= lo:
-        return 0.0
-    n = max(int(np.ceil((hi - lo) / min(0.01 / lam1, hi - lo))), 16)
-    sigma = np.linspace(lo, hi, min(n, 200_000))
-    wts = s.weights_alpha()
-    vals = np.linalg.norm(g.eval_many(sigma + tau) * wts, axis=1)
-    integrand = np.exp(lam1 * sigma) * vals
-    head = integrand[: min(6, integrand.size)]
-    if head.size > 2 and head[0] > 1e-12 and np.all(np.diff(head) < 0.0):
-        raise ValidationError(
-            "tabulated forcing grows too fast into the past; weighted integral diverges"
-        )
-    return float(np.trapezoid(integrand, sigma))
 
 
 def almost_period_defect(g: ForcingSignal, s: Spectrum, tau0: float) -> float:

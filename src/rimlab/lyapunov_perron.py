@@ -54,7 +54,6 @@ from .spectral import Spectrum, _filter_modes, _mode_major, _node_norms, norm_al
 __all__ = [
     "c_alpha_constant",
     "GapCertificate",
-    "gap_margin",
     "check_gap",
     "scan_gap",
     "weighted_factor",
@@ -108,12 +107,6 @@ def _gap_parts(s: Spectrum, lipschitz: float, k: float, n: int):
         lam_np1**s.alpha + lam_n**s.alpha + ca * gap**s.alpha
     )
     return lam_n, lam_np1, gap, ca, required
-
-
-def gap_margin(s: Spectrum, lipschitz: float, k: float, n: int) -> float:
-    """Gap minus the required separation; nonnegative means the index passes."""
-    _, _, gap, _, required = _gap_parts(s, lipschitz, k, n)
-    return gap - required
 
 
 def check_gap(s: Spectrum, lipschitz: float, k: float, n: int) -> GapCertificate:

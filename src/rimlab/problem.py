@@ -101,28 +101,33 @@ class ModelProblem:
             tol=self.tol,
         )
 
+    def _graph_key(self, tau: float, x: np.ndarray) -> tuple:
+        return float(tau), x[: self.cert.n].tobytes()
+
     def chart(self, tau: float, x_grid: np.ndarray) -> ManifoldChart:
         """``build_chart`` at translation tau; its values join the graph-value store."""
         chart = build_chart(x_grid, self.lp_context(tau))
         for x, m in zip(chart.x_grid, chart.values):
-            self._graph[(chart.tau, x.tobytes())] = m.copy()
+            self._graph[self._graph_key(chart.tau, x)] = m.copy()
         return chart
 
     def graph_values(self, tau: float, x_grid: np.ndarray) -> np.ndarray:
         """Graph values m_tau(P x) over a grid of base points, each solved once.
 
-        Values are stored per (tau, P x) and only missing ones are solved, in
-        grid order as one ``_sweep``; ``chart`` fills the same store.
+        Values are stored per (tau, P x); a context is built, and the missing
+        values solved in grid order as one ``_sweep``, only when some are
+        missing.  ``chart`` fills the same store.
         """
-        ctx = self.lp_context(tau)
         keys, missing = [], {}
         for x in np.atleast_2d(np.asarray(x_grid, dtype=float)):
-            base = ctx.project_p(x)
-            keys.append((ctx.tau, base.tobytes()))
+            keys.append(self._graph_key(tau, x))
             if keys[-1] not in self._graph:
-                missing.setdefault(keys[-1], base)
-        for key, xi in zip(missing, _sweep(missing.values(), ctx)):
-            self._graph[key] = ctx.project_q(xi[-1])
+                missing.setdefault(keys[-1], x)
+        if missing:
+            ctx = self.lp_context(tau)
+            bases = [ctx.project_p(x) for x in missing.values()]
+            for key, xi in zip(missing, _sweep(bases, ctx)):
+                self._graph[key] = ctx.project_q(xi[-1])
         return np.array([self._graph[key] for key in keys])
 
     @staticmethod

@@ -49,7 +49,6 @@ __all__ = [
     "shift_path",
     "coarsen_path",
     "solve_ou",
-    "temperedness_ratio",
 ]
 
 
@@ -154,9 +153,6 @@ class WienerPath:
     def increments(self) -> np.ndarray:
         return np.diff(self.values, axis=0)
 
-    def to_csv(self, path) -> None:
-        _write_series_csv(path, self.grid.times(), self.values)
-
 
 @dataclass(frozen=True)
 class OUProcess:
@@ -168,9 +164,6 @@ class OUProcess:
 
     def at(self, t: float) -> np.ndarray:
         return self.values[self.grid.offset(t)]
-
-    def to_csv(self, path) -> None:
-        _write_series_csv(path, self.grid.times(), self.values)
 
 
 def sample_wiener(seed: int, grid: TimeGrid, cov: CovarianceSpec) -> WienerPath:
@@ -264,25 +257,3 @@ def solve_ou(w: WienerPath, s: Spectrum) -> OUProcess:
         homog = np.exp(-lam * np.arange(1, n_cells + 1)[:, None] * h) * z0
         values[1:] = homog + _filter_modes(u, damp)
     return OUProcess(grid=w.grid, spectrum=s, values=values)
-
-
-def temperedness_ratio(z: OUProcess, c: float) -> float:
-    """Diagnostic sup over grid t <= 0 of e^{c t} ||A^alpha z(t)||."""
-    if c <= 0.0:
-        raise DomainError("temperedness rate must be positive")
-    k0 = -z.grid.i_min
-    t = z.grid.times()[: k0 + 1]
-    wts = z.spectrum.weights_alpha()
-    norms = np.linalg.norm(z.values[: k0 + 1] * wts, axis=1)
-    return float(np.max(np.exp(c * t) * norms))
-
-
-def _write_series_csv(path, times: np.ndarray, values: np.ndarray) -> None:
-    n_modes = values.shape[1]
-    header = "t," + ",".join(f"mode_{j + 1}" for j in range(n_modes))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for t, row in zip(times, values):
-            fh.write(
-                repr(float(t)) + "," + ",".join(repr(float(v)) for v in row) + "\n"
-            )

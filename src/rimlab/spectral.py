@@ -7,9 +7,11 @@ norms are weighted coefficient norms,
     ||v||          = (sum_j v_j^2)^(1/2)
     ||v||_alpha    = (sum_j lambda_j^(2*alpha) v_j^2)^(1/2)
 
-There is deliberately no generic matrix path: per-mode evaluation makes the
-projection and smoothing estimates exact up to roundoff, so they can serve
-as test oracles rather than quadrature-limited approximations.
+There is deliberately no generic matrix path.  The semigroup e^{-At} exists
+only as the per-mode arrays the solvers build from the eigenvalues (the
+one-step factors and flows in ``LPContext`` and the forward tracking
+stencil), so the projection and smoothing estimates hold for them exactly up
+to roundoff and are asserted on them as test oracles.
 
 Time histories are (nodes, modes) arrays.  Every time-stepping recursion in
 the package is the per-mode first-order filter ``_filter_modes`` run down
@@ -24,15 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, SpectrumError
+from .errors import DimensionMismatchError, SpectrumError
 
-__all__ = [
-    "Spectrum",
-    "dirichlet_laplacian",
-    "frac_power",
-    "apply_semigroup",
-    "norm_alpha",
-]
+__all__ = ["Spectrum", "dirichlet_laplacian", "norm_alpha"]
 
 
 @dataclass(frozen=True)
@@ -81,47 +77,6 @@ def dirichlet_laplacian(n_total: int, alpha: float = 0.0) -> Spectrum:
         raise SpectrumError("need at least two modes")
     j = np.arange(1, n_total + 1, dtype=float)
     return Spectrum(j**2, alpha)
-
-
-def frac_power(alpha: float, v: np.ndarray, s: Spectrum) -> np.ndarray:
-    """Apply A^alpha diagonally: component j becomes lambda_j^alpha * v_j."""
-    if alpha < 0.0:
-        raise DomainError("fractional power requires alpha >= 0")
-    v = s.check_state(v)
-    return v * s.lambdas**alpha  # lambda**0.0 is exactly 1
-
-
-def apply_semigroup(
-    t: float,
-    v: np.ndarray,
-    s: Spectrum,
-    n: int | None = None,
-    part: str = "full",
-) -> np.ndarray:
-    """Apply e^{-At} to the selected spectral block of v.
-
-    ``part`` is one of "P" (the first n modes), "Q" (the rest) or "full",
-    which ignores n.  On the finite-dimensional P-block the flow is
-    invertible, so any real t is accepted there; the Q and full flows are
-    only defined forward in time.
-    """
-    v = s.check_state(v)
-    if part not in ("P", "Q", "full"):
-        raise DomainError(f"unknown part {part!r}")
-    if part in ("Q", "full") and t < 0.0:
-        raise DomainError("backward flow is only defined on the P block")
-    if part == "full":
-        return v * np.exp(-s.lambdas * t)
-    if n is None:
-        raise DomainError("P/Q application needs the resolved-mode count n")
-    if n < 1:
-        raise DomainError("resolved-mode count must be at least 1")
-    if n >= s.size:
-        raise DimensionMismatchError(f"split n={n} needs n < {s.size} total modes")
-    block = slice(None, n) if part == "P" else slice(n, None)
-    out = np.zeros_like(v)
-    out[..., block] = v[..., block] * np.exp(-s.lambdas[block] * t)
-    return out
 
 
 def norm_alpha(v: np.ndarray, s: Spectrum) -> float:

@@ -1,4 +1,5 @@
-"""Minimal SVG emission for line plots and histograms.
+"""Minimal SVG emission for line plots: the chart's graph and the report's
+defects against their bounds.
 
 Plots are drawn with bare polyline/rect/text primitives so report files
 have no renderer dependency and are byte-deterministic for fixed inputs.
@@ -8,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["line_plot", "histogram"]
+__all__ = ["line_plot"]
 
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 64, 16, 32, 44
@@ -77,26 +78,6 @@ def line_plot(path, x, series, title="", xlabel="", ylabel="", logy=False) -> No
         parts.append(
             f'<text x="{_W - _MR - 4}" y="{_MT + 14 + 14 * idx}" text-anchor="end" '
             f'font-family="monospace" font-size="11" fill="{color}">{label}</text>'
-        )
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
-
-
-def histogram(path, values, bins=10, title="", xlabel="", ylabel="count") -> None:
-    """Write a bar histogram of the given values."""
-    values = np.asarray(values, dtype=float)
-    counts, edges = np.histogram(values, bins=bins)
-    x_lo, x_hi = float(edges[0]), float(edges[-1])
-    y_hi = float(max(counts.max(), 1))
-    parts = _frame(title, xlabel, ylabel, x_lo, x_hi, 0.0, y_hi)
-    for c, lo, hi in zip(counts, edges[:-1], edges[1:]):
-        px0 = float(_scale([lo], x_lo, x_hi, _ML, _W - _MR)[0])
-        px1 = float(_scale([hi], x_lo, x_hi, _ML, _W - _MR)[0])
-        py = float(_scale([c], 0.0, y_hi, _H - _MB, _MT)[0])
-        parts.append(
-            f'<rect x="{_fmt(px0)}" y="{_fmt(py)}" width="{_fmt(max(px1 - px0 - 1, 1))}" '
-            f'height="{_fmt(_H - _MB - py)}" fill="#1f77b4" stroke="#444444" stroke-width="0.5"/>'
         )
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:

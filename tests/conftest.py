@@ -95,6 +95,27 @@ def problem_lin_const(spectrum16, path16):
 
 
 @pytest.fixture(scope="session")
+def past_forcing_bound():
+    """Oracle for the forcing's weighted past integral in the a-priori bounds.
+
+    Returns g, s -> sup_t ||A^alpha g(t)|| / lambda_1, which bounds
+    int_{-inf}^0 e^{lambda_1 sigma} ||A^alpha g(sigma + tau)|| d sigma for
+    every tau.  Covers the forms the fixtures use (zero, constant, trig
+    sum); trig amplitudes are summed per mode before the mode norm, so the
+    bound is exact for a constant.
+    """
+
+    def bound(g, s):
+        assert g.form in ("zero", "constant", "trig_sum")
+        per_mode = np.abs(g.amplitudes) if g.form == "constant" else np.zeros(s.size)
+        for term in g.terms:
+            per_mode[term.mode - 1] += abs(term.amplitude)
+        return float(np.linalg.norm(per_mode * s.weights_alpha())) / float(s.lambdas[0])
+
+    return bound
+
+
+@pytest.fixture(scope="session")
 def chart_grid16(spectrum16):
     grid = np.zeros((9, spectrum16.size))
     grid[:, 0] = np.linspace(-1.0, 1.0, 9)

@@ -21,13 +21,13 @@ from rimlab.forcing import scan_almost_period, shift_forcing
 from rimlab.lyapunov_perron import (
     build_chart,
     check_gap,
-    gap_margin,
     lp_apply,
     manifold_point,
+    scan_gap,
+    weighted_factor,
 )
 from rimlab.problem import ModelProblem
-from rimlab.spectral import apply_semigroup
-from rimlab.tracking import lp_plus_apply, track_phi
+from rimlab.tracking import _ForwardStencil, lp_plus_apply, track_phi
 
 
 TOL = 1e-6
@@ -40,8 +40,7 @@ def _report(number: int, name: str, passed: bool, detail: str) -> bool:
 
 
 def test_criterion_01_gap_arithmetic(spectrum16):
-    margins = {n: gap_margin(spectrum16, 1.0, 0.45, n) for n in range(1, 8)}
-    first = min(n for n, m in margins.items() if m >= 0)
+    first = min(row["n"] for row in scan_gap(spectrum16, 1.0, 0.45) if row["margin"] >= 0)
     cert = check_gap(spectrum16, 0.1, 0.2, 1)
     ok = (
         first == 4
@@ -322,37 +321,63 @@ def test_criterion_09_containment(problem_nl, problem_lin_const):
 
 
 def test_criterion_10_dichotomy_oracles():
-    violations = 0
+    # The dichotomy bounds on the semigroup arrays the solvers run, for
+    # random vectors at random nodes: Q decay e^{-lambda_{n+1} t} and Q
+    # smoothing (a^a t^-a + lambda_{n+1}^a) e^{-lambda_{n+1} t} on the forward
+    # operator's ``q_decay`` and on the Q filter's one-step factor ``damp``
+    # raised to the node's step count, and P growth lambda_n^a e^{lambda_n |t|}
+    # on the backward operator's ``p_flow``.  ``weighted_factor`` integrates
+    # the same bounds, so it must dominate the weighted kernel sums of those
+    # arrays at every weight nu in [mu, lambda_{n+1}).
+    violations = checks = 0
     for alpha in (0.0, 0.25):
         s = rl.dirichlet_laplacian(16, alpha)
         n = 3
-        p_block = np.arange(s.size) < n
-        lam_n, lam_np1 = s.lambdas[n - 1], s.lambdas[n]
-        wts = s.weights_alpha()
+        cert = check_gap(s, 0.1, 0.2, n)
+        grid = rl.TimeGrid.from_times(-4.1, 4.1, 1e-3)
+        ou = rl.solve_ou(rl.sample_wiener(0, grid, rl.CovarianceSpec.zero(16)), s)
+        g0 = rl.ForcingSignal.zero(16)
+        ctx = rl.LPContext(s, cert, rl.Nonlinearity.zero(), g0, ou, t_back=4.0)
+        stencil = _ForwardStencil(ctx, 4.0)
+        lam_n, lam_np1 = cert.lambda_n, cert.lambda_np1
+        wts_p, wts_q = s.weights_alpha()[:n], s.weights_alpha()[n:]
+        smooth = alpha**alpha if alpha > 0 else 1.0
+
+        def check(ok):
+            nonlocal violations, checks
+            checks += 1
+            violations += not ok
+
         rng = np.random.default_rng(hash(alpha) % 2**32)
         for _ in range(500):
-            v = rng.standard_normal(16)
-            t = rng.uniform(1e-3, 4.0)
-            vq = np.where(p_block, 0.0, v)
-            sm = apply_semigroup(t, vq, s, n, "Q")
-            nq = np.linalg.norm(vq)
-            if np.linalg.norm(sm) > np.exp(-lam_np1 * t) * nq * (1 + 1e-12):
-                violations += 1
-            bound = (alpha**alpha if alpha > 0 else 1.0) * t ** (-alpha) + lam_np1**alpha
-            if np.linalg.norm(sm * wts) > bound * np.exp(-lam_np1 * t) * nq * (1 + 1e-12):
-                violations += 1
-            vp = np.where(p_block, v, 0.0)
-            gr = apply_semigroup(-t, vp, s, n, "P")
-            if np.linalg.norm(gr * wts) > lam_n**alpha * np.exp(lam_n * t) * np.linalg.norm(
-                vp
-            ) * (1 + 1e-12):
-                violations += 1
+            vq = rng.standard_normal(16 - n)
+            vp = rng.standard_normal(n)
+            k = int(rng.integers(1, stencil.n_cells + 1))
+            t = stencil.times[k]
+            decay = np.exp(-lam_np1 * t) * np.linalg.norm(vq) * (1 + 1e-12)
+            smoothing = smooth * t**-alpha + lam_np1**alpha
+            for kern in (stencil.q_decay[k], ctx.damp[n:] ** k):
+                check(np.linalg.norm(kern * vq) <= decay)
+                check(np.linalg.norm(wts_q * kern * vq) <= smoothing * decay)
+            j = int(rng.integers(0, ctx.n_cells))
+            grown = lam_n**alpha * np.exp(-lam_n * ctx.times[j]) * np.linalg.norm(vp)
+            check(np.linalg.norm(wts_p * ctx.p_flow[j] * vp) <= grown * (1 + 1e-12))
+
+        h = ctx.h
+        p_kernel = np.max(wts_p * ctx.p_flow[:-1], axis=1)  # lags -t > 0
+        q_kernel = np.max(wts_q * stencil.q_decay[1:], axis=1)  # lags t > 0
+        check(weighted_factor(cert, cert.mu) <= cert.k)
+        for nu in cert.mu + np.array([0.0, 0.25, 0.5, 0.75]) * (lam_np1 - cert.mu):
+            p_sum = h * np.sum(p_kernel * np.exp(nu * ctx.times[:-1]))
+            q_sum = h * np.sum(q_kernel * np.exp(nu * stencil.times[1:]))
+            check(cert.lipschitz * (p_sum + q_sum) <= weighted_factor(cert, nu))
     ok = violations == 0
     assert _report(
         10,
         "dichotomy oracles",
         ok,
-        f"{violations} violations over 1000 random vectors (3 bounds each)",
+        f"{violations} violations over {checks} checks on q_decay, damp^k, p_flow "
+        "and the weighted_factor kernel sums",
     )
 
 

@@ -11,12 +11,11 @@ from rimlab.analysis import (
     ap_defect,
     containment_defect,
     fit_decay_rate,
-    hausdorff_semidist,
     invariance_defect,
     periodicity_defect,
     pullback_attractor,
 )
-from rimlab.errors import DomainError, ParameterError, ValidationError
+from rimlab.errors import ParameterError, ValidationError
 from rimlab.lyapunov_perron import build_chart
 
 
@@ -98,6 +97,27 @@ def test_periodicity_reuses_chart_graph_values(problem_nl, chart_grid16, monkeyp
     cached = periodicity_defect(0.0, period, grid, problem)
     assert solved_taus == [period] * len(grid)
     assert cached.value == uncached.value
+
+
+def test_graph_values_build_no_context_when_stored(problem_nl, chart_grid16, monkeypatch):
+    # Values the chart stored, keyed by tau and P x, are read back without
+    # building a context, whatever the Q part of the requested points.
+    problem = dataclasses.replace(problem_nl)
+    grid = chart_grid16[::4]
+    chart = problem.chart(0.0, grid)
+    built = []
+    init = lyapunov_perron.LPContext.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("tau"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(lyapunov_perron.LPContext, "__init__", counting)
+    off_graph = grid.copy()
+    off_graph[:, 1:] = 0.5
+    for points in (grid, off_graph):
+        assert np.array_equal(problem.graph_values(0.0, points), chart.values)
+    assert built == []
 
 
 def test_periodicity_two_resolution_ratio(spectrum16, sine_forcing, cov16):
@@ -239,29 +259,6 @@ def test_containment_halves_with_pullback_time(problem_nl):
     rate = fit_decay_rate([4.0, 8.0], reports)
     assert reports[1].value <= 0.5 * reports[0].value
     assert rate < 0.0
-
-
-def test_hausdorff_examples():
-    s = rl.Spectrum(np.array([1.0, 1.0]))
-    a = np.array([[0.0, 0.0]])
-    b = np.array([[3.0, 0.0], [0.0, 4.0]])
-    # brute-force oracle over all pairs
-    dists = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
-    assert hausdorff_semidist(a, b, s) == pytest.approx(float(np.max(np.min(dists, 1))))
-    assert hausdorff_semidist(a, b, s) == pytest.approx(3.0)
-    assert hausdorff_semidist(a, a, s) == 0.0
-    # asymmetry: a subset gives zero one way, not the other
-    assert hausdorff_semidist(a, np.vstack([a, b]), s) == 0.0
-    assert hausdorff_semidist(np.vstack([a, b]), a, s) == pytest.approx(4.0)
-    with pytest.raises(DomainError):
-        hausdorff_semidist(np.zeros((0, 2)), b, s)
-
-
-def test_hausdorff_weighted():
-    s = rl.Spectrum(np.array([1.0, 16.0]), alpha=0.25)
-    a = np.array([[0.0, 1.0]])
-    b = np.array([[0.0, 0.0]])
-    assert hausdorff_semidist(a, b, s) == pytest.approx(2.0)  # 16^0.25 = 2
 
 
 def test_invariance_shift_beyond_support_errors(chart_nl, problem_nl):

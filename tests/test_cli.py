@@ -127,6 +127,15 @@ def test_build_manifold_outputs(small_config, tmp_path):
     assert (tmp_path / "chart.svg").exists()
 
 
+def test_one_point_chart_is_a_graph_plot(tmp_path):
+    # chart.svg plots the graph values for every grid, a one-point grid too.
+    cfg = tmp_path / "one.ini"
+    cfg.write_text(SMALL_CONFIG.replace("x_count = 5", "x_count = 1"), encoding="utf-8")
+    assert main(["build-manifold", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    svg = (tmp_path / "chart.svg").read_text()
+    assert "manifold graph" in svg and svg.count("<polyline") == 3
+
+
 def test_build_flat_zero_chart(tmp_path):
     cfg = tmp_path / "flat.ini"
     flat = SMALL_CONFIG.replace("kind = per_mode_sin", "kind = zero")

@@ -19,7 +19,6 @@ from rimlab.lyapunov_perron import (
     build_chart,
     c_alpha_constant,
     check_gap,
-    gap_margin,
     lp_apply,
     manifold_point,
     scan_gap,
@@ -27,7 +26,6 @@ from rimlab.lyapunov_perron import (
     tilde_manifold_point,
     weighted_factor,
 )
-from rimlab.forcing import temperedness_integral
 from rimlab.spectral import norm_alpha
 
 
@@ -57,8 +55,7 @@ def test_check_gap_small_lipschitz():
 def test_check_gap_first_passing_index():
     # L=1, k=0.45 needs 2n+1 >= 8.888..., so n=4 is the first pass.
     s = rl.dirichlet_laplacian(16, 0.0)
-    margins = {n: gap_margin(s, 1.0, 0.45, n) for n in range(1, 8)}
-    first = min(n for n, m in margins.items() if m >= 0)
+    first = min(row["n"] for row in scan_gap(s, 1.0, 0.45) if row["margin"] >= 0)
     assert first == 4
     with pytest.raises(CertificateError):
         check_gap(s, 1.0, 0.45, 3)
@@ -358,7 +355,7 @@ def test_solver_iteration_cap(problem_nl):
     assert iterations <= cap
 
 
-def test_solver_apriori_bound(problem_nl):
+def test_solver_apriori_bound(problem_nl, past_forcing_bound):
     # (1-k)||xi*|| <= k||z|| + ||A^a x|| + past-integral of the forcing.
     ctx = problem_nl.lp_context(0.7)
     x = np.zeros(16)
@@ -369,7 +366,7 @@ def test_solver_apriori_bound(problem_nl):
     rhs = (
         k * ctx.s_norm(ctx.z)
         + rl.norm_alpha(x, ctx.spectrum)
-        + temperedness_integral(problem_nl.forcing, problem_nl.spectrum, tau=0.7)
+        + past_forcing_bound(problem_nl.forcing, problem_nl.spectrum)
     )
     assert lhs <= rhs * (1 + 10 * problem_nl.h * ctx.cert.lambda_np1)
 
@@ -438,14 +435,14 @@ def test_warm_start_from_neighbour(problem_nl):
     assert ctx.s_norm(warm - cold) <= ctx.tol
 
 
-def test_selfmap_bound_along_picard_iterates(problem_nl):
+def test_selfmap_bound_along_picard_iterates(problem_nl, past_forcing_bound):
     # Every apply of the solve maps xi into the ball
     # ||T xi|| <= k ||xi + z|| + ||A^a P x|| + past-integral of the forcing.
     ctx = problem_nl.lp_context(0.0)
     x = np.zeros(16)
     x[0] = 0.4
     _, iterations = solve_fixed_point(x, ctx)
-    g_past = temperedness_integral(problem_nl.forcing, problem_nl.spectrum, tau=ctx.tau)
+    g_past = past_forcing_bound(problem_nl.forcing, problem_nl.spectrum)
     slack = 1.0 + 10.0 * ctx.h * ctx.cert.lambda_np1
     xi = ctx.initial_guess(x)
     for _ in range(iterations):
@@ -489,7 +486,7 @@ def test_manifold_constant_forcing_closed_form(problem_lin_const):
             assert np.max(np.abs(np.delete(m, 1))) < 1e-12
 
 
-def test_manifold_norm_bound(problem_nl):
+def test_manifold_norm_bound(problem_nl, past_forcing_bound):
     # ||m(x)|| <= (k||z|| + ||A^a x|| + g-integral) / (1-k).
     ctx = problem_nl.lp_context(0.0)
     x = np.zeros(16)
@@ -499,7 +496,7 @@ def test_manifold_norm_bound(problem_nl):
     rhs = (
         k * ctx.s_norm(ctx.z)
         + rl.norm_alpha(x, ctx.spectrum)
-        + temperedness_integral(problem_nl.forcing, problem_nl.spectrum)
+        + past_forcing_bound(problem_nl.forcing, problem_nl.spectrum)
     ) / (1 - k)
     assert rl.norm_alpha(m, ctx.spectrum) <= rhs * (1 + 10 * problem_nl.h * ctx.cert.lambda_np1)
 

@@ -5,13 +5,9 @@ from hypothesis import strategies as st
 from scipy.signal import lfilter
 
 import rimlab as rl
-from rimlab.errors import DimensionMismatchError, DomainError, SpectrumError
-from rimlab.spectral import (
-    _filter_modes,
-    _node_norms,
-    apply_semigroup,
-    frac_power,
-)
+from rimlab.errors import DimensionMismatchError, DomainError, ParameterError, SpectrumError
+from rimlab.spectral import _filter_modes, _node_norms
+from rimlab.tracking import _ForwardStencil
 
 
 @pytest.fixture
@@ -36,130 +32,116 @@ def test_dirichlet_laplacian_is_squares():
 
 
 def test_frac_power_identity_at_zero(two_mode):
+    # A^0 is the identity: its per-mode weights are exactly one, so the
+    # weighted coordinate is the state itself, bit for bit.
     v = np.array([3.0, -2.0])
-    assert np.array_equal(frac_power(0.0, v, two_mode), v)
-
-
-def test_frac_power_full_operator(two_mode):
-    out = frac_power(1.0, np.array([1.0, 1.0]), two_mode)
-    assert np.allclose(out, [1.0, 4.0], rtol=0, atol=0)
+    assert np.array_equal(v * two_mode.weights_alpha(), v)
 
 
 def test_frac_power_quarter_root():
-    s = rl.Spectrum(np.array([16.0, 17.0]))
-    out = frac_power(0.25, np.array([2.0, 0.0]), s)
-    assert out[0] == pytest.approx(4.0, abs=1e-14)
+    s = rl.Spectrum(np.array([16.0, 17.0]), alpha=0.25)
+    assert s.weights_alpha()[0] == pytest.approx(2.0, abs=1e-14)
+    assert rl.norm_alpha(np.array([2.0, 0.0]), s) == pytest.approx(4.0, abs=1e-14)
 
 
 def test_frac_power_dimension_error(two_mode):
     with pytest.raises(DimensionMismatchError):
-        frac_power(0.5, np.array([1.0, 2.0, 3.0]), two_mode)
-    with pytest.raises(DomainError):
-        frac_power(-0.5, np.array([1.0, 2.0]), two_mode)
+        rl.norm_alpha(np.array([1.0, 2.0, 3.0]), two_mode)
+    with pytest.raises(SpectrumError):
+        rl.Spectrum(np.array([1.0, 4.0]), alpha=-0.5)
 
 
-def test_semigroup_identity_at_zero(two_mode):
-    v = np.array([2.5, -1.5])
-    assert np.array_equal(apply_semigroup(0.0, v, two_mode), v)
+# ---- the semigroup as the solvers store it ---------------------------------
+# e^{-At} exists only as per-mode arrays: the backward P flow ``p_flow`` and
+# the one-step factors ``damp``/``grow`` of an LPContext, and the Q decay
+# ``q_decay`` of the forward tracking stencil.
+
+H = 0.005  # lambda_max h = 0.32 on 8 modes, inside the integrator's budget
 
 
-def test_semigroup_forward_p_block():
-    s = rl.Spectrum(np.array([1.0, 4.0]))
-    out = apply_semigroup(np.log(2.0), np.array([8.0, 0.0]), s, 1, "P")
-    assert out[0] == pytest.approx(4.0, rel=1e-14)
-    assert out[1] == 0.0
-
-
-def test_semigroup_backward_p_block():
-    s = rl.Spectrum(np.array([1.0, 4.0]))
-    out = apply_semigroup(-1.0, np.array([1.0, 7.0]), s, 1, "P")
-    assert out[0] == pytest.approx(np.e, rel=1e-14)
-    assert out[1] == 0.0  # unselected modes are zeroed
-
-
-def test_semigroup_rejects_backward_q(two_mode):
-    with pytest.raises(DomainError):
-        apply_semigroup(-0.1, np.array([1.0, 1.0]), two_mode, 1, "Q")
-    with pytest.raises(DomainError):
-        apply_semigroup(-0.1, np.array([1.0, 1.0]), two_mode)
-
-
-def test_semigroup_rejects_bad_resolved_count(two_mode):
-    v = np.array([1.0, 1.0])
-    with pytest.raises(DomainError):
-        apply_semigroup(0.1, v, two_mode, None, "P")
-    with pytest.raises(DomainError):
-        apply_semigroup(0.1, v, two_mode, 0, "P")
-    with pytest.raises(DimensionMismatchError):
-        apply_semigroup(0.1, v, two_mode, 2, "Q")
-
-
-def test_semigroup_law_composition():
+@pytest.fixture(scope="module")
+def flows():
+    """A backward context on [-7.5, 0] split at n = 2, and its forward stencil on [0, 1.1]."""
     s = rl.dirichlet_laplacian(8)
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(8)
-    ab = apply_semigroup(0.7, apply_semigroup(0.4, v, s), s)
-    once = apply_semigroup(1.1, v, s)
-    assert np.allclose(ab, once, rtol=1e-13, atol=0)
-
-
-def test_backward_roundtrip_on_p_block():
-    s = rl.dirichlet_laplacian(8)
-    rng = np.random.default_rng(1)
-    v = np.zeros(8)
-    v[:2] = rng.standard_normal(2)
-    t = 30.0 / 4.0  # lambda_n * t = 30 at lambda_2 = 4
-    back = apply_semigroup(-t, v, s, 2, "P")
-    forth = apply_semigroup(t, back, s, 2, "P")
-    assert np.allclose(forth[:2], v[:2], rtol=1e-12, atol=0)
-
-
-def test_split_merge_roundtrip():
-    s = rl.dirichlet_laplacian(10)
-    grid = rl.TimeGrid.from_times(-1.0, 0.1, 0.01)
-    ou = rl.solve_ou(rl.sample_wiener(0, grid, rl.CovarianceSpec.zero(10)), s)
+    grid = rl.TimeGrid.from_times(-7.6, 1.2, H)
+    ou = rl.solve_ou(rl.sample_wiener(0, grid, rl.CovarianceSpec.zero(8)), s)
     ctx = rl.LPContext(
-        s, rl.check_gap(s, 0.0, 0.2, 4), rl.Nonlinearity.zero(), rl.ForcingSignal.zero(10), ou,
-        t_back=0.5,
+        s, rl.check_gap(s, 0.0, 0.2, 2), rl.Nonlinearity.zero(), rl.ForcingSignal.zero(8), ou,
+        t_back=7.5,
     )
+    return ctx, _ForwardStencil(ctx, 1.1)
+
+
+def test_semigroup_identity_at_zero(flows):
+    ctx, stencil = flows
+    assert ctx.times[-1] == 0.0 and np.array_equal(ctx.p_flow[-1], np.ones(2))
+    assert stencil.times[0] == 0.0 and np.array_equal(stencil.q_decay[0], np.ones(6))
+
+
+def test_semigroup_forward_p_block(flows):
+    # The linear flow of a resolved state decays mode by mode and leaves Q at 0.
+    ctx, _ = flows
+    v = np.zeros(8)
+    v[:2] = [8.0, -3.0]
+    out = rl.integrate(v, 0.0, 0.7, ctx.ou, ctx.forcing, ctx.nonlinearity, ctx.spectrum)
+    end = out.values[-1]
+    assert np.allclose(end[:2], v[:2] * np.exp(-ctx.spectrum.lambdas[:2] * 0.7), rtol=1e-14, atol=0)
+    assert np.array_equal(end[2:], np.zeros(6))
+
+
+def test_semigroup_backward_p_block(flows):
+    ctx, _ = flows
+    k = int(np.argmin(np.abs(ctx.times + 1.0)))
+    assert ctx.times[k] == pytest.approx(-1.0, abs=1e-12)
+    assert ctx.p_flow.shape == (ctx.times.size, 2)  # Q modes have no backward flow
+    assert np.allclose(ctx.p_flow[k], np.exp([1.0, 4.0]), rtol=1e-12, atol=0)
+
+
+def test_semigroup_rejects_backward_q(flows):
+    # Only the P block is flowed backward (``p_flow``); the full flow runs
+    # forward in time only.
+    ctx, _ = flows
+    with pytest.raises(DomainError):
+        rl.integrate(np.ones(8), 0.5, 0.0, ctx.ou, ctx.forcing, ctx.nonlinearity, ctx.spectrum)
+
+
+def test_semigroup_rejects_bad_resolved_count(flows):
+    ctx, _ = flows
+    for n in (0, 8):
+        with pytest.raises(ParameterError):
+            rl.check_gap(ctx.spectrum, 0.0, 0.2, n)
+    small = rl.dirichlet_laplacian(2)
+    with pytest.raises(DimensionMismatchError):
+        rl.LPContext(small, ctx.cert, ctx.nonlinearity, rl.ForcingSignal.zero(2), ctx.ou)
+
+
+def test_semigroup_law_composition(flows):
+    # The Q filter's one-step factor composes to the homogeneous Q decay,
+    # and the decay composes with itself: e^{-A(s+t)} = e^{-As} e^{-At}.
+    ctx, stencil = flows
+    n = ctx.cert.n
+    for k in (1, 40, 220):
+        assert np.allclose(ctx.damp[n:] ** k, stencil.q_decay[k], rtol=1e-13, atol=0)
+    assert np.allclose(
+        stencil.q_decay[40] * stencil.q_decay[70], stencil.q_decay[110], rtol=1e-13, atol=0
+    )
+
+
+def test_backward_roundtrip_on_p_block(flows):
+    # Back to -7.5 by the P flow, forward again by n_cells one-step factors:
+    # lambda_n t = 30 at lambda_2 = 4.
+    ctx, _ = flows
+    assert ctx.times[0] == pytest.approx(-7.5, abs=1e-12)
+    back_forth = ctx.p_flow[0] * ctx.damp[:2] ** ctx.n_cells
+    assert np.allclose(back_forth, np.ones(2), rtol=1e-12, atol=0)
+
+
+def test_split_merge_roundtrip(flows):
+    ctx, _ = flows
     rng = np.random.default_rng(2)
-    v = rng.standard_normal(10)
+    v = rng.standard_normal(8)
     p, q = ctx.project_p(v), ctx.project_q(v)
     assert np.array_equal(p + q, v)
-
-
-def _dichotomy_case(alpha):
-    s = rl.dirichlet_laplacian(12, alpha)
-    n = 3
-    p_block = np.arange(s.size) < n
-    lam_n, lam_np1 = s.lambdas[n - 1], s.lambdas[n]
-    rng = np.random.default_rng(5)
-    wts = s.weights_alpha()
-    for _ in range(200):
-        v = rng.standard_normal(12)
-        t = rng.uniform(0.01, 3.0)
-        vq = np.where(p_block, 0.0, v)
-        smoothed = apply_semigroup(t, vq, s, n, "Q")
-        lhs = np.linalg.norm(smoothed * wts)
-        bound = (alpha**alpha if alpha > 0 else 1.0) * t ** (-alpha) + lam_np1**alpha
-        assert lhs <= bound * np.exp(-lam_np1 * t) * np.linalg.norm(vq) * (1 + 1e-12)
-        assert np.linalg.norm(smoothed) <= np.exp(-lam_np1 * t) * np.linalg.norm(vq) * (
-            1 + 1e-12
-        )
-        vp = np.where(p_block, v, 0.0)
-        tb = -rng.uniform(0.01, 2.0)
-        grown = apply_semigroup(tb, vp, s, n, "P")
-        assert np.linalg.norm(grown * wts) <= lam_n**alpha * np.exp(
-            -lam_n * tb
-        ) * np.linalg.norm(vp) * (1 + 1e-12)
-
-
-def test_projection_dichotomy_bounds_plain():
-    _dichotomy_case(0.0)
-
-
-def test_projection_dichotomy_bounds_fractional():
-    _dichotomy_case(0.25)
 
 
 # ---- per-mode recurrence and node norms ------------------------------------
