@@ -136,6 +136,46 @@ def test_backward_roundtrip_on_p_block(flows):
     assert np.allclose(back_forth, np.ones(2), rtol=1e-12, atol=0)
 
 
+def _dichotomy_case(alpha):
+    # For random vectors at random nodes: Q decay e^{-lambda_{n+1} t} and Q
+    # smoothing (a^a t^-a + lambda_{n+1}^a) e^{-lambda_{n+1} t} on the forward
+    # stencil's ``q_decay`` and on ``damp`` raised to the step count, and P
+    # growth lambda_n^a e^{lambda_n |t|} on the backward ``p_flow``.
+    s = rl.dirichlet_laplacian(12, alpha)
+    n = 3
+    grid = rl.TimeGrid.from_times(-2.1, 3.1, 1e-3)
+    ou = rl.solve_ou(rl.sample_wiener(0, grid, rl.CovarianceSpec.zero(12)), s)
+    ctx = rl.LPContext(
+        s, rl.check_gap(s, 0.0, 0.2, n), rl.Nonlinearity.zero(), rl.ForcingSignal.zero(12), ou,
+        t_back=2.0,
+    )
+    stencil = _ForwardStencil(ctx, 3.0)
+    lam_n, lam_np1 = s.lambdas[n - 1], s.lambdas[n]
+    wts_p, wts_q = s.weights_alpha()[:n], s.weights_alpha()[n:]
+    smooth = alpha**alpha if alpha > 0 else 1.0
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        vq = rng.standard_normal(12 - n)
+        k = int(rng.integers(10, stencil.n_cells + 1))  # t in [0.01, 3]
+        t = stencil.times[k]
+        decay = np.exp(-lam_np1 * t) * np.linalg.norm(vq) * (1 + 1e-12)
+        for kern in (stencil.q_decay[k], ctx.damp[n:] ** k):
+            assert np.linalg.norm(kern * vq) <= decay
+            assert np.linalg.norm(wts_q * kern * vq) <= (smooth * t**-alpha + lam_np1**alpha) * decay
+        vp = rng.standard_normal(n)
+        j = int(rng.integers(0, ctx.n_cells - 9))  # t in [-2, -0.01]
+        grown = lam_n**alpha * np.exp(-lam_n * ctx.times[j]) * np.linalg.norm(vp)
+        assert np.linalg.norm(wts_p * ctx.p_flow[j] * vp) <= grown * (1 + 1e-12)
+
+
+def test_projection_dichotomy_bounds_plain():
+    _dichotomy_case(0.0)
+
+
+def test_projection_dichotomy_bounds_fractional():
+    _dichotomy_case(0.25)
+
+
 def test_split_merge_roundtrip(flows):
     ctx, _ = flows
     rng = np.random.default_rng(2)
