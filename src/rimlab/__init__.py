@@ -53,10 +53,8 @@ from .lyapunov_perron import (
     c_alpha_constant,
     check_gap,
     lp_apply,
-    manifold_point,
     scan_gap,
     solve_fixed_point,
-    tilde_manifold_point,
 )
 from .problem import ModelProblem
 from .randomness import (
@@ -64,7 +62,6 @@ from .randomness import (
     OUProcess,
     TimeGrid,
     WienerPath,
-    coarsen_path,
     sample_wiener,
     shift_path,
     solve_ou,
@@ -74,8 +71,6 @@ from .tracking import (
     TrackingResult,
     base_orbit,
     forward_horizon,
-    lp_plus_apply,
-    solve_tracking,
     track_phi,
 )
 

@@ -147,7 +147,7 @@ def invariance_defect(chart: ManifoldChart, t: float, problem: ModelProblem) -> 
         problem.nonlinearity,
         problem.spectrum,
     )
-    ctx = problem.lp_context(chart.tau + t, ou=problem.shifted_ou(t))
+    ctx = problem.lp_context(chart.tau + t, ou=problem.ou_for(shift_path(problem.path, t)))
     value = 0.0
     for q_pt, xi in zip(endpoints, _sweep(ctx.project_p(endpoints), ctx)):
         m_val = ctx.project_q(xi[-1])
@@ -296,7 +296,7 @@ def containment_defect(cloud: AttractorCloud, problem: ModelProblem) -> DefectRe
     """
     z0 = problem.ou.at(0.0)
     value = 0.0
-    # Q part of u - (z(0) + m(P(u - z(0)))), off the graph of ``tilde_manifold_point``
+    # Q part of u - (z(0) + m(P(u - z(0)))): u's distance to the offset graph
     for u, m in zip(cloud.points, problem.graph_values(cloud.tau, cloud.points - z0)):
         off = u - (z0 + m)
         off[: problem.cert.n] = 0.0

@@ -144,11 +144,7 @@ def _write_json(path: Path, obj) -> None:
 
 def _chart_grid(cfg: RunConfig) -> np.ndarray:
     c = cfg.chart
-    coords = (
-        np.linspace(c["x_min"], c["x_max"], c["x_count"])
-        if c["x_count"] > 1
-        else np.array([c["x_min"]])
-    )
+    coords = np.linspace(c["x_min"], c["x_max"], c["x_count"])
     grid = np.zeros((coords.size, cfg.spectrum.size))
     grid[:, c["x_mode"] - 1] = coords
     return grid

@@ -20,10 +20,11 @@ import numpy as np
 from .dynamics import Nonlinearity
 from .errors import ConfigError
 from .forcing import ForcingSignal, TrigTerm
-from .lyapunov_perron import check_gap
+from .lyapunov_perron import backward_horizon, check_gap
 from .problem import ModelProblem
 from .randomness import CovarianceSpec, TimeGrid, sample_wiener, whole_steps
 from .spectral import Spectrum, dirichlet_laplacian
+from .tracking import forward_horizon
 
 __all__ = ["RunConfig", "load_config", "build_problem"]
 
@@ -374,7 +375,8 @@ def build_problem(cfg: RunConfig, seed_override: int | None = None) -> ModelProb
     stored path for a given (config, seed).
     """
     cert = check_gap(cfg.spectrum, cfg.nonlinearity.lipschitz, cfg.gap_k, cfg.gap_n)
-    t_back_auto, t_fwd_auto = ModelProblem.default_horizons(cert, cfg.tol)
+    t_back_auto = backward_horizon(cert, cfg.tol)
+    t_fwd_auto = forward_horizon(cert, cfg.tol, t_back_auto)
     h = cfg.h
     t_back = t_back_auto if cfg.t_back is None else cfg.t_back
     t_fwd = t_fwd_auto if cfg.t_fwd is None else cfg.t_fwd

@@ -61,8 +61,6 @@ __all__ = [
     "LPContext",
     "lp_apply",
     "solve_fixed_point",
-    "manifold_point",
-    "tilde_manifold_point",
     "ManifoldChart",
     "build_chart",
 ]
@@ -474,19 +472,6 @@ def _sweep(xs, ctx: LPContext):
         xi, _ = solve_fixed_point(x, ctx, None if xi is None else ctx.rebase(xi, x_prev, x))
         x_prev = x
         yield xi
-
-
-def manifold_point(x: np.ndarray, ctx: LPContext) -> np.ndarray:
-    """Off-graph part of the fixed point at time zero: the graph value m(x)."""
-    xi, _ = solve_fixed_point(x, ctx)
-    return ctx.project_q(xi[-1])
-
-
-def tilde_manifold_point(x: np.ndarray, ctx: LPContext) -> np.ndarray:
-    """Graph value of the original-variable manifold, offset by the OU state."""
-    z0 = ctx.z_at_zero()
-    base = ctx.project_p(np.asarray(x, dtype=float) - z0)
-    return ctx.project_q(z0) + manifold_point(base, ctx)
 
 
 @dataclass(frozen=True)

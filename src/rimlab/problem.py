@@ -23,12 +23,10 @@ from .lyapunov_perron import (
     LPContext,
     ManifoldChart,
     _sweep,
-    backward_horizon,
     build_chart,
 )
-from .randomness import CovarianceSpec, OUProcess, WienerPath, shift_path, solve_ou
+from .randomness import CovarianceSpec, OUProcess, WienerPath, solve_ou
 from .spectral import Spectrum
-from .tracking import forward_horizon
 
 __all__ = ["ModelProblem"]
 
@@ -44,7 +42,6 @@ class ModelProblem:
     t_fwd: float
     tol: float = 1e-6
     _ou: OUProcess | None = field(default=None, repr=False)
-    _shifted: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _graph: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -74,20 +71,8 @@ class ModelProblem:
         return self._ou
 
     def ou_for(self, path: WienerPath) -> OUProcess:
-        """OU driver on an index-shifted or coarsened copy of the stored path."""
+        """OU driver on an index-shifted copy of the stored path."""
         return solve_ou(path, self.spectrum)
-
-    def shifted_ou(self, t: float) -> OUProcess:
-        """OU driver on the stored path shifted by t (the driver itself at t = 0).
-
-        The last shifted driver is kept, so a check and its caller that both
-        need the driver at t share one solve.
-        """
-        if t == 0.0:
-            return self.ou
-        if self._shifted is None or self._shifted[0] != t:
-            self._shifted = (t, self.ou_for(shift_path(self.path, t)))
-        return self._shifted[1]
 
     def lp_context(self, tau: float = 0.0, ou: OUProcess | None = None) -> LPContext:
         return LPContext(
@@ -129,8 +114,3 @@ class ModelProblem:
             for key, xi in zip(missing, _sweep(bases, ctx)):
                 self._graph[key] = ctx.project_q(xi[-1])
         return np.array([self._graph[key] for key in keys])
-
-    @staticmethod
-    def default_horizons(cert: GapCertificate, tol: float) -> tuple[float, float]:
-        t_back = backward_horizon(cert, tol)
-        return t_back, forward_horizon(cert, tol, t_back)

@@ -47,7 +47,6 @@ __all__ = [
     "OUProcess",
     "sample_wiener",
     "shift_path",
-    "coarsen_path",
     "solve_ou",
 ]
 
@@ -209,20 +208,6 @@ def shift_path(w: WienerPath, t_k: float) -> WienerPath:
         grid=TimeGrid(w.grid.h, i_min, i_max),
         cov=w.cov,
         values=w.values - anchor,
-        seed=w.seed,
-    )
-
-
-def coarsen_path(w: WienerPath, factor: int) -> WienerPath:
-    """Restrict the path to every ``factor``-th node (exact at common nodes)."""
-    if factor < 1:
-        raise DomainError("coarsening factor must be >= 1")
-    if w.grid.i_min % factor or w.grid.i_max % factor:
-        raise GridAlignmentError("grid endpoints must be divisible by the factor")
-    return WienerPath(
-        grid=TimeGrid(w.grid.h * factor, w.grid.i_min // factor, w.grid.i_max // factor),
-        cov=w.cov,
-        values=w.values[::factor].copy(),
         seed=w.seed,
     )
 

@@ -1,7 +1,7 @@
 """Minimal SVG emission for line plots: the chart's graph and the report's
 defects against their bounds.
 
-Plots are drawn with bare polyline/rect/text primitives so report files
+Plots are drawn with bare polyline/circle/rect/text primitives so report files
 have no renderer dependency and are byte-deterministic for fixed inputs.
 """
 
@@ -70,11 +70,14 @@ def line_plot(path, x, series, title="", xlabel="", ylabel="", logy=False) -> No
     for idx, (label, ys) in enumerate(cleaned):
         px = _scale(x, x_lo, x_hi, _ML, _W - _MR)
         py = _scale(ys, y_lo, y_hi, _H - _MB, _MT)
-        pts = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(px, py) if np.isfinite(b))
+        finite = [(_fmt(a), _fmt(b)) for a, b in zip(px, py) if np.isfinite(b)]
         color = _COLORS[idx % len(_COLORS)]
+        pts = " ".join(f"{cx},{cy}" for cx, cy in finite)
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
+        # a marker per point, so a one-point series (no line) still shows
+        parts += [f'<circle cx="{cx}" cy="{cy}" r="2.5" fill="{color}"/>' for cx, cy in finite]
         parts.append(
             f'<text x="{_W - _MR - 4}" y="{_MT + 14 + 14 * idx}" text-anchor="end" '
             f'font-family="monospace" font-size="11" fill="{color}">{label}</text>'

@@ -26,11 +26,12 @@ makes v0*'s discrete orbit equal v + xi exactly at the fixed point.
 
 In the original variables the conjugation by the OU driver cancels in orbit
 differences, so the envelope transfers verbatim with the offset graph map.
+``track_phi`` is the one solver: it takes u0 and its transformed base orbit
+(``base_orbit`` of v0 = u0 - z(0)), solves in v0, and offsets the endpoints.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -47,20 +48,18 @@ __all__ = [
     "TrackingResult",
     "base_orbit",
     "forward_horizon",
-    "lp_plus_apply",
-    "solve_tracking",
     "track_phi",
 ]
 
 
 @dataclass(frozen=True)
 class TrackingResult:
-    """Shadowing point, off-graph seed, and the measured decay curve."""
+    """Shadowing point in both variables, its graph defect, and the decay curve."""
 
+    u0: np.ndarray
+    u0_star: np.ndarray
     v0: np.ndarray
     v0_star: np.ndarray
-    y0: np.ndarray
-    x0: np.ndarray
     defect: float
     prefactor: float
     rate: float
@@ -68,9 +67,6 @@ class TrackingResult:
     decay_curve: np.ndarray
     iterations: int
     graph_residual: float
-    u0: np.ndarray | None = None
-    u0_star: np.ndarray | None = None
-    xi_values: np.ndarray | None = None
 
     def envelope(self) -> np.ndarray:
         return self.prefactor * np.exp(-self.rate * self.times)
@@ -102,7 +98,7 @@ def base_orbit(v0: np.ndarray, ctx: LPContext, t_fwd: float) -> Trajectory:
 
     ``v0`` may be one state or a (B, N) batch; one orbit's values (a
     ``[:, b]`` slice of ``.values`` for a batch) is the ``base`` array that
-    ``lp_plus_apply``, ``solve_tracking`` and ``track_phi`` accept.
+    ``track_phi`` takes, with v0 = u0 - z(0).
     """
     return integrate(
         v0,
@@ -143,11 +139,11 @@ class _ForwardStencil:
 
 
 def _apply_forward(stencil: _ForwardStencil, xi_values, base_values, f_base, v0, warm=None):
-    """One sweep of the forward operator; returns (values, y0, x0, graph).
+    """One sweep of the forward operator; returns (values, x0, graph).
 
     ``f_base`` is F(base + z) on the forward nodes, fixed for a whole
     solve.  ``graph`` is the nested fixed point at x0, whose time-zero Q
-    part is m(x0).  ``warm``, a previous sweep's (graph, x0, ...) tuple,
+    part is m(x0).  ``warm``, a previous sweep's (graph, x0) pair,
     warm-starts that solve.
     """
     ctx = stencil.ctx
@@ -164,67 +160,47 @@ def _apply_forward(stencil: _ForwardStencil, xi_values, base_values, f_base, v0,
 
     out = _duhamel(u, ctx)
     out[:, n:] += stencil.q_decay * y0[n:]
-    return out, y0, x0, graph
+    return out, x0, graph
 
 
-def lp_plus_apply(xi: np.ndarray, v0: np.ndarray, base: np.ndarray, ctx: LPContext):
-    """One application of the forward tracking operator.
+def track_phi(u0: np.ndarray, ctx: LPContext, t_fwd: float, base: np.ndarray) -> TrackingResult:
+    """Shadowing manifold point for u0 with its decay envelope.
 
-    ``xi`` is an orbit difference on the forward nodes of [0, T_f], T_f
-    read off its node count; ``base`` is the value array of v0's orbit on
-    the same nodes.  The off-graph seed is recomputed from the supplied
-    iterate, matching the coupled fixed-point system.  Returns
-    (T+ xi, y0, x0).
-    """
-    stencil = _ForwardStencil(ctx, (xi.shape[0] - 1) * ctx.h)
-    if xi.shape != base.shape or xi.shape[0] != stencil.times.size:
-        raise GridAlignmentError("iterate and base orbit must share the forward nodes")
-    f_base = ctx.f(base + stencil.z)
-    values, y0, x0, _ = _apply_forward(stencil, xi, base, f_base, v0)
-    return values, y0, x0
-
-
-def solve_tracking(
-    v0: np.ndarray,
-    ctx: LPContext,
-    t_fwd: float | None = None,
-    base: np.ndarray | None = None,
-) -> TrackingResult:
-    """Construct the shadowing manifold point for v0 with its decay envelope.
-
-    ``base`` is the value array of v0's orbit on the forward nodes, as in
-    ``lp_plus_apply``; it is integrated here when not given.  The first
-    sweep's nested graph solve starts cold; each later one, and the final
-    graph-residual solve, starts from the previous fixed point moved to its
-    new base point.  Sweeps stop and raise as ``_picard`` does, with factor
-    delta and the context's quadrature slack.
+    The OU conjugation cancels in orbit differences, so the solve runs in
+    the transformed variables from v0 = u0 - z(0); only the endpoints are
+    offset by the driver state at time zero, and the defect is that of v0
+    against the graph, which equals that of u0 against the offset graph.
+    ``base`` is the value array of v0's transformed orbit on the forward
+    nodes of [0, t_fwd] (see ``base_orbit``).  The first sweep's nested
+    graph solve starts cold; each later one, and the final graph-residual
+    solve, starts from the previous fixed point moved to its new base
+    point.  Sweeps stop and raise as ``_picard`` does, with factor delta
+    and the context's quadrature slack.
     """
     if ctx.cert.k >= 0.5:
         raise ParameterError(
             f"tracking requires k < 1/2 (got k={ctx.cert.k:g}, delta >= 1)"
         )
     delta = ctx.cert.delta
-    if t_fwd is None:
-        t_fwd = forward_horizon(ctx.cert, ctx.tol, ctx.t_back)
     stencil = _ForwardStencil(ctx, t_fwd)
-    v0 = ctx.spectrum.check_state(np.asarray(v0, dtype=float))
-    if base is None:
-        base = base_orbit(v0, ctx, t_fwd).values
+    u0 = ctx.spectrum.check_state(np.asarray(u0, dtype=float))
+    z0 = ctx.z_at_zero()
+    v0 = u0 - z0
     if base.shape != (stencil.times.size, ctx.spectrum.size) or not np.array_equal(base[0], v0):
-        raise GridAlignmentError("base orbit must start at v0 on the forward nodes")
+        raise GridAlignmentError("base orbit must start at u0 - z(0) on the forward nodes")
     base_values = _mode_major(base)
     f_base = ctx.f(base_values + stencil.z)
 
-    first = latest = None  # (graph, x0, y0) of the first and the latest sweep
+    latest = defect = None  # the latest sweep's (graph, x0); the first sweep's defect
 
     def sweep(xi_values):
-        nonlocal first, latest
-        values, y0, x0, graph = _apply_forward(stencil, xi_values, base_values, f_base, v0, latest)
-        latest = (graph, x0, y0)
-        if first is None:
+        nonlocal latest, defect
+        values, x0, graph = _apply_forward(stencil, xi_values, base_values, f_base, v0, latest)
+        latest = (graph, x0)
+        if defect is None:
             # From xi = 0 the seed integral vanishes, so x0 = P v0 exactly
             # and this solve is the graph value m(P v0) the defect needs.
-            first = latest
+            defect = norm_alpha(ctx.project_q(v0) - ctx.project_q(graph[-1]), ctx.spectrum)
         return values
 
     xi_values, iterations = _picard(
@@ -235,46 +211,23 @@ def solve_tracking(
         ctx.ratio_slack,
         ctx.tol,
     )
-    graph, x0, y0 = latest
-    defect = norm_alpha(ctx.project_q(v0) - ctx.project_q(first[0][-1]), ctx.spectrum)
+    graph, x0 = latest
     v0_star = v0 + xi_values[0]
     x_star = ctx.project_p(v0_star)
     star_graph, _ = solve_fixed_point(x_star, ctx, start=ctx.rebase(graph, x0, x_star))
     graph_residual = norm_alpha(
         ctx.project_q(v0_star) - ctx.project_q(star_graph[-1]), ctx.spectrum
     )
-    decay = _node_norms(xi_values, ctx.wts_alpha)
     return TrackingResult(
+        u0=u0,
+        u0_star=v0_star + z0,
         v0=v0,
         v0_star=v0_star,
-        y0=y0,
-        x0=x0,
         defect=defect,
         prefactor=defect / (1.0 - delta),
         rate=ctx.cert.mu,
         times=stencil.times,
-        decay_curve=decay,
+        decay_curve=_node_norms(xi_values, ctx.wts_alpha),
         iterations=iterations,
         graph_residual=graph_residual,
-        xi_values=xi_values,
     )
-
-
-def track_phi(
-    u0: np.ndarray,
-    ctx: LPContext,
-    t_fwd: float | None = None,
-    base: np.ndarray | None = None,
-) -> TrackingResult:
-    """Tracking in the original variables.
-
-    The OU conjugation cancels in orbit differences, so the transformed
-    solve applies verbatim; only the endpoints are offset by the driver
-    state at time zero, and the defect is measured against the offset graph.
-    ``base``, when given, is the value array of the transformed orbit of
-    u0 - z(0) on the forward nodes (see ``base_orbit``).
-    """
-    u0 = ctx.spectrum.check_state(np.asarray(u0, dtype=float))
-    z0 = ctx.z_at_zero()
-    result = solve_tracking(u0 - z0, ctx, t_fwd, base)
-    return dataclasses.replace(result, u0=u0, u0_star=result.v0_star + z0)

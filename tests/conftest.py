@@ -1,16 +1,23 @@
-"""Shared model instances for the test suite.
+"""Shared model instances and oracles for the test suite.
 
 The workhorse configuration is the quadratic (Dirichlet) spectrum with 16
 modes, gap index n = 1, sine nonlinearity with constant 0.1 and k = 0.2,
 a unit sine forcing on mode 2, and power-law trace-class noise.  Session
 fixtures share one sampled path so the expensive OU solve happens once.
+
+The plain functions at the end are test oracles that the library itself
+does not need: a cold one-point graph solve, the offset graph of the
+original variables, a path restriction, one forward-operator sweep, and
+a tracking solve that integrates its own base orbit.
 """
 
 import numpy as np
 import pytest
 
 import rimlab as rl
+from rimlab.errors import DomainError, GridAlignmentError
 from rimlab.problem import ModelProblem
+from rimlab.tracking import _apply_forward, _ForwardStencil, base_orbit, track_phi
 
 SEED = 7
 H = 1e-3
@@ -126,3 +133,48 @@ def line_grid(n_modes: int, count: int, lo: float = -1.0, hi: float = 1.0, mode:
     grid = np.zeros((count, n_modes))
     grid[:, mode - 1] = np.linspace(lo, hi, count)
     return grid
+
+
+def manifold_point(x: np.ndarray, ctx: rl.LPContext) -> np.ndarray:
+    """Graph value m(x) from one cold solve: the oracle for warm-started sweeps."""
+    xi, _ = rl.solve_fixed_point(x, ctx)
+    return ctx.project_q(xi[-1])
+
+
+def tilde_manifold_point(x: np.ndarray, ctx: rl.LPContext) -> np.ndarray:
+    """Graph value of the original-variable manifold, offset by the OU state."""
+    z0 = ctx.z_at_zero()
+    base = ctx.project_p(np.asarray(x, dtype=float) - z0)
+    return ctx.project_q(z0) + manifold_point(base, ctx)
+
+
+def coarsen_path(w: rl.WienerPath, factor: int) -> rl.WienerPath:
+    """Restrict the path to every ``factor``-th node (exact at common nodes)."""
+    if factor < 1:
+        raise DomainError("coarsening factor must be >= 1")
+    if w.grid.i_min % factor or w.grid.i_max % factor:
+        raise GridAlignmentError("grid endpoints must be divisible by the factor")
+    return rl.WienerPath(
+        grid=rl.TimeGrid(w.grid.h * factor, w.grid.i_min // factor, w.grid.i_max // factor),
+        cov=w.cov,
+        values=w.values[::factor].copy(),
+        seed=w.seed,
+    )
+
+
+def forward_apply(xi: np.ndarray, v0: np.ndarray, base: np.ndarray, ctx: rl.LPContext):
+    """One application of the forward tracking operator; returns (T+ xi, y0).
+
+    ``xi`` is an orbit difference on the forward nodes of [0, T_f], T_f read
+    off its node count, and ``base`` is v0's transformed orbit on the same
+    nodes.  The off-graph seed y0 is recomputed from the supplied iterate.
+    """
+    stencil = _ForwardStencil(ctx, (xi.shape[0] - 1) * ctx.h)
+    assert xi.shape == base.shape == (stencil.times.size, ctx.spectrum.size)
+    values, _, graph = _apply_forward(stencil, xi, base, ctx.f(base + stencil.z), v0)
+    return values, -ctx.project_q(v0) + ctx.project_q(graph[-1])
+
+
+def track_alone(u0: np.ndarray, ctx: rl.LPContext, t_fwd: float):
+    """``track_phi`` for one state, with its base orbit integrated here."""
+    return track_phi(u0, ctx, t_fwd, base_orbit(u0 - ctx.z_at_zero(), ctx, t_fwd).values)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import rimlab as rl
+from conftest import coarsen_path, forward_apply, manifold_point, track_alone
 from rimlab.analysis import containment_defect, invariance_defect, pullback_attractor
 from rimlab.cli import main as cli_main
 from rimlab.dynamics import integrate
@@ -22,12 +23,11 @@ from rimlab.lyapunov_perron import (
     build_chart,
     check_gap,
     lp_apply,
-    manifold_point,
     scan_gap,
     weighted_factor,
 )
 from rimlab.problem import ModelProblem
-from rimlab.tracking import _ForwardStencil, lp_plus_apply, track_phi
+from rimlab.tracking import _ForwardStencil
 
 
 TOL = 1e-6
@@ -123,8 +123,8 @@ def test_criterion_03_contraction_certificates(problem_nl):
     plus_ratios = []
     for _ in range(32):
         a, b = random_forward(), random_forward()
-        out_a, _, _ = lp_plus_apply(a, v0, base.values, ctx)
-        out_b, _, _ = lp_plus_apply(b, v0, base.values, ctx)
+        out_a, _ = forward_apply(a, v0, base.values, ctx)
+        out_b, _ = forward_apply(b, v0, base.values, ctx)
         num = rl.lyapunov_perron.weighted_sup_norm(wmu, out_a - out_b, wts)
         den = rl.lyapunov_perron.weighted_sup_norm(wmu, a - b, wts)
         plus_ratios.append(num / den)
@@ -176,7 +176,7 @@ def test_criterion_05_invariance(spectrum16, sine_forcing, cov16, chart_grid16):
         for label, factor in (("h", 16), ("h/4", 4)):
             problem = ModelProblem(
                 spectrum=spectrum16, nonlinearity=f, forcing=sine_forcing,
-                path=rl.coarsen_path(w_ref, factor), cert=cert,
+                path=coarsen_path(w_ref, factor), cert=cert,
                 t_back=16.12, t_fwd=16.12, tol=tol_run,
             )
             ctx = problem.lp_context(tau)
@@ -190,7 +190,9 @@ def test_criterion_05_invariance(spectrum16, sine_forcing, cov16, chart_grid16):
         for (label, (problem, ctx, chart)), endpoints in zip(
             charts.items(), np.split(flowed, len(charts))
         ):
-            ctx_shift = problem.lp_context(tau + t, ou=problem.shifted_ou(t))
+            ctx_shift = problem.lp_context(
+                tau + t, ou=problem.ou_for(rl.shift_path(problem.path, t))
+            )
             cross[label].append(max(
                 rl.norm_alpha(
                     ctx.project_q(q_pt)
@@ -232,7 +234,7 @@ def test_criterion_06_exponential_tracking(problem_nl):
     worst_slope = -np.inf
     for _ in range(16):
         u0 = 0.6 * rng.standard_normal(16)
-        result = track_phi(u0, ctx)
+        result = track_alone(u0, ctx, problem_nl.t_fwd)
         envelope = result.envelope()
         worst_ratio = max(worst_ratio, float(np.max(result.decay_curve / envelope)))
         worst_slope = max(worst_slope, result.fitted_slope())

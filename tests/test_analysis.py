@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rimlab as rl
+from conftest import coarsen_path
 from rimlab import lyapunov_perron
 from rimlab.analysis import (
     AttractorCloud,
@@ -130,7 +131,7 @@ def test_periodicity_two_resolution_ratio(spectrum16, sine_forcing, cov16):
     grid = np.zeros((2, 16))
     grid[:, 0] = [-0.5, 0.5]
     values = []
-    for path, tol in ((rl.coarsen_path(w_fine, 4), 4e-5), (w_fine, 1e-5)):
+    for path, tol in ((coarsen_path(w_fine, 4), 4e-5), (w_fine, 1e-5)):
         from rimlab.problem import ModelProblem
 
         prob = ModelProblem(

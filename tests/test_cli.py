@@ -128,12 +128,14 @@ def test_build_manifold_outputs(small_config, tmp_path):
 
 
 def test_one_point_chart_is_a_graph_plot(tmp_path):
-    # chart.svg plots the graph values for every grid, a one-point grid too.
+    # chart.svg plots the graph values for every grid, a one-point grid too:
+    # a one-point polyline draws nothing, so each series shows as its marker.
     cfg = tmp_path / "one.ini"
     cfg.write_text(SMALL_CONFIG.replace("x_count = 5", "x_count = 1"), encoding="utf-8")
     assert main(["build-manifold", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     svg = (tmp_path / "chart.svg").read_text()
     assert "manifold graph" in svg and svg.count("<polyline") == 3
+    assert svg.count("<circle") == 3
 
 
 def test_build_flat_zero_chart(tmp_path):

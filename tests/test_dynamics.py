@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import rimlab as rl
+from conftest import coarsen_path
 from rimlab.dynamics import Nonlinearity, cocycle_phi, cocycle_psi, integrate
 from rimlab.errors import InstabilityError, ParameterError, ValidationError
 
@@ -168,7 +169,7 @@ def test_self_convergence_order(spec8):
     )
     errs = []
     for factor in (16, 8, 4):
-        ou_c = rl.solve_ou(rl.coarsen_path(w_fine, factor), spec8)
+        ou_c = rl.solve_ou(coarsen_path(w_fine, factor), spec8)
         out = integrate(v0, 0.0, 2.0, ou_c, g, f, spec8, return_trajectory=False)
         errs.append(np.linalg.norm(out - ref))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
@@ -190,7 +191,7 @@ def test_self_convergence_with_noise(spec8):
     )
     errs = []
     for factor in (16, 4):
-        ou_c = rl.solve_ou(rl.coarsen_path(w_fine, factor), spec8)
+        ou_c = rl.solve_ou(coarsen_path(w_fine, factor), spec8)
         out = integrate(v0, 0.0, 2.0, ou_c, g, f, spec8, return_trajectory=False)
         errs.append(np.linalg.norm(out - ref))
     order = np.log2(errs[0] / errs[1]) / 2.0

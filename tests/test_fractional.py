@@ -9,16 +9,17 @@ import numpy as np
 import pytest
 
 import rimlab as rl
+from conftest import manifold_point, track_alone
 from rimlab.analysis import tracking_defects
 from rimlab.lyapunov_perron import (
     LPContext,
+    backward_horizon,
     build_chart,
     check_gap,
     lp_apply,
-    manifold_point,
 )
 from rimlab.problem import ModelProblem
-from rimlab.tracking import track_phi
+from rimlab.tracking import forward_horizon
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +28,8 @@ def problem_frac():
     cert = check_gap(s, 0.1, 0.45, 1)
     g = rl.ForcingSignal.trig(12, [rl.TrigTerm(2, 1.0, 1.0, 0.0)], period=2.0 * np.pi)
     cov = rl.CovarianceSpec.power_law(12, 0.02, 3.0)
-    t_back, t_fwd = ModelProblem.default_horizons(cert, 1e-6)
+    t_back = backward_horizon(cert, 1e-6)
+    t_fwd = forward_horizon(cert, 1e-6, t_back)
     grid = rl.TimeGrid.from_times(-(t_back + 10.0) - 0.1, t_fwd + 0.1, 1e-3)
     path = rl.sample_wiener(7, grid, cov)
     return ModelProblem(
@@ -91,7 +93,7 @@ def test_fractional_tracking_envelope(problem_frac):
     ctx = problem_frac.lp_context(0.0)
     rng = np.random.default_rng(22)
     u0 = 0.4 * rng.standard_normal(12)
-    result = track_phi(u0, ctx, t_fwd=problem_frac.t_fwd)
+    result = track_alone(u0, ctx, problem_frac.t_fwd)
     envelope, _ = tracking_defects([result], problem_frac, 0.0)
     assert envelope.passed
     assert result.fitted_slope() <= -problem_frac.cert.mu + 0.1

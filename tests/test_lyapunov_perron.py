@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from scipy.signal import lfilter
 
 import rimlab as rl
+from conftest import coarsen_path, manifold_point, tilde_manifold_point
 from rimlab import lyapunov_perron
 from rimlab.errors import CertificateError, ContractionViolationError, ParameterError
 from rimlab.lyapunov_perron import (
@@ -20,10 +21,8 @@ from rimlab.lyapunov_perron import (
     c_alpha_constant,
     check_gap,
     lp_apply,
-    manifold_point,
     scan_gap,
     solve_fixed_point,
-    tilde_manifold_point,
     weighted_factor,
 )
 from rimlab.spectral import norm_alpha
@@ -705,7 +704,7 @@ def test_graph_values_first_order_in_step():
 
     m_ref = graph_at(w_fine)
     errs = [
-        float(np.linalg.norm(graph_at(rl.coarsen_path(w_fine, fac)) - m_ref))
+        float(np.linalg.norm(graph_at(coarsen_path(w_fine, fac)) - m_ref))
         for fac in (8, 4, 2)
     ]
     assert errs[0] > errs[1] > errs[2]

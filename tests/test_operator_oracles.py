@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import rimlab as rl
+from conftest import forward_apply
 from rimlab.forcing import cell_convolution, shift_forcing
 from rimlab.lyapunov_perron import LPContext, lp_apply
-from rimlab.tracking import lp_plus_apply
 from rimlab.dynamics import integrate
 
 
@@ -116,7 +116,7 @@ def test_forward_operator_matches_brute_force(setup):
     base = integrate(v0, 0.0, t_fwd, ou, shift_forcing(g, 0.0), f, s)
     vals = 0.3 * rng.standard_normal((base.times.size, 6))
     vals *= np.exp(-cert.mu * base.times)[:, None]
-    fast, y0, _ = lp_plus_apply(vals, v0, base.values, ctx)
+    fast, y0 = forward_apply(vals, v0, base.values, ctx)
     lo = ou.grid.offset(0.0)
     z = ou.values[lo : lo + base.times.size]
     brute = _brute_forward(vals, v0, base.values, base.times, z, ctx, y0)

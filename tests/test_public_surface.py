@@ -1,12 +1,15 @@
 """The package's public surface is declared where it is defined.
 
 Every module lists its public names in ``__all__``, each listed name
-resolves, and ``rimlab`` re-exports only names that some module lists.
+resolves, ``rimlab`` re-exports only names that some module lists, and
+every listed name is used by the library itself, not only by tests.
 """
 
+import ast
 import importlib
 import pkgutil
 import types
+from pathlib import Path
 
 import rimlab
 
@@ -26,3 +29,21 @@ def test_package_exports_only_listed_names():
         if not name.startswith("_") and not isinstance(obj, types.ModuleType)
     }
     assert sorted(exported - listed) == []
+
+
+def test_every_listed_name_is_used_in_the_library():
+    # A name counts as used when some module other than the package's
+    # re-export list loads it as a name or an attribute.
+    listed, loaded = set(), set()
+    for path in sorted(Path(rimlab.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+        module = importlib.import_module(f"rimlab.{path.stem}")
+        listed |= set(getattr(module, "__all__", ()))
+    assert sorted(listed - loaded) == []

@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 
 import rimlab as rl
+from conftest import coarsen_path
 from rimlab.errors import (
     DomainError,
     GridAlignmentError,
@@ -107,7 +108,7 @@ def test_shift_errors():
 def test_coarsen_restriction_is_exact():
     grid = rl.TimeGrid.from_times(-2.0, 1.0, 0.01)
     w = rl.sample_wiener(13, grid, rl.CovarianceSpec.power_law(2, 1.0, 1.0))
-    c = rl.coarsen_path(w, 4)
+    c = coarsen_path(w, 4)
     assert c.grid.h == pytest.approx(0.04)
     assert np.array_equal(c.values, w.values[::4])
     assert np.array_equal(c.at(-1.0), w.at(-1.0))

@@ -4,17 +4,12 @@ import numpy as np
 import pytest
 
 import rimlab as rl
+from conftest import forward_apply, manifold_point, tilde_manifold_point, track_alone
 from rimlab.analysis import tracking_defects
 from rimlab.dynamics import integrate
 from rimlab.errors import ContractionViolationError, GridAlignmentError, ParameterError
 from rimlab.forcing import shift_forcing
-from rimlab.lyapunov_perron import manifold_point
-from rimlab.tracking import (
-    base_orbit,
-    lp_plus_apply,
-    solve_tracking,
-    track_phi,
-)
+from rimlab.tracking import base_orbit, track_phi
 
 
 def _random_forward(ctx, times, rng, scale=0.3):
@@ -52,7 +47,7 @@ def test_requires_half_contraction(problem_nl):
         t_back=4.0,
     )
     with pytest.raises(ParameterError):
-        solve_tracking(np.zeros(16), ctx)
+        track_alone(np.zeros(16), ctx, 2.0)
 
 
 def test_forward_operator_linear_case(problem_lin):
@@ -64,8 +59,8 @@ def test_forward_operator_linear_case(problem_lin):
     base = _base_orbit(problem_lin, ctx, v0, t_fwd)
     xi_a = _random_forward(ctx, base.times, rng)
     xi_b = _random_forward(ctx, base.times, rng)
-    out_a, y0_a, _ = lp_plus_apply(xi_a, v0, base.values, ctx)
-    out_b, y0_b, _ = lp_plus_apply(xi_b, v0, base.values, ctx)
+    out_a, y0_a = forward_apply(xi_a, v0, base.values, ctx)
+    out_b, y0_b = forward_apply(xi_b, v0, base.values, ctx)
     assert np.array_equal(out_a, out_b)
     assert np.array_equal(y0_a, y0_b)
     expected = -ctx.project_q(v0) + manifold_point(ctx.project_p(v0), ctx)
@@ -87,21 +82,21 @@ def test_forward_operator_contraction(problem_nl):
     for _ in range(8):
         xi_a = _random_forward(ctx, base.times, rng)
         xi_b = _random_forward(ctx, base.times, rng)
-        out_a, _, _ = lp_plus_apply(xi_a, v0, base.values, ctx)
-        out_b, _, _ = lp_plus_apply(xi_b, v0, base.values, ctx)
+        out_a, _ = forward_apply(xi_a, v0, base.values, ctx)
+        out_b, _ = forward_apply(xi_b, v0, base.values, ctx)
         num = rl.lyapunov_perron.weighted_sup_norm(wmu, out_a - out_b, wts)
         den = rl.lyapunov_perron.weighted_sup_norm(wmu, xi_a - xi_b, wts)
         assert num / den <= delta + slack
 
 
 def test_on_manifold_point_is_fixed(problem_nl):
+    # A state on the offset graph z(0) + x + m(x) is its own shadowing point.
     ctx = problem_nl.lp_context(0.0)
-    v0 = _on_manifold_point(ctx)
-    result = solve_tracking(v0, ctx)
+    u0 = ctx.z_at_zero() + _on_manifold_point(ctx)
+    result = track_alone(u0, ctx, problem_nl.t_fwd)
     assert result.defect <= 2.0 * problem_nl.tol
-    assert np.linalg.norm(result.v0_star - v0) <= 10.0 * problem_nl.tol
+    assert np.linalg.norm(result.u0_star - u0) <= 10.0 * problem_nl.tol
     assert np.max(result.decay_curve) <= 10.0 * problem_nl.tol
-    assert np.linalg.norm(result.y0) <= 10.0 * problem_nl.tol
 
 
 def test_linear_pure_q_decay(problem_lin):
@@ -109,13 +104,13 @@ def test_linear_pure_q_decay(problem_lin):
     # the unresolved semigroup and sits inside the certified envelope.
     ctx = problem_lin.lp_context(0.0)
     rng = np.random.default_rng(2)
-    v0 = 0.5 * rng.standard_normal(16)
-    result = solve_tracking(v0, ctx, t_fwd=6.0)
+    u0 = 0.5 * rng.standard_normal(16)
+    result = track_alone(u0, ctx, 6.0)
     lam2 = problem_lin.spectrum.lambdas[1]
-    y0_norm = np.linalg.norm(result.y0)
-    # curve equals |e^{-At} y0| which is dominated by the mode-2 rate
+    # curve equals |e^{-At} y0| which is dominated by the mode-2 rate; for
+    # F = 0 the seed is y0 = m(P v0) - Q v0, whose norm (alpha = 0) is the defect
     idx = np.searchsorted(result.times, 1.0)
-    assert result.decay_curve[idx] <= np.exp(-lam2 * 1.0) * y0_norm * (1 + 1e-6)
+    assert result.decay_curve[idx] <= np.exp(-lam2 * 1.0) * result.defect * (1 + 1e-6)
     envelope, _ = tracking_defects([result], problem_lin, 0.0)
     assert envelope.passed
 
@@ -125,8 +120,8 @@ def test_tracking_envelope_and_slope(problem_nl):
     rng = np.random.default_rng(3)
     slack = 1.0 + 10.0 * problem_nl.h * ctx.cert.lambda_np1
     for _ in range(3):
-        v0 = 0.6 * rng.standard_normal(16)
-        result = solve_tracking(v0, ctx)
+        u0 = 0.6 * rng.standard_normal(16)
+        result = track_alone(u0, ctx, problem_nl.t_fwd)
         envelope = result.prefactor * np.exp(-ctx.cert.mu * result.times)
         assert np.all(result.decay_curve <= envelope * slack)
         assert result.fitted_slope() <= -ctx.cert.mu + 0.1
@@ -134,14 +129,16 @@ def test_tracking_envelope_and_slope(problem_nl):
 
 
 def test_consistency_with_dynamics(problem_nl):
-    # The reconstructed orbit of the shadowing point matches base + xi at
-    # every node to 1e-9 relative accuracy (tight-tolerance run).
+    # The discrete orbit of the shadowing point v0* is base + xi at every
+    # node: its distance to the base orbit is the decay curve |xi| to 1e-9
+    # relative accuracy (tight-tolerance run; alpha = 0, so the node norm
+    # is the Euclidean one).
     ctx = dataclasses.replace(problem_nl, tol=5e-10).lp_context(0.0)
     rng = np.random.default_rng(4)
-    v0 = 0.5 * rng.standard_normal(16)
+    u0 = 0.5 * rng.standard_normal(16)
     t_fwd = 6.0
-    result = solve_tracking(v0, ctx, t_fwd=t_fwd)
-    base = _base_orbit(problem_nl, ctx, v0, t_fwd)
+    result = track_alone(u0, ctx, t_fwd)
+    base = _base_orbit(problem_nl, ctx, result.v0, t_fwd)
     star = integrate(
         result.v0_star,
         0.0,
@@ -151,29 +148,10 @@ def test_consistency_with_dynamics(problem_nl):
         problem_nl.nonlinearity,
         problem_nl.spectrum,
     )
-    recon = base.values + result.xi_values
+    assert np.array_equal(star.times, result.times)
     scale = np.maximum(np.linalg.norm(star.values, axis=1), 1.0)
-    rel = np.linalg.norm(star.values - recon, axis=1) / scale
-    assert np.max(rel) <= 1e-9
-
-
-def test_track_phi_equals_transformed_without_noise(problem_nl):
-    grid = rl.TimeGrid.from_times(-12.0, 7.0, 1e-3)
-    w0 = rl.sample_wiener(1, grid, rl.CovarianceSpec.zero(16))
-    ctx0 = rl.LPContext(
-        problem_nl.spectrum,
-        problem_nl.cert,
-        problem_nl.nonlinearity,
-        problem_nl.forcing,
-        rl.solve_ou(w0, problem_nl.spectrum),
-        t_back=8.0,
-    )
-    rng = np.random.default_rng(5)
-    u0 = 0.5 * rng.standard_normal(16)
-    a = track_phi(u0, ctx0, t_fwd=5.0)
-    b = solve_tracking(u0, ctx0, t_fwd=5.0)
-    assert np.array_equal(a.decay_curve, b.decay_curve)
-    assert np.array_equal(a.u0_star, b.v0_star)
+    gap = np.linalg.norm(star.values - base.values, axis=1)
+    assert np.max(np.abs(gap - result.decay_curve) / scale) <= 1e-9
 
 
 def test_track_phi_orbit_difference_identity(problem_nl):
@@ -182,13 +160,13 @@ def test_track_phi_orbit_difference_identity(problem_nl):
     ctx = problem_nl.lp_context(0.0)
     rng = np.random.default_rng(6)
     u0 = 0.5 * rng.standard_normal(16)
-    result = track_phi(u0, ctx, t_fwd=4.0)
+    result = track_alone(u0, ctx, 4.0)
     z0 = ctx.z_at_zero()
     assert np.array_equal(result.u0_star, result.v0_star + z0)
     assert np.array_equal(result.v0, u0 - z0)
     # defect against the offset graph map equals the transformed defect
     tilde_defect = rl.norm_alpha(
-        ctx.project_q(u0) - rl.tilde_manifold_point(u0, ctx), ctx.spectrum
+        ctx.project_q(u0) - tilde_manifold_point(u0, ctx), ctx.spectrum
     )
     assert tilde_defect == pytest.approx(result.defect, abs=2.0 * problem_nl.tol)
 
@@ -197,7 +175,7 @@ def test_track_phi_envelope(problem_nl):
     ctx = problem_nl.lp_context(0.0)
     rng = np.random.default_rng(7)
     u0 = 0.7 * rng.standard_normal(16)
-    result = track_phi(u0, ctx)
+    result = track_alone(u0, ctx, problem_nl.t_fwd)
     envelope, _ = tracking_defects([result], problem_nl, 0.0)
     assert envelope.passed
     assert result.fitted_slope() <= -ctx.cert.mu + 0.1
@@ -213,8 +191,8 @@ def test_batched_bases_match_single_tracking(problem_nl):
     bases = base_orbit(u0s - ctx.z_at_zero(), ctx, t_fwd)
     assert bases.values.shape[1:] == (3, 16)
     for i, u0 in enumerate(u0s):
-        batched = track_phi(u0, ctx, t_fwd=t_fwd, base=bases.values[:, i])
-        alone = track_phi(u0, ctx, t_fwd=t_fwd)
+        batched = track_phi(u0, ctx, t_fwd, bases.values[:, i])
+        alone = track_alone(u0, ctx, t_fwd)
         assert np.max(np.abs(batched.u0_star - alone.u0_star)) <= problem_nl.tol
         v0 = batched.v0
         fresh = rl.norm_alpha(
@@ -229,9 +207,9 @@ def test_base_must_belong_to_v0(problem_nl):
     u0s = 0.5 * np.random.default_rng(9).standard_normal((2, 16))
     bases = base_orbit(u0s - ctx.z_at_zero(), ctx, 2.0)
     with pytest.raises(GridAlignmentError):
-        track_phi(u0s[0], ctx, t_fwd=2.0, base=bases.values[:, 1])
+        track_phi(u0s[0], ctx, 2.0, bases.values[:, 1])
     with pytest.raises(GridAlignmentError):
-        track_phi(u0s[0], ctx, t_fwd=3.0, base=bases.values[:, 0])
+        track_phi(u0s[0], ctx, 3.0, bases.values[:, 0])
 
 
 def test_tracking_detects_wrong_certificate(problem_nl):
@@ -244,10 +222,10 @@ def test_tracking_detects_wrong_certificate(problem_nl):
         problem_nl.ou,
         t_back=4.0,
     )
-    v0 = np.zeros(16)
-    v0[0] = 0.5
+    u0 = np.zeros(16)
+    u0[0] = 0.5
     with pytest.raises(ContractionViolationError):
-        solve_tracking(v0, ctx, t_fwd=4.0)
+        track_alone(u0, ctx, 4.0)
 
 
 def test_tracking_evaluates_base_nonlinearity_once(problem_nl):
@@ -256,9 +234,9 @@ def test_tracking_evaluates_base_nonlinearity_once(problem_nl):
     # window and are not counted).
     ctx = problem_nl.lp_context(0.0)
     t_fwd = 6.0
-    v0 = 0.5 * np.random.default_rng(10).standard_normal(16)
-    base = base_orbit(v0, ctx, t_fwd).values
-    expected = solve_tracking(v0, ctx, t_fwd=t_fwd, base=base)
+    u0 = 0.5 * np.random.default_rng(10).standard_normal(16)
+    base = base_orbit(u0 - ctx.z_at_zero(), ctx, t_fwd).values
+    expected = track_phi(u0, ctx, t_fwd, base)
     assert base.shape[0] != ctx.times.size
     f, calls = ctx.f, []
 
@@ -268,7 +246,7 @@ def test_tracking_evaluates_base_nonlinearity_once(problem_nl):
         return f(u)
 
     ctx.f = counted
-    result = solve_tracking(v0, ctx, t_fwd=t_fwd, base=base)
+    result = track_phi(u0, ctx, t_fwd, base)
     assert result.iterations >= 2
     assert len(calls) == result.iterations + 1
     assert np.array_equal(result.v0_star, expected.v0_star)
