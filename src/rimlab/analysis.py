@@ -204,8 +204,15 @@ def tracking_defects(
 
 
 def _graph_shift(tau, shift, x_grid, problem) -> float:
-    """Largest graph distance |m_{tau+shift}(x) - m_tau(x)|_alpha over the grid."""
-    m_a = problem.graph_values(tau, x_grid)
+    """Largest graph distance |m_{tau+shift}(x) - m_tau(x)|_alpha over the grid.
+
+    Values of m_tau that are not stored yet are solved in pairs with
+    m_{tau+shift} (``ModelProblem.graph_values`` with ``shift``); at a
+    translation by a period each shifted solve then takes one operator
+    application and reproduces m_tau up to rounding.  Where m_tau is stored
+    (the chart's tau), the shifted values are solved as one sweep.
+    """
+    m_a = problem.graph_values(tau, x_grid, shift)
     m_b = problem.graph_values(tau + shift, x_grid)
     value = 0.0
     for a, b in zip(m_a, m_b):

@@ -385,7 +385,9 @@ def lp_apply(xi: np.ndarray, x: np.ndarray, ctx: LPContext) -> np.ndarray:
     if xi.shape != (ctx.times.size, ctx.spectrum.size):
         raise GridAlignmentError("history nodes do not match the context window")
     x = ctx.spectrum.check_state(x)
-    u = ctx.w1 * ctx.f(xi + ctx.z)[:-1] + ctx.gcells  # per-cell increments
+    u = ctx.f(xi + ctx.z)[:-1]  # per-cell increments, scaled in place
+    u *= ctx.w1
+    u += ctx.gcells
     out = _duhamel(u, ctx)
     out[:, : ctx.cert.n] += ctx.p_flow * x[: ctx.cert.n]
     return out
@@ -400,7 +402,9 @@ def _picard(step, dist, start, factor: float, slack: float, tol: float):
     ContractionViolationError when a measured ratio of consecutive
     distances reaches 1 or exceeds factor + slack (the quadrature slack),
     or when the a-priori iteration cap set from the first distance is
-    exceeded.
+    exceeded.  The fixed point returned is ``step`` of the final step's
+    start, its last argument; ``solve_fixed_point`` hands that start back
+    on request.
     """
     thresh = (1.0 - factor) * tol
     # budget from the slack-adjusted ratio, so a contraction running
@@ -440,38 +444,87 @@ def _picard(step, dist, start, factor: float, slack: float, tol: float):
 
 
 def solve_fixed_point(
-    x: np.ndarray, ctx: LPContext, start: np.ndarray | None = None
-) -> tuple[np.ndarray, int]:
+    x: np.ndarray, ctx: LPContext, start: np.ndarray | None = None, *, final_start: bool = False
+) -> tuple:
     """Picard iteration of the backward operator to S-norm accuracy ctx.tol.
 
     Iteration starts from the history ``start`` when given (e.g. a
     neighbouring point's fixed point moved by ``LPContext.rebase``), else
     from the linear flow of x.  Stops and raises as ``_picard`` does, with
-    factor k and the context's quadrature slack.
+    factor k and the context's quadrature slack.  Returns (fixed point,
+    iterations), and with ``final_start`` also the history the final step
+    started from, which the operator maps to the returned fixed point.
     """
-    return _picard(
-        lambda xi: lp_apply(xi, x, ctx),
+    final = [None]
+
+    def step(xi):
+        final[0] = xi
+        return lp_apply(xi, x, ctx)
+
+    xi, iterations = _picard(
+        step,
         lambda new, old: ctx.s_norm(new - old),
         ctx.initial_guess(x) if start is None else start,
         ctx.cert.k,
         ctx.ratio_slack,
         ctx.tol,
     )
+    return (xi, iterations, final[0]) if final_start else (xi, iterations)
 
 
-def _sweep(xs, ctx: LPContext):
+def _secant_start(ctx: LPContext, x, x1, xi1, x0, xi0) -> np.ndarray:
+    """Start at x on the secant through the fixed points xi0 at x0 and xi1 at x1.
+
+    This is rebase(xi1, x1 -> x) + s (xi1 - rebase(xi0, x0 -> x1)), with s
+    the projection of x - x1 onto x1 - x0 in P coordinates (0 when x0 = x1).
+    """
+    n = ctx.cert.n
+    step = (x1 - x0)[:n]
+    norm2 = float(step @ step)
+    s = float((x - x1)[:n] @ step) / norm2 if norm2 > 0.0 else 0.0
+    start = ctx.rebase(xi1, x1 + s * (x1 - x0), x)
+    diff = xi1 - xi0
+    diff *= s
+    start += diff
+    return start
+
+
+def _sweep(xs, ctx: LPContext, shifted: LPContext | None = None):
     """Fixed points at the base points ``xs``, solved in order as one continuation.
 
-    The first solve starts cold; each later one starts from the previous
-    fixed point moved to its base point by ``LPContext.rebase``.  The stop
-    rule bounds the distance to the fixed point by tol from any start, so a
-    warm start saves iterations and loosens nothing.  Yields each fixed point.
+    The first solve starts cold and the second from the first fixed point
+    moved to its base point by ``LPContext.rebase``.  Each later one starts
+    from the secant through the two previous fixed points
+    (``_secant_start``), which is exact to first order along a line of base
+    points.  The stop rule bounds the distance to the fixed point by tol
+    from any start, so a predicted start saves iterations and loosens
+    nothing.  Yields each fixed point.
+
+    Given ``shifted``, a context at another translation, each point is also
+    solved there right after, from the history that started the final
+    Picard step at ``ctx``, and the pair (fixed point at ``ctx``, at
+    ``shifted``) is yielded.  When ``shifted`` is ``ctx``'s operator, as at
+    a translation by a period, that start is mapped to the first fixed
+    point, so the solve stops after one application and returns it.
     """
-    xi = x_prev = None
+    x0 = xi0 = x1 = xi1 = None
     for x in xs:
-        xi, _ = solve_fixed_point(x, ctx, None if xi is None else ctx.rebase(xi, x_prev, x))
-        x_prev = x
-        yield xi
+        if xi1 is None:
+            start = None
+        elif xi0 is None:
+            start = ctx.rebase(xi1, x1, x)
+        else:
+            start = _secant_start(ctx, x, x1, xi1, x0, xi0)
+        x0, xi0, x1 = x1, xi1, x  # drop the older fixed point before solving
+        if shifted is None:
+            xi1, _ = solve_fixed_point(x, ctx, start)
+            del start  # hold no spare history while the caller runs
+            yield xi1
+        else:
+            xi1, _, final = solve_fixed_point(x, ctx, start, final_start=True)
+            del start
+            yield xi1, solve_fixed_point(x, shifted, final)[0]
+            del final
 
 
 @dataclass(frozen=True)

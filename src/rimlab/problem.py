@@ -96,12 +96,20 @@ class ModelProblem:
             self._graph[self._graph_key(chart.tau, x)] = m.copy()
         return chart
 
-    def graph_values(self, tau: float, x_grid: np.ndarray) -> np.ndarray:
+    def graph_values(
+        self, tau: float, x_grid: np.ndarray, shift: float | None = None
+    ) -> np.ndarray:
         """Graph values m_tau(P x) over a grid of base points, each solved once.
 
         Values are stored per (tau, P x); a context is built, and the missing
-        values solved in grid order as one ``_sweep``, only when some are
-        missing.  ``chart`` fills the same store.
+        values solved as one ``_sweep`` in lexicographic order of their P
+        coordinates, only when some are missing.  Values come back in the
+        caller's order.  ``chart`` fills the same store.
+
+        With ``shift``, the missing points are also solved at tau + shift,
+        each right after its solve at tau (the paired ``_sweep``), and those
+        values are stored too, unless one of them is stored already.  A
+        later ``graph_values(tau + shift, ...)`` reads them back.
         """
         keys, missing = [], {}
         for x in np.atleast_2d(np.asarray(x_grid, dtype=float)):
@@ -110,7 +118,15 @@ class ModelProblem:
                 missing.setdefault(keys[-1], x)
         if missing:
             ctx = self.lp_context(tau)
-            bases = [ctx.project_p(x) for x in missing.values()]
-            for key, xi in zip(missing, _sweep(bases, ctx)):
-                self._graph[key] = ctx.project_q(xi[-1])
+            order = sorted(missing, key=lambda key: tuple(missing[key][: self.cert.n]))
+            bases = [ctx.project_p(missing[key]) for key in order]
+            keys_b = [] if shift is None else [self._graph_key(tau + shift, x) for x in bases]
+            if keys_b and not any(key in self._graph for key in keys_b):
+                sweep = _sweep(bases, ctx, self.lp_context(tau + shift))
+                for key, key_b, (xi, xi_b) in zip(order, keys_b, sweep):
+                    self._graph[key] = ctx.project_q(xi[-1])
+                    self._graph[key_b] = ctx.project_q(xi_b[-1])
+            else:
+                for key, xi in zip(order, _sweep(bases, ctx)):
+                    self._graph[key] = ctx.project_q(xi[-1])
         return np.array([self._graph[key] for key in keys])

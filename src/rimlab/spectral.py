@@ -17,11 +17,15 @@ Time histories are (nodes, modes) arrays.  Every time-stepping recursion in
 the package is the per-mode first-order filter ``_filter_modes`` run down
 the node axis, so the histories the fixed-point operators iterate on are
 stored mode-major (``_mode_major``): each mode's column is contiguous.
-``_node_norms`` reads that layout column by column.
+``_node_norms`` reads that layout column by column.  The filter writes
+exact zeros, never subnormals, where a decaying column's input has ended
+(``_flush_tail``), so later sweeps do not compute with subnormal floats.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +102,15 @@ def _filter_modes(u, a, b=1.0, reverse=False, out=None) -> np.ndarray:
     ``a`` and ``b`` are per-mode arrays or scalars.  The result goes to
     ``out`` when given, else to a new mode-major array.  Columns are
     filtered one at a time, which is fastest when they are contiguous.
+
+    A decaying column (|a_j| < 1) whose input ends in zeros is flushed to
+    exact zeros once its state falls below the smallest normal float
+    (``np.finfo(float).tiny``).  Left alone, the zero-input recursion
+    stalls at a subnormal of a few ulps for a > 1/2: once (1 - a) y is
+    under half an ulp, a y rounds back up to y.  Subnormal arithmetic is
+    several times slower, in this filter and in everything that later
+    reads the column.  Every entry at least ``tiny`` in magnitude is
+    bit-identical to the plain recursion.
     """
     # Imported here, not at module level: loading scipy.signal costs about
     # 1.3 s, and commands that never step time (gap-scan, report) never
@@ -110,9 +123,49 @@ def _filter_modes(u, a, b=1.0, reverse=False, out=None) -> np.ndarray:
     if out is None:
         out = np.empty(u.shape, order="F")
     step = -1 if reverse else 1
+    tiny = np.finfo(float).tiny
     for j in range(n_modes):
-        out[::step, j] = lfilter([b[j]], [1.0, -a[j]], u[::step, j])
+        col, dst, coeffs = u[::step, j], out[::step, j], ([b[j]], [1.0, -a[j]])
+        # the last-entry test comes first: a nonzero scan of every column
+        # would cost more than the flush saves
+        if col[-1] != 0.0 or not abs(a[j]) < 1.0:
+            dst[:] = lfilter(*coeffs, col)
+            continue
+        # one past the last nonzero input; col[-1] == 0, so a first nonzero
+        # at reversed index 0 means there is none
+        stop = col.size - int(np.argmax(col[::-1] != 0.0))
+        stop = 0 if stop == col.size else stop
+        # Filter up to the last nonzero input, then continue the zero-input
+        # recursion through lfilter's state (bit-identical to one call) in
+        # chunks of the steps the state needs to decay below tiny.
+        done, state = 0, np.zeros(1)
+        while done < col.size and (done < stop or not abs(state[0]) < tiny):
+            count = stop if done < stop else _decay_steps(state[0], a[j], tiny)
+            count = min(count, col.size - done)
+            dst[done : done + count], state = lfilter(*coeffs, col[done : done + count], zi=state)
+            done += count
+        dst[done:] = 0.0
+        _flush_tail(dst[stop:done])
     return out
+
+
+def _flush_tail(col: np.ndarray) -> None:
+    """Zero a decaying column from its first entry below ``tiny`` in magnitude.
+
+    The magnitudes must be nonincreasing down the column (a zero-input
+    recursion, or a decay e^{-lambda t} times a constant), so the entries
+    below ``tiny`` form its tail and a bisection finds where it starts.
+    """
+    tiny = np.finfo(float).tiny
+    col[bisect.bisect_left(col, True, key=lambda v: abs(v) < tiny) :] = 0.0
+
+
+def _decay_steps(y: float, a: float, tiny: float) -> float:
+    """Steps of y <- a y (0 < |a| < 1) to take |y| >= tiny below tiny, plus
+    one; inf for a non-finite y, which the filter carries to the end."""
+    if not math.isfinite(y):
+        return math.inf
+    return math.ceil(math.log(tiny / abs(y)) / math.log(abs(a))) + 1
 
 
 def _node_norms(values: np.ndarray, wts: np.ndarray) -> np.ndarray:

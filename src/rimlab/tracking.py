@@ -42,7 +42,7 @@ from .errors import GridAlignmentError, ParameterError
 from .forcing import shift_forcing
 from .lyapunov_perron import LPContext, _duhamel, _picard, solve_fixed_point, weighted_sup_norm
 from .randomness import whole_steps
-from .spectral import _mode_major, _node_norms, norm_alpha
+from .spectral import _flush_tail, _mode_major, _node_norms, norm_alpha
 
 __all__ = [
     "TrackingResult",
@@ -159,7 +159,10 @@ def _apply_forward(stencil: _ForwardStencil, xi_values, base_values, f_base, v0,
     y0 = -ctx.project_q(v0) + ctx.project_q(graph[-1])
 
     out = _duhamel(u, ctx)
-    out[:, n:] += stencil.q_decay * y0[n:]
+    homogeneous = stencil.q_decay * y0[n:]
+    for j in range(homogeneous.shape[1]):
+        _flush_tail(homogeneous[:, j])  # so no subnormal enters the next sweep
+    out[:, n:] += homogeneous
     return out, x0, graph
 
 

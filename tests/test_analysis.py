@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import rimlab as rl
-from conftest import coarsen_path
+from conftest import coarsen_path, manifold_point
 from rimlab import lyapunov_perron
 from rimlab.analysis import (
     AttractorCloud,
@@ -98,6 +98,65 @@ def test_periodicity_reuses_chart_graph_values(problem_nl, chart_grid16, monkeyp
     cached = periodicity_defect(0.0, period, grid, problem)
     assert solved_taus == [period] * len(grid)
     assert cached.value == uncached.value
+
+
+def _applies_per_solve(monkeypatch):
+    """Record (tau, operator applications) for every backward solve."""
+    solves = []
+    solve, apply = lyapunov_perron.solve_fixed_point, lyapunov_perron.lp_apply
+
+    def counting_solve(x, ctx, *args, **kwargs):
+        solves.append([ctx.tau, 0])
+        return solve(x, ctx, *args, **kwargs)
+
+    def counting_apply(*args):
+        solves[-1][1] += 1
+        return apply(*args)
+
+    monkeypatch.setattr(lyapunov_perron, "solve_fixed_point", counting_solve)
+    monkeypatch.setattr(lyapunov_perron, "lp_apply", counting_apply)
+    return solves
+
+
+def test_period_shifted_solves_take_one_application(problem_nl, chart_grid16, monkeypatch):
+    # With m_tau not stored, each m_{tau+T}(x) starts from the history that
+    # began m_tau(x)'s final Picard step.  The operator at tau + T is the
+    # one at tau up to the last bit of the translated forcing cells, so it
+    # maps that start onto m_tau(x) and the solve stops after one application.
+    period = 2.0 * np.pi
+    problem = dataclasses.replace(problem_nl)
+    solves = _applies_per_solve(monkeypatch)
+    report = periodicity_defect(1.0, period, chart_grid16, problem)
+    assert [n for tau, n in solves if tau == 1.0 + period] == [1] * len(chart_grid16)
+    assert len(solves) == 2 * len(chart_grid16)
+    assert report.value <= 1e-15
+
+
+def test_period_shifted_start_reproduces_base_bit_for_bit(problem_nl, chart_grid16, monkeypatch):
+    # Under a constant forcing the translated operator is the same operator,
+    # bit for bit, so each shifted value is the base value exactly.
+    amps = np.zeros(16)
+    amps[1] = 1.0
+    problem = dataclasses.replace(problem_nl, forcing=rl.ForcingSignal.constant(amps))
+    solves = _applies_per_solve(monkeypatch)
+    report = periodicity_defect(0.5, 3.0, chart_grid16, problem)
+    assert [n for tau, n in solves if tau == 3.5] == [1] * len(chart_grid16)
+    assert np.array_equal(problem.graph_values(3.5, chart_grid16), problem.graph_values(0.5, chart_grid16))
+    assert report.value == 0.0
+
+
+def test_shifted_start_cannot_hide_a_non_period(problem_nl, chart_grid16):
+    # Shift 1.0 is not a period of the sine forcing.  The paired solves must
+    # still land within 2 tol of cold solves at both translations, so the
+    # warm start cannot make a non-period look periodic.
+    problem = dataclasses.replace(problem_nl)
+    report = ap_defect(0.0, 1.0, chart_grid16, problem)
+    for tau in (0.0, 1.0):
+        ctx = problem.lp_context(tau)
+        cold = np.array([manifold_point(ctx.project_p(x), ctx) for x in chart_grid16])
+        got = problem.graph_values(tau, chart_grid16)
+        assert np.max(np.linalg.norm(got - cold, axis=1)) <= 2.0 * problem.tol
+    assert report.value > 1e-3  # m_1 is far from m_0
 
 
 def test_graph_values_build_no_context_when_stored(problem_nl, chart_grid16, monkeypatch):

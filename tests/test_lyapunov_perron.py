@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -643,6 +644,33 @@ def test_chart_sweep_saves_operator_applications(problem_nl, chart_grid16, monke
     monkeypatch.setattr(lyapunov_perron, "lp_apply", lambda *a: calls.append(1) or apply(*a))
     build_chart(chart_grid16, ctx)
     assert len(calls) < cold
+
+
+def test_sorted_secant_sweep_saves_operator_applications(problem_nl, monkeypatch):
+    # A random cloud of 16 base points, as the containment check solves it:
+    # ModelProblem.graph_values sorts the points by P coordinate and starts
+    # each solve on the secant through the two previous fixed points.  That
+    # takes at least 30 % fewer applications than solving the points in the
+    # given order, each started from its predecessor moved by rebase alone.
+    # The P spread of 0.3 is wider than that of a pulled-back ensemble
+    # (about e^{-4} of its radius); over [-1, 1] the saving drops to about
+    # 20 %, since the history far in the past is not smooth in x.
+    problem = dataclasses.replace(problem_nl)
+    ctx = problem.lp_context(0.0)
+    xs = np.random.default_rng(11).uniform(-0.3, 0.3, (16, 16))
+    bases = ctx.project_p(xs)
+    rebased, xi, x_prev = 0, None, None
+    for x in bases:
+        start = None if xi is None else ctx.rebase(xi, x_prev, x)
+        xi, iterations = solve_fixed_point(x, ctx, start)
+        rebased, x_prev = rebased + iterations, x
+    calls = []
+    apply = lyapunov_perron.lp_apply
+    monkeypatch.setattr(lyapunov_perron, "lp_apply", lambda *a: calls.append(1) or apply(*a))
+    values = problem.graph_values(0.0, xs)
+    assert len(calls) <= 0.7 * rebased
+    cold = np.array([manifold_point(x, ctx) for x in bases])
+    assert np.max(np.linalg.norm(values - cold, axis=1)) <= 2.0 * ctx.tol
 
 
 def test_context_rejects_nonpositive_tol(problem_nl):

@@ -238,3 +238,48 @@ def test_node_norms_equal_row_norms(nodes, modes, seed, order):
     wts = rng.uniform(0.5, 4.0, modes)
     expected = np.linalg.norm(values * wts, axis=-1)
     assert np.array_equal(_node_norms(np.asarray(values, order=order), wts), expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nodes=st.integers(2, 4000),
+    modes=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    reverse=st.booleans(),
+)
+def test_filter_modes_flushes_decaying_zero_tails(nodes, modes, seed, reverse):
+    # Columns whose input ends in zeros, with a in (1/2, 1): the plain
+    # recursion stalls at subnormals there.  The filter matches per-column
+    # lfilter bit for bit wherever that is at least tiny in magnitude, and is
+    # exactly 0 elsewhere, so it holds no subnormal.
+    rng = np.random.default_rng(seed)
+    tiny = np.finfo(float).tiny
+    # scales down to 1e-300 reach the subnormals within a few hundred steps;
+    # the inputs themselves stay normal
+    u = rng.standard_normal((nodes, modes)) * 10.0 ** rng.integers(-300, 3, modes)
+    for j in range(modes):
+        u[rng.integers(0, nodes) :, j] = 0.0
+    u = u[::-1] if reverse else u
+    a = rng.uniform(0.5, 1.0, modes)
+    got = _filter_modes(u, a, reverse=reverse)
+
+    step = -1 if reverse else 1
+    ref = np.column_stack([lfilter([1.0], [1.0, -a[j]], u[::step, j])[::step] for j in range(modes)])
+    normal = np.abs(ref) >= tiny
+    assert np.array_equal(got[normal], ref[normal])
+    assert np.all(got[~normal] == 0.0)
+    assert not np.any((got != 0.0) & (np.abs(got) < tiny))
+
+
+def test_filter_modes_flush_stops_a_stall():
+    # From 1e-300 at a = 0.9 the plain recursion reaches the subnormals in
+    # about 170 steps and then stalls at a few-ulp value for good.
+    tiny = np.finfo(float).tiny
+    u = np.zeros((2000, 1))
+    u[0] = 1e-300
+    ref = lfilter([1.0], [1.0, -0.9], u[:, 0])
+    assert ref[-1] != 0.0 and abs(ref[-1]) < tiny
+    got = _filter_modes(u, 0.9)[:, 0]
+    first = int(np.argmax(np.abs(ref) < tiny))
+    assert np.array_equal(got[:first], ref[:first])
+    assert not np.any(got[first:])

@@ -251,3 +251,20 @@ def test_tracking_evaluates_base_nonlinearity_once(problem_nl):
     assert len(calls) == result.iterations + 1
     assert np.array_equal(result.v0_star, expected.v0_star)
     assert np.array_equal(result.decay_curve, expected.decay_curve)
+
+
+def test_forward_sweep_leaves_no_subnormal(problem_nl):
+    # Orbit differences decay like e^{-lambda t}; in the high modes they pass
+    # below the smallest normal float well inside [0, T_f].  Neither the
+    # Duhamel filter (whose input ends in zeros there) nor the homogeneous
+    # term may leave subnormals for the next sweep to compute with.
+    ctx = problem_nl.lp_context(0.0)
+    tiny = np.finfo(float).tiny
+    u0 = 0.5 * np.random.default_rng(3).standard_normal(16)
+    v0 = u0 - ctx.z_at_zero()
+    base = base_orbit(v0, ctx, problem_nl.t_fwd).values
+    xi = np.zeros_like(base)
+    for _ in range(2):
+        xi, _ = forward_apply(xi, v0, base, ctx)
+        assert not np.any((xi != 0.0) & (np.abs(xi) < tiny))
+    assert np.count_nonzero(xi[-1]) < xi.shape[1]  # the fast modes reached 0
