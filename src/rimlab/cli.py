@@ -344,13 +344,15 @@ def cmd_track(args) -> int:
     cfg, seed, out, meta = _setup(args)
     problem = build_problem(cfg, seed)
     reports, results = _tracking(cfg, problem)
+    # every orbit is tracked on the same forward nodes: format the times once
+    times = [repr(t) for t in results[0].times.tolist()]
     entries = []
     for idx, r in enumerate(results):
         curve_path = out / f"decay_curve_{idx:02d}.csv"
+        rows = zip(times, r.decay_curve.tolist(), r.envelope().tolist())
         with open(curve_path, "w", encoding="utf-8") as fh:
             fh.write("t,norm,envelope\n")
-            for t, c, e in zip(r.times, r.decay_curve, r.envelope()):
-                fh.write(f"{float(t)!r},{float(c)!r},{float(e)!r}\n")
+            fh.writelines(f"{t},{c!r},{e!r}\n" for t, c, e in rows)
         entry = {key: getattr(r, key) for key in _ORBIT_FIELDS}
         entries.append({**entry, "fitted_slope": r.fitted_slope(), "decay_csv": curve_path.name})
     return _write_reports(
@@ -452,6 +454,3 @@ def cmd_report(args) -> int:
     print(text, end="")
     return 0 if all_pass else 1
 
-
-if __name__ == "__main__":
-    sys.exit(main())

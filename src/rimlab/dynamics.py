@@ -34,7 +34,7 @@ from .errors import (
 )
 from .forcing import ForcingSignal, cell_convolution, shift_forcing
 from .randomness import OUProcess
-from .spectral import Spectrum, _filter_modes
+from .spectral import Spectrum, _exp_normal, _filter_modes
 
 __all__ = ["Nonlinearity", "Trajectory", "integrate", "cocycle_psi", "cocycle_phi"]
 
@@ -175,7 +175,7 @@ def integrate(
     if f.kind == "zero":
         # Linear case: per-mode first-order recursion, solved in one filter pass.
         driven = _filter_modes(cells, damp)
-        decay = np.exp(-s.lambdas * (times[1:, None] - r))  # (n_steps, N)
+        decay = _exp_normal(-s.lambdas * (times[1:, None] - r))  # (n_steps, N)
         if batched:
             values = np.concatenate(
                 [v[:, None, :], decay[None, :, :] * v[:, None, :] + driven[None, :, :]],

@@ -37,7 +37,7 @@ from .errors import (
     SupportRangeError,
     ValidationError,
 )
-from .spectral import Spectrum, _filter_modes
+from .spectral import Spectrum, _exp_normal, _filter_modes
 
 __all__ = [
     "whole_steps",
@@ -239,6 +239,6 @@ def solve_ou(w: WienerPath, s: Spectrum) -> OUProcess:
     values = np.empty_like(w.values)
     values[0] = z0
     if n_cells:
-        homog = np.exp(-lam * np.arange(1, n_cells + 1)[:, None] * h) * z0
+        homog = _exp_normal(-lam * np.arange(1, n_cells + 1)[:, None] * h) * z0
         values[1:] = homog + _filter_modes(u, damp)
     return OUProcess(grid=w.grid, spectrum=s, values=values)

@@ -42,7 +42,7 @@ from .errors import GridAlignmentError, ParameterError
 from .forcing import shift_forcing
 from .lyapunov_perron import LPContext, _duhamel, _picard, solve_fixed_point, weighted_sup_norm
 from .randomness import whole_steps
-from .spectral import _flush_tail, _mode_major, _node_norms, norm_alpha
+from .spectral import _exp_normal, _flush_tail, _mode_major, _node_norms, norm_alpha
 
 __all__ = [
     "TrackingResult",
@@ -134,7 +134,7 @@ class _ForwardStencil:
         self.seed_weights = np.exp(np.outer(self.times[:-1], lam_p)) * (
             np.expm1(lam_p * h) / lam_p
         )
-        self.q_decay = _mode_major(np.exp(-np.outer(self.times, lam[n:])))
+        self.q_decay = _exp_normal(-np.outer(self.times, lam[n:]), order="F")
         self.wmu = np.exp(ctx.cert.mu * self.times)
 
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rimlab import cli
 from rimlab import config as config_module
 from rimlab.cli import main
 from rimlab.config import build_problem, load_config
@@ -307,6 +308,22 @@ def test_track_outputs(small_config, tmp_path):
         assert key in entry
     curve = (tmp_path / "decay_curve_00.csv").read_text().splitlines()
     assert curve[0] == "t,norm,envelope"
+
+
+def test_decay_curves_match_the_per_row_writer(small_config, tmp_path):
+    # track formats the shared time column once and the other columns from
+    # lists; the bytes are those of a row-by-row writer of numpy scalars.
+    assert main(["track", "--config", str(small_config), "--out", str(tmp_path)]) == 0
+    cfg = load_config(small_config)
+    _, results = cli._tracking(cfg, build_problem(cfg, cfg.seed))
+    assert len(results) == 2
+    for idx, r in enumerate(results):
+        rows = ["t,norm,envelope\n"] + [
+            f"{float(t)!r},{float(c)!r},{float(e)!r}\n"
+            for t, c, e in zip(r.times, r.decay_curve, r.envelope())
+        ]
+        got = (tmp_path / f"decay_curve_{idx:02d}.csv").read_bytes()
+        assert got == "".join(rows).encode("utf-8")
 
 
 def test_threads_option_retired(tmp_path, capsys):

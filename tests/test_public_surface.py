@@ -18,7 +18,7 @@ def test_package_exports_only_listed_names():
     listed = set()
     for info in pkgutil.iter_modules(rimlab.__path__):
         if info.name.startswith("_"):
-            continue  # __main__ runs the CLI on import
+            continue  # __main__, the process entry, lists no public names
         module = importlib.import_module(f"rimlab.{info.name}")
         unresolved = [name for name in module.__all__ if not hasattr(module, name)]
         assert unresolved == [], info.name

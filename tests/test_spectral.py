@@ -6,7 +6,10 @@ from scipy.signal import lfilter
 
 import rimlab as rl
 from rimlab.errors import DimensionMismatchError, DomainError, ParameterError, SpectrumError
-from rimlab.spectral import _filter_modes, _node_norms
+from conftest import track_alone
+from rimlab import dynamics, randomness, tracking
+from rimlab.dynamics import Nonlinearity, integrate
+from rimlab.spectral import _LOG_TINY, _exp_normal, _filter_modes, _node_norms
 from rimlab.tracking import _ForwardStencil
 
 
@@ -283,3 +286,64 @@ def test_filter_modes_flush_stops_a_stall():
     first = int(np.argmax(np.abs(ref) < tiny))
     assert np.array_equal(got[:first], ref[:first])
     assert not np.any(got[first:])
+
+
+def test_exp_normal_is_exp_where_normal():
+    # Decay tables over a long window, plus the edges of the normal range:
+    # every entry whose np.exp is at least tiny is bit-identical, every
+    # other entry is exactly 0, and the requested layout is kept.
+    tiny = np.finfo(float).tiny
+    times = np.arange(4001) * 1e-3
+    lam = rl.dirichlet_laplacian(16).lambdas
+    edges = np.array([_LOG_TINY, np.nextafter(_LOG_TINY, -np.inf), np.nextafter(_LOG_TINY, 0.0)])
+    edges = np.concatenate([edges, [-745.2, -800.0, 0.0, 3.0]])
+    for x in (-np.outer(times, lam), -lam * times[:, None], edges[:, None]):
+        ref = np.exp(x)
+        for order in ("C", "F"):
+            got = _exp_normal(x, order=order)
+            normal = ref >= tiny
+            assert np.array_equal(got[normal], ref[normal])
+            assert np.all(got[~normal] == 0.0)
+            assert got.flags[f"{order}_CONTIGUOUS"]
+    assert np.exp(_LOG_TINY) >= tiny > np.exp(np.nextafter(_LOG_TINY, -np.inf))
+
+
+def _plain_exp(x, order="C"):
+    return np.asarray(np.exp(x), order=order)
+
+
+def test_decay_tables_without_subnormals_change_no_output(problem_nl, monkeypatch):
+    # The OU driver, the linear integrator and the forward tracking solve,
+    # each run with its decay table from _exp_normal and from plain np.exp:
+    # every normal result is identical bit for bit, and the tables did
+    # underflow.
+    spec = rl.dirichlet_laplacian(16)
+    grid = rl.TimeGrid.from_times(-1.0, 7.0, 1e-3)
+    w = rl.sample_wiener(3, grid, rl.CovarianceSpec.power_law(16, 0.05, 2.0))
+    ou = rl.solve_ou(w, spec)
+    assert spec.lambdas[-1] * 3.0 > -_LOG_TINY  # both tables underflow after t = 3
+    ctx = problem_nl.lp_context(0.0)
+    stencil = _ForwardStencil(ctx, problem_nl.t_fwd)
+    assert np.count_nonzero(stencil.q_decay == 0.0) > stencil.q_decay.size // 3
+    u0 = np.full(spec.size, 0.3)
+
+    def runs():
+        lin = integrate(u0, 0.0, 6.0, ou, problem_nl.forcing, Nonlinearity.zero(), spec)
+        return rl.solve_ou(w, spec).values, lin.values, track_alone(u0, ctx, problem_nl.t_fwd)
+
+    ou_values, lin_values, tracked = runs()
+    for module in (randomness, dynamics, tracking):
+        monkeypatch.setattr(module, "_exp_normal", _plain_exp)
+    plain = _ForwardStencil(ctx, problem_nl.t_fwd).q_decay
+    normal = plain >= np.finfo(float).tiny
+    assert np.array_equal(stencil.q_decay[normal], plain[normal])
+    assert not np.all(normal)
+    ref_ou, ref_lin, ref_tracked = runs()
+    assert np.array_equal(ou_values, ref_ou)
+    # an unforced fast mode's linear flow is its table entry times v, so a
+    # subnormal flow value may read 0 now; every other value is unchanged
+    normal = np.abs(ref_lin) >= np.finfo(float).tiny
+    assert np.array_equal(lin_values[normal], ref_lin[normal])
+    assert np.all((lin_values == ref_lin) | (lin_values == 0.0)) and not np.all(normal)
+    for field in ("u0_star", "decay_curve", "defect", "graph_residual", "iterations"):
+        assert np.array_equal(getattr(tracked, field), getattr(ref_tracked, field))
