@@ -41,7 +41,7 @@ from .errors import (
 from .forcing import scan_almost_period
 from .lyapunov_perron import backward_horizon, scan_gap
 from .problem import ModelProblem
-from .tracking import base_orbit, track_phi
+from .tracking import base_orbit, forward_horizon, track_phi
 
 __all__ = ["main"]
 
@@ -113,6 +113,7 @@ def _problem_meta(problem: ModelProblem) -> dict:
         "t_back": problem.t_back,
         "t_back_required": backward_horizon(problem.cert, problem.tol),
         "t_fwd": problem.t_fwd,
+        "t_fwd_required": forward_horizon(problem.cert, problem.tol, None),
         "tol": problem.tol,
         "n_total": problem.spectrum.size,
         "alpha": problem.spectrum.alpha,

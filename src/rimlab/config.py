@@ -366,9 +366,11 @@ def load_config(path) -> RunConfig:
 def build_problem(cfg: RunConfig, seed_override: int | None = None) -> ModelProblem:
     """Assemble the model: certificate, horizons, grid sizing, path sample.
 
-    An explicit ``numerics.t_back`` shorter than ``backward_horizon`` (in
-    whole steps) is a ConfigError, and so is a window, or a tracked batch
-    on the forward window, over the array budget.
+    An explicit ``numerics.t_back`` shorter than ``backward_horizon``, or
+    ``numerics.t_fwd`` shorter than ``forward_horizon`` where the forward
+    operator has a tail to truncate (in whole steps), is a ConfigError, and
+    so is a window, or a tracked batch on the forward window, over the
+    array budget.
 
     The grid is sized once from the whole configuration (largest requested
     shift plus the OU burn-in margin), so every subcommand sees the same
@@ -376,7 +378,8 @@ def build_problem(cfg: RunConfig, seed_override: int | None = None) -> ModelProb
     """
     cert = check_gap(cfg.spectrum, cfg.nonlinearity.lipschitz, cfg.gap_k, cfg.gap_n)
     t_back_auto = backward_horizon(cert, cfg.tol)
-    t_fwd_auto = forward_horizon(cert, cfg.tol, t_back_auto)
+    t_fwd_required = forward_horizon(cert, cfg.tol, None)  # None: no tail
+    t_fwd_auto = t_back_auto if t_fwd_required is None else t_fwd_required
     h = cfg.h
     t_back = t_back_auto if cfg.t_back is None else cfg.t_back
     t_fwd = t_fwd_auto if cfg.t_fwd is None else cfg.t_fwd
@@ -401,12 +404,18 @@ def build_problem(cfg: RunConfig, seed_override: int | None = None) -> ModelProb
     _check_budget("track.count", cfg.track["count"] * (t_fwd / h), n_modes)
 
     # windows are whole steps, so compare the step counts they round up to
-    steps_needed = whole_steps(t_back_auto, h)
-    if cfg.t_back is not None and whole_steps(cfg.t_back, h) < steps_needed:
-        raise ConfigError(
-            f"numerics.t_back: {cfg.t_back:g} is below the required horizon "
-            f"{steps_needed * h:.10g} for tol {cfg.tol:g}"
-        )
+    for name, given, required in (
+        ("numerics.t_back", cfg.t_back, t_back_auto),
+        ("numerics.t_fwd", cfg.t_fwd, t_fwd_required),
+    ):
+        if given is None or required is None:
+            continue
+        steps_needed = whole_steps(required, h)
+        if whole_steps(given, h) < steps_needed:
+            raise ConfigError(
+                f"{name}: {given:g} is below the required horizon "
+                f"{steps_needed * h:.10g} for tol {cfg.tol:g}"
+            )
     max_shift = max(invariance_t, pullback)
     t_back = whole_steps(t_back, h) * h
     if cert.lambda_n * t_back > 500.0:

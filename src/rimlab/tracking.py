@@ -16,7 +16,9 @@ where v is the orbit of the given initial state and the off-graph seed
 
 is refreshed from the current iterate inside every sweep (freezing it would
 change the fixed point).  The operator contracts with factor
-delta = k + k/(2-2k), which requires k < 1/2.  The converged xi yields the
+delta = k + k/(2-2k), which requires k < 1/2, and ``forward_horizon``
+sizes T_f so that cutting the future there moves xi(0) by at most tol/10
+relative to the graph defect.  The converged xi yields the
 shadowing point v0* = v0 + xi(0) on the graph, and its node norms obey
 
     ||xi(t)||_alpha <= e^{-mu t} ||Q v0 - m(P v0)||_alpha / (1 - delta)
@@ -40,7 +42,14 @@ import numpy as np
 from .dynamics import Trajectory, integrate
 from .errors import GridAlignmentError, ParameterError
 from .forcing import shift_forcing
-from .lyapunov_perron import LPContext, _duhamel, _picard, solve_fixed_point, weighted_sup_norm
+from .lyapunov_perron import (
+    LPContext,
+    _duhamel,
+    _picard,
+    solve_fixed_point,
+    weighted_factor,
+    weighted_sup_norm,
+)
 from .randomness import whole_steps
 from .spectral import _exp_normal, _flush_tail, _mode_major, _node_norms, norm_alpha
 
@@ -81,11 +90,111 @@ class TrackingResult:
         return float(coeffs[0])
 
 
-def forward_horizon(cert, tol: float, t_back: float) -> float:
-    """Horizon truncating the future resolved-mode integral to tol/10."""
-    if cert.lipschitz <= 0.0:
-        return t_back
-    return math.log(10.0 / tol) / (cert.mu - cert.lambda_n)
+def _forward_weights(cert, tol: float) -> tuple[float, float, float] | None:
+    """(T*, rho*, nu*): the forward horizon and the weight pair that attains it.
+
+    delta(x) of ``forward_horizon`` is convex on (lambda_n, lambda_{n+1}),
+    so where it is below one is an interval around mu; its ends are found
+    by bisection.  T(rho, nu) is evaluated on the pairs rho < nu of 200
+    evenly spaced weights spanning that interval, and the least is
+    returned.  Every feasible pair bounds the tail, so this coarse search
+    is sound; it only forgoes the last few thousandths of T.  Returns None
+    when no tail exists (L = 0, or k >= 1/2) or no pair is feasible.
+    """
+    if tol <= 0.0:
+        raise ParameterError("tolerance must be positive")
+    if cert.lipschitz == 0.0 or cert.k >= 0.5:
+        return None
+    lam_n = cert.lambda_n
+
+    def seed(x):  # the seed integral's factor L lambda_n^a / (x - lambda_n)
+        return cert.lipschitz * lam_n**cert.alpha / (x - lam_n)
+
+    def delta(x):
+        return weighted_factor(cert, x) + seed(x) / (1.0 - cert.k)
+
+    ends = []
+    for outside in (lam_n, cert.lambda_np1):
+        inside = cert.mu
+        for _ in range(60):
+            mid = 0.5 * (inside + outside)
+            if delta(mid) < 1.0:
+                inside = mid
+            else:
+                outside = mid
+        ends.append(inside)
+    x = np.linspace(ends[0], ends[1], 200)
+    d = delta(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_gain = np.where(d < 1.0, -np.log1p(-d), np.inf)  # ln 1/(1 - delta)
+    c = seed(x) * (1.0 + 1.0 / (1.0 - cert.k))
+    # rows rho, columns nu; only rho < nu (a positive nu - rho) is a pair
+    numer = math.log(10.0 / tol) + np.log(c) + log_gain[:, None] + log_gain
+    gap = x - x[:, None]
+    horizon = np.full(gap.shape, np.inf)
+    pairs = gap > 0.0
+    horizon[pairs] = np.maximum(numer[pairs], 0.0) / gap[pairs]
+    i, j = np.unravel_index(np.argmin(horizon), horizon.shape)
+    if not math.isfinite(horizon[i, j]):
+        return None
+    return float(horizon[i, j]), float(x[i]), float(x[j])
+
+
+def forward_horizon(cert, tol: float, t_back: float | None) -> float | None:
+    """Horizon T_f keeping the truncated shadowing point within (tol/10) d0.
+
+    Let xi* be the fixed point of the forward operator on [0, inf) and xi_T
+    that of the operator truncated at T, for the same v0, and let
+    d0 = |Q v0 - m(P v0)|_a.  In the e^{x t}-weighted sup norm, for x in
+    (lambda_n, lambda_{n+1}), the dichotomy estimates behind
+    ``weighted_factor`` bound the Q integral over [0, t] and the P integral
+    over [t, T] by k(x) times the norm of the iterate difference.  The seed
+    integral int_0^T e^{As} P dF(s) ds adds L lambda_n^a / (x - lambda_n)
+    times that norm, carried through m (Lipschitz constant 1/(1-k)) and
+    e^{-At} Q (at most one in the weight), so the operator contracts with
+
+        delta(x) = k(x) + L lambda_n^a / ((x - lambda_n)(1 - k)),
+
+    on [0, inf) and on every window [0, T] alike.  At x = mu the second
+    term is k/(2 - 2k) and k(mu) <= k, so delta(mu) <= cert.delta.
+
+    Take weights lambda_n < rho < nu < lambda_{n+1} with delta(rho) < 1 and
+    delta(nu) < 1.  The operator maps 0 to e^{-At}(m(P v0) - Q v0), whose
+    nu-norm is at most d0, so |xi*|_nu <= d0 / (1 - delta(nu)).  On [0, T]
+
+        xi* = T_T xi* + r,
+
+    where r is the P integral over (T, inf), -int_T^inf e^{-A(t-s)} P dF,
+    plus e^{-At} Q applied to the change in m that the seed integral's
+    tail over (T, inf) makes.  Since |dF(s)| <= L e^{-nu s} |xi*|_nu, both
+    parts are at most L lambda_n^a e^{-(nu - lambda_n) T} / (nu - lambda_n)
+    |xi*|_nu, the second times 1/(1-k).  In the rho-norm the P part gains
+    e^{(rho - lambda_n) t} <= e^{(rho - lambda_n) T} on [0, T], and the Q
+    part at most one, so
+
+        |r|_rho <= c(nu) e^{-(nu - rho) T} |xi*|_nu,
+        c(nu) = L lambda_n^a (1 + 1/(1-k)) / (nu - lambda_n).
+
+    Then |xi_T - xi*|_rho <= delta(rho) |xi_T - xi*|_rho + |r|_rho, and at
+    t = 0 the weight is one:
+
+        |xi_T(0) - xi*(0)|_a
+            <= d0 c(nu) e^{-(nu - rho) T} / ((1 - delta(rho))(1 - delta(nu))).
+
+    This is at most (tol/10) d0 once
+
+        T >= [ln(10/tol) + ln c(nu) + ln(1/(1 - delta(rho)))
+              + ln(1/(1 - delta(nu)))] / (nu - rho),
+
+    and T_f is the least right side (at least 0) over the pairs that
+    ``_forward_weights`` searches.  Some pair near mu is feasible whenever
+    L > 0 and k < 1/2, since then delta(mu) < 1.  With no tail to bound
+    (L = 0, where the seed needs no truncation, or k >= 1/2, which
+    ``track_phi`` refuses) the fallback ``t_back`` is returned, None
+    included.
+    """
+    weights = _forward_weights(cert, tol)
+    return t_back if weights is None else weights[0]
 
 
 def _forward_cells(ctx: LPContext, t_fwd: float) -> int:
@@ -115,11 +224,12 @@ class _ForwardStencil:
     """Node set, OU window and filter coefficients for the forward operator.
 
     Node arrays are stored mode-major, like the backward operator's, and
-    an orbit difference is a bare (nodes, modes) array on ``times``.
+    an orbit difference is a bare (nodes, modes) array on ``times``.  A
+    stencil holds no reference to its context, so the context can keep it
+    (``_stencil``) without a reference cycle.
     """
 
     def __init__(self, ctx: LPContext, t_fwd: float):
-        self.ctx = ctx
         h = ctx.h
         self.n_cells = _forward_cells(ctx, t_fwd)
         self.t_fwd = self.n_cells * h
@@ -138,7 +248,21 @@ class _ForwardStencil:
         self.wmu = np.exp(ctx.cert.mu * self.times)
 
 
-def _apply_forward(stencil: _ForwardStencil, xi_values, base_values, f_base, v0, warm=None):
+def _stencil(ctx: LPContext, t_fwd: float) -> _ForwardStencil:
+    """The forward stencil of ctx for t_fwd, built once per forward cell count.
+
+    All orbits of one command share the context and the window, so the
+    context keeps the stencil in ``forward_stencils``.
+    """
+    n_cells = _forward_cells(ctx, t_fwd)
+    if n_cells not in ctx.forward_stencils:
+        ctx.forward_stencils[n_cells] = _ForwardStencil(ctx, t_fwd)
+    return ctx.forward_stencils[n_cells]
+
+
+def _apply_forward(
+    ctx: LPContext, stencil: _ForwardStencil, xi_values, base_values, f_base, v0, warm=None
+):
     """One sweep of the forward operator; returns (values, x0, graph).
 
     ``f_base`` is F(base + z) on the forward nodes, fixed for a whole
@@ -146,7 +270,6 @@ def _apply_forward(stencil: _ForwardStencil, xi_values, base_values, f_base, v0,
     part is m(x0).  ``warm``, a previous sweep's (graph, x0) pair,
     warm-starts that solve.
     """
-    ctx = stencil.ctx
     n = ctx.cert.n
     df = ctx.f(xi_values + base_values + stencil.z) - f_base
     u = ctx.w1 * df[:-1]
@@ -185,7 +308,7 @@ def track_phi(u0: np.ndarray, ctx: LPContext, t_fwd: float, base: np.ndarray) ->
             f"tracking requires k < 1/2 (got k={ctx.cert.k:g}, delta >= 1)"
         )
     delta = ctx.cert.delta
-    stencil = _ForwardStencil(ctx, t_fwd)
+    stencil = _stencil(ctx, t_fwd)
     u0 = ctx.spectrum.check_state(np.asarray(u0, dtype=float))
     z0 = ctx.z_at_zero()
     v0 = u0 - z0
@@ -198,7 +321,7 @@ def track_phi(u0: np.ndarray, ctx: LPContext, t_fwd: float, base: np.ndarray) ->
 
     def sweep(xi_values):
         nonlocal latest, defect
-        values, x0, graph = _apply_forward(stencil, xi_values, base_values, f_base, v0, latest)
+        values, x0, graph = _apply_forward(ctx, stencil, xi_values, base_values, f_base, v0, latest)
         latest = (graph, x0)
         if defect is None:
             # From xi = 0 the seed integral vanishes, so x0 = P v0 exactly

@@ -8,14 +8,15 @@ fixtures share one sampled path so the expensive OU solve happens once.
 The plain functions at the end are test oracles that the library itself
 does not need: a cold one-point graph solve, the offset graph of the
 original variables, a path restriction, one forward-operator sweep, and
-a tracking solve that integrates its own base orbit.
+a tracking solve that integrates its own base orbit.  ``ModeCoupling`` is
+a test-only nonlinearity whose graph depends on x.
 """
 
 import numpy as np
 import pytest
 
 import rimlab as rl
-from rimlab.errors import DomainError, GridAlignmentError
+from rimlab.errors import DomainError, GridAlignmentError, ValidationError
 from rimlab.problem import ModelProblem
 from rimlab.tracking import _apply_forward, _ForwardStencil, base_orbit, track_phi
 
@@ -129,6 +130,28 @@ def chart_grid16(spectrum16):
     return grid
 
 
+class ModeCoupling(rl.Nonlinearity):
+    """Test-only F(u) = L S u, with S the orthonormal DST-I matrix.
+
+    S_jk = sqrt(2/(N+1)) sin(pi j k/(N+1)) is symmetric and orthogonal, so
+    F is exactly L-Lipschitz on H (take alpha = 0), F(0) = 0, and every
+    mode drives every other: the graph depends on x and P of a shadowing
+    point moves.  S is applied by ``np.einsum`` without ``optimize``, so no
+    BLAS call (nor its thread pool) is made, and a mode-major input gives a
+    mode-major output.
+    """
+
+    def __post_init__(self):
+        if self.lipschitz < 0.0:
+            raise ValidationError("Lipschitz constant must be nonnegative")
+
+    def evaluator(self, s):
+        j = np.arange(1, s.size + 1)
+        dst = np.sqrt(2.0 / (s.size + 1)) * np.sin(np.pi * np.outer(j, j) / (s.size + 1))
+        lip = self.lipschitz
+        return lambda u: lip * np.einsum("jk,...k->...j", dst, u)
+
+
 def line_grid(n_modes: int, count: int, lo: float = -1.0, hi: float = 1.0, mode: int = 1):
     grid = np.zeros((count, n_modes))
     grid[:, mode - 1] = np.linspace(lo, hi, count)
@@ -171,7 +194,7 @@ def forward_apply(xi: np.ndarray, v0: np.ndarray, base: np.ndarray, ctx: rl.LPCo
     """
     stencil = _ForwardStencil(ctx, (xi.shape[0] - 1) * ctx.h)
     assert xi.shape == base.shape == (stencil.times.size, ctx.spectrum.size)
-    values, _, graph = _apply_forward(stencil, xi, base, ctx.f(base + stencil.z), v0)
+    values, _, graph = _apply_forward(ctx, stencil, xi, base, ctx.f(base + stencil.z), v0)
     return values, -ctx.project_q(v0) + ctx.project_q(graph[-1])
 
 

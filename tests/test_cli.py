@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from rimlab import cli
 from rimlab import config as config_module
+from rimlab import tracking
 from rimlab.cli import main
 from rimlab.config import build_problem, load_config
 from rimlab.tracking import base_orbit
@@ -310,6 +311,25 @@ def test_track_outputs(small_config, tmp_path):
     assert curve[0] == "t,norm,envelope"
 
 
+def test_track_builds_one_forward_stencil(tmp_path, monkeypatch):
+    # All orbits of a track share the context and the window, so an
+    # 8-orbit track builds one forward stencil and reuses it.
+    builds = []
+
+    class Counted(tracking._ForwardStencil):
+        def __init__(self, ctx, t_fwd):
+            builds.append(t_fwd)
+            super().__init__(ctx, t_fwd)
+
+    monkeypatch.setattr(tracking, "_ForwardStencil", Counted)
+    cfg = tmp_path / "eight.ini"
+    cfg.write_text(SMALL_CONFIG.replace("count = 2", "count = 8"), encoding="utf-8")
+    assert main(["track", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    doc = json.loads((tmp_path / "run" / "tracking.json").read_text())
+    assert len(doc["orbits"]) == 8
+    assert len(builds) == 1
+
+
 def test_decay_curves_match_the_per_row_writer(small_config, tmp_path):
     # track formats the shared time column once and the other columns from
     # lists; the bytes are those of a row-by-row writer of numpy scalars.
@@ -581,7 +601,7 @@ k = 0.45
 h = 0.005
 tol = 1e-5
 t_back = 7.0
-t_fwd = 6.0
+t_fwd = 7.0
 
 [chart]
 x_count = 3
@@ -620,6 +640,34 @@ def test_short_backward_horizon_rejected(tmp_path, capsys):
     meta = json.loads((out / "chart_meta.json").read_text())
     assert meta["t_back"] == pytest.approx(6.695)
     assert meta["t_back_required"] == pytest.approx(6.6914, abs=1e-4)
+
+
+def test_short_forward_horizon_rejected(tmp_path, capsys):
+    # The derived forward horizon of EXPLICIT_CONFIG is 6.3776 (6.38 in
+    # whole steps of 0.005), so 6.376 takes the same 1,276 steps.
+    cfg = tmp_path / "short.ini"
+    cfg.write_text(EXPLICIT_CONFIG.replace("t_fwd = 7.0", "t_fwd = 6.0"), encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["build-manifold", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "numerics.t_fwd" in err[0] and "6.38 " in err[0]
+    cfg.write_text(EXPLICIT_CONFIG.replace("t_fwd = 7.0", "t_fwd = 6.376"), encoding="utf-8")
+    assert main(["build-manifold", "--config", str(cfg), "--out", str(out)]) == 0
+    meta = json.loads((out / "chart_meta.json").read_text())
+    assert meta["t_fwd"] == pytest.approx(6.38)
+    assert meta["t_fwd_required"] == pytest.approx(6.3776, abs=1e-4)
+
+
+def test_forward_horizon_not_required_without_a_tail(tmp_path):
+    # F = 0 leaves the forward operator no tail: an explicit t_fwd of any
+    # length runs, and the required horizon is written as null.
+    text = LINEAR_SINE.read_text(encoding="utf-8").replace("t_fwd = 8.1", "t_fwd = 0.5")
+    cfg = tmp_path / "linear.ini"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["build-manifold", "--config", str(cfg), "--out", str(out)]) == 0
+    meta = json.loads((out / "chart_meta.json").read_text())
+    assert meta["t_fwd"] == pytest.approx(0.5) and meta["t_fwd_required"] is None
 
 
 def test_overlong_backward_horizon_rejected_before_sampling(tmp_path, capsys):

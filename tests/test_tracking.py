@@ -1,15 +1,30 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import rimlab as rl
-from conftest import forward_apply, manifold_point, tilde_manifold_point, track_alone
+from conftest import (
+    ModeCoupling,
+    forward_apply,
+    manifold_point,
+    tilde_manifold_point,
+    track_alone,
+)
 from rimlab.analysis import tracking_defects
 from rimlab.dynamics import integrate
-from rimlab.errors import ContractionViolationError, GridAlignmentError, ParameterError
+from rimlab.errors import (
+    CertificateError,
+    ContractionViolationError,
+    GridAlignmentError,
+    ParameterError,
+)
 from rimlab.forcing import shift_forcing
-from rimlab.tracking import base_orbit, track_phi
+from rimlab.problem import ModelProblem
+from rimlab.tracking import _forward_weights, base_orbit, forward_horizon, track_phi
 
 
 def _random_forward(ctx, times, rng, scale=0.3):
@@ -268,3 +283,95 @@ def test_forward_sweep_leaves_no_subnormal(problem_nl):
         xi, _ = forward_apply(xi, v0, base, ctx)
         assert not np.any((xi != 0.0) & (np.abs(xi) < tiny))
     assert np.count_nonzero(xi[-1]) < xi.shape[1]  # the fast modes reached 0
+
+
+# ---- forward horizon --------------------------------------------------------
+
+
+def _forward_delta(cert, x):
+    """delta(x) of the forward operator, written out apart from the library."""
+    a, lam_n, lam_np1, lip = cert.alpha, cert.lambda_n, cert.lambda_np1, cert.lipschitz
+    ca = rl.c_alpha_constant(a)
+    k_x = lip * (
+        lam_n**a / (x - lam_n) + lam_np1**a / (lam_np1 - x) + ca * (lam_np1 - x) ** (a - 1.0)
+    )
+    return k_x + lip * lam_n**a / ((x - lam_n) * (1.0 - cert.k))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    gaps=st.lists(st.floats(0.01, 50.0), min_size=5, max_size=5),
+    lam_1=st.floats(0.05, 50.0),
+    n=st.integers(1, 4),
+    alpha=st.floats(0.0, 0.49),
+    k=st.floats(0.01, 0.499),
+    frac=st.floats(0.01, 1.0),
+    tol=st.sampled_from([1e-3, 1e-6, 1e-9]),
+)
+def test_forward_horizon_bound_holds(gaps, lam_1, n, alpha, k, frac, tol):
+    # On any instance that passes the gap condition with k < 1/2, the
+    # search returns a feasible weight pair, and the truncation bound of
+    # ``forward_horizon``, re-evaluated here at the returned T, is tol/10.
+    lams = lam_1 + np.concatenate([[0.0], np.cumsum(gaps)])
+    s = rl.Spectrum(lams, alpha)
+    lam_n, lam_np1 = lams[n - 1], lams[n]
+    ca = rl.c_alpha_constant(alpha)
+    lip = frac * k * (lam_np1 - lam_n) / (
+        2.0 * (lam_np1**alpha + lam_n**alpha + ca * (lam_np1 - lam_n) ** alpha)
+    )
+    try:
+        cert = rl.check_gap(s, lip, k, n)
+    except CertificateError:
+        assume(False)
+    assert _forward_delta(cert, cert.mu) <= cert.delta * (1 + 1e-8)
+    t_f, rho, nu = _forward_weights(cert, tol)
+    assert forward_horizon(cert, tol, None) == t_f >= 0.0
+    assert lam_n < rho < nu < lam_np1
+    d_rho, d_nu = _forward_delta(cert, rho), _forward_delta(cert, nu)
+    assert d_rho < 1.0 and d_nu < 1.0
+    c_nu = lip * lam_n**alpha * (1.0 + 1.0 / (1.0 - k)) / (nu - lam_n)
+    bound = c_nu * math.exp(-(nu - rho) * t_f) / ((1.0 - d_rho) * (1.0 - d_nu))
+    assert bound <= tol / 10 * (1 + 1e-9)
+
+
+def test_forward_horizon_without_a_tail(problem_lin):
+    # L = 0 and k >= 1/2 leave no tail to bound: the fallback comes back.
+    assert forward_horizon(problem_lin.cert, 1e-6, 8.1) == 8.1
+    assert forward_horizon(problem_lin.cert, 1e-6, None) is None
+    cert = rl.check_gap(problem_lin.spectrum, 0.1, 0.5, 1)
+    assert forward_horizon(cert, 1e-6, 3.0) == 3.0
+    workhorse = rl.check_gap(problem_lin.spectrum, 0.1, 0.2, 1)
+    assert forward_horizon(workhorse, 1e-6, None) == pytest.approx(6.3676, abs=1e-4)
+
+
+def test_coupled_shadowing_point_settled_at_forward_horizon():
+    # Under a mode-coupling F, P of the shadowing point moves, so the
+    # window matters: u0* on the derived T_f equals u0* on 3 T_f within
+    # (tol/10) d0, and on T_f/4 it misses by more, so this guard can fail.
+    tol = 1e-6
+    s = rl.dirichlet_laplacian(16, 0.0)
+    cert = rl.check_gap(s, 0.2, 0.4, 1)
+    t_back = rl.backward_horizon(cert, tol)
+    t_f = forward_horizon(cert, tol, t_back)
+    assert t_f == pytest.approx(9.14, abs=0.01)
+    grid = rl.TimeGrid.from_times(-(t_back + 10.0) - 0.1, 3.0 * t_f + 0.1, 1e-3)
+    problem = ModelProblem(
+        spectrum=s,
+        nonlinearity=ModeCoupling("mode_coupling", 0.2),
+        forcing=rl.ForcingSignal.trig(16, [rl.TrigTerm(2, 1.0, 1.0, 0.0)], period=2 * np.pi),
+        path=rl.sample_wiener(7, grid, rl.CovarianceSpec.power_law(16, 0.05, 2.0)),
+        cert=cert,
+        t_back=t_back,
+        t_fwd=t_f,
+        tol=tol,
+    )
+    ctx = problem.lp_context()
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        u0 = rng.uniform(-1.0, 1.0, 16)
+        settled, long, short = (track_alone(u0, ctx, t) for t in (t_f, 3.0 * t_f, t_f / 4))
+        limit = tol / 10 * settled.defect
+        assert settled.defect > 1.0  # far off the graph, so the window matters
+        assert abs(settled.u0_star[0] - u0[0]) > 1e-3  # the coupling moves P
+        assert rl.norm_alpha(settled.u0_star - long.u0_star, s) <= limit
+        assert rl.norm_alpha(short.u0_star - long.u0_star, s) > limit
