@@ -63,7 +63,6 @@ from .randomness import (
     TimeGrid,
     WienerPath,
     sample_wiener,
-    shift_path,
     solve_ou,
 )
 from .spectral import Spectrum, dirichlet_laplacian, norm_alpha

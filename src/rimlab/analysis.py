@@ -5,8 +5,9 @@ periodicity, containment) turns a measured quantity into a ``DefectReport``
 with its bound; no bound is written anywhere else.
 
 Every check here compares objects computed on the same stored noise path;
-time shifts of the path are index shifts, never fresh samples, so each
-reported defect is a deterministic function of (seed, configuration).
+a time shift of the noise is the one OU table on a relabelled grid
+(``ModelProblem.ou_for``), never a fresh sample or solve, so each reported
+defect is a deterministic function of (seed, configuration).
 Reported bounds carry the fixed slack constants below, so a configuration
 enters a bound only through the problem and its numerics (h, tol).  The
 continuum statements (defect exactly zero, containment exact) are only
@@ -25,7 +26,6 @@ from .errors import DomainError, ParameterError, ValidationError
 from .forcing import almost_period_defect
 from .lyapunov_perron import ManifoldChart, _sweep
 from .problem import ModelProblem
-from .randomness import shift_path
 from .spectral import norm_alpha
 from .tracking import TrackingResult
 
@@ -132,8 +132,8 @@ def invariance_defect(chart: ManifoldChart, t: float, problem: ModelProblem) -> 
 
     Each chart point is evolved for time t >= 0 by the transformed cocycle
     ``cocycle_psi``; the off-graph part of the endpoint is compared against
-    a fresh fixed-point solve at translated forcing on the index-shifted
-    path (the endpoints are solved in order as one ``_sweep``).
+    a fresh fixed-point solve at translated forcing on the shifted noise
+    ``ou_for(t)`` (the endpoints are solved in order as one ``_sweep``).
     Flow and graph share one cell rule at the problem's step, so this
     matched-resolution defect sits at the solver and truncation floor, not
     at O(h).
@@ -147,7 +147,7 @@ def invariance_defect(chart: ManifoldChart, t: float, problem: ModelProblem) -> 
         problem.nonlinearity,
         problem.spectrum,
     )
-    ctx = problem.lp_context(chart.tau + t, ou=problem.ou_for(shift_path(problem.path, t)))
+    ctx = problem.lp_context(chart.tau + t, ou=problem.ou_for(t))
     value = 0.0
     for q_pt, xi in zip(endpoints, _sweep(ctx.project_p(endpoints), ctx)):
         m_val = ctx.project_q(xi[-1])
@@ -278,16 +278,16 @@ def pullback_attractor(
     """Evolve an ensemble from the pulled-back initial time up to time zero.
 
     Every member is mapped through the original-variable cocycle
-    ``cocycle_phi`` started at tau - pullback_time on the index-shifted
-    path, so the endpoint cloud approximates the attractor fibre at
-    (tau, omega).
+    ``cocycle_phi`` started at tau - pullback_time on the shifted noise
+    ``ou_for(-pullback_time)``, so the endpoint cloud approximates the
+    attractor fibre at (tau, omega).
     """
     if pullback_time <= 0.0:
         raise DomainError("pullback time must be positive")
     points = cocycle_phi(
         pullback_time,
         tau - pullback_time,
-        problem.ou_for(shift_path(problem.path, -pullback_time)),
+        problem.ou_for(-pullback_time),
         np.atleast_2d(np.asarray(ensemble, dtype=float)),
         problem.forcing,
         problem.nonlinearity,

@@ -113,7 +113,7 @@ def _problem_meta(problem: ModelProblem) -> dict:
         "t_back": problem.t_back,
         "t_back_required": backward_horizon(problem.cert, problem.tol),
         "t_fwd": problem.t_fwd,
-        "t_fwd_required": forward_horizon(problem.cert, problem.tol, None),
+        "t_fwd_required": forward_horizon(problem.cert, problem.tol),
         "tol": problem.tol,
         "n_total": problem.spectrum.size,
         "alpha": problem.spectrum.alpha,

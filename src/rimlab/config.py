@@ -378,7 +378,7 @@ def build_problem(cfg: RunConfig, seed_override: int | None = None) -> ModelProb
     """
     cert = check_gap(cfg.spectrum, cfg.nonlinearity.lipschitz, cfg.gap_k, cfg.gap_n)
     t_back_auto = backward_horizon(cert, cfg.tol)
-    t_fwd_required = forward_horizon(cert, cfg.tol, None)  # None: no tail
+    t_fwd_required = forward_horizon(cert, cfg.tol)  # None: no tail
     t_fwd_auto = t_back_auto if t_fwd_required is None else t_fwd_required
     h = cfg.h
     t_back = t_back_auto if cfg.t_back is None else cfg.t_back

@@ -1,12 +1,13 @@
 """Aggregate of one model instance: operator data, noise path, certificate.
 
-A ModelProblem owns the sampled Wiener path and derives the OU driver from
-it once; fixed-point contexts for any forcing translation, and for
-index-shifted copies of the path, are built from here so that every
-downstream object provably uses the same stored noise.  The solver
-tolerance ``tol`` is fixed per problem and passed to every context.  Graph
-values on the stored path are solved at most once per (tau, base point), so
-checks that revisit the chart's points reuse its solves.
+A ModelProblem owns the sampled Wiener path and solves the OU driver from
+it once; every time shift of the noise is that one table on a relabelled
+grid (``ou_for``), and fixed-point contexts for any forcing translation are
+built from here, so that every downstream object provably uses the same
+stored noise.  The solver tolerance ``tol`` is fixed per problem and passed
+to every context.  Graph values on the stored path are solved at most once
+per (tau, base point), so checks that revisit the chart's points reuse its
+solves.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import Nonlinearity
-from .errors import ConfigError
+from .errors import ConfigError, SupportRangeError
 from .forcing import ForcingSignal
 from .lyapunov_perron import (
     GapCertificate,
@@ -25,7 +26,7 @@ from .lyapunov_perron import (
     _sweep,
     build_chart,
 )
-from .randomness import CovarianceSpec, OUProcess, WienerPath, solve_ou
+from .randomness import OUProcess, TimeGrid, WienerPath, solve_ou
 from .spectral import Spectrum
 
 __all__ = ["ModelProblem"]
@@ -41,7 +42,7 @@ class ModelProblem:
     t_back: float
     t_fwd: float
     tol: float = 1e-6
-    _ou: OUProcess | None = field(default=None, repr=False)
+    _ou: OUProcess | None = field(default=None, init=False, repr=False)
     _graph: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -57,10 +58,6 @@ class ModelProblem:
         return self.path.grid.h
 
     @property
-    def cov(self) -> CovarianceSpec:
-        return self.path.cov
-
-    @property
     def seed(self) -> int:
         return self.path.seed
 
@@ -70,9 +67,20 @@ class ModelProblem:
             self._ou = solve_ou(self.path, self.spectrum)
         return self._ou
 
-    def ou_for(self, path: WienerPath) -> OUProcess:
-        """OU driver on an index-shifted copy of the stored path."""
-        return solve_ou(path, self.spectrum)
+    def ou_for(self, t: float) -> OUProcess:
+        """OU driver of the shifted noise theta_t omega: ``ou_for(t).at(s)`` is
+        ``ou.at(s + t)``, bit for bit.
+
+        The stored table is shared on its grid relabelled by t; nothing is
+        copied or solved.  An off-grid t raises GridAlignmentError, and a t
+        that leaves t = 0 outside the stored support, or on its end node,
+        raises SupportRangeError.
+        """
+        grid = self.ou.grid
+        k = grid.index(t)
+        if not grid.i_min < k < grid.i_max:
+            raise SupportRangeError(f"shift by {t} puts t = 0 on the end of the stored support")
+        return OUProcess(TimeGrid(grid.h, grid.i_min - k, grid.i_max - k), self.ou.values)
 
     def lp_context(self, tau: float = 0.0, ou: OUProcess | None = None) -> LPContext:
         return LPContext(

@@ -1,10 +1,9 @@
-"""Two-sided Wiener paths, the shift group, and the stationary OU driver.
+"""Two-sided Wiener paths and the stationary OU driver.
 
 Paths live on a uniform two-sided grid that always contains t = 0 as a
 node; a path is anchored there (w(0) = 0 in every mode) and is a pure
 function of (seed, grid, covariance), so every downstream quantity is
-reproducible bit for bit.  The shift group acts by integer index shifts,
-never by re-sampling noise.
+reproducible bit for bit.
 
 The stationary solution z of  dz + A z dt = dW  is generated per mode by
 the damped recursion
@@ -12,9 +11,11 @@ the damped recursion
     z(t+h) = e^{-lambda h} z(t) + (1 - e^{-lambda h})/(lambda h) * dW(t),
 
 i.e. the stochastic convolution over a step is approximated with the same
-increment the path stores, weighted by the averaged kernel.  That keeps z
-a deterministic functional of the stored path, so index-shifting the path
-shifts z exactly; the price is O(h) weak error in the one-step variance.
+increment the path stores, weighted by the averaged kernel; the price is
+O(h) weak error in the one-step variance.  The table is solved once per
+path.  The noise shift theta_t never re-samples or re-solves: it relabels
+the grid of the stored table (``ModelProblem.ou_for``), so
+z(theta_t omega)(s) = z(omega)(s + t) holds bit for bit.
 
 The initial value at the left end of the grid is drawn from the
 stationary law N(0, q/(2 lambda)); the burn-in transient decays like
@@ -46,7 +47,6 @@ __all__ = [
     "WienerPath",
     "OUProcess",
     "sample_wiener",
-    "shift_path",
     "solve_ou",
 ]
 
@@ -155,10 +155,9 @@ class WienerPath:
 
 @dataclass(frozen=True)
 class OUProcess:
-    """Stationary OU driver z sampled on the same grid as its path."""
+    """Stationary OU driver z; values[k] holds the node grid.i_min + k."""
 
     grid: TimeGrid
-    spectrum: Spectrum
     values: np.ndarray
 
     def at(self, t: float) -> np.ndarray:
@@ -183,33 +182,6 @@ def sample_wiener(seed: int, grid: TimeGrid, cov: CovarianceSpec) -> WienerPath:
     if k0 > 0:
         values[:k0] = -np.cumsum(inc[:k0][::-1], axis=0)[::-1]
     return WienerPath(grid=grid, cov=cov, values=values, seed=int(seed))
-
-
-def shift_path(w: WienerPath, t_k: float) -> WienerPath:
-    """Shift-group action: returns p with p(s) = w(s + t_k) - w(t_k).
-
-    The shift is a pure index shift of the stored nodes; t_k must be a grid
-    multiple and the translated grid must still contain 0 strictly inside.
-    """
-    x = t_k / w.grid.h
-    k = int(round(x))
-    if abs(x - k) > 1e-6 * max(1.0, abs(x)):
-        raise GridAlignmentError(f"shift {t_k} is not a multiple of h={w.grid.h}")
-    i_min = w.grid.i_min - k
-    i_max = w.grid.i_max - k
-    if not (i_min < 0 < i_max):
-        raise SupportRangeError(
-            f"shift by {t_k} pushes the anchor outside the stored support"
-        )
-    if not (w.grid.i_min <= k <= w.grid.i_max):
-        raise SupportRangeError(f"shift time {t_k} is outside the stored support")
-    anchor = w.values[k - w.grid.i_min]
-    return WienerPath(
-        grid=TimeGrid(w.grid.h, i_min, i_max),
-        cov=w.cov,
-        values=w.values - anchor,
-        seed=w.seed,
-    )
 
 
 def solve_ou(w: WienerPath, s: Spectrum) -> OUProcess:
@@ -241,4 +213,4 @@ def solve_ou(w: WienerPath, s: Spectrum) -> OUProcess:
     if n_cells:
         homog = _exp_normal(-lam * np.arange(1, n_cells + 1)[:, None] * h) * z0
         values[1:] = homog + _filter_modes(u, damp)
-    return OUProcess(grid=w.grid, spectrum=s, values=values)
+    return OUProcess(grid=w.grid, values=values)

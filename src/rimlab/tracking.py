@@ -140,7 +140,7 @@ def _forward_weights(cert, tol: float) -> tuple[float, float, float] | None:
     return float(horizon[i, j]), float(x[i]), float(x[j])
 
 
-def forward_horizon(cert, tol: float, t_back: float | None) -> float | None:
+def forward_horizon(cert, tol: float) -> float | None:
     """Horizon T_f keeping the truncated shadowing point within (tol/10) d0.
 
     Let xi* be the fixed point of the forward operator on [0, inf) and xi_T
@@ -190,11 +190,10 @@ def forward_horizon(cert, tol: float, t_back: float | None) -> float | None:
     ``_forward_weights`` searches.  Some pair near mu is feasible whenever
     L > 0 and k < 1/2, since then delta(mu) < 1.  With no tail to bound
     (L = 0, where the seed needs no truncation, or k >= 1/2, which
-    ``track_phi`` refuses) the fallback ``t_back`` is returned, None
-    included.
+    ``track_phi`` refuses) it is None.
     """
     weights = _forward_weights(cert, tol)
-    return t_back if weights is None else weights[0]
+    return None if weights is None else weights[0]
 
 
 def _forward_cells(ctx: LPContext, t_fwd: float) -> int:

@@ -5,8 +5,9 @@ modes, gap index n = 1, sine nonlinearity with constant 0.1 and k = 0.2,
 a unit sine forcing on mode 2, and power-law trace-class noise.  Session
 fixtures share one sampled path so the expensive OU solve happens once.
 
-The plain functions at the end are test oracles that the library itself
-does not need: a cold one-point graph solve, the offset graph of the
+The plain functions at the end are test helpers and oracles that the
+library itself does not need: a problem that only carries noise, a cold
+one-point graph solve, the offset graph of the
 original variables, a path restriction, one forward-operator sweep, and
 a tracking solve that integrates its own base orbit.  ``ModeCoupling`` is
 a test-only nonlinearity whose graph depends on x.
@@ -156,6 +157,20 @@ def line_grid(n_modes: int, count: int, lo: float = -1.0, hi: float = 1.0, mode:
     grid = np.zeros((count, n_modes))
     grid[:, mode - 1] = np.linspace(lo, hi, count)
     return grid
+
+
+def noise_problem(spectrum: rl.Spectrum, path: rl.WienerPath) -> ModelProblem:
+    """A problem that only carries the path's noise (zero F and forcing), for
+    the OU driver and its shifts ``ou_for``."""
+    return ModelProblem(
+        spectrum=spectrum,
+        nonlinearity=rl.Nonlinearity.zero(),
+        forcing=rl.ForcingSignal.zero(spectrum.size),
+        path=path,
+        cert=rl.check_gap(spectrum, 0.0, 0.2, 1),
+        t_back=1.0,
+        t_fwd=1.0,
+    )
 
 
 def manifold_point(x: np.ndarray, ctx: rl.LPContext) -> np.ndarray:

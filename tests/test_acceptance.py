@@ -190,9 +190,7 @@ def test_criterion_05_invariance(spectrum16, sine_forcing, cov16, chart_grid16):
         for (label, (problem, ctx, chart)), endpoints in zip(
             charts.items(), np.split(flowed, len(charts))
         ):
-            ctx_shift = problem.lp_context(
-                tau + t, ou=problem.ou_for(rl.shift_path(problem.path, t))
-            )
+            ctx_shift = problem.lp_context(tau + t, ou=problem.ou_for(t))
             cross[label].append(max(
                 rl.norm_alpha(
                     ctx.project_q(q_pt)

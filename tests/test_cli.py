@@ -373,6 +373,43 @@ def test_attractor_command(small_config, tmp_path):
     assert (tmp_path / "cloud_01.csv").exists()
 
 
+def test_commands_solve_ou_once(tmp_path, monkeypatch):
+    # Every noise shift (invariance's t, each pullback time) relabels the one
+    # stored OU table: a command solves it once, and the shifted driver
+    # reads the stored values bit for bit.
+    from rimlab import problem as problem_module
+
+    solve_ou, calls = problem_module.solve_ou, []
+
+    def counted(w, s):
+        calls.append(w)
+        return solve_ou(w, s)
+
+    monkeypatch.setattr(problem_module, "solve_ou", counted)
+    all_six = "invariance lipschitz tracking periodicity almost_period containment"
+    text = SMALL_CONFIG.replace(
+        "checks = invariance lipschitz tracking periodicity", f"checks = {all_six}"
+    )
+    text += "\n[almost_period]\ntau0 = 6.283185307179586\n"
+    for command, config in (
+        ("verify", text),
+        ("attractor", text.replace("pullback_times = 2.0 4.0", "pullback_times = 4 8")),
+    ):
+        cfg = tmp_path / f"{command}.ini"
+        cfg.write_text(config, encoding="utf-8")
+        calls.clear()
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
+        assert len(calls) == 1, command
+
+    problem = build_problem(load_config(cfg))
+    ou = problem.ou
+    for t in (0.5, -4.0, -8.0, 0.005):
+        shifted = problem.ou_for(t)
+        assert shifted.values is ou.values
+        for s in (0.0, -2.0, 0.5 - t, ou.grid.t_min - t, ou.grid.t_max - t):
+            assert np.array_equal(shifted.at(s), ou.at(s + t))
+
+
 def test_report_command(small_config, tmp_path):
     main(["verify", "--config", str(small_config), "--out", str(tmp_path)])
     code = main(["report", "--out", str(tmp_path)])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import rimlab as rl
-from conftest import coarsen_path
+from conftest import coarsen_path, noise_problem
 from rimlab.dynamics import Nonlinearity, cocycle_phi, cocycle_psi, integrate
 from rimlab.errors import InstabilityError, ParameterError, ValidationError
 
@@ -20,11 +20,15 @@ def quiet_ou(spec8):
 
 
 @pytest.fixture(scope="module")
-def noisy_ou(spec8):
+def noisy_problem(spec8):
     grid = rl.TimeGrid.from_times(-4.0, 3.0, 1e-3)
     cov = rl.CovarianceSpec.power_law(8, 0.05, 2.0)
-    w = rl.sample_wiener(13, grid, cov)
-    return w, rl.solve_ou(w, spec8)
+    return noise_problem(spec8, rl.sample_wiener(13, grid, cov))
+
+
+@pytest.fixture(scope="module")
+def noisy_ou(noisy_problem):
+    return noisy_problem.ou
 
 
 def test_nonlinearity_validation():
@@ -72,10 +76,9 @@ def test_rest_state_stays_zero(spec8, quiet_ou):
 
 
 def test_cocycle_identity_at_zero(spec8, noisy_ou):
-    _, ou = noisy_ou
     g = rl.ForcingSignal.trig(8, [rl.TrigTerm(2, 1.0, 1.0, 0.0)])
     v0 = np.linspace(0.4, -0.4, 8)
-    out = cocycle_psi(0.0, 0.7, ou, v0, g, Nonlinearity.per_mode_sin(0.1), spec8)
+    out = cocycle_psi(0.0, 0.7, noisy_ou, v0, g, Nonlinearity.per_mode_sin(0.1), spec8)
     assert np.array_equal(out, v0)
 
 
@@ -91,8 +94,8 @@ def test_constant_forcing_closed_form(spec8, quiet_ou):
     assert np.max(np.abs(out[[0, 2, 3, 4, 5, 6, 7]])) == 0.0
 
 
-def test_cocycle_law(spec8, noisy_ou):
-    w, ou = noisy_ou
+def test_cocycle_law(spec8, noisy_problem):
+    ou = noisy_problem.ou
     g = rl.ForcingSignal.trig(8, [rl.TrigTerm(2, 1.0, 1.0, 0.0)])
     f = Nonlinearity.per_mode_sin(0.1)
     rng = np.random.default_rng(8)
@@ -100,21 +103,19 @@ def test_cocycle_law(spec8, noisy_ou):
     s_leg, t_leg = 0.5, 0.7
     full = cocycle_psi(s_leg + t_leg, 0.0, ou, v0, g, f, spec8)
     mid = cocycle_psi(s_leg, 0.0, ou, v0, g, f, spec8)
-    ou_shift = rl.solve_ou(rl.shift_path(w, s_leg), spec8)
-    composed = cocycle_psi(t_leg, s_leg, ou_shift, mid, g, f, spec8)
+    composed = cocycle_psi(t_leg, s_leg, noisy_problem.ou_for(s_leg), mid, g, f, spec8)
     assert np.linalg.norm(full - composed) <= 1e-10 * np.linalg.norm(full)
 
 
-def test_phi_cocycle_law(spec8, noisy_ou):
-    w, ou = noisy_ou
+def test_phi_cocycle_law(spec8, noisy_problem):
+    ou = noisy_problem.ou
     g = rl.ForcingSignal.trig(8, [rl.TrigTerm(2, 1.0, 1.0, 0.0)])
     f = Nonlinearity.per_mode_sin(0.1)
     u0 = np.linspace(0.6, -0.6, 8)
     s_leg, t_leg = 0.4, 0.9
     full = cocycle_phi(s_leg + t_leg, 0.0, ou, u0, g, f, spec8)
     mid = cocycle_phi(s_leg, 0.0, ou, u0, g, f, spec8)
-    ou_shift = rl.solve_ou(rl.shift_path(w, s_leg), spec8)
-    composed = cocycle_phi(t_leg, s_leg, ou_shift, mid, g, f, spec8)
+    composed = cocycle_phi(t_leg, s_leg, noisy_problem.ou_for(s_leg), mid, g, f, spec8)
     assert np.linalg.norm(full - composed) <= 1e-10 * np.linalg.norm(full)
 
 
@@ -128,19 +129,17 @@ def test_phi_equals_psi_without_noise(spec8, quiet_ou):
 
 
 def test_phi_conjugacy_residual_exact(spec8, noisy_ou):
-    _, ou = noisy_ou
     g = rl.ForcingSignal.trig(8, [rl.TrigTerm(2, 1.0, 1.0, 0.0)])
     f = Nonlinearity.per_mode_sin(0.1)
     u0 = np.linspace(0.6, -0.6, 8)
     t = 1.2
-    phi = cocycle_phi(t, 0.0, ou, u0, g, f, spec8)
-    manual = cocycle_psi(t, 0.0, ou, u0 - ou.at(0.0), g, f, spec8) + ou.at(t)
+    phi = cocycle_phi(t, 0.0, noisy_ou, u0, g, f, spec8)
+    manual = cocycle_psi(t, 0.0, noisy_ou, u0 - noisy_ou.at(0.0), g, f, spec8) + noisy_ou.at(t)
     assert np.array_equal(phi, manual)
 
 
-def test_initial_condition_continuity(spec8, noisy_ou):
+def test_initial_condition_continuity(spec8):
     # Orbits from nearby starts stay within a bounded ratio over [0, 5].
-    _, ou = noisy_ou
     grid = rl.TimeGrid.from_times(-4.0, 6.0, 1e-3)
     w = rl.sample_wiener(13, grid, rl.CovarianceSpec.power_law(8, 0.05, 2.0))
     ou5 = rl.solve_ou(w, spec8)
@@ -243,14 +242,13 @@ def test_instability_reports_step():
 
 
 def test_batched_integration_matches_loop(spec8, noisy_ou):
-    _, ou = noisy_ou
     g = rl.ForcingSignal.trig(8, [rl.TrigTerm(2, 1.0, 1.0, 0.0)])
     f = Nonlinearity.per_mode_sin(0.1)
     rng = np.random.default_rng(2)
     batch = 0.3 * rng.standard_normal((5, 8))
-    ends = integrate(batch, 0.0, 1.0, ou, g, f, spec8, return_trajectory=False)
+    ends = integrate(batch, 0.0, 1.0, noisy_ou, g, f, spec8, return_trajectory=False)
     for i in range(5):
-        single = integrate(batch[i], 0.0, 1.0, ou, g, f, spec8, return_trajectory=False)
+        single = integrate(batch[i], 0.0, 1.0, noisy_ou, g, f, spec8, return_trajectory=False)
         assert np.allclose(ends[i], single, rtol=0, atol=1e-14)
 
 
@@ -264,23 +262,21 @@ def test_batched_integration_matches_loop(spec8, noisy_ou):
 )
 def test_batched_trajectory_matches_single_calls(spec8, noisy_ou, f):
     # One batched integrate of B states reproduces B single-state histories.
-    _, ou = noisy_ou
     g = rl.ForcingSignal.trig(8, [rl.TrigTerm(2, 1.0, 1.0, 0.0)])
     batch = 0.5 * np.random.default_rng(11).standard_normal((4, 8))
-    both = integrate(batch, 0.0, 1.5, ou, g, f, spec8)
+    both = integrate(batch, 0.0, 1.5, noisy_ou, g, f, spec8)
     assert both.values.shape == (both.times.size, 4, 8)
     for i in range(4):
-        single = integrate(batch[i], 0.0, 1.5, ou, g, f, spec8)
+        single = integrate(batch[i], 0.0, 1.5, noisy_ou, g, f, spec8)
         assert np.array_equal(single.times, both.times)
         scale = np.max(np.abs(single.values))
         assert np.max(np.abs(both.values[:, i] - single.values)) <= 1e-12 * scale
 
 
 def test_phi_identity_at_zero(spec8, noisy_ou):
-    _, ou = noisy_ou
     g = rl.ForcingSignal.trig(8, [rl.TrigTerm(2, 1.0, 1.0, 0.0)])
     u0 = np.array([1e-20, 0.4, -0.2, 0.0, 0.1, 0.0, 0.0, 0.0])
-    out = cocycle_phi(0.0, 0.3, ou, u0, g, Nonlinearity.per_mode_sin(0.1), spec8)
+    out = cocycle_phi(0.0, 0.3, noisy_ou, u0, g, Nonlinearity.per_mode_sin(0.1), spec8)
     assert np.array_equal(out, u0)
 
 

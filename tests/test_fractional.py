@@ -29,7 +29,7 @@ def problem_frac():
     g = rl.ForcingSignal.trig(12, [rl.TrigTerm(2, 1.0, 1.0, 0.0)], period=2.0 * np.pi)
     cov = rl.CovarianceSpec.power_law(12, 0.02, 3.0)
     t_back = backward_horizon(cert, 1e-6)
-    t_fwd = forward_horizon(cert, 1e-6, t_back)
+    t_fwd = forward_horizon(cert, 1e-6) or t_back  # None: no tail
     grid = rl.TimeGrid.from_times(-(t_back + 10.0) - 0.1, t_fwd + 0.1, 1e-3)
     path = rl.sample_wiener(7, grid, cov)
     return ModelProblem(

@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 import rimlab as rl
-from conftest import coarsen_path
+from conftest import coarsen_path, noise_problem
 from rimlab.errors import (
     DomainError,
     GridAlignmentError,
@@ -74,35 +74,40 @@ def test_increment_variance_matches_covariance():
     assert np.all(np.abs(sample_var / (q * grid.h) - 1.0) < 0.05)
 
 
+def shifted_problem(seed: int = 5):
+    path = rl.sample_wiener(seed, small_grid(), rl.CovarianceSpec.power_law(3, 1.0, 1.0))
+    return noise_problem(rl.Spectrum(np.array([1.0, 4.0, 9.0])), path)
+
+
 def test_shift_identity_and_anchor():
-    grid = small_grid()
-    w = rl.sample_wiener(5, grid, rl.CovarianceSpec.power_law(3, 1.0, 1.0))
-    same = rl.shift_path(w, 0.0)
-    assert np.array_equal(same.values, w.values)
-    sh = rl.shift_path(w, -2.0)
-    assert np.array_equal(sh.at(0.0), np.zeros(3))
-    # p(s) = w(s + t_k) - w(t_k)
-    assert np.allclose(sh.at(1.0), w.at(-1.0) - w.at(-2.0), rtol=0, atol=0)
+    problem = shifted_problem()
+    same = problem.ou_for(0.0)
+    assert same.grid == problem.ou.grid
+    assert same.values is problem.ou.values
+    sh = problem.ou_for(-2.0)
+    assert (sh.grid.i_min, sh.grid.i_max) == (problem.ou.grid.i_min + 40, 60)
+    # z(theta_t omega)(s) = z(omega)(s + t): its t = 0 node is the old t = -2
+    assert np.array_equal(sh.at(0.0), problem.ou.at(-2.0))
+    assert np.array_equal(sh.at(1.0), problem.ou.at(-1.0))
 
 
 def test_shift_group_law_exact():
-    grid = small_grid()
-    w = rl.sample_wiener(9, grid, rl.CovarianceSpec.power_law(2, 0.5, 1.0))
-    two_step = rl.shift_path(rl.shift_path(w, -1.0), -0.5)
-    one_step = rl.shift_path(w, -1.5)
-    assert two_step.grid.i_min == one_step.grid.i_min
-    assert np.allclose(two_step.values, one_step.values, rtol=0, atol=1e-15)
+    problem = shifted_problem(9)
+    for t1, t2 in ((-1.0, -0.5), (-3.0, 0.75), (0.5, -2.0)):
+        one_step = problem.ou_for(t1 + t2)
+        for s in (0.0, -1.0, 0.25):
+            assert np.array_equal(one_step.at(s), problem.ou_for(t1).at(s + t2))
 
 
 def test_shift_errors():
-    grid = small_grid()
-    w = rl.sample_wiener(5, grid, rl.CovarianceSpec.power_law(2, 1.0, 1.0))
+    problem = shifted_problem()
     with pytest.raises(GridAlignmentError):
-        rl.shift_path(w, 0.0123)
+        problem.ou_for(0.0123)
     with pytest.raises(SupportRangeError):
-        rl.shift_path(w, 500.0)
-    with pytest.raises(SupportRangeError):
-        rl.shift_path(w, 1.0)  # anchor would sit on the grid's end node
+        problem.ou_for(500.0)
+    for end in (1.0, -12.0):  # t = 0 would sit on the grid's end node
+        with pytest.raises(SupportRangeError):
+            problem.ou_for(end)
 
 
 def test_coarsen_restriction_is_exact():
@@ -141,20 +146,6 @@ def test_ou_long_run_variance():
     z = rl.solve_ou(w, s)
     sample_var = np.var(z.values[z.grid.offset(10.0) :], axis=0)
     assert np.all(np.abs(sample_var / (q / (2.0 * s.lambdas)) - 1.0) < 0.05)
-
-
-def test_ou_shift_conjugation():
-    # z built on the shifted path equals the shifted z, within the stated
-    # burn-in tolerance (exact here because the stationary draw is seeded).
-    s = rl.Spectrum(np.array([1.0, 4.0]))
-    grid = small_grid(h=0.02, lo=-30.0, hi=8.0)
-    cov = rl.CovarianceSpec.power_law(2, 0.4, 2.0)
-    w = rl.sample_wiener(23, grid, cov)
-    z = rl.solve_ou(w, s)
-    for t in (2.0, 5.0):
-        zs = rl.solve_ou(rl.shift_path(w, t), s)
-        gap = np.max(np.abs(zs.at(0.0) - z.at(t)))
-        assert gap <= 10.0 * np.exp(-s.lambdas[0] * (t - grid.t_min))
 
 
 def test_ou_stationarity_ks():

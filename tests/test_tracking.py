@@ -325,7 +325,7 @@ def test_forward_horizon_bound_holds(gaps, lam_1, n, alpha, k, frac, tol):
         assume(False)
     assert _forward_delta(cert, cert.mu) <= cert.delta * (1 + 1e-8)
     t_f, rho, nu = _forward_weights(cert, tol)
-    assert forward_horizon(cert, tol, None) == t_f >= 0.0
+    assert forward_horizon(cert, tol) == t_f >= 0.0
     assert lam_n < rho < nu < lam_np1
     d_rho, d_nu = _forward_delta(cert, rho), _forward_delta(cert, nu)
     assert d_rho < 1.0 and d_nu < 1.0
@@ -335,13 +335,12 @@ def test_forward_horizon_bound_holds(gaps, lam_1, n, alpha, k, frac, tol):
 
 
 def test_forward_horizon_without_a_tail(problem_lin):
-    # L = 0 and k >= 1/2 leave no tail to bound: the fallback comes back.
-    assert forward_horizon(problem_lin.cert, 1e-6, 8.1) == 8.1
-    assert forward_horizon(problem_lin.cert, 1e-6, None) is None
+    # L = 0 and k >= 1/2 leave no tail to bound: there is no horizon.
+    assert forward_horizon(problem_lin.cert, 1e-6) is None
     cert = rl.check_gap(problem_lin.spectrum, 0.1, 0.5, 1)
-    assert forward_horizon(cert, 1e-6, 3.0) == 3.0
+    assert forward_horizon(cert, 1e-6) is None
     workhorse = rl.check_gap(problem_lin.spectrum, 0.1, 0.2, 1)
-    assert forward_horizon(workhorse, 1e-6, None) == pytest.approx(6.3676, abs=1e-4)
+    assert forward_horizon(workhorse, 1e-6) == pytest.approx(6.3676, abs=1e-4)
 
 
 def test_coupled_shadowing_point_settled_at_forward_horizon():
@@ -352,7 +351,7 @@ def test_coupled_shadowing_point_settled_at_forward_horizon():
     s = rl.dirichlet_laplacian(16, 0.0)
     cert = rl.check_gap(s, 0.2, 0.4, 1)
     t_back = rl.backward_horizon(cert, tol)
-    t_f = forward_horizon(cert, tol, t_back)
+    t_f = forward_horizon(cert, tol)
     assert t_f == pytest.approx(9.14, abs=0.01)
     grid = rl.TimeGrid.from_times(-(t_back + 10.0) - 0.1, 3.0 * t_f + 0.1, 1e-3)
     problem = ModelProblem(
