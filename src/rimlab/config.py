@@ -62,7 +62,6 @@ class RunConfig:
     tol: float
     t_back: float | None
     t_fwd: float | None
-    burn_in: float | None
     chart: dict = field(default_factory=dict)
     track: dict = field(default_factory=dict)
     attractor: dict = field(default_factory=dict)
@@ -166,21 +165,14 @@ def _parse_spectrum(sec: _Section) -> Spectrum:
 
 
 def _parse_nonlinearity(sec: _Section) -> Nonlinearity:
-    kind = sec.str("kind", "zero", choices=("zero", "per_mode_sin", "custom_table"))
+    kind = sec.str("kind", "zero", choices=("zero", "per_mode_sin"))
     if kind == "zero":
         return Nonlinearity.zero()
-    lipschitz = sec.float("lipschitz", minimum=0.0)
-    if kind == "per_mode_sin":
-        return Nonlinearity.per_mode_sin(lipschitz)
-    xs = sec.floats("table_x")
-    ys = sec.floats("table_y")
-    if len(xs) != len(ys):
-        sec._fail("table_y", "length differs from table_x")
-    return Nonlinearity.custom_table(np.asarray(xs), np.asarray(ys), lipschitz)
+    return Nonlinearity.per_mode_sin(sec.float("lipschitz", minimum=0.0))
 
 
 def _parse_forcing(sec: _Section, n_modes: int) -> ForcingSignal:
-    form = sec.str("form", "zero", choices=("zero", "constant", "trig_sum", "tabulated"))
+    form = sec.str("form", "zero", choices=("zero", "constant", "trig_sum"))
     period_raw = sec.raw("period")
     period = None if period_raw is None else sec.float("period", minimum=0.0)
     if form == "zero":
@@ -190,38 +182,22 @@ def _parse_forcing(sec: _Section, n_modes: int) -> ForcingSignal:
         if len(amps) != n_modes:
             sec._fail("amplitudes", f"need {n_modes} values, got {len(amps)}")
         return ForcingSignal.constant(np.asarray(amps))
-    if form == "trig_sum":
-        raw = sec.raw("terms")
-        if raw is None:
-            sec._fail("terms", "missing required value")
-        terms = []
-        for line in str(raw).strip().splitlines():
-            toks = line.split()
-            if len(toks) != 4:
-                sec._fail("terms", f"each row needs 'mode amplitude frequency phase': {line!r}")
-            try:
-                mode, amp, freq, phase = int(toks[0]), *map(float, toks[1:])
-            except ValueError:
-                sec._fail("terms", f"non-numeric row: {line!r}")
-            if not all(map(math.isfinite, (amp, freq, phase))):
-                sec._fail("terms", f"non-finite row: {line!r}")
-            terms.append(TrigTerm(mode, amp, freq, phase))
-        return ForcingSignal.trig(n_modes, terms, period)
-    raw = sec.raw("table")
+    raw = sec.raw("terms")
     if raw is None:
-        sec._fail("table", "missing required value")
-    rows = []
+        sec._fail("terms", "missing required value")
+    terms = []
     for line in str(raw).strip().splitlines():
+        toks = line.split()
+        if len(toks) != 4:
+            sec._fail("terms", f"each row needs 'mode amplitude frequency phase': {line!r}")
         try:
-            rows.append([float(tok) for tok in line.split()])
+            mode, amp, freq, phase = int(toks[0]), *map(float, toks[1:])
         except ValueError:
-            sec._fail("table", f"non-numeric row: {line!r}")
-    arr = np.asarray(rows)
-    if arr.ndim != 2 or arr.shape[1] != n_modes + 1:
-        sec._fail("table", f"rows need 't v_1 .. v_{n_modes}'")
-    if not np.all(np.isfinite(arr)):
-        sec._fail("table", "values must be finite")
-    return ForcingSignal.tabulated(arr[:, 0], arr[:, 1:], period)
+            sec._fail("terms", f"non-numeric row: {line!r}")
+        if not all(map(math.isfinite, (amp, freq, phase))):
+            sec._fail("terms", f"non-finite row: {line!r}")
+        terms.append(TrigTerm(mode, amp, freq, phase))
+    return ForcingSignal.trig(n_modes, terms, period)
 
 
 def _parse_noise(sec: _Section, n_modes: int) -> tuple[CovarianceSpec, int]:
@@ -278,7 +254,6 @@ def load_config(path) -> RunConfig:
         num._fail("tol", "must be positive")
     t_back = num.auto_float("t_back", minimum=0.0)
     t_fwd = num.auto_float("t_fwd", minimum=0.0)
-    burn_in = num.auto_float("burn_in", minimum=0.0)
 
     chart_sec = _Section(parser, "chart")
     chart = {
@@ -353,7 +328,6 @@ def load_config(path) -> RunConfig:
         tol=tol,
         t_back=t_back,
         t_fwd=t_fwd,
-        burn_in=burn_in,
         chart=chart,
         track=track,
         attractor=attractor,
@@ -373,7 +347,7 @@ def build_problem(cfg: RunConfig, seed_override: int | None = None) -> ModelProb
     array budget.
 
     The grid is sized once from the whole configuration (largest requested
-    shift plus the OU burn-in margin), so every subcommand sees the same
+    shift plus the OU spin-up margin), so every subcommand sees the same
     stored path for a given (config, seed).
     """
     cert = check_gap(cfg.spectrum, cfg.nonlinearity.lipschitz, cfg.gap_k, cfg.gap_n)
@@ -383,8 +357,9 @@ def build_problem(cfg: RunConfig, seed_override: int | None = None) -> ModelProb
     h = cfg.h
     t_back = t_back_auto if cfg.t_back is None else cfg.t_back
     t_fwd = t_fwd_auto if cfg.t_fwd is None else cfg.t_fwd
-    lam1 = float(cfg.spectrum.lambdas[0])
-    burn_in = (10.0 / lam1) if cfg.burn_in is None else cfg.burn_in
+    # OU spin-up margin: the stationary draw's transient decays like
+    # e^{-lambda_1 t}, so 10 / lambda_1 leaves e^{-10} of it
+    spin_up = 10.0 / float(cfg.spectrum.lambdas[0])
     pullback = max(cfg.attractor["pullback_times"], default=0.0)
     invariance_t = cfg.verify["invariance_t"]
 
@@ -395,7 +370,7 @@ def build_problem(cfg: RunConfig, seed_override: int | None = None) -> ModelProb
         ("numerics.h", t_back_auto),
         ("numerics.t_back", t_back),
         ("numerics.t_fwd", t_fwd),
-        ("numerics.burn_in", burn_in),
+        ("spectrum.lambdas", spin_up),
         ("attractor.pullback_times", pullback),
         ("verify.invariance_t", invariance_t),
     ):
@@ -425,7 +400,7 @@ def build_problem(cfg: RunConfig, seed_override: int | None = None) -> ModelProb
             f"modes (lambda_n * t_back = {cert.lambda_n * t_back:g} > 500)"
         )
     t_fwd = whole_steps(t_fwd, h) * h
-    t_min = -(t_back + burn_in + max_shift) - h
+    t_min = -(t_back + spin_up + max_shift) - h
     t_max = max(t_fwd, invariance_t) + h
     grid = TimeGrid.from_times(t_min, t_max, h)
     _check_budget("numerics.h", grid.n_nodes, n_modes)

@@ -45,38 +45,16 @@ class Nonlinearity:
 
     ``per_mode_sin`` applies F_j(u) = L sin(lambda_j^alpha u_j), whose
     Lipschitz constant in the weighted-to-plain sense is exactly L.
-    ``custom_table`` applies a user-supplied scalar profile (piecewise
-    linear, clamped outside its domain) to the weighted coordinate; its
-    steepest chord must not exceed the declared constant.
     """
 
     kind: str
     lipschitz: float = 0.0
-    table_x: np.ndarray | None = None
-    table_y: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("zero", "per_mode_sin", "custom_table"):
+        if self.kind not in ("zero", "per_mode_sin"):
             raise ValidationError(f"unknown nonlinearity kind {self.kind!r}")
         if self.lipschitz < 0.0:
             raise ValidationError("Lipschitz constant must be nonnegative")
-        if self.kind == "custom_table":
-            xs = np.asarray(self.table_x, dtype=float)
-            ys = np.asarray(self.table_y, dtype=float)
-            if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
-                raise ValidationError("profile table needs matching 1-D x/y data")
-            if np.any(np.diff(xs) <= 0.0):
-                raise ValidationError("profile abscissae must be strictly increasing")
-            if abs(np.interp(0.0, xs, ys)) > 1e-12:
-                raise ValidationError("profile must pass through the origin")
-            slopes = np.abs(np.diff(ys) / np.diff(xs))
-            if np.max(slopes) > self.lipschitz * (1.0 + 1e-12):
-                raise ValidationError(
-                    f"profile slope {np.max(slopes):g} exceeds declared "
-                    f"Lipschitz constant {self.lipschitz:g}"
-                )
-            object.__setattr__(self, "table_x", xs)
-            object.__setattr__(self, "table_y", ys)
 
     @classmethod
     def zero(cls) -> "Nonlinearity":
@@ -85,14 +63,6 @@ class Nonlinearity:
     @classmethod
     def per_mode_sin(cls, lipschitz: float) -> "Nonlinearity":
         return cls("per_mode_sin", lipschitz)
-
-    @classmethod
-    def custom_table(cls, table_x, table_y, lipschitz: float | None = None) -> "Nonlinearity":
-        xs = np.asarray(table_x, dtype=float)
-        ys = np.asarray(table_y, dtype=float)
-        if lipschitz is None:
-            lipschitz = float(np.max(np.abs(np.diff(ys) / np.diff(xs))))
-        return cls("custom_table", lipschitz, table_x=xs, table_y=ys)
 
     def evaluator(self, s: Spectrum):
         """F as a function of the state alone, with the weights computed once.
@@ -106,11 +76,8 @@ class Nonlinearity:
         # At alpha = 0 the weights are all ones and u * 1.0 == u exactly,
         # so the multiply is skipped.
         weigh = (lambda u: u) if s.alpha == 0.0 else (lambda u: u * wts)
-        if self.kind == "per_mode_sin":
-            lip = self.lipschitz
-            return lambda u: lip * np.sin(weigh(u))
-        xs, ys = self.table_x, self.table_y
-        return lambda u: np.interp(np.clip(weigh(u), xs[0], xs[-1]), xs, ys)
+        lip = self.lipschitz
+        return lambda u: lip * np.sin(weigh(u))
 
     def apply(self, u: np.ndarray, s: Spectrum) -> np.ndarray:
         return self.evaluator(s)(s.check_state(u))

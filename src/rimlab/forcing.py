@@ -1,11 +1,10 @@
 """Deterministic non-autonomous forcing signals.
 
-Four forms are supported: ``zero``, ``constant`` (a fixed mode-coefficient
-vector), ``trig_sum`` (a finite sum of per-mode sinusoids, possibly with
-incommensurate frequencies), and ``tabulated`` (linear interpolation of a
-sampled signal).  Almost-periodic inputs are represented exclusively as
-finite trigonometric sums, which makes near-periods checkable by a direct
-scan instead of an existence argument.
+Three forms are supported: ``zero``, ``constant`` (a fixed mode-coefficient
+vector) and ``trig_sum`` (a finite sum of per-mode sinusoids, possibly with
+incommensurate frequencies).  Periodic and almost-periodic inputs are
+represented exclusively as finite trigonometric sums, which makes
+near-periods checkable by a direct scan instead of an existence argument.
 
 Besides pointwise evaluation and exact time translation, the module
 provides the one quadrature primitive everything downstream shares: the
@@ -14,11 +13,10 @@ cell,
 
     cell(t, h, j) = int_t^{t+h} e^{-lambda_j (t+h-s)} g_j(s) ds.
 
-For the analytic forms this cell integral is evaluated in closed form, so
-the only forcing error anywhere in the library is the interpolation error
-of tabulated signals.  Time integrator and fixed-point operators both use
-this primitive, which keeps their discretisations consistent with each
-other.
+Every form has this cell integral in closed form, so forcing adds no
+quadrature error anywhere in the library.  Time integrator and fixed-point
+operators both use this primitive, which keeps their discretisations
+consistent with each other.
 """
 
 from __future__ import annotations
@@ -27,11 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    SupportRangeError,
-    ValidationError,
-)
+from .errors import DimensionMismatchError, ValidationError
 from .spectral import Spectrum
 
 __all__ = [
@@ -43,7 +37,7 @@ __all__ = [
     "scan_almost_period",
 ]
 
-_FORMS = ("zero", "constant", "trig_sum", "tabulated")
+_FORMS = ("zero", "constant", "trig_sum")
 
 
 @dataclass(frozen=True)
@@ -68,8 +62,6 @@ class ForcingSignal:
     n_modes: int
     amplitudes: np.ndarray | None = None
     terms: tuple = field(default_factory=tuple)
-    table_t: np.ndarray | None = None
-    table_v: np.ndarray | None = None
     declared_period: float | None = None
 
     def __post_init__(self):
@@ -87,15 +79,6 @@ class ForcingSignal:
                     raise DimensionMismatchError(
                         f"trig term mode {term.mode} exceeds {self.n_modes} modes"
                     )
-        if self.form == "tabulated":
-            tt = np.asarray(self.table_t, dtype=float)
-            tv = np.asarray(self.table_v, dtype=float)
-            if tt.ndim != 1 or tv.shape != (tt.size, self.n_modes):
-                raise DimensionMismatchError("table must be (times, times x modes)")
-            if tt.size < 2 or np.any(np.diff(tt) <= 0.0):
-                raise ValidationError("table times must be strictly increasing")
-            object.__setattr__(self, "table_t", tt)
-            object.__setattr__(self, "table_v", tv)
         if self.declared_period is not None:
             self._check_period()
 
@@ -114,13 +97,6 @@ class ForcingSignal:
     def trig(cls, n_modes: int, terms, period: float | None = None) -> "ForcingSignal":
         return cls("trig_sum", n_modes, terms=tuple(terms), declared_period=period)
 
-    @classmethod
-    def tabulated(cls, table_t, table_v, period: float | None = None) -> "ForcingSignal":
-        tv = np.asarray(table_v, dtype=float)
-        return cls(
-            "tabulated", tv.shape[1], table_t=table_t, table_v=tv, declared_period=period
-        )
-
     # ---- internals -----------------------------------------------------
 
     def _check_period(self):
@@ -129,13 +105,7 @@ class ForcingSignal:
             raise ValidationError("declared period must be positive")
         if self.form in ("zero", "constant"):
             return
-        if self.form == "tabulated":
-            lo, hi = self.table_t[0], self.table_t[-1]
-            if hi - lo < period:
-                raise ValidationError("table does not cover one declared period")
-            r = np.linspace(lo, hi - period, 64)
-        else:
-            r = np.linspace(0.0, 2.0 * period, 64)
+        r = np.linspace(0.0, 2.0 * period, 64)
         diff = self.eval_many(r + period) - self.eval_many(r)
         scale = 1.0 + float(np.max(np.abs(self.eval_many(r))))
         if np.max(np.abs(diff)) > 1e-9 * scale:
@@ -152,19 +122,10 @@ class ForcingSignal:
         if self.form == "constant":
             out[:] = self.amplitudes
             return out
-        if self.form == "trig_sum":
-            for term in self.terms:
-                out[:, term.mode - 1] += term.amplitude * np.sin(
-                    term.frequency * t + term.phase
-                )
-            return out
-        lo, hi = self.table_t[0], self.table_t[-1]
-        if np.any(t < lo - 1e-12) or np.any(t > hi + 1e-12):
-            raise SupportRangeError(
-                f"tabulated forcing queried outside [{lo}, {hi}]"
+        for term in self.terms:
+            out[:, term.mode - 1] += term.amplitude * np.sin(
+                term.frequency * t + term.phase
             )
-        for j in range(self.n_modes):
-            out[:, j] = np.interp(t, self.table_t, self.table_v[:, j])
         return out
 
 
@@ -172,29 +133,18 @@ def shift_forcing(g: ForcingSignal, tau: float) -> ForcingSignal:
     """Exact translation: eval(shift(g, tau), t) == eval(g, t + tau)."""
     if tau == 0.0 or g.form in ("zero", "constant"):
         return g
-    if g.form == "trig_sum":
-        terms = tuple(
-            TrigTerm(t.mode, t.amplitude, t.frequency, t.phase + t.frequency * tau)
-            for t in g.terms
-        )
-        return ForcingSignal(
-            "trig_sum", g.n_modes, terms=terms, declared_period=g.declared_period
-        )
-    return ForcingSignal(
-        "tabulated",
-        g.n_modes,
-        table_t=g.table_t - tau,
-        table_v=g.table_v,
-        declared_period=g.declared_period,
+    terms = tuple(
+        TrigTerm(t.mode, t.amplitude, t.frequency, t.phase + t.frequency * tau)
+        for t in g.terms
     )
+    return ForcingSignal("trig_sum", g.n_modes, terms=terms, declared_period=g.declared_period)
 
 
 def cell_convolution(g: ForcingSignal, s: Spectrum, t_lefts: np.ndarray, h: float) -> np.ndarray:
     """Kernel-weighted cell integrals of the signal.
 
     Entry [i, j] is  int_{t_i}^{t_i + h} e^{-lambda_j (t_i + h - sigma)}
-    g_j(sigma) d sigma, evaluated in closed form for the analytic forms and
-    by left-endpoint sampling for tabulated signals.
+    g_j(sigma) d sigma, evaluated in closed form.
     """
     if g.n_modes != s.size:
         raise DimensionMismatchError("forcing and spectrum mode counts differ")
@@ -207,8 +157,6 @@ def cell_convolution(g: ForcingSignal, s: Spectrum, t_lefts: np.ndarray, h: floa
     if g.form == "constant":
         out[:] = g.amplitudes * w1
         return out
-    if g.form == "tabulated":
-        return g.eval_many(t_lefts) * w1
     for term in g.terms:
         j = term.mode - 1
         coeff = (np.exp(1j * term.frequency * h) - np.exp(-lam[j] * h)) / (
@@ -224,14 +172,8 @@ def almost_period_defect(g: ForcingSignal, s: Spectrum, tau0: float) -> float:
     if tau0 == 0.0 or g.form in ("zero", "constant"):
         return 0.0
     wts = s.weights_alpha()
-    if g.form == "trig_sum":
-        span = 4.0 * max(2.0 * np.pi / t.frequency for t in g.terms)
-        r = np.linspace(0.0, span, 1024)
-    else:
-        lo, hi = g.table_t[0], g.table_t[-1] - tau0
-        if hi <= lo:
-            raise SupportRangeError("table too short for the requested near-period")
-        r = np.linspace(lo, hi, 1024)
+    span = 4.0 * max(2.0 * np.pi / t.frequency for t in g.terms)
+    r = np.linspace(0.0, span, 1024)
     diff = (g.eval_many(r + tau0) - g.eval_many(r)) * wts
     return float(np.max(np.linalg.norm(diff, axis=1)))
 
@@ -252,8 +194,6 @@ def scan_almost_period(
     """
     if g.form in ("zero", "constant"):
         return 1.0, 0.0
-    if g.form != "trig_sum":
-        raise ValidationError("near-period scan supports trig-sum signals only")
     taus = np.arange(1.0, tau_max, step)
     wts = s.weights_alpha()
     per_mode = np.zeros((taus.size, s.size))

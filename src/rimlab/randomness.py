@@ -89,9 +89,6 @@ class TimeGrid:
     def n_nodes(self) -> int:
         return self.i_max - self.i_min + 1
 
-    def times(self) -> np.ndarray:
-        return np.arange(self.i_min, self.i_max + 1) * self.h
-
     def index(self, t: float) -> int:
         """Grid index of t; raises if t is off-grid or outside the span."""
         x = t / self.h
@@ -145,9 +142,6 @@ class WienerPath:
     @property
     def n_modes(self) -> int:
         return int(self.values.shape[1])
-
-    def at(self, t: float) -> np.ndarray:
-        return self.values[self.grid.offset(t)]
 
     def increments(self) -> np.ndarray:
         return np.diff(self.values, axis=0)

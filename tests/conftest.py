@@ -10,7 +10,8 @@ library itself does not need: a problem that only carries noise, a cold
 one-point graph solve, the offset graph of the
 original variables, a path restriction, one forward-operator sweep, and
 a tracking solve that integrates its own base orbit.  ``ModeCoupling`` is
-a test-only nonlinearity whose graph depends on x.
+a test-only nonlinearity whose graph depends on x; ``Saturating`` is one
+whose orbits overflow the float range.
 """
 
 import numpy as np
@@ -109,13 +110,11 @@ def past_forcing_bound():
 
     Returns g, s -> sup_t ||A^alpha g(t)|| / lambda_1, which bounds
     int_{-inf}^0 e^{lambda_1 sigma} ||A^alpha g(sigma + tau)|| d sigma for
-    every tau.  Covers the forms the fixtures use (zero, constant, trig
-    sum); trig amplitudes are summed per mode before the mode norm, so the
-    bound is exact for a constant.
+    every tau.  Trig amplitudes are summed per mode before the mode norm,
+    so the bound is exact for a constant.
     """
 
     def bound(g, s):
-        assert g.form in ("zero", "constant", "trig_sum")
         per_mode = np.abs(g.amplitudes) if g.form == "constant" else np.zeros(s.size)
         for term in g.terms:
             per_mode[term.mode - 1] += abs(term.amplitude)
@@ -151,6 +150,23 @@ class ModeCoupling(rl.Nonlinearity):
         dst = np.sqrt(2.0 / (s.size + 1)) * np.sin(np.pi * np.outer(j, j) / (s.size + 1))
         lip = self.lipschitz
         return lambda u: lip * np.einsum("jk,...k->...j", dst, u)
+
+
+class Saturating(rl.Nonlinearity):
+    """Test-only F(u) = L clip(u, -1, 1), mode by mode, at alpha = 0.
+
+    With L near the float maximum, an orbit whose saturation level
+    L / lambda_1 lies beyond the float range overflows after finitely many
+    steps, so ``integrate`` raises InstabilityError on it.
+    """
+
+    def __post_init__(self):
+        if self.lipschitz < 0.0:
+            raise ValidationError("Lipschitz constant must be nonnegative")
+
+    def evaluator(self, s):
+        lip = self.lipschitz
+        return lambda u: lip * np.clip(u, -1.0, 1.0)
 
 
 def line_grid(n_modes: int, count: int, lo: float = -1.0, hi: float = 1.0, mode: int = 1):

@@ -526,15 +526,10 @@ BAD_INPUTS = {
         ("pullback_times = 2.0 4.0", "pullback_times = 2.0 inf"), [], "gap-scan", None
     ),
     "nan_in_terms": (("2 1.0 1.0 0.0", "2 nan 1.0 0.0"), [], "gap-scan", None),
-    "nan_in_table": (
-        (
-            "form = trig_sum\nterms =\n    2 1.0 1.0 0.0",
-            "form = tabulated\ntable =\n    -40.0 0 0.5 0 0 0 0 0 0\n    8.0 0 nan 0 0 0 0 0 0",
-        ),
-        [],
-        "gap-scan",
-        None,
+    "retired_custom_table": (
+        ("kind = per_mode_sin", "kind = custom_table"), [], "gap-scan", "nonlinearity.kind"
     ),
+    "retired_tabulated": (("form = trig_sum", "form = tabulated"), [], "gap-scan", "forcing.form"),
     "negative_seed": (("seed = 7", "seed = -3"), [], "gap-scan", None),
     "negative_seed_flag": (None, ["--seed", "-3"], "gap-scan", None),
     "missing_config": (None, ["--config", "{tmp}/missing.ini"], "gap-scan", None),
@@ -546,8 +541,14 @@ BAD_INPUTS = {
     "budget_t_fwd": (
         ("tol = 1e-5", "tol = 1e-5\nt_fwd = 1e12"), [], "build-manifold", "numerics.t_fwd"
     ),
-    "budget_burn_in": (
-        ("tol = 1e-5", "tol = 1e-5\nburn_in = 1e12"), [], "build-manifold", "numerics.burn_in"
+    "budget_spin_up": (
+        (
+            "kind = dirichlet\nn_total = 8",
+            "kind = explicit\nlambdas = 1e-9 4.0 9.0 16.0 25.0 36.0 49.0 64.0",
+        ),
+        [],
+        "build-manifold",
+        "spectrum.lambdas",
     ),
     "budget_pullback_times": (
         ("pullback_times = 2.0 4.0", "pullback_times = 2.0 1e12"),
@@ -613,17 +614,12 @@ lambdas = 1.0 4.0 9.0 16.0 25.0 36.0
 alpha = 0.25
 
 [nonlinearity]
-kind = custom_table
+kind = per_mode_sin
 lipschitz = 0.1
-table_x = -6.0 -3.0 0.0 3.0 6.0
-table_y = -0.3 -0.29 0.0 0.29 0.3
 
 [forcing]
-form = tabulated
-table =
-    -40.0 0.0 0.5 0.0 0.0 0.0 0.0
-    0.0 0.0 0.5 0.0 0.0 0.0 0.0
-    8.0 0.0 0.5 0.0 0.0 0.0 0.0
+form = constant
+amplitudes = 0.0 0.5 0.0 0.0 0.0 0.0
 
 [noise]
 kind = explicit

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import rimlab as rl
-from conftest import coarsen_path, noise_problem
+from conftest import Saturating, coarsen_path, noise_problem
 from rimlab.dynamics import Nonlinearity, cocycle_phi, cocycle_psi, integrate
 from rimlab.errors import InstabilityError, ParameterError, ValidationError
 
@@ -34,30 +34,23 @@ def noisy_ou(noisy_problem):
 def test_nonlinearity_validation():
     with pytest.raises(ValidationError):
         Nonlinearity("nope")
-    with pytest.raises(ValidationError):
-        Nonlinearity.custom_table([-1.0, 1.0], [0.5, 1.0])  # misses the origin
-    with pytest.raises(ValidationError):
-        Nonlinearity("custom_table", 0.1, np.array([-1.0, 1.0]), np.array([-1.0, 1.0]))
 
 
 def test_nonlinearity_lipschitz_probes(spec8):
     # F(0) = 0 and the weighted Lipschitz bound on random probe pairs.
     rng = np.random.default_rng(3)
-    for f in (
-        Nonlinearity.per_mode_sin(0.37),
-        Nonlinearity.custom_table(np.linspace(-2, 2, 41), 0.2 * np.tanh(np.linspace(-2, 2, 41))),
-    ):
-        assert np.array_equal(f.apply(np.zeros(8), spec8), np.zeros(8))
-        wts = spec8.weights_alpha()
-        for _ in range(1000):
-            u, v = rng.standard_normal((2, 8)) * 2.0
-            df = np.linalg.norm(f.apply(u, spec8) - f.apply(v, spec8))
-            assert df <= f.lipschitz * np.linalg.norm((u - v) * wts) * (1 + 1e-12)
-        # the norm bound from the origin
-        u = rng.standard_normal(8)
-        assert np.linalg.norm(f.apply(u, spec8)) <= f.lipschitz * np.linalg.norm(u * wts) * (
-            1 + 1e-12
-        )
+    f = Nonlinearity.per_mode_sin(0.37)
+    assert np.array_equal(f.apply(np.zeros(8), spec8), np.zeros(8))
+    wts = spec8.weights_alpha()
+    for _ in range(1000):
+        u, v = rng.standard_normal((2, 8)) * 2.0
+        df = np.linalg.norm(f.apply(u, spec8) - f.apply(v, spec8))
+        assert df <= f.lipschitz * np.linalg.norm((u - v) * wts) * (1 + 1e-12)
+    # the norm bound from the origin
+    u = rng.standard_normal(8)
+    assert np.linalg.norm(f.apply(u, spec8)) <= f.lipschitz * np.linalg.norm(u * wts) * (
+        1 + 1e-12
+    )
 
 
 def test_linear_homogeneous_exact(spec8, quiet_ou):
@@ -229,7 +222,7 @@ def test_instability_reports_step():
     slow = rl.Spectrum(np.array([0.5, 2.0]))
     grid = rl.TimeGrid.from_times(-1.0, 3.0, 1e-3)
     ou = rl.solve_ou(rl.sample_wiener(1, grid, rl.CovarianceSpec.zero(2)), slow)
-    f = Nonlinearity.custom_table(np.array([-1.0, 0.0, 1.0]), np.array([-1.5e308, 0.0, 1.5e308]))
+    f = Saturating("saturating", 1.5e308)
     g = rl.ForcingSignal.zero(2)
     times = np.arange(0, 3001) * 1e-3
     for v0 in (np.full(2, 1.0), np.array([[0.0, 0.0], [1.0, 1.0]])):
@@ -252,14 +245,7 @@ def test_batched_integration_matches_loop(spec8, noisy_ou):
         assert np.allclose(ends[i], single, rtol=0, atol=1e-14)
 
 
-@pytest.mark.parametrize(
-    "f",
-    [
-        Nonlinearity.per_mode_sin(0.1),
-        Nonlinearity.custom_table([-2.0, 0.0, 1.0, 3.0], [-0.1, 0.0, 0.05, 0.08]),
-    ],
-    ids=["per_mode_sin", "custom_table"],
-)
+@pytest.mark.parametrize("f", [Nonlinearity.per_mode_sin(0.1)], ids=["per_mode_sin"])
 def test_batched_trajectory_matches_single_calls(spec8, noisy_ou, f):
     # One batched integrate of B states reproduces B single-state histories.
     g = rl.ForcingSignal.trig(8, [rl.TrigTerm(2, 1.0, 1.0, 0.0)])
@@ -280,14 +266,7 @@ def test_phi_identity_at_zero(spec8, noisy_ou):
     assert np.array_equal(out, u0)
 
 
-@pytest.mark.parametrize(
-    "f",
-    [
-        Nonlinearity.per_mode_sin(0.3),
-        Nonlinearity.custom_table([-2.0, 0.0, 1.0, 3.0], [-0.1, 0.0, 0.05, 0.08]),
-    ],
-    ids=["per_mode_sin", "custom_table"],
-)
+@pytest.mark.parametrize("f", [Nonlinearity.per_mode_sin(0.3)], ids=["per_mode_sin"])
 def test_evaluator_weights_only_when_alpha_positive(f):
     # At alpha = 0 the evaluator skips the all-ones weight multiply; that must
     # equal the weighted formula bit for bit (signed zeros and non-finite
@@ -297,10 +276,7 @@ def test_evaluator_weights_only_when_alpha_positive(f):
     u[0, :4] = [-0.0, np.inf, -np.inf, np.nan]
 
     def weighted(s):
-        v = u * s.weights_alpha()
-        if f.kind == "per_mode_sin":
-            return f.lipschitz * np.sin(v)
-        return np.interp(np.clip(v, f.table_x[0], f.table_x[-1]), f.table_x, f.table_y)
+        return f.lipschitz * np.sin(u * s.weights_alpha())
 
     with np.errstate(invalid="ignore"):
         for alpha in (0.0, 0.25):

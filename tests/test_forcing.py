@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import rimlab as rl
-from rimlab.errors import SupportRangeError, ValidationError
+from rimlab.errors import ValidationError
 from rimlab.forcing import (
     almost_period_defect,
     cell_convolution,
@@ -35,15 +35,6 @@ def test_trig_forcing_pointwise():
     assert np.array_equal(out[[0, 2, 3]], np.zeros(3))
 
 
-def test_tabulated_interpolation_and_range():
-    table_t = np.array([-1.0, 0.0, 1.0])
-    table_v = np.array([[0.0, 2.0], [1.0, 0.0], [2.0, -2.0]])
-    g = rl.ForcingSignal.tabulated(table_t, table_v)
-    assert np.allclose(g.eval_many([0.5])[0], [1.5, -1.0])
-    with pytest.raises(SupportRangeError):
-        g.eval_many([2.0])[0]
-
-
 def test_declared_period_validated():
     with pytest.raises(ValidationError):
         rl.ForcingSignal.trig(2, [rl.TrigTerm(1, 1.0, 1.0, 0.0)], period=1.0)
@@ -74,14 +65,6 @@ def test_shift_group_law(spec4):
     lhs = shift_forcing(shift_forcing(g, 0.7), -1.9).eval_many(t)
     rhs = shift_forcing(g, -1.2).eval_many(t)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
-def test_shift_tabulated():
-    table_t = np.array([-2.0, 0.0, 2.0])
-    table_v = np.array([[0.0], [1.0], [0.0]])
-    g = rl.ForcingSignal.tabulated(table_t, table_v)
-    shifted = shift_forcing(g, 1.0)
-    assert shifted.eval_many([-0.5])[0, 0] == pytest.approx(g.eval_many([0.5])[0, 0])
 
 
 def test_cell_convolution_matches_quadrature(spec4):

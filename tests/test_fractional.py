@@ -1,4 +1,4 @@
-"""Solver paths with a nonzero fractional exponent and a tabulated profile.
+"""Solver paths with a nonzero fractional exponent.
 
 The fractional weights enter the gap condition through the singular-kernel
 constant, the weighted norms, and the nonlinearity's argument scaling;
@@ -97,27 +97,3 @@ def test_fractional_tracking_envelope(problem_frac):
     envelope, _ = tracking_defects([result], problem_frac, 0.0)
     assert envelope.passed
     assert result.fitted_slope() <= -problem_frac.cert.mu + 0.1
-
-
-def test_custom_table_through_solver():
-    # A tanh profile exercises table interpolation on full node windows.
-    s = rl.dirichlet_laplacian(8, 0.0)
-    cert = check_gap(s, 0.1, 0.2, 1)
-    xs = np.linspace(-6.0, 6.0, 241)
-    f = rl.Nonlinearity.custom_table(xs, 0.1 * np.tanh(xs))
-    g = rl.ForcingSignal.trig(8, [rl.TrigTerm(2, 1.0, 1.0, 0.0)], period=2.0 * np.pi)
-    cov = rl.CovarianceSpec.power_law(8, 0.05, 2.0)
-    grid = rl.TimeGrid.from_times(-24.0, 1.0, 1e-3)
-    path = rl.sample_wiener(9, grid, cov)
-    problem = ModelProblem(
-        spectrum=s, nonlinearity=f, forcing=g, path=path, cert=cert,
-        t_back=12.0, t_fwd=12.0, tol=1e-6,
-    )
-    ctx = problem.lp_context(0.0)
-    x = np.zeros(8)
-    x[0] = 0.5
-    xi, iterations = rl.solve_fixed_point(x, ctx)
-    assert iterations < 15
-    assert xi[-1, 0] == pytest.approx(0.5, abs=1e-13)
-    # the coupled profile still yields a small nontrivial graph
-    assert 0.0 < abs(xi[-1, 1]) < 1.0

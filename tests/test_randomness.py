@@ -60,7 +60,7 @@ def test_same_seed_bitwise_identical():
 def test_path_anchored_at_zero():
     grid = small_grid()
     w = rl.sample_wiener(5, grid, rl.CovarianceSpec.power_law(3, 1.0, 1.0))
-    assert np.array_equal(w.at(0.0), np.zeros(3))
+    assert np.array_equal(w.values[grid.offset(0.0)], np.zeros(3))
 
 
 def test_increment_variance_matches_covariance():
@@ -116,7 +116,7 @@ def test_coarsen_restriction_is_exact():
     c = coarsen_path(w, 4)
     assert c.grid.h == pytest.approx(0.04)
     assert np.array_equal(c.values, w.values[::4])
-    assert np.array_equal(c.at(-1.0), w.at(-1.0))
+    assert np.array_equal(c.values[c.grid.offset(-1.0)], w.values[grid.offset(-1.0)])
 
 
 def test_ou_zero_noise_is_zero():
@@ -168,10 +168,11 @@ def test_temperedness_ratio():
     # finite, and zero for zero noise.
     s = rl.Spectrum(np.array([1.0, 4.0]))
     grid = small_grid()
-    past = grid.times() <= 0.0
+    times = np.arange(grid.i_min, grid.i_max + 1) * grid.h
+    past = times <= 0.0
 
     def ratio(z):
-        return float(np.max(np.exp(grid.times()[past]) * np.linalg.norm(z.values[past], axis=1)))
+        return float(np.max(np.exp(times[past]) * np.linalg.norm(z.values[past], axis=1)))
 
     w0 = rl.sample_wiener(1, grid, rl.CovarianceSpec.zero(2))
     assert ratio(rl.solve_ou(w0, s)) == 0.0
