@@ -21,12 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import cocycle_phi, cocycle_psi
-from .errors import DomainError, ParameterError, ValidationError
-from .forcing import almost_period_defect
-from .lyapunov_perron import ManifoldChart, _sweep
+from .dynamics import cocycle_phi, integrate
+from .errors import DomainError, GridAlignmentError, ParameterError, ValidationError
+from .forcing import almost_period_defect, shift_forcing
+from .lyapunov_perron import ManifoldChart, solve_fixed_point
 from .problem import ModelProblem
-from .spectral import norm_alpha
+from .spectral import _mode_major, norm_alpha
 from .tracking import TrackingResult
 
 __all__ = [
@@ -130,28 +130,40 @@ def lipschitz_defect(chart: ManifoldChart) -> DefectReport:
 def invariance_defect(chart: ManifoldChart, t: float, problem: ModelProblem) -> DefectReport:
     """Flow the chart forward and measure its distance to the shifted graph.
 
-    Each chart point is evolved for time t >= 0 by the transformed cocycle
-    ``cocycle_psi``; the off-graph part of the endpoint is compared against
-    a fresh fixed-point solve at translated forcing on the shifted noise
-    ``ou_for(t)`` (the endpoints are solved in order as one ``_sweep``).
-    Flow and graph share one cell rule at the problem's step, so this
+    The chart points are evolved for time t >= 0 as one batch by
+    ``integrate`` with the forcing translated by the chart's tau, keeping
+    the trajectory (the endpoints are ``cocycle_psi``'s bit for bit).  The
+    off-graph part of each endpoint is compared against a fixed-point solve
+    at translated forcing on the shifted noise ``ou_for(t)``.  By the
+    cocycle property, the chart history continued by the flowed orbit is
+    that solve's fixed point up to the window's far end, so each solve
+    starts from the last rows of the point's stored start
+    (``ManifoldChart.starts``) followed by its orbit.  The stop rule bounds
+    the distance to the fixed point by tol from any start, so a flow that
+    leaves the discrete graph only moves the start and still shows.  Flow
+    and graph share one cell rule at the problem's step, so this
     matched-resolution defect sits at the solver and truncation floor, not
-    at O(h).
+    at O(h).  A chart whose window differs from the problem's raises
+    GridAlignmentError.
     """
-    endpoints = cocycle_psi(
-        t,
-        chart.tau,
-        problem.ou,
+    ctx = problem.lp_context(chart.tau + t, ou=problem.ou_for(t))
+    if chart.t_back != ctx.t_back or chart.starts[0].shape != ctx.z.shape:
+        raise GridAlignmentError("chart window differs from the problem's backward window")
+    orbits = integrate(
         chart.points,
-        problem.forcing,
+        0.0,
+        t,
+        problem.ou,
+        shift_forcing(problem.forcing, chart.tau),
         problem.nonlinearity,
         problem.spectrum,
-    )
-    ctx = problem.lp_context(chart.tau + t, ou=problem.ou_for(t))
+    ).values  # (nodes, points, modes)
     value = 0.0
-    for q_pt, xi in zip(endpoints, _sweep(ctx.project_p(endpoints), ctx)):
-        m_val = ctx.project_q(xi[-1])
-        value = max(value, norm_alpha(ctx.project_q(q_pt) - m_val, problem.spectrum))
+    for orbit, start in zip(np.moveaxis(orbits, 1, 0), chart.starts):
+        history = _mode_major(np.concatenate((start, orbit[1:]))[-ctx.times.size :])
+        xi, _ = solve_fixed_point(ctx.project_p(orbit[-1]), ctx, history)
+        off = ctx.project_q(orbit[-1]) - ctx.project_q(xi[-1])
+        value = max(value, norm_alpha(off, problem.spectrum))
     bound = INVARIANCE_CONSTANT * (problem.h + problem.tol)
     return DefectReport(
         kind="invariance",
@@ -206,11 +218,11 @@ def tracking_defects(
 def _graph_shift(tau, shift, x_grid, problem) -> float:
     """Largest graph distance |m_{tau+shift}(x) - m_tau(x)|_alpha over the grid.
 
-    Values of m_tau that are not stored yet are solved in pairs with
-    m_{tau+shift} (``ModelProblem.graph_values`` with ``shift``); at a
-    translation by a period each shifted solve then takes one operator
-    application and reproduces m_tau up to rounding.  Where m_tau is stored
-    (the chart's tau), the shifted values are solved as one sweep.
+    Each m_{tau+shift}(x) is solved from the final start of m_tau(x)'s
+    solve (``ModelProblem.graph_values`` with ``shift``): right after it
+    where m_tau is not stored yet, else from the start the chart stored.
+    At a translation by a period each shifted solve then takes one operator
+    application and reproduces m_tau up to rounding.
     """
     m_a = problem.graph_values(tau, x_grid, shift)
     m_b = problem.graph_values(tau + shift, x_grid)

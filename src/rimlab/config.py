@@ -197,6 +197,8 @@ def _parse_forcing(sec: _Section, n_modes: int) -> ForcingSignal:
         if not all(map(math.isfinite, (amp, freq, phase))):
             sec._fail("terms", f"non-finite row: {line!r}")
         terms.append(TrigTerm(mode, amp, freq, phase))
+    if not terms:
+        sec._fail("terms", "needs at least one 'mode amplitude frequency phase' row")
     return ForcingSignal.trig(n_modes, terms, period)
 
 

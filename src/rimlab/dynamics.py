@@ -143,6 +143,11 @@ def integrate(
         # Linear case: per-mode first-order recursion, solved in one filter pass.
         driven = _filter_modes(cells, damp)
         decay = _exp_normal(-s.lambdas * (times[1:, None] - r))  # (n_steps, N)
+        if not return_trajectory:
+            v_end = decay[-1] * v + driven[-1]
+            if not np.all(np.isfinite(v_end)):
+                raise InstabilityError("non-finite state in linear integration")
+            return v_end
         if batched:
             values = np.concatenate(
                 [v[:, None, :], decay[None, :, :] * v[:, None, :] + driven[None, :, :]],
@@ -153,9 +158,7 @@ def integrate(
             values = np.vstack([v[None, :], decay * v[None, :] + driven])
         if not np.all(np.isfinite(values)):
             raise InstabilityError("non-finite state in linear integration")
-        if return_trajectory:
-            return Trajectory(times, values)
-        return values[-1]
+        return Trajectory(times, values)
 
     store = None
     if return_trajectory:

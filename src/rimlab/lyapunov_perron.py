@@ -33,7 +33,7 @@ these sums (``_duhamel``) and the Picard loop (``_picard``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -377,7 +377,8 @@ def _duhamel(u: np.ndarray, ctx: LPContext) -> np.ndarray:
     out[0, n:] = 0.0
     _filter_modes(u[:, n:], ctx.damp[n:], out=out[1:, n:])
     out[-1, :n] = 0.0
-    out[:-1, :n] = -_filter_modes(u[:, :n], ctx.grow[:n], ctx.grow[:n], reverse=True)
+    _filter_modes(u[:, :n], ctx.grow[:n], ctx.grow[:n], reverse=True, out=out[:-1, :n])
+    np.negative(out[:-1, :n], out=out[:-1, :n])
     return out
 
 
@@ -386,7 +387,7 @@ def lp_apply(xi: np.ndarray, x: np.ndarray, ctx: LPContext) -> np.ndarray:
     if xi.shape != (ctx.times.size, ctx.spectrum.size):
         raise GridAlignmentError("history nodes do not match the context window")
     x = ctx.spectrum.check_state(x)
-    u = ctx.f(xi + ctx.z)[:-1]  # per-cell increments, scaled in place
+    u = ctx.f(xi[:-1] + ctx.z[:-1])  # per-cell increments, scaled in place
     u *= ctx.w1
     u += ctx.gcells
     out = _duhamel(u, ctx)
@@ -490,7 +491,7 @@ def _secant_start(ctx: LPContext, x, x1, xi1, x0, xi0) -> np.ndarray:
     return start
 
 
-def _sweep(xs, ctx: LPContext, shifted: LPContext | None = None):
+def _sweep(xs, ctx: LPContext):
     """Fixed points at the base points ``xs``, solved in order as one continuation.
 
     The first solve starts cold and the second from the first fixed point
@@ -499,14 +500,10 @@ def _sweep(xs, ctx: LPContext, shifted: LPContext | None = None):
     (``_secant_start``), which is exact to first order along a line of base
     points.  The stop rule bounds the distance to the fixed point by tol
     from any start, so a predicted start saves iterations and loosens
-    nothing.  Yields each fixed point.
-
-    Given ``shifted``, a context at another translation, each point is also
-    solved there right after, from the history that started the final
-    Picard step at ``ctx``, and the pair (fixed point at ``ctx``, at
-    ``shifted``) is yielded.  When ``shifted`` is ``ctx``'s operator, as at
-    a translation by a period, that start is mapped to the first fixed
-    point, so the solve stops after one application and returns it.
+    nothing.  Yields each (fixed point, final start): the final start is
+    the history that began the solve's final Picard step, which the
+    operator maps to the fixed point, so a solve of the same point under a
+    translated operator can start from it (``ModelProblem.graph_values``).
     """
     x0 = xi0 = x1 = xi1 = None
     for x in xs:
@@ -517,20 +514,20 @@ def _sweep(xs, ctx: LPContext, shifted: LPContext | None = None):
         else:
             start = _secant_start(ctx, x, x1, xi1, x0, xi0)
         x0, xi0, x1 = x1, xi1, x  # drop the older fixed point before solving
-        if shifted is None:
-            xi1, _ = solve_fixed_point(x, ctx, start)
-            del start  # hold no spare history while the caller runs
-            yield xi1
-        else:
-            xi1, _, final = solve_fixed_point(x, ctx, start, final_start=True)
-            del start
-            yield xi1, solve_fixed_point(x, shifted, final)[0]
-            del final
+        xi1, _, final = solve_fixed_point(x, ctx, start, final_start=True)
+        del start  # hold no spare history while the caller runs
+        yield xi1, final
+        del final
 
 
 @dataclass(frozen=True)
 class ManifoldChart:
-    """Sampled graph of the manifold over a grid of resolved-mode points."""
+    """Sampled graph of the manifold over a grid of resolved-mode points.
+
+    ``starts`` holds, per point, the mode-major history that began the
+    final Picard step of its solve; the operator maps it to the point's
+    fixed point, whose last row is the graph point.
+    """
 
     tau: float
     x_grid: np.ndarray
@@ -540,6 +537,7 @@ class ManifoldChart:
     cert: GapCertificate
     tol: float
     t_back: float
+    starts: tuple = field(repr=False, compare=False)
 
     def __post_init__(self):
         if np.any(self.residuals > self.tol * (1.0 + 1e-9)):
@@ -557,18 +555,20 @@ def build_chart(x_grid: np.ndarray, ctx: LPContext) -> ManifoldChart:
     """Evaluate the graph map over a grid of base points.
 
     The points are solved in grid order as one ``_sweep``.  Records
-    per-point fixed-point residuals (one extra operator application each)
-    and the empirical Lipschitz constant over all grid pairs.
+    per-point fixed-point residuals (one extra operator application each),
+    each solve's final start, and the empirical Lipschitz constant over all
+    grid pairs.
     """
     x_grid = np.atleast_2d(np.asarray(x_grid, dtype=float))
     if x_grid.shape[0] < 1:
         raise DomainError("chart grid must contain at least one point")
     x_grid = np.array([ctx.project_p(x) for x in x_grid])
 
-    values, residuals = [], []
-    for x, xi in zip(x_grid, _sweep(x_grid, ctx)):
+    values, residuals, starts = [], [], []
+    for x, (xi, start) in zip(x_grid, _sweep(x_grid, ctx)):
         values.append(ctx.project_q(xi[-1]))
         residuals.append(ctx.s_norm(lp_apply(xi, x, ctx) - xi))
+        starts.append(start)
     values = np.array(values)
     residuals = np.array(residuals)
 
@@ -589,4 +589,5 @@ def build_chart(x_grid: np.ndarray, ctx: LPContext) -> ManifoldChart:
         cert=ctx.cert,
         tol=ctx.tol,
         t_back=ctx.t_back,
+        starts=tuple(starts),
     )

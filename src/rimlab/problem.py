@@ -7,11 +7,13 @@ built from here, so that every downstream object provably uses the same
 stored noise.  The solver tolerance ``tol`` is fixed per problem and passed
 to every context.  Graph values on the stored path are solved at most once
 per (tau, base point), so checks that revisit the chart's points reuse its
-solves.
+solves, and a translate of a chart point starts from the history that
+began the chart solve's final Picard step.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +27,7 @@ from .lyapunov_perron import (
     ManifoldChart,
     _sweep,
     build_chart,
+    solve_fixed_point,
 )
 from .randomness import OUProcess, TimeGrid, WienerPath, solve_ou
 from .spectral import Spectrum
@@ -98,10 +101,11 @@ class ModelProblem:
         return float(tau), x[: self.cert.n].tobytes()
 
     def chart(self, tau: float, x_grid: np.ndarray) -> ManifoldChart:
-        """``build_chart`` at translation tau; its values join the graph-value store."""
+        """``build_chart`` at translation tau; its values join the graph-value
+        store, each beside its solve's final start (``ManifoldChart.starts``)."""
         chart = build_chart(x_grid, self.lp_context(tau))
-        for x, m in zip(chart.x_grid, chart.values):
-            self._graph[self._graph_key(chart.tau, x)] = m.copy()
+        for x, m, start in zip(chart.x_grid, chart.values, chart.starts):
+            self._graph[self._graph_key(chart.tau, x)] = m.copy(), start
         return chart
 
     def graph_values(
@@ -114,27 +118,39 @@ class ModelProblem:
         coordinates, only when some are missing.  Values come back in the
         caller's order.  ``chart`` fills the same store.
 
-        With ``shift``, the missing points are also solved at tau + shift,
-        each right after its solve at tau (the paired ``_sweep``), and those
-        values are stored too, unless one of them is stored already.  A
-        later ``graph_values(tau + shift, ...)`` reads them back.
+        With ``shift``, each translate m_{tau+shift}(P x) that is not stored
+        yet is solved and stored too, from the history that began the final
+        Picard step of the solve at tau: right after that solve when m_tau(P x)
+        was missing, else from the start the chart stored.  At a translation
+        by a period the operator maps that start onto m_tau(P x)'s fixed
+        point, so the translate stops after one application, at rounding
+        level.  A translate whose base value is stored without a start is
+        left to a later ``graph_values(tau + shift, ...)``.
         """
+        points = np.atleast_2d(np.asarray(x_grid, dtype=float))
         keys, missing = [], {}
-        for x in np.atleast_2d(np.asarray(x_grid, dtype=float)):
+        for x in points:
             keys.append(self._graph_key(tau, x))
             if keys[-1] not in self._graph:
                 missing.setdefault(keys[-1], x)
+        shifted = functools.cache(lambda: self.lp_context(tau + shift))
+
+        def translate(x, start):
+            if shift is None or start is None:
+                return
+            key = self._graph_key(tau + shift, x)
+            if key not in self._graph:
+                xi, _ = solve_fixed_point(shifted().project_p(x), shifted(), start)
+                self._graph[key] = shifted().project_q(xi[-1]), None
+
         if missing:
             ctx = self.lp_context(tau)
             order = sorted(missing, key=lambda key: tuple(missing[key][: self.cert.n]))
             bases = [ctx.project_p(missing[key]) for key in order]
-            keys_b = [] if shift is None else [self._graph_key(tau + shift, x) for x in bases]
-            if keys_b and not any(key in self._graph for key in keys_b):
-                sweep = _sweep(bases, ctx, self.lp_context(tau + shift))
-                for key, key_b, (xi, xi_b) in zip(order, keys_b, sweep):
-                    self._graph[key] = ctx.project_q(xi[-1])
-                    self._graph[key_b] = ctx.project_q(xi_b[-1])
-            else:
-                for key, xi in zip(order, _sweep(bases, ctx)):
-                    self._graph[key] = ctx.project_q(xi[-1])
-        return np.array([self._graph[key] for key in keys])
+            for key, x, (xi, start) in zip(order, bases, _sweep(bases, ctx)):
+                self._graph[key] = ctx.project_q(xi[-1]), None
+                translate(x, start)
+                del start  # a translate's start is held only while it is solved
+        for key, x in zip(keys, points):
+            translate(x, self._graph[key][1])
+        return np.array([self._graph[key][0] for key in keys])

@@ -264,17 +264,18 @@ def _apply_forward(
 ):
     """One sweep of the forward operator; returns (values, x0, graph).
 
-    ``f_base`` is F(base + z) on the forward nodes, fixed for a whole
-    solve.  ``graph`` is the nested fixed point at x0, whose time-zero Q
-    part is m(x0).  ``warm``, a previous sweep's (graph, x0) pair,
-    warm-starts that solve.
+    ``f_base`` is F(base + z) on the forward cells' left nodes (every node
+    but the last), fixed for a whole solve; dF is needed only there.
+    ``graph`` is the nested fixed point at x0, whose time-zero Q part is
+    m(x0).  ``warm``, a previous sweep's (graph, x0) pair, warm-starts that
+    solve.
     """
     n = ctx.cert.n
-    df = ctx.f(xi_values + base_values + stencil.z) - f_base
-    u = ctx.w1 * df[:-1]
+    df = ctx.f(xi_values[:-1] + base_values[:-1] + stencil.z[:-1]) - f_base
+    u = ctx.w1 * df
 
     seed_integral = np.zeros(ctx.spectrum.size)
-    seed_integral[:n] = np.sum(stencil.seed_weights * df[:-1, :n], axis=0)
+    seed_integral[:n] = np.sum(stencil.seed_weights * df[:, :n], axis=0)
     x0 = ctx.project_p(v0) - seed_integral
     start = None if warm is None else ctx.rebase(warm[0], warm[1], x0)
     graph, _ = solve_fixed_point(x0, ctx, start=start)
@@ -314,7 +315,7 @@ def track_phi(u0: np.ndarray, ctx: LPContext, t_fwd: float, base: np.ndarray) ->
     if base.shape != (stencil.times.size, ctx.spectrum.size) or not np.array_equal(base[0], v0):
         raise GridAlignmentError("base orbit must start at u0 - z(0) on the forward nodes")
     base_values = _mode_major(base)
-    f_base = ctx.f(base_values + stencil.z)
+    f_base = ctx.f(base_values[:-1] + stencil.z[:-1])
 
     latest = defect = None  # the latest sweep's (graph, x0); the first sweep's defect
 

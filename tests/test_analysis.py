@@ -5,7 +5,8 @@ import pytest
 
 import rimlab as rl
 from conftest import coarsen_path, manifold_point
-from rimlab import lyapunov_perron
+from rimlab import analysis, dynamics, lyapunov_perron
+from rimlab import problem as problem_module
 from rimlab.analysis import (
     AttractorCloud,
     DefectReport,
@@ -16,7 +17,7 @@ from rimlab.analysis import (
     periodicity_defect,
     pullback_attractor,
 )
-from rimlab.errors import ParameterError, ValidationError
+from rimlab.errors import GridAlignmentError, ParameterError, ValidationError
 from rimlab.lyapunov_perron import build_chart
 
 
@@ -51,6 +52,32 @@ def test_invariance_nonlinear_within_bound(chart_nl, problem_nl):
     report = invariance_defect(chart_nl, 1.0, problem_nl)
     assert report.passed
     assert report.value <= report.bound
+
+
+def test_invariance_shows_a_broken_flow(chart_nl, problem_nl, monkeypatch):
+    # Forcing sampled at cell left endpoints in the flow only (the graph
+    # keeps the exact cells): the flowed chart leaves the discrete graph by
+    # O(h).  The shifted solves start from the flowed orbit, and the stop
+    # rule must still carry them to the graph, so the defect shows.
+    def left_endpoint_cells(g, s, t_lefts, h):
+        return g.eval_many(t_lefts) * (-np.expm1(-s.lambdas * h) / s.lambdas)
+
+    exact = invariance_defect(chart_nl, 1.0, problem_nl).value
+    monkeypatch.setattr(dynamics, "cell_convolution", left_endpoint_cells)
+    broken = invariance_defect(chart_nl, 1.0, problem_nl).value
+    assert exact <= 1e-9
+    assert broken > 1e-5
+
+
+def test_invariance_rejects_a_chart_on_another_window(problem_nl, chart_grid16):
+    ctx = problem_nl.lp_context(0.0)
+    short = rl.LPContext(
+        problem_nl.spectrum, problem_nl.cert, problem_nl.nonlinearity, problem_nl.forcing,
+        problem_nl.ou, t_back=4.0, tol=problem_nl.tol,
+    )
+    assert short.t_back < ctx.t_back
+    with pytest.raises(GridAlignmentError):
+        invariance_defect(build_chart(chart_grid16[:2], short), 0.5, problem_nl)
 
 
 def test_invariance_reports_are_reproducible(chart_nl, problem_nl):
@@ -94,10 +121,16 @@ def test_periodicity_reuses_chart_graph_values(problem_nl, chart_grid16, monkeyp
         solved_taus.append(ctx.tau)
         return solve(x, ctx, *args, **kwargs)
 
-    monkeypatch.setattr(lyapunov_perron, "solve_fixed_point", counting)
+    _patch_solve(monkeypatch, counting)
     cached = periodicity_defect(0.0, period, grid, problem)
     assert solved_taus == [period] * len(grid)
     assert cached.value == uncached.value
+
+
+def _patch_solve(monkeypatch, solve):
+    """Replace ``solve_fixed_point`` in every rimlab module that binds it."""
+    for module in (lyapunov_perron, problem_module, analysis):
+        monkeypatch.setattr(module, "solve_fixed_point", solve)
 
 
 def _applies_per_solve(monkeypatch):
@@ -113,7 +146,7 @@ def _applies_per_solve(monkeypatch):
         solves[-1][1] += 1
         return apply(*args)
 
-    monkeypatch.setattr(lyapunov_perron, "solve_fixed_point", counting_solve)
+    _patch_solve(monkeypatch, counting_solve)
     monkeypatch.setattr(lyapunov_perron, "lp_apply", counting_apply)
     return solves
 
@@ -129,6 +162,13 @@ def test_period_shifted_solves_take_one_application(problem_nl, chart_grid16, mo
     report = periodicity_defect(1.0, period, chart_grid16, problem)
     assert [n for tau, n in solves if tau == 1.0 + period] == [1] * len(chart_grid16)
     assert len(solves) == 2 * len(chart_grid16)
+    assert report.value <= 1e-15
+    # At the chart's tau each translate starts from the start the chart
+    # stored for its point, with the same effect and no solve at tau.
+    problem.chart(0.0, chart_grid16)
+    solves.clear()
+    report = periodicity_defect(0.0, period, chart_grid16, problem)
+    assert solves == [[period, 1]] * len(chart_grid16)
     assert report.value <= 1e-15
 
 
@@ -148,15 +188,21 @@ def test_period_shifted_start_reproduces_base_bit_for_bit(problem_nl, chart_grid
 def test_shifted_start_cannot_hide_a_non_period(problem_nl, chart_grid16):
     # Shift 1.0 is not a period of the sine forcing.  The paired solves must
     # still land within 2 tol of cold solves at both translations, so the
-    # warm start cannot make a non-period look periodic.
-    problem = dataclasses.replace(problem_nl)
-    report = ap_defect(0.0, 1.0, chart_grid16, problem)
+    # warm start cannot make a non-period look periodic.  The same holds
+    # when the translates start from the starts a stored chart kept.
+    cold = {}
     for tau in (0.0, 1.0):
-        ctx = problem.lp_context(tau)
-        cold = np.array([manifold_point(ctx.project_p(x), ctx) for x in chart_grid16])
-        got = problem.graph_values(tau, chart_grid16)
-        assert np.max(np.linalg.norm(got - cold, axis=1)) <= 2.0 * problem.tol
-    assert report.value > 1e-3  # m_1 is far from m_0
+        ctx = problem_nl.lp_context(tau)
+        cold[tau] = np.array([manifold_point(ctx.project_p(x), ctx) for x in chart_grid16])
+    for stored in (False, True):
+        problem = dataclasses.replace(problem_nl)
+        if stored:
+            problem.chart(0.0, chart_grid16)
+        report = ap_defect(0.0, 1.0, chart_grid16, problem)
+        for tau in (0.0, 1.0):
+            got = problem.graph_values(tau, chart_grid16)
+            assert np.max(np.linalg.norm(got - cold[tau], axis=1)) <= 2.0 * problem.tol
+        assert report.value > 1e-3  # m_1 is far from m_0
 
 
 def test_graph_values_build_no_context_when_stored(problem_nl, chart_grid16, monkeypatch):

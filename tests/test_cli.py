@@ -373,6 +373,31 @@ def test_attractor_command(small_config, tmp_path):
     assert (tmp_path / "cloud_01.csv").exists()
 
 
+ALL_SIX_CONFIG = SMALL_CONFIG.replace(
+    "checks = invariance lipschitz tracking periodicity",
+    "checks = invariance lipschitz tracking periodicity almost_period containment",
+)
+
+
+def test_verify_reuses_the_chart_solves(tmp_path, monkeypatch):
+    # The periodicity and almost-period legs at the chart's tau solve each
+    # translate from its chart solve's final start, and invariance starts
+    # each shifted solve from the chart history continued by the flowed
+    # orbit.  All six checks then take at most 83 backward-operator
+    # applications on this config (117 when those solves started from the
+    # linear flow or the secant).
+    from rimlab import lyapunov_perron
+
+    apply, calls = lyapunov_perron.lp_apply, []
+    monkeypatch.setattr(lyapunov_perron, "lp_apply", lambda *a: calls.append(1) or apply(*a))
+    cfg = tmp_path / "verify.ini"
+    cfg.write_text(ALL_SIX_CONFIG, encoding="utf-8")
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    doc = json.loads((tmp_path / "out" / "verification.json").read_text())
+    assert len(doc["reports"]) == 8
+    assert len(calls) <= 83
+
+
 def test_commands_solve_ou_once(tmp_path, monkeypatch):
     # Every noise shift (invariance's t, each pullback time) relabels the one
     # stored OU table: a command solves it once, and the shifted driver
@@ -386,11 +411,7 @@ def test_commands_solve_ou_once(tmp_path, monkeypatch):
         return solve_ou(w, s)
 
     monkeypatch.setattr(problem_module, "solve_ou", counted)
-    all_six = "invariance lipschitz tracking periodicity almost_period containment"
-    text = SMALL_CONFIG.replace(
-        "checks = invariance lipschitz tracking periodicity", f"checks = {all_six}"
-    )
-    text += "\n[almost_period]\ntau0 = 6.283185307179586\n"
+    text = ALL_SIX_CONFIG + "\n[almost_period]\ntau0 = 6.283185307179586\n"
     for command, config in (
         ("verify", text),
         ("attractor", text.replace("pullback_times = 2.0 4.0", "pullback_times = 4 8")),
@@ -526,6 +547,7 @@ BAD_INPUTS = {
         ("pullback_times = 2.0 4.0", "pullback_times = 2.0 inf"), [], "gap-scan", None
     ),
     "nan_in_terms": (("2 1.0 1.0 0.0", "2 nan 1.0 0.0"), [], "gap-scan", None),
+    "empty_terms": (("terms =\n    2 1.0 1.0 0.0", "terms ="), [], "gap-scan", "forcing.terms"),
     "retired_custom_table": (
         ("kind = per_mode_sin", "kind = custom_table"), [], "gap-scan", "nonlinearity.kind"
     ),

@@ -621,7 +621,7 @@ def test_sweep_matches_cold_solves(problem_nl, chart_grid16):
     ctx = problem_nl.lp_context(0.0)
     rng = np.random.default_rng(5)
     for xs in (chart_grid16, ctx.project_p(rng.standard_normal((6, 16)))):
-        for x, xi in zip(xs, _sweep(xs, ctx)):
+        for x, (xi, _) in zip(xs, _sweep(xs, ctx)):
             cold = manifold_point(x, ctx)
             assert norm_alpha(ctx.project_q(xi[-1]) - cold, ctx.spectrum) <= 2.0 * ctx.tol
 
@@ -630,7 +630,7 @@ def test_one_point_sweep_is_a_cold_solve(problem_nl):
     ctx = problem_nl.lp_context(0.0)
     x = np.zeros(16)
     x[0] = -0.3
-    (xi,) = _sweep([x], ctx)
+    ((xi, _),) = _sweep([x], ctx)
     assert np.array_equal(xi, solve_fixed_point(x, ctx)[0])
 
 

@@ -245,8 +245,8 @@ def test_tracking_detects_wrong_certificate(problem_nl):
 
 def test_tracking_evaluates_base_nonlinearity_once(problem_nl):
     # F(base + z) is fixed for a whole solve, so k sweeps make k + 1 F calls
-    # on the forward nodes (nested graph solves run on the longer backward
-    # window and are not counted).
+    # on the forward cells' left nodes (nested graph solves run on the
+    # longer backward window and are not counted).
     ctx = problem_nl.lp_context(0.0)
     t_fwd = 6.0
     u0 = 0.5 * np.random.default_rng(10).standard_normal(16)
@@ -256,7 +256,7 @@ def test_tracking_evaluates_base_nonlinearity_once(problem_nl):
     f, calls = ctx.f, []
 
     def counted(u):
-        if u.shape[0] == base.shape[0]:
+        if u.shape[0] == base.shape[0] - 1:
             calls.append(u.shape)
         return f(u)
 
