@@ -14,7 +14,6 @@ from .analysis import (
     DefectReport,
     ap_defect,
     containment_defect,
-    fit_decay_rate,
     invariance_defect,
     lipschitz_defect,
     periodicity_defect,

@@ -44,7 +44,6 @@ __all__ = [
     "ap_defect",
     "pullback_attractor",
     "containment_defect",
-    "fit_decay_rate",
 ]
 
 # Bound constants, fixed here: no config value or keyword sets one.
@@ -335,14 +334,3 @@ def containment_defect(cloud: AttractorCloud, problem: ModelProblem) -> DefectRe
         },
     )
 
-
-def fit_decay_rate(pullback_times, reports: list[DefectReport]) -> float:
-    """Fitted exponential rate of defect values versus pullback time.
-
-    Negative means decay; NaN when fewer than two times are given.
-    """
-    if len(reports) < 2:
-        return float("nan")
-    values = np.array([max(r.value, 1e-300) for r in reports])
-    times = np.asarray(list(pullback_times), dtype=float)
-    return float(np.polyfit(times, np.log(values), 1)[0])

@@ -23,7 +23,6 @@ from . import svgplot
 from .analysis import (
     ap_defect,
     containment_defect,
-    fit_decay_rate,
     invariance_defect,
     lipschitz_defect,
     periodicity_defect,
@@ -39,9 +38,9 @@ from .errors import (
     RimlabError,
 )
 from .forcing import scan_almost_period
-from .lyapunov_perron import backward_horizon, scan_gap
+from .lyapunov_perron import scan_gap
 from .problem import ModelProblem
-from .tracking import base_orbit, forward_horizon, track_phi
+from .tracking import base_orbit, track_phi
 
 __all__ = ["main"]
 
@@ -111,9 +110,7 @@ def _problem_meta(problem: ModelProblem) -> dict:
         "grid_t_min": grid.t_min,
         "grid_t_max": grid.t_max,
         "t_back": problem.t_back,
-        "t_back_required": backward_horizon(problem.cert, problem.tol),
         "t_fwd": problem.t_fwd,
-        "t_fwd_required": forward_horizon(problem.cert, problem.tol),
         "tol": problem.tol,
         "n_total": problem.spectrum.size,
         "alpha": problem.spectrum.alpha,
@@ -379,14 +376,8 @@ def cmd_attractor(args) -> int:
             fh.write(",".join(f"mode_{j + 1}" for j in range(cfg.spectrum.size)) + "\n")
             for p in cloud.points:
                 fh.write(",".join(repr(float(v)) for v in p) + "\n")
-    rate = fit_decay_rate(cfg.attractor["pullback_times"], reports)  # NaN (null) for one time
     return _write_reports(
-        out / "attractor.json",
-        meta,
-        problem,
-        reports,
-        "containment t={pullback_time}",
-        fitted_decay_rate=rate,
+        out / "attractor.json", meta, problem, reports, "containment t={pullback_time}"
     )
 
 

@@ -60,8 +60,6 @@ class RunConfig:
     gap_k: float
     h: float
     tol: float
-    t_back: float | None
-    t_fwd: float | None
     chart: dict = field(default_factory=dict)
     track: dict = field(default_factory=dict)
     attractor: dict = field(default_factory=dict)
@@ -254,8 +252,6 @@ def load_config(path) -> RunConfig:
     tol = num.float("tol", 1e-6)
     if tol <= 0.0:
         num._fail("tol", "must be positive")
-    t_back = num.auto_float("t_back", minimum=0.0)
-    t_fwd = num.auto_float("t_fwd", minimum=0.0)
 
     chart_sec = _Section(parser, "chart")
     chart = {
@@ -297,6 +293,9 @@ def load_config(path) -> RunConfig:
         "scan_step": ap_sec.float("scan_step", 0.01, minimum=0.0),
         "target": ap_sec.float("target", 1e-3, minimum=0.0),
     }
+    if almost_period["scan_max"] <= 1.0:
+        # the scan starts at 1, so it would have no candidate to pick
+        ap_sec._fail("scan_max", "must be > 1")
     if almost_period["scan_step"] <= 0.0:
         ap_sec._fail("scan_step", "must be positive")
     _check_budget(
@@ -328,8 +327,6 @@ def load_config(path) -> RunConfig:
         gap_k=gap_k,
         h=h,
         tol=tol,
-        t_back=t_back,
-        t_fwd=t_fwd,
         chart=chart,
         track=track,
         attractor=attractor,
@@ -342,23 +339,22 @@ def load_config(path) -> RunConfig:
 def build_problem(cfg: RunConfig, seed_override: int | None = None) -> ModelProblem:
     """Assemble the model: certificate, horizons, grid sizing, path sample.
 
-    An explicit ``numerics.t_back`` shorter than ``backward_horizon``, or
-    ``numerics.t_fwd`` shorter than ``forward_horizon`` where the forward
-    operator has a tail to truncate (in whole steps), is a ConfigError, and
-    so is a window, or a tracked batch on the forward window, over the
-    array budget.
+    The backward window is ``backward_horizon``, and the forward window is
+    ``forward_horizon``, or the backward window where the forward operator
+    has no tail to truncate; each is rounded once to whole steps.  A
+    window, or a tracked batch on the forward window, over the array
+    budget is a ConfigError.
 
     The grid is sized once from the whole configuration (largest requested
     shift plus the OU spin-up margin), so every subcommand sees the same
     stored path for a given (config, seed).
     """
     cert = check_gap(cfg.spectrum, cfg.nonlinearity.lipschitz, cfg.gap_k, cfg.gap_n)
-    t_back_auto = backward_horizon(cert, cfg.tol)
-    t_fwd_required = forward_horizon(cert, cfg.tol)  # None: no tail
-    t_fwd_auto = t_back_auto if t_fwd_required is None else t_fwd_required
+    t_back = backward_horizon(cert, cfg.tol)
+    t_fwd = forward_horizon(cert, cfg.tol)
+    if t_fwd is None:  # no tail
+        t_fwd = t_back
     h = cfg.h
-    t_back = t_back_auto if cfg.t_back is None else cfg.t_back
-    t_fwd = t_fwd_auto if cfg.t_fwd is None else cfg.t_fwd
     # OU spin-up margin: the stationary draw's transient decays like
     # e^{-lambda_1 t}, so 10 / lambda_1 leaves e^{-10} of it
     spin_up = 10.0 / float(cfg.spectrum.lambdas[0])
@@ -366,12 +362,10 @@ def build_problem(cfg: RunConfig, seed_override: int | None = None) -> ModelProb
     invariance_t = cfg.verify["invariance_t"]
 
     # every window in steps, before any is rounded to steps or sampled; the
-    # required horizon comes first, so a step too fine for it names h
+    # derived windows come first, so a step too fine for them names h
     n_modes = cfg.spectrum.size
     for name, span in (
-        ("numerics.h", t_back_auto),
-        ("numerics.t_back", t_back),
-        ("numerics.t_fwd", t_fwd),
+        ("numerics.h", max(t_back, t_fwd)),
         ("spectrum.lambdas", spin_up),
         ("attractor.pullback_times", pullback),
         ("verify.invariance_t", invariance_t),
@@ -380,19 +374,6 @@ def build_problem(cfg: RunConfig, seed_override: int | None = None) -> ModelProb
     # track integrates all its orbits in one (nodes, count, modes) batch
     _check_budget("track.count", cfg.track["count"] * (t_fwd / h), n_modes)
 
-    # windows are whole steps, so compare the step counts they round up to
-    for name, given, required in (
-        ("numerics.t_back", cfg.t_back, t_back_auto),
-        ("numerics.t_fwd", cfg.t_fwd, t_fwd_required),
-    ):
-        if given is None or required is None:
-            continue
-        steps_needed = whole_steps(required, h)
-        if whole_steps(given, h) < steps_needed:
-            raise ConfigError(
-                f"{name}: {given:g} is below the required horizon "
-                f"{steps_needed * h:.10g} for tol {cfg.tol:g}"
-            )
     max_shift = max(invariance_t, pullback)
     t_back = whole_steps(t_back, h) * h
     if cert.lambda_n * t_back > 500.0:

@@ -2,6 +2,7 @@ import configparser
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -17,6 +18,7 @@ from rimlab import config as config_module
 from rimlab import tracking
 from rimlab.cli import main
 from rimlab.config import build_problem, load_config
+from rimlab.lyapunov_perron import LPContext
 from rimlab.tracking import base_orbit
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -239,8 +241,9 @@ def test_orbits_started_on_the_manifold_pass_tracking(tmp_path, capsys):
 
 
 def test_config_cannot_move_a_verdict(small_config, tmp_path):
-    # Retired keys that once set a check bound or picked a code path are
-    # unread: the same reports and the same files, whatever their values.
+    # Retired keys that once set a check bound, picked a code path or set a
+    # window are unread: the same reports and the same files, whatever
+    # their values.
     edits = (
         ("invariance_t = 0.5", "c_inv = 0\nenvelope_slack = 1e9\nslope_slack = 1e9"),
         ("taus = 0.0", "slack = 1e9"),
@@ -251,10 +254,12 @@ def test_config_cannot_move_a_verdict(small_config, tmp_path):
     for anchor, added in edits:
         assert text.count(anchor) == 1
         text = text.replace(anchor, f"{anchor}\n{added}")
-    retired = tmp_path / "retired.ini"
-    retired.write_text(text, encoding="utf-8")
+    configs = [small_config]
+    for idx, windows in enumerate(("t_back = 1e12\nt_fwd = 0.001", "t_back = abc\nt_fwd = 1e12")):
+        configs.append(tmp_path / f"retired_{idx}.ini")
+        configs[-1].write_text(text.replace("tol = 1e-5", f"tol = 1e-5\n{windows}"), "utf-8")
     runs = []
-    for cfg in (small_config, retired):
+    for cfg in configs:
         out = tmp_path / cfg.stem
         codes = [
             main([command, "--config", str(cfg), "--out", str(out)])
@@ -262,7 +267,7 @@ def test_config_cannot_move_a_verdict(small_config, tmp_path):
         ]
         doc = json.loads((out / "verification.json").read_text())
         runs.append((codes, doc["reports"], sorted(f.name for f in out.iterdir())))
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] == runs[2]
     assert runs[0][0] == [0, 0] and "chart.svg" in runs[0][2]
 
 
@@ -557,12 +562,6 @@ BAD_INPUTS = {
     "missing_config": (None, ["--config", "{tmp}/missing.ini"], "gap-scan", None),
     "unreadable_config": (None, ["--config", "{tmp}"], "gap-scan", None),
     "budget_h": (("h = 0.005", "h = 1e-13"), [], "build-manifold", "numerics.h"),
-    "budget_t_back": (
-        ("tol = 1e-5", "tol = 1e-5\nt_back = 1e12"), [], "build-manifold", "numerics.t_back"
-    ),
-    "budget_t_fwd": (
-        ("tol = 1e-5", "tol = 1e-5\nt_fwd = 1e12"), [], "build-manifold", "numerics.t_fwd"
-    ),
     "budget_spin_up": (
         (
             "kind = dirichlet\nn_total = 8",
@@ -596,6 +595,18 @@ BAD_INPUTS = {
         [],
         "gap-scan",
         "almost_period.scan_step",
+    ),
+    "scan_max_below_one": (
+        ("[verify]", "[almost_period]\nscan_max = 0.5\n\n[verify]"),
+        [],
+        "gap-scan",
+        "almost_period.scan_max",
+    ),
+    "scan_max_one": (
+        ("[verify]", "[almost_period]\nscan_max = 1.0\n\n[verify]"),
+        [],
+        "gap-scan",
+        "almost_period.scan_max",
     ),
     "zero_scan_step": (
         ("[verify]", "[almost_period]\nscan_step = 0\n\n[verify]"),
@@ -655,8 +666,6 @@ k = 0.45
 [numerics]
 h = 0.005
 tol = 1e-5
-t_back = 7.0
-t_fwd = 7.0
 
 [chart]
 x_count = 3
@@ -679,50 +688,9 @@ def test_explicit_config_surface(tmp_path):
     meta = json.loads((out / "chart_meta.json").read_text())
     assert meta["alpha"] == 0.25
     assert meta["n_total"] == 6
+    # the derived horizons 6.6914 and 6.3776 in whole steps of 0.005
+    assert meta["t_back"] == pytest.approx(6.695) and meta["t_fwd"] == pytest.approx(6.38)
     assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
-
-
-def test_short_backward_horizon_rejected(tmp_path, capsys):
-    # The derived horizon of EXPLICIT_CONFIG is 6.69 (6.695 in whole steps).
-    cfg = tmp_path / "short.ini"
-    cfg.write_text(EXPLICIT_CONFIG.replace("t_back = 7.0", "t_back = 6.0"), encoding="utf-8")
-    out = tmp_path / "run"
-    assert main(["build-manifold", "--config", str(cfg), "--out", str(out)]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and "numerics.t_back" in err[0] and "6.695" in err[0]
-    cfg.write_text(EXPLICIT_CONFIG.replace("t_back = 7.0", "t_back = 6.691"), encoding="utf-8")
-    assert main(["build-manifold", "--config", str(cfg), "--out", str(out)]) == 0
-    meta = json.loads((out / "chart_meta.json").read_text())
-    assert meta["t_back"] == pytest.approx(6.695)
-    assert meta["t_back_required"] == pytest.approx(6.6914, abs=1e-4)
-
-
-def test_short_forward_horizon_rejected(tmp_path, capsys):
-    # The derived forward horizon of EXPLICIT_CONFIG is 6.3776 (6.38 in
-    # whole steps of 0.005), so 6.376 takes the same 1,276 steps.
-    cfg = tmp_path / "short.ini"
-    cfg.write_text(EXPLICIT_CONFIG.replace("t_fwd = 7.0", "t_fwd = 6.0"), encoding="utf-8")
-    out = tmp_path / "run"
-    assert main(["build-manifold", "--config", str(cfg), "--out", str(out)]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and "numerics.t_fwd" in err[0] and "6.38 " in err[0]
-    cfg.write_text(EXPLICIT_CONFIG.replace("t_fwd = 7.0", "t_fwd = 6.376"), encoding="utf-8")
-    assert main(["build-manifold", "--config", str(cfg), "--out", str(out)]) == 0
-    meta = json.loads((out / "chart_meta.json").read_text())
-    assert meta["t_fwd"] == pytest.approx(6.38)
-    assert meta["t_fwd_required"] == pytest.approx(6.3776, abs=1e-4)
-
-
-def test_forward_horizon_not_required_without_a_tail(tmp_path):
-    # F = 0 leaves the forward operator no tail: an explicit t_fwd of any
-    # length runs, and the required horizon is written as null.
-    text = LINEAR_SINE.read_text(encoding="utf-8").replace("t_fwd = 8.1", "t_fwd = 0.5")
-    cfg = tmp_path / "linear.ini"
-    cfg.write_text(text, encoding="utf-8")
-    out = tmp_path / "run"
-    assert main(["build-manifold", "--config", str(cfg), "--out", str(out)]) == 0
-    meta = json.loads((out / "chart_meta.json").read_text())
-    assert meta["t_fwd"] == pytest.approx(0.5) and meta["t_fwd_required"] is None
 
 
 def test_overlong_backward_horizon_rejected_before_sampling(tmp_path, capsys):
@@ -750,17 +718,19 @@ DIRICHLET_NONLINEAR = CONFIG_DIR / "dirichlet_nonlinear.ini"
 QUASI_PERIODIC = CONFIG_DIR / "quasi_periodic.ini"
 
 
-def test_windows_round_to_whole_steps(tmp_path):
+def test_windows_round_to_whole_steps():
+    # F = 0 leaves the forward operator no tail: the forward window is the
+    # backward one, the derived 5.373 in whole steps.
+    problem = build_problem(load_config(LINEAR_SINE))
+    assert problem.t_fwd == problem.t_back == pytest.approx(5.373)
     # 4.001 / 0.001 and 8.002 / 0.001 land just above 4001 and 8002 in
     # floating point; neither window may take an extra step.
-    text = LINEAR_SINE.read_text(encoding="utf-8")
-    text = text.replace("t_back = 8.1", "t_back = 8.002").replace("t_fwd = 8.1", "t_fwd = 4.001")
-    cfg = tmp_path / "steps.ini"
-    cfg.write_text(text, encoding="utf-8")
-    problem = build_problem(load_config(cfg))
-    ctx = problem.lp_context()
+    ctx = LPContext(
+        problem.spectrum, problem.cert, problem.nonlinearity, problem.forcing, problem.ou,
+        t_back=8.002, tol=problem.tol,
+    )
     assert ctx.n_cells == 8002
-    forward = base_orbit(np.zeros(problem.spectrum.size), ctx, problem.t_fwd)
+    forward = base_orbit(np.zeros(problem.spectrum.size), ctx, 4.001)
     assert forward.times.size - 1 == 4001
 
 
@@ -782,10 +752,8 @@ class _ReadKeys(dict):
         return super().get(key, default)
 
 
-@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.ini")), ids=lambda p: p.stem)
-def test_shipped_config_keys_are_all_read(path, monkeypatch):
-    # load_config ignores a key it does not read (a retired option, a typo),
-    # so a shipped config must set only keys that it reads.
+def _record_reads(monkeypatch) -> set:
+    """The (section, key) pairs that load_config looks up from now on."""
     seen = set()
     init = config_module._Section.__init__
 
@@ -794,10 +762,38 @@ def test_shipped_config_keys_are_all_read(path, monkeypatch):
         self.data = _ReadKeys(name, self.data, seen)
 
     monkeypatch.setattr(config_module._Section, "__init__", recording_init)
+    return seen
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.ini")), ids=lambda p: p.stem)
+def test_shipped_config_keys_are_all_read(path, monkeypatch):
+    # load_config ignores a key it does not read (a retired option, a typo),
+    # so a shipped config must set only keys that it reads.
+    seen = _record_reads(monkeypatch)
     load_config(path)
     parser = _read_ini(path)
     keys = {(section, key) for section in parser.sections() for key in parser[section]}
     assert keys - seen == set()
+
+
+def test_readme_lists_the_keys_that_are_read(tmp_path, monkeypatch):
+    # The README's config block lists every key load_config reads, and no
+    # other; a key read for one kind only is a '; key = ...' line.  The
+    # shipped configs and EXPLICIT_CONFIG take every branch that reads a key.
+    text = (CONFIG_DIR.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Config file", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    listed, section = set(), None
+    for line in block.splitlines():
+        if header := re.match(r"\[(\w+)\]", line):
+            section = header.group(1)
+        elif key := re.match(r"(?:;\s*)?(\w+)\s*=", line):
+            listed.add((section, key.group(1)))
+    seen = _record_reads(monkeypatch)
+    explicit = tmp_path / "explicit.ini"
+    explicit.write_text(EXPLICIT_CONFIG, encoding="utf-8")
+    for path in [*sorted(CONFIG_DIR.glob("*.ini")), explicit]:
+        load_config(path)
+    assert listed == seen
 
 
 # Each statement runs in a fresh interpreter, paired with whether it should
