@@ -20,7 +20,7 @@ from .analysis import (
     pullback_attractor,
     tracking_defects,
 )
-from .dynamics import Nonlinearity, Trajectory, cocycle_phi, cocycle_psi, integrate
+from .dynamics import Nonlinearity, cocycle_phi, cocycle_psi, integrate
 from .errors import (
     CertificateError,
     ConfigError,

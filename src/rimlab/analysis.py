@@ -156,7 +156,7 @@ def invariance_defect(chart: ManifoldChart, t: float, problem: ModelProblem) -> 
         shift_forcing(problem.forcing, chart.tau),
         problem.nonlinearity,
         problem.spectrum,
-    ).values  # (nodes, points, modes)
+    )  # (nodes, points, modes)
     value = 0.0
     for orbit, start in zip(np.moveaxis(orbits, 1, 0), chart.starts):
         history = _mode_major(np.concatenate((start, orbit[1:]))[-ctx.times.size :])
@@ -239,10 +239,10 @@ def periodicity_defect(
 ) -> DefectReport:
     """Graph distance between translations by one declared forcing period.
 
-    Zero and constant signals are periodic with every period; other forms
-    must declare the requested one.
+    A signal without trig terms is periodic with every period; one with
+    terms must declare the requested one.
     """
-    if problem.forcing.form not in ("zero", "constant"):
+    if problem.forcing.terms:
         declared = problem.forcing.declared_period
         if declared is None or abs(declared - period) > 1e-9 * max(1.0, period):
             raise ParameterError(

@@ -239,7 +239,7 @@ def _tracking(cfg: RunConfig, problem: ModelProblem, chart=None):
         problem.seed, 101, cfg.track["count"], cfg.spectrum.size, cfg.track["radius"]
     )
     # every orbit's transformed base u0 - z(0), integrated in one batch
-    bases = base_orbit(u0s - ctx.z_at_zero(), ctx, problem.t_fwd).values
+    bases = base_orbit(u0s - ctx.z_at_zero(), ctx, problem.t_fwd)
     results = [
         track_phi(u0, ctx, t_fwd=problem.t_fwd, base=bases[:, i]) for i, u0 in enumerate(u0s)
     ]

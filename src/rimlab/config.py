@@ -173,13 +173,14 @@ def _parse_forcing(sec: _Section, n_modes: int) -> ForcingSignal:
     form = sec.str("form", "zero", choices=("zero", "constant", "trig_sum"))
     period_raw = sec.raw("period")
     period = None if period_raw is None else sec.float("period", minimum=0.0)
+    # every form keeps its declared period: a signal without terms has them all
     if form == "zero":
-        return ForcingSignal.zero(n_modes)
+        return ForcingSignal(n_modes, declared_period=period)
     if form == "constant":
         amps = sec.floats("amplitudes")
         if len(amps) != n_modes:
             sec._fail("amplitudes", f"need {n_modes} values, got {len(amps)}")
-        return ForcingSignal.constant(np.asarray(amps))
+        return ForcingSignal(n_modes, amps, declared_period=period)
     raw = sec.raw("terms")
     if raw is None:
         sec._fail("terms", "missing required value")
@@ -197,7 +198,7 @@ def _parse_forcing(sec: _Section, n_modes: int) -> ForcingSignal:
         terms.append(TrigTerm(mode, amp, freq, phase))
     if not terms:
         sec._fail("terms", "needs at least one 'mode amplitude frequency phase' row")
-    return ForcingSignal.trig(n_modes, terms, period)
+    return ForcingSignal(n_modes, terms=terms, declared_period=period)
 
 
 def _parse_noise(sec: _Section, n_modes: int) -> tuple[CovarianceSpec, int]:
@@ -379,8 +380,9 @@ def build_problem(cfg: RunConfig, seed_override: int | None = None) -> ModelProb
     if cert.lambda_n * t_back > 500.0:
         # LPContext refuses this window; refuse it before the path is sampled
         raise ConfigError(
-            f"numerics.t_back: backward horizon {t_back:g} too long for the resolved "
-            f"modes (lambda_n * t_back = {cert.lambda_n * t_back:g} > 500)"
+            f"certificate.k, nonlinearity.lipschitz, numerics.tol: derived backward horizon "
+            f"{t_back:g} too long for the resolved modes "
+            f"(lambda_n * t_back = {cert.lambda_n * t_back:g} > 500)"
         )
     t_fwd = whole_steps(t_fwd, h) * h
     t_min = -(t_back + spin_up + max_shift) - h

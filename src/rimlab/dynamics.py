@@ -36,7 +36,7 @@ from .forcing import ForcingSignal, cell_convolution, shift_forcing
 from .randomness import OUProcess
 from .spectral import Spectrum, _exp_normal, _filter_modes
 
-__all__ = ["Nonlinearity", "Trajectory", "integrate", "cocycle_psi", "cocycle_phi"]
+__all__ = ["Nonlinearity", "integrate", "cocycle_psi", "cocycle_phi"]
 
 
 @dataclass(frozen=True)
@@ -83,14 +83,6 @@ class Nonlinearity:
         return self.evaluator(s)(s.check_state(u))
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Grid-aligned state history; values[k] corresponds to times[k]."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-
 def _step_weights(s: Spectrum, h: float):
     lam = s.lambdas
     damp = np.exp(-lam * h)
@@ -113,7 +105,8 @@ def integrate(
     ``v_r`` may be a single state (N,) or a batch (B, N); the OU driver must
     cover [r, t_end] on its grid, whose step is the integration step.
 
-    Returns a Trajectory, or only the final state when
+    Returns the state at every grid node of [r, t_end], shaped (nodes, N)
+    or (nodes, B, N), or only the final state when
     ``return_trajectory=False``.
     """
     if t_end < r:
@@ -132,7 +125,7 @@ def integrate(
 
     if n_steps == 0:
         if return_trajectory:
-            return Trajectory(times, v[None, ...].copy())
+            return v[None, ...].copy()
         return v
 
     z = ou.values[i_r - ou.grid.i_min : i_e - ou.grid.i_min + 1]
@@ -158,7 +151,7 @@ def integrate(
             values = np.vstack([v[None, :], decay * v[None, :] + driven])
         if not np.all(np.isfinite(values)):
             raise InstabilityError("non-finite state in linear integration")
-        return Trajectory(times, values)
+        return values
 
     store = None
     if return_trajectory:
@@ -172,7 +165,7 @@ def integrate(
     if not np.all(np.isfinite(v_end)):
         _euler_steps(v, z, cells, damp, w1, rhs, times=times)
     if return_trajectory:
-        return Trajectory(times, store)
+        return store
     return v_end
 
 

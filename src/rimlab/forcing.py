@@ -1,10 +1,12 @@
 """Deterministic non-autonomous forcing signals.
 
-Three forms are supported: ``zero``, ``constant`` (a fixed mode-coefficient
-vector) and ``trig_sum`` (a finite sum of per-mode sinusoids, possibly with
-incommensurate frequencies).  Periodic and almost-periodic inputs are
-represented exclusively as finite trigonometric sums, which makes
-near-periods checkable by a direct scan instead of an existence argument.
+A signal is data: a constant mode-coefficient vector plus a finite sum of
+per-mode sinusoids, possibly with incommensurate frequencies.  The config
+forms ``zero``, ``constant`` and ``trig_sum`` only choose which parts are
+nonzero.  Periodic and almost-periodic inputs are represented exclusively
+as finite trigonometric sums, which makes near-periods checkable by a
+direct scan instead of an existence argument; a signal without terms is
+autonomous, so it is periodic with every period.
 
 Besides pointwise evaluation and exact time translation, the module
 provides the one quadrature primitive everything downstream shares: the
@@ -13,15 +15,15 @@ cell,
 
     cell(t, h, j) = int_t^{t+h} e^{-lambda_j (t+h-s)} g_j(s) ds.
 
-Every form has this cell integral in closed form, so forcing adds no
-quadrature error anywhere in the library.  Time integrator and fixed-point
-operators both use this primitive, which keeps their discretisations
-consistent with each other.
+The constant and every trig term have this cell integral in closed form,
+so forcing adds no quadrature error anywhere in the library.  Time
+integrator and fixed-point operators both use this primitive, which keeps
+their discretisations consistent with each other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,8 +38,6 @@ __all__ = [
     "almost_period_defect",
     "scan_almost_period",
 ]
-
-_FORMS = ("zero", "constant", "trig_sum")
 
 
 @dataclass(frozen=True)
@@ -56,29 +56,31 @@ class TrigTerm:
             raise ValidationError("trig term frequency must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForcingSignal:
-    form: str
+    """g(t) = amplitudes + sum of ``terms``; ``amplitudes`` defaults to zeros.
+
+    Signals compare and hash by identity, since an array field has no
+    single truth value.
+    """
+
     n_modes: int
     amplitudes: np.ndarray | None = None
-    terms: tuple = field(default_factory=tuple)
+    terms: tuple = ()
     declared_period: float | None = None
 
     def __post_init__(self):
-        if self.form not in _FORMS:
-            raise ValidationError(f"unknown forcing form {self.form!r}")
-        if self.form == "constant":
-            amp = np.asarray(self.amplitudes, dtype=float)
-            if amp.shape != (self.n_modes,):
-                raise DimensionMismatchError("constant amplitudes must have one value per mode")
-            object.__setattr__(self, "amplitudes", amp)
-        if self.form == "trig_sum":
-            object.__setattr__(self, "terms", tuple(self.terms))
-            for term in self.terms:
-                if term.mode > self.n_modes:
-                    raise DimensionMismatchError(
-                        f"trig term mode {term.mode} exceeds {self.n_modes} modes"
-                    )
+        amp = np.zeros(self.n_modes) if self.amplitudes is None else self.amplitudes
+        amp = np.asarray(amp, dtype=float)
+        if amp.shape != (self.n_modes,):
+            raise DimensionMismatchError("constant amplitudes must have one value per mode")
+        object.__setattr__(self, "amplitudes", amp)
+        object.__setattr__(self, "terms", tuple(self.terms))
+        for term in self.terms:
+            if term.mode > self.n_modes:
+                raise DimensionMismatchError(
+                    f"trig term mode {term.mode} exceeds {self.n_modes} modes"
+                )
         if self.declared_period is not None:
             self._check_period()
 
@@ -86,25 +88,23 @@ class ForcingSignal:
 
     @classmethod
     def zero(cls, n_modes: int) -> "ForcingSignal":
-        return cls("zero", n_modes)
+        return cls(n_modes)
 
     @classmethod
     def constant(cls, amplitudes) -> "ForcingSignal":
         amp = np.asarray(amplitudes, dtype=float)
-        return cls("constant", amp.size, amplitudes=amp)
+        return cls(amp.size, amp)
 
     @classmethod
     def trig(cls, n_modes: int, terms, period: float | None = None) -> "ForcingSignal":
-        return cls("trig_sum", n_modes, terms=tuple(terms), declared_period=period)
+        return cls(n_modes, terms=terms, declared_period=period)
 
     # ---- internals -----------------------------------------------------
 
     def _check_period(self):
         period = self.declared_period
-        if period is None or period <= 0.0:
+        if period <= 0.0:
             raise ValidationError("declared period must be positive")
-        if self.form in ("zero", "constant"):
-            return
         r = np.linspace(0.0, 2.0 * period, 64)
         diff = self.eval_many(r + period) - self.eval_many(r)
         scale = 1.0 + float(np.max(np.abs(self.eval_many(r))))
@@ -116,12 +116,7 @@ class ForcingSignal:
     def eval_many(self, t) -> np.ndarray:
         """Evaluate at an array of times; returns (len(t), n_modes)."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.zeros((t.size, self.n_modes))
-        if self.form == "zero":
-            return out
-        if self.form == "constant":
-            out[:] = self.amplitudes
-            return out
+        out = np.tile(self.amplitudes, (t.size, 1))
         for term in self.terms:
             out[:, term.mode - 1] += term.amplitude * np.sin(
                 term.frequency * t + term.phase
@@ -131,13 +126,13 @@ class ForcingSignal:
 
 def shift_forcing(g: ForcingSignal, tau: float) -> ForcingSignal:
     """Exact translation: eval(shift(g, tau), t) == eval(g, t + tau)."""
-    if tau == 0.0 or g.form in ("zero", "constant"):
+    if tau == 0.0:
         return g
     terms = tuple(
         TrigTerm(t.mode, t.amplitude, t.frequency, t.phase + t.frequency * tau)
         for t in g.terms
     )
-    return ForcingSignal("trig_sum", g.n_modes, terms=terms, declared_period=g.declared_period)
+    return replace(g, terms=terms)
 
 
 def cell_convolution(g: ForcingSignal, s: Spectrum, t_lefts: np.ndarray, h: float) -> np.ndarray:
@@ -150,13 +145,8 @@ def cell_convolution(g: ForcingSignal, s: Spectrum, t_lefts: np.ndarray, h: floa
         raise DimensionMismatchError("forcing and spectrum mode counts differ")
     t_lefts = np.asarray(t_lefts, dtype=float)
     lam = s.lambdas
-    out = np.zeros((t_lefts.size, s.size))
-    if g.form == "zero":
-        return out
     w1 = -np.expm1(-lam * h) / lam  # int_0^h e^{-lam (h-u)} du
-    if g.form == "constant":
-        out[:] = g.amplitudes * w1
-        return out
+    out = np.tile(g.amplitudes * w1, (t_lefts.size, 1))
     for term in g.terms:
         j = term.mode - 1
         coeff = (np.exp(1j * term.frequency * h) - np.exp(-lam[j] * h)) / (
@@ -169,8 +159,8 @@ def cell_convolution(g: ForcingSignal, s: Spectrum, t_lefts: np.ndarray, h: floa
 
 def almost_period_defect(g: ForcingSignal, s: Spectrum, tau0: float) -> float:
     """Sampled sup over 1024 points of a window of ||g(r + tau0) - g(r)||_alpha."""
-    if tau0 == 0.0 or g.form in ("zero", "constant"):
-        return 0.0
+    if not g.terms:
+        return 0.0  # an autonomous signal is periodic with every period
     wts = s.weights_alpha()
     span = 4.0 * max(2.0 * np.pi / t.frequency for t in g.terms)
     r = np.linspace(0.0, span, 1024)
@@ -187,14 +177,14 @@ def scan_almost_period(
 ):
     """Scan for a translation 1 <= tau0 < tau_max with defect at most ``target``.
 
-    For trig sums the scan uses the per-term bound
-    2|a| lambda^alpha |sin(beta tau0 / 2)|, which dominates the sampled
-    defect, so any candidate it accepts is genuine; the returned defect is
+    The scan uses the per-term bound 2|a| lambda^alpha |sin(beta tau0 / 2)|,
+    which dominates the sampled defect, so any candidate it accepts is
+    genuine (an autonomous signal accepts tau0 = 1); the returned defect is
     re-measured densely.  Returns (tau0, defect).
     """
-    if g.form in ("zero", "constant"):
-        return 1.0, 0.0
     taus = np.arange(1.0, tau_max, step)
+    if taus.size == 0:
+        raise ValidationError(f"near-period scan needs tau_max > 1 (got {tau_max})")
     wts = s.weights_alpha()
     per_mode = np.zeros((taus.size, s.size))
     for term in g.terms:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory, integrate
+from .dynamics import integrate
 from .errors import GridAlignmentError, ParameterError
 from .forcing import shift_forcing
 from .lyapunov_perron import (
@@ -201,12 +201,12 @@ def _forward_cells(ctx: LPContext, t_fwd: float) -> int:
     return max(whole_steps(t_fwd, ctx.h), 2)
 
 
-def base_orbit(v0: np.ndarray, ctx: LPContext, t_fwd: float) -> Trajectory:
+def base_orbit(v0: np.ndarray, ctx: LPContext, t_fwd: float) -> np.ndarray:
     """Transformed orbit of v0 on the forward tracking nodes of [0, t_fwd].
 
-    ``v0`` may be one state or a (B, N) batch; one orbit's values (a
-    ``[:, b]`` slice of ``.values`` for a batch) is the ``base`` array that
-    ``track_phi`` takes, with v0 = u0 - z(0).
+    ``v0`` may be one state or a (B, N) batch; the orbit (a ``[:, b]``
+    slice for a batch) is the ``base`` array that ``track_phi`` takes, with
+    v0 = u0 - z(0).
     """
     return integrate(
         v0,

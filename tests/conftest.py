@@ -115,7 +115,7 @@ def past_forcing_bound():
     """
 
     def bound(g, s):
-        per_mode = np.abs(g.amplitudes) if g.form == "constant" else np.zeros(s.size)
+        per_mode = np.abs(g.amplitudes)
         for term in g.terms:
             per_mode[term.mode - 1] += abs(term.amplitude)
         return float(np.linalg.norm(per_mode * s.weights_alpha())) / float(s.lambdas[0])
@@ -232,4 +232,4 @@ def forward_apply(xi: np.ndarray, v0: np.ndarray, base: np.ndarray, ctx: rl.LPCo
 
 def track_alone(u0: np.ndarray, ctx: rl.LPContext, t_fwd: float):
     """``track_phi`` for one state, with its base orbit integrated here."""
-    return track_phi(u0, ctx, t_fwd, base_orbit(u0 - ctx.z_at_zero(), ctx, t_fwd).values)
+    return track_phi(u0, ctx, t_fwd, base_orbit(u0 - ctx.z_at_zero(), ctx, t_fwd))

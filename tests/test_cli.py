@@ -369,6 +369,30 @@ def test_periodicity_command(small_config, tmp_path):
     assert doc["all_pass"] is True
 
 
+@pytest.mark.parametrize(
+    "forcing",
+    ["form = zero", "form = constant\namplitudes = 0.0 0.5 0.0 0.0 0.0 0.0 0.0 0.0"],
+    ids=["zero", "constant"],
+)
+def test_autonomous_forcing_keeps_its_declared_period(tmp_path, capsys, forcing):
+    # A signal without trig terms is periodic with every period, so the
+    # period a zero or constant forcing declares runs the periodicity check.
+    text = SMALL_CONFIG.replace("form = trig_sum\nterms =\n    2 1.0 1.0 0.0", forcing)
+    text = text.replace(
+        "checks = invariance lipschitz tracking periodicity", "checks = periodicity"
+    )
+    cfg = tmp_path / "autonomous.ini"
+    cfg.write_text(text, encoding="utf-8")
+    for command, name in (("periodicity", "periodicity.json"), ("verify", "verification.json")):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / name).read_text())["all_pass"] is True
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in printed if "periodicity" in line] == [
+        ["PASS", "periodicity"]
+    ] * 2
+
+
 def test_attractor_command(small_config, tmp_path):
     code = main(["attractor", "--config", str(small_config), "--out", str(tmp_path)])
     assert code == 0
@@ -702,7 +726,9 @@ def test_overlong_backward_horizon_rejected_before_sampling(tmp_path, capsys):
     cfg.write_text(text, encoding="utf-8")
     assert main(["build-manifold", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and "numerics.t_back" in err[0] and "> 500" in err[0]
+    # the message names the keys that set the derived window
+    assert len(err) == 1 and "> 500" in err[0] and "numerics.t_back" not in err[0]
+    assert all(key in err[0] for key in ("certificate.k", "nonlinearity.lipschitz", "numerics.tol"))
 
 
 def test_explicit_config_field_errors(tmp_path):
@@ -731,7 +757,7 @@ def test_windows_round_to_whole_steps():
     )
     assert ctx.n_cells == 8002
     forward = base_orbit(np.zeros(problem.spectrum.size), ctx, 4.001)
-    assert forward.times.size - 1 == 4001
+    assert len(forward) - 1 == 4001
 
 
 def _read_ini(path: Path) -> configparser.ConfigParser:

@@ -93,6 +93,31 @@ def test_cell_convolution_constant_matches_weight(spec4):
     assert np.allclose(cells, amps * w1, rtol=1e-14)
 
 
+def test_constant_and_terms_take_one_path(spec4):
+    # A signal is a constant vector plus trig terms: evaluation and cell
+    # integrals add over the two parts, and a shift keeps the constant.
+    amps = np.array([0.5, -1.0, 0.0, 2.0])
+    terms = [rl.TrigTerm(2, 1.3, 2.0, 0.4), rl.TrigTerm(4, 0.7, 0.5, -0.2)]
+    both = rl.ForcingSignal(4, amps, terms)
+    const, trig = rl.ForcingSignal.constant(amps), rl.ForcingSignal.trig(4, terms)
+    t = np.linspace(-3.0, 3.0, 13)
+    parts = const.eval_many(t) + trig.eval_many(t)
+    assert np.allclose(both.eval_many(t), parts, rtol=0, atol=1e-15)
+    cells = [cell_convolution(g, spec4, t, 0.05) for g in (both, const, trig)]
+    assert np.allclose(cells[0], cells[1] + cells[2], rtol=0, atol=1e-15)
+    shifted = shift_forcing(both, 0.9)
+    assert np.array_equal(shifted.amplitudes, amps)
+    assert np.allclose(shifted.eval_many(t), both.eval_many(t + 0.9), rtol=0, atol=1e-12)
+    # without terms the signal is periodic with every period it declares,
+    # and the near-period scan accepts its first candidate
+    assert rl.ForcingSignal(4, amps, declared_period=1.0).declared_period == 1.0
+    with pytest.raises(ValidationError):
+        rl.ForcingSignal(4, amps, terms, declared_period=1.0)
+    assert scan_almost_period(const, spec4, 1e-3, 2.0) == (1.0, 0.0)
+    with pytest.raises(ValidationError):
+        scan_almost_period(const, spec4, 1e-3, 1.0)
+
+
 def test_temperedness_integral_zero_and_constant(spec4, past_forcing_bound):
     assert past_forcing_bound(rl.ForcingSignal.zero(4), spec4) == 0.0
     amps = np.array([0.0, 3.0, 0.0, 0.0])

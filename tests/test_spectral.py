@@ -87,7 +87,7 @@ def test_semigroup_forward_p_block(flows):
     v = np.zeros(8)
     v[:2] = [8.0, -3.0]
     out = rl.integrate(v, 0.0, 0.7, ctx.ou, ctx.forcing, ctx.nonlinearity, ctx.spectrum)
-    end = out.values[-1]
+    end = out[-1]
     assert np.allclose(end[:2], v[:2] * np.exp(-ctx.spectrum.lambdas[:2] * 0.7), rtol=1e-14, atol=0)
     assert np.array_equal(end[2:], np.zeros(6))
 
@@ -329,7 +329,7 @@ def test_decay_tables_without_subnormals_change_no_output(problem_nl, monkeypatc
 
     def runs():
         lin = integrate(u0, 0.0, 6.0, ou, problem_nl.forcing, Nonlinearity.zero(), spec)
-        return rl.solve_ou(w, spec).values, lin.values, track_alone(u0, ctx, problem_nl.t_fwd)
+        return rl.solve_ou(w, spec).values, lin, track_alone(u0, ctx, problem_nl.t_fwd)
 
     ou_values, lin_values, tracked = runs()
     for module in (randomness, dynamics, tracking):
