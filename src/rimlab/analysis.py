@@ -310,7 +310,7 @@ def pullback_attractor(
 def containment_defect(cloud: AttractorCloud, problem: ModelProblem) -> DefectReport:
     """Distance of the pullback cloud to the offset graph, against tol + e^{-lambda_1 t}.
 
-    The graph values come from ``ModelProblem.graph_values`` on the stored path.
+    The graph values come from ``ModelProblem.graph_values`` on the stored OU table.
     """
     z0 = problem.ou.at(0.0)
     value = 0.0

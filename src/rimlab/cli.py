@@ -104,7 +104,7 @@ def _setup(args):
 
 
 def _problem_meta(problem: ModelProblem) -> dict:
-    grid = problem.path.grid
+    grid = problem.noise.grid
     return {
         "h": grid.h,
         "grid_t_min": grid.t_min,

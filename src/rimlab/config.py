@@ -31,7 +31,7 @@ __all__ = ["RunConfig", "load_config", "build_problem"]
 # Largest float64 array, in bytes, that one configured size may call for:
 # the sampled path (grid nodes x modes), the chart grid, the tracked and
 # pullback batches and the near-period scan.  Far above every shipped
-# config (the largest, the workhorse path, is about 6 MB), far below the
+# config (the largest, the workhorse OU table, is about 4.3 MB), far below the
 # memory of a small machine.
 ARRAY_BUDGET_BYTES = 1 << 28
 
@@ -348,7 +348,10 @@ def build_problem(cfg: RunConfig, seed_override: int | None = None) -> ModelProb
 
     The grid is sized once from the whole configuration (largest requested
     shift plus the OU spin-up margin), so every subcommand sees the same
-    stored path for a given (config, seed).
+    OU table for a given (config, seed).  The problem holds the sampled
+    path only until that table is first read: solving it lets the path go,
+    and a command that fails before it needs the noise (a periodicity check
+    without a declared period) never solves it.
     """
     cert = check_gap(cfg.spectrum, cfg.nonlinearity.lipschitz, cfg.gap_k, cfg.gap_n)
     t_back = backward_horizon(cert, cfg.tol)
@@ -391,12 +394,11 @@ def build_problem(cfg: RunConfig, seed_override: int | None = None) -> ModelProb
     _check_budget("numerics.h", grid.n_nodes, n_modes)
 
     seed = cfg.seed if seed_override is None else int(seed_override)
-    path = sample_wiener(seed, grid, cfg.cov)
     return ModelProblem(
         spectrum=cfg.spectrum,
         nonlinearity=cfg.nonlinearity,
         forcing=cfg.forcing,
-        path=path,
+        noise=sample_wiener(seed, grid, cfg.cov),
         cert=cert,
         t_back=t_back,
         t_fwd=t_fwd,

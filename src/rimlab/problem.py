@@ -1,14 +1,16 @@
-"""Aggregate of one model instance: operator data, noise path, certificate.
+"""Aggregate of one model instance: operator data, noise, certificate.
 
-A ModelProblem owns the sampled Wiener path and solves the OU driver from
-it once; every time shift of the noise is that one table on a relabelled
-grid (``ou_for``), and fixed-point contexts for any forcing translation are
-built from here, so that every downstream object provably uses the same
-stored noise.  The solver tolerance ``tol`` is fixed per problem and passed
-to every context.  Graph values on the stored path are solved at most once
-per (tau, base point), so checks that revisit the chart's points reuse its
-solves, and a translate of a chart point starts from the history that
-began the chart solve's final Picard step.
+A ModelProblem owns the stored noise: the sampled Wiener path until the OU
+driver is first read, then the OU table solved from it, which replaces the
+path, so a problem holds one grid-sized array.  Every time shift of the
+noise is that one table on a relabelled grid (``ou_for``), and
+fixed-point contexts for any forcing translation are built from here, so
+that every downstream object provably uses the same stored noise.  The
+solver tolerance ``tol`` is fixed per problem and passed to every context.
+Graph values on the stored OU table are solved at most once per (tau, base
+point), so checks that revisit the chart's points reuse its solves, and a
+translate of a chart point starts from the history that began the chart
+solve's final Picard step.
 """
 
 from __future__ import annotations
@@ -40,16 +42,15 @@ class ModelProblem:
     spectrum: Spectrum
     nonlinearity: Nonlinearity
     forcing: ForcingSignal
-    path: WienerPath
+    noise: WienerPath | OUProcess
     cert: GapCertificate
     t_back: float
     t_fwd: float
     tol: float = 1e-6
-    _ou: OUProcess | None = field(default=None, init=False, repr=False)
     _graph: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.path.n_modes != self.spectrum.size:
+        if self.noise.values.shape[1] != self.spectrum.size:
             raise ConfigError("noise.values: mode count differs from the spectrum")
         if self.forcing.n_modes != self.spectrum.size:
             raise ConfigError("forcing: mode count differs from the spectrum")
@@ -58,17 +59,18 @@ class ModelProblem:
 
     @property
     def h(self) -> float:
-        return self.path.grid.h
+        return self.noise.grid.h
 
     @property
     def seed(self) -> int:
-        return self.path.seed
+        return self.noise.seed
 
     @property
     def ou(self) -> OUProcess:
-        if self._ou is None:
-            self._ou = solve_ou(self.path, self.spectrum)
-        return self._ou
+        """The OU table; the first read solves it and lets the path go."""
+        if isinstance(self.noise, WienerPath):
+            self.noise = solve_ou(self.noise, self.spectrum)
+        return self.noise
 
     def ou_for(self, t: float) -> OUProcess:
         """OU driver of the shifted noise theta_t omega: ``ou_for(t).at(s)`` is
@@ -83,7 +85,8 @@ class ModelProblem:
         k = grid.index(t)
         if not grid.i_min < k < grid.i_max:
             raise SupportRangeError(f"shift by {t} puts t = 0 on the end of the stored support")
-        return OUProcess(TimeGrid(grid.h, grid.i_min - k, grid.i_max - k), self.ou.values)
+        shifted = TimeGrid(grid.h, grid.i_min - k, grid.i_max - k)
+        return OUProcess(shifted, self.ou.values, self.seed)
 
     def lp_context(self, tau: float = 0.0, ou: OUProcess | None = None) -> LPContext:
         return LPContext(

@@ -17,6 +17,10 @@ path.  The noise shift theta_t never re-samples or re-solves: it relabels
 the grid of the stored table (``ModelProblem.ou_for``), so
 z(theta_t omega)(s) = z(omega)(s + t) holds bit for bit.
 
+Sampling and the OU solve each fill their one grid-sized array in place,
+so set-up peaks near two grid arrays (the path and the table solved from
+it), and a ModelProblem keeps the table alone.
+
 The initial value at the left end of the grid is drawn from the
 stationary law N(0, q/(2 lambda)); the burn-in transient decays like
 e^{-lambda_1 (t - t_min)}, so analysis windows should stay at least
@@ -143,16 +147,15 @@ class WienerPath:
     def n_modes(self) -> int:
         return int(self.values.shape[1])
 
-    def increments(self) -> np.ndarray:
-        return np.diff(self.values, axis=0)
-
 
 @dataclass(frozen=True)
 class OUProcess:
-    """Stationary OU driver z; values[k] holds the node grid.i_min + k."""
+    """Stationary OU driver z; values[k] holds the node grid.i_min + k, and
+    ``seed`` is the seed of the path it was solved from."""
 
     grid: TimeGrid
     values: np.ndarray
+    seed: int
 
     def at(self, t: float) -> np.ndarray:
         return self.values[self.grid.offset(t)]
@@ -162,19 +165,23 @@ def sample_wiener(seed: int, grid: TimeGrid, cov: CovarianceSpec) -> WienerPath:
     """Sample a path with independent N(0, q_j h) increments, anchored at 0.
 
     Increments are drawn once for every grid cell and cumulatively summed
-    outward from t = 0 in both directions, so w(0) is exactly zero.
+    outward from t = 0 in both directions, so w(0) is exactly zero; each
+    increment is drawn onto the node its outward sum ends at and summed in
+    place.
     """
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
-    n_cells = grid.n_nodes - 1
-    n_modes = cov.q.size
     std = np.sqrt(cov.q * grid.h)
-    inc = rng.standard_normal((n_cells, n_modes)) * std
-    values = np.zeros((grid.n_nodes, n_modes))
-    k0 = -grid.i_min  # array offset of the node t = 0
-    if k0 < n_cells:
-        values[k0 + 1 :] = np.cumsum(inc[k0:], axis=0)
-    if k0 > 0:
-        values[:k0] = -np.cumsum(inc[:k0][::-1], axis=0)[::-1]
+    values = np.empty((grid.n_nodes, cov.q.size))
+    k0 = -grid.i_min  # array offset of the node t = 0, with 0 < k0 < n_nodes - 1
+    # the cells left of t = 0, then those right of it: one stream in cell order
+    past, future = values[:k0], values[k0 + 1 :]
+    for part in (past, future):
+        rng.standard_normal(out=part)
+        part *= std
+    values[k0] = 0.0
+    np.cumsum(future, axis=0, out=future)
+    np.cumsum(past[::-1], axis=0, out=past[::-1])
+    np.negative(past, out=past)
     return WienerPath(grid=grid, cov=cov, values=values, seed=int(seed))
 
 
@@ -183,7 +190,9 @@ def solve_ou(w: WienerPath, s: Spectrum) -> OUProcess:
 
     Per mode, z obeys the exact damped recursion with the convolution
     increment described in the module docstring; the value at the left grid
-    end is drawn (seeded) from the stationary law N(0, q/(2 lambda)).
+    end is drawn (seeded) from the stationary law N(0, q/(2 lambda)).  The
+    increments are scaled and filtered in the table itself, and the initial
+    value's decay is added one mode at a time.
     """
     if np.any(s.lambdas <= 0.0):
         raise SpectrumError("OU driver requires strictly positive rates")
@@ -198,13 +207,13 @@ def solve_ou(w: WienerPath, s: Spectrum) -> OUProcess:
     rng0 = np.random.default_rng(np.random.SeedSequence([int(w.seed), 1]))
     z0 = rng0.standard_normal(s.size) * np.sqrt(q / (2.0 * lam))
 
-    dw = w.increments()
-    u = dw * (-np.expm1(-lam * h) / (lam * h))
-
-    n_cells = dw.shape[0]
     values = np.empty_like(w.values)
     values[0] = z0
-    if n_cells:
-        homog = _exp_normal(-lam * np.arange(1, n_cells + 1)[:, None] * h) * z0
-        values[1:] = homog + _filter_modes(u, damp)
-    return OUProcess(grid=w.grid, values=values)
+    u = values[1:]
+    np.subtract(w.values[1:], w.values[:-1], out=u)  # the increments dW
+    u *= -np.expm1(-lam * h) / (lam * h)
+    _filter_modes(u, damp, out=u)
+    k = np.arange(1, u.shape[0] + 1)
+    for j in range(s.size):
+        u[:, j] += _exp_normal(-lam[j] * k * h) * z0[j]
+    return OUProcess(grid=w.grid, values=values, seed=w.seed)

@@ -115,7 +115,7 @@ def _filter_modes(u, a, b=1.0, reverse=False, out=None) -> np.ndarray:
     bit-identical to the plain recursion.
     """
     # Imported here, not at module level: loading scipy.signal costs about
-    # 1.3 s, and commands that never step time (gap-scan, report) never
+    # 0.8 s, and commands that never step time (gap-scan, report) never
     # reach this function.
     from scipy.signal import lfilter
 

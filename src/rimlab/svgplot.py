@@ -63,9 +63,11 @@ def line_plot(path, x, series, title="", xlabel="", ylabel="", logy=False) -> No
         if logy:
             ys = np.log10(np.maximum(np.abs(ys), 1e-300))
         cleaned.append((label, ys))
-    y_all = np.concatenate([ys for _, ys in cleaned]) if cleaned else np.zeros(1)
+    y_all = np.concatenate([ys for _, ys in cleaned]) if cleaned else np.zeros(0)
+    y_all = y_all[np.isfinite(y_all)]
     x_lo, x_hi = float(np.min(x)), float(np.max(x))
-    y_lo, y_hi = float(np.nanmin(y_all)), float(np.nanmax(y_all))
+    # with nothing finite to draw (every value null), an empty frame over [0, 0]
+    y_lo, y_hi = (float(np.min(y_all)), float(np.max(y_all))) if y_all.size else (0.0, 0.0)
     parts = _frame(title, xlabel, ("log10 " if logy else "") + ylabel, x_lo, x_hi, y_lo, y_hi)
     for idx, (label, ys) in enumerate(cleaned):
         px = _scale(x, x_lo, x_hi, _ML, _W - _MR)

@@ -8,8 +8,10 @@ fixtures share one sampled path so the expensive OU solve happens once.
 The plain functions at the end are test helpers and oracles that the
 library itself does not need: a problem that only carries noise, a cold
 one-point graph solve, the offset graph of the
-original variables, a path restriction, one forward-operator sweep, and
-a tracking solve that integrates its own base orbit.  ``ModeCoupling`` is
+original variables, a path restriction, one forward-operator sweep, a
+tracking solve that integrates its own base orbit, and the dense formulas
+of path sampling, the OU solve and the near-period scan, which allocate
+every intermediate table the in-place library code avoids.  ``ModeCoupling`` is
 a test-only nonlinearity whose graph depends on x; ``Saturating`` is one
 whose orbits overflow the float range.
 """
@@ -19,7 +21,9 @@ import pytest
 
 import rimlab as rl
 from rimlab.errors import DomainError, GridAlignmentError, ValidationError
+from rimlab.forcing import almost_period_defect
 from rimlab.problem import ModelProblem
+from rimlab.spectral import _exp_normal, _filter_modes
 from rimlab.tracking import _apply_forward, _ForwardStencil, base_orbit, track_phi
 
 SEED = 7
@@ -62,7 +66,7 @@ def problem_nl(spectrum16, sine_forcing, path16):
         spectrum=spectrum16,
         nonlinearity=rl.Nonlinearity.per_mode_sin(0.1),
         forcing=sine_forcing,
-        path=path16,
+        noise=path16,
         cert=cert,
         t_back=T_BACK,
         t_fwd=T_FWD,
@@ -78,7 +82,7 @@ def problem_lin(spectrum16, sine_forcing, path16):
         spectrum=spectrum16,
         nonlinearity=rl.Nonlinearity.zero(),
         forcing=sine_forcing,
-        path=path16,
+        noise=path16,
         cert=cert,
         t_back=8.1,
         t_fwd=8.1,
@@ -96,7 +100,7 @@ def problem_lin_const(spectrum16, path16):
         spectrum=spectrum16,
         nonlinearity=rl.Nonlinearity.zero(),
         forcing=rl.ForcingSignal.constant(amps),
-        path=path16,
+        noise=path16,
         cert=cert,
         t_back=8.1,
         t_fwd=8.1,
@@ -182,7 +186,7 @@ def noise_problem(spectrum: rl.Spectrum, path: rl.WienerPath) -> ModelProblem:
         spectrum=spectrum,
         nonlinearity=rl.Nonlinearity.zero(),
         forcing=rl.ForcingSignal.zero(spectrum.size),
-        path=path,
+        noise=path,
         cert=rl.check_gap(spectrum, 0.0, 0.2, 1),
         t_back=1.0,
         t_fwd=1.0,
@@ -214,6 +218,50 @@ def coarsen_path(w: rl.WienerPath, factor: int) -> rl.WienerPath:
         values=w.values[::factor].copy(),
         seed=w.seed,
     )
+
+
+def dense_sample_wiener(seed: int, grid: rl.TimeGrid, cov: rl.CovarianceSpec) -> np.ndarray:
+    """Node values of ``sample_wiener``'s path: the increments drawn as one
+    (cells, modes) table, then summed outward from t = 0 into a new array."""
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
+    n_cells = grid.n_nodes - 1
+    inc = rng.standard_normal((n_cells, cov.q.size)) * np.sqrt(cov.q * grid.h)
+    values = np.zeros((grid.n_nodes, cov.q.size))
+    k0 = -grid.i_min  # array offset of the node t = 0
+    values[k0 + 1 :] = np.cumsum(inc[k0:], axis=0)
+    values[:k0] = -np.cumsum(inc[:k0][::-1], axis=0)[::-1]
+    return values
+
+
+def dense_solve_ou(w: rl.WienerPath, s: rl.Spectrum) -> np.ndarray:
+    """Table of ``solve_ou``: increments, scaled increments, their filtered
+    sum and the initial value's decay each held as its own grid table."""
+    h, lam = w.grid.h, s.lambdas
+    rng0 = np.random.default_rng(np.random.SeedSequence([int(w.seed), 1]))
+    z0 = rng0.standard_normal(s.size) * np.sqrt(w.cov.q / (2.0 * lam))
+    dw = np.diff(w.values, axis=0)
+    u = dw * (-np.expm1(-lam * h) / (lam * h))
+    values = np.empty_like(w.values)
+    values[0] = z0
+    homog = _exp_normal(-lam * np.arange(1, dw.shape[0] + 1)[:, None] * h) * z0
+    values[1:] = homog + _filter_modes(u, np.exp(-lam * h))
+    return values
+
+
+def dense_scan_almost_period(g, s, target, tau_max, step=1e-2):
+    """``scan_almost_period`` with its per-term bound on a dense (taus,
+    n_total) table, every unforced mode a column of zeros."""
+    taus = np.arange(1.0, tau_max, step)
+    per_mode = np.zeros((taus.size, s.size))
+    for term in g.terms:
+        per_mode[:, term.mode - 1] += 2.0 * abs(term.amplitude) * np.abs(
+            np.sin(term.frequency * taus / 2.0)
+        )
+    bound = np.linalg.norm(per_mode * s.weights_alpha(), axis=1)
+    idx = int(np.argmin(bound))
+    if bound[idx] > target:
+        raise ValidationError(f"no near-period with defect <= {target} found below {tau_max}")
+    return float(taus[idx]), almost_period_defect(g, s, float(taus[idx]))
 
 
 def forward_apply(xi: np.ndarray, v0: np.ndarray, base: np.ndarray, ctx: rl.LPContext):

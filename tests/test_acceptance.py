@@ -66,7 +66,7 @@ def test_criterion_02_linear_closed_form(spectrum16, sine_forcing, cov16):
             spectrum=spectrum16,
             nonlinearity=rl.Nonlinearity.zero(),
             forcing=sine_forcing,
-            path=path,
+            noise=path,
             cert=check_gap(spectrum16, 0.0, 0.2, 1),
             t_back=8.1,
             t_fwd=8.1,
@@ -177,7 +177,7 @@ def test_criterion_05_invariance(spectrum16, sine_forcing, cov16, chart_grid16):
         for label, factor in (("h", 16), ("h/4", 4)):
             problem = ModelProblem(
                 spectrum=spectrum16, nonlinearity=f, forcing=sine_forcing,
-                path=coarsen_path(w_ref, factor), cert=cert,
+                noise=coarsen_path(w_ref, factor), cert=cert,
                 t_back=16.12, t_fwd=16.12, tol=tol_run,
             )
             ctx = problem.lp_context(tau)
@@ -273,7 +273,7 @@ def test_criterion_08_almost_periodicity(spectrum16, cov16, path16, chart_grid16
         spectrum=spectrum16,
         nonlinearity=rl.Nonlinearity.per_mode_sin(0.1),
         forcing=g2,
-        path=path16,
+        noise=path16,
         cert=cert,
         t_back=16.12,
         t_fwd=16.12,

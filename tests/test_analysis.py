@@ -239,7 +239,7 @@ def test_periodicity_two_resolution_ratio(spectrum16, sine_forcing, cov16):
         from rimlab.problem import ModelProblem
 
         prob = ModelProblem(
-            spectrum=spectrum16, nonlinearity=f, forcing=sine_forcing, path=path,
+            spectrum=spectrum16, nonlinearity=f, forcing=sine_forcing, noise=path,
             cert=cert, t_back=16.12, t_fwd=16.12, tol=tol,
         )
         values.append(periodicity_defect(0.0, 2.0 * np.pi, grid, prob).value)
@@ -259,7 +259,7 @@ def test_ap_defect_zero_forcing(problem_lin_const, chart_grid16, spectrum16, pat
         spectrum=spectrum16,
         nonlinearity=rl.Nonlinearity.zero(),
         forcing=rl.ForcingSignal.zero(16),
-        path=path16,
+        noise=path16,
         cert=problem_lin_const.cert,
         t_back=8.1,
         t_fwd=8.1,
@@ -282,7 +282,7 @@ def test_pullback_trivial_collapse(spectrum16, path16):
         spectrum=spectrum16,
         nonlinearity=rl.Nonlinearity.zero(),
         forcing=rl.ForcingSignal.zero(16),
-        path=w0,
+        noise=w0,
         cert=cert,
         t_back=6.0,
         t_fwd=6.0,
@@ -331,7 +331,7 @@ def test_containment_trivial_zero(spectrum16):
         spectrum=spectrum16,
         nonlinearity=rl.Nonlinearity.zero(),
         forcing=rl.ForcingSignal.zero(16),
-        path=w0,
+        noise=w0,
         cert=cert,
         t_back=6.0,
         t_fwd=6.0,
@@ -378,7 +378,7 @@ def test_periodicity_zero_forcing_any_period(spectrum16, path16):
         spectrum=spectrum16,
         nonlinearity=rl.Nonlinearity.per_mode_sin(0.1),
         forcing=rl.ForcingSignal.zero(16),
-        path=path16,
+        noise=path16,
         cert=rl.check_gap(spectrum16, 0.1, 0.2, 1),
         t_back=8.0,
         t_fwd=8.0,

@@ -486,6 +486,26 @@ def test_report_renders_null_as_nan(tmp_path, capsys):
     assert (tmp_path / "report.svg").exists()
 
 
+def test_report_without_finite_values_draws_an_empty_frame(tmp_path):
+    # Every value and bound null: the plot has nothing to scale, yet it warns
+    # nothing, labels its axes with numbers, and the passed flags still set
+    # the exit code.
+    reports = [
+        {"kind": "lipschitz", "passed": True, "value": None, "bound": None},
+        {"kind": "invariance", "passed": False, "value": None, "bound": None},
+    ]
+    doc = {"all_pass": False, "reports": reports}
+    (tmp_path / "verification.json").write_text(json.dumps(doc), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "rimlab", "report", "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.stderr == ""
+    assert "nan" not in (tmp_path / "report.svg").read_text(encoding="utf-8")
+    assert proc.returncode == 1
+
+
 @pytest.mark.parametrize("all_pass", [True, False])
 def test_report_verdict_comes_from_passed_flags(tmp_path, all_pass):
     # A hand-edited document whose all_pass disagrees with its reports'
@@ -830,6 +850,11 @@ SCIPY_PROBES = {
     "gap_scan": ("main(['gap-scan', '--config', CFG, '--out', OUT])", False),
     "report": ("main(['report', '--config', CFG, '--out', OUT])", False),
     "ou": ("build_problem(load_config(CFG), 7).ou", True),
+    # refused after the problem is built, before its noise is first read
+    "periodicity_without_period": (
+        "assert main(['periodicity', '--config', QP, '--out', OUT]) == 2",
+        False,
+    ),
 }
 
 
@@ -846,7 +871,8 @@ def test_scipy_loaded_only_by_the_filter(tmp_path, probe):
             "import contextlib, io, json, sys",
             "from rimlab.cli import main",
             "from rimlab.config import build_problem, load_config",
-            f"CFG, OUT = {str(LINEAR_SINE)!r}, {str(tmp_path)!r}",
+            f"CFG, QP = {str(LINEAR_SINE)!r}, {str(QUASI_PERIODIC)!r}",
+            f"OUT = {str(tmp_path)!r}",
             "with contextlib.redirect_stdout(io.StringIO()):",
             f"    {statement}",
             "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))",

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import rimlab as rl
+from conftest import dense_scan_almost_period
 from rimlab.errors import ValidationError
 from rimlab.forcing import (
     almost_period_defect,
@@ -167,3 +170,36 @@ def test_scan_almost_period_quasi_periodic(spec4):
     assert tau0 > 1.0
     # the dense defect never exceeds the scan's accepted bound
     assert almost_period_defect(g, spec4, tau0) == pytest.approx(eps)
+
+
+# (terms, alpha): one forced mode, two, two terms on one mode, and fractional
+# weights, each on 16 modes
+ROOT2 = float(np.sqrt(2.0))
+SCAN_SIGNALS = {
+    "one_mode": ([rl.TrigTerm(2, 0.02, 1.0, 0.0)], 0.0),
+    "two_modes": ([rl.TrigTerm(2, 0.02, 1.0, 0.0), rl.TrigTerm(3, 0.02, ROOT2, 0.0)], 0.0),
+    "one_mode_two_terms": (
+        [rl.TrigTerm(5, 0.02, 1.0, 0.3), rl.TrigTerm(5, 0.01, ROOT2, 1.0)],
+        0.0,
+    ),
+    "alpha": ([rl.TrigTerm(2, 0.02, 1.0, 0.0), rl.TrigTerm(3, 0.02, ROOT2, 0.0)], 0.25),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_SIGNALS))
+def test_sparse_scan_equals_dense(name):
+    # The scan tabulates its bound on the forced modes alone: the same
+    # (tau0, defect) as the dense (taus, n_total) table, within less memory
+    # than that one table.
+    terms, alpha = SCAN_SIGNALS[name]
+    s = rl.dirichlet_laplacian(16, alpha)
+    g = rl.ForcingSignal.trig(16, terms)
+    args = (2e-3, 450.0, 0.01)
+    expected = dense_scan_almost_period(g, s, *args)
+    tracemalloc.start()
+    try:
+        assert scan_almost_period(g, s, *args) == expected
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < np.arange(1.0, 450.0, 0.01).size * s.size * 8

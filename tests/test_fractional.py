@@ -36,7 +36,7 @@ def problem_frac():
         spectrum=s,
         nonlinearity=rl.Nonlinearity.per_mode_sin(0.1),
         forcing=g,
-        path=path,
+        noise=path,
         cert=cert,
         t_back=t_back,
         t_fwd=t_fwd,

@@ -725,7 +725,7 @@ def test_graph_values_first_order_in_step():
 
     def graph_at(path):
         prob = ModelProblem(
-            spectrum=s, nonlinearity=f, forcing=g, path=path, cert=cert,
+            spectrum=s, nonlinearity=f, forcing=g, noise=path, cert=cert,
             t_back=16.2, t_fwd=16.2, tol=1e-11,
         )
         return manifold_point(x, prob.lp_context(0.0))

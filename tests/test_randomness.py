@@ -1,9 +1,13 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
 
 import rimlab as rl
-from conftest import coarsen_path, noise_problem
+from conftest import coarsen_path, dense_sample_wiener, dense_solve_ou, noise_problem
+from rimlab.config import build_problem, load_config
 from rimlab.errors import (
     DomainError,
     GridAlignmentError,
@@ -68,7 +72,7 @@ def test_increment_variance_matches_covariance():
     grid = rl.TimeGrid.from_times(-1.0, 99.0, 1e-3)
     q = np.array([0.8, 0.2])
     w = rl.sample_wiener(21, grid, rl.CovarianceSpec(q))
-    inc = w.increments()
+    inc = np.diff(w.values, axis=0)
     assert inc.shape[0] == 100_000
     sample_var = np.var(inc, axis=0)
     assert np.all(np.abs(sample_var / (q * grid.h) - 1.0) < 0.05)
@@ -119,6 +123,42 @@ def test_coarsen_restriction_is_exact():
     assert np.array_equal(c.values[c.grid.offset(-1.0)], w.values[grid.offset(-1.0)])
 
 
+WORKHORSE = Path(__file__).resolve().parent.parent / "configs" / "dirichlet_nonlinear.ini"
+
+
+def test_in_place_setup_equals_dense_formulas():
+    # The workhorse grid, then grids whose t = 0 node is one node from either
+    # end, where one of the two outward sums covers a single cell.
+    problem = build_problem(load_config(WORKHORSE))
+    cases = [(problem.noise, problem.spectrum)]
+    s = rl.Spectrum(np.array([1.0, 4.0, 9.0]))
+    cov = rl.CovarianceSpec.power_law(3, 0.4, 2.0)
+    for i_min, i_max in ((-1, 40), (-40, 1), (-1, 1)):
+        cases.append((rl.sample_wiener(5, rl.TimeGrid(0.01, i_min, i_max), cov), s))
+    for w, spectrum in cases:
+        assert np.array_equal(w.values, dense_sample_wiener(w.seed, w.grid, w.cov))
+        assert np.array_equal(rl.solve_ou(w, spectrum).values, dense_solve_ou(w, spectrum))
+
+
+def test_setup_holds_one_grid_array():
+    # Sampling and the OU solve each fill their one table in place, and the
+    # problem keeps the OU table, not the path it was solved from.
+    import scipy.signal  # noqa: F401  (loaded first: its import is not set-up)
+
+    cfg = load_config(WORKHORSE)
+    tracemalloc.start()
+    try:
+        problem = build_problem(cfg)
+        problem.ou
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    table = problem.ou.values.nbytes
+    assert peak <= 2.5 * table
+    assert retained <= 1.1 * table
+    assert problem.noise is problem.ou
+
+
 def test_ou_zero_noise_is_zero():
     s = rl.Spectrum(np.array([1.0, 4.0]))
     w = rl.sample_wiener(1, small_grid(), rl.CovarianceSpec.zero(2))
@@ -134,7 +174,7 @@ def test_ou_recursion_residual_is_exact():
     z = rl.solve_ou(w, s)
     damp = np.exp(-s.lambdas * grid.h)
     gain = -np.expm1(-s.lambdas * grid.h) / (s.lambdas * grid.h)
-    resid = z.values[1:] - damp * z.values[:-1] - gain * w.increments()
+    resid = z.values[1:] - damp * z.values[:-1] - gain * np.diff(w.values, axis=0)
     assert np.max(np.abs(resid)) < 1e-13
 
 

@@ -360,7 +360,7 @@ def test_coupled_shadowing_point_settled_at_forward_horizon():
         spectrum=s,
         nonlinearity=ModeCoupling("mode_coupling", 0.2),
         forcing=rl.ForcingSignal.trig(16, [rl.TrigTerm(2, 1.0, 1.0, 0.0)], period=2 * np.pi),
-        path=rl.sample_wiener(7, grid, rl.CovarianceSpec.power_law(16, 0.05, 2.0)),
+        noise=rl.sample_wiener(7, grid, rl.CovarianceSpec.power_law(16, 0.05, 2.0)),
         cert=cert,
         t_back=t_back,
         t_fwd=t_f,
