@@ -157,16 +157,16 @@ def invariance_defect(chart: ManifoldChart, t: float, problem: ModelProblem) -> 
         problem.nonlinearity,
         problem.spectrum,
     )  # (nodes, points, modes)
-    value = 0.0
+    graph = []
     for orbit, start in zip(np.moveaxis(orbits, 1, 0), chart.starts):
         history = _mode_major(np.concatenate((start, orbit[1:]))[-ctx.times.size :])
         xi, _ = solve_fixed_point(ctx.project_p(orbit[-1]), ctx, history)
-        off = ctx.project_q(orbit[-1]) - ctx.project_q(xi[-1])
-        value = max(value, norm_alpha(off, problem.spectrum))
+        graph.append(xi[-1])
+    off = ctx.project_q(orbits[-1]) - ctx.project_q(np.array(graph))
     bound = INVARIANCE_CONSTANT * (problem.h + problem.tol)
     return DefectReport(
         kind="invariance",
-        value=float(value),
+        value=float(np.max(norm_alpha(off, problem.spectrum))),
         bound=float(bound),
         context={
             "t": t,
@@ -225,10 +225,7 @@ def _graph_shift(tau, shift, x_grid, problem) -> float:
     """
     m_a = problem.graph_values(tau, x_grid, shift)
     m_b = problem.graph_values(tau + shift, x_grid)
-    value = 0.0
-    for a, b in zip(m_a, m_b):
-        value = max(value, norm_alpha(b - a, problem.spectrum))
-    return value
+    return float(np.max(norm_alpha(m_b - m_a, problem.spectrum)))
 
 
 def periodicity_defect(
@@ -313,17 +310,14 @@ def containment_defect(cloud: AttractorCloud, problem: ModelProblem) -> DefectRe
     The graph values come from ``ModelProblem.graph_values`` on the stored OU table.
     """
     z0 = problem.ou.at(0.0)
-    value = 0.0
     # Q part of u - (z(0) + m(P(u - z(0)))): u's distance to the offset graph
-    for u, m in zip(cloud.points, problem.graph_values(cloud.tau, cloud.points - z0)):
-        off = u - (z0 + m)
-        off[: problem.cert.n] = 0.0
-        value = max(value, norm_alpha(off, problem.spectrum))
+    off = cloud.points - (z0 + problem.graph_values(cloud.tau, cloud.points - z0))
+    off[:, : problem.cert.n] = 0.0
     lam1 = float(problem.spectrum.lambdas[0])
     bound = problem.tol + float(np.exp(-lam1 * cloud.pullback_time))
     return DefectReport(
         kind="containment",
-        value=float(value),
+        value=float(np.max(norm_alpha(off, problem.spectrum))),
         bound=float(bound),
         context={
             "tau": cloud.tau,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import Nonlinearity
 from .errors import ConfigError
-from .forcing import ForcingSignal, TrigTerm
+from .forcing import ForcingSignal, TrigTerm, _scan_row_vectors
 from .lyapunov_perron import backward_horizon, check_gap
 from .problem import ModelProblem
 from .randomness import CovarianceSpec, TimeGrid, sample_wiener, whole_steps
@@ -30,9 +30,9 @@ __all__ = ["RunConfig", "load_config", "build_problem"]
 
 # Largest float64 array, in bytes, that one configured size may call for:
 # the sampled path (grid nodes x modes), the chart grid, the tracked and
-# pullback batches and the near-period scan.  Far above every shipped
-# config (the largest, the workhorse OU table, is about 4.3 MB), far below the
-# memory of a small machine.
+# pullback batches and the near-period scan (the tau rows it holds at its
+# peak).  Far above every shipped config (the largest, the workhorse OU
+# table, is about 4.3 MB), far below the memory of a small machine.
 ARRAY_BUDGET_BYTES = 1 << 28
 
 
@@ -136,6 +136,8 @@ class _Section:
             out = [float(tok) for tok in str(value).split()]
         except ValueError:
             self._fail(key, f"not a list of numbers: {value!r}")
+        if not out:
+            self._fail(key, "needs at least one number")
         if not all(math.isfinite(x) for x in out):
             self._fail(key, f"must be finite numbers (got {value!r})")
         return out
@@ -302,12 +304,14 @@ def load_config(path) -> RunConfig:
     _check_budget(
         "almost_period.scan_step",
         almost_period["scan_max"] / almost_period["scan_step"],
-        spectrum.size,
+        _scan_row_vectors(forcing),
     )
 
     ver_sec = _Section(parser, "verify")
     checks_raw = ver_sec.str("checks", "invariance lipschitz tracking")
     checks = checks_raw.split()
+    if not checks:
+        ver_sec._fail("checks", "needs at least one check")
     known = {"invariance", "lipschitz", "tracking", "periodicity", "almost_period", "containment"}
     for c in checks:
         if c not in known:
@@ -362,7 +366,7 @@ def build_problem(cfg: RunConfig, seed_override: int | None = None) -> ModelProb
     # OU spin-up margin: the stationary draw's transient decays like
     # e^{-lambda_1 t}, so 10 / lambda_1 leaves e^{-10} of it
     spin_up = 10.0 / float(cfg.spectrum.lambdas[0])
-    pullback = max(cfg.attractor["pullback_times"], default=0.0)
+    pullback = max(cfg.attractor["pullback_times"])
     invariance_t = cfg.verify["invariance_t"]
 
     # every window in steps, before any is rounded to steps or sampled; the

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .spectral import Spectrum
+from .spectral import Spectrum, _node_norms
 
 __all__ = [
     "TrigTerm",
@@ -161,11 +161,16 @@ def almost_period_defect(g: ForcingSignal, s: Spectrum, tau0: float) -> float:
     """Sampled sup over 1024 points of a window of ||g(r + tau0) - g(r)||_alpha."""
     if not g.terms:
         return 0.0  # an autonomous signal is periodic with every period
-    wts = s.weights_alpha()
     span = 4.0 * max(2.0 * np.pi / t.frequency for t in g.terms)
     r = np.linspace(0.0, span, 1024)
-    diff = (g.eval_many(r + tau0) - g.eval_many(r)) * wts
-    return float(np.max(np.linalg.norm(diff, axis=1)))
+    diff = g.eval_many(r + tau0) - g.eval_many(r)
+    return float(np.max(_node_norms(diff, s.weights_alpha())))
+
+
+def _scan_row_vectors(g: ForcingSignal) -> int:
+    """Rows of taus ``scan_almost_period`` holds at its peak: the taus, the
+    bound table and its squares (a column per forced mode), sum and norms."""
+    return 3 + 2 * len({term.mode for term in g.terms})
 
 
 def scan_almost_period(
@@ -193,7 +198,7 @@ def scan_almost_period(
         per_mode[:, forced.index(term.mode - 1)] += 2.0 * abs(term.amplitude) * np.abs(
             np.sin(term.frequency * taus / 2.0)
         )
-    bound = np.linalg.norm(per_mode * s.weights_alpha()[forced], axis=1)
+    bound = _node_norms(per_mode, s.weights_alpha()[forced])
     idx = int(np.argmin(bound))
     if bound[idx] > target:
         raise ValidationError(

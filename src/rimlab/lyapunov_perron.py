@@ -572,13 +572,13 @@ def build_chart(x_grid: np.ndarray, ctx: LPContext) -> ManifoldChart:
     values = np.array(values)
     residuals = np.array(residuals)
 
+    # row by row, so memory stays linear in the grid; dx = 0 has no quotient
     lip = 0.0
-    k_pts = x_grid.shape[0]
-    for i in range(k_pts):
-        for j in range(i + 1, k_pts):
-            dx = norm_alpha(x_grid[i] - x_grid[j], ctx.spectrum)
-            if dx > 1e-14:
-                lip = max(lip, norm_alpha(values[i] - values[j], ctx.spectrum) / dx)
+    for i in range(1, x_grid.shape[0]):
+        dx = norm_alpha(x_grid[:i] - x_grid[i], ctx.spectrum)
+        far = dx > 1e-14
+        dm = norm_alpha(values[:i][far] - values[i], ctx.spectrum)
+        lip = float(np.max(dm / dx[far], initial=lip))
 
     return ManifoldChart(
         tau=ctx.tau,

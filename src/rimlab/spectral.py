@@ -17,7 +17,8 @@ Time histories are (nodes, modes) arrays.  Every time-stepping recursion in
 the package is the per-mode first-order filter ``_filter_modes`` run down
 the node axis, so the histories the fixed-point operators iterate on are
 stored mode-major (``_mode_major``): each mode's column is contiguous.
-``_node_norms`` reads that layout column by column.  The filter writes
+``_node_norms``, the package's one norm, reads that layout column by
+column.  The filter writes
 exact zeros, never subnormals, where a decaying column's input has ended
 (``_flush_tail``), and the decay tables e^{-lambda t} hold exact zeros
 wherever they would be subnormal (``_exp_normal``), so later sweeps do not
@@ -85,10 +86,9 @@ def dirichlet_laplacian(n_total: int, alpha: float = 0.0) -> Spectrum:
     return Spectrum(j**2, alpha)
 
 
-def norm_alpha(v: np.ndarray, s: Spectrum) -> float:
-    """Weighted norm ||A^alpha v|| realising the D(A^alpha) norm."""
-    v = s.check_state(v)
-    return float(np.linalg.norm(v * s.weights_alpha(), axis=-1))
+def norm_alpha(v: np.ndarray, s: Spectrum) -> float | np.ndarray:
+    """D(A^alpha) norm ||A^alpha v|| of each state along the last axis of v."""
+    return _node_norms(s.check_state(v), s.weights_alpha())
 
 
 def _mode_major(a: np.ndarray) -> np.ndarray:
@@ -189,36 +189,14 @@ def _decay_steps(y: float, a: float, tiny: float) -> float:
 
 
 def _node_norms(values: np.ndarray, wts: np.ndarray) -> np.ndarray:
-    """Per-node weighted norms ||wts * values[k]|| of a (nodes, modes) array.
+    """Norms ||wts * v|| along the last (mode) axis: a scalar for a state.
 
-    The squares are summed column by column in the order of numpy's
-    pairwise row sum, so the result equals
-    ``np.linalg.norm(values * wts, axis=-1)`` bit for bit while reading
-    mode-major storage contiguously.
+    The squares are added one mode column at a time, in mode order from
+    zeros, so C and F storage give the same bits and no modes give 0.
     """
-    w = values * wts
-    np.multiply(w, w, out=w)
-    return np.sqrt(_pairwise_columns(w))
-
-
-def _pairwise_columns(sq: np.ndarray) -> np.ndarray:
-    """Row sums of ``sq`` in numpy's pairwise order (blocks of 8 up to 128)."""
-    n = sq.shape[1]
-    if n < 8:
-        total = np.zeros(sq.shape[0])
-        for j in range(n):
-            total += sq[:, j]
-        return total
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        return _pairwise_columns(sq[:, :half]) + _pairwise_columns(sq[:, half:])
-    stop = n - n % 8
-    acc = sq[:, :8] + sq[:, 8:16] if stop >= 16 else sq[:, :8].copy()
-    for i in range(16, stop, 8):
-        acc += sq[:, i : i + 8]
-    total = ((acc[:, 0] + acc[:, 1]) + (acc[:, 2] + acc[:, 3])) + (
-        (acc[:, 4] + acc[:, 5]) + (acc[:, 6] + acc[:, 7])
-    )
-    for j in range(stop, n):
-        total += sq[:, j]
-    return total
+    sq = values * wts
+    sq *= sq
+    total = np.zeros(sq.shape[:-1])
+    for j in range(sq.shape[-1]):
+        total += sq[..., j]
+    return np.sqrt(total)

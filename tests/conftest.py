@@ -8,7 +8,8 @@ fixtures share one sampled path so the expensive OU solve happens once.
 The plain functions at the end are test helpers and oracles that the
 library itself does not need: a problem that only carries noise, a cold
 one-point graph solve, the offset graph of the
-original variables, a path restriction, one forward-operator sweep, a
+original variables, a path restriction, the chart's pairwise Lipschitz
+quotient, one forward-operator sweep, a
 tracking solve that integrates its own base orbit, and the dense formulas
 of path sampling, the OU solve and the near-period scan, which allocate
 every intermediate table the in-place library code avoids.  ``ModeCoupling`` is
@@ -191,6 +192,20 @@ def noise_problem(spectrum: rl.Spectrum, path: rl.WienerPath) -> ModelProblem:
         t_back=1.0,
         t_fwd=1.0,
     )
+
+
+def pairwise_lipschitz(x_grid: np.ndarray, values: np.ndarray, s: rl.Spectrum) -> float:
+    """Largest |m(x_i) - m(x_j)|_alpha / |x_i - x_j|_alpha over the grid pairs,
+    skipping coincident points, by the double loop over pairs: the oracle
+    for the chart's Lipschitz quotient."""
+    lip = 0.0
+    k_pts = x_grid.shape[0]
+    for i in range(k_pts):
+        for j in range(i + 1, k_pts):
+            dx = rl.norm_alpha(x_grid[i] - x_grid[j], s)
+            if dx > 1e-14:
+                lip = max(lip, rl.norm_alpha(values[i] - values[j], s) / dx)
+    return float(lip)
 
 
 def manifold_point(x: np.ndarray, ctx: rl.LPContext) -> np.ndarray:

@@ -605,6 +605,19 @@ BAD_INPUTS = {
     "negative_seed_flag": (None, ["--seed", "-3"], "gap-scan", None),
     "missing_config": (None, ["--config", "{tmp}/missing.ini"], "gap-scan", None),
     "unreadable_config": (None, ["--config", "{tmp}"], "gap-scan", None),
+    "empty_checks": (
+        ("checks = invariance lipschitz tracking periodicity", "checks ="),
+        [],
+        "gap-scan",
+        "verify.checks",
+    ),
+    "empty_taus": (("taus = 0.0", "taus ="), [], "gap-scan", "periodicity.taus"),
+    "empty_pullback_times": (
+        ("pullback_times = 2.0 4.0", "pullback_times ="),
+        [],
+        "gap-scan",
+        "attractor.pullback_times",
+    ),
     "budget_h": (("h = 0.005", "h = 1e-13"), [], "build-manifold", "numerics.h"),
     "budget_spin_up": (
         (
@@ -676,6 +689,18 @@ def test_bad_input_exits_2_without_traceback(tmp_path, case):
     assert len(proc.stderr.strip().splitlines()) == 1
     if field is not None:
         assert field + ":" in proc.stderr
+
+
+def test_scan_budget_charges_the_rows_it_holds(tmp_path, capsys):
+    # The scan holds 3 + 2 x (forced modes) rows of taus, not n_total: on
+    # the workhorse (one forced mode) 25,000 / 0.01 taus fit the budget, and
+    # a step ten times finer does not.
+    base = (CONFIG_DIR / "dirichlet_nonlinear.ini").read_text(encoding="utf-8")
+    for step, code in ((0.01, 0), (0.001, 2)):
+        cfg = tmp_path / f"scan_{step}.ini"
+        cfg.write_text(f"{base}\n[almost_period]\nscan_max = 25000\nscan_step = {step}\n")
+        assert main(["gap-scan", "--config", str(cfg), "--out", str(tmp_path)]) == code
+    assert "almost_period.scan_step:" in capsys.readouterr().err
 
 
 def test_truncation_margin_validated(tmp_path):

@@ -7,6 +7,7 @@ import rimlab as rl
 from conftest import dense_scan_almost_period
 from rimlab.errors import ValidationError
 from rimlab.forcing import (
+    _scan_row_vectors,
     almost_period_defect,
     cell_convolution,
     scan_almost_period,
@@ -203,3 +204,22 @@ def test_sparse_scan_equals_dense(name):
     finally:
         tracemalloc.stop()
     assert peak < np.arange(1.0, 450.0, 0.01).size * s.size * 8
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [[], SCAN_SIGNALS["one_mode"][0], SCAN_SIGNALS["two_modes"][0]],
+    ids=["no_forced_mode", "one_forced_mode", "two_forced_modes"],
+)
+def test_scan_peak_within_its_budget_charge(terms):
+    # load_config charges the scan scan_max / scan_step rows of
+    # _scan_row_vectors float64 values; its traced peak stays within that.
+    s = rl.dirichlet_laplacian(16, 0.0)
+    g = rl.ForcingSignal(16, terms=terms)
+    tracemalloc.start()
+    try:
+        scan_almost_period(g, s, 2e-3, 450.0, 0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 450.0 / 0.01 * _scan_row_vectors(g) * 8

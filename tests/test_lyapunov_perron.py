@@ -9,7 +9,14 @@ from scipy.integrate import quad
 from scipy.signal import lfilter
 
 import rimlab as rl
-from conftest import coarsen_path, manifold_point, tilde_manifold_point
+from conftest import (
+    ModeCoupling,
+    coarsen_path,
+    line_grid,
+    manifold_point,
+    pairwise_lipschitz,
+    tilde_manifold_point,
+)
 from rimlab import lyapunov_perron
 from rimlab.errors import CertificateError, ContractionViolationError, ParameterError
 from rimlab.lyapunov_perron import (
@@ -561,6 +568,18 @@ def test_chart_lipschitz_and_flatness(problem_nl, chart_grid16):
     assert np.all(chart.residuals <= problem_nl.tol)
     # the diagonal sine nonlinearity decouples modes: the graph is flat in x
     assert np.max(np.std(chart.values, axis=0)) < 1e-7
+
+
+def test_chart_lipschitz_edge_cases(problem_nl):
+    # A coupled F makes the graph depend on x.  One point has no pair, and
+    # a repeated point's pair (dx = 0) has no quotient: the chart gives the
+    # pairwise double loop's value, bit for bit.
+    coupled = dataclasses.replace(problem_nl, nonlinearity=ModeCoupling("mode_coupling", 0.1))
+    ctx = coupled.lp_context(0.0)
+    assert build_chart(line_grid(16, 1), ctx).lipschitz == 0.0
+    chart = build_chart(line_grid(16, 4)[[0, 1, 1, 2, 3]], ctx)
+    assert chart.lipschitz > 1e-3
+    assert chart.lipschitz == pairwise_lipschitz(chart.x_grid, chart.values, ctx.spectrum)
 
 
 def test_chart_linear_case_x_independent(problem_lin, chart_grid16):

@@ -47,3 +47,15 @@ def test_every_listed_name_is_used_in_the_library():
         module = importlib.import_module(f"rimlab.{path.stem}")
         listed |= set(getattr(module, "__all__", ()))
     assert sorted(listed - loaded) == []
+
+
+def test_spectral_mode_loop_is_the_only_norm():
+    # Every D(A^alpha) norm goes through spectral._node_norms, so a state, a
+    # batch and a history get their norms from one summation order.
+    found = [
+        f"{path.name}:{lineno}"
+        for path in sorted(Path(rimlab.__file__).parent.glob("*.py"))
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "linalg.norm" in line or "einsum" in line
+    ]
+    assert found == []
