@@ -21,12 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import cocycle_phi, integrate
-from .errors import DomainError, GridAlignmentError, ParameterError, ValidationError
-from .forcing import almost_period_defect, shift_forcing
-from .lyapunov_perron import ManifoldChart, solve_fixed_point
+from .dynamics import cocycle_phi
+from .errors import DomainError, ParameterError, ValidationError
+from .forcing import almost_period_defect
+from .lyapunov_perron import ManifoldChart
 from .problem import ModelProblem
-from .spectral import _mode_major, norm_alpha
+from .spectral import norm_alpha
 from .tracking import TrackingResult
 
 __all__ = [
@@ -127,46 +127,23 @@ def lipschitz_defect(chart: ManifoldChart) -> DefectReport:
 
 
 def invariance_defect(chart: ManifoldChart, t: float, problem: ModelProblem) -> DefectReport:
-    """Flow the chart forward and measure its distance to the shifted graph.
+    """Distance of the chart flowed for time t >= 0 to the shifted graph.
 
-    The chart points are evolved for time t >= 0 as one batch by
-    ``integrate`` with the forcing translated by the chart's tau, keeping
-    the trajectory (the endpoints are ``cocycle_psi``'s bit for bit).  The
-    off-graph part of each endpoint is compared against a fixed-point solve
-    at translated forcing on the shifted noise ``ou_for(t)``.  By the
-    cocycle property, the chart history continued by the flowed orbit is
-    that solve's fixed point up to the window's far end, so each solve
-    starts from the last rows of the point's stored start
-    (``ManifoldChart.starts``) followed by its orbit.  The stop rule bounds
-    the distance to the fixed point by tol from any start, so a flow that
-    leaves the discrete graph only moves the start and still shows.  Flow
-    and graph share one cell rule at the problem's step, so this
-    matched-resolution defect sits at the solver and truncation floor, not
-    at O(h).  A chart whose window differs from the problem's raises
-    GridAlignmentError.
+    Reads the chart's invariance leg, solved in its sweep at flow time t
+    (``build_chart`` with ``flow``, ``ModelProblem.chart`` with ``flow_t``):
+    per point, the off-graph part of the flowed graph point against a
+    fixed-point solve at translated forcing on the shifted noise
+    ``ou_for(t)``.  Flow and graph share one cell rule at the problem's
+    step, so this matched-resolution defect sits at the solver and
+    truncation floor, not at O(h).  A chart without a leg at t raises
+    ParameterError.
     """
-    ctx = problem.lp_context(chart.tau + t, ou=problem.ou_for(t))
-    if chart.t_back != ctx.t_back or chart.starts[0].shape != ctx.z.shape:
-        raise GridAlignmentError("chart window differs from the problem's backward window")
-    orbits = integrate(
-        chart.points,
-        0.0,
-        t,
-        problem.ou,
-        shift_forcing(problem.forcing, chart.tau),
-        problem.nonlinearity,
-        problem.spectrum,
-    )  # (nodes, points, modes)
-    graph = []
-    for orbit, start in zip(np.moveaxis(orbits, 1, 0), chart.starts):
-        history = _mode_major(np.concatenate((start, orbit[1:]))[-ctx.times.size :])
-        xi, _ = solve_fixed_point(ctx.project_p(orbit[-1]), ctx, history)
-        graph.append(xi[-1])
-    off = ctx.project_q(orbits[-1]) - ctx.project_q(np.array(graph))
+    if chart.flow_t != t:
+        raise ParameterError(f"chart has no invariance leg at t = {t} (flow time {chart.flow_t})")
     bound = INVARIANCE_CONSTANT * (problem.h + problem.tol)
     return DefectReport(
         kind="invariance",
-        value=float(np.max(norm_alpha(off, problem.spectrum))),
+        value=float(np.max(norm_alpha(chart.off_graph, problem.spectrum))),
         bound=float(bound),
         context={
             "t": t,
@@ -218,10 +195,11 @@ def _graph_shift(tau, shift, x_grid, problem) -> float:
     """Largest graph distance |m_{tau+shift}(x) - m_tau(x)|_alpha over the grid.
 
     Each m_{tau+shift}(x) is solved from the final start of m_tau(x)'s
-    solve (``ModelProblem.graph_values`` with ``shift``): right after it
-    where m_tau is not stored yet, else from the start the chart stored.
-    At a translation by a period each shifted solve then takes one operator
-    application and reproduces m_tau up to rounding.
+    solve, in the chart's sweep when the chart named the shift
+    (``ModelProblem.chart``), else right after the base solve
+    (``ModelProblem.graph_values`` with ``shift``).  At a translation by a
+    period each shifted solve then takes one operator application and
+    reproduces m_tau up to rounding.
     """
     m_a = problem.graph_values(tau, x_grid, shift)
     m_b = problem.graph_values(tau + shift, x_grid)

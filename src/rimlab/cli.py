@@ -255,12 +255,7 @@ def _periodicity(cfg: RunConfig, problem: ModelProblem, chart=None):
 
 
 def _almost_period(cfg: RunConfig, problem: ModelProblem, chart=None):
-    ap = cfg.almost_period
-    tau0 = ap["tau0"]
-    if tau0 is None:
-        tau0, _ = scan_almost_period(
-            cfg.forcing, cfg.spectrum, ap["target"], ap["scan_max"], ap["scan_step"]
-        )
+    tau0 = cfg.almost_period["tau0"]  # cmd_verify scans for it when the config leaves it open
     return [ap_defect(cfg.chart["tau"], tau0, _chart_grid(cfg), problem)], None
 
 
@@ -321,10 +316,33 @@ def cmd_build_manifold(args) -> int:
     return 0
 
 
+def _chart_legs(cfg: RunConfig) -> tuple:
+    """(shifts, flow time) that verify's enabled checks solve from the chart's
+    points: the declared period when the chart's tau is a periodicity tau,
+    the near-period, and the invariance flow time."""
+    checks, tau = cfg.verify["checks"], cfg.chart["tau"]
+    shifts = []
+    period = cfg.forcing.declared_period
+    if "periodicity" in checks and period is not None and tau in cfg.periodicity["taus"]:
+        shifts.append(period)
+    if "almost_period" in checks:
+        shifts.append(cfg.almost_period["tau0"])
+    return shifts, cfg.verify["invariance_t"] if "invariance" in checks else None
+
+
 def cmd_verify(args) -> int:
     cfg, seed, out, meta = _setup(args)
     problem = build_problem(cfg, seed)
-    chart = functools.cache(lambda: problem.chart(cfg.chart["tau"], _chart_grid(cfg)))
+    ap = cfg.almost_period
+    if "almost_period" in cfg.verify["checks"] and ap["tau0"] is None:
+        # the chart solves the translates by the near-period: find it first
+        tau0, _ = scan_almost_period(
+            cfg.forcing, cfg.spectrum, ap["target"], ap["scan_max"], ap["scan_step"]
+        )
+        cfg = dataclasses.replace(cfg, almost_period={**ap, "tau0": tau0})
+    chart = functools.cache(
+        lambda: problem.chart(cfg.chart["tau"], _chart_grid(cfg), *_chart_legs(cfg))
+    )
     reports = []
     for name, check in _CHECKS:
         if name in cfg.verify["checks"]:

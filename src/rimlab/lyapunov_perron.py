@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import Nonlinearity
+from .dynamics import Nonlinearity, integrate
 from .errors import (
     CertificateError,
     ContractionViolationError,
@@ -262,7 +262,8 @@ class LPContext:
     Bundles the problem data (spectrum, certificate, nonlinearity, forcing
     translated by tau, OU driver) with everything that does not change
     between operator applications: the node set, the OU window, the exact
-    forcing cells, the per-mode filter coefficients and F itself.  The
+    forcing cells (``gcells``, only the columns of the ``forced`` modes),
+    the per-mode filter coefficients and F itself.  The
     solver tolerance ``tol`` is fixed here; without an explicit ``t_back``
     the window is sized for it.
 
@@ -317,9 +318,12 @@ class LPContext:
         self.w1 = -np.expm1(-lam * self.h) / lam
         self.wts_alpha = spectrum.weights_alpha()
         self.wmu = np.exp(cert.mu * self.times)
-        self.gcells = _mode_major(
-            cell_convolution(shift_forcing(forcing, self.tau), spectrum, self.times[:-1], self.h)
-        )
+        # Forcing cells on the forced modes only: every other column is zero.
+        g = shift_forcing(forcing, self.tau)
+        forced = {*np.flatnonzero(g.amplitudes).tolist(), *(term.mode - 1 for term in g.terms)}
+        self.forced = sorted(forced)
+        cells = cell_convolution(g, spectrum, self.times[:-1], self.h)
+        self.gcells = _mode_major(cells[:, self.forced])
         # Per-P-mode backward flow e^{-lambda t} on the window (t <= 0).
         self.p_flow = _mode_major(np.exp(-np.outer(self.times, lam[: cert.n])))
         self.ratio_slack = 5.0 * self.h * cert.lambda_np1
@@ -389,7 +393,7 @@ def lp_apply(xi: np.ndarray, x: np.ndarray, ctx: LPContext) -> np.ndarray:
     x = ctx.spectrum.check_state(x)
     u = ctx.f(xi[:-1] + ctx.z[:-1])  # per-cell increments, scaled in place
     u *= ctx.w1
-    u += ctx.gcells
+    u[:, ctx.forced] += ctx.gcells
     out = _duhamel(u, ctx)
     out[:, : ctx.cert.n] += ctx.p_flow * x[: ctx.cert.n]
     return out
@@ -503,7 +507,8 @@ def _sweep(xs, ctx: LPContext):
     nothing.  Yields each (fixed point, final start): the final start is
     the history that began the solve's final Picard step, which the
     operator maps to the fixed point, so a solve of the same point under a
-    translated operator can start from it (``ModelProblem.graph_values``).
+    translated operator can start from it (``build_chart``,
+    ``ModelProblem.graph_values``).
     """
     x0 = xi0 = x1 = xi1 = None
     for x in xs:
@@ -524,9 +529,10 @@ def _sweep(xs, ctx: LPContext):
 class ManifoldChart:
     """Sampled graph of the manifold over a grid of resolved-mode points.
 
-    ``starts`` holds, per point, the mode-major history that began the
-    final Picard step of its solve; the operator maps it to the point's
-    fixed point, whose last row is the graph point.
+    ``translates`` maps each translated tau to the graph values there at
+    the grid's points.  With a flow time ``flow_t``, ``off_graph`` holds,
+    per point, the Q part of the graph point flowed for ``flow_t`` minus
+    the graph on the noise shifted by ``flow_t`` at the flowed P part.
     """
 
     tau: float
@@ -537,7 +543,9 @@ class ManifoldChart:
     cert: GapCertificate
     tol: float
     t_back: float
-    starts: tuple = field(repr=False, compare=False)
+    translates: dict = field(default_factory=dict, repr=False, compare=False)
+    flow_t: float | None = None
+    off_graph: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if np.any(self.residuals > self.tol * (1.0 + 1e-9)):
@@ -551,24 +559,76 @@ class ManifoldChart:
         return self.x_grid + self.values
 
 
-def build_chart(x_grid: np.ndarray, ctx: LPContext) -> ManifoldChart:
+def _translated_value(x, ctx: LPContext, start: np.ndarray) -> np.ndarray:
+    """Graph value m(P x) under ``ctx``, solved from ``start``.
+
+    ``start`` is the final start of the same point's solve under an
+    operator that ``ctx`` translates.  At a translation by a period the
+    operator maps that start onto the fixed point, so the solve stops after
+    one application, at rounding level.
+    """
+    return ctx.project_q(solve_fixed_point(ctx.project_p(x), ctx, start)[0][-1])
+
+
+def _flow_leg(x, m, start, ctx: LPContext, t: float, ctx_t: LPContext) -> np.ndarray:
+    """Q part of the graph point x + m flowed for time t, minus the graph at
+    its flowed P part under ``ctx_t`` (translated by t, on the noise shifted
+    by t).
+
+    The point is flowed by ``integrate`` with the forcing translated by the
+    chart's tau.  By the cocycle property the chart history continued by
+    the flowed orbit is the fixed point under ``ctx_t`` up to the window's
+    far end, so the solve starts from the last rows of the point's final
+    start followed by its orbit.  The stop rule bounds the distance to the
+    fixed point by tol from any start, so a flow that leaves the discrete
+    graph only moves the start and still shows.
+    """
+    orbit = integrate(
+        x + m, 0.0, t, ctx.ou, shift_forcing(ctx.forcing, ctx.tau), ctx.nonlinearity, ctx.spectrum
+    )
+    history = _mode_major(np.concatenate((start, orbit[1:]))[-ctx.times.size :])
+    xi, _ = solve_fixed_point(ctx_t.project_p(orbit[-1]), ctx_t, history)
+    return ctx_t.project_q(orbit[-1]) - ctx_t.project_q(xi[-1])
+
+
+def build_chart(
+    x_grid: np.ndarray,
+    ctx: LPContext,
+    translates: tuple = (),
+    flow: tuple | None = None,
+) -> ManifoldChart:
     """Evaluate the graph map over a grid of base points.
 
-    The points are solved in grid order as one ``_sweep``.  Records
-    per-point fixed-point residuals (one extra operator application each),
-    each solve's final start, and the empirical Lipschitz constant over all
-    grid pairs.
+    The points are solved in grid order as one ``_sweep``.  While a point's
+    fixed point and final start are live, every solve that starts from them
+    runs, and then both are dropped, so the chart holds values only:
+
+    - the fixed-point residual (one extra operator application);
+    - the translate under each context of ``translates`` (the operator at
+      a translated tau on the same window, ``_translated_value``);
+    - with ``flow = (t, ctx_t)``, the invariance leg (``_flow_leg``), where
+      ``ctx_t`` is the operator translated by t on the noise shifted by t.
+      A ``ctx_t`` on another backward window raises GridAlignmentError.
+
+    Also records the empirical Lipschitz constant over all grid pairs.
     """
     x_grid = np.atleast_2d(np.asarray(x_grid, dtype=float))
     if x_grid.shape[0] < 1:
         raise DomainError("chart grid must contain at least one point")
     x_grid = np.array([ctx.project_p(x) for x in x_grid])
+    if flow is not None and (flow[1].t_back != ctx.t_back or flow[1].z.shape != ctx.z.shape):
+        raise GridAlignmentError("flow context window differs from the chart's backward window")
 
-    values, residuals, starts = [], [], []
+    values, residuals, off_graph = [], [], []
+    shifted = [[] for _ in translates]
     for x, (xi, start) in zip(x_grid, _sweep(x_grid, ctx)):
         values.append(ctx.project_q(xi[-1]))
         residuals.append(ctx.s_norm(lp_apply(xi, x, ctx) - xi))
-        starts.append(start)
+        for rows, ctx_s in zip(shifted, translates):
+            rows.append(_translated_value(x, ctx_s, start))
+        if flow is not None:
+            off_graph.append(_flow_leg(x, values[-1], start, ctx, *flow))
+        del start  # hold no spare history while the sweep solves the next point
     values = np.array(values)
     residuals = np.array(residuals)
 
@@ -589,5 +649,7 @@ def build_chart(x_grid: np.ndarray, ctx: LPContext) -> ManifoldChart:
         cert=ctx.cert,
         tol=ctx.tol,
         t_back=ctx.t_back,
-        starts=tuple(starts),
+        translates={c.tau: np.array(rows) for c, rows in zip(translates, shifted)},
+        flow_t=None if flow is None else flow[0],
+        off_graph=None if flow is None else np.array(off_graph),
     )

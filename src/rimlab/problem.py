@@ -8,9 +8,10 @@ fixed-point contexts for any forcing translation are built from here, so
 that every downstream object provably uses the same stored noise.  The
 solver tolerance ``tol`` is fixed per problem and passed to every context.
 Graph values on the stored OU table are solved at most once per (tau, base
-point), so checks that revisit the chart's points reuse its solves, and a
-translate of a chart point starts from the history that began the chart
-solve's final Picard step.
+point), so checks that revisit the chart's points reuse its solves.  The
+store holds values only: a translate of a point is solved from the history
+that began the point's final Picard step while that history is live, in
+the chart's sweep or right after the base solve.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .lyapunov_perron import (
     LPContext,
     ManifoldChart,
     _sweep,
+    _translated_value,
     build_chart,
-    solve_fixed_point,
 )
 from .randomness import OUProcess, TimeGrid, WienerPath, solve_ou
 from .spectral import Spectrum
@@ -103,12 +104,21 @@ class ModelProblem:
     def _graph_key(self, tau: float, x: np.ndarray) -> tuple:
         return float(tau), x[: self.cert.n].tobytes()
 
-    def chart(self, tau: float, x_grid: np.ndarray) -> ManifoldChart:
-        """``build_chart`` at translation tau; its values join the graph-value
-        store, each beside its solve's final start (``ManifoldChart.starts``)."""
-        chart = build_chart(x_grid, self.lp_context(tau))
-        for x, m, start in zip(chart.x_grid, chart.values, chart.starts):
-            self._graph[self._graph_key(chart.tau, x)] = m.copy(), start
+    def chart(
+        self, tau: float, x_grid: np.ndarray, shifts=(), flow_t: float | None = None
+    ) -> ManifoldChart:
+        """``build_chart`` at translation tau, with the translates by each of
+        ``shifts`` and, at a ``flow_t``, the invariance leg on the noise
+        shifted by ``flow_t`` (``ou_for``).  Its values and translates join
+        the graph-value store."""
+        translates = tuple(self.lp_context(tau + s) for s in dict.fromkeys(shifts))
+        flow = None
+        if flow_t is not None:
+            flow = flow_t, self.lp_context(tau + flow_t, ou=self.ou_for(flow_t))
+        chart = build_chart(x_grid, self.lp_context(tau), translates, flow)
+        for t, values in ((chart.tau, chart.values), *chart.translates.items()):
+            for x, m in zip(chart.x_grid, values):
+                self._graph[self._graph_key(t, x)] = m.copy()
         return chart
 
     def graph_values(
@@ -119,16 +129,17 @@ class ModelProblem:
         Values are stored per (tau, P x); a context is built, and the missing
         values solved as one ``_sweep`` in lexicographic order of their P
         coordinates, only when some are missing.  Values come back in the
-        caller's order.  ``chart`` fills the same store.
+        caller's order.  ``chart`` fills the same store, its translates
+        included.
 
-        With ``shift``, each translate m_{tau+shift}(P x) that is not stored
-        yet is solved and stored too, from the history that began the final
-        Picard step of the solve at tau: right after that solve when m_tau(P x)
-        was missing, else from the start the chart stored.  At a translation
-        by a period the operator maps that start onto m_tau(P x)'s fixed
-        point, so the translate stops after one application, at rounding
-        level.  A translate whose base value is stored without a start is
-        left to a later ``graph_values(tau + shift, ...)``.
+        With ``shift``, right after each missing value is solved, its
+        translate m_{tau+shift}(P x) is solved and stored too, unless it is
+        stored already, from the history that began the final Picard step
+        of the solve at tau.  At a translation by a period the operator maps
+        that start onto m_tau(P x)'s fixed point, so the translate stops
+        after one application, at rounding level.  The translate of a value
+        stored before the call is left to a later
+        ``graph_values(tau + shift, ...)``.
         """
         points = np.atleast_2d(np.asarray(x_grid, dtype=float))
         keys, missing = [], {}
@@ -136,24 +147,16 @@ class ModelProblem:
             keys.append(self._graph_key(tau, x))
             if keys[-1] not in self._graph:
                 missing.setdefault(keys[-1], x)
-        shifted = functools.cache(lambda: self.lp_context(tau + shift))
-
-        def translate(x, start):
-            if shift is None or start is None:
-                return
-            key = self._graph_key(tau + shift, x)
-            if key not in self._graph:
-                xi, _ = solve_fixed_point(shifted().project_p(x), shifted(), start)
-                self._graph[key] = shifted().project_q(xi[-1]), None
-
         if missing:
             ctx = self.lp_context(tau)
+            shifted = functools.cache(lambda: self.lp_context(tau + shift))
             order = sorted(missing, key=lambda key: tuple(missing[key][: self.cert.n]))
             bases = [ctx.project_p(missing[key]) for key in order]
             for key, x, (xi, start) in zip(order, bases, _sweep(bases, ctx)):
-                self._graph[key] = ctx.project_q(xi[-1]), None
-                translate(x, start)
+                self._graph[key] = ctx.project_q(xi[-1])
+                if shift is not None:
+                    moved = self._graph_key(tau + shift, x)
+                    if moved not in self._graph:
+                        self._graph[moved] = _translated_value(x, shifted(), start)
                 del start  # a translate's start is held only while it is solved
-        for key, x in zip(keys, points):
-            translate(x, self._graph[key][1])
-        return np.array([self._graph[key][0] for key in keys])
+        return np.array([self._graph[key] for key in keys])

@@ -11,7 +11,8 @@ one-point graph solve, the offset graph of the
 original variables, a path restriction, the chart's pairwise Lipschitz
 quotient, one forward-operator sweep, a
 tracking solve that integrates its own base orbit, and the dense formulas
-of path sampling, the OU solve and the near-period scan, which allocate
+of path sampling, the OU solve, the near-period scan and a context's
+forcing cells (on every mode, not only the forced ones), which allocate
 every intermediate table the in-place library code avoids.  ``ModeCoupling`` is
 a test-only nonlinearity whose graph depends on x; ``Saturating`` is one
 whose orbits overflow the float range.
@@ -22,7 +23,7 @@ import pytest
 
 import rimlab as rl
 from rimlab.errors import DomainError, GridAlignmentError, ValidationError
-from rimlab.forcing import almost_period_defect
+from rimlab.forcing import almost_period_defect, cell_convolution, shift_forcing
 from rimlab.problem import ModelProblem
 from rimlab.spectral import _exp_normal, _filter_modes
 from rimlab.tracking import _apply_forward, _ForwardStencil, base_orbit, track_phi
@@ -212,6 +213,12 @@ def manifold_point(x: np.ndarray, ctx: rl.LPContext) -> np.ndarray:
     """Graph value m(x) from one cold solve: the oracle for warm-started sweeps."""
     xi, _ = rl.solve_fixed_point(x, ctx)
     return ctx.project_q(xi[-1])
+
+
+def dense_cells(ctx: rl.LPContext) -> np.ndarray:
+    """The context's forcing cells on every mode, shaped (cells, modes)."""
+    g = shift_forcing(ctx.forcing, ctx.tau)
+    return cell_convolution(g, ctx.spectrum, ctx.times[:-1], ctx.h)
 
 
 def tilde_manifold_point(x: np.ndarray, ctx: rl.LPContext) -> np.ndarray:

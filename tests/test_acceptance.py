@@ -181,7 +181,7 @@ def test_criterion_05_invariance(spectrum16, sine_forcing, cov16, chart_grid16):
                 t_back=16.12, t_fwd=16.12, tol=tol_run,
             )
             ctx = problem.lp_context(tau)
-            charts[label] = (problem, ctx, build_chart(x_grid, ctx))
+            charts[label] = (problem, ctx, problem.chart(tau, x_grid, flow_t=t))
         # Both charts' points flow together in one batch on the h/16 driver.
         flowed = integrate(
             np.vstack([chart.points for *_, chart in charts.values()]), 0.0, t,
@@ -202,7 +202,8 @@ def test_criterion_05_invariance(spectrum16, sine_forcing, cov16, chart_grid16):
             ))
             matched[label].append(invariance_defect(chart, t, problem).value)
             if seed == seeds[0] and label == "h":
-                zero_time = invariance_defect(chart, 0.0, problem).value
+                zero_chart = problem.chart(tau, x_grid, flow_t=0.0)
+                zero_time = invariance_defect(zero_chart, 0.0, problem).value
                 residual = float(np.max(chart.residuals))
 
     rms = {label: float(np.sqrt(np.mean(np.square(v)))) for label, v in cross.items()}

@@ -1,12 +1,13 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rimlab as rl
 from conftest import coarsen_path, manifold_point
-from rimlab import analysis, dynamics, lyapunov_perron
-from rimlab import problem as problem_module
+from rimlab import cli, dynamics, lyapunov_perron
 from rimlab.analysis import (
     AttractorCloud,
     DefectReport,
@@ -19,10 +20,18 @@ from rimlab.analysis import (
 from rimlab.errors import GridAlignmentError, ParameterError, ValidationError
 from rimlab.lyapunov_perron import build_chart
 
+WORKHORSE = Path(__file__).resolve().parent.parent / "configs" / "dirichlet_nonlinear.ini"
+
+
+def flowed_chart(problem, grid, t):
+    """The chart at tau = 0 with its invariance leg at flow time t, on a
+    fresh graph-value store."""
+    return dataclasses.replace(problem).chart(0.0, grid, flow_t=t)
+
 
 @pytest.fixture(scope="module")
 def chart_nl(problem_nl, chart_grid16):
-    return build_chart(chart_grid16[:5], problem_nl.lp_context(0.0))
+    return flowed_chart(problem_nl, chart_grid16[:5], 1.0)
 
 
 def test_defect_report_pass_semantics():
@@ -33,15 +42,16 @@ def test_defect_report_pass_semantics():
         DefectReport("nonsense", 0.0)
 
 
-def test_invariance_zero_time_equals_residual(chart_nl, problem_nl):
-    report = invariance_defect(chart_nl, 0.0, problem_nl)
-    assert report.value <= float(np.max(chart_nl.residuals))
+def test_invariance_zero_time_equals_residual(problem_nl, chart_grid16):
+    chart = flowed_chart(problem_nl, chart_grid16[:5], 0.0)
+    report = invariance_defect(chart, 0.0, problem_nl)
+    assert report.value <= float(np.max(chart.residuals))
     assert report.value == 0.0  # identical deterministic solves cancel exactly
     assert report.passed
 
 
 def test_invariance_linear_constant_forcing(problem_lin_const, chart_grid16):
-    chart = build_chart(chart_grid16[:3], problem_lin_const.lp_context(0.0))
+    chart = flowed_chart(problem_lin_const, chart_grid16[:3], 1.0)
     report = invariance_defect(chart, 1.0, problem_lin_const)
     assert report.value <= 10.0 * (problem_lin_const.h + problem_lin_const.tol)
     assert report.passed
@@ -53,7 +63,7 @@ def test_invariance_nonlinear_within_bound(chart_nl, problem_nl):
     assert report.value <= report.bound
 
 
-def test_invariance_shows_a_broken_flow(chart_nl, problem_nl, monkeypatch):
+def test_invariance_shows_a_broken_flow(chart_nl, problem_nl, chart_grid16, monkeypatch):
     # Forcing sampled at cell left endpoints in the flow only (the graph
     # keeps the exact cells): the flowed chart leaves the discrete graph by
     # O(h).  The shifted solves start from the flowed orbit, and the stop
@@ -63,7 +73,8 @@ def test_invariance_shows_a_broken_flow(chart_nl, problem_nl, monkeypatch):
 
     exact = invariance_defect(chart_nl, 1.0, problem_nl).value
     monkeypatch.setattr(dynamics, "cell_convolution", left_endpoint_cells)
-    broken = invariance_defect(chart_nl, 1.0, problem_nl).value
+    broken_chart = flowed_chart(problem_nl, chart_grid16[:5], 1.0)
+    broken = invariance_defect(broken_chart, 1.0, problem_nl).value
     assert exact <= 1e-9
     assert broken > 1e-5
 
@@ -75,13 +86,25 @@ def test_invariance_rejects_a_chart_on_another_window(problem_nl, chart_grid16):
         problem_nl.ou, t_back=4.0, tol=problem_nl.tol,
     )
     assert short.t_back < ctx.t_back
+    flow = 0.5, problem_nl.lp_context(0.5, ou=problem_nl.ou_for(0.5))
     with pytest.raises(GridAlignmentError):
-        invariance_defect(build_chart(chart_grid16[:2], short), 0.5, problem_nl)
+        build_chart(chart_grid16[:2], short, flow=flow)
 
 
-def test_invariance_reports_are_reproducible(chart_nl, problem_nl):
-    a = invariance_defect(chart_nl, 0.5, problem_nl)
-    b = invariance_defect(chart_nl, 0.5, problem_nl)
+def test_invariance_needs_the_charts_flow_time(chart_nl, problem_nl, chart_grid16):
+    # A chart carries its invariance leg at one flow time; at another, or
+    # without a leg, there is nothing to read.
+    with pytest.raises(ParameterError):
+        invariance_defect(chart_nl, 0.5, problem_nl)
+    plain = build_chart(chart_grid16[:2], problem_nl.lp_context(0.0))
+    assert plain.flow_t is None and plain.off_graph is None and plain.translates == {}
+    with pytest.raises(ParameterError):
+        invariance_defect(plain, 1.0, problem_nl)
+
+
+def test_invariance_reports_are_reproducible(problem_nl, chart_grid16):
+    a = invariance_defect(flowed_chart(problem_nl, chart_grid16[:5], 0.5), 0.5, problem_nl)
+    b = invariance_defect(flowed_chart(problem_nl, chart_grid16[:5], 0.5), 0.5, problem_nl)
     assert a.value == b.value
     assert a.as_dict() == b.as_dict()
 
@@ -106,13 +129,12 @@ def test_periodicity_nonlinear(problem_nl, chart_grid16):
 
 
 def test_periodicity_reuses_chart_graph_values(problem_nl, chart_grid16, monkeypatch):
-    # The chart's solves fill the problem's graph-value store, so the
-    # periodicity check at the chart's tau solves only the translated graph.
+    # The chart's solves fill the problem's graph-value store, its
+    # translates included, so the periodicity check at the chart's tau
+    # solves only the translates the chart was not asked for.
     period = 2.0 * np.pi
     grid = chart_grid16[::4]
     uncached = periodicity_defect(0.0, period, grid, dataclasses.replace(problem_nl))
-    problem = dataclasses.replace(problem_nl)
-    problem.chart(0.0, grid)
     solved_taus = []
     solve = lyapunov_perron.solve_fixed_point
 
@@ -121,24 +143,32 @@ def test_periodicity_reuses_chart_graph_values(problem_nl, chart_grid16, monkeyp
         return solve(x, ctx, *args, **kwargs)
 
     _patch_solve(monkeypatch, counting)
-    cached = periodicity_defect(0.0, period, grid, problem)
-    assert solved_taus == [period] * len(grid)
+    for shifts, solved in (((), [period] * len(grid)), ((period,), [])):
+        problem = dataclasses.replace(problem_nl)
+        problem.chart(0.0, grid, shifts)
+        solved_taus.clear()
+        cached = periodicity_defect(0.0, period, grid, problem)
+        assert solved_taus == solved
+        assert cached.passed
     assert cached.value == uncached.value
 
 
 def _patch_solve(monkeypatch, solve):
-    """Replace ``solve_fixed_point`` in every rimlab module that binds it."""
-    for module in (lyapunov_perron, problem_module, analysis):
-        monkeypatch.setattr(module, "solve_fixed_point", solve)
+    """Replace ``solve_fixed_point`` where every graph solve calls it."""
+    monkeypatch.setattr(lyapunov_perron, "solve_fixed_point", solve)
 
 
 def _applies_per_solve(monkeypatch):
-    """Record (tau, operator applications) for every backward solve."""
-    solves = []
+    """Record [tau, operator applications, noise grid's i_min] for every
+    graph solve, and assert that no (tau, noise, P x) is solved twice."""
+    solves, solved = [], set()
     solve, apply = lyapunov_perron.solve_fixed_point, lyapunov_perron.lp_apply
 
     def counting_solve(x, ctx, *args, **kwargs):
-        solves.append([ctx.tau, 0])
+        key = ctx.tau, ctx.ou.grid.i_min, ctx.project_p(x)[: ctx.cert.n].tobytes()
+        assert key not in solved
+        solved.add(key)
+        solves.append([ctx.tau, 0, ctx.ou.grid.i_min])
         return solve(x, ctx, *args, **kwargs)
 
     def counting_apply(*args):
@@ -159,16 +189,41 @@ def test_period_shifted_solves_take_one_application(problem_nl, chart_grid16, mo
     problem = dataclasses.replace(problem_nl)
     solves = _applies_per_solve(monkeypatch)
     report = periodicity_defect(1.0, period, chart_grid16, problem)
-    assert [n for tau, n in solves if tau == 1.0 + period] == [1] * len(chart_grid16)
+    assert [n for tau, n, _ in solves if tau == 1.0 + period] == [1] * len(chart_grid16)
     assert len(solves) == 2 * len(chart_grid16)
     assert report.value <= 1e-15
-    # At the chart's tau each translate starts from the start the chart
-    # stored for its point, with the same effect and no solve at tau.
-    problem.chart(0.0, chart_grid16)
+    # A chart asked for the translate solves it in its sweep from the same
+    # start, with the same effect, and the check at its tau solves nothing.
+    problem.chart(0.0, chart_grid16, (period,))
+    assert [n for tau, n, _ in solves if tau == period] == [1] * len(chart_grid16)
     solves.clear()
     report = periodicity_defect(0.0, period, chart_grid16, problem)
-    assert solves == [[period, 1]] * len(chart_grid16)
+    assert solves == []
     assert report.value <= 1e-15
+
+
+def test_verify_legs_start_from_their_chart_points_start(tmp_path, monkeypatch):
+    # verify hands the chart every shift and flow time its checks use, so
+    # each leg starts from its chart point's final start: on the workhorse
+    # the period translates take one application each, the invariance
+    # solves (on the noise shifted by t) one each, and the near-period
+    # translates two each.  Tracking solves no graph-store value and is left
+    # out; every other graph value is solved once.
+    text = WORKHORSE.read_text(encoding="utf-8").replace(
+        "checks = invariance lipschitz tracking periodicity",
+        "checks = invariance lipschitz periodicity almost_period containment",
+    )
+    (tmp_path / "legs.ini").write_text(text, encoding="utf-8")
+    solves = _applies_per_solve(monkeypatch)
+    argv = ["verify", "--config", str(tmp_path / "legs.ini"), "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    doc = json.loads((tmp_path / "verification.json").read_text(encoding="utf-8"))
+    (tau0,) = [r["context"]["tau0"] for r in doc["reports"] if r["kind"] == "almost_periodicity"]
+    period, points = 2.0 * np.pi, 9
+    noise = solves[0][2]  # the chart's own noise, unshifted
+    assert [n for tau, n, _ in solves if tau == period] == [1] * points
+    assert [n for tau, n, i_min in solves if i_min != noise] == [1] * points
+    assert [n for tau, n, _ in solves if tau == tau0] == [2] * points
 
 
 def test_period_shifted_start_reproduces_base_bit_for_bit(problem_nl, chart_grid16, monkeypatch):
@@ -179,7 +234,7 @@ def test_period_shifted_start_reproduces_base_bit_for_bit(problem_nl, chart_grid
     problem = dataclasses.replace(problem_nl, forcing=rl.ForcingSignal.constant(amps))
     solves = _applies_per_solve(monkeypatch)
     report = periodicity_defect(0.5, 3.0, chart_grid16, problem)
-    assert [n for tau, n in solves if tau == 3.5] == [1] * len(chart_grid16)
+    assert [n for tau, n, _ in solves if tau == 3.5] == [1] * len(chart_grid16)
     assert np.array_equal(problem.graph_values(3.5, chart_grid16), problem.graph_values(0.5, chart_grid16))
     assert report.value == 0.0
 
@@ -188,7 +243,7 @@ def test_shifted_start_cannot_hide_a_non_period(problem_nl, chart_grid16):
     # Shift 1.0 is not a period of the sine forcing.  The paired solves must
     # still land within 2 tol of cold solves at both translations, so the
     # warm start cannot make a non-period look periodic.  The same holds
-    # when the translates start from the starts a stored chart kept.
+    # when a chart asked for the shift solves the translates in its sweep.
     cold = {}
     for tau in (0.0, 1.0):
         ctx = problem_nl.lp_context(tau)
@@ -196,7 +251,7 @@ def test_shifted_start_cannot_hide_a_non_period(problem_nl, chart_grid16):
     for stored in (False, True):
         problem = dataclasses.replace(problem_nl)
         if stored:
-            problem.chart(0.0, chart_grid16)
+            problem.chart(0.0, chart_grid16, (1.0,))
         report = ap_defect(0.0, 1.0, chart_grid16, problem)
         for tau in (0.0, 1.0):
             got = problem.graph_values(tau, chart_grid16)
@@ -364,11 +419,11 @@ def test_containment_halves_with_pullback_time(problem_nl):
     assert reports[1].value <= 0.5 * reports[0].value
 
 
-def test_invariance_shift_beyond_support_errors(chart_nl, problem_nl):
+def test_invariance_shift_beyond_support_errors(problem_nl, chart_grid16):
     from rimlab.errors import SupportRangeError
 
     with pytest.raises(SupportRangeError):
-        invariance_defect(chart_nl, 500.0, problem_nl)
+        flowed_chart(problem_nl, chart_grid16[:5], 500.0)
 
 
 def test_periodicity_zero_forcing_any_period(spectrum16, path16):

@@ -409,10 +409,10 @@ ALL_SIX_CONFIG = SMALL_CONFIG.replace(
 
 
 def test_verify_reuses_the_chart_solves(tmp_path, monkeypatch):
-    # The periodicity and almost-period legs at the chart's tau solve each
-    # translate from its chart solve's final start, and invariance starts
-    # each shifted solve from the chart history continued by the flowed
-    # orbit.  All six checks then take at most 83 backward-operator
+    # In the chart's sweep, the periodicity and almost-period legs at the
+    # chart's tau solve each translate from its point's final start, and
+    # invariance starts each shifted solve from that start continued by the
+    # flowed orbit.  All six checks then take at most 83 backward-operator
     # applications on this config (117 when those solves started from the
     # linear flow or the secant).
     from rimlab import lyapunov_perron
@@ -425,6 +425,49 @@ def test_verify_reuses_the_chart_solves(tmp_path, monkeypatch):
     doc = json.loads((tmp_path / "out" / "verification.json").read_text())
     assert len(doc["reports"]) == 8
     assert len(calls) <= 83
+
+
+def _solve_phase_peak(config: Path, out: Path, monkeypatch) -> int:
+    """tracemalloc peak of ``verify`` after set-up (the problem built and its
+    OU table solved), above the memory traced at that point."""
+    import tracemalloc
+
+    build, base = cli.build_problem, []
+
+    def traced_build(cfg, seed=None):
+        problem = build(cfg, seed)
+        problem.ou
+        base.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return problem
+
+    monkeypatch.setattr(cli, "build_problem", traced_build)
+    tracemalloc.start()
+    try:
+        assert main(["verify", "--config", str(config), "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - base[0]
+
+
+def test_verify_memory_is_flat_in_chart_size(tmp_path, monkeypatch):
+    # The chart holds values only: each point's fixed point and final start
+    # are dropped once every solve that starts from them has run.  So four
+    # times the chart points add less than one backward history (1.2 MB on
+    # the workhorse window) to verify's traced peak.
+    import scipy.signal  # noqa: F401  (loaded first: its import is not a solve)
+
+    peaks = {}
+    for count in (3, 12):
+        text = (CONFIG_DIR / "dirichlet_nonlinear.ini").read_text(encoding="utf-8")
+        config = tmp_path / f"chart_{count}.ini"
+        config.write_text(text.replace("x_count = 9", f"x_count = {count}"), encoding="utf-8")
+        peaks[count] = _solve_phase_peak(config, tmp_path / f"out_{count}", monkeypatch)
+    problem = build_problem(load_config(config))
+    history = problem.lp_context(0.0).z.nbytes
+    assert history > 1_000_000
+    assert peaks[12] - peaks[3] <= history
 
 
 def test_commands_solve_ou_once(tmp_path, monkeypatch):

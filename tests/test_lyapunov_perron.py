@@ -12,6 +12,7 @@ import rimlab as rl
 from conftest import (
     ModeCoupling,
     coarsen_path,
+    dense_cells,
     line_grid,
     manifold_point,
     pairwise_lipschitz,
@@ -264,7 +265,7 @@ def _lp_apply_row_major(values, x, ctx):
     z = np.ascontiguousarray(ctx.z)
     p_flow = np.ascontiguousarray(ctx.p_flow)
     fw = ctx.nonlinearity.apply(values + z, ctx.spectrum)
-    u = ctx.w1 * fw[:-1] + np.ascontiguousarray(ctx.gcells)
+    u = ctx.w1 * fw[:-1] + dense_cells(ctx)
     m = u.shape[0]
     out = np.zeros_like(values)
     for j in range(ctx.cert.n, ctx.spectrum.size):
@@ -276,6 +277,26 @@ def _lp_apply_row_major(values, x, ctx):
         tail[:m] = rev[::-1]
         out[:, j] = p_flow[:, col] * x[j] - tail
     return out
+
+
+def test_context_keeps_the_forced_cells_only(problem_nl):
+    # The context stores the forcing cells of the forced modes (a constant
+    # amplitude or a trig term) and no column of zeros for the others.
+    amps = np.zeros(16)
+    amps[3] = 0.5
+    forcings = {
+        (1,): problem_nl.forcing,  # the workhorse sine on mode 2
+        (1, 3): rl.ForcingSignal(16, amps, problem_nl.forcing.terms),
+        (): rl.ForcingSignal.zero(16),
+    }
+    for forced, forcing in forcings.items():
+        ctx = dataclasses.replace(problem_nl, forcing=forcing).lp_context(0.7)
+        dense = dense_cells(ctx)
+        assert ctx.forced == list(forced)
+        assert np.array_equal(ctx.gcells, dense[:, ctx.forced])
+        assert not np.any(np.delete(dense, ctx.forced, axis=1))
+        xi = ctx.initial_guess(line_grid(16, 1)[0])
+        assert np.array_equal(lp_apply(xi, xi[-1], ctx), _lp_apply_row_major(xi, xi[-1], ctx))
 
 
 @pytest.mark.parametrize("x1", [-0.8, 0.35])

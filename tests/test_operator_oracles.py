@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import rimlab as rl
-from conftest import forward_apply
+from conftest import dense_cells, forward_apply
 from rimlab.forcing import cell_convolution, shift_forcing
 from rimlab.lyapunov_perron import LPContext, lp_apply
 from rimlab.dynamics import integrate
@@ -38,7 +38,7 @@ def _brute_backward(xi_values, x, ctx):
     h = ctx.h
     m = times.size - 1
     fw = ctx.nonlinearity.apply(xi_values + ctx.z, s)
-    gcells = ctx.gcells
+    gcells = dense_cells(ctx)
     out = np.zeros_like(xi_values)
     for i, t in enumerate(times):
         for j in range(s.size):
