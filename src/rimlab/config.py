@@ -320,6 +320,9 @@ def load_config(path) -> RunConfig:
         "checks": checks,
         "invariance_t": ver_sec.float("invariance_t", 1.0, minimum=0.0),
     }
+    if verify["invariance_t"] < h:
+        # a flow of no step leaves every point where it was: the check could not fail
+        ver_sec._fail("invariance_t", f"must be at least one step h = {h:g}")
 
     return RunConfig(
         raw_text=text,

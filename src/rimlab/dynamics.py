@@ -67,17 +67,26 @@ class Nonlinearity:
     def evaluator(self, s: Spectrum):
         """F as a function of the state alone, with the weights computed once.
 
-        The returned function does no shape check; ``apply`` is the checked
-        entry point.
+        The returned function allocates only its result, which it computes
+        in place, and leaves its argument unchanged.  It does no shape
+        check; ``apply`` is the checked entry point.
         """
         if self.kind == "zero":
             return np.zeros_like
         wts = s.weights_alpha()
-        # At alpha = 0 the weights are all ones and u * 1.0 == u exactly,
-        # so the multiply is skipped.
-        weigh = (lambda u: u) if s.alpha == 0.0 else (lambda u: u * wts)
         lip = self.lipschitz
-        return lambda u: lip * np.sin(weigh(u))
+
+        def f(u):
+            if s.alpha == 0.0:
+                # the weights are all ones and u * 1.0 == u exactly
+                out = np.sin(u)
+            else:
+                out = u * wts
+                np.sin(out, out=out)
+            out *= lip
+            return out
+
+        return f
 
     def apply(self, u: np.ndarray, s: Spectrum) -> np.ndarray:
         return self.evaluator(s)(s.check_state(u))

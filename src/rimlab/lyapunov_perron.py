@@ -263,9 +263,11 @@ class LPContext:
     translated by tau, OU driver) with everything that does not change
     between operator applications: the node set, the OU window, the exact
     forcing cells (``gcells``, only the columns of the ``forced`` modes),
-    the per-mode filter coefficients and F itself.  The
-    solver tolerance ``tol`` is fixed here; without an explicit ``t_back``
-    the window is sized for it.
+    the per-mode filter coefficients and F itself.  The OU window ``z`` is
+    a read-only view of the driver's mode-major table, so every context on
+    one table shares its values and copies none.  The solver tolerance
+    ``tol`` is fixed here; without an explicit ``t_back`` the window is
+    sized for it.
 
     A history is a bare (nodes, modes) array on ``times``, stored
     mode-major like every node array here; its last row is the graph point
@@ -309,7 +311,7 @@ class LPContext:
         lo = ou.grid.offset(-self.t_back)
         hi = ou.grid.offset(0.0)
         self.times = np.arange(ou.grid.index(-self.t_back), 1) * self.h
-        self.z = _mode_major(ou.values[lo : hi + 1])
+        self.z = ou.values[lo : hi + 1]  # a view of the shared, read-only table
         self.f = nonlinearity.evaluator(spectrum)
 
         lam = spectrum.lambdas
@@ -399,8 +401,12 @@ def lp_apply(xi: np.ndarray, x: np.ndarray, ctx: LPContext) -> np.ndarray:
     return out
 
 
-def _picard(step, dist, start, factor: float, slack: float, tol: float):
+def _picard(step, dist, starts: list, factor: float, slack: float, tol: float):
     """Picard iteration ``x <- step(x)`` of a contraction with factor ``factor``.
+
+    The iteration starts from the one item of ``starts``, which it takes
+    out of the list, so the caller holds no reference to the start during
+    the solve.
 
     Returns (fixed point, iterations) once consecutive iterates are at
     most (1 - factor) tol apart under ``dist``, which bounds the distance
@@ -416,8 +422,7 @@ def _picard(step, dist, start, factor: float, slack: float, tol: float):
     # budget from the slack-adjusted ratio, so a contraction running
     # exactly at the quadrature allowance is not misreported
     rate = min(factor + slack, 0.999)
-    old = start
-    del start  # so a history is not held past its first step
+    old = starts.pop()  # so a history is not held past its first step
     cap = None
     d_prev = None
     iterations = 0
@@ -467,10 +472,12 @@ def solve_fixed_point(
         final[0] = xi
         return lp_apply(xi, x, ctx)
 
+    starts = [ctx.initial_guess(x) if start is None else start]
+    del start  # handed to _picard, so no frame here holds it during the solve
     xi, iterations = _picard(
         step,
         lambda new, old: ctx.s_norm(new - old),
-        ctx.initial_guess(x) if start is None else start,
+        starts,
         ctx.cert.k,
         ctx.ratio_slack,
         ctx.tol,
@@ -478,12 +485,20 @@ def solve_fixed_point(
     return (xi, iterations, final[0]) if final_start else (xi, iterations)
 
 
-def _secant_start(ctx: LPContext, x, x1, xi1, x0, xi0) -> np.ndarray:
-    """Start at x on the secant through the fixed points xi0 at x0 and xi1 at x1.
+def _sweep_start(ctx: LPContext, x, done: list) -> np.ndarray | None:
+    """Start of a sweep's solve at x from ``done``, the (base point, fixed
+    point) pairs of the solves before it, oldest first; all but the latest
+    pair are dropped from ``done``.
 
-    This is rebase(xi1, x1 -> x) + s (xi1 - rebase(xi0, x0 -> x1)), with s
-    the projection of x - x1 onto x1 - x0 in P coordinates (0 when x0 = x1).
+    None with no pair, the fixed point moved to x by ``LPContext.rebase``
+    with one, else the start at x on the secant through the fixed points
+    xi0 at x0 and xi1 at x1: rebase(xi1, x1 -> x) + s (xi1 - rebase(xi0,
+    x0 -> x1)), with s the projection of x - x1 onto x1 - x0 in P
+    coordinates (0 when x0 = x1).
     """
+    if len(done) < 2:
+        return ctx.rebase(done[0][1], done[0][0], x) if done else None
+    (x0, xi0), (x1, xi1) = done.pop(0), done[0]
     n = ctx.cert.n
     step = (x1 - x0)[:n]
     norm2 = float(step @ step)
@@ -501,27 +516,21 @@ def _sweep(xs, ctx: LPContext):
     The first solve starts cold and the second from the first fixed point
     moved to its base point by ``LPContext.rebase``.  Each later one starts
     from the secant through the two previous fixed points
-    (``_secant_start``), which is exact to first order along a line of base
-    points.  The stop rule bounds the distance to the fixed point by tol
-    from any start, so a predicted start saves iterations and loosens
-    nothing.  Yields each (fixed point, final start): the final start is
+    (``_sweep_start``), which is exact to first order along a line of base
+    points.  Each start is handed to its solve, and the older fixed point
+    dropped, before the solve runs.  The stop rule bounds the distance to
+    the fixed point by tol from any start, so a predicted start saves
+    iterations and loosens nothing.  Yields each (fixed point, final start): the final start is
     the history that began the solve's final Picard step, which the
     operator maps to the fixed point, so a solve of the same point under a
     translated operator can start from it (``build_chart``,
     ``ModelProblem.graph_values``).
     """
-    x0 = xi0 = x1 = xi1 = None
+    done = []  # the latest (base point, fixed point) pairs, oldest first
     for x in xs:
-        if xi1 is None:
-            start = None
-        elif xi0 is None:
-            start = ctx.rebase(xi1, x1, x)
-        else:
-            start = _secant_start(ctx, x, x1, xi1, x0, xi0)
-        x0, xi0, x1 = x1, xi1, x  # drop the older fixed point before solving
-        xi1, _, final = solve_fixed_point(x, ctx, start, final_start=True)
-        del start  # hold no spare history while the caller runs
-        yield xi1, final
+        xi, _, final = solve_fixed_point(x, ctx, _sweep_start(ctx, x, done), final_start=True)
+        done.append((x, xi))
+        yield xi, final
         del final
 
 
@@ -579,15 +588,20 @@ def _flow_leg(x, m, start, ctx: LPContext, t: float, ctx_t: LPContext) -> np.nda
     chart's tau.  By the cocycle property the chart history continued by
     the flowed orbit is the fixed point under ``ctx_t`` up to the window's
     far end, so the solve starts from the last rows of the point's final
-    start followed by its orbit.  The stop rule bounds the distance to the
+    start followed by its orbit, copied into one mode-major history that
+    is handed to the solve.  The stop rule bounds the distance to the
     fixed point by tol from any start, so a flow that leaves the discrete
     graph only moves the start and still shows.
     """
     orbit = integrate(
         x + m, 0.0, t, ctx.ou, shift_forcing(ctx.forcing, ctx.tau), ctx.nonlinearity, ctx.spectrum
     )
-    history = _mode_major(np.concatenate((start, orbit[1:]))[-ctx.times.size :])
-    xi, _ = solve_fixed_point(ctx_t.project_p(orbit[-1]), ctx_t, history)
+    steps, size = orbit.shape[0] - 1, start.shape[0]
+    xi, _ = solve_fixed_point(
+        ctx_t.project_p(orbit[-1]),
+        ctx_t,
+        np.concatenate((start[steps:], orbit[1:][-size:]), out=np.empty(start.shape, order="F")),
+    )
     return ctx_t.project_q(orbit[-1]) - ctx_t.project_q(xi[-1])
 
 

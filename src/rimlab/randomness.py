@@ -19,7 +19,13 @@ z(theta_t omega)(s) = z(omega)(s + t) holds bit for bit.
 
 Sampling and the OU solve each fill their one grid-sized array in place,
 so set-up peaks near two grid arrays (the path and the table solved from
-it), and a ModelProblem keeps the table alone.
+it), and a ModelProblem keeps the table alone.  The path is stored
+row-major, as it is drawn; the OU table is stored mode-major (each mode's
+column contiguous, like the histories the solvers iterate on) and is
+read-only once solved.  Every reader takes its window as a view of that
+one table (the backward and forward operators' OU windows, the
+integrator's window and every shifted driver), so none copies it and none
+can write to it.
 
 The initial value at the left end of the grid is drawn from the
 stationary law N(0, q/(2 lambda)); the burn-in transient decays like
@@ -191,8 +197,10 @@ def solve_ou(w: WienerPath, s: Spectrum) -> OUProcess:
     Per mode, z obeys the exact damped recursion with the convolution
     increment described in the module docstring; the value at the left grid
     end is drawn (seeded) from the stationary law N(0, q/(2 lambda)).  The
-    increments are scaled and filtered in the table itself, and the initial
-    value's decay is added one mode at a time.
+    increments are scaled and filtered in the table itself, which is
+    mode-major, so the filter scans contiguous columns, and the initial
+    value's decay is added one mode at a time.  The table returned is
+    read-only.
     """
     if np.any(s.lambdas <= 0.0):
         raise SpectrumError("OU driver requires strictly positive rates")
@@ -207,7 +215,7 @@ def solve_ou(w: WienerPath, s: Spectrum) -> OUProcess:
     rng0 = np.random.default_rng(np.random.SeedSequence([int(w.seed), 1]))
     z0 = rng0.standard_normal(s.size) * np.sqrt(q / (2.0 * lam))
 
-    values = np.empty_like(w.values)
+    values = np.empty(w.values.shape, order="F")  # mode-major: contiguous columns
     values[0] = z0
     u = values[1:]
     np.subtract(w.values[1:], w.values[:-1], out=u)  # the increments dW
@@ -216,4 +224,5 @@ def solve_ou(w: WienerPath, s: Spectrum) -> OUProcess:
     k = np.arange(1, u.shape[0] + 1)
     for j in range(s.size):
         u[:, j] += _exp_normal(-lam[j] * k * h) * z0[j]
+    values.flags.writeable = False
     return OUProcess(grid=w.grid, values=values, seed=w.seed)

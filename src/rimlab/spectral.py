@@ -16,9 +16,10 @@ to roundoff and are asserted on them as test oracles.
 Time histories are (nodes, modes) arrays.  Every time-stepping recursion in
 the package is the per-mode first-order filter ``_filter_modes`` run down
 the node axis, so the histories the fixed-point operators iterate on are
-stored mode-major (``_mode_major``): each mode's column is contiguous.
-``_node_norms``, the package's one norm, reads that layout column by
-column.  The filter writes
+stored mode-major (``_mode_major``): each mode's column is contiguous.  The
+OU table is solved in that layout too, so the solvers' OU windows are
+views of it.  ``_node_norms``, the package's one norm, reads that layout
+column by column and allocates one column at a time.  The filter writes
 exact zeros, never subnormals, where a decaying column's input has ended
 (``_flush_tail``), and the decay tables e^{-lambda t} hold exact zeros
 wherever they would be subnormal (``_exp_normal``), so later sweeps do not
@@ -191,12 +192,13 @@ def _decay_steps(y: float, a: float, tiny: float) -> float:
 def _node_norms(values: np.ndarray, wts: np.ndarray) -> np.ndarray:
     """Norms ||wts * v|| along the last (mode) axis: a scalar for a state.
 
-    The squares are added one mode column at a time, in mode order from
-    zeros, so C and F storage give the same bits and no modes give 0.
+    Each mode column is weighted, squared and added in turn, in mode order
+    from zeros, so C and F storage give the same bits, no modes give 0, and
+    no temporary is larger than one column.
     """
-    sq = values * wts
-    sq *= sq
-    total = np.zeros(sq.shape[:-1])
-    for j in range(sq.shape[-1]):
-        total += sq[..., j]
+    total = np.zeros(values.shape[:-1])
+    for j in range(values.shape[-1]):
+        sq = values[..., j] * wts[j]
+        sq *= sq
+        total += sq
     return np.sqrt(total)

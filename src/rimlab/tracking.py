@@ -51,7 +51,7 @@ from .lyapunov_perron import (
     weighted_sup_norm,
 )
 from .randomness import whole_steps
-from .spectral import _exp_normal, _flush_tail, _mode_major, _node_norms, norm_alpha
+from .spectral import _exp_normal, _flush_tail, _node_norms, norm_alpha
 
 __all__ = [
     "TrackingResult",
@@ -222,10 +222,11 @@ def base_orbit(v0: np.ndarray, ctx: LPContext, t_fwd: float) -> np.ndarray:
 class _ForwardStencil:
     """Node set, OU window and filter coefficients for the forward operator.
 
-    Node arrays are stored mode-major, like the backward operator's, and
-    an orbit difference is a bare (nodes, modes) array on ``times``.  A
-    stencil holds no reference to its context, so the context can keep it
-    (``_stencil``) without a reference cycle.
+    Node arrays are stored mode-major, like the backward operator's (the OU
+    window ``z`` is a view of the driver's table), and an orbit difference
+    is a bare (nodes, modes) array on ``times``.  A stencil holds no
+    reference to its context, so the context can keep it (``_stencil``)
+    without a reference cycle.
     """
 
     def __init__(self, ctx: LPContext, t_fwd: float):
@@ -235,7 +236,7 @@ class _ForwardStencil:
         lo = ctx.ou.grid.offset(0.0)
         hi = ctx.ou.grid.offset(self.t_fwd)
         self.times = np.arange(0, self.n_cells + 1) * h
-        self.z = _mode_major(ctx.ou.values[lo : hi + 1])
+        self.z = ctx.ou.values[lo : hi + 1]  # a view of the shared, read-only table
         n = ctx.cert.n
         lam = ctx.spectrum.lambdas
         lam_p = lam[:n]
@@ -260,25 +261,28 @@ def _stencil(ctx: LPContext, t_fwd: float) -> _ForwardStencil:
 
 
 def _apply_forward(
-    ctx: LPContext, stencil: _ForwardStencil, xi_values, base_values, f_base, v0, warm=None
+    ctx: LPContext, stencil: _ForwardStencil, xi_values, base, f_base, v0, warm=None
 ):
     """One sweep of the forward operator; returns (values, x0, graph).
 
     ``f_base`` is F(base + z) on the forward cells' left nodes (every node
     but the last), fixed for a whole solve; dF is needed only there.
     ``graph`` is the nested fixed point at x0, whose time-zero Q part is
-    m(x0).  ``warm``, a previous sweep's (graph, x0) pair, warm-starts that
-    solve.
+    m(x0).  ``warm`` is a list holding the previous sweep's (graph, x0)
+    pair, if any: the sweep takes it out and moves the graph to x0 to
+    warm-start that solve, so the old graph is not held during it.
     """
     n = ctx.cert.n
-    df = ctx.f(xi_values[:-1] + base_values[:-1] + stencil.z[:-1]) - f_base
-    u = ctx.w1 * df
+    u = np.add(xi_values[:-1], base[:-1], order="F")
+    u += stencil.z[:-1]
+    u = ctx.f(u)
+    u -= f_base  # dF, scaled in place below into the per-cell increments
 
     seed_integral = np.zeros(ctx.spectrum.size)
-    seed_integral[:n] = np.sum(stencil.seed_weights * df[:, :n], axis=0)
+    seed_integral[:n] = np.sum(stencil.seed_weights * u[:, :n], axis=0)
+    u *= ctx.w1
     x0 = ctx.project_p(v0) - seed_integral
-    start = None if warm is None else ctx.rebase(warm[0], warm[1], x0)
-    graph, _ = solve_fixed_point(x0, ctx, start=start)
+    graph, _ = solve_fixed_point(x0, ctx, ctx.rebase(*warm.pop(), x0) if warm else None)
     y0 = -ctx.project_q(v0) + ctx.project_q(graph[-1])
 
     out = _duhamel(u, ctx)
@@ -314,15 +318,16 @@ def track_phi(u0: np.ndarray, ctx: LPContext, t_fwd: float, base: np.ndarray) ->
     v0 = u0 - z0
     if base.shape != (stencil.times.size, ctx.spectrum.size) or not np.array_equal(base[0], v0):
         raise GridAlignmentError("base orbit must start at u0 - z(0) on the forward nodes")
-    base_values = _mode_major(base)
-    f_base = ctx.f(base_values[:-1] + stencil.z[:-1])
+    # F sees both of dF's arguments mode-major, so a mode-coupling F rounds
+    # them alike and dF is exactly zero where xi is
+    f_base = ctx.f(np.add(base[:-1], stencil.z[:-1], order="F"))
 
-    latest = defect = None  # the latest sweep's (graph, x0); the first sweep's defect
+    latest, defect = [], None  # the latest sweep's (graph, x0); the first sweep's defect
 
     def sweep(xi_values):
-        nonlocal latest, defect
-        values, x0, graph = _apply_forward(ctx, stencil, xi_values, base_values, f_base, v0, latest)
-        latest = (graph, x0)
+        nonlocal defect
+        values, x0, graph = _apply_forward(ctx, stencil, xi_values, base, f_base, v0, latest)
+        latest.append((graph, x0))
         if defect is None:
             # From xi = 0 the seed integral vanishes, so x0 = P v0 exactly
             # and this solve is the graph value m(P v0) the defect needs.
@@ -332,15 +337,14 @@ def track_phi(u0: np.ndarray, ctx: LPContext, t_fwd: float, base: np.ndarray) ->
     xi_values, iterations = _picard(
         sweep,
         lambda new, old: weighted_sup_norm(stencil.wmu, new - old, ctx.wts_alpha),
-        np.zeros_like(stencil.z),
+        [np.zeros_like(stencil.z)],
         delta,
         ctx.ratio_slack,
         ctx.tol,
     )
-    graph, x0 = latest
     v0_star = v0 + xi_values[0]
     x_star = ctx.project_p(v0_star)
-    star_graph, _ = solve_fixed_point(x_star, ctx, start=ctx.rebase(graph, x0, x_star))
+    star_graph, _ = solve_fixed_point(x_star, ctx, ctx.rebase(*latest.pop(), x_star))
     graph_residual = norm_alpha(
         ctx.project_q(v0_star) - ctx.project_q(star_graph[-1]), ctx.spectrum
     )

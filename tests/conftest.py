@@ -295,7 +295,8 @@ def forward_apply(xi: np.ndarray, v0: np.ndarray, base: np.ndarray, ctx: rl.LPCo
     """
     stencil = _ForwardStencil(ctx, (xi.shape[0] - 1) * ctx.h)
     assert xi.shape == base.shape == (stencil.times.size, ctx.spectrum.size)
-    f_base = ctx.f(base[:-1] + stencil.z[:-1])  # on the cells' left nodes
+    # on the cells' left nodes, mode-major like dF's argument in the sweep
+    f_base = ctx.f(np.add(base[:-1], stencil.z[:-1], order="F"))
     values, _, graph = _apply_forward(ctx, stencil, xi, base, f_base, v0)
     return values, -ctx.project_q(v0) + ctx.project_q(graph[-1])
 

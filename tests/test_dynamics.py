@@ -285,3 +285,15 @@ def test_evaluator_weights_only_when_alpha_positive(f):
             assert got.tobytes() == want.tobytes() and got.strides == want.strides
         unweighted = f.evaluator(rl.dirichlet_laplacian(8, 0.0))(u)
     assert not np.array_equal(got[1:], unweighted[1:])
+
+
+@pytest.mark.parametrize("f", [Nonlinearity.zero(), Nonlinearity.per_mode_sin(0.3)])
+@pytest.mark.parametrize("alpha", [0.0, 0.25])
+def test_apply_leaves_its_argument_unchanged(f, alpha):
+    # F computes its result in place in a new array, never in its argument.
+    s = rl.dirichlet_laplacian(8, alpha)
+    u = np.linspace(-2.0, 2.0, 24).reshape(3, 8)
+    kept = u.copy()
+    out = f.apply(u, s)
+    assert np.array_equal(u, kept)
+    assert not np.shares_memory(out, u)

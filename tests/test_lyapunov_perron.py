@@ -424,7 +424,7 @@ def _scalar_picard(step, factor, slack, tol):
         return step(x)
 
     try:
-        return _picard(counted, lambda a, b: abs(a - b), 1.0, factor, slack, tol), len(calls)
+        return _picard(counted, lambda a, b: abs(a - b), [1.0], factor, slack, tol), len(calls)
     except ContractionViolationError as exc:
         return str(exc), len(calls)
 
@@ -461,6 +461,32 @@ def test_warm_start_from_neighbour(problem_nl):
     warm, warm_iters = solve_fixed_point(x, ctx, start=ctx.rebase(near, x_near, x))
     assert warm_iters <= 2 < cold_iters
     assert ctx.s_norm(warm - cold) <= ctx.tol
+
+
+def test_warm_solve_holds_at_most_three_histories(problem_nl):
+    # The start is handed to the solve (popped from a list, so this frame
+    # keeps no reference), which drops it after the first step; Picard then
+    # holds the iterate, the next one and their difference, and F allocates
+    # only its result.  A history is counted from the window, since ctx.z
+    # is a view and owns no bytes.
+    import tracemalloc
+
+    ctx = problem_nl.lp_context(0.0)
+    history = ctx.times.size * ctx.spectrum.size * 8
+    x_near, x = np.zeros(16), np.zeros(16)
+    x_near[0], x[0] = 0.5, 0.6
+    near, _ = solve_fixed_point(x_near, ctx)
+    tracemalloc.start()
+    try:
+        starts = [ctx.rebase(near, x_near, x)]
+        inputs = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _, iterations = solve_fixed_point(x, ctx, starts.pop())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert iterations >= 2
+    assert peak - inputs <= 3 * history
 
 
 def test_selfmap_bound_along_picard_iterates(problem_nl, past_forcing_bound):

@@ -222,3 +222,52 @@ def test_temperedness_ratio():
         r = ratio(z)
         assert np.isfinite(r)
         assert np.exp(grid.t_min) * np.linalg.norm(z.values[0]) <= r
+
+
+@pytest.fixture(scope="module")
+def workhorse():
+    problem = build_problem(load_config(WORKHORSE))
+    problem.ou
+    return problem
+
+
+def test_every_window_reads_the_one_ou_table(workhorse):
+    # A base, a translated and a shifted context and the forward stencil
+    # all read their OU window in place from the one mode-major table.
+    from rimlab.tracking import _stencil
+
+    table = workhorse.ou.values
+    assert table.flags.f_contiguous
+    contexts = (
+        workhorse.lp_context(0.0),
+        workhorse.lp_context(1.0),  # the forcing translated by 1
+        workhorse.lp_context(0.0, ou=workhorse.ou_for(1.0)),
+    )
+    for ctx in contexts:
+        assert np.shares_memory(ctx.z, table)
+    assert np.shares_memory(_stencil(contexts[0], workhorse.t_fwd).z, table)
+
+
+def test_ou_table_is_read_only(workhorse):
+    # Every reader shares the table, so none may write to it.
+    assert not workhorse.ou.values.flags.writeable
+    for view in (
+        workhorse.lp_context(0.0).z,
+        workhorse.ou.at(0.0),
+        workhorse.ou_for(1.0).values,
+    ):
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 0.0
+
+
+def test_context_copies_no_ou_window(workhorse):
+    # Building a context allocates its forcing cells (the forced modes
+    # only), its resolved-mode flow and its node weights, and keeps less
+    # than one backward history of them: the OU window is a view.
+    tracemalloc.start()
+    try:
+        ctx = workhorse.lp_context(0.0)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < ctx.times.size * workhorse.spectrum.size * 8

@@ -270,6 +270,30 @@ def test_tracking_evaluates_base_nonlinearity_once(problem_nl):
     assert np.array_equal(result.decay_curve, expected.decay_curve)
 
 
+def test_tracking_memory_in_histories(problem_nl):
+    # Pinned at the count measured when the sweeps stopped holding spare
+    # arrays (6.2 histories; 10.1 before): during a nested graph solve a
+    # sweep holds the iterate, dF (scaled in place into the increments)
+    # and F(base + z) on the forward window, and the solve its own three.
+    # Both windows have 16,121 nodes here.
+    import tracemalloc
+
+    ctx = problem_nl.lp_context(0.0)
+    history = ctx.times.size * ctx.spectrum.size * 8
+    u0 = 0.5 * np.random.default_rng(10).standard_normal(16)
+    base = base_orbit(u0 - ctx.z_at_zero(), ctx, problem_nl.t_fwd)
+    assert base.shape == (ctx.times.size, ctx.spectrum.size)
+    track_phi(u0, ctx, problem_nl.t_fwd, base)  # builds the cached forward stencil
+    tracemalloc.start()
+    try:
+        result = track_phi(u0, ctx, problem_nl.t_fwd, base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.iterations >= 2
+    assert peak <= 6.5 * history
+
+
 def test_forward_sweep_leaves_no_subnormal(problem_nl):
     # Orbit differences decay like e^{-lambda t}; in the high modes they pass
     # below the smallest normal float well inside [0, T_f].  Neither the
