@@ -21,20 +21,7 @@ from .analysis import (
     tracking_defects,
 )
 from .dynamics import Nonlinearity, cocycle_phi, cocycle_psi, integrate
-from .errors import (
-    CertificateError,
-    ConfigError,
-    ContractionViolationError,
-    DimensionMismatchError,
-    DomainError,
-    GridAlignmentError,
-    InstabilityError,
-    ParameterError,
-    RimlabError,
-    SpectrumError,
-    SupportRangeError,
-    ValidationError,
-)
+from .errors import CertificateError, ConfigError, InstabilityError, RimlabError
 from .forcing import (
     ForcingSignal,
     TrigTerm,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import cocycle_phi
-from .errors import DomainError, ParameterError, ValidationError
+from .errors import RimlabError
 from .forcing import almost_period_defect
 from .lyapunov_perron import ManifoldChart
 from .problem import ModelProblem
@@ -74,7 +74,7 @@ class DefectReport:
 
     def __post_init__(self):
         if self.kind not in _KINDS:
-            raise ValidationError(f"unknown defect kind {self.kind!r}")
+            raise RimlabError(f"unknown defect kind {self.kind!r}")
 
     @property
     def passed(self) -> bool:
@@ -107,9 +107,9 @@ class AttractorCloud:
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         object.__setattr__(self, "points", pts)
         if pts.shape[0] < 1:
-            raise DomainError("ensemble must contain at least one point")
+            raise RimlabError("ensemble must contain at least one point")
         if not np.all(np.isfinite(pts)):
-            raise ValidationError("cloud contains non-finite points")
+            raise RimlabError("cloud contains non-finite points")
 
     @property
     def ensemble_size(self) -> int:
@@ -136,10 +136,10 @@ def invariance_defect(chart: ManifoldChart, t: float, problem: ModelProblem) -> 
     ``ou_for(t)``.  Flow and graph share one cell rule at the problem's
     step, so this matched-resolution defect sits at the solver and
     truncation floor, not at O(h).  A chart without a leg at t raises
-    ParameterError.
+    RimlabError.
     """
     if chart.flow_t != t:
-        raise ParameterError(f"chart has no invariance leg at t = {t} (flow time {chart.flow_t})")
+        raise RimlabError(f"chart has no invariance leg at t = {t} (flow time {chart.flow_t})")
     bound = INVARIANCE_CONSTANT * (problem.h + problem.tol)
     return DefectReport(
         kind="invariance",
@@ -220,9 +220,7 @@ def periodicity_defect(
     if problem.forcing.terms:
         declared = problem.forcing.declared_period
         if declared is None or abs(declared - period) > 1e-9 * max(1.0, period):
-            raise ParameterError(
-                f"forcing has declared period {declared!r}, check requested {period}"
-            )
+            raise RimlabError(f"forcing has declared period {declared!r}, check requested {period}")
     value = _graph_shift(tau, period, x_grid, problem)
     return DefectReport(
         kind="periodicity",
@@ -269,7 +267,7 @@ def pullback_attractor(
     attractor fibre at (tau, omega).
     """
     if pullback_time <= 0.0:
-        raise DomainError("pullback time must be positive")
+        raise RimlabError("pullback time must be positive")
     points = cocycle_phi(
         pullback_time,
         tau - pullback_time,

@@ -1,8 +1,9 @@
 """Batch front end: config-driven subcommands with deterministic outputs.
 
 Exit codes form a stable contract: 0 all requested checks pass, 1 a
-verification check failed, 2 invalid configuration, 3 spectral-gap
-certificate failure (including empirically violated contraction).
+verification check failed, 2 invalid configuration or run, or an output
+that cannot be written, 3 spectral-gap certificate failure (including
+empirically violated contraction).
 Every emitted file records the config hash and the effective seed; no
 timestamps or machine state enter the outputs, so reruns are
 byte-identical.
@@ -30,13 +31,7 @@ from .analysis import (
     tracking_defects,
 )
 from .config import RunConfig, build_problem, load_config
-from .errors import (
-    CertificateError,
-    ConfigError,
-    ContractionViolationError,
-    InstabilityError,
-    RimlabError,
-)
+from .errors import CertificateError, ConfigError, InstabilityError, RimlabError
 from .forcing import scan_almost_period
 from .lyapunov_perron import scan_gap
 from .problem import ModelProblem
@@ -53,7 +48,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (CertificateError, ContractionViolationError) as exc:
+    except CertificateError as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return 3
     except InstabilityError as exc:
@@ -61,6 +56,9 @@ def main(argv=None) -> int:
         return 1
     except RimlabError as exc:
         print(f"invalid run: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"output error: {exc.filename or '--out'}: {exc.strerror or exc}", file=sys.stderr)
         return 2
 
 

@@ -13,12 +13,12 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .dynamics import Nonlinearity
-from .errors import ConfigError
+from .errors import ConfigError, RimlabError
 from .forcing import ForcingSignal, TrigTerm, _scan_row_vectors
 from .lyapunov_perron import backward_horizon, check_gap
 from .problem import ModelProblem
@@ -81,6 +81,13 @@ class _Section:
 
     def _fail(self, key: str, message: str):
         raise ConfigError(f"{self.name}.{key}: {message}")
+
+    def build(self, key: str, make, *args, **kwargs):
+        """``make(*args, **kwargs)``, its refusal named as this section's ``key``."""
+        try:
+            return make(*args, **kwargs)
+        except RimlabError as exc:
+            self._fail(key, str(exc))
 
     def raw(self, key: str, default=None):
         return self.data.get(key, default)
@@ -161,7 +168,7 @@ def _parse_spectrum(sec: _Section) -> Spectrum:
     lams = sec.floats("lambdas")
     if len(lams) < 2:
         sec._fail("lambdas", "need at least two eigenvalues")
-    return Spectrum(np.asarray(lams), alpha)
+    return sec.build("lambdas", Spectrum, np.asarray(lams), alpha)
 
 
 def _parse_nonlinearity(sec: _Section) -> Nonlinearity:
@@ -175,14 +182,20 @@ def _parse_forcing(sec: _Section, n_modes: int) -> ForcingSignal:
     form = sec.str("form", "zero", choices=("zero", "constant", "trig_sum"))
     period_raw = sec.raw("period")
     period = None if period_raw is None else sec.float("period", minimum=0.0)
-    # every form keeps its declared period: a signal without terms has them all
     if form == "zero":
-        return ForcingSignal(n_modes, declared_period=period)
-    if form == "constant":
+        signal = ForcingSignal(n_modes)
+    elif form == "constant":
         amps = sec.floats("amplitudes")
         if len(amps) != n_modes:
             sec._fail("amplitudes", f"need {n_modes} values, got {len(amps)}")
-        return ForcingSignal(n_modes, amps, declared_period=period)
+        signal = ForcingSignal(n_modes, amps)
+    else:
+        signal = sec.build("terms", ForcingSignal, n_modes, terms=_parse_terms(sec))
+    # every form keeps its declared period: a signal without terms has them all
+    return sec.build("period", replace, signal, declared_period=period)
+
+
+def _parse_terms(sec: _Section) -> list[TrigTerm]:
     raw = sec.raw("terms")
     if raw is None:
         sec._fail("terms", "missing required value")
@@ -197,10 +210,10 @@ def _parse_forcing(sec: _Section, n_modes: int) -> ForcingSignal:
             sec._fail("terms", f"non-numeric row: {line!r}")
         if not all(map(math.isfinite, (amp, freq, phase))):
             sec._fail("terms", f"non-finite row: {line!r}")
-        terms.append(TrigTerm(mode, amp, freq, phase))
+        terms.append(sec.build("terms", TrigTerm, mode, amp, freq, phase))
     if not terms:
         sec._fail("terms", "needs at least one 'mode amplitude frequency phase' row")
-    return ForcingSignal(n_modes, terms=terms, declared_period=period)
+    return terms
 
 
 def _parse_noise(sec: _Section, n_modes: int) -> tuple[CovarianceSpec, int]:
@@ -215,7 +228,7 @@ def _parse_noise(sec: _Section, n_modes: int) -> tuple[CovarianceSpec, int]:
     values = sec.floats("values")
     if len(values) != n_modes:
         sec._fail("values", f"need {n_modes} values, got {len(values)}")
-    return CovarianceSpec(np.asarray(values)), seed
+    return sec.build("values", CovarianceSpec, np.asarray(values)), seed
 
 
 def load_config(path) -> RunConfig:

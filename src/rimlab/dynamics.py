@@ -26,12 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InstabilityError,
-    ParameterError,
-    ValidationError,
-)
+from .errors import InstabilityError, RimlabError
 from .forcing import ForcingSignal, cell_convolution, shift_forcing
 from .randomness import OUProcess
 from .spectral import Spectrum, _exp_normal, _filter_modes
@@ -52,9 +47,9 @@ class Nonlinearity:
 
     def __post_init__(self):
         if self.kind not in ("zero", "per_mode_sin"):
-            raise ValidationError(f"unknown nonlinearity kind {self.kind!r}")
+            raise RimlabError(f"unknown nonlinearity kind {self.kind!r}")
         if self.lipschitz < 0.0:
-            raise ValidationError("Lipschitz constant must be nonnegative")
+            raise RimlabError("Lipschitz constant must be nonnegative")
 
     @classmethod
     def zero(cls) -> "Nonlinearity":
@@ -119,10 +114,10 @@ def integrate(
     ``return_trajectory=False``.
     """
     if t_end < r:
-        raise DomainError("integration requires r <= t_end")
+        raise RimlabError("integration requires r <= t_end")
     h = ou.grid.h
     if float(np.max(s.lambdas)) * h > 0.5:
-        raise ParameterError(
+        raise RimlabError(
             f"lambda_max*h = {float(np.max(s.lambdas)) * h:g} exceeds the 0.5 stability budget"
         )
     i_r = ou.grid.index(r)
@@ -207,7 +202,7 @@ def cocycle_psi(
 ) -> np.ndarray:
     """Transformed-variable solution map: v(t, 0, omega, g shifted by tau, v0)."""
     if t < 0.0:
-        raise DomainError("cocycle time must be nonnegative")
+        raise RimlabError("cocycle time must be nonnegative")
     return integrate(
         v0, 0.0, t, ou, shift_forcing(g, tau), f, s, return_trajectory=False
     )

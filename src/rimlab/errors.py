@@ -1,73 +1,27 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, one per exit outcome.
 
-The CLI maps these onto its exit-code contract: configuration problems
-exit 2, a failed spectral-gap certificate exits 3, and verification
-failures exit 1.
+The CLI maps these onto its exit-code contract: an invalid run (any
+``RimlabError`` that is none of the three below: a value outside its
+domain, a mismatched shape, an off-grid time) exits 2, as does an invalid
+configuration (``ConfigError``); a failed spectral-gap certificate or a
+contraction the solver cannot reach (``CertificateError``) exits 3; and a
+non-finite state (``InstabilityError``) exits 1, like a failed check.
 """
 
-__all__ = [
-    "RimlabError",
-    "DimensionMismatchError",
-    "DomainError",
-    "SpectrumError",
-    "GridAlignmentError",
-    "SupportRangeError",
-    "ParameterError",
-    "CertificateError",
-    "ContractionViolationError",
-    "InstabilityError",
-    "ValidationError",
-    "ConfigError",
-]
+__all__ = ["RimlabError", "ConfigError", "CertificateError", "InstabilityError"]
 
 
 class RimlabError(Exception):
-    """Base class for all library errors."""
-
-
-class DimensionMismatchError(RimlabError):
-    """Vector length does not match the spectrum / projection layout."""
-
-
-class DomainError(RimlabError):
-    """Argument outside the mathematical domain of an operation."""
-
-
-class SpectrumError(RimlabError):
-    """Invalid eigenvalue data (non-positive or decreasing rates)."""
-
-
-class GridAlignmentError(RimlabError):
-    """A time is not a node of the stored uniform grid."""
-
-
-class SupportRangeError(RimlabError):
-    """Requested evaluation or shift leaves the stored support."""
-
-
-class ParameterError(RimlabError):
-    """Parameter outside its admissible range (e.g. k not in (0,1))."""
-
-
-class CertificateError(RimlabError):
-    """Spectral gap condition fails; carries the violated margin."""
-
-    def __init__(self, message, margin=None):
-        super().__init__(message)
-        self.margin = margin
-
-
-class ContractionViolationError(RimlabError):
-    """Measured Picard ratios exceed the certified contraction factor."""
-
-
-class InstabilityError(RimlabError):
-    """Non-finite state encountered during time integration."""
-
-
-class ValidationError(RimlabError):
-    """Constructed object violates a declared invariant."""
+    """Base class for all library errors; raised itself for an invalid run."""
 
 
 class ConfigError(RimlabError):
     """Run configuration is invalid; message names the offending field."""
+
+
+class CertificateError(RimlabError):
+    """Spectral gap condition fails, or Picard ratios exceed its contraction factor."""
+
+
+class InstabilityError(RimlabError):
+    """Non-finite state encountered during time integration."""

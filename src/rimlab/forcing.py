@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ValidationError
+from .errors import RimlabError
 from .spectral import Spectrum, _node_norms
 
 __all__ = [
@@ -51,9 +51,9 @@ class TrigTerm:
 
     def __post_init__(self):
         if self.mode < 1:
-            raise ValidationError("trig term mode indices are 1-based")
+            raise RimlabError("trig term mode indices are 1-based")
         if self.frequency <= 0.0:
-            raise ValidationError("trig term frequency must be positive")
+            raise RimlabError("trig term frequency must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,14 +73,12 @@ class ForcingSignal:
         amp = np.zeros(self.n_modes) if self.amplitudes is None else self.amplitudes
         amp = np.asarray(amp, dtype=float)
         if amp.shape != (self.n_modes,):
-            raise DimensionMismatchError("constant amplitudes must have one value per mode")
+            raise RimlabError("constant amplitudes must have one value per mode")
         object.__setattr__(self, "amplitudes", amp)
         object.__setattr__(self, "terms", tuple(self.terms))
         for term in self.terms:
             if term.mode > self.n_modes:
-                raise DimensionMismatchError(
-                    f"trig term mode {term.mode} exceeds {self.n_modes} modes"
-                )
+                raise RimlabError(f"trig term mode {term.mode} exceeds {self.n_modes} modes")
         if self.declared_period is not None:
             self._check_period()
 
@@ -104,14 +102,12 @@ class ForcingSignal:
     def _check_period(self):
         period = self.declared_period
         if period <= 0.0:
-            raise ValidationError("declared period must be positive")
+            raise RimlabError("declared period must be positive")
         r = np.linspace(0.0, 2.0 * period, 64)
         diff = self.eval_many(r + period) - self.eval_many(r)
         scale = 1.0 + float(np.max(np.abs(self.eval_many(r))))
         if np.max(np.abs(diff)) > 1e-9 * scale:
-            raise ValidationError(
-                f"signal is not periodic with declared period {period}"
-            )
+            raise RimlabError(f"signal is not periodic with declared period {period}")
 
     def eval_many(self, t) -> np.ndarray:
         """Evaluate at an array of times; returns (len(t), n_modes)."""
@@ -142,7 +138,7 @@ def cell_convolution(g: ForcingSignal, s: Spectrum, t_lefts: np.ndarray, h: floa
     g_j(sigma) d sigma, evaluated in closed form.
     """
     if g.n_modes != s.size:
-        raise DimensionMismatchError("forcing and spectrum mode counts differ")
+        raise RimlabError("forcing and spectrum mode counts differ")
     t_lefts = np.asarray(t_lefts, dtype=float)
     lam = s.lambdas
     w1 = -np.expm1(-lam * h) / lam  # int_0^h e^{-lam (h-u)} du
@@ -191,7 +187,7 @@ def scan_almost_period(
     """
     taus = np.arange(1.0, tau_max, step)
     if taus.size == 0:
-        raise ValidationError(f"near-period scan needs tau_max > 1 (got {tau_max})")
+        raise RimlabError(f"near-period scan needs tau_max > 1 (got {tau_max})")
     forced = sorted({term.mode - 1 for term in g.terms})
     per_mode = np.zeros((taus.size, len(forced)))
     for term in g.terms:
@@ -201,8 +197,6 @@ def scan_almost_period(
     bound = _node_norms(per_mode, s.weights_alpha()[forced])
     idx = int(np.argmin(bound))
     if bound[idx] > target:
-        raise ValidationError(
-            f"no near-period with defect <= {target} found below {tau_max}"
-        )
+        raise RimlabError(f"no near-period with defect <= {target} found below {tau_max}")
     tau0 = float(taus[idx])
     return tau0, almost_period_defect(g, s, tau0)

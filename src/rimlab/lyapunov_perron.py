@@ -38,15 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import Nonlinearity, integrate
-from .errors import (
-    CertificateError,
-    ContractionViolationError,
-    DimensionMismatchError,
-    DomainError,
-    GridAlignmentError,
-    ParameterError,
-    ValidationError,
-)
+from .errors import CertificateError, RimlabError
 from .forcing import ForcingSignal, cell_convolution, shift_forcing
 from .randomness import OUProcess, whole_steps
 from .spectral import Spectrum, _filter_modes, _mode_major, _node_norms, norm_alpha
@@ -68,7 +60,7 @@ __all__ = [
 def c_alpha_constant(alpha: float) -> float:
     """The singular-kernel constant alpha^alpha * Gamma(1 - alpha); zero at 0."""
     if not (0.0 <= alpha < 1.0):
-        raise DomainError("constant defined for alpha in [0, 1)")
+        raise RimlabError("constant defined for alpha in [0, 1)")
     if alpha == 0.0:
         return 0.0
     return alpha**alpha * math.gamma(1.0 - alpha)
@@ -92,11 +84,11 @@ class GapCertificate:
 
 def _gap_parts(s: Spectrum, lipschitz: float, k: float, n: int):
     if not (0.0 < k < 1.0):
-        raise ParameterError(f"contraction parameter k={k} must lie in (0, 1)")
+        raise RimlabError(f"contraction parameter k={k} must lie in (0, 1)")
     if lipschitz < 0.0:
-        raise ParameterError("Lipschitz constant must be nonnegative")
+        raise RimlabError("Lipschitz constant must be nonnegative")
     if not (1 <= n < s.size):
-        raise ParameterError(f"gap index n={n} must satisfy 1 <= n < {s.size}")
+        raise RimlabError(f"gap index n={n} must satisfy 1 <= n < {s.size}")
     lam_n = float(s.lambdas[n - 1])
     lam_np1 = float(s.lambdas[n])
     gap = lam_np1 - lam_n
@@ -112,16 +104,15 @@ def check_gap(s: Spectrum, lipschitz: float, k: float, n: int) -> GapCertificate
     lam_n, lam_np1, gap, ca, required = _gap_parts(s, lipschitz, k, n)
     margin = gap - required
     if gap <= 0.0:
-        raise CertificateError(f"no spectral gap at n={n}: repeated eigenvalue", margin)
+        raise CertificateError(f"no spectral gap at n={n}: repeated eigenvalue")
     if margin < 0.0:
         raise CertificateError(
             f"gap condition fails at n={n}: gap {gap:g} < required {required:g} "
-            f"(margin {margin:g})",
-            margin,
+            f"(margin {margin:g})"
         )
     mu = lam_n + (2.0 * lipschitz / k) * lam_n**s.alpha
     if mu > lam_np1:
-        raise CertificateError(f"decay weight mu={mu:g} escapes ({lam_n:g}, {lam_np1:g})", margin)
+        raise CertificateError(f"decay weight mu={mu:g} escapes ({lam_n:g}, {lam_np1:g})")
     delta = k + k / (2.0 - 2.0 * k)
     return GapCertificate(
         n=n,
@@ -194,7 +185,7 @@ def _horizon_weight(cert: GapCertificate, tol: float) -> tuple[float, float]:
     that limit is returned.
     """
     if tol <= 0.0:
-        raise ParameterError("tolerance must be positive")
+        raise RimlabError("tolerance must be positive")
     target = math.log(10.0 / tol)
     if cert.lipschitz == 0.0:
         return target / (cert.lambda_np1 - cert.mu), cert.lambda_np1
@@ -287,9 +278,9 @@ class LPContext:
         tol: float = 1e-6,
     ):
         if cert.n >= spectrum.size:
-            raise DimensionMismatchError("certificate index exceeds the truncation")
+            raise RimlabError("certificate index exceeds the truncation")
         if tol <= 0.0:
-            raise ParameterError("tolerance must be positive")
+            raise RimlabError("tolerance must be positive")
         self.spectrum = spectrum
         self.cert = cert
         self.nonlinearity = nonlinearity
@@ -304,7 +295,7 @@ class LPContext:
         self.n_cells = max(whole_steps(t_back, self.h), 2)
         self.t_back = self.n_cells * self.h
         if cert.lambda_n * self.t_back > 500.0:
-            raise ParameterError(
+            raise RimlabError(
                 "backward horizon too long for the resolved modes "
                 f"(lambda_n * t_back = {cert.lambda_n * self.t_back:g} > 500)"
             )
@@ -391,7 +382,7 @@ def _duhamel(u: np.ndarray, ctx: LPContext) -> np.ndarray:
 def lp_apply(xi: np.ndarray, x: np.ndarray, ctx: LPContext) -> np.ndarray:
     """One application of the backward integral operator at every node."""
     if xi.shape != (ctx.times.size, ctx.spectrum.size):
-        raise GridAlignmentError("history nodes do not match the context window")
+        raise RimlabError("history nodes do not match the context window")
     x = ctx.spectrum.check_state(x)
     u = ctx.f(xi[:-1] + ctx.z[:-1])  # per-cell increments, scaled in place
     u *= ctx.w1
@@ -410,13 +401,12 @@ def _picard(step, dist, starts: list, factor: float, slack: float, tol: float):
 
     Returns (fixed point, iterations) once consecutive iterates are at
     most (1 - factor) tol apart under ``dist``, which bounds the distance
-    to the fixed point by tol from any start.  Raises
-    ContractionViolationError when a measured ratio of consecutive
-    distances reaches 1 or exceeds factor + slack (the quadrature slack),
-    or when the a-priori iteration cap set from the first distance is
-    exceeded.  The fixed point returned is ``step`` of the final step's
-    start, its last argument; ``solve_fixed_point`` hands that start back
-    on request.
+    to the fixed point by tol from any start.  Raises CertificateError
+    when a measured ratio of consecutive distances reaches 1 or exceeds
+    factor + slack (the quadrature slack), or when the a-priori iteration
+    cap set from the first distance is exceeded.  The fixed point returned
+    is ``step`` of the final step's start, its last argument;
+    ``solve_fixed_point`` hands that start back on request.
     """
     thresh = (1.0 - factor) * tol
     # budget from the slack-adjusted ratio, so a contraction running
@@ -437,19 +427,17 @@ def _picard(step, dist, starts: list, factor: float, slack: float, tol: float):
         if d_prev is not None:
             ratio = d / d_prev
             if ratio >= 1.0:
-                raise ContractionViolationError(
+                raise CertificateError(
                     f"iterate distances stopped decreasing (ratio {ratio:g}); "
                     f"certified factor {factor:g} is empirically exceeded"
                 )
             if ratio > factor + slack:
-                raise ContractionViolationError(
+                raise CertificateError(
                     f"measured contraction ratio {ratio:g} exceeds "
                     f"factor + slack = {factor + slack:g}"
                 )
         if iterations > cap:
-            raise ContractionViolationError(
-                f"fixed point not reached within the {cap}-iteration budget"
-            )
+            raise CertificateError(f"fixed point not reached within the {cap}-iteration budget")
         d_prev = d
         old = new
 
@@ -558,7 +546,7 @@ class ManifoldChart:
 
     def __post_init__(self):
         if np.any(self.residuals > self.tol * (1.0 + 1e-9)):
-            raise ValidationError(
+            raise RimlabError(
                 f"chart residual {float(np.max(self.residuals)):g} exceeds tol {self.tol:g}"
             )
 
@@ -622,16 +610,16 @@ def build_chart(
       a translated tau on the same window, ``_translated_value``);
     - with ``flow = (t, ctx_t)``, the invariance leg (``_flow_leg``), where
       ``ctx_t`` is the operator translated by t on the noise shifted by t.
-      A ``ctx_t`` on another backward window raises GridAlignmentError.
+      A ``ctx_t`` on another backward window raises RimlabError.
 
     Also records the empirical Lipschitz constant over all grid pairs.
     """
     x_grid = np.atleast_2d(np.asarray(x_grid, dtype=float))
     if x_grid.shape[0] < 1:
-        raise DomainError("chart grid must contain at least one point")
+        raise RimlabError("chart grid must contain at least one point")
     x_grid = np.array([ctx.project_p(x) for x in x_grid])
     if flow is not None and (flow[1].t_back != ctx.t_back or flow[1].z.shape != ctx.z.shape):
-        raise GridAlignmentError("flow context window differs from the chart's backward window")
+        raise RimlabError("flow context window differs from the chart's backward window")
 
     values, residuals, off_graph = [], [], []
     shifted = [[] for _ in translates]

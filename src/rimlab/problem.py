@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import Nonlinearity
-from .errors import ConfigError, SupportRangeError
+from .errors import ConfigError, RimlabError
 from .forcing import ForcingSignal
 from .lyapunov_perron import (
     GapCertificate,
@@ -78,14 +78,13 @@ class ModelProblem:
         ``ou.at(s + t)``, bit for bit.
 
         The stored table is shared on its grid relabelled by t; nothing is
-        copied or solved.  An off-grid t raises GridAlignmentError, and a t
-        that leaves t = 0 outside the stored support, or on its end node,
-        raises SupportRangeError.
+        copied or solved.  An off-grid t, or a t that leaves t = 0 outside
+        the stored support or on its end node, raises RimlabError.
         """
         grid = self.ou.grid
         k = grid.index(t)
         if not grid.i_min < k < grid.i_max:
-            raise SupportRangeError(f"shift by {t} puts t = 0 on the end of the stored support")
+            raise RimlabError(f"shift by {t} puts t = 0 on the end of the stored support")
         shifted = TimeGrid(grid.h, grid.i_min - k, grid.i_max - k)
         return OUProcess(shifted, self.ou.values, self.seed)
 

@@ -40,14 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    DomainError,
-    GridAlignmentError,
-    SpectrumError,
-    SupportRangeError,
-    ValidationError,
-)
+from .errors import RimlabError
 from .spectral import Spectrum, _exp_normal, _filter_modes
 
 __all__ = [
@@ -77,14 +70,14 @@ class TimeGrid:
 
     def __post_init__(self):
         if self.h <= 0.0:
-            raise DomainError("grid step must be positive")
+            raise RimlabError("grid step must be positive")
         if not (self.i_min < 0 < self.i_max):
-            raise DomainError("grid must contain 0 strictly inside its span")
+            raise RimlabError("grid must contain 0 strictly inside its span")
 
     @classmethod
     def from_times(cls, t_min: float, t_max: float, h: float) -> "TimeGrid":
         if h <= 0.0:
-            raise DomainError("grid step must be positive")
+            raise RimlabError("grid step must be positive")
         return cls(h, -whole_steps(-t_min, h), whole_steps(t_max, h))
 
     @property
@@ -104,11 +97,9 @@ class TimeGrid:
         x = t / self.h
         i = int(round(x))
         if abs(x - i) > 1e-6 * max(1.0, abs(x)):
-            raise GridAlignmentError(f"t={t} is not a multiple of h={self.h}")
+            raise RimlabError(f"t={t} is not a multiple of h={self.h}")
         if not (self.i_min <= i <= self.i_max):
-            raise SupportRangeError(
-                f"t={t} outside stored support [{self.t_min}, {self.t_max}]"
-            )
+            raise RimlabError(f"t={t} outside stored support [{self.t_min}, {self.t_max}]")
         return i
 
     def offset(self, t: float) -> int:
@@ -126,9 +117,9 @@ class CovarianceSpec:
         q = np.asarray(self.q, dtype=float)
         object.__setattr__(self, "q", q)
         if q.ndim != 1:
-            raise ValidationError("covariance must be a 1-D per-mode vector")
+            raise RimlabError("covariance must be a 1-D per-mode vector")
         if np.any(q < 0.0) or not np.all(np.isfinite(q)):
-            raise ValidationError("per-mode variances must be finite and >= 0")
+            raise RimlabError("per-mode variances must be finite and >= 0")
 
     @classmethod
     def zero(cls, n_modes: int) -> "CovarianceSpec":
@@ -203,11 +194,9 @@ def solve_ou(w: WienerPath, s: Spectrum) -> OUProcess:
     read-only.
     """
     if np.any(s.lambdas <= 0.0):
-        raise SpectrumError("OU driver requires strictly positive rates")
+        raise RimlabError("OU driver requires strictly positive rates")
     if w.n_modes != s.size:
-        raise DimensionMismatchError(
-            f"path has {w.n_modes} modes, spectrum has {s.size}"
-        )
+        raise RimlabError(f"path has {w.n_modes} modes, spectrum has {s.size}")
     h = w.grid.h
     lam = s.lambdas
     q = w.cov.q

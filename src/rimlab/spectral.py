@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SpectrumError
+from .errors import RimlabError
 
 __all__ = ["Spectrum", "dirichlet_laplacian", "norm_alpha"]
 
@@ -54,13 +54,13 @@ class Spectrum:
         lams = np.asarray(self.lambdas, dtype=float)
         object.__setattr__(self, "lambdas", lams)
         if lams.ndim != 1 or lams.size < 2:
-            raise SpectrumError("need a 1-D list of at least two eigenvalues")
+            raise RimlabError("need a 1-D list of at least two eigenvalues")
         if not np.all(np.isfinite(lams)) or lams[0] <= 0.0:
-            raise SpectrumError("eigenvalues must be finite and positive")
+            raise RimlabError("eigenvalues must be finite and positive")
         if np.any(np.diff(lams) < 0.0):
-            raise SpectrumError("eigenvalues must be nondecreasing")
+            raise RimlabError("eigenvalues must be nondecreasing")
         if not (0.0 <= self.alpha < 0.5):
-            raise SpectrumError(f"alpha={self.alpha} outside [0, 1/2)")
+            raise RimlabError(f"alpha={self.alpha} outside [0, 1/2)")
 
     @property
     def size(self) -> int:
@@ -73,16 +73,14 @@ class Spectrum:
     def check_state(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         if v.shape[-1] != self.size:
-            raise DimensionMismatchError(
-                f"state has {v.shape[-1]} modes, spectrum has {self.size}"
-            )
+            raise RimlabError(f"state has {v.shape[-1]} modes, spectrum has {self.size}")
         return v
 
 
 def dirichlet_laplacian(n_total: int, alpha: float = 0.0) -> Spectrum:
     """Spectrum lambda_j = j^2 of the 1-D Dirichlet Laplacian on (0, pi)."""
     if n_total < 2:
-        raise SpectrumError("need at least two modes")
+        raise RimlabError("need at least two modes")
     j = np.arange(1, n_total + 1, dtype=float)
     return Spectrum(j**2, alpha)
 

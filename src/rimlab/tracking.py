@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import integrate
-from .errors import GridAlignmentError, ParameterError
+from .errors import RimlabError
 from .forcing import shift_forcing
 from .lyapunov_perron import (
     LPContext,
@@ -102,7 +102,7 @@ def _forward_weights(cert, tol: float) -> tuple[float, float, float] | None:
     when no tail exists (L = 0, or k >= 1/2) or no pair is feasible.
     """
     if tol <= 0.0:
-        raise ParameterError("tolerance must be positive")
+        raise RimlabError("tolerance must be positive")
     if cert.lipschitz == 0.0 or cert.k >= 0.5:
         return None
     lam_n = cert.lambda_n
@@ -308,16 +308,14 @@ def track_phi(u0: np.ndarray, ctx: LPContext, t_fwd: float, base: np.ndarray) ->
     and the context's quadrature slack.
     """
     if ctx.cert.k >= 0.5:
-        raise ParameterError(
-            f"tracking requires k < 1/2 (got k={ctx.cert.k:g}, delta >= 1)"
-        )
+        raise RimlabError(f"tracking requires k < 1/2 (got k={ctx.cert.k:g}, delta >= 1)")
     delta = ctx.cert.delta
     stencil = _stencil(ctx, t_fwd)
     u0 = ctx.spectrum.check_state(np.asarray(u0, dtype=float))
     z0 = ctx.z_at_zero()
     v0 = u0 - z0
     if base.shape != (stencil.times.size, ctx.spectrum.size) or not np.array_equal(base[0], v0):
-        raise GridAlignmentError("base orbit must start at u0 - z(0) on the forward nodes")
+        raise RimlabError("base orbit must start at u0 - z(0) on the forward nodes")
     # F sees both of dF's arguments mode-major, so a mode-coupling F rounds
     # them alike and dF is exactly zero where xi is
     f_base = ctx.f(np.add(base[:-1], stencil.z[:-1], order="F"))

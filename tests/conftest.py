@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import rimlab as rl
-from rimlab.errors import DomainError, GridAlignmentError, ValidationError
+from rimlab.errors import RimlabError
 from rimlab.forcing import almost_period_defect, cell_convolution, shift_forcing
 from rimlab.problem import ModelProblem
 from rimlab.spectral import _exp_normal, _filter_modes
@@ -149,7 +149,7 @@ class ModeCoupling(rl.Nonlinearity):
 
     def __post_init__(self):
         if self.lipschitz < 0.0:
-            raise ValidationError("Lipschitz constant must be nonnegative")
+            raise RimlabError("Lipschitz constant must be nonnegative")
 
     def evaluator(self, s):
         j = np.arange(1, s.size + 1)
@@ -168,7 +168,7 @@ class Saturating(rl.Nonlinearity):
 
     def __post_init__(self):
         if self.lipschitz < 0.0:
-            raise ValidationError("Lipschitz constant must be nonnegative")
+            raise RimlabError("Lipschitz constant must be nonnegative")
 
     def evaluator(self, s):
         lip = self.lipschitz
@@ -231,9 +231,9 @@ def tilde_manifold_point(x: np.ndarray, ctx: rl.LPContext) -> np.ndarray:
 def coarsen_path(w: rl.WienerPath, factor: int) -> rl.WienerPath:
     """Restrict the path to every ``factor``-th node (exact at common nodes)."""
     if factor < 1:
-        raise DomainError("coarsening factor must be >= 1")
+        raise RimlabError("coarsening factor must be >= 1")
     if w.grid.i_min % factor or w.grid.i_max % factor:
-        raise GridAlignmentError("grid endpoints must be divisible by the factor")
+        raise RimlabError("grid endpoints must be divisible by the factor")
     return rl.WienerPath(
         grid=rl.TimeGrid(w.grid.h * factor, w.grid.i_min // factor, w.grid.i_max // factor),
         cov=w.cov,
@@ -282,7 +282,7 @@ def dense_scan_almost_period(g, s, target, tau_max, step=1e-2):
     bound = np.linalg.norm(per_mode * s.weights_alpha(), axis=1)
     idx = int(np.argmin(bound))
     if bound[idx] > target:
-        raise ValidationError(f"no near-period with defect <= {target} found below {tau_max}")
+        raise RimlabError(f"no near-period with defect <= {target} found below {tau_max}")
     return float(taus[idx]), almost_period_defect(g, s, float(taus[idx]))
 
 

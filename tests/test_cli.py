@@ -18,6 +18,7 @@ from rimlab import config as config_module
 from rimlab import tracking
 from rimlab.cli import main
 from rimlab.config import build_problem, load_config
+from rimlab.errors import CertificateError, ConfigError, InstabilityError, RimlabError
 from rimlab.lyapunov_perron import LPContext
 from rimlab.tracking import base_orbit
 
@@ -724,6 +725,36 @@ BAD_INPUTS = {
         "gap-scan",
         "almost_period.scan_step",
     ),
+    # values that a library constructor refuses, named by their field
+    "period_not_a_period": (
+        ("period = 6.283185307179586", "period = 1.0"), [], "gap-scan", "forcing.period"
+    ),
+    "terms_mode_zero": (("2 1.0 1.0 0.0", "0 1.0 1.0 0.0"), [], "gap-scan", "forcing.terms"),
+    "terms_mode_above_n_total": (
+        ("2 1.0 1.0 0.0", "9 1.0 1.0 0.0"), [], "gap-scan", "forcing.terms"
+    ),
+    "terms_zero_frequency": (("2 1.0 1.0 0.0", "2 1.0 0.0 0.0"), [], "gap-scan", "forcing.terms"),
+    "decreasing_lambdas": (
+        (
+            "kind = dirichlet\nn_total = 8",
+            "kind = explicit\nlambdas = 1.0 4.0 9.0 16.0 25.0 36.0 64.0 49.0",
+        ),
+        [],
+        "gap-scan",
+        "spectrum.lambdas",
+    ),
+    "negative_noise_value": (
+        (
+            "kind = power_law\nscale = 0.05\nexponent = 2.0",
+            "kind = explicit\nvalues = 0.1 -0.1 0.0 0.0 0.0 0.0 0.0 0.0",
+        ),
+        [],
+        "gap-scan",
+        "noise.values",
+    ),
+    # argparse keeps the last --out, so these replace the writable one
+    "out_is_a_file": (None, ["--out", "{tmp}/case.ini"], "gap-scan", "{tmp}/case.ini"),
+    "out_under_a_file": (None, ["--out", "{tmp}/case.ini/sub"], "gap-scan", "{tmp}/case.ini/sub"),
 }
 
 
@@ -741,7 +772,39 @@ def test_bad_input_exits_2_without_traceback(tmp_path, case):
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
     if field is not None:
-        assert field + ":" in proc.stderr
+        assert field.format(tmp=tmp_path) + ":" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "exc, code, prefix",
+    [
+        (ConfigError("section.key: refused"), 2, "config error: "),
+        (CertificateError("gap condition fails"), 3, "certificate failure: "),
+        (InstabilityError("non-finite state"), 1, "run failed: "),
+        (RimlabError("grid step must be positive"), 2, "invalid run: "),
+        (NotADirectoryError(20, "Not a directory", "out/sub"), 2, "output error: out/sub: "),
+    ],
+    ids=["ConfigError", "CertificateError", "InstabilityError", "RimlabError", "OSError"],
+)
+def test_each_error_class_has_one_exit_code(monkeypatch, capsys, exc, code, prefix):
+    def refuse(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_gap_scan", refuse)
+    assert main(["gap-scan", "--config", "unused.ini"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix)
+
+
+def test_output_name_taken_by_a_directory_exits_2(tmp_path, small_config, capsys):
+    taken = tmp_path / "gap_scan.txt"
+    taken.mkdir()
+    assert main(["gap-scan", "--config", str(small_config), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"output error: {taken}: Is a directory"
+    ]
 
 
 def test_scan_budget_charges_the_rows_it_holds(tmp_path, capsys):

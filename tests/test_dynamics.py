@@ -4,7 +4,7 @@ import pytest
 import rimlab as rl
 from conftest import Saturating, coarsen_path, noise_problem
 from rimlab.dynamics import Nonlinearity, cocycle_phi, cocycle_psi, integrate
-from rimlab.errors import InstabilityError, ParameterError, ValidationError
+from rimlab.errors import InstabilityError, RimlabError
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +32,7 @@ def noisy_ou(noisy_problem):
 
 
 def test_nonlinearity_validation():
-    with pytest.raises(ValidationError):
+    with pytest.raises(RimlabError, match="unknown nonlinearity kind"):
         Nonlinearity("nope")
 
 
@@ -193,7 +193,7 @@ def test_self_convergence_with_noise(spec8):
 def test_step_stability_guard(quiet_ou):
     stiff = rl.Spectrum(np.arange(1.0, 9.0) ** 4)
     g = rl.ForcingSignal.zero(8)
-    with pytest.raises(ParameterError):
+    with pytest.raises(RimlabError, match="exceeds the 0.5 stability budget"):
         integrate(np.zeros(8), 0.0, 0.5, quiet_ou, g, Nonlinearity.zero(), stiff)
 
 

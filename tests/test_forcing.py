@@ -5,7 +5,7 @@ import pytest
 
 import rimlab as rl
 from conftest import dense_scan_almost_period
-from rimlab.errors import ValidationError
+from rimlab.errors import RimlabError
 from rimlab.forcing import (
     _scan_row_vectors,
     almost_period_defect,
@@ -40,7 +40,7 @@ def test_trig_forcing_pointwise():
 
 
 def test_declared_period_validated():
-    with pytest.raises(ValidationError):
+    with pytest.raises(RimlabError, match="not periodic with declared period"):
         rl.ForcingSignal.trig(2, [rl.TrigTerm(1, 1.0, 1.0, 0.0)], period=1.0)
     g = rl.ForcingSignal.trig(2, [rl.TrigTerm(1, 1.0, 1.0, 0.0)], period=2.0 * np.pi)
     assert g.declared_period == pytest.approx(2.0 * np.pi)
@@ -115,10 +115,10 @@ def test_constant_and_terms_take_one_path(spec4):
     # without terms the signal is periodic with every period it declares,
     # and the near-period scan accepts its first candidate
     assert rl.ForcingSignal(4, amps, declared_period=1.0).declared_period == 1.0
-    with pytest.raises(ValidationError):
+    with pytest.raises(RimlabError, match="not periodic with declared period"):
         rl.ForcingSignal(4, amps, terms, declared_period=1.0)
     assert scan_almost_period(const, spec4, 1e-3, 2.0) == (1.0, 0.0)
-    with pytest.raises(ValidationError):
+    with pytest.raises(RimlabError, match=r"near-period scan needs tau_max > 1"):
         scan_almost_period(const, spec4, 1e-3, 1.0)
 
 

@@ -31,6 +31,14 @@ def test_package_exports_only_listed_names():
     assert sorted(exported - listed) == []
 
 
+def test_one_error_class_per_exit_outcome():
+    # cli.main tells four outcomes apart, so errors.py defines four classes
+    errors = rimlab.errors
+    classes = [n for n, obj in vars(errors).items() if isinstance(obj, type)]
+    assert errors.__all__ == ["RimlabError", "ConfigError", "CertificateError", "InstabilityError"]
+    assert classes == errors.__all__
+
+
 def test_every_listed_name_is_used_in_the_library():
     # A name counts as used when some module other than the package's
     # re-export list loads it as a name or an attribute.

@@ -8,11 +8,7 @@ from scipy import stats
 import rimlab as rl
 from conftest import coarsen_path, dense_sample_wiener, dense_solve_ou, noise_problem
 from rimlab.config import build_problem, load_config
-from rimlab.errors import (
-    DomainError,
-    GridAlignmentError,
-    SupportRangeError,
-)
+from rimlab.errors import RimlabError
 from rimlab.randomness import whole_steps
 
 
@@ -21,9 +17,9 @@ def small_grid(h=0.05, lo=-12.0, hi=1.0):
 
 
 def test_grid_requires_zero_inside():
-    with pytest.raises(DomainError):
+    with pytest.raises(RimlabError, match="grid must contain 0 strictly inside its span"):
         rl.TimeGrid(0.1, 1, 5)
-    with pytest.raises(DomainError):
+    with pytest.raises(RimlabError, match="grid step must be positive"):
         rl.TimeGrid(-0.1, -5, 5)
 
 
@@ -31,9 +27,9 @@ def test_grid_index_alignment():
     grid = small_grid()
     assert grid.index(0.0) == 0
     assert grid.index(-0.25) == -5
-    with pytest.raises(GridAlignmentError):
+    with pytest.raises(RimlabError, match="is not a multiple of h"):
         grid.index(0.026)
-    with pytest.raises(SupportRangeError):
+    with pytest.raises(RimlabError, match="outside stored support"):
         grid.index(500.0)
 
 
@@ -105,12 +101,12 @@ def test_shift_group_law_exact():
 
 def test_shift_errors():
     problem = shifted_problem()
-    with pytest.raises(GridAlignmentError):
+    with pytest.raises(RimlabError, match="is not a multiple of h"):
         problem.ou_for(0.0123)
-    with pytest.raises(SupportRangeError):
+    with pytest.raises(RimlabError, match="outside stored support"):
         problem.ou_for(500.0)
     for end in (1.0, -12.0):  # t = 0 would sit on the grid's end node
-        with pytest.raises(SupportRangeError):
+        with pytest.raises(RimlabError, match="on the end of the stored support"):
             problem.ou_for(end)
 
 

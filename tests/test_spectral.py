@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.signal import lfilter
 
 import rimlab as rl
-from rimlab.errors import DimensionMismatchError, DomainError, ParameterError, SpectrumError
+from rimlab.errors import RimlabError
 from conftest import track_alone
 from rimlab import dynamics, randomness, tracking
 from rimlab.dynamics import Nonlinearity, integrate
@@ -19,13 +19,13 @@ def two_mode():
 
 
 def test_spectrum_rejects_nonpositive_and_decreasing():
-    with pytest.raises(SpectrumError):
+    with pytest.raises(RimlabError, match="eigenvalues must be finite and positive"):
         rl.Spectrum(np.array([0.0, 1.0]))
-    with pytest.raises(SpectrumError):
+    with pytest.raises(RimlabError, match="eigenvalues must be nondecreasing"):
         rl.Spectrum(np.array([4.0, 1.0]))
-    with pytest.raises(SpectrumError):
+    with pytest.raises(RimlabError, match=r"alpha=0.5 outside \[0, 1/2\)"):
         rl.Spectrum(np.array([1.0, 4.0]), alpha=0.5)
-    with pytest.raises(SpectrumError):
+    with pytest.raises(RimlabError, match=r"alpha=-0.1 outside \[0, 1/2\)"):
         rl.Spectrum(np.array([1.0, 4.0]), alpha=-0.1)
 
 
@@ -48,9 +48,9 @@ def test_frac_power_quarter_root():
 
 
 def test_frac_power_dimension_error(two_mode):
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(RimlabError, match="state has 3 modes, spectrum has 2"):
         rl.norm_alpha(np.array([1.0, 2.0, 3.0]), two_mode)
-    with pytest.raises(SpectrumError):
+    with pytest.raises(RimlabError, match=r"alpha=-0.5 outside \[0, 1/2\)"):
         rl.Spectrum(np.array([1.0, 4.0]), alpha=-0.5)
 
 
@@ -104,17 +104,17 @@ def test_semigroup_rejects_backward_q(flows):
     # Only the P block is flowed backward (``p_flow``); the full flow runs
     # forward in time only.
     ctx, _ = flows
-    with pytest.raises(DomainError):
+    with pytest.raises(RimlabError, match="integration requires r <= t_end"):
         rl.integrate(np.ones(8), 0.5, 0.0, ctx.ou, ctx.forcing, ctx.nonlinearity, ctx.spectrum)
 
 
 def test_semigroup_rejects_bad_resolved_count(flows):
     ctx, _ = flows
     for n in (0, 8):
-        with pytest.raises(ParameterError):
+        with pytest.raises(RimlabError, match="gap index n="):
             rl.check_gap(ctx.spectrum, 0.0, 0.2, n)
     small = rl.dirichlet_laplacian(2)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(RimlabError, match="certificate index exceeds the truncation"):
         rl.LPContext(small, ctx.cert, ctx.nonlinearity, rl.ForcingSignal.zero(2), ctx.ou)
 
 
