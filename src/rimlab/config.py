@@ -224,7 +224,7 @@ def _parse_noise(sec: _Section, n_modes: int) -> tuple[CovarianceSpec, int]:
     if kind == "power_law":
         scale = sec.float("scale", minimum=0.0)
         exponent = sec.float("exponent", 2.0)
-        return CovarianceSpec.power_law(n_modes, scale, exponent), seed
+        return sec.build("exponent", CovarianceSpec.power_law, n_modes, scale, exponent), seed
     values = sec.floats("values")
     if len(values) != n_modes:
         sec._fail("values", f"need {n_modes} values, got {len(values)}")

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import InstabilityError, RimlabError
 from .forcing import ForcingSignal, cell_convolution, shift_forcing
 from .randomness import OUProcess
-from .spectral import Spectrum, _exp_normal, _filter_modes
+from .spectral import Spectrum, _filter_modes
 
 __all__ = ["Nonlinearity", "integrate", "cocycle_psi", "cocycle_phi"]
 
@@ -125,7 +125,6 @@ def integrate(
     n_steps = i_e - i_r
     times = np.arange(i_r, i_e + 1) * h
     v = s.check_state(np.array(v_r, dtype=float, copy=True))
-    batched = v.ndim == 2
 
     if n_steps == 0:
         if return_trajectory:
@@ -137,22 +136,21 @@ def integrate(
     damp, w1 = _step_weights(s, h)
 
     if f.kind == "zero":
-        # Linear case: per-mode first-order recursion, solved in one filter pass.
-        driven = _filter_modes(cells, damp)
-        decay = _exp_normal(-s.lambdas * (times[1:, None] - r))  # (n_steps, N)
-        if not return_trajectory:
-            v_end = decay[-1] * v + driven[-1]
-            if not np.all(np.isfinite(v_end)):
-                raise InstabilityError("non-finite state in linear integration")
-            return v_end
-        if batched:
-            values = np.concatenate(
-                [v[:, None, :], decay[None, :, :] * v[:, None, :] + driven[None, :, :]],
-                axis=1,
-            )
-            values = np.moveaxis(values, 0, 1)  # (nodes, B, N)
+        # Linear case: the orbit of each state is one filter pass started at
+        # it (the Euler step with F = 0), so a batch member's orbit is
+        # bit-identical to that state's own.
+        states = v.reshape(-1, s.size)
+        if return_trajectory:
+            values = np.empty((n_steps + 1,) + v.shape)
+            values[0] = v
+            orbits = values[1:].reshape((n_steps,) + states.shape)
+            for i, state in enumerate(states):
+                _filter_modes(cells, damp, state, out=orbits[:, i])
         else:
-            values = np.vstack([v[None, :], decay * v[None, :] + driven])
+            ends = np.empty(states.shape)  # each orbit goes once its end is copied
+            for i, state in enumerate(states):
+                ends[i] = _filter_modes(cells, damp, state)[-1]
+            values = ends.reshape(v.shape)
         if not np.all(np.isfinite(values)):
             raise InstabilityError("non-finite state in linear integration")
         return values

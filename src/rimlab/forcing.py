@@ -139,17 +139,24 @@ def cell_convolution(g: ForcingSignal, s: Spectrum, t_lefts: np.ndarray, h: floa
     """
     if g.n_modes != s.size:
         raise RimlabError("forcing and spectrum mode counts differ")
+    return _cell_columns(g, s, t_lefts, h, list(range(s.size)))
+
+
+def _cell_columns(g: ForcingSignal, s: Spectrum, t_lefts, h: float, modes: list) -> np.ndarray:
+    """The columns ``modes`` (0-based, listing every forced mode) of
+    ``cell_convolution``'s table, in that order and bit for bit, with no
+    table of the other columns."""
     t_lefts = np.asarray(t_lefts, dtype=float)
     lam = s.lambdas
-    w1 = -np.expm1(-lam * h) / lam  # int_0^h e^{-lam (h-u)} du
-    out = np.tile(g.amplitudes * w1, (t_lefts.size, 1))
+    w1 = -np.expm1(-lam[modes] * h) / lam[modes]  # int_0^h e^{-lam (h-u)} du
+    out = np.tile(g.amplitudes[modes] * w1, (t_lefts.size, 1))
     for term in g.terms:
         j = term.mode - 1
         coeff = (np.exp(1j * term.frequency * h) - np.exp(-lam[j] * h)) / (
             lam[j] + 1j * term.frequency
         )
         theta = term.frequency * t_lefts + term.phase
-        out[:, j] += term.amplitude * (np.exp(1j * theta) * coeff).imag
+        out[:, modes.index(j)] += term.amplitude * (np.exp(1j * theta) * coeff).imag
     return out
 
 

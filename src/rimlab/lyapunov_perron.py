@@ -39,7 +39,7 @@ import numpy as np
 
 from .dynamics import Nonlinearity, integrate
 from .errors import CertificateError, RimlabError
-from .forcing import ForcingSignal, cell_convolution, shift_forcing
+from .forcing import ForcingSignal, _cell_columns, shift_forcing
 from .randomness import OUProcess, whole_steps
 from .spectral import Spectrum, _filter_modes, _mode_major, _node_norms, norm_alpha
 
@@ -311,12 +311,12 @@ class LPContext:
         self.w1 = -np.expm1(-lam * self.h) / lam
         self.wts_alpha = spectrum.weights_alpha()
         self.wmu = np.exp(cert.mu * self.times)
-        # Forcing cells on the forced modes only: every other column is zero.
+        # Forcing cells on the forced modes only: every other column is zero,
+        # so no other column is tabulated.
         g = shift_forcing(forcing, self.tau)
         forced = {*np.flatnonzero(g.amplitudes).tolist(), *(term.mode - 1 for term in g.terms)}
         self.forced = sorted(forced)
-        cells = cell_convolution(g, spectrum, self.times[:-1], self.h)
-        self.gcells = _mode_major(cells[:, self.forced])
+        self.gcells = _mode_major(_cell_columns(g, spectrum, self.times[:-1], self.h, self.forced))
         # Per-P-mode backward flow e^{-lambda t} on the window (t <= 0).
         self.p_flow = _mode_major(np.exp(-np.outer(self.times, lam[: cert.n])))
         self.ratio_slack = 5.0 * self.h * cert.lambda_np1
@@ -362,19 +362,20 @@ class LPContext:
         return self.z[-1]
 
 
-def _duhamel(u: np.ndarray, ctx: LPContext) -> np.ndarray:
+def _duhamel(u: np.ndarray, ctx: LPContext, q_start) -> np.ndarray:
     """Cell-rule Duhamel sums of per-cell increments ``u`` on a node set.
 
-    Q modes accumulate forward from zero at the first node; P modes carry
-    minus the sum over the cells ahead, zero at the last node.  Both
-    operators add their homogeneous term to this.
+    Q modes accumulate forward from ``q_start`` at the first node, so they
+    carry its decay e^{-At} q_start, the filter's zero-input response; P
+    modes carry minus the sum over the cells ahead, zero at the last node.
+    The backward operator starts Q at zero and adds its P term to this.
     """
     n = ctx.cert.n  # the resolved modes are the first n
     out = np.empty((u.shape[0] + 1, u.shape[1]), order="F")
-    out[0, n:] = 0.0
-    _filter_modes(u[:, n:], ctx.damp[n:], out=out[1:, n:])
+    out[0, n:] = q_start
+    _filter_modes(u[:, n:], ctx.damp[n:], q_start, out=out[1:, n:])
     out[-1, :n] = 0.0
-    _filter_modes(u[:, :n], ctx.grow[:n], ctx.grow[:n], reverse=True, out=out[:-1, :n])
+    _filter_modes(u[:, :n], ctx.grow[:n], 0.0, ctx.grow[:n], reverse=True, out=out[:-1, :n])
     np.negative(out[:-1, :n], out=out[:-1, :n])
     return out
 
@@ -387,7 +388,7 @@ def lp_apply(xi: np.ndarray, x: np.ndarray, ctx: LPContext) -> np.ndarray:
     u = ctx.f(xi[:-1] + ctx.z[:-1])  # per-cell increments, scaled in place
     u *= ctx.w1
     u[:, ctx.forced] += ctx.gcells
-    out = _duhamel(u, ctx)
+    out = _duhamel(u, ctx, 0.0)
     out[:, : ctx.cert.n] += ctx.p_flow * x[: ctx.cert.n]
     return out
 

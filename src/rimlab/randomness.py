@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RimlabError
-from .spectral import Spectrum, _exp_normal, _filter_modes
+from .spectral import Spectrum, _filter_modes
 
 __all__ = [
     "whole_steps",
@@ -128,7 +128,9 @@ class CovarianceSpec:
     @classmethod
     def power_law(cls, n_modes: int, scale: float, exponent: float) -> "CovarianceSpec":
         j = np.arange(1, n_modes + 1, dtype=float)
-        return cls(scale * j ** (-exponent))
+        # an overflow (or 0 * inf) gives a non-finite variance, which is refused
+        with np.errstate(over="ignore", invalid="ignore"):
+            return cls(scale * j ** (-exponent))
 
 
 @dataclass(frozen=True)
@@ -189,9 +191,9 @@ def solve_ou(w: WienerPath, s: Spectrum) -> OUProcess:
     increment described in the module docstring; the value at the left grid
     end is drawn (seeded) from the stationary law N(0, q/(2 lambda)).  The
     increments are scaled and filtered in the table itself, which is
-    mode-major, so the filter scans contiguous columns, and the initial
-    value's decay is added one mode at a time.  The table returned is
-    read-only.
+    mode-major, so the filter scans contiguous columns; the filter starts
+    from the initial value, whose decay is its zero-input response.  The
+    table returned is read-only.
     """
     if np.any(s.lambdas <= 0.0):
         raise RimlabError("OU driver requires strictly positive rates")
@@ -209,9 +211,6 @@ def solve_ou(w: WienerPath, s: Spectrum) -> OUProcess:
     u = values[1:]
     np.subtract(w.values[1:], w.values[:-1], out=u)  # the increments dW
     u *= -np.expm1(-lam * h) / (lam * h)
-    _filter_modes(u, damp, out=u)
-    k = np.arange(1, u.shape[0] + 1)
-    for j in range(s.size):
-        u[:, j] += _exp_normal(-lam[j] * k * h) * z0[j]
+    _filter_modes(u, damp, z0, out=u)
     values.flags.writeable = False
     return OUProcess(grid=w.grid, values=values, seed=w.seed)

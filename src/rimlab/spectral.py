@@ -8,22 +8,25 @@ norms are weighted coefficient norms,
     ||v||_alpha    = (sum_j lambda_j^(2*alpha) v_j^2)^(1/2)
 
 There is deliberately no generic matrix path.  The semigroup e^{-At} exists
-only as the per-mode arrays the solvers build from the eigenvalues (the
-one-step factors and flows in ``LPContext`` and the forward tracking
-stencil), so the projection and smoothing estimates hold for them exactly up
-to roundoff and are asserted on them as test oracles.
+only as per-mode arrays the solvers build from the eigenvalues (the
+one-step factors and the backward P flow in ``LPContext``) and as the
+zero-input response of the filter below, so the projection and smoothing
+estimates hold for them exactly up to roundoff and are asserted on them as
+test oracles.
 
 Time histories are (nodes, modes) arrays.  Every time-stepping recursion in
 the package is the per-mode first-order filter ``_filter_modes`` run down
-the node axis, so the histories the fixed-point operators iterate on are
-stored mode-major (``_mode_major``): each mode's column is contiguous.  The
-OU table is solved in that layout too, so the solvers' OU windows are
-views of it.  ``_node_norms``, the package's one norm, reads that layout
-column by column and allocates one column at a time.  The filter writes
-exact zeros, never subnormals, where a decaying column's input has ended
-(``_flush_tail``), and the decay tables e^{-lambda t} hold exact zeros
-wherever they would be subnormal (``_exp_normal``), so later sweeps do not
-compute with subnormal floats.
+the node axis from a start state, so each homogeneous decay e^{-At} y (the
+OU driver's initial value, the linear flow, the forward operator's Q seed)
+is the filter's response to a zero input.  The histories the fixed-point
+operators iterate on are stored mode-major (``_mode_major``): each mode's
+column is contiguous.  The OU table is solved in that layout too, so the
+solvers' OU windows are views of it.  ``_node_norms``, the package's one
+norm, reads that layout column by column and allocates one column at a
+time.  The filter is the one place that keeps subnormal floats out: it
+writes exact zeros where a decaying column's input has ended and its state
+has fallen below the smallest normal float (``_flush_tail``), so later
+sweeps do not compute with subnormals.
 """
 
 from __future__ import annotations
@@ -95,14 +98,18 @@ def _mode_major(a: np.ndarray) -> np.ndarray:
     return np.asfortranarray(a)
 
 
-def _filter_modes(u, a, b=1.0, reverse=False, out=None) -> np.ndarray:
+def _filter_modes(u, a, start, b=1.0, reverse=False, out=None) -> np.ndarray:
     """Per-mode first-order recurrence down the node axis of a (nodes, modes) array.
 
-    Column j obeys y_k = a_j y_{k-1} + b_j u_k from y_{-1} = 0, or, with
-    ``reverse``, y_k = a_j y_{k+1} + b_j u_k from the last node backwards;
-    ``a`` and ``b`` are per-mode arrays or scalars.  The result goes to
-    ``out`` when given, else to a new mode-major array.  Columns are
-    filtered one at a time, which is fastest when they are contiguous.
+    Column j obeys y_k = a_j y_{k-1} + b_j u_k from y_{-1} = start_j, or,
+    with ``reverse``, y_k = a_j y_{k+1} + b_j u_k from the state start_j
+    after the last node; ``a``, ``start`` and ``b`` are per-mode arrays or
+    scalars.  So the response to a zero input is the homogeneous decay
+    y_k = a_j^(k+1) start_j, and the response to ``u`` from a zero start is
+    its Duhamel sum.  ``start`` enters ``lfilter`` as its state
+    zi = a_j start_j.  The result goes to ``out`` when given, else to a new
+    mode-major array.  Columns are filtered one at a time, which is fastest
+    when they are contiguous.
 
     A decaying column (|a_j| < 1) whose input ends in zeros is flushed to
     exact zeros once its state falls below the smallest normal float
@@ -121,32 +128,34 @@ def _filter_modes(u, a, b=1.0, reverse=False, out=None) -> np.ndarray:
     n_modes = u.shape[1]
     a = np.broadcast_to(np.asarray(a, dtype=float), (n_modes,))
     b = np.broadcast_to(np.asarray(b, dtype=float), (n_modes,))
+    zi = a * start  # lfilter's state before the first node, per mode
     if out is None:
         out = np.empty(u.shape, order="F")
     step = -1 if reverse else 1
     tiny = np.finfo(float).tiny
     for j in range(n_modes):
         col, dst, coeffs = u[::step, j], out[::step, j], ([b[j]], [1.0, -a[j]])
-        # the last-entry test comes first: a nonzero scan of every column
-        # would cost more than the flush saves
-        if col[-1] != 0.0 or not abs(a[j]) < 1.0:
-            dst[:] = lfilter(*coeffs, col)
-            continue
-        # one past the last nonzero input; col[-1] == 0, so a first nonzero
-        # at reversed index 0 means there is none
-        stop = col.size - int(np.argmax(col[::-1] != 0.0))
-        stop = 0 if stop == col.size else stop
-        # Filter up to the last nonzero input, then continue the zero-input
-        # recursion through lfilter's state (bit-identical to one call) in
-        # chunks of the steps the state needs to decay below tiny.
-        done, state = 0, np.zeros(1)
+        # ``stop`` is one past the last nonzero input.  A column that ends in
+        # a nonzero input or does not decay is filtered whole; the last-entry
+        # test comes first, since a nonzero scan of every column would cost
+        # more than the flush saves.
+        stop = col.size
+        if col[-1] == 0.0 and abs(a[j]) < 1.0:
+            last = int(np.argmax(col[::-1] != 0.0))
+            # col[-1] == 0, so a first nonzero at reversed index 0 means none
+            stop = 0 if last == 0 else col.size - last
+        # Filter up to ``stop``, then continue the zero-input recursion
+        # through lfilter's state (bit-identical to one call) in chunks of
+        # the steps the state needs to decay below tiny.
+        done, state = 0, zi[j : j + 1]
         while done < col.size and (done < stop or not abs(state[0]) < tiny):
             count = stop if done < stop else _decay_steps(state[0], a[j], tiny)
             count = min(count, col.size - done)
             dst[done : done + count], state = lfilter(*coeffs, col[done : done + count], zi=state)
             done += count
-        dst[done:] = 0.0
-        _flush_tail(dst[stop:done])
+        if stop < col.size:  # a zero tail, exact zeros from its first entry below tiny
+            dst[done:] = 0.0
+            _flush_tail(dst[stop:done])
     return out
 
 
@@ -154,29 +163,11 @@ def _flush_tail(col: np.ndarray) -> None:
     """Zero a decaying column from its first entry below ``tiny`` in magnitude.
 
     The magnitudes must be nonincreasing down the column (a zero-input
-    recursion, or a decay e^{-lambda t} times a constant), so the entries
-    below ``tiny`` form its tail and a bisection finds where it starts.
+    recursion), so the entries below ``tiny`` form its tail and a bisection
+    finds where it starts.
     """
     tiny = np.finfo(float).tiny
     col[bisect.bisect_left(col, True, key=lambda v: abs(v) < tiny) :] = 0.0
-
-
-# ln of the smallest normal float: np.exp(x) >= tiny exactly when x >= this
-_LOG_TINY = float(np.log(np.finfo(float).tiny))
-
-
-def _exp_normal(x: np.ndarray, order: str = "C") -> np.ndarray:
-    """``np.exp(x)`` where that is a normal float, exact zeros elsewhere.
-
-    ``np.exp`` takes about 140 ns per subnormal result and 20 ns per
-    result that underflows to 0, against 1 ns per normal one (numpy 2.4 on
-    an AVX-512 x86-64 CPU), and a decay table over a long window lies
-    mostly below ``tiny`` in its fast modes.  ``x >= _LOG_TINY`` holds
-    exactly where ``np.exp(x) >= tiny``, and every such entry is
-    bit-identical to ``np.exp(x)``.  ``order`` is the memory layout of the
-    result.
-    """
-    return np.exp(x, out=np.zeros(x.shape, order=order), where=x >= _LOG_TINY)
 
 
 def _decay_steps(y: float, a: float, tiny: float) -> float:

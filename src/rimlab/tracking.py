@@ -51,7 +51,7 @@ from .lyapunov_perron import (
     weighted_sup_norm,
 )
 from .randomness import whole_steps
-from .spectral import _exp_normal, _flush_tail, _node_norms, norm_alpha
+from .spectral import _node_norms, norm_alpha
 
 __all__ = [
     "TrackingResult",
@@ -220,7 +220,7 @@ def base_orbit(v0: np.ndarray, ctx: LPContext, t_fwd: float) -> np.ndarray:
 
 
 class _ForwardStencil:
-    """Node set, OU window and filter coefficients for the forward operator.
+    """Node set, OU window and weights for the forward operator.
 
     Node arrays are stored mode-major, like the backward operator's (the OU
     window ``z`` is a view of the driver's table), and an orbit difference
@@ -237,14 +237,11 @@ class _ForwardStencil:
         hi = ctx.ou.grid.offset(self.t_fwd)
         self.times = np.arange(0, self.n_cells + 1) * h
         self.z = ctx.ou.values[lo : hi + 1]  # a view of the shared, read-only table
-        n = ctx.cert.n
-        lam = ctx.spectrum.lambdas
-        lam_p = lam[:n]
+        lam_p = ctx.spectrum.lambdas[: ctx.cert.n]
         # Weights of the resolved-mode seed integral int e^{+lambda s} over a cell.
         self.seed_weights = np.exp(np.outer(self.times[:-1], lam_p)) * (
             np.expm1(lam_p * h) / lam_p
         )
-        self.q_decay = _exp_normal(-np.outer(self.times, lam[n:]), order="F")
         self.wmu = np.exp(ctx.cert.mu * self.times)
 
 
@@ -283,14 +280,9 @@ def _apply_forward(
     u *= ctx.w1
     x0 = ctx.project_p(v0) - seed_integral
     graph, _ = solve_fixed_point(x0, ctx, ctx.rebase(*warm.pop(), x0) if warm else None)
-    y0 = -ctx.project_q(v0) + ctx.project_q(graph[-1])
-
-    out = _duhamel(u, ctx)
-    homogeneous = stencil.q_decay * y0[n:]
-    for j in range(homogeneous.shape[1]):
-        _flush_tail(homogeneous[:, j])  # so no subnormal enters the next sweep
-    out[:, n:] += homogeneous
-    return out, x0, graph
+    # the off-graph seed y0 = m(x0) - Q v0 starts the Q modes: e^{-At} y0
+    # is the filter's zero-input response from it
+    return _duhamel(u, ctx, graph[-1, n:] - v0[n:]), x0, graph
 
 
 def track_phi(u0: np.ndarray, ctx: LPContext, t_fwd: float, base: np.ndarray) -> TrackingResult:

@@ -9,7 +9,7 @@ The plain functions at the end are test helpers and oracles that the
 library itself does not need: a problem that only carries noise, a cold
 one-point graph solve, the offset graph of the
 original variables, a path restriction, the chart's pairwise Lipschitz
-quotient, one forward-operator sweep, a
+quotient, the forward operator's Q kernel, one forward-operator sweep, a
 tracking solve that integrates its own base orbit, and the dense formulas
 of path sampling, the OU solve, the near-period scan and a context's
 forcing cells (on every mode, not only the forced ones), which allocate
@@ -24,8 +24,9 @@ import pytest
 import rimlab as rl
 from rimlab.errors import RimlabError
 from rimlab.forcing import almost_period_defect, cell_convolution, shift_forcing
+from rimlab.lyapunov_perron import _duhamel
 from rimlab.problem import ModelProblem
-from rimlab.spectral import _exp_normal, _filter_modes
+from rimlab.spectral import _filter_modes
 from rimlab.tracking import _apply_forward, _ForwardStencil, base_orbit, track_phi
 
 SEED = 7
@@ -221,6 +222,15 @@ def dense_cells(ctx: rl.LPContext) -> np.ndarray:
     return cell_convolution(g, ctx.spectrum, ctx.times[:-1], ctx.h)
 
 
+def q_flow(ctx: rl.LPContext, n_cells: int) -> np.ndarray:
+    """The forward operator's Q kernel e^{-A t_k} on nodes k = 0..n_cells:
+    ``_duhamel`` of zero increments started at ones, the filter's
+    zero-input response, shaped (nodes, unresolved modes)."""
+    n = ctx.cert.n
+    cells = np.zeros((n_cells, ctx.spectrum.size))
+    return _duhamel(cells, ctx, np.ones(ctx.spectrum.size - n))[:, n:]
+
+
 def tilde_manifold_point(x: np.ndarray, ctx: rl.LPContext) -> np.ndarray:
     """Graph value of the original-variable manifold, offset by the OU state."""
     z0 = ctx.z_at_zero()
@@ -256,8 +266,8 @@ def dense_sample_wiener(seed: int, grid: rl.TimeGrid, cov: rl.CovarianceSpec) ->
 
 
 def dense_solve_ou(w: rl.WienerPath, s: rl.Spectrum) -> np.ndarray:
-    """Table of ``solve_ou``: increments, scaled increments, their filtered
-    sum and the initial value's decay each held as its own grid table."""
+    """Table of ``solve_ou``: increments, scaled increments and the filter
+    started at the initial value each held as its own grid table."""
     h, lam = w.grid.h, s.lambdas
     rng0 = np.random.default_rng(np.random.SeedSequence([int(w.seed), 1]))
     z0 = rng0.standard_normal(s.size) * np.sqrt(w.cov.q / (2.0 * lam))
@@ -265,8 +275,7 @@ def dense_solve_ou(w: rl.WienerPath, s: rl.Spectrum) -> np.ndarray:
     u = dw * (-np.expm1(-lam * h) / (lam * h))
     values = np.empty_like(w.values)
     values[0] = z0
-    homog = _exp_normal(-lam * np.arange(1, dw.shape[0] + 1)[:, None] * h) * z0
-    values[1:] = homog + _filter_modes(u, np.exp(-lam * h))
+    values[1:] = _filter_modes(u, np.exp(-lam * h), z0)
     return values
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import rimlab as rl
-from conftest import coarsen_path, forward_apply, manifold_point, track_alone
+from conftest import coarsen_path, forward_apply, manifold_point, q_flow, track_alone
 from rimlab.analysis import containment_defect, invariance_defect, pullback_attractor
 from rimlab.cli import main as cli_main
 from rimlab.dynamics import integrate
@@ -326,8 +326,9 @@ def test_criterion_10_dichotomy_oracles():
     # The dichotomy bounds on the semigroup arrays the solvers run, for
     # random vectors at random nodes: Q decay e^{-lambda_{n+1} t} and Q
     # smoothing (a^a t^-a + lambda_{n+1}^a) e^{-lambda_{n+1} t} on the forward
-    # operator's ``q_decay`` and on the Q filter's one-step factor ``damp``
-    # raised to the node's step count, and P growth lambda_n^a e^{lambda_n |t|}
+    # operator's Q kernel (the filter's zero-input response, ``q_flow``) and
+    # on the Q filter's one-step factor ``damp`` raised to the node's step
+    # count, and P growth lambda_n^a e^{lambda_n |t|}
     # on the backward operator's ``p_flow``.  ``weighted_factor`` integrates
     # the same bounds, so it must dominate the weighted kernel sums of those
     # arrays at every weight nu in [mu, lambda_{n+1}).
@@ -341,6 +342,7 @@ def test_criterion_10_dichotomy_oracles():
         g0 = rl.ForcingSignal.zero(16)
         ctx = rl.LPContext(s, cert, rl.Nonlinearity.zero(), g0, ou, t_back=4.0)
         stencil = _ForwardStencil(ctx, 4.0)
+        q_decay = q_flow(ctx, stencil.n_cells)
         lam_n, lam_np1 = cert.lambda_n, cert.lambda_np1
         wts_p, wts_q = s.weights_alpha()[:n], s.weights_alpha()[n:]
         smooth = alpha**alpha if alpha > 0 else 1.0
@@ -358,7 +360,7 @@ def test_criterion_10_dichotomy_oracles():
             t = stencil.times[k]
             decay = np.exp(-lam_np1 * t) * np.linalg.norm(vq) * (1 + 1e-12)
             smoothing = smooth * t**-alpha + lam_np1**alpha
-            for kern in (stencil.q_decay[k], ctx.damp[n:] ** k):
+            for kern in (q_decay[k], ctx.damp[n:] ** k):
                 check(np.linalg.norm(kern * vq) <= decay)
                 check(np.linalg.norm(wts_q * kern * vq) <= smoothing * decay)
             j = int(rng.integers(0, ctx.n_cells))
@@ -367,7 +369,7 @@ def test_criterion_10_dichotomy_oracles():
 
         h = ctx.h
         p_kernel = np.max(wts_p * ctx.p_flow[:-1], axis=1)  # lags -t > 0
-        q_kernel = np.max(wts_q * stencil.q_decay[1:], axis=1)  # lags t > 0
+        q_kernel = np.max(wts_q * q_decay[1:], axis=1)  # lags t > 0
         check(weighted_factor(cert, cert.mu) <= cert.k)
         for nu in cert.mu + np.array([0.0, 0.25, 0.5, 0.75]) * (lam_np1 - cert.mu):
             p_sum = h * np.sum(p_kernel * np.exp(nu * ctx.times[:-1]))
@@ -378,7 +380,7 @@ def test_criterion_10_dichotomy_oracles():
         10,
         "dichotomy oracles",
         ok,
-        f"{violations} violations over {checks} checks on q_decay, damp^k, p_flow "
+        f"{violations} violations over {checks} checks on the Q flow, damp^k, p_flow "
         "and the weighted_factor kernel sums",
     )
 

@@ -752,6 +752,9 @@ BAD_INPUTS = {
         "gap-scan",
         "noise.values",
     ),
+    "overflowing_noise_exponent": (
+        ("exponent = 2.0", "exponent = -1000"), [], "gap-scan", "noise.exponent"
+    ),
     # argparse keeps the last --out, so these replace the writable one
     "out_is_a_file": (None, ["--out", "{tmp}/case.ini"], "gap-scan", "{tmp}/case.ini"),
     "out_under_a_file": (None, ["--out", "{tmp}/case.ini/sub"], "gap-scan", "{tmp}/case.ini/sub"),

@@ -281,7 +281,10 @@ def _lp_apply_row_major(values, x, ctx):
 
 def test_context_keeps_the_forced_cells_only(problem_nl):
     # The context stores the forcing cells of the forced modes (a constant
-    # amplitude or a trig term) and no column of zeros for the others.
+    # amplitude or a trig term) and no column of zeros for the others, and
+    # tabulates no other column: building it peaks below one dense table.
+    import tracemalloc
+
     amps = np.zeros(16)
     amps[3] = 0.5
     forcings = {
@@ -290,8 +293,16 @@ def test_context_keeps_the_forced_cells_only(problem_nl):
         (): rl.ForcingSignal.zero(16),
     }
     for forced, forcing in forcings.items():
-        ctx = dataclasses.replace(problem_nl, forcing=forcing).lp_context(0.7)
+        problem = dataclasses.replace(problem_nl, forcing=forcing)
+        problem.ou  # solved before the trace
+        tracemalloc.start()
+        try:
+            ctx = problem.lp_context(0.7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         dense = dense_cells(ctx)
+        assert peak < dense.nbytes
         assert ctx.forced == list(forced)
         assert np.array_equal(ctx.gcells, dense[:, ctx.forced])
         assert not np.any(np.delete(dense, ctx.forced, axis=1))

@@ -67,3 +67,18 @@ def test_spectral_mode_loop_is_the_only_norm():
         if "linalg.norm" in line or "einsum" in line
     ]
     assert found == []
+
+
+def test_spectral_filter_is_the_only_recurrence():
+    # Every time-stepping recursion and every decay e^{-At} y goes through
+    # spectral._filter_modes, so scipy's lfilter and the subnormal flush
+    # (_flush_tail, _decay_steps) are named in spectral.py alone.
+    names = ("lfilter", "_flush_tail", "_decay_steps")
+    found = [
+        f"{path.name}:{lineno}"
+        for path in sorted(Path(rimlab.__file__).parent.glob("*.py"))
+        if path.name != "spectral.py"
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if any(name in line for name in names)
+    ]
+    assert found == []

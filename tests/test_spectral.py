@@ -6,11 +6,10 @@ from scipy.signal import lfilter
 
 import rimlab as rl
 from rimlab.errors import RimlabError
-from conftest import track_alone
-from rimlab import dynamics, randomness, tracking
+from conftest import forward_apply, q_flow
 from rimlab.dynamics import Nonlinearity, integrate
-from rimlab.spectral import _LOG_TINY, _exp_normal, _filter_modes, _node_norms
-from rimlab.tracking import _ForwardStencil
+from rimlab.spectral import _filter_modes, _node_norms
+from rimlab.tracking import _ForwardStencil, base_orbit
 
 
 @pytest.fixture
@@ -55,9 +54,10 @@ def test_frac_power_dimension_error(two_mode):
 
 
 # ---- the semigroup as the solvers store it ---------------------------------
-# e^{-At} exists only as per-mode arrays: the backward P flow ``p_flow`` and
-# the one-step factors ``damp``/``grow`` of an LPContext, and the Q decay
-# ``q_decay`` of the forward tracking stencil.
+# e^{-At} exists only as per-mode arrays, the backward P flow ``p_flow`` and
+# the one-step factors ``damp``/``grow`` of an LPContext, and as the filter's
+# zero-input response, which gives the forward operator its Q decay
+# (``conftest.q_flow``).
 
 H = 0.005  # lambda_max h = 0.32 on 8 modes, inside the integrator's budget
 
@@ -78,7 +78,7 @@ def flows():
 def test_semigroup_identity_at_zero(flows):
     ctx, stencil = flows
     assert ctx.times[-1] == 0.0 and np.array_equal(ctx.p_flow[-1], np.ones(2))
-    assert stencil.times[0] == 0.0 and np.array_equal(stencil.q_decay[0], np.ones(6))
+    assert stencil.times[0] == 0.0 and np.array_equal(q_flow(ctx, stencil.n_cells)[0], np.ones(6))
 
 
 def test_semigroup_forward_p_block(flows):
@@ -123,11 +123,10 @@ def test_semigroup_law_composition(flows):
     # and the decay composes with itself: e^{-A(s+t)} = e^{-As} e^{-At}.
     ctx, stencil = flows
     n = ctx.cert.n
+    q_decay = q_flow(ctx, stencil.n_cells)
     for k in (1, 40, 220):
-        assert np.allclose(ctx.damp[n:] ** k, stencil.q_decay[k], rtol=1e-13, atol=0)
-    assert np.allclose(
-        stencil.q_decay[40] * stencil.q_decay[70], stencil.q_decay[110], rtol=1e-13, atol=0
-    )
+        assert np.allclose(ctx.damp[n:] ** k, q_decay[k], rtol=1e-13, atol=0)
+    assert np.allclose(q_decay[40] * q_decay[70], q_decay[110], rtol=1e-13, atol=0)
 
 
 def test_backward_roundtrip_on_p_block(flows):
@@ -142,7 +141,8 @@ def test_backward_roundtrip_on_p_block(flows):
 def _dichotomy_case(alpha):
     # For random vectors at random nodes: Q decay e^{-lambda_{n+1} t} and Q
     # smoothing (a^a t^-a + lambda_{n+1}^a) e^{-lambda_{n+1} t} on the forward
-    # stencil's ``q_decay`` and on ``damp`` raised to the step count, and P
+    # operator's Q kernel (the filter's zero-input response) and on ``damp``
+    # raised to the step count, and P
     # growth lambda_n^a e^{lambda_n |t|} on the backward ``p_flow``.
     s = rl.dirichlet_laplacian(12, alpha)
     n = 3
@@ -153,6 +153,7 @@ def _dichotomy_case(alpha):
         t_back=2.0,
     )
     stencil = _ForwardStencil(ctx, 3.0)
+    q_decay = q_flow(ctx, stencil.n_cells)
     lam_n, lam_np1 = s.lambdas[n - 1], s.lambdas[n]
     wts_p, wts_q = s.weights_alpha()[:n], s.weights_alpha()[n:]
     smooth = alpha**alpha if alpha > 0 else 1.0
@@ -162,7 +163,7 @@ def _dichotomy_case(alpha):
         k = int(rng.integers(10, stencil.n_cells + 1))  # t in [0.01, 3]
         t = stencil.times[k]
         decay = np.exp(-lam_np1 * t) * np.linalg.norm(vq) * (1 + 1e-12)
-        for kern in (stencil.q_decay[k], ctx.damp[n:] ** k):
+        for kern in (q_decay[k], ctx.damp[n:] ** k):
             assert np.linalg.norm(kern * vq) <= decay
             assert np.linalg.norm(wts_q * kern * vq) <= (smooth * t**-alpha + lam_np1**alpha) * decay
         vp = rng.standard_normal(n)
@@ -197,24 +198,27 @@ def test_split_merge_roundtrip(flows):
     seed=st.integers(0, 2**32 - 1),
     reverse=st.booleans(),
     gain_a=st.booleans(),
+    started=st.booleans(),
     order=st.sampled_from("CF"),
 )
-def test_filter_modes_matches_loop(nodes, modes, seed, reverse, gain_a, order):
-    # y_k = a_j y_{k-1} + b_j u_k per column (b = 1 or b = a), forward or
-    # reversed, on C- or F-ordered input: a plain loop agrees to rounding and
-    # per-column lfilter with the same coefficients agrees bit for bit.
+def test_filter_modes_matches_loop(nodes, modes, seed, reverse, gain_a, started, order):
+    # y_k = a_j y_{k-1} + b_j u_k per column (b = 1 or b = a) from the state
+    # start_j (zero or not), forward or reversed, on C- or F-ordered input: a
+    # plain loop agrees to rounding and per-column lfilter with the same
+    # coefficients and the state zi = a_j start_j agrees bit for bit.
     rng = np.random.default_rng(seed)
     u = np.asarray(rng.standard_normal((nodes, modes)), order=order)
     a = rng.uniform(0.0, 1.5, modes)
     b = a if gain_a else 1.0
-    got = _filter_modes(u, a, b, reverse=reverse)
+    start = rng.standard_normal(modes) if started else np.zeros(modes)
+    got = _filter_modes(u, a, start, b, reverse=reverse)
     assert got.flags.f_contiguous
 
     loop = np.zeros((nodes, modes))
     rows = range(nodes - 1, -1, -1) if reverse else range(nodes)
     bj = np.broadcast_to(b, (modes,))
     for j in range(modes):
-        y = 0.0
+        y = start[j]
         for k in rows:
             y = a[j] * y + bj[j] * u[k, j]
             loop[k, j] = y
@@ -222,8 +226,9 @@ def test_filter_modes_matches_loop(nodes, modes, seed, reverse, gain_a, order):
 
     step = -1 if reverse else 1
     for j in range(modes):
-        ref = lfilter([bj[j]], [1.0, -a[j]], np.ascontiguousarray(u[::step, j]))[::step]
-        assert np.array_equal(got[:, j], ref)
+        col = np.ascontiguousarray(u[::step, j])
+        ref, _ = lfilter([bj[j]], [1.0, -a[j]], col, zi=[a[j] * start[j]])
+        assert np.array_equal(got[:, j], ref[::step])
 
 
 @settings(max_examples=80, deadline=None)
@@ -257,25 +262,32 @@ def test_node_norms_match_row_norms_in_any_layout(rows, modes, seed):
     modes=st.integers(1, 5),
     seed=st.integers(0, 2**32 - 1),
     reverse=st.booleans(),
+    started=st.booleans(),
+    order=st.sampled_from("CF"),
 )
-def test_filter_modes_flushes_decaying_zero_tails(nodes, modes, seed, reverse):
-    # Columns whose input ends in zeros, with a in (1/2, 1): the plain
-    # recursion stalls at subnormals there.  The filter matches per-column
-    # lfilter bit for bit wherever that is at least tiny in magnitude, and is
-    # exactly 0 elsewhere, so it holds no subnormal.
+def test_filter_modes_flushes_decaying_zero_tails(nodes, modes, seed, reverse, started, order):
+    # Columns whose input ends in zeros (all zeros for some), with a in
+    # (1/2, 1), from a zero or a nonzero start state: the plain recursion
+    # stalls at subnormals there.  The filter matches per-column lfilter
+    # with zi = a start bit for bit wherever that is at least tiny in
+    # magnitude, and is exactly 0 elsewhere, so it holds no subnormal.
     rng = np.random.default_rng(seed)
     tiny = np.finfo(float).tiny
     # scales down to 1e-300 reach the subnormals within a few hundred steps;
-    # the inputs themselves stay normal
+    # the inputs and start states themselves stay normal
     u = rng.standard_normal((nodes, modes)) * 10.0 ** rng.integers(-300, 3, modes)
     for j in range(modes):
         u[rng.integers(0, nodes) :, j] = 0.0
-    u = u[::-1] if reverse else u
+    u = np.asarray(u[::-1] if reverse else u, order=order)
     a = rng.uniform(0.5, 1.0, modes)
-    got = _filter_modes(u, a, reverse=reverse)
+    start = rng.standard_normal(modes) * 10.0 ** rng.integers(-300, 3, modes)
+    start = start if started else np.zeros(modes)
+    got = _filter_modes(u, a, start, reverse=reverse)
 
     step = -1 if reverse else 1
-    ref = np.column_stack([lfilter([1.0], [1.0, -a[j]], u[::step, j])[::step] for j in range(modes)])
+    ref = np.empty((nodes, modes))
+    for j in range(modes):
+        ref[::step, j], _ = lfilter([1.0], [1.0, -a[j]], u[::step, j], zi=[a[j] * start[j]])
     normal = np.abs(ref) >= tiny
     assert np.array_equal(got[normal], ref[normal])
     assert np.all(got[~normal] == 0.0)
@@ -284,74 +296,42 @@ def test_filter_modes_flushes_decaying_zero_tails(nodes, modes, seed, reverse):
 
 def test_filter_modes_flush_stops_a_stall():
     # From 1e-300 at a = 0.9 the plain recursion reaches the subnormals in
-    # about 170 steps and then stalls at a few-ulp value for good.
+    # about 170 steps and then stalls at a few-ulp value for good.  The
+    # filter matches it up to there and is exactly 0 after, whether 1e-300
+    # is the first input or the start state before a zero input (the same
+    # recursion one node later).
     tiny = np.finfo(float).tiny
     u = np.zeros((2000, 1))
     u[0] = 1e-300
     ref = lfilter([1.0], [1.0, -0.9], u[:, 0])
     assert ref[-1] != 0.0 and abs(ref[-1]) < tiny
-    got = _filter_modes(u, 0.9)[:, 0]
-    first = int(np.argmax(np.abs(ref) < tiny))
-    assert np.array_equal(got[:first], ref[:first])
-    assert not np.any(got[first:])
+    from_input = _filter_modes(u, 0.9, 0.0)[:, 0]
+    from_start = _filter_modes(u[1:], 0.9, 1e-300)[:, 0]
+    for got, plain in ((from_input, ref), (from_start, ref[1:])):
+        first = int(np.argmax(np.abs(plain) < tiny))
+        assert np.array_equal(got[:first], plain[:first])
+        assert not np.any(got[first:])
 
 
-def test_exp_normal_is_exp_where_normal():
-    # Decay tables over a long window, plus the edges of the normal range:
-    # every entry whose np.exp is at least tiny is bit-identical, every
-    # other entry is exactly 0, and the requested layout is kept.
+def test_solved_tables_hold_no_subnormal(problem_nl):
+    # Every decay e^{-At} y the solvers compute is the filter's zero-input
+    # response, flushed to exact zeros below tiny: the OU table (its
+    # initial value's decay), a linear integrator trajectory (its unforced
+    # fast modes) and a forward tracking sweep (its off-graph seed's decay
+    # in the fast Q modes) hold no subnormal, and the last two did reach
+    # exact zeros.
     tiny = np.finfo(float).tiny
-    times = np.arange(4001) * 1e-3
-    lam = rl.dirichlet_laplacian(16).lambdas
-    edges = np.array([_LOG_TINY, np.nextafter(_LOG_TINY, -np.inf), np.nextafter(_LOG_TINY, 0.0)])
-    edges = np.concatenate([edges, [-745.2, -800.0, 0.0, 3.0]])
-    for x in (-np.outer(times, lam), -lam * times[:, None], edges[:, None]):
-        ref = np.exp(x)
-        for order in ("C", "F"):
-            got = _exp_normal(x, order=order)
-            normal = ref >= tiny
-            assert np.array_equal(got[normal], ref[normal])
-            assert np.all(got[~normal] == 0.0)
-            assert got.flags[f"{order}_CONTIGUOUS"]
-    assert np.exp(_LOG_TINY) >= tiny > np.exp(np.nextafter(_LOG_TINY, -np.inf))
-
-
-def _plain_exp(x, order="C"):
-    return np.asarray(np.exp(x), order=order)
-
-
-def test_decay_tables_without_subnormals_change_no_output(problem_nl, monkeypatch):
-    # The OU driver, the linear integrator and the forward tracking solve,
-    # each run with its decay table from _exp_normal and from plain np.exp:
-    # every normal result is identical bit for bit, and the tables did
-    # underflow.
     spec = rl.dirichlet_laplacian(16)
     grid = rl.TimeGrid.from_times(-1.0, 7.0, 1e-3)
-    w = rl.sample_wiener(3, grid, rl.CovarianceSpec.power_law(16, 0.05, 2.0))
-    ou = rl.solve_ou(w, spec)
-    assert spec.lambdas[-1] * 3.0 > -_LOG_TINY  # both tables underflow after t = 3
+    ou = rl.solve_ou(rl.sample_wiener(3, grid, rl.CovarianceSpec.power_law(16, 0.05, 2.0)), spec)
+    lin = integrate(np.full(16, 0.3), 0.0, 6.0, ou, problem_nl.forcing, Nonlinearity.zero(), spec)
     ctx = problem_nl.lp_context(0.0)
-    stencil = _ForwardStencil(ctx, problem_nl.t_fwd)
-    assert np.count_nonzero(stencil.q_decay == 0.0) > stencil.q_decay.size // 3
-    u0 = np.full(spec.size, 0.3)
-
-    def runs():
-        lin = integrate(u0, 0.0, 6.0, ou, problem_nl.forcing, Nonlinearity.zero(), spec)
-        return rl.solve_ou(w, spec).values, lin, track_alone(u0, ctx, problem_nl.t_fwd)
-
-    ou_values, lin_values, tracked = runs()
-    for module in (randomness, dynamics, tracking):
-        monkeypatch.setattr(module, "_exp_normal", _plain_exp)
-    plain = _ForwardStencil(ctx, problem_nl.t_fwd).q_decay
-    normal = plain >= np.finfo(float).tiny
-    assert np.array_equal(stencil.q_decay[normal], plain[normal])
-    assert not np.all(normal)
-    ref_ou, ref_lin, ref_tracked = runs()
-    assert np.array_equal(ou_values, ref_ou)
-    # an unforced fast mode's linear flow is its table entry times v, so a
-    # subnormal flow value may read 0 now; every other value is unchanged
-    normal = np.abs(ref_lin) >= np.finfo(float).tiny
-    assert np.array_equal(lin_values[normal], ref_lin[normal])
-    assert np.all((lin_values == ref_lin) | (lin_values == 0.0)) and not np.all(normal)
-    for field in ("u0_star", "decay_curve", "defect", "graph_residual", "iterations"):
-        assert np.array_equal(getattr(tracked, field), getattr(ref_tracked, field))
+    v0 = np.full(16, 0.3)
+    base = base_orbit(v0, ctx, problem_nl.t_fwd)
+    sweep, _ = forward_apply(np.zeros_like(base), v0, base, ctx)
+    for table in (ou.values, lin, sweep):
+        assert np.all(np.isfinite(table))
+        assert not np.any((table != 0.0) & (np.abs(table) < tiny))
+    # the fast modes' decays underflow: e^{-256 t} at t = 6 and at t_fwd
+    assert np.count_nonzero(lin[-1] == 0.0) > 0
+    assert np.count_nonzero(sweep[-1, ctx.cert.n :] == 0.0) > 0
