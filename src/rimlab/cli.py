@@ -238,9 +238,7 @@ def _tracking(cfg: RunConfig, problem: ModelProblem, chart=None):
     )
     # every orbit's transformed base u0 - z(0), integrated in one batch
     bases = base_orbit(u0s - ctx.z_at_zero(), ctx, problem.t_fwd)
-    results = [
-        track_phi(u0, ctx, t_fwd=problem.t_fwd, base=bases[:, i]) for i, u0 in enumerate(u0s)
-    ]
+    results = [track_phi(u0, ctx, bases[:, i]) for i, u0 in enumerate(u0s)]
     return tracking_defects(results, problem, tau), results
 
 
@@ -328,15 +326,26 @@ def _chart_legs(cfg: RunConfig) -> tuple:
     return shifts, cfg.verify["invariance_t"] if "invariance" in checks else None
 
 
+def _refuse_tracking_k(cfg: RunConfig) -> None:
+    """Before any solve, refuse the k >= 1/2 where tracking's delta >= 1."""
+    if cfg.gap_k >= 0.5:
+        raise ConfigError(f"certificate.k: tracking requires k < 1/2 (got {cfg.gap_k:g})")
+
+
 def cmd_verify(args) -> int:
     cfg, seed, out, meta = _setup(args)
+    if "tracking" in cfg.verify["checks"]:
+        _refuse_tracking_k(cfg)
     problem = build_problem(cfg, seed)
     ap = cfg.almost_period
     if "almost_period" in cfg.verify["checks"] and ap["tau0"] is None:
         # the chart solves the translates by the near-period: find it first
-        tau0, _ = scan_almost_period(
-            cfg.forcing, cfg.spectrum, ap["target"], ap["scan_max"], ap["scan_step"]
-        )
+        try:
+            tau0, _ = scan_almost_period(
+                cfg.forcing, cfg.spectrum, ap["target"], ap["scan_max"], ap["scan_step"]
+            )
+        except RimlabError as exc:
+            raise ConfigError(f"almost_period.target: {exc}") from exc
         cfg = dataclasses.replace(cfg, almost_period={**ap, "tau0": tau0})
     chart = functools.cache(
         lambda: problem.chart(cfg.chart["tau"], _chart_grid(cfg), *_chart_legs(cfg))
@@ -356,6 +365,7 @@ _ORBIT_FIELDS = (
 
 def cmd_track(args) -> int:
     cfg, seed, out, meta = _setup(args)
+    _refuse_tracking_k(cfg)
     problem = build_problem(cfg, seed)
     reports, results = _tracking(cfg, problem)
     # every orbit is tracked on the same forward nodes: format the times once

@@ -22,7 +22,7 @@ from .errors import ConfigError, RimlabError
 from .forcing import ForcingSignal, TrigTerm, _scan_row_vectors
 from .lyapunov_perron import backward_horizon, check_gap
 from .problem import ModelProblem
-from .randomness import CovarianceSpec, TimeGrid, sample_wiener, whole_steps
+from .randomness import CovarianceSpec, TimeGrid, _grid_index, sample_wiener, whole_steps
 from .spectral import Spectrum, dirichlet_laplacian
 from .tracking import forward_horizon
 
@@ -336,6 +336,10 @@ def load_config(path) -> RunConfig:
     if verify["invariance_t"] < h:
         # a flow of no step leaves every point where it was: the check could not fail
         ver_sec._fail("invariance_t", f"must be at least one step h = {h:g}")
+    # the flow and pullback times shift the noise by whole steps (TimeGrid.index)
+    ver_sec.build("invariance_t", _grid_index, verify["invariance_t"], h)
+    for t in attractor["pullback_times"]:
+        att_sec.build("pullback_times", _grid_index, t, h)
 
     return RunConfig(
         raw_text=text,

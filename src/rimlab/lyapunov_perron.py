@@ -320,7 +320,6 @@ class LPContext:
         # Per-P-mode backward flow e^{-lambda t} on the window (t <= 0).
         self.p_flow = _mode_major(np.exp(-np.outer(self.times, lam[: cert.n])))
         self.ratio_slack = 5.0 * self.h * cert.lambda_np1
-        self.forward_stencils = {}  # the tracking operator's, by forward cell count
 
     # ---- helpers --------------------------------------------------------
 

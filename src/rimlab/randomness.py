@@ -60,6 +60,15 @@ def whole_steps(t: float, h: float) -> int:
     return int(math.ceil(t / h - 1e-9))
 
 
+def _grid_index(t: float, h: float) -> int:
+    """Index i of the node i*h at t; raises if t is not a multiple of h."""
+    x = t / h
+    i = int(round(x))
+    if abs(x - i) > 1e-6 * max(1.0, abs(x)):
+        raise RimlabError(f"t={t} is not a multiple of h={h}")
+    return i
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid i*h for integer i in [i_min, i_max], with i_min < 0 < i_max."""
@@ -94,10 +103,7 @@ class TimeGrid:
 
     def index(self, t: float) -> int:
         """Grid index of t; raises if t is off-grid or outside the span."""
-        x = t / self.h
-        i = int(round(x))
-        if abs(x - i) > 1e-6 * max(1.0, abs(x)):
-            raise RimlabError(f"t={t} is not a multiple of h={self.h}")
+        i = _grid_index(t, self.h)
         if not (self.i_min <= i <= self.i_max):
             raise RimlabError(f"t={t} outside stored support [{self.t_min}, {self.t_max}]")
         return i

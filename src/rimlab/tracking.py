@@ -28,8 +28,8 @@ makes v0*'s discrete orbit equal v + xi exactly at the fixed point.
 
 In the original variables the conjugation by the OU driver cancels in orbit
 differences, so the envelope transfers verbatim with the offset graph map.
-``track_phi`` is the one solver: it takes u0 and its transformed base orbit
-(``base_orbit`` of v0 = u0 - z(0)), solves in v0, and offsets the endpoints.
+``track_phi`` is the one solver: it solves in v0 = u0 - z(0) on the window
+that v0's base orbit spans (``base_orbit``) and offsets the endpoints.
 """
 
 from __future__ import annotations
@@ -196,11 +196,6 @@ def forward_horizon(cert, tol: float) -> float | None:
     return None if weights is None else weights[0]
 
 
-def _forward_cells(ctx: LPContext, t_fwd: float) -> int:
-    """Cells on the forward horizon, rounded up to whole steps (at least two)."""
-    return max(whole_steps(t_fwd, ctx.h), 2)
-
-
 def base_orbit(v0: np.ndarray, ctx: LPContext, t_fwd: float) -> np.ndarray:
     """Transformed orbit of v0 on the forward tracking nodes of [0, t_fwd].
 
@@ -211,7 +206,7 @@ def base_orbit(v0: np.ndarray, ctx: LPContext, t_fwd: float) -> np.ndarray:
     return integrate(
         v0,
         0.0,
-        _forward_cells(ctx, t_fwd) * ctx.h,
+        max(whole_steps(t_fwd, ctx.h), 2) * ctx.h,
         ctx.ou,
         shift_forcing(ctx.forcing, ctx.tau),
         ctx.nonlinearity,
@@ -220,22 +215,18 @@ def base_orbit(v0: np.ndarray, ctx: LPContext, t_fwd: float) -> np.ndarray:
 
 
 class _ForwardStencil:
-    """Node set, OU window and weights for the forward operator.
+    """Node set, OU window and weights for the forward operator on n_cells cells.
 
     Node arrays are stored mode-major, like the backward operator's (the OU
     window ``z`` is a view of the driver's table), and an orbit difference
-    is a bare (nodes, modes) array on ``times``.  A stencil holds no
-    reference to its context, so the context can keep it (``_stencil``)
-    without a reference cycle.
+    is a bare (nodes, modes) array on ``times``.
     """
 
-    def __init__(self, ctx: LPContext, t_fwd: float):
+    def __init__(self, ctx: LPContext, n_cells: int):
         h = ctx.h
-        self.n_cells = _forward_cells(ctx, t_fwd)
-        self.t_fwd = self.n_cells * h
         lo = ctx.ou.grid.offset(0.0)
-        hi = ctx.ou.grid.offset(self.t_fwd)
-        self.times = np.arange(0, self.n_cells + 1) * h
+        hi = ctx.ou.grid.offset(n_cells * h)
+        self.times = np.arange(0, n_cells + 1) * h
         self.z = ctx.ou.values[lo : hi + 1]  # a view of the shared, read-only table
         lam_p = ctx.spectrum.lambdas[: ctx.cert.n]
         # Weights of the resolved-mode seed integral int e^{+lambda s} over a cell.
@@ -243,18 +234,6 @@ class _ForwardStencil:
             np.expm1(lam_p * h) / lam_p
         )
         self.wmu = np.exp(ctx.cert.mu * self.times)
-
-
-def _stencil(ctx: LPContext, t_fwd: float) -> _ForwardStencil:
-    """The forward stencil of ctx for t_fwd, built once per forward cell count.
-
-    All orbits of one command share the context and the window, so the
-    context keeps the stencil in ``forward_stencils``.
-    """
-    n_cells = _forward_cells(ctx, t_fwd)
-    if n_cells not in ctx.forward_stencils:
-        ctx.forward_stencils[n_cells] = _ForwardStencil(ctx, t_fwd)
-    return ctx.forward_stencils[n_cells]
 
 
 def _apply_forward(
@@ -285,15 +264,15 @@ def _apply_forward(
     return _duhamel(u, ctx, graph[-1, n:] - v0[n:]), x0, graph
 
 
-def track_phi(u0: np.ndarray, ctx: LPContext, t_fwd: float, base: np.ndarray) -> TrackingResult:
+def track_phi(u0: np.ndarray, ctx: LPContext, base: np.ndarray) -> TrackingResult:
     """Shadowing manifold point for u0 with its decay envelope.
 
     The OU conjugation cancels in orbit differences, so the solve runs in
     the transformed variables from v0 = u0 - z(0); only the endpoints are
     offset by the driver state at time zero, and the defect is that of v0
     against the graph, which equals that of u0 against the offset graph.
-    ``base`` is the value array of v0's transformed orbit on the forward
-    nodes of [0, t_fwd] (see ``base_orbit``).  The first sweep's nested
+    ``base`` is the value array of v0's transformed orbit (``base_orbit``),
+    and its nodes are the forward window.  The first sweep's nested
     graph solve starts cold; each later one, and the final graph-residual
     solve, starts from the previous fixed point moved to its new base
     point.  Sweeps stop and raise as ``_picard`` does, with factor delta
@@ -302,12 +281,12 @@ def track_phi(u0: np.ndarray, ctx: LPContext, t_fwd: float, base: np.ndarray) ->
     if ctx.cert.k >= 0.5:
         raise RimlabError(f"tracking requires k < 1/2 (got k={ctx.cert.k:g}, delta >= 1)")
     delta = ctx.cert.delta
-    stencil = _stencil(ctx, t_fwd)
     u0 = ctx.spectrum.check_state(np.asarray(u0, dtype=float))
     z0 = ctx.z_at_zero()
     v0 = u0 - z0
-    if base.shape != (stencil.times.size, ctx.spectrum.size) or not np.array_equal(base[0], v0):
-        raise RimlabError("base orbit must start at u0 - z(0) on the forward nodes")
+    if base.ndim != 2 or base.shape[0] < 3 or not np.array_equal(base[0], v0):
+        raise RimlabError("base orbit must start at u0 - z(0) and span at least two cells")
+    stencil = _ForwardStencil(ctx, base.shape[0] - 1)
     # F sees both of dF's arguments mode-major, so a mode-coupling F rounds
     # them alike and dF is exactly zero where xi is
     f_base = ctx.f(np.add(base[:-1], stencil.z[:-1], order="F"))

@@ -298,11 +298,12 @@ def dense_scan_almost_period(g, s, target, tau_max, step=1e-2):
 def forward_apply(xi: np.ndarray, v0: np.ndarray, base: np.ndarray, ctx: rl.LPContext):
     """One application of the forward tracking operator; returns (T+ xi, y0).
 
-    ``xi`` is an orbit difference on the forward nodes of [0, T_f], T_f read
-    off its node count, and ``base`` is v0's transformed orbit on the same
-    nodes.  The off-graph seed y0 is recomputed from the supplied iterate.
+    ``xi`` is an orbit difference on the forward nodes of [0, T_f], the
+    cells read off its node count, and ``base`` is v0's transformed orbit
+    on the same nodes.  The off-graph seed y0 is recomputed from the
+    supplied iterate.
     """
-    stencil = _ForwardStencil(ctx, (xi.shape[0] - 1) * ctx.h)
+    stencil = _ForwardStencil(ctx, xi.shape[0] - 1)
     assert xi.shape == base.shape == (stencil.times.size, ctx.spectrum.size)
     # on the cells' left nodes, mode-major like dF's argument in the sweep
     f_base = ctx.f(np.add(base[:-1], stencil.z[:-1], order="F"))
@@ -312,4 +313,4 @@ def forward_apply(xi: np.ndarray, v0: np.ndarray, base: np.ndarray, ctx: rl.LPCo
 
 def track_alone(u0: np.ndarray, ctx: rl.LPContext, t_fwd: float):
     """``track_phi`` for one state, with its base orbit integrated here."""
-    return track_phi(u0, ctx, t_fwd, base_orbit(u0 - ctx.z_at_zero(), ctx, t_fwd))
+    return track_phi(u0, ctx, base_orbit(u0 - ctx.z_at_zero(), ctx, t_fwd))

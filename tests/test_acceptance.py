@@ -341,8 +341,9 @@ def test_criterion_10_dichotomy_oracles():
         ou = rl.solve_ou(rl.sample_wiener(0, grid, rl.CovarianceSpec.zero(16)), s)
         g0 = rl.ForcingSignal.zero(16)
         ctx = rl.LPContext(s, cert, rl.Nonlinearity.zero(), g0, ou, t_back=4.0)
-        stencil = _ForwardStencil(ctx, 4.0)
-        q_decay = q_flow(ctx, stencil.n_cells)
+        n_cells = 4000
+        stencil = _ForwardStencil(ctx, n_cells)
+        q_decay = q_flow(ctx, n_cells)
         lam_n, lam_np1 = cert.lambda_n, cert.lambda_np1
         wts_p, wts_q = s.weights_alpha()[:n], s.weights_alpha()[n:]
         smooth = alpha**alpha if alpha > 0 else 1.0
@@ -356,7 +357,7 @@ def test_criterion_10_dichotomy_oracles():
         for _ in range(500):
             vq = rng.standard_normal(16 - n)
             vp = rng.standard_normal(n)
-            k = int(rng.integers(1, stencil.n_cells + 1))
+            k = int(rng.integers(1, n_cells + 1))
             t = stencil.times[k]
             decay = np.exp(-lam_np1 * t) * np.linalg.norm(vq) * (1 + 1e-12)
             smoothing = smooth * t**-alpha + lam_np1**alpha

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from rimlab import cli
 from rimlab import config as config_module
-from rimlab import tracking
 from rimlab.cli import main
 from rimlab.config import build_problem, load_config
 from rimlab.errors import CertificateError, ConfigError, InstabilityError, RimlabError
@@ -317,23 +316,20 @@ def test_track_outputs(small_config, tmp_path):
     assert curve[0] == "t,norm,envelope"
 
 
-def test_track_builds_one_forward_stencil(tmp_path, monkeypatch):
-    # All orbits of a track share the context and the window, so an
-    # 8-orbit track builds one forward stencil and reuses it.
-    builds = []
-
-    class Counted(tracking._ForwardStencil):
-        def __init__(self, ctx, t_fwd):
-            builds.append(t_fwd)
-            super().__init__(ctx, t_fwd)
-
-    monkeypatch.setattr(tracking, "_ForwardStencil", Counted)
-    cfg = tmp_path / "eight.ini"
-    cfg.write_text(SMALL_CONFIG.replace("count = 2", "count = 8"), encoding="utf-8")
-    assert main(["track", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
-    doc = json.loads((tmp_path / "run" / "tracking.json").read_text())
-    assert len(doc["orbits"]) == 8
-    assert len(builds) == 1
+def test_half_k_is_refused_only_where_tracking_runs(tmp_path, capsys, monkeypatch):
+    # At k >= 1/2 the backward operator still contracts, so a chart is
+    # built; track, and verify with tracking among its checks, refuse it
+    # before any problem is built.
+    cfg = tmp_path / "half.ini"
+    cfg.write_text(SMALL_CONFIG.replace("k = 0.2", "k = 0.6"), encoding="utf-8")
+    built = []
+    monkeypatch.setattr(cli, "build_problem", lambda *a: built.append(a) or build_problem(*a))
+    assert main(["build-manifold", "--config", str(cfg), "--out", str(tmp_path / "chart")]) == 0
+    for command in ("track", "verify"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 2
+    assert len(built) == 1
+    refusal = "config error: certificate.k: tracking requires k < 1/2 (got 0.6)\n"
+    assert capsys.readouterr().err == 2 * refusal
 
 
 def test_decay_curves_match_the_per_row_writer(small_config, tmp_path):
@@ -690,6 +686,29 @@ BAD_INPUTS = {
     ),
     "subgrid_invariance_t": (
         ("invariance_t = 0.5", "invariance_t = 1e-9"), [], "gap-scan", "verify.invariance_t"
+    ),
+    # times that shift the noise must be whole steps, refused before any solve
+    "offgrid_invariance_t": (
+        ("invariance_t = 0.5", "invariance_t = 0.5025"), [], "verify", "verify.invariance_t"
+    ),
+    "offgrid_pullback_times": (
+        ("pullback_times = 2.0 4.0", "pullback_times = 2.0 4.0025"),
+        [],
+        "attractor",
+        "attractor.pullback_times",
+    ),
+    "offgrid_h": (("h = 0.005", "h = 0.0035"), [], "verify", "verify.invariance_t"),
+    # the forward operator contracts only for k < 1/2
+    "tracking_k_half_track": (("k = 0.2", "k = 0.6"), [], "track", "certificate.k"),
+    "tracking_k_half_verify": (("k = 0.2", "k = 0.6"), [], "verify", "certificate.k"),
+    "no_near_period": (
+        (
+            "[verify]\nchecks = invariance lipschitz tracking periodicity",
+            "[almost_period]\ntarget = 1e-9\n\n[verify]\nchecks = almost_period",
+        ),
+        [],
+        "verify",
+        "almost_period.target",
     ),
     "budget_track_count": (
         ("count = 2", "count = 1000000000"), [], "build-manifold", "track.count"

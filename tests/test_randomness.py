@@ -230,7 +230,7 @@ def workhorse():
 def test_every_window_reads_the_one_ou_table(workhorse):
     # A base, a translated and a shifted context and the forward stencil
     # all read their OU window in place from the one mode-major table.
-    from rimlab.tracking import _stencil
+    from rimlab.tracking import _ForwardStencil
 
     table = workhorse.ou.values
     assert table.flags.f_contiguous
@@ -241,7 +241,8 @@ def test_every_window_reads_the_one_ou_table(workhorse):
     )
     for ctx in contexts:
         assert np.shares_memory(ctx.z, table)
-    assert np.shares_memory(_stencil(contexts[0], workhorse.t_fwd).z, table)
+    stencil = _ForwardStencil(contexts[0], whole_steps(workhorse.t_fwd, workhorse.h))
+    assert np.shares_memory(stencil.z, table)
 
 
 def test_ou_table_is_read_only(workhorse):

@@ -203,7 +203,7 @@ def test_batched_bases_match_single_tracking(problem_nl):
     bases = base_orbit(u0s - ctx.z_at_zero(), ctx, t_fwd)
     assert bases.shape[1:] == (3, 16)
     for i, u0 in enumerate(u0s):
-        batched = track_phi(u0, ctx, t_fwd, bases[:, i])
+        batched = track_phi(u0, ctx, bases[:, i])
         alone = track_alone(u0, ctx, t_fwd)
         assert np.max(np.abs(batched.u0_star - alone.u0_star)) <= problem_nl.tol
         v0 = batched.v0
@@ -215,13 +215,17 @@ def test_batched_bases_match_single_tracking(problem_nl):
 
 
 def test_base_must_belong_to_v0(problem_nl):
+    # The base orbit is the one statement of the forward window, so a base
+    # that is another state's orbit, not a node array, or shorter than two
+    # cells is refused, even where its first row is v0.
     ctx = problem_nl.lp_context(0.0)
     u0s = 0.5 * np.random.default_rng(9).standard_normal((2, 16))
     bases = base_orbit(u0s - ctx.z_at_zero(), ctx, 2.0)
-    with pytest.raises(RimlabError, match=r"base orbit must start at u0 - z\(0\)"):
-        track_phi(u0s[0], ctx, 2.0, bases[:, 1])
-    with pytest.raises(RimlabError, match=r"base orbit must start at u0 - z\(0\)"):
-        track_phi(u0s[0], ctx, 3.0, bases[:, 0])
+    refused = r"base orbit must start at u0 - z\(0\) and span at least two cells"
+    for base in (bases[:, 1], bases[:, 0][0], bases[:2, 0], bases[:, :1]):
+        with pytest.raises(RimlabError, match=refused):
+            track_phi(u0s[0], ctx, base)
+    assert track_phi(u0s[0], ctx, bases[:3, 0]).times.size == 3
 
 
 def test_tracking_detects_wrong_certificate(problem_nl):
@@ -248,7 +252,7 @@ def test_tracking_evaluates_base_nonlinearity_once(problem_nl):
     t_fwd = 6.0
     u0 = 0.5 * np.random.default_rng(10).standard_normal(16)
     base = base_orbit(u0 - ctx.z_at_zero(), ctx, t_fwd)
-    expected = track_phi(u0, ctx, t_fwd, base)
+    expected = track_phi(u0, ctx, base)
     assert base.shape[0] != ctx.times.size
     f, calls = ctx.f, []
 
@@ -258,7 +262,7 @@ def test_tracking_evaluates_base_nonlinearity_once(problem_nl):
         return f(u)
 
     ctx.f = counted
-    result = track_phi(u0, ctx, t_fwd, base)
+    result = track_phi(u0, ctx, base)
     assert result.iterations >= 2
     assert len(calls) == result.iterations + 1
     assert np.array_equal(result.v0_star, expected.v0_star)
@@ -267,10 +271,11 @@ def test_tracking_evaluates_base_nonlinearity_once(problem_nl):
 
 def test_tracking_memory_in_histories(problem_nl):
     # Pinned at the count measured when the sweeps stopped holding spare
-    # arrays (6.2 histories; 10.1 before): during a nested graph solve a
-    # sweep holds the iterate, dF (scaled in place into the increments)
-    # and F(base + z) on the forward window, and the solve its own three.
-    # Both windows have 16,121 nodes here.
+    # arrays (6.2 histories; 10.1 before; 6.4 since each call builds its
+    # stencil): during a nested graph solve a sweep holds the iterate, dF
+    # (scaled in place into the increments) and F(base + z) on the forward
+    # window, and the solve its own three.  Both windows have 16,121 nodes
+    # here.
     import tracemalloc
 
     ctx = problem_nl.lp_context(0.0)
@@ -278,15 +283,28 @@ def test_tracking_memory_in_histories(problem_nl):
     u0 = 0.5 * np.random.default_rng(10).standard_normal(16)
     base = base_orbit(u0 - ctx.z_at_zero(), ctx, problem_nl.t_fwd)
     assert base.shape == (ctx.times.size, ctx.spectrum.size)
-    track_phi(u0, ctx, problem_nl.t_fwd, base)  # builds the cached forward stencil
     tracemalloc.start()
     try:
-        result = track_phi(u0, ctx, problem_nl.t_fwd, base)
+        result = track_phi(u0, ctx, base)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert result.iterations >= 2
     assert peak <= 6.5 * history
+
+
+def test_track_phi_leaves_the_context_as_built(problem_nl):
+    # The forward window is read off the base orbit and its stencil built
+    # per call, so a solve neither adds, rebinds nor fills any attribute of
+    # the context it reads.
+    ctx = problem_nl.lp_context(0.0)
+    before = dict(vars(ctx))
+    sizes = {key: len(value) for key, value in before.items() if isinstance(value, (dict, list))}
+    u0 = 0.5 * np.random.default_rng(11).standard_normal(16)
+    track_alone(u0, ctx, problem_nl.t_fwd)
+    assert vars(ctx).keys() == before.keys()
+    assert all(vars(ctx)[key] is value for key, value in before.items())
+    assert {key: len(vars(ctx)[key]) for key in sizes} == sizes
 
 
 def test_forward_sweep_leaves_no_subnormal(problem_nl):
