@@ -102,7 +102,7 @@ def _setup(args):
 
 
 def _problem_meta(problem: ModelProblem) -> dict:
-    grid = problem.noise.grid
+    grid = problem.ou.grid
     return {
         "h": grid.h,
         "grid_t_min": grid.t_min,
@@ -243,15 +243,13 @@ def _tracking(cfg: RunConfig, problem: ModelProblem, chart=None):
 
 
 def _periodicity(cfg: RunConfig, problem: ModelProblem, chart=None):
-    period = cfg.forcing.declared_period
-    if period is None:
-        raise ConfigError("forcing.period: the periodicity check needs a declared period")
+    period = cfg.forcing.declared_period  # _prepare_checks refused a signal without one
     grid = _chart_grid(cfg)
     return [periodicity_defect(tau, period, grid, problem) for tau in cfg.periodicity["taus"]], None
 
 
 def _almost_period(cfg: RunConfig, problem: ModelProblem, chart=None):
-    tau0 = cfg.almost_period["tau0"]  # cmd_verify scans for it when the config leaves it open
+    tau0 = cfg.almost_period["tau0"]  # _prepare_checks scans for it when the config leaves it open
     return [ap_defect(cfg.chart["tau"], tau0, _chart_grid(cfg), problem)], None
 
 
@@ -318,28 +316,24 @@ def _chart_legs(cfg: RunConfig) -> tuple:
     the near-period, and the invariance flow time."""
     checks, tau = cfg.verify["checks"], cfg.chart["tau"]
     shifts = []
-    period = cfg.forcing.declared_period
-    if "periodicity" in checks and period is not None and tau in cfg.periodicity["taus"]:
-        shifts.append(period)
+    if "periodicity" in checks and tau in cfg.periodicity["taus"]:
+        shifts.append(cfg.forcing.declared_period)
     if "almost_period" in checks:
         shifts.append(cfg.almost_period["tau0"])
     return shifts, cfg.verify["invariance_t"] if "invariance" in checks else None
 
 
-def _refuse_tracking_k(cfg: RunConfig) -> None:
-    """Before any solve, refuse the k >= 1/2 where tracking's delta >= 1."""
-    if cfg.gap_k >= 0.5:
+def _prepare_checks(cfg: RunConfig, checks) -> RunConfig:
+    """Make every refusal of ``checks`` that needs only the config, before
+    any problem is built: the k >= 1/2 where tracking's delta >= 1, an
+    open near-period that the scan cannot find, and a periodicity check
+    without a declared period.  Returns the config with the near-period
+    filled in when the almost-period check leaves it open, since the chart
+    solves the translates by it."""
+    if "tracking" in checks and cfg.gap_k >= 0.5:
         raise ConfigError(f"certificate.k: tracking requires k < 1/2 (got {cfg.gap_k:g})")
-
-
-def cmd_verify(args) -> int:
-    cfg, seed, out, meta = _setup(args)
-    if "tracking" in cfg.verify["checks"]:
-        _refuse_tracking_k(cfg)
-    problem = build_problem(cfg, seed)
     ap = cfg.almost_period
-    if "almost_period" in cfg.verify["checks"] and ap["tau0"] is None:
-        # the chart solves the translates by the near-period: find it first
+    if "almost_period" in checks and ap["tau0"] is None:
         try:
             tau0, _ = scan_almost_period(
                 cfg.forcing, cfg.spectrum, ap["target"], ap["scan_max"], ap["scan_step"]
@@ -347,6 +341,15 @@ def cmd_verify(args) -> int:
         except RimlabError as exc:
             raise ConfigError(f"almost_period.target: {exc}") from exc
         cfg = dataclasses.replace(cfg, almost_period={**ap, "tau0": tau0})
+    if "periodicity" in checks and cfg.forcing.declared_period is None:
+        raise ConfigError("forcing.period: the periodicity check needs a declared period")
+    return cfg
+
+
+def cmd_verify(args) -> int:
+    cfg, seed, out, meta = _setup(args)
+    cfg = _prepare_checks(cfg, cfg.verify["checks"])
+    problem = build_problem(cfg, seed)
     chart = functools.cache(
         lambda: problem.chart(cfg.chart["tau"], _chart_grid(cfg), *_chart_legs(cfg))
     )
@@ -365,7 +368,7 @@ _ORBIT_FIELDS = (
 
 def cmd_track(args) -> int:
     cfg, seed, out, meta = _setup(args)
-    _refuse_tracking_k(cfg)
+    _prepare_checks(cfg, ("tracking",))
     problem = build_problem(cfg, seed)
     reports, results = _tracking(cfg, problem)
     # every orbit is tracked on the same forward nodes: format the times once
@@ -386,6 +389,7 @@ def cmd_track(args) -> int:
 
 def cmd_periodicity(args) -> int:
     cfg, seed, out, meta = _setup(args)
+    _prepare_checks(cfg, ("periodicity",))
     problem = build_problem(cfg, seed)
     reports, _ = _periodicity(cfg, problem)
     return _write_reports(

@@ -22,7 +22,7 @@ from .errors import ConfigError, RimlabError
 from .forcing import ForcingSignal, TrigTerm, _scan_row_vectors
 from .lyapunov_perron import backward_horizon, check_gap
 from .problem import ModelProblem
-from .randomness import CovarianceSpec, TimeGrid, _grid_index, sample_wiener, whole_steps
+from .randomness import CovarianceSpec, TimeGrid, _grid_index, sample_wiener, solve_ou, whole_steps
 from .spectral import Spectrum, dirichlet_laplacian
 from .tracking import forward_horizon
 
@@ -362,7 +362,7 @@ def load_config(path) -> RunConfig:
 
 
 def build_problem(cfg: RunConfig, seed_override: int | None = None) -> ModelProblem:
-    """Assemble the model: certificate, horizons, grid sizing, path sample.
+    """Assemble the model: certificate, horizons, grid sizing, OU table.
 
     The backward window is ``backward_horizon``, and the forward window is
     ``forward_horizon``, or the backward window where the forward operator
@@ -372,10 +372,11 @@ def build_problem(cfg: RunConfig, seed_override: int | None = None) -> ModelProb
 
     The grid is sized once from the whole configuration (largest requested
     shift plus the OU spin-up margin), so every subcommand sees the same
-    OU table for a given (config, seed).  The problem holds the sampled
-    path only until that table is first read: solving it lets the path go,
-    and a command that fails before it needs the noise (a periodicity check
-    without a declared period) never solves it.
+    OU table for a given (config, seed).  The path is sampled and the OU
+    table solved from it here, and the path is let go once it is solved:
+    the problem returned is complete, holds the table alone and solves
+    nothing on read.  A refusal that needs only the config comes before
+    this call (``cli``), so it costs no sample and no solve.
     """
     cert = check_gap(cfg.spectrum, cfg.nonlinearity.lipschitz, cfg.gap_k, cfg.gap_n)
     t_back = backward_horizon(cert, cfg.tol)
@@ -422,7 +423,7 @@ def build_problem(cfg: RunConfig, seed_override: int | None = None) -> ModelProb
         spectrum=cfg.spectrum,
         nonlinearity=cfg.nonlinearity,
         forcing=cfg.forcing,
-        noise=sample_wiener(seed, grid, cfg.cov),
+        ou=solve_ou(sample_wiener(seed, grid, cfg.cov), cfg.spectrum),
         cert=cert,
         t_back=t_back,
         t_fwd=t_fwd,

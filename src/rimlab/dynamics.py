@@ -29,7 +29,7 @@ import numpy as np
 from .errors import InstabilityError, RimlabError
 from .forcing import ForcingSignal, cell_convolution, shift_forcing
 from .randomness import OUProcess
-from .spectral import Spectrum, _filter_modes
+from .spectral import Spectrum, _filter_modes, _step_weights
 
 __all__ = ["Nonlinearity", "integrate", "cocycle_psi", "cocycle_phi"]
 
@@ -85,13 +85,6 @@ class Nonlinearity:
 
     def apply(self, u: np.ndarray, s: Spectrum) -> np.ndarray:
         return self.evaluator(s)(s.check_state(u))
-
-
-def _step_weights(s: Spectrum, h: float):
-    lam = s.lambdas
-    damp = np.exp(-lam * h)
-    w1 = -np.expm1(-lam * h) / lam  # == h * phi1(lam h)
-    return damp, w1
 
 
 def integrate(

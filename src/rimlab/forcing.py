@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import RimlabError
-from .spectral import Spectrum, _node_norms
+from .spectral import Spectrum, _node_norms, _step_weights
 
 __all__ = [
     "TrigTerm",
@@ -82,21 +82,6 @@ class ForcingSignal:
         if self.declared_period is not None:
             self._check_period()
 
-    # ---- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, n_modes: int) -> "ForcingSignal":
-        return cls(n_modes)
-
-    @classmethod
-    def constant(cls, amplitudes) -> "ForcingSignal":
-        amp = np.asarray(amplitudes, dtype=float)
-        return cls(amp.size, amp)
-
-    @classmethod
-    def trig(cls, n_modes: int, terms, period: float | None = None) -> "ForcingSignal":
-        return cls(n_modes, terms=terms, declared_period=period)
-
     # ---- internals -----------------------------------------------------
 
     def _check_period(self):
@@ -148,7 +133,7 @@ def _cell_columns(g: ForcingSignal, s: Spectrum, t_lefts, h: float, modes: list)
     table of the other columns."""
     t_lefts = np.asarray(t_lefts, dtype=float)
     lam = s.lambdas
-    w1 = -np.expm1(-lam[modes] * h) / lam[modes]  # int_0^h e^{-lam (h-u)} du
+    w1 = _step_weights(s, h)[1][modes]  # int_0^h e^{-lam (h-u)} du
     out = np.tile(g.amplitudes[modes] * w1, (t_lefts.size, 1))
     for term in g.terms:
         j = term.mode - 1

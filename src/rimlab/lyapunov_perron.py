@@ -41,7 +41,7 @@ from .dynamics import Nonlinearity, integrate
 from .errors import CertificateError, RimlabError
 from .forcing import ForcingSignal, _cell_columns, shift_forcing
 from .randomness import OUProcess, whole_steps
-from .spectral import Spectrum, _filter_modes, _mode_major, _node_norms, norm_alpha
+from .spectral import Spectrum, _filter_modes, _mode_major, _node_norms, _step_weights, norm_alpha
 
 __all__ = [
     "c_alpha_constant",
@@ -256,9 +256,9 @@ class LPContext:
     forcing cells (``gcells``, only the columns of the ``forced`` modes),
     the per-mode filter coefficients and F itself.  The OU window ``z`` is
     a read-only view of the driver's mode-major table, so every context on
-    one table shares its values and copies none.  The solver tolerance
-    ``tol`` is fixed here; without an explicit ``t_back`` the window is
-    sized for it.
+    one table shares its values and copies none.  The window ``t_back``
+    (rounded to whole steps) and the solver tolerance ``tol`` are fixed
+    here; ``config.build_problem`` derives both.
 
     A history is a bare (nodes, modes) array on ``times``, stored
     mode-major like every node array here; its last row is the graph point
@@ -273,9 +273,9 @@ class LPContext:
         nonlinearity: Nonlinearity,
         forcing: ForcingSignal,
         ou: OUProcess,
-        tau: float = 0.0,
-        t_back: float | None = None,
-        tol: float = 1e-6,
+        tau: float,
+        t_back: float,
+        tol: float,
     ):
         if cert.n >= spectrum.size:
             raise RimlabError("certificate index exceeds the truncation")
@@ -290,8 +290,6 @@ class LPContext:
         self.tol = float(tol)
 
         self.h = ou.grid.h
-        if t_back is None:
-            t_back = backward_horizon(cert, tol)
         self.n_cells = max(whole_steps(t_back, self.h), 2)
         self.t_back = self.n_cells * self.h
         if cert.lambda_n * self.t_back > 500.0:
@@ -306,9 +304,8 @@ class LPContext:
         self.f = nonlinearity.evaluator(spectrum)
 
         lam = spectrum.lambdas
-        self.damp = np.exp(-lam * self.h)
+        self.damp, self.w1 = _step_weights(spectrum, self.h)
         self.grow = np.exp(lam * self.h)
-        self.w1 = -np.expm1(-lam * self.h) / lam
         self.wts_alpha = spectrum.weights_alpha()
         self.wmu = np.exp(cert.mu * self.times)
         # Forcing cells on the forced modes only: every other column is zero,
@@ -549,11 +546,6 @@ class ManifoldChart:
             raise RimlabError(
                 f"chart residual {float(np.max(self.residuals)):g} exceeds tol {self.tol:g}"
             )
-
-    @property
-    def points(self) -> np.ndarray:
-        """Full graph points x + m(x)."""
-        return self.x_grid + self.values
 
 
 def _translated_value(x, ctx: LPContext, start: np.ndarray) -> np.ndarray:

@@ -1,12 +1,14 @@
 """Aggregate of one model instance: operator data, noise, certificate.
 
-A ModelProblem owns the stored noise: the sampled Wiener path until the OU
-driver is first read, then the OU table solved from it, which replaces the
-path, so a problem holds one grid-sized array.  Every time shift of the
-noise is that one table on a relabelled grid (``ou_for``), and
-fixed-point contexts for any forcing translation are built from here, so
-that every downstream object provably uses the same stored noise.  The
-solver tolerance ``tol`` is fixed per problem and passed to every context.
+A ModelProblem is built complete and never changes: it owns the stored
+noise, the OU table ``ou`` of one sampled path (``config.build_problem``
+solves it, and lets the path go, before the problem exists), so a problem
+holds one grid-sized array.  Every time shift of the noise is that one
+table on a relabelled grid (``ou_for``), and fixed-point contexts for any
+forcing translation are built from here, so that every downstream object
+provably uses the same stored noise.  The backward window ``t_back`` and
+the solver tolerance ``tol`` are fixed per problem and passed to every
+context.
 Graph values on the stored OU table are solved at most once per (tau, base
 point), so checks that revisit the chart's points reuse its solves.  The
 store holds values only: a translate of a point is solved from the history
@@ -32,26 +34,26 @@ from .lyapunov_perron import (
     _translated_value,
     build_chart,
 )
-from .randomness import OUProcess, TimeGrid, WienerPath, solve_ou
+from .randomness import OUProcess, TimeGrid
 from .spectral import Spectrum
 
 __all__ = ["ModelProblem"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelProblem:
     spectrum: Spectrum
     nonlinearity: Nonlinearity
     forcing: ForcingSignal
-    noise: WienerPath | OUProcess
+    ou: OUProcess
     cert: GapCertificate
     t_back: float
     t_fwd: float
-    tol: float = 1e-6
+    tol: float
     _graph: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.noise.values.shape[1] != self.spectrum.size:
+        if self.ou.values.shape[1] != self.spectrum.size:
             raise ConfigError("noise.values: mode count differs from the spectrum")
         if self.forcing.n_modes != self.spectrum.size:
             raise ConfigError("forcing: mode count differs from the spectrum")
@@ -60,18 +62,11 @@ class ModelProblem:
 
     @property
     def h(self) -> float:
-        return self.noise.grid.h
+        return self.ou.grid.h
 
     @property
     def seed(self) -> int:
-        return self.noise.seed
-
-    @property
-    def ou(self) -> OUProcess:
-        """The OU table; the first read solves it and lets the path go."""
-        if isinstance(self.noise, WienerPath):
-            self.noise = solve_ou(self.noise, self.spectrum)
-        return self.noise
+        return self.ou.seed
 
     def ou_for(self, t: float) -> OUProcess:
         """OU driver of the shifted noise theta_t omega: ``ou_for(t).at(s)`` is
@@ -88,7 +83,7 @@ class ModelProblem:
         shifted = TimeGrid(grid.h, grid.i_min - k, grid.i_max - k)
         return OUProcess(shifted, self.ou.values, self.seed)
 
-    def lp_context(self, tau: float = 0.0, ou: OUProcess | None = None) -> LPContext:
+    def lp_context(self, tau: float, ou: OUProcess | None = None) -> LPContext:
         return LPContext(
             spectrum=self.spectrum,
             cert=self.cert,

@@ -18,14 +18,15 @@ the grid of the stored table (``ModelProblem.ou_for``), so
 z(theta_t omega)(s) = z(omega)(s + t) holds bit for bit.
 
 Sampling and the OU solve each fill their one grid-sized array in place,
-so set-up peaks near two grid arrays (the path and the table solved from
-it), and a ModelProblem keeps the table alone.  The path is stored
-row-major, as it is drawn; the OU table is stored mode-major (each mode's
-column contiguous, like the histories the solvers iterate on) and is
-read-only once solved.  Every reader takes its window as a view of that
-one table (the backward and forward operators' OU windows, the
-integrator's window and every shifted driver), so none copies it and none
-can write to it.
+so set-up (``config.build_problem``, which samples the path and solves the
+table before the problem exists) peaks near two grid arrays, the path and
+the table solved from it, and a ModelProblem keeps the table alone.  The
+path is stored row-major, as it is drawn; the OU table is stored
+mode-major (each mode's column contiguous, like the histories the solvers
+iterate on) and is read-only once solved.  Every reader takes its window
+as a view of that one table (the backward and forward operators' OU
+windows, the integrator's window and every shifted driver), so none
+copies it and none can write to it.
 
 The initial value at the left end of the grid is drawn from the
 stationary law N(0, q/(2 lambda)); the burn-in transient decays like
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RimlabError
-from .spectral import Spectrum, _filter_modes
+from .spectral import Spectrum, _filter_modes, _step_weights
 
 __all__ = [
     "whole_steps",
@@ -208,7 +209,7 @@ def solve_ou(w: WienerPath, s: Spectrum) -> OUProcess:
     h = w.grid.h
     lam = s.lambdas
     q = w.cov.q
-    damp = np.exp(-lam * h)
+    damp, _ = _step_weights(s, h)
     rng0 = np.random.default_rng(np.random.SeedSequence([int(w.seed), 1]))
     z0 = rng0.standard_normal(s.size) * np.sqrt(q / (2.0 * lam))
 

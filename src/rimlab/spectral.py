@@ -8,11 +8,12 @@ norms are weighted coefficient norms,
     ||v||_alpha    = (sum_j lambda_j^(2*alpha) v_j^2)^(1/2)
 
 There is deliberately no generic matrix path.  The semigroup e^{-At} exists
-only as per-mode arrays the solvers build from the eigenvalues (the
-one-step factors and the backward P flow in ``LPContext``) and as the
-zero-input response of the filter below, so the projection and smoothing
-estimates hold for them exactly up to roundoff and are asserted on them as
-test oracles.
+only as per-mode arrays built from the eigenvalues (the cell rule's
+one-step weights ``_step_weights``, which the integrator, the fixed-point
+operators, the forcing cells and the OU solve share, and the backward P
+flow in ``LPContext``) and as the zero-input response of the filter below,
+so the projection and smoothing estimates hold for them exactly up to
+roundoff and are asserted on them as test oracles.
 
 Time histories are (nodes, modes) arrays.  Every time-stepping recursion in
 the package is the per-mode first-order filter ``_filter_modes`` run down
@@ -91,6 +92,14 @@ def dirichlet_laplacian(n_total: int, alpha: float = 0.0) -> Spectrum:
 def norm_alpha(v: np.ndarray, s: Spectrum) -> float | np.ndarray:
     """D(A^alpha) norm ||A^alpha v|| of each state along the last axis of v."""
     return _node_norms(s.check_state(v), s.weights_alpha())
+
+
+def _step_weights(s: Spectrum, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The cell rule's per-mode weights over a step h: the decay
+    damp = e^{-lambda h} and w1 = int_0^h e^{-lambda (h-u)} du
+    = -expm1(-lambda h) / lambda (== h phi1(lambda h))."""
+    lam = s.lambdas
+    return np.exp(-lam * h), -np.expm1(-lam * h) / lam
 
 
 def _mode_major(a: np.ndarray) -> np.ndarray:

@@ -3,20 +3,24 @@
 The workhorse configuration is the quadratic (Dirichlet) spectrum with 16
 modes, gap index n = 1, sine nonlinearity with constant 0.1 and k = 0.2,
 a unit sine forcing on mode 2, and power-law trace-class noise.  Session
-fixtures share one sampled path so the expensive OU solve happens once.
+fixtures share one sampled path and the OU table solved from it once.
 
 The plain functions at the end are test helpers and oracles that the
 library itself does not need: a problem that only carries noise, a cold
 one-point graph solve, the offset graph of the
 original variables, a path restriction, the chart's pairwise Lipschitz
 quotient, the forward operator's Q kernel, one forward-operator sweep, a
-tracking solve that integrates its own base orbit, and the dense formulas
+tracking solve that integrates its own base orbit, the dense formulas
 of path sampling, the OU solve, the near-period scan and a context's
 forcing cells (on every mode, not only the forced ones), which allocate
-every intermediate table the in-place library code avoids.  ``ModeCoupling`` is
+every intermediate table the in-place library code avoids, and a loader
+for the benchmark's own modules.  ``ModeCoupling`` is
 a test-only nonlinearity whose graph depends on x; ``Saturating`` is one
 whose orbits overflow the float range.
 """
+
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,8 +49,8 @@ def spectrum16():
 
 @pytest.fixture(scope="session")
 def sine_forcing(spectrum16):
-    return rl.ForcingSignal.trig(
-        spectrum16.size, [rl.TrigTerm(2, 1.0, 1.0, 0.0)], period=2.0 * np.pi
+    return rl.ForcingSignal(
+        spectrum16.size, terms=[rl.TrigTerm(2, 1.0, 1.0, 0.0)], declared_period=2.0 * np.pi
     )
 
 
@@ -62,14 +66,19 @@ def path16(spectrum16, cov16):
 
 
 @pytest.fixture(scope="session")
-def problem_nl(spectrum16, sine_forcing, path16):
+def ou16(path16, spectrum16):
+    return rl.solve_ou(path16, spectrum16)
+
+
+@pytest.fixture(scope="session")
+def problem_nl(spectrum16, sine_forcing, ou16):
     """Nonlinear example: per-mode sine with L=0.1, k=0.2 (mu=2, delta=0.325)."""
     cert = rl.check_gap(spectrum16, 0.1, 0.2, 1)
     return ModelProblem(
         spectrum=spectrum16,
         nonlinearity=rl.Nonlinearity.per_mode_sin(0.1),
         forcing=sine_forcing,
-        noise=path16,
+        ou=ou16,
         cert=cert,
         t_back=T_BACK,
         t_fwd=T_FWD,
@@ -78,14 +87,14 @@ def problem_nl(spectrum16, sine_forcing, path16):
 
 
 @pytest.fixture(scope="session")
-def problem_lin(spectrum16, sine_forcing, path16):
+def problem_lin(spectrum16, sine_forcing, ou16):
     """Linear example: F = 0 with the same path and sine forcing."""
     cert = rl.check_gap(spectrum16, 0.0, 0.2, 1)
     return ModelProblem(
         spectrum=spectrum16,
         nonlinearity=rl.Nonlinearity.zero(),
         forcing=sine_forcing,
-        noise=path16,
+        ou=ou16,
         cert=cert,
         t_back=8.1,
         t_fwd=8.1,
@@ -94,7 +103,7 @@ def problem_lin(spectrum16, sine_forcing, path16):
 
 
 @pytest.fixture(scope="session")
-def problem_lin_const(spectrum16, path16):
+def problem_lin_const(spectrum16, ou16):
     """Linear example with constant forcing on mode 2 (closed-form graph)."""
     cert = rl.check_gap(spectrum16, 0.0, 0.2, 1)
     amps = np.zeros(spectrum16.size)
@@ -102,8 +111,8 @@ def problem_lin_const(spectrum16, path16):
     return ModelProblem(
         spectrum=spectrum16,
         nonlinearity=rl.Nonlinearity.zero(),
-        forcing=rl.ForcingSignal.constant(amps),
-        noise=path16,
+        forcing=rl.ForcingSignal(amps.size, amps),
+        ou=ou16,
         cert=cert,
         t_back=8.1,
         t_fwd=8.1,
@@ -188,11 +197,12 @@ def noise_problem(spectrum: rl.Spectrum, path: rl.WienerPath) -> ModelProblem:
     return ModelProblem(
         spectrum=spectrum,
         nonlinearity=rl.Nonlinearity.zero(),
-        forcing=rl.ForcingSignal.zero(spectrum.size),
-        noise=path,
+        forcing=rl.ForcingSignal(spectrum.size),
+        ou=rl.solve_ou(path, spectrum),
         cert=rl.check_gap(spectrum, 0.0, 0.2, 1),
         t_back=1.0,
         t_fwd=1.0,
+        tol=TOL,
     )
 
 
@@ -314,3 +324,13 @@ def forward_apply(xi: np.ndarray, v0: np.ndarray, base: np.ndarray, ctx: rl.LPCo
 def track_alone(u0: np.ndarray, ctx: rl.LPContext, t_fwd: float):
     """``track_phi`` for one state, with its base orbit integrated here."""
     return track_phi(u0, ctx, base_orbit(u0 - ctx.z_at_zero(), ctx, t_fwd))
+
+
+def load_perfbench(name: str) -> types.ModuleType:
+    """The benchmark's ``perfbench/<name>.py``, read and executed as a fresh
+    module, never imported (which could leave bytecode beside it)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module

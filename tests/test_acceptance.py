@@ -66,7 +66,7 @@ def test_criterion_02_linear_closed_form(spectrum16, sine_forcing, cov16):
             spectrum=spectrum16,
             nonlinearity=rl.Nonlinearity.zero(),
             forcing=sine_forcing,
-            noise=path,
+            ou=rl.solve_ou(path, spectrum16),
             cert=check_gap(spectrum16, 0.0, 0.2, 1),
             t_back=8.1,
             t_fwd=8.1,
@@ -177,14 +177,14 @@ def test_criterion_05_invariance(spectrum16, sine_forcing, cov16, chart_grid16):
         for label, factor in (("h", 16), ("h/4", 4)):
             problem = ModelProblem(
                 spectrum=spectrum16, nonlinearity=f, forcing=sine_forcing,
-                noise=coarsen_path(w_ref, factor), cert=cert,
+                ou=rl.solve_ou(coarsen_path(w_ref, factor), spectrum16), cert=cert,
                 t_back=16.12, t_fwd=16.12, tol=tol_run,
             )
             ctx = problem.lp_context(tau)
             charts[label] = (problem, ctx, problem.chart(tau, x_grid, flow_t=t))
         # Both charts' points flow together in one batch on the h/16 driver.
         flowed = integrate(
-            np.vstack([chart.points for *_, chart in charts.values()]), 0.0, t,
+            np.vstack([chart.x_grid + chart.values for *_, chart in charts.values()]), 0.0, t,
             rl.solve_ou(w_ref, spectrum16), shift_forcing(sine_forcing, tau),
             f, spectrum16, return_trajectory=False,
         )
@@ -264,17 +264,17 @@ def test_criterion_07_periodicity(problem_nl, chart_grid16):
     )
 
 
-def test_criterion_08_almost_periodicity(spectrum16, cov16, path16, chart_grid16):
-    g2 = rl.ForcingSignal.trig(
+def test_criterion_08_almost_periodicity(spectrum16, cov16, ou16, chart_grid16):
+    g2 = rl.ForcingSignal(
         16,
-        [rl.TrigTerm(2, 0.02, 1.0, 0.0), rl.TrigTerm(3, 0.02, np.sqrt(2.0), 0.0)],
+        terms=[rl.TrigTerm(2, 0.02, 1.0, 0.0), rl.TrigTerm(3, 0.02, np.sqrt(2.0), 0.0)],
     )
     cert = check_gap(spectrum16, 0.1, 0.2, 1)
     problem = ModelProblem(
         spectrum=spectrum16,
         nonlinearity=rl.Nonlinearity.per_mode_sin(0.1),
         forcing=g2,
-        noise=path16,
+        ou=ou16,
         cert=cert,
         t_back=16.12,
         t_fwd=16.12,
@@ -339,8 +339,8 @@ def test_criterion_10_dichotomy_oracles():
         cert = check_gap(s, 0.1, 0.2, n)
         grid = rl.TimeGrid.from_times(-4.1, 4.1, 1e-3)
         ou = rl.solve_ou(rl.sample_wiener(0, grid, rl.CovarianceSpec.zero(16)), s)
-        g0 = rl.ForcingSignal.zero(16)
-        ctx = rl.LPContext(s, cert, rl.Nonlinearity.zero(), g0, ou, t_back=4.0)
+        g0 = rl.ForcingSignal(16)
+        ctx = rl.LPContext(s, cert, rl.Nonlinearity.zero(), g0, ou, tau=0.0, t_back=4.0, tol=1e-6)
         n_cells = 4000
         stencil = _ForwardStencil(ctx, n_cells)
         q_decay = q_flow(ctx, n_cells)

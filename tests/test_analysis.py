@@ -83,7 +83,7 @@ def test_invariance_rejects_a_chart_on_another_window(problem_nl, chart_grid16):
     ctx = problem_nl.lp_context(0.0)
     short = rl.LPContext(
         problem_nl.spectrum, problem_nl.cert, problem_nl.nonlinearity, problem_nl.forcing,
-        problem_nl.ou, t_back=4.0, tol=problem_nl.tol,
+        problem_nl.ou, tau=0.0, t_back=4.0, tol=problem_nl.tol,
     )
     assert short.t_back < ctx.t_back
     flow = 0.5, problem_nl.lp_context(0.5, ou=problem_nl.ou_for(0.5))
@@ -231,7 +231,7 @@ def test_period_shifted_start_reproduces_base_bit_for_bit(problem_nl, chart_grid
     # bit for bit, so each shifted value is the base value exactly.
     amps = np.zeros(16)
     amps[1] = 1.0
-    problem = dataclasses.replace(problem_nl, forcing=rl.ForcingSignal.constant(amps))
+    problem = dataclasses.replace(problem_nl, forcing=rl.ForcingSignal(amps.size, amps))
     solves = _applies_per_solve(monkeypatch)
     report = periodicity_defect(0.5, 3.0, chart_grid16, problem)
     assert [n for tau, n, _ in solves if tau == 3.5] == [1] * len(chart_grid16)
@@ -294,7 +294,8 @@ def test_periodicity_two_resolution_ratio(spectrum16, sine_forcing, cov16):
         from rimlab.problem import ModelProblem
 
         prob = ModelProblem(
-            spectrum=spectrum16, nonlinearity=f, forcing=sine_forcing, noise=path,
+            spectrum=spectrum16, nonlinearity=f, forcing=sine_forcing,
+            ou=rl.solve_ou(path, spectrum16),
             cert=cert, t_back=16.12, t_fwd=16.12, tol=tol,
         )
         values.append(periodicity_defect(0.0, 2.0 * np.pi, grid, prob).value)
@@ -307,14 +308,14 @@ def test_ap_defect_exact_period(problem_lin, chart_grid16):
     assert report.passed
 
 
-def test_ap_defect_zero_forcing(problem_lin_const, chart_grid16, spectrum16, path16):
+def test_ap_defect_zero_forcing(problem_lin_const, chart_grid16, spectrum16, ou16):
     from rimlab.problem import ModelProblem
 
     prob = ModelProblem(
         spectrum=spectrum16,
         nonlinearity=rl.Nonlinearity.zero(),
-        forcing=rl.ForcingSignal.zero(16),
-        noise=path16,
+        forcing=rl.ForcingSignal(16),
+        ou=ou16,
         cert=problem_lin_const.cert,
         t_back=8.1,
         t_fwd=8.1,
@@ -336,8 +337,8 @@ def test_pullback_trivial_collapse(spectrum16, path16):
     prob = ModelProblem(
         spectrum=spectrum16,
         nonlinearity=rl.Nonlinearity.zero(),
-        forcing=rl.ForcingSignal.zero(16),
-        noise=w0,
+        forcing=rl.ForcingSignal(16),
+        ou=rl.solve_ou(w0, spectrum16),
         cert=cert,
         t_back=6.0,
         t_fwd=6.0,
@@ -385,8 +386,8 @@ def test_containment_trivial_zero(spectrum16):
     prob = ModelProblem(
         spectrum=spectrum16,
         nonlinearity=rl.Nonlinearity.zero(),
-        forcing=rl.ForcingSignal.zero(16),
-        noise=w0,
+        forcing=rl.ForcingSignal(16),
+        ou=rl.solve_ou(w0, spectrum16),
         cert=cert,
         t_back=6.0,
         t_fwd=6.0,
@@ -424,14 +425,14 @@ def test_invariance_shift_beyond_support_errors(problem_nl, chart_grid16):
         flowed_chart(problem_nl, chart_grid16[:5], 500.0)
 
 
-def test_periodicity_zero_forcing_any_period(spectrum16, path16):
+def test_periodicity_zero_forcing_any_period(spectrum16, ou16):
     from rimlab.problem import ModelProblem
 
     prob = ModelProblem(
         spectrum=spectrum16,
         nonlinearity=rl.Nonlinearity.per_mode_sin(0.1),
-        forcing=rl.ForcingSignal.zero(16),
-        noise=path16,
+        forcing=rl.ForcingSignal(16),
+        ou=ou16,
         cert=rl.check_gap(spectrum16, 0.1, 0.2, 1),
         t_back=8.0,
         t_fwd=8.0,

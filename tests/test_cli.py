@@ -433,7 +433,6 @@ def _solve_phase_peak(config: Path, out: Path, monkeypatch) -> int:
 
     def traced_build(cfg, seed=None):
         problem = build(cfg, seed)
-        problem.ou
         base.append(tracemalloc.get_traced_memory()[0])
         tracemalloc.reset_peak()
         return problem
@@ -475,15 +474,13 @@ def test_commands_solve_ou_once(tmp_path, monkeypatch):
     # Every noise shift (invariance's t, each pullback time) relabels the one
     # stored OU table: a command solves it once, and the shifted driver
     # reads the stored values bit for bit.
-    from rimlab import problem as problem_module
-
-    solve_ou, calls = problem_module.solve_ou, []
+    solve_ou, calls = config_module.solve_ou, []
 
     def counted(w, s):
         calls.append(w)
         return solve_ou(w, s)
 
-    monkeypatch.setattr(problem_module, "solve_ou", counted)
+    monkeypatch.setattr(config_module, "solve_ou", counted)
     text = ALL_SIX_CONFIG + "\n[almost_period]\ntau0 = 6.283185307179586\n"
     for command, config in (
         ("verify", text),
@@ -710,6 +707,11 @@ BAD_INPUTS = {
         "verify",
         "almost_period.target",
     ),
+    # the periodicity check needs a declared period, in its command and in verify
+    "no_period_periodicity": (
+        ("period = 6.283185307179586\n", ""), [], "periodicity", "forcing.period"
+    ),
+    "no_period_verify": (("period = 6.283185307179586\n", ""), [], "verify", "forcing.period"),
     "budget_track_count": (
         ("count = 2", "count = 1000000000"), [], "build-manifold", "track.count"
     ),
@@ -795,6 +797,31 @@ def test_bad_input_exits_2_without_traceback(tmp_path, case):
     assert len(proc.stderr.strip().splitlines()) == 1
     if field is not None:
         assert field.format(tmp=tmp_path) + ":" in proc.stderr
+
+
+# Refusals that need only the config, with the line each prints: none
+# builds a problem, so none samples a path or solves anything first.
+CONFIG_ONLY_REFUSALS = {
+    "no_period_periodicity": "forcing.period: the periodicity check needs a declared period",
+    "no_period_verify": "forcing.period: the periodicity check needs a declared period",
+    "no_near_period": "almost_period.target: no near-period with defect <= 1e-09 found below 450.0",
+    "tracking_k_half_track": "certificate.k: tracking requires k < 1/2 (got 0.6)",
+    "tracking_k_half_verify": "certificate.k: tracking requires k < 1/2 (got 0.6)",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_ONLY_REFUSALS))
+def test_config_only_refusals_come_before_the_problem(tmp_path, capsys, monkeypatch, case):
+    edit, _, command, _ = BAD_INPUTS[case]
+    cfg = tmp_path / "case.ini"
+    cfg.write_text(SMALL_CONFIG.replace(*edit), "utf-8")
+
+    def refuse(*args):
+        pytest.fail("a config-only refusal built the problem first")
+
+    monkeypatch.setattr(cli, "build_problem", refuse)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {CONFIG_ONLY_REFUSALS[case]}\n"
 
 
 @pytest.mark.parametrize(
@@ -936,7 +963,7 @@ def test_windows_round_to_whole_steps():
     # floating point; neither window may take an extra step.
     ctx = LPContext(
         problem.spectrum, problem.cert, problem.nonlinearity, problem.forcing, problem.ou,
-        t_back=8.002, tol=problem.tol,
+        tau=0.0, t_back=8.002, tol=problem.tol,
     )
     assert ctx.n_cells == 8002
     forward = base_orbit(np.zeros(problem.spectrum.size), ctx, 4.001)

@@ -55,21 +55,21 @@ def test_nonlinearity_lipschitz_probes(spec8):
 
 def test_linear_homogeneous_exact(spec8, quiet_ou):
     v0 = np.linspace(1.0, -1.0, 8)
-    g = rl.ForcingSignal.zero(8)
+    g = rl.ForcingSignal(8)
     traj = integrate(v0, 0.0, 1.5, quiet_ou, g, Nonlinearity.zero(), spec8)
     exact = v0 * np.exp(-spec8.lambdas * 1.5)
     assert np.allclose(traj[-1], exact, rtol=1e-12, atol=0)
 
 
 def test_rest_state_stays_zero(spec8, quiet_ou):
-    g = rl.ForcingSignal.zero(8)
+    g = rl.ForcingSignal(8)
     f = Nonlinearity.per_mode_sin(0.3)
     traj = integrate(np.zeros(8), 0.0, 1.0, quiet_ou, g, f, spec8)
     assert np.array_equal(traj[-1], np.zeros(8))
 
 
 def test_cocycle_identity_at_zero(spec8, noisy_ou):
-    g = rl.ForcingSignal.trig(8, [rl.TrigTerm(2, 1.0, 1.0, 0.0)])
+    g = rl.ForcingSignal(8, terms=[rl.TrigTerm(2, 1.0, 1.0, 0.0)])
     v0 = np.linspace(0.4, -0.4, 8)
     out = cocycle_psi(0.0, 0.7, noisy_ou, v0, g, Nonlinearity.per_mode_sin(0.1), spec8)
     assert np.array_equal(out, v0)
@@ -79,7 +79,7 @@ def test_constant_forcing_closed_form(spec8, quiet_ou):
     c = 1.7
     amps = np.zeros(8)
     amps[1] = c
-    g = rl.ForcingSignal.constant(amps)
+    g = rl.ForcingSignal(amps.size, amps)
     t = 0.8
     out = cocycle_psi(t, 0.0, quiet_ou, np.zeros(8), g, Nonlinearity.zero(), spec8)
     lam2 = spec8.lambdas[1]
@@ -89,7 +89,7 @@ def test_constant_forcing_closed_form(spec8, quiet_ou):
 
 def test_cocycle_law(spec8, noisy_problem):
     ou = noisy_problem.ou
-    g = rl.ForcingSignal.trig(8, [rl.TrigTerm(2, 1.0, 1.0, 0.0)])
+    g = rl.ForcingSignal(8, terms=[rl.TrigTerm(2, 1.0, 1.0, 0.0)])
     f = Nonlinearity.per_mode_sin(0.1)
     rng = np.random.default_rng(8)
     v0 = 0.5 * rng.standard_normal(8)
@@ -102,7 +102,7 @@ def test_cocycle_law(spec8, noisy_problem):
 
 def test_phi_cocycle_law(spec8, noisy_problem):
     ou = noisy_problem.ou
-    g = rl.ForcingSignal.trig(8, [rl.TrigTerm(2, 1.0, 1.0, 0.0)])
+    g = rl.ForcingSignal(8, terms=[rl.TrigTerm(2, 1.0, 1.0, 0.0)])
     f = Nonlinearity.per_mode_sin(0.1)
     u0 = np.linspace(0.6, -0.6, 8)
     s_leg, t_leg = 0.4, 0.9
@@ -113,7 +113,7 @@ def test_phi_cocycle_law(spec8, noisy_problem):
 
 
 def test_phi_equals_psi_without_noise(spec8, quiet_ou):
-    g = rl.ForcingSignal.trig(8, [rl.TrigTerm(2, 1.0, 1.0, 0.0)])
+    g = rl.ForcingSignal(8, terms=[rl.TrigTerm(2, 1.0, 1.0, 0.0)])
     f = Nonlinearity.per_mode_sin(0.1)
     u0 = np.linspace(0.6, -0.6, 8)
     a = cocycle_phi(1.0, 0.3, quiet_ou, u0, g, f, spec8)
@@ -122,7 +122,7 @@ def test_phi_equals_psi_without_noise(spec8, quiet_ou):
 
 
 def test_phi_conjugacy_residual_exact(spec8, noisy_ou):
-    g = rl.ForcingSignal.trig(8, [rl.TrigTerm(2, 1.0, 1.0, 0.0)])
+    g = rl.ForcingSignal(8, terms=[rl.TrigTerm(2, 1.0, 1.0, 0.0)])
     f = Nonlinearity.per_mode_sin(0.1)
     u0 = np.linspace(0.6, -0.6, 8)
     t = 1.2
@@ -136,7 +136,7 @@ def test_initial_condition_continuity(spec8):
     grid = rl.TimeGrid.from_times(-4.0, 6.0, 1e-3)
     w = rl.sample_wiener(13, grid, rl.CovarianceSpec.power_law(8, 0.05, 2.0))
     ou5 = rl.solve_ou(w, spec8)
-    g = rl.ForcingSignal.trig(8, [rl.TrigTerm(2, 1.0, 1.0, 0.0)])
+    g = rl.ForcingSignal(8, terms=[rl.TrigTerm(2, 1.0, 1.0, 0.0)])
     f = Nonlinearity.per_mode_sin(0.1)
     rng = np.random.default_rng(10)
     for _ in range(4):
@@ -153,7 +153,7 @@ def test_self_convergence_order(spec8):
     h0 = 2e-3
     grid = rl.TimeGrid.from_times(-1.0, 2.0, h0 / 16.0)
     w_fine = rl.sample_wiener(1, grid, rl.CovarianceSpec.zero(8))
-    g = rl.ForcingSignal.trig(8, [rl.TrigTerm(2, 1.0, 1.0, 0.0)])
+    g = rl.ForcingSignal(8, terms=[rl.TrigTerm(2, 1.0, 1.0, 0.0)])
     f = Nonlinearity.per_mode_sin(0.1)
     v0 = np.linspace(0.5, -0.5, 8)
     ref = integrate(
@@ -175,7 +175,7 @@ def test_self_convergence_with_noise(spec8):
     grid = rl.TimeGrid.from_times(-1.0, 2.0, h0 / 16.0)
     cov = rl.CovarianceSpec.power_law(8, 0.05, 2.0)
     w_fine = rl.sample_wiener(5, grid, cov)
-    g = rl.ForcingSignal.trig(8, [rl.TrigTerm(2, 1.0, 1.0, 0.0)])
+    g = rl.ForcingSignal(8, terms=[rl.TrigTerm(2, 1.0, 1.0, 0.0)])
     f = Nonlinearity.per_mode_sin(0.1)
     v0 = np.linspace(0.5, -0.5, 8)
     ref = integrate(
@@ -192,7 +192,7 @@ def test_self_convergence_with_noise(spec8):
 
 def test_step_stability_guard(quiet_ou):
     stiff = rl.Spectrum(np.arange(1.0, 9.0) ** 4)
-    g = rl.ForcingSignal.zero(8)
+    g = rl.ForcingSignal(8)
     with pytest.raises(RimlabError, match="exceeds the 0.5 stability budget"):
         integrate(np.zeros(8), 0.0, 0.5, quiet_ou, g, Nonlinearity.zero(), stiff)
 
@@ -223,7 +223,7 @@ def test_instability_reports_step():
     grid = rl.TimeGrid.from_times(-1.0, 3.0, 1e-3)
     ou = rl.solve_ou(rl.sample_wiener(1, grid, rl.CovarianceSpec.zero(2)), slow)
     f = Saturating("saturating", 1.5e308)
-    g = rl.ForcingSignal.zero(2)
+    g = rl.ForcingSignal(2)
     times = np.arange(0, 3001) * 1e-3
     for v0 in (np.full(2, 1.0), np.array([[0.0, 0.0], [1.0, 1.0]])):
         step = _first_nonfinite_step(v0, ou, f, slow, 3.0)
@@ -235,7 +235,7 @@ def test_instability_reports_step():
 
 
 def test_batched_integration_matches_loop(spec8, noisy_ou):
-    g = rl.ForcingSignal.trig(8, [rl.TrigTerm(2, 1.0, 1.0, 0.0)])
+    g = rl.ForcingSignal(8, terms=[rl.TrigTerm(2, 1.0, 1.0, 0.0)])
     f = Nonlinearity.per_mode_sin(0.1)
     rng = np.random.default_rng(2)
     batch = 0.3 * rng.standard_normal((5, 8))
@@ -248,7 +248,7 @@ def test_batched_integration_matches_loop(spec8, noisy_ou):
 @pytest.mark.parametrize("f", [Nonlinearity.per_mode_sin(0.1)], ids=["per_mode_sin"])
 def test_batched_trajectory_matches_single_calls(spec8, noisy_ou, f):
     # One batched integrate of B states reproduces B single-state histories.
-    g = rl.ForcingSignal.trig(8, [rl.TrigTerm(2, 1.0, 1.0, 0.0)])
+    g = rl.ForcingSignal(8, terms=[rl.TrigTerm(2, 1.0, 1.0, 0.0)])
     batch = 0.5 * np.random.default_rng(11).standard_normal((4, 8))
     both = integrate(batch, 0.0, 1.5, noisy_ou, g, f, spec8)
     assert both.shape[1:] == (4, 8)
@@ -260,7 +260,7 @@ def test_batched_trajectory_matches_single_calls(spec8, noisy_ou, f):
 
 
 def test_phi_identity_at_zero(spec8, noisy_ou):
-    g = rl.ForcingSignal.trig(8, [rl.TrigTerm(2, 1.0, 1.0, 0.0)])
+    g = rl.ForcingSignal(8, terms=[rl.TrigTerm(2, 1.0, 1.0, 0.0)])
     u0 = np.array([1e-20, 0.4, -0.2, 0.0, 0.1, 0.0, 0.0, 0.0])
     out = cocycle_phi(0.0, 0.3, noisy_ou, u0, g, Nonlinearity.per_mode_sin(0.1), spec8)
     assert np.array_equal(out, u0)

@@ -21,19 +21,19 @@ def spec4():
 
 
 def test_zero_forcing(spec4):
-    g = rl.ForcingSignal.zero(4)
+    g = rl.ForcingSignal(4)
     for t in (-3.0, 0.0, 7.5):
         assert np.array_equal(g.eval_many([t])[0], np.zeros(4))
 
 
 def test_constant_forcing():
-    g = rl.ForcingSignal.constant(np.array([0.0, 2.5, 0.0]))
+    g = rl.ForcingSignal(3, np.array([0.0, 2.5, 0.0]))
     assert np.array_equal(g.eval_many([-11.0])[0], [0.0, 2.5, 0.0])
     assert np.array_equal(g.eval_many([3.0])[0], [0.0, 2.5, 0.0])
 
 
 def test_trig_forcing_pointwise():
-    g = rl.ForcingSignal.trig(4, [rl.TrigTerm(2, 1.0, 1.0, 0.0)])
+    g = rl.ForcingSignal(4, terms=[rl.TrigTerm(2, 1.0, 1.0, 0.0)])
     out = g.eval_many([np.pi / 2.0])[0]
     assert out[1] == pytest.approx(1.0, abs=1e-15)
     assert np.array_equal(out[[0, 2, 3]], np.zeros(3))
@@ -41,13 +41,13 @@ def test_trig_forcing_pointwise():
 
 def test_declared_period_validated():
     with pytest.raises(RimlabError, match="not periodic with declared period"):
-        rl.ForcingSignal.trig(2, [rl.TrigTerm(1, 1.0, 1.0, 0.0)], period=1.0)
-    g = rl.ForcingSignal.trig(2, [rl.TrigTerm(1, 1.0, 1.0, 0.0)], period=2.0 * np.pi)
+        rl.ForcingSignal(2, terms=[rl.TrigTerm(1, 1.0, 1.0, 0.0)], declared_period=1.0)
+    g = rl.ForcingSignal(2, terms=[rl.TrigTerm(1, 1.0, 1.0, 0.0)], declared_period=2.0 * np.pi)
     assert g.declared_period == pytest.approx(2.0 * np.pi)
 
 
 def test_shift_identity_and_period():
-    g = rl.ForcingSignal.trig(2, [rl.TrigTerm(1, 1.0, 2.0, 0.3)], period=np.pi)
+    g = rl.ForcingSignal(2, terms=[rl.TrigTerm(1, 1.0, 2.0, 0.3)], declared_period=np.pi)
     assert shift_forcing(g, 0.0) is g
     shifted = shift_forcing(g, np.pi)
     t = np.linspace(-5, 5, 41)
@@ -55,14 +55,14 @@ def test_shift_identity_and_period():
 
 
 def test_shift_phase_arithmetic():
-    g = rl.ForcingSignal.trig(2, [rl.TrigTerm(1, 1.0, 1.0, 0.0)])
+    g = rl.ForcingSignal(2, terms=[rl.TrigTerm(1, 1.0, 1.0, 0.0)])
     shifted = shift_forcing(g, np.pi)
     assert shifted.terms[0].phase == pytest.approx(np.pi)
 
 
 def test_shift_group_law(spec4):
-    g = rl.ForcingSignal.trig(
-        4, [rl.TrigTerm(2, 1.0, 1.0, 0.1), rl.TrigTerm(3, 0.5, np.sqrt(2.0), 0.0)]
+    g = rl.ForcingSignal(
+        4, terms=[rl.TrigTerm(2, 1.0, 1.0, 0.1), rl.TrigTerm(3, 0.5, np.sqrt(2.0), 0.0)]
     )
     rng = np.random.default_rng(0)
     t = rng.uniform(-10, 10, 64)
@@ -73,8 +73,8 @@ def test_shift_group_law(spec4):
 
 def test_cell_convolution_matches_quadrature(spec4):
     # Oracle: dense left-Riemann refinement of the kernel-weighted integral.
-    g = rl.ForcingSignal.trig(
-        4, [rl.TrigTerm(2, 1.3, 2.0, 0.4), rl.TrigTerm(4, 0.7, 0.5, -0.2)]
+    g = rl.ForcingSignal(
+        4, terms=[rl.TrigTerm(2, 1.3, 2.0, 0.4), rl.TrigTerm(4, 0.7, 0.5, -0.2)]
     )
     h = 0.05
     t_lefts = np.array([-0.3, 0.0, 1.15])
@@ -90,7 +90,7 @@ def test_cell_convolution_matches_quadrature(spec4):
 
 def test_cell_convolution_constant_matches_weight(spec4):
     amps = np.array([1.0, -2.0, 0.0, 3.0])
-    g = rl.ForcingSignal.constant(amps)
+    g = rl.ForcingSignal(amps.size, amps)
     h = 0.02
     cells = cell_convolution(g, spec4, np.array([0.0, 5.0]), h)
     w1 = -np.expm1(-spec4.lambdas * h) / spec4.lambdas
@@ -103,7 +103,7 @@ def test_constant_and_terms_take_one_path(spec4):
     amps = np.array([0.5, -1.0, 0.0, 2.0])
     terms = [rl.TrigTerm(2, 1.3, 2.0, 0.4), rl.TrigTerm(4, 0.7, 0.5, -0.2)]
     both = rl.ForcingSignal(4, amps, terms)
-    const, trig = rl.ForcingSignal.constant(amps), rl.ForcingSignal.trig(4, terms)
+    const, trig = rl.ForcingSignal(amps.size, amps), rl.ForcingSignal(4, terms=terms)
     t = np.linspace(-3.0, 3.0, 13)
     parts = const.eval_many(t) + trig.eval_many(t)
     assert np.allclose(both.eval_many(t), parts, rtol=0, atol=1e-15)
@@ -123,15 +123,15 @@ def test_constant_and_terms_take_one_path(spec4):
 
 
 def test_temperedness_integral_zero_and_constant(spec4, past_forcing_bound):
-    assert past_forcing_bound(rl.ForcingSignal.zero(4), spec4) == 0.0
+    assert past_forcing_bound(rl.ForcingSignal(4), spec4) == 0.0
     amps = np.array([0.0, 3.0, 0.0, 0.0])
-    g = rl.ForcingSignal.constant(amps)
+    g = rl.ForcingSignal(amps.size, amps)
     assert past_forcing_bound(g, spec4) == pytest.approx(3.0 / 1.0)
 
 
 def test_temperedness_integral_trig_bound(spec4, past_forcing_bound):
     # The oracle bounds the past integral itself, by quadrature, at every tau.
-    g = rl.ForcingSignal.trig(4, [rl.TrigTerm(2, 2.0, 1.0, 0.0)])
+    g = rl.ForcingSignal(4, terms=[rl.TrigTerm(2, 2.0, 1.0, 0.0)])
     sigma = np.linspace(-40.0, 0.0, 40001)
     for tau in (0.0, 0.7, 3.0):
         integrand = np.exp(sigma) * np.linalg.norm(g.eval_many(sigma + tau), axis=1)
@@ -139,21 +139,21 @@ def test_temperedness_integral_trig_bound(spec4, past_forcing_bound):
 
 
 def test_almost_period_trivial_cases(spec4):
-    g = rl.ForcingSignal.trig(4, [rl.TrigTerm(2, 1.0, 1.0, 0.0)], period=2 * np.pi)
+    g = rl.ForcingSignal(4, terms=[rl.TrigTerm(2, 1.0, 1.0, 0.0)], declared_period=2 * np.pi)
     assert almost_period_defect(g, spec4, 0.0) == 0.0
     assert almost_period_defect(g, spec4, 2.0 * np.pi) < 1e-12
 
 
 def test_almost_period_half_period_flip(spec4):
     beta, amp = 2.0, 0.7
-    g = rl.ForcingSignal.trig(4, [rl.TrigTerm(3, amp, beta, 0.0)])
+    g = rl.ForcingSignal(4, terms=[rl.TrigTerm(3, amp, beta, 0.0)])
     defect = almost_period_defect(g, spec4, np.pi / beta)
     assert defect == pytest.approx(2.0 * amp, rel=1e-2)
 
 
 def test_trig_sup_bound_dominates_samples(spec4, past_forcing_bound):
-    g = rl.ForcingSignal.trig(
-        4, [rl.TrigTerm(2, 1.0, 1.0, 0.0), rl.TrigTerm(2, 0.3, np.sqrt(2.0), 0.2)]
+    g = rl.ForcingSignal(
+        4, terms=[rl.TrigTerm(2, 1.0, 1.0, 0.0), rl.TrigTerm(2, 0.3, np.sqrt(2.0), 0.2)]
     )
     bound = past_forcing_bound(g, spec4) * spec4.lambdas[0]
     t = np.linspace(0, 50, 5001)
@@ -163,8 +163,8 @@ def test_trig_sup_bound_dominates_samples(spec4, past_forcing_bound):
 
 
 def test_scan_almost_period_quasi_periodic(spec4):
-    g = rl.ForcingSignal.trig(
-        4, [rl.TrigTerm(2, 0.02, 1.0, 0.0), rl.TrigTerm(3, 0.02, np.sqrt(2.0), 0.0)]
+    g = rl.ForcingSignal(
+        4, terms=[rl.TrigTerm(2, 0.02, 1.0, 0.0), rl.TrigTerm(3, 0.02, np.sqrt(2.0), 0.0)]
     )
     tau0, eps = scan_almost_period(g, spec4, 1e-3, 450.0, 0.01)
     assert eps <= 1e-3
@@ -194,7 +194,7 @@ def test_sparse_scan_equals_dense(name):
     # than that one table.
     terms, alpha = SCAN_SIGNALS[name]
     s = rl.dirichlet_laplacian(16, alpha)
-    g = rl.ForcingSignal.trig(16, terms)
+    g = rl.ForcingSignal(16, terms=terms)
     args = (2e-3, 450.0, 0.01)
     expected = dense_scan_almost_period(g, s, *args)
     tracemalloc.start()

@@ -26,7 +26,7 @@ from rimlab.tracking import forward_horizon
 def problem_frac():
     s = rl.dirichlet_laplacian(12, 0.25)
     cert = check_gap(s, 0.1, 0.45, 1)
-    g = rl.ForcingSignal.trig(12, [rl.TrigTerm(2, 1.0, 1.0, 0.0)], period=2.0 * np.pi)
+    g = rl.ForcingSignal(12, terms=[rl.TrigTerm(2, 1.0, 1.0, 0.0)], declared_period=2.0 * np.pi)
     cov = rl.CovarianceSpec.power_law(12, 0.02, 3.0)
     t_back = backward_horizon(cert, 1e-6)
     t_fwd = forward_horizon(cert, 1e-6) or t_back  # None: no tail
@@ -36,7 +36,7 @@ def problem_frac():
         spectrum=s,
         nonlinearity=rl.Nonlinearity.per_mode_sin(0.1),
         forcing=g,
-        noise=path,
+        ou=rl.solve_ou(path, s),
         cert=cert,
         t_back=t_back,
         t_fwd=t_fwd,
@@ -60,7 +60,9 @@ def test_fractional_linear_convolution(problem_frac):
         rl.Nonlinearity.zero(),
         problem_frac.forcing,
         problem_frac.ou,
+        tau=0.0,
         t_back=8.0,
+        tol=problem_frac.tol,
     )
     x = np.zeros(12)
     x[0] = 0.4

@@ -179,13 +179,15 @@ def test_graph_value_settled_at_horizon(name):
     s = rl.dirichlet_laplacian(n_total, alpha)
     cert = check_gap(s, lip, k, 1)
     t_back = backward_horizon(cert, tol)
-    g = rl.ForcingSignal.trig(n_total, [rl.TrigTerm(2, 1.0, 1.0, 0.0)], period=2.0 * np.pi)
+    g = rl.ForcingSignal(
+        n_total, terms=[rl.TrigTerm(2, 1.0, 1.0, 0.0)], declared_period=2.0 * np.pi
+    )
     cov = rl.CovarianceSpec.power_law(n_total, scale, exponent)
     grid = rl.TimeGrid.from_times(-(3.0 * t_back + 10.0) - 0.1, 0.1, 1e-3)
     ou = rl.solve_ou(rl.sample_wiener(7, grid, cov), s)
     f = rl.Nonlinearity.per_mode_sin(lip)
     short, long = (
-        LPContext(s, cert, f, g, ou, t_back=t, tol=tol / 1000) for t in (t_back, 3 * t_back)
+        LPContext(s, cert, f, g, ou, 0.0, t_back=t, tol=tol / 1000) for t in (t_back, 3 * t_back)
     )
     for x1 in (-1.0, 0.25, 1.0):
         x = np.zeros(n_total)
@@ -205,14 +207,16 @@ def _random_history(ctx, rng, scale=0.5):
 
 def test_lp_apply_pure_backward_flow(problem_lin):
     # F=0, g=0: the operator returns the backward flow on the resolved modes.
-    g0 = rl.ForcingSignal.zero(16)
+    g0 = rl.ForcingSignal(16)
     ctx = LPContext(
         problem_lin.spectrum,
         problem_lin.cert,
         rl.Nonlinearity.zero(),
         g0,
         problem_lin.ou,
+        tau=0.0,
         t_back=4.0,
+        tol=problem_lin.tol,
     )
     x = np.zeros(16)
     x[0] = 0.8
@@ -290,7 +294,7 @@ def test_context_keeps_the_forced_cells_only(problem_nl):
     forcings = {
         (1,): problem_nl.forcing,  # the workhorse sine on mode 2
         (1, 3): rl.ForcingSignal(16, amps, problem_nl.forcing.terms),
-        (): rl.ForcingSignal.zero(16),
+        (): rl.ForcingSignal(16),
     }
     for forced, forcing in forcings.items():
         problem = dataclasses.replace(problem_nl, forcing=forcing)
@@ -347,14 +351,16 @@ def test_histories_are_mode_major(problem_nl):
 
 
 def test_solver_one_iteration_when_constant(problem_lin):
-    g0 = rl.ForcingSignal.zero(16)
+    g0 = rl.ForcingSignal(16)
     ctx = LPContext(
         problem_lin.spectrum,
         problem_lin.cert,
         rl.Nonlinearity.zero(),
         g0,
         problem_lin.ou,
+        tau=0.0,
         t_back=4.0,
+        tol=problem_lin.tol,
     )
     x = np.zeros(16)
     x[0] = -0.4
@@ -418,7 +424,9 @@ def test_solver_detects_wrong_certificate(problem_nl):
         rl.Nonlinearity.per_mode_sin(1.5),
         problem_nl.forcing,
         problem_nl.ou,
+        tau=0.0,
         t_back=4.0,
+        tol=problem_nl.tol,
     )
     x = np.zeros(16)
     x[0] = 0.5
@@ -525,14 +533,16 @@ def test_selfmap_bound_along_picard_iterates(problem_nl, past_forcing_bound):
 
 
 def test_manifold_zero_without_data(problem_lin):
-    g0 = rl.ForcingSignal.zero(16)
+    g0 = rl.ForcingSignal(16)
     ctx = LPContext(
         problem_lin.spectrum,
         problem_lin.cert,
         rl.Nonlinearity.zero(),
         g0,
         problem_lin.ou,
+        tau=0.0,
         t_back=4.0,
+        tol=problem_lin.tol,
     )
     x = np.zeros(16)
     x[0] = 1.0
@@ -591,7 +601,9 @@ def test_tilde_manifold_offsets(problem_nl, problem_lin_const):
         problem_nl.nonlinearity,
         problem_nl.forcing,
         rl.solve_ou(w0, problem_nl.spectrum),
+        tau=0.0,
         t_back=6.0,
+        tol=1e-6,
     )
     a = tilde_manifold_point(x, ctx0)
     b = manifold_point(x, ctx0)
@@ -669,6 +681,7 @@ def test_horizon_convergence(problem_nl):
             problem_nl.nonlinearity,
             problem_nl.forcing,
             problem_nl.ou,
+            tau=0.0,
             t_back=t_back,
             tol=1e-9,
         )
@@ -759,6 +772,7 @@ def test_context_rejects_nonpositive_tol(problem_nl):
                 problem_nl.nonlinearity,
                 problem_nl.forcing,
                 problem_nl.ou,
+                tau=0.0,
                 t_back=4.0,
                 tol=tol,
             )
@@ -772,7 +786,9 @@ def test_lp_apply_misaligned_window_errors(problem_nl):
         problem_nl.nonlinearity,
         problem_nl.forcing,
         problem_nl.ou,
+        tau=0.0,
         t_back=4.0,
+        tol=problem_nl.tol,
     )
     x = np.zeros(16)
     with pytest.raises(RimlabError, match="history nodes do not match the context window"):
@@ -788,7 +804,7 @@ def test_graph_values_first_order_in_step():
     s = rl.dirichlet_laplacian(12, 0.0)
     cert = check_gap(s, 0.1, 0.2, 1)
     f = rl.Nonlinearity.per_mode_sin(0.1)
-    g = rl.ForcingSignal.trig(12, [rl.TrigTerm(2, 1.0, 1.0, 0.0)], period=2 * np.pi)
+    g = rl.ForcingSignal(12, terms=[rl.TrigTerm(2, 1.0, 1.0, 0.0)], declared_period=2 * np.pi)
     cov = rl.CovarianceSpec.power_law(12, 0.05, 2.0)
     from rimlab.problem import ModelProblem
 
@@ -800,7 +816,7 @@ def test_graph_values_first_order_in_step():
 
     def graph_at(path):
         prob = ModelProblem(
-            spectrum=s, nonlinearity=f, forcing=g, noise=path, cert=cert,
+            spectrum=s, nonlinearity=f, forcing=g, ou=rl.solve_ou(path, s), cert=cert,
             t_back=16.2, t_fwd=16.2, tol=1e-11,
         )
         return manifold_point(x, prob.lp_context(0.0))

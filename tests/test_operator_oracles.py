@@ -21,7 +21,7 @@ from rimlab.dynamics import integrate
 def setup():
     s = rl.dirichlet_laplacian(6, 0.25)
     cert = rl.check_gap(s, 0.1, 0.45, 1)
-    g = rl.ForcingSignal.trig(6, [rl.TrigTerm(2, 1.0, 1.3, 0.2)])
+    g = rl.ForcingSignal(6, terms=[rl.TrigTerm(2, 1.0, 1.3, 0.2)])
     f = rl.Nonlinearity.per_mode_sin(0.1)
     cov = rl.CovarianceSpec.power_law(6, 0.1, 2.0)
     grid = rl.TimeGrid.from_times(-4.0, 3.0, 0.01)
@@ -66,7 +66,7 @@ def _brute_backward(xi_values, x, ctx):
 
 def test_backward_operator_matches_brute_force(setup):
     s, cert, g, f, ou = setup
-    ctx = LPContext(s, cert, f, g, ou, tau=0.4, t_back=2.0)
+    ctx = LPContext(s, cert, f, g, ou, tau=0.4, t_back=2.0, tol=1e-6)
     rng = np.random.default_rng(0)
     x = np.zeros(6)
     x[0] = 0.7
@@ -109,7 +109,7 @@ def _brute_forward(xi_values, v0, base_values, times, z, ctx, y0):
 
 def test_forward_operator_matches_brute_force(setup):
     s, cert, g, f, ou = setup
-    ctx = LPContext(s, cert, f, g, ou, tau=0.0, t_back=2.0)
+    ctx = LPContext(s, cert, f, g, ou, tau=0.0, t_back=2.0, tol=1e-6)
     rng = np.random.default_rng(1)
     v0 = 0.4 * rng.standard_normal(6)
     t_fwd = 2.0

@@ -11,21 +11,11 @@ import dataclasses
 import importlib
 import inspect
 import types
-from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from conftest import load_perfbench
 
-
-def _load(name: str) -> types.ModuleType:
-    path = PERFBENCH / f"{name}.py"
-    module = types.ModuleType(f"perfbench_{name}")
-    module.__file__ = str(path)
-    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
-    return module
-
-
-TRACER = _load("tracer")
-LAYERS = _load("layers")
+TRACER = load_perfbench("tracer")
+LAYERS = load_perfbench("layers")
 
 
 def _rimlab(module: str) -> types.ModuleType:

@@ -2,16 +2,21 @@
 
 Every module lists its public names in ``__all__``, each listed name
 resolves, ``rimlab`` re-exports only names that some module lists, and
-every listed name is used by the library itself, not only by tests.
+every listed name, and every public member of a listed class, is used by
+the library itself, not only by tests.
 """
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
 import types
 from pathlib import Path
 
 import rimlab
+from conftest import load_perfbench
+
+TRACER = load_perfbench("tracer")
 
 
 def test_package_exports_only_listed_names():
@@ -39,9 +44,28 @@ def test_one_error_class_per_exit_outcome():
     assert classes == errors.__all__
 
 
+def _public_members(cls: type) -> list:
+    """The public methods, properties and classmethods a class defines, less
+    its dataclass fields and the methods the benchmark's tracer wraps or
+    counts by name (so they must exist even where the library never calls
+    them)."""
+    fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+    hooked = {(c, m) for _, c, m in TRACER.METHODS + TRACER.COUNTED}
+    return [
+        name
+        for name, value in vars(cls).items()
+        if not name.startswith("_")
+        and name not in fields
+        and (cls.__name__, name) not in hooked
+        and isinstance(value, (types.FunctionType, property, classmethod, staticmethod))
+    ]
+
+
 def test_every_listed_name_is_used_in_the_library():
     # A name counts as used when some module other than the package's
-    # re-export list loads it as a name or an attribute.
+    # re-export list loads it as a name or an attribute, and so does each
+    # public member of a listed class: no constructor, method or property
+    # is kept for tests alone.
     listed, loaded = set(), set()
     for path in sorted(Path(rimlab.__file__).parent.glob("*.py")):
         if path.name == "__init__.py":
@@ -53,8 +77,12 @@ def test_every_listed_name_is_used_in_the_library():
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.attr)
         module = importlib.import_module(f"rimlab.{path.stem}")
-        listed |= set(getattr(module, "__all__", ()))
-    assert sorted(listed - loaded) == []
+        for name in getattr(module, "__all__", ()):
+            listed.add(name)
+            obj = getattr(module, name)
+            if isinstance(obj, type):
+                listed |= {f"{name}.{member}" for member in _public_members(obj)}
+    assert sorted(name for name in listed if name.rpartition(".")[2] not in loaded) == []
 
 
 def test_spectral_mode_loop_is_the_only_norm():

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from pathlib import Path
 
@@ -125,8 +126,9 @@ WORKHORSE = Path(__file__).resolve().parent.parent / "configs" / "dirichlet_nonl
 def test_in_place_setup_equals_dense_formulas():
     # The workhorse grid, then grids whose t = 0 node is one node from either
     # end, where one of the two outward sums covers a single cell.
-    problem = build_problem(load_config(WORKHORSE))
-    cases = [(problem.noise, problem.spectrum)]
+    cfg = load_config(WORKHORSE)
+    problem = build_problem(cfg)
+    cases = [(rl.sample_wiener(problem.seed, problem.ou.grid, cfg.cov), problem.spectrum)]
     s = rl.Spectrum(np.array([1.0, 4.0, 9.0]))
     cov = rl.CovarianceSpec.power_law(3, 0.4, 2.0)
     for i_min, i_max in ((-1, 40), (-40, 1), (-1, 1)):
@@ -134,25 +136,38 @@ def test_in_place_setup_equals_dense_formulas():
     for w, spectrum in cases:
         assert np.array_equal(w.values, dense_sample_wiener(w.seed, w.grid, w.cov))
         assert np.array_equal(rl.solve_ou(w, spectrum).values, dense_solve_ou(w, spectrum))
+    # the problem's own table is the one solved from its re-sampled path
+    assert np.array_equal(problem.ou.values, dense_solve_ou(cases[0][0], problem.spectrum))
 
 
 def test_setup_holds_one_grid_array():
-    # Sampling and the OU solve each fill their one table in place, and the
-    # problem keeps the OU table, not the path it was solved from.
+    # build_problem samples the path and solves the OU table, each filled in
+    # place, and the problem keeps the table, not the path it was solved from.
     import scipy.signal  # noqa: F401  (loaded first: its import is not set-up)
 
     cfg = load_config(WORKHORSE)
     tracemalloc.start()
     try:
         problem = build_problem(cfg)
-        problem.ou
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     table = problem.ou.values.nbytes
     assert peak <= 2.5 * table
     assert retained <= 1.1 * table
-    assert problem.noise is problem.ou
+
+
+def test_built_problem_is_frozen():
+    # A problem is built complete: it holds the solved OU table, no path,
+    # and no field of it can be replaced after it is built.
+    problem = build_problem(load_config(WORKHORSE))
+    assert isinstance(problem.ou, rl.OUProcess)
+    assert not problem.ou.values.flags.writeable
+    assert not hasattr(problem, "noise")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        problem.ou = problem.ou_for(0.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        problem.tol = 1e-3
 
 
 def test_ou_zero_noise_is_zero():

@@ -69,8 +69,10 @@ def flows():
     grid = rl.TimeGrid.from_times(-7.6, 1.2, H)
     ou = rl.solve_ou(rl.sample_wiener(0, grid, rl.CovarianceSpec.zero(8)), s)
     ctx = rl.LPContext(
-        s, rl.check_gap(s, 0.0, 0.2, 2), rl.Nonlinearity.zero(), rl.ForcingSignal.zero(8), ou,
+        s, rl.check_gap(s, 0.0, 0.2, 2), rl.Nonlinearity.zero(), rl.ForcingSignal(8), ou,
+        tau=0.0,
         t_back=7.5,
+        tol=1e-6,
     )
     return ctx, _ForwardStencil(ctx, 220)
 
@@ -116,7 +118,9 @@ def test_semigroup_rejects_bad_resolved_count(flows):
             rl.check_gap(ctx.spectrum, 0.0, 0.2, n)
     small = rl.dirichlet_laplacian(2)
     with pytest.raises(RimlabError, match="certificate index exceeds the truncation"):
-        rl.LPContext(small, ctx.cert, ctx.nonlinearity, rl.ForcingSignal.zero(2), ctx.ou)
+        rl.LPContext(
+            small, ctx.cert, ctx.nonlinearity, rl.ForcingSignal(2), ctx.ou, 0.0, ctx.t_back, ctx.tol
+        )
 
 
 def test_semigroup_law_composition(flows):
@@ -150,8 +154,10 @@ def _dichotomy_case(alpha):
     grid = rl.TimeGrid.from_times(-2.1, 3.1, 1e-3)
     ou = rl.solve_ou(rl.sample_wiener(0, grid, rl.CovarianceSpec.zero(12)), s)
     ctx = rl.LPContext(
-        s, rl.check_gap(s, 0.0, 0.2, n), rl.Nonlinearity.zero(), rl.ForcingSignal.zero(12), ou,
+        s, rl.check_gap(s, 0.0, 0.2, n), rl.Nonlinearity.zero(), rl.ForcingSignal(12), ou,
+        tau=0.0,
         t_back=2.0,
+        tol=1e-6,
     )
     n_cells = 3000
     stencil = _ForwardStencil(ctx, n_cells)

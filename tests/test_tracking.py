@@ -54,7 +54,9 @@ def test_requires_half_contraction(problem_nl):
         problem_nl.nonlinearity,
         problem_nl.forcing,
         problem_nl.ou,
+        tau=0.0,
         t_back=4.0,
+        tol=problem_nl.tol,
     )
     with pytest.raises(RimlabError, match="tracking requires k < 1/2"):
         track_alone(np.zeros(16), ctx, 2.0)
@@ -236,7 +238,9 @@ def test_tracking_detects_wrong_certificate(problem_nl):
         rl.Nonlinearity.per_mode_sin(1.5),
         problem_nl.forcing,
         problem_nl.ou,
+        tau=0.0,
         t_back=4.0,
+        tol=problem_nl.tol,
     )
     u0 = np.zeros(16)
     u0[0] = 0.5
@@ -396,14 +400,16 @@ def test_coupled_shadowing_point_settled_at_forward_horizon():
     problem = ModelProblem(
         spectrum=s,
         nonlinearity=ModeCoupling("mode_coupling", 0.2),
-        forcing=rl.ForcingSignal.trig(16, [rl.TrigTerm(2, 1.0, 1.0, 0.0)], period=2 * np.pi),
-        noise=rl.sample_wiener(7, grid, rl.CovarianceSpec.power_law(16, 0.05, 2.0)),
+        forcing=rl.ForcingSignal(
+            16, terms=[rl.TrigTerm(2, 1.0, 1.0, 0.0)], declared_period=2 * np.pi
+        ),
+        ou=rl.solve_ou(rl.sample_wiener(7, grid, rl.CovarianceSpec.power_law(16, 0.05, 2.0)), s),
         cert=cert,
         t_back=t_back,
         t_fwd=t_f,
         tol=tol,
     )
-    ctx = problem.lp_context()
+    ctx = problem.lp_context(0.0)
     rng = np.random.default_rng(11)
     for _ in range(3):
         u0 = rng.uniform(-1.0, 1.0, 16)
