@@ -32,7 +32,7 @@ __all__ = ["RunConfig", "load_config", "build_problem"]
 # the sampled path (grid nodes x modes), the chart grid, the tracked and
 # pullback batches and the near-period scan (the tau rows it holds at its
 # peak).  Far above every shipped config (the largest, the workhorse OU
-# table, is about 4.3 MB), far below the memory of a small machine.
+# table, is about 4.0 MB), far below the memory of a small machine.
 ARRAY_BUDGET_BYTES = 1 << 28
 
 
@@ -366,7 +366,8 @@ def build_problem(cfg: RunConfig, seed_override: int | None = None) -> ModelProb
 
     The backward window is ``backward_horizon``, and the forward window is
     ``forward_horizon``, or the backward window where the forward operator
-    has no tail to truncate; each is rounded once to whole steps.  A
+    has no tail to truncate; both come from one two-weight search of their
+    truncation bounds, and each is rounded once to whole steps.  A
     window, or a tracked batch on the forward window, over the array
     budget is a ConfigError.
 

@@ -24,7 +24,9 @@ the time integrator (nonlinearity frozen at left nodes, forcing cells in
 closed form), so a fixed point of the discrete operator is exactly a
 discrete flow trajectory; the infinite past is truncated at -T_b, sized
 by ``backward_horizon`` so the graph value moves by at most tol/10
-(relative to the weighted norm of the history).  Both recursions
+(relative to |T(0)|_rho, one application from the zero history, in the
+rho-weight of the two-weight rule that also sizes the forward tracking
+window, ``_two_weight_horizon``).  Both recursions
 are first-order filters, evaluated per mode by ``spectral._filter_modes``
 on histories stored mode-major.  The forward tracking operator shares
 these sums (``_duhamel``) and the Picard loop (``_picard``).
@@ -174,41 +176,55 @@ def weighted_factor(cert: GapCertificate, nu: float) -> float:
     )
 
 
-def _horizon_weight(cert: GapCertificate, tol: float) -> tuple[float, float]:
-    """(T*, nu*): the backward horizon and the weight that attains it.
+def _two_weight_horizon(cert: GapCertificate, tol: float, factor, tail):
+    """(T*, rho*, nu*): the least horizon over weight pairs, or None.
 
-    Golden-section search of T(nu) = [ln(10/tol) - ln(1 - k(nu))] / (nu - mu)
-    over (mu, lambda_{n+1}), with T = inf where k(nu) >= 1.  The numerator
-    is convex in nu and the denominator affine and positive, so T is
-    quasiconvex and the search finds its minimum.  At L = 0, T decreases
-    to t1 = ln(10/tol) / (lambda_{n+1} - mu) as nu -> lambda_{n+1}, and
-    that limit is returned.
+    A window's truncation bound at weights lambda_n < rho < nu <
+    lambda_{n+1}, with its contraction factor ``factor`` below one at both,
+    is at most tol/10 (relative to the window's reference size) once
+
+        T >= [ln(10/tol) + ln tail(nu) + ln(1/(1 - factor(rho)))
+              + ln(1/(1 - factor(nu)))] / (nu - rho).
+
+    ``factor`` is convex on (lambda_n, lambda_{n+1}) and below one at mu,
+    so where it is below one is an interval around mu; its ends are found
+    by bisection.  The right side (at least 0) is evaluated on the pairs
+    rho < nu of 200 evenly spaced weights spanning that interval, and the
+    least is returned.  Every feasible pair bounds the tail, so this coarse
+    search is sound; it only forgoes the last few thousandths of T.  Both
+    callables take an array of weights.  Returns None when F has no tail to
+    bound (L = 0) or no pair is feasible.
     """
     if tol <= 0.0:
         raise RimlabError("tolerance must be positive")
-    target = math.log(10.0 / tol)
     if cert.lipschitz == 0.0:
-        return target / (cert.lambda_np1 - cert.mu), cert.lambda_np1
-
-    def horizon(nu):
-        k = weighted_factor(cert, nu)
-        return (target - math.log1p(-k)) / (nu - cert.mu) if k < 1.0 else math.inf
-
-    shrink = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = cert.mu, cert.lambda_np1
-    a, b = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
-    ta, tb = horizon(a), horizon(b)
-    for _ in range(100):
-        # ties keep the left part: the feasible set k(nu) < 1 starts at mu
-        if ta <= tb:
-            hi, b, tb = b, a, ta
-            a = hi - shrink * (hi - lo)
-            ta = horizon(a)
-        else:
-            lo, a, ta = a, b, tb
-            b = lo + shrink * (hi - lo)
-            tb = horizon(b)
-    return (ta, a) if ta <= tb else (tb, b)
+        return None
+    # in float64 scalars, so a weight at an eigenvalue (mu rounds to
+    # lambda_n when L is tiny) gives an infinite factor instead of raising
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ends = []
+        for outside in np.array([cert.lambda_n, cert.lambda_np1]):
+            inside = cert.mu
+            for _ in range(60):
+                mid = 0.5 * (inside + outside)
+                if factor(mid) < 1.0:
+                    inside = mid
+                else:
+                    outside = mid
+            ends.append(inside)
+        x = np.linspace(ends[0], ends[1], 200)
+        d = factor(x)
+        log_gain = np.where(d < 1.0, -np.log1p(-d), np.inf)  # ln 1/(1 - factor)
+        # rows rho, columns nu; only rho < nu (a positive nu - rho) is a pair
+        numer = math.log(10.0 / tol) + np.log(tail(x)) + log_gain[:, None] + log_gain
+    gap = x - x[:, None]
+    horizon = np.full(gap.shape, np.inf)
+    pairs = gap > 0.0
+    horizon[pairs] = np.maximum(numer[pairs], 0.0) / gap[pairs]
+    i, j = np.unravel_index(np.argmin(horizon), horizon.shape)
+    if not math.isfinite(horizon[i, j]):
+        return None
+    return float(horizon[i, j]), float(x[i]), float(x[j])
 
 
 def backward_horizon(cert: GapCertificate, tol: float) -> float:
@@ -220,26 +236,36 @@ def backward_horizon(cert: GapCertificate, tol: float) -> float:
 
         xi* = T_T xi* + r,   r(t) = e^{-A(t+T)} Q xi*(-T).
 
-    The forcing and the OU driver enter xi* and xi_T identically, so for
-    any weight nu in (mu, lambda_{n+1}) with k(nu) = ``weighted_factor``
-    below one, the e^{nu t}-weighted sup norm gives
-    |xi_T - xi*|_nu <= k(nu) |xi_T - xi*|_nu + |r|_nu.  Since
-    lambda_{n+1} > nu, |r|_nu <= e^{-nu T} |xi*(-T)|_a
-    <= e^{-(nu - mu) T} |xi*|_mu, and at t = 0 the weight is one:
+    The forcing and the OU driver enter xi* and xi_T identically.  Take
+    weights lambda_n < rho < nu < lambda_{n+1} with k(rho) and k(nu)
+    (``weighted_factor``) below one.  In the e^{rho t}-weighted sup norm the
+    operator on (-inf, 0] contracts with k(rho), so
+    |xi*|_rho <= |T(0)|_rho / (1 - k(rho)), where T(0) is one application
+    to the zero history, and |xi*(-T)|_a <= e^{rho T} |xi*|_rho.  Since
+    lambda_{n+1} > nu, |r|_nu <= e^{-nu T} |xi*(-T)|_a, and in the
+    e^{nu t}-weighted norm |xi_T - xi*|_nu <= k(nu) |xi_T - xi*|_nu + |r|_nu.
+    At t = 0 the weight is one:
 
-        |m_T(x) - m(x)|_a <= e^{-(nu - mu) T} |xi*|_mu / (1 - k(nu)).
+        |m_T(x) - m(x)|_a
+            <= e^{-(nu - rho) T} |T(0)|_rho / ((1 - k(rho))(1 - k(nu))).
 
-    Relative to |xi*|_mu (the unit-constant convention of the tolerance),
-    the bound is at most tol/10 once
+    Relative to |T(0)|_rho (the size of the data: the convention of the
+    tolerance), this is at most tol/10 once
 
-        T >= [ln(10/tol) + ln(1/(1 - k(nu)))] / (nu - mu),
+        T >= [ln(10/tol) + ln(1/(1 - k(rho))) + ln(1/(1 - k(nu)))] / (nu - rho),
 
-    and T* is the minimum of the right side over nu (``_horizon_weight``).
-    It is never below t1 = ln(10/tol) / (lambda_{n+1} - mu), and equals t1
-    when L = 0.  The bound holds for the graph value, not for the weighted
-    sup norm of the whole history, which near -T keeps an O(1) error.
+    and T* is the least right side over the pairs that
+    ``_two_weight_horizon`` searches, the search that sizes the forward
+    window too.  Some pair near mu is feasible whenever L > 0, since
+    k(mu) <= k < 1.  With F = 0 there is no pair to search, and T* is
+    t1 = ln(10/tol) / (lambda_{n+1} - mu), the off-graph tail alone.  The
+    bound holds for the graph value, not for the weighted sup norm of the
+    whole history, which near -T keeps an O(1) error.
     """
-    return _horizon_weight(cert, tol)[0]
+    weights = _two_weight_horizon(cert, tol, lambda x: weighted_factor(cert, x), lambda x: 1.0)
+    if weights is None:
+        return math.log(10.0 / tol) / (cert.lambda_np1 - cert.mu)
+    return weights[0]
 
 
 def weighted_sup_norm(wmu: np.ndarray, values: np.ndarray, wts_alpha: np.ndarray) -> float:
@@ -258,7 +284,10 @@ class LPContext:
     a read-only view of the driver's mode-major table, so every context on
     one table shares its values and copies none.  The window ``t_back``
     (rounded to whole steps) and the solver tolerance ``tol`` are fixed
-    here; ``config.build_problem`` derives both.
+    here; ``config.build_problem`` derives both, the window by
+    ``backward_horizon``.  The solver's S-norm keeps the certified
+    mu-weight (``wmu``); the weight pair rho < nu that sized the window
+    enters nothing here.
 
     A history is a bare (nodes, modes) array on ``times``, stored
     mode-major like every node array here; its last row is the graph point

@@ -34,7 +34,6 @@ that v0's base orbit spans (``base_orbit``) and offsets the endpoints.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +45,7 @@ from .lyapunov_perron import (
     LPContext,
     _duhamel,
     _picard,
+    _two_weight_horizon,
     solve_fixed_point,
     weighted_factor,
     weighted_sup_norm,
@@ -88,56 +88,6 @@ class TrackingResult:
             return float("nan")
         coeffs = np.polyfit(self.times[keep], np.log(curve[keep]), 1)
         return float(coeffs[0])
-
-
-def _forward_weights(cert, tol: float) -> tuple[float, float, float] | None:
-    """(T*, rho*, nu*): the forward horizon and the weight pair that attains it.
-
-    delta(x) of ``forward_horizon`` is convex on (lambda_n, lambda_{n+1}),
-    so where it is below one is an interval around mu; its ends are found
-    by bisection.  T(rho, nu) is evaluated on the pairs rho < nu of 200
-    evenly spaced weights spanning that interval, and the least is
-    returned.  Every feasible pair bounds the tail, so this coarse search
-    is sound; it only forgoes the last few thousandths of T.  Returns None
-    when no tail exists (L = 0, or k >= 1/2) or no pair is feasible.
-    """
-    if tol <= 0.0:
-        raise RimlabError("tolerance must be positive")
-    if cert.lipschitz == 0.0 or cert.k >= 0.5:
-        return None
-    lam_n = cert.lambda_n
-
-    def seed(x):  # the seed integral's factor L lambda_n^a / (x - lambda_n)
-        return cert.lipschitz * lam_n**cert.alpha / (x - lam_n)
-
-    def delta(x):
-        return weighted_factor(cert, x) + seed(x) / (1.0 - cert.k)
-
-    ends = []
-    for outside in (lam_n, cert.lambda_np1):
-        inside = cert.mu
-        for _ in range(60):
-            mid = 0.5 * (inside + outside)
-            if delta(mid) < 1.0:
-                inside = mid
-            else:
-                outside = mid
-        ends.append(inside)
-    x = np.linspace(ends[0], ends[1], 200)
-    d = delta(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_gain = np.where(d < 1.0, -np.log1p(-d), np.inf)  # ln 1/(1 - delta)
-    c = seed(x) * (1.0 + 1.0 / (1.0 - cert.k))
-    # rows rho, columns nu; only rho < nu (a positive nu - rho) is a pair
-    numer = math.log(10.0 / tol) + np.log(c) + log_gain[:, None] + log_gain
-    gap = x - x[:, None]
-    horizon = np.full(gap.shape, np.inf)
-    pairs = gap > 0.0
-    horizon[pairs] = np.maximum(numer[pairs], 0.0) / gap[pairs]
-    i, j = np.unravel_index(np.argmin(horizon), horizon.shape)
-    if not math.isfinite(horizon[i, j]):
-        return None
-    return float(horizon[i, j]), float(x[i]), float(x[j])
 
 
 def forward_horizon(cert, tol: float) -> float | None:
@@ -187,13 +137,25 @@ def forward_horizon(cert, tol: float) -> float | None:
               + ln(1/(1 - delta(nu)))] / (nu - rho),
 
     and T_f is the least right side (at least 0) over the pairs that
-    ``_forward_weights`` searches.  Some pair near mu is feasible whenever
-    L > 0 and k < 1/2, since then delta(mu) < 1.  With no tail to bound
-    (L = 0, where the seed needs no truncation, or k >= 1/2, which
+    ``lyapunov_perron._two_weight_horizon`` searches, the search that sizes
+    the backward window too, with tail c.  Some pair near mu is feasible
+    whenever L > 0 and k < 1/2, since then delta(mu) < 1.  With no tail to
+    bound (L = 0, where the seed needs no truncation, or k >= 1/2, which
     ``track_phi`` refuses) it is None.
     """
-    weights = _forward_weights(cert, tol)
-    return None if weights is None else weights[0]
+    lam_n = cert.lambda_n
+
+    def seed(x):  # the seed integral's factor L lambda_n^a / (x - lambda_n)
+        return cert.lipschitz * lam_n**cert.alpha / (x - lam_n)
+
+    def delta(x):
+        return weighted_factor(cert, x) + seed(x) / (1.0 - cert.k)
+
+    weights = _two_weight_horizon(
+        cert, tol, delta, lambda x: seed(x) * (1.0 + 1.0 / (1.0 - cert.k))
+    )
+    # k >= 1/2: track_phi refuses the forward operator, so no window is sized
+    return None if weights is None or cert.k >= 0.5 else weights[0]
 
 
 def base_orbit(v0: np.ndarray, ctx: LPContext, t_fwd: float) -> np.ndarray:

@@ -18,8 +18,9 @@ from rimlab.analysis import tracking_defects
 from rimlab.dynamics import integrate
 from rimlab.errors import CertificateError, RimlabError
 from rimlab.forcing import shift_forcing
+from rimlab.lyapunov_perron import _two_weight_horizon, weighted_factor
 from rimlab.problem import ModelProblem
-from rimlab.tracking import _forward_weights, base_orbit, forward_horizon, track_phi
+from rimlab.tracking import base_orbit, forward_horizon, track_phi
 
 
 def _random_forward(ctx, times, rng, scale=0.3):
@@ -331,14 +332,19 @@ def test_forward_sweep_leaves_no_subnormal(problem_nl):
 # ---- forward horizon --------------------------------------------------------
 
 
-def _forward_delta(cert, x):
-    """delta(x) of the forward operator, written out apart from the library."""
+def _weighted_k(cert, x):
+    """k(x) of the backward operator, written out apart from the library."""
     a, lam_n, lam_np1, lip = cert.alpha, cert.lambda_n, cert.lambda_np1, cert.lipschitz
     ca = rl.c_alpha_constant(a)
-    k_x = lip * (
+    return lip * (
         lam_n**a / (x - lam_n) + lam_np1**a / (lam_np1 - x) + ca * (lam_np1 - x) ** (a - 1.0)
     )
-    return k_x + lip * lam_n**a / ((x - lam_n) * (1.0 - cert.k))
+
+
+def _forward_delta(cert, x):
+    """delta(x) of the forward operator, written out apart from the library."""
+    lam_n, lip = cert.lambda_n, cert.lipschitz
+    return _weighted_k(cert, x) + lip * lam_n**cert.alpha / ((x - lam_n) * (1.0 - cert.k))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -350,11 +356,14 @@ def _forward_delta(cert, x):
     k=st.floats(0.01, 0.499),
     frac=st.floats(0.01, 1.0),
     tol=st.sampled_from([1e-3, 1e-6, 1e-9]),
+    window=st.sampled_from(["forward", "backward"]),
 )
-def test_forward_horizon_bound_holds(gaps, lam_1, n, alpha, k, frac, tol):
+def test_forward_horizon_bound_holds(gaps, lam_1, n, alpha, k, frac, tol, window):
     # On any instance that passes the gap condition with k < 1/2, the
-    # search returns a feasible weight pair, and the truncation bound of
-    # ``forward_horizon``, re-evaluated here at the returned T, is tol/10.
+    # shared search returns a feasible weight pair for either window, and
+    # the window's truncation bound, re-evaluated here at the returned T,
+    # is tol/10: ``forward_horizon``'s relative to d0, or
+    # ``backward_horizon``'s relative to |T(0)|_rho (tail constant 1).
     lams = lam_1 + np.concatenate([[0.0], np.cumsum(gaps)])
     s = rl.Spectrum(lams, alpha)
     lam_n, lam_np1 = lams[n - 1], lams[n]
@@ -367,12 +376,29 @@ def test_forward_horizon_bound_holds(gaps, lam_1, n, alpha, k, frac, tol):
     except CertificateError:
         assume(False)
     assert _forward_delta(cert, cert.mu) <= cert.delta * (1 + 1e-8)
-    t_f, rho, nu = _forward_weights(cert, tol)
-    assert forward_horizon(cert, tol) == t_f >= 0.0
+    if window == "forward":
+
+        def seed(x):  # the library's factors, operation for operation
+            return cert.lipschitz * cert.lambda_n**cert.alpha / (x - cert.lambda_n)
+
+        t_f, rho, nu = _two_weight_horizon(
+            cert,
+            tol,
+            lambda x: weighted_factor(cert, x) + seed(x) / (1.0 - cert.k),
+            lambda x: seed(x) * (1.0 + 1.0 / (1.0 - cert.k)),
+        )
+        assert forward_horizon(cert, tol) == t_f >= 0.0
+        check = _forward_delta
+        c_nu = lip * lam_n**alpha * (1.0 + 1.0 / (1.0 - k)) / (nu - lam_n)
+    else:
+        t_f, rho, nu = _two_weight_horizon(
+            cert, tol, lambda x: weighted_factor(cert, x), lambda x: 1.0
+        )
+        assert rl.backward_horizon(cert, tol) == t_f >= 0.0
+        check, c_nu = _weighted_k, 1.0
     assert lam_n < rho < nu < lam_np1
-    d_rho, d_nu = _forward_delta(cert, rho), _forward_delta(cert, nu)
+    d_rho, d_nu = check(cert, rho), check(cert, nu)
     assert d_rho < 1.0 and d_nu < 1.0
-    c_nu = lip * lam_n**alpha * (1.0 + 1.0 / (1.0 - k)) / (nu - lam_n)
     bound = c_nu * math.exp(-(nu - rho) * t_f) / ((1.0 - d_rho) * (1.0 - d_nu))
     assert bound <= tol / 10 * (1 + 1e-9)
 
