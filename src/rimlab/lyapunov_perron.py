@@ -192,13 +192,10 @@ def _two_weight_horizon(cert: GapCertificate, tol: float, factor, tail):
     rho < nu of 200 evenly spaced weights spanning that interval, and the
     least is returned.  Every feasible pair bounds the tail, so this coarse
     search is sound; it only forgoes the last few thousandths of T.  Both
-    callables take an array of weights.  Returns None when F has no tail to
-    bound (L = 0) or no pair is feasible.
+    callables take an array of weights.  The callers handle tol <= 0 and
+    L = 0 (no tail to bound); at L > 0 this returns None only when no pair
+    is feasible.
     """
-    if tol <= 0.0:
-        raise RimlabError("tolerance must be positive")
-    if cert.lipschitz == 0.0:
-        return None
     # in float64 scalars, so a weight at an eigenvalue (mu rounds to
     # lambda_n when L is tiny) gives an infinite factor instead of raising
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -258,14 +255,18 @@ def backward_horizon(cert: GapCertificate, tol: float) -> float:
     ``_two_weight_horizon`` searches, the search that sizes the forward
     window too.  Some pair near mu is feasible whenever L > 0, since
     k(mu) <= k < 1.  With F = 0 there is no pair to search, and T* is
-    t1 = ln(10/tol) / (lambda_{n+1} - mu), the off-graph tail alone.  The
-    bound holds for the graph value, not for the weighted sup norm of the
-    whole history, which near -T keeps an O(1) error.
+    t1 = ln(10/tol) / (lambda_{n+1} - mu), the off-graph tail alone.  Were
+    no pair feasible at L > 0 (in floating point), T* is infinite, a window
+    ``build_problem`` refuses.  The bound holds for the graph value, not for
+    the weighted sup norm of the whole history, which near -T keeps an O(1)
+    error.
     """
-    weights = _two_weight_horizon(cert, tol, lambda x: weighted_factor(cert, x), lambda x: 1.0)
-    if weights is None:
+    if tol <= 0.0:
+        raise RimlabError("tolerance must be positive")
+    if cert.lipschitz == 0.0:
         return math.log(10.0 / tol) / (cert.lambda_np1 - cert.mu)
-    return weights[0]
+    weights = _two_weight_horizon(cert, tol, lambda x: weighted_factor(cert, x), lambda x: 1.0)
+    return math.inf if weights is None else weights[0]
 
 
 def weighted_sup_norm(wmu: np.ndarray, values: np.ndarray, wts_alpha: np.ndarray) -> float:

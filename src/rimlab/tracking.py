@@ -143,6 +143,10 @@ def forward_horizon(cert, tol: float) -> float | None:
     bound (L = 0, where the seed needs no truncation, or k >= 1/2, which
     ``track_phi`` refuses) it is None.
     """
+    if tol <= 0.0:
+        raise RimlabError("tolerance must be positive")
+    if cert.lipschitz == 0.0 or cert.k >= 0.5:
+        return None
     lam_n = cert.lambda_n
 
     def seed(x):  # the seed integral's factor L lambda_n^a / (x - lambda_n)
@@ -154,8 +158,7 @@ def forward_horizon(cert, tol: float) -> float | None:
     weights = _two_weight_horizon(
         cert, tol, delta, lambda x: seed(x) * (1.0 + 1.0 / (1.0 - cert.k))
     )
-    # k >= 1/2: track_phi refuses the forward operator, so no window is sized
-    return None if weights is None or cert.k >= 0.5 else weights[0]
+    return None if weights is None else weights[0]
 
 
 def base_orbit(v0: np.ndarray, ctx: LPContext, t_fwd: float) -> np.ndarray:

@@ -24,6 +24,7 @@ from rimlab.lyapunov_perron import (
     LPContext,
     _picard,
     _sweep,
+    _two_weight_horizon,
     backward_horizon,
     build_chart,
     c_alpha_constant,
@@ -112,6 +113,21 @@ def _horizon_cert(name):
     return check_gap(rl.dirichlet_laplacian(n_total, alpha), lip, k, 1)
 
 
+def _checked_backward_horizon(cert, tol):
+    # backward_horizon is the search's T at its pair rho < nu, inside the
+    # gap with k below one at both, and the bound at T is at most tol/10
+    t_back, rho, nu = _two_weight_horizon(
+        cert, tol, lambda x: weighted_factor(cert, x), lambda x: 1.0
+    )
+    assert backward_horizon(cert, tol) == t_back
+    assert cert.lambda_n < rho < nu < cert.lambda_np1
+    k_rho, k_nu = weighted_factor(cert, rho), weighted_factor(cert, nu)
+    assert k_rho < 1.0 and k_nu < 1.0
+    bound = math.exp(-(nu - rho) * t_back) / ((1.0 - k_rho) * (1.0 - k_nu))
+    assert bound <= tol / 10 * (1 + 1e-9)
+    return t_back
+
+
 def test_backward_horizon_rule():
     # The two-weight rule's T* on the three instances, never above the
     # one-weight rule's (e^{-(nu-mu)T} |xi*|_mu / (1 - k(nu)), which it
@@ -127,7 +143,7 @@ def test_backward_horizon_rule():
         "tight": (9.8837, 16.5611),
     }
     for name, (size, one_weight) in sizes.items():
-        t_back = backward_horizon(_horizon_cert(name), tol)
+        t_back = _checked_backward_horizon(_horizon_cert(name), tol)
         assert t_back == pytest.approx(size, abs=1e-4) and t_back <= one_weight
     # F = 0: the off-graph tail t1 alone, bit for bit
     s = rl.dirichlet_laplacian(16, 0.0)
@@ -141,6 +157,12 @@ def test_backward_horizon_rule():
     t1 = target / (cert.lambda_np1 - cert.mu)
     assert t1 < backward_horizon(cert, tol) < 1.01 * t1
     assert rl.forward_horizon(cert, tol) == 0.0
+    # an L no weight contracts for (check_gap refuses it): no pair, and an
+    # infinite backward window rather than t1
+    cert = dataclasses.replace(_horizon_cert("workhorse"), lipschitz=100.0)
+    assert weighted_factor(cert, cert.mu) > 1.0
+    assert backward_horizon(cert, tol) == math.inf
+    assert rl.forward_horizon(cert, tol) is None
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -169,9 +191,9 @@ def test_weighted_factor_at_mu_within_certificate(gaps, lam_1, n, alpha, k, frac
     except CertificateError:
         assume(False)
     assert weighted_factor(cert, cert.mu) <= k * (1 + 1e-8)
-    # any pair lambda_n < rho < nu < lambda_{n+1} has nu - rho below the gap
-    t_back = backward_horizon(cert, 1e-6)
-    assert math.isfinite(t_back)
+    # so the backward window has a feasible pair and its bound holds; any
+    # pair lambda_n < rho < nu < lambda_{n+1} has nu - rho below the gap
+    t_back = _checked_backward_horizon(cert, 1e-6)
     assert t_back >= math.log(1e7) / (cert.lambda_np1 - cert.lambda_n)
 
 
