@@ -7,7 +7,11 @@ with its bound; no bound is written anywhere else.
 Every check here compares objects computed on the same stored noise path;
 a time shift of the noise is the one OU table on a relabelled grid
 (``ModelProblem.ou_for``), never a fresh sample or solve, so each reported
-defect is a deterministic function of (seed, configuration).
+defect is a deterministic function of (seed, configuration).  The
+periodicity and almost-periodicity checks read the translates m_{tau+s}
+that their chart's sweep solved (``ModelProblem.chart`` with ``shifts``),
+and containment alone solves graph values of its own
+(``ModelProblem.graph_values``), so no check depends on which ran before it.
 Reported bounds carry the fixed slack constants below, so a configuration
 enters a bound only through the problem and its numerics (h, tol).  The
 continuum statements (defect exactly zero, containment exact) are only
@@ -191,28 +195,26 @@ def tracking_defects(
     ]
 
 
-def _graph_shift(tau, shift, x_grid, problem) -> float:
-    """Largest graph distance |m_{tau+shift}(x) - m_tau(x)|_alpha over the grid.
+def _translate_distance(chart: ManifoldChart, shift: float, problem: ModelProblem) -> float:
+    """Largest graph distance |m_{tau+shift}(x) - m_tau(x)|_alpha over the
+    chart's points.
 
-    Each m_{tau+shift}(x) is solved from the final start of m_tau(x)'s
-    solve, in the chart's sweep when the chart named the shift
-    (``ModelProblem.chart``), else right after the base solve
-    (``ModelProblem.graph_values`` with ``shift``).  At a translation by a
-    period each shifted solve then takes one operator application and
-    reproduces m_tau up to rounding.
+    Reads the translate by ``shift`` that the chart's sweep solved from
+    each point's final start (``ModelProblem.chart`` with ``shifts``); at a
+    translation by a period each translate then takes one operator
+    application and reproduces m_tau up to rounding.  A chart without a
+    translate by ``shift`` raises RimlabError.
     """
-    m_a = problem.graph_values(tau, x_grid, shift)
-    m_b = problem.graph_values(tau + shift, x_grid)
-    return float(np.max(norm_alpha(m_b - m_a, problem.spectrum)))
+    if shift not in chart.translates:
+        raise RimlabError(
+            f"chart has no translate by s = {shift} (shifts {sorted(chart.translates)})"
+        )
+    return float(np.max(norm_alpha(chart.translates[shift] - chart.values, problem.spectrum)))
 
 
-def periodicity_defect(
-    tau: float,
-    period: float,
-    x_grid: np.ndarray,
-    problem: ModelProblem,
-) -> DefectReport:
-    """Graph distance between translations by one declared forcing period.
+def periodicity_defect(chart: ManifoldChart, period: float, problem: ModelProblem) -> DefectReport:
+    """Graph distance between the chart's tau and its translate by one
+    declared forcing period.
 
     A signal without trig terms is periodic with every period; one with
     terms must declare the requested one.
@@ -221,22 +223,23 @@ def periodicity_defect(
         declared = problem.forcing.declared_period
         if declared is None or abs(declared - period) > 1e-9 * max(1.0, period):
             raise RimlabError(f"forcing has declared period {declared!r}, check requested {period}")
-    value = _graph_shift(tau, period, x_grid, problem)
+    value = _translate_distance(chart, period, problem)
     return DefectReport(
         kind="periodicity",
         value=value,
         bound=2.0 * problem.tol + PERIODICITY_SLACK,
-        context={"tau": tau, "period": period, "slack": PERIODICITY_SLACK, "tol": problem.tol},
+        context={
+            "tau": chart.tau,
+            "period": period,
+            "slack": PERIODICITY_SLACK,
+            "tol": problem.tol,
+        },
     )
 
 
-def ap_defect(
-    tau: float,
-    tau0: float,
-    x_grid: np.ndarray,
-    problem: ModelProblem,
-) -> DefectReport:
-    """Graph distance between translations by a measured near-period.
+def ap_defect(chart: ManifoldChart, tau0: float, problem: ModelProblem) -> DefectReport:
+    """Graph distance between the chart's tau and its translate by a
+    measured near-period.
 
     A forcing defect eps_g over the translation tau0 propagates through the
     contraction to a graph defect of at most 2 eps_g / ((1-k) lambda_n).
@@ -244,12 +247,12 @@ def ap_defect(
     eps_g = almost_period_defect(problem.forcing, problem.spectrum, tau0)
     cert = problem.cert
     bound = 2.0 * eps_g / ((1.0 - cert.k) * cert.lambda_n) + 2.0 * problem.tol
-    value = _graph_shift(tau, tau0, x_grid, problem)
+    value = _translate_distance(chart, tau0, problem)
     return DefectReport(
         kind="almost_periodicity",
         value=value,
         bound=float(bound),
-        context={"tau": tau, "tau0": tau0, "eps_g": eps_g, "tol": problem.tol},
+        context={"tau": chart.tau, "tau0": tau0, "eps_g": eps_g, "tol": problem.tol},
     )
 
 

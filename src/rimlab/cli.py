@@ -243,14 +243,22 @@ def _tracking(cfg: RunConfig, problem: ModelProblem, chart=None):
 
 
 def _periodicity(cfg: RunConfig, problem: ModelProblem, chart=None):
+    """One report per periodicity tau: verify's chart at its own tau (which
+    ``_chart_legs`` asks for the period), a chart with that one translate
+    at every other tau and in the periodicity command."""
     period = cfg.forcing.declared_period  # _prepare_checks refused a signal without one
     grid = _chart_grid(cfg)
-    return [periodicity_defect(tau, period, grid, problem) for tau in cfg.periodicity["taus"]], None
+    reports = []
+    for tau in cfg.periodicity["taus"]:
+        own = chart is not None and tau == cfg.chart["tau"]
+        at_tau = chart() if own else problem.chart(tau, grid, (period,))
+        reports.append(periodicity_defect(at_tau, period, problem))
+    return reports, None
 
 
-def _almost_period(cfg: RunConfig, problem: ModelProblem, chart=None):
+def _almost_period(cfg: RunConfig, problem: ModelProblem, chart):
     tau0 = cfg.almost_period["tau0"]  # _prepare_checks scans for it when the config leaves it open
-    return [ap_defect(cfg.chart["tau"], tau0, _chart_grid(cfg), problem)], None
+    return [ap_defect(chart(), tau0, problem)], None
 
 
 def _containment(cfg: RunConfig, problem: ModelProblem, chart=None):

@@ -535,11 +535,12 @@ def _sweep(xs, ctx: LPContext):
     points.  Each start is handed to its solve, and the older fixed point
     dropped, before the solve runs.  The stop rule bounds the distance to
     the fixed point by tol from any start, so a predicted start saves
-    iterations and loosens nothing.  Yields each (fixed point, final start): the final start is
-    the history that began the solve's final Picard step, which the
-    operator maps to the fixed point, so a solve of the same point under a
-    translated operator can start from it (``build_chart``,
-    ``ModelProblem.graph_values``).
+    iterations and loosens nothing.  Yields each (fixed point, final
+    start): the final start is the history that began the solve's final
+    Picard step, which the operator maps to the fixed point, so a solve of
+    the same point under a translated operator can start from it
+    (``build_chart``).  A caller drops each final start before it asks for
+    the next point, so no spare history is held while that point is solved.
     """
     done = []  # the latest (base point, fixed point) pairs, oldest first
     for x in xs:
@@ -553,10 +554,11 @@ def _sweep(xs, ctx: LPContext):
 class ManifoldChart:
     """Sampled graph of the manifold over a grid of resolved-mode points.
 
-    ``translates`` maps each translated tau to the graph values there at
-    the grid's points.  With a flow time ``flow_t``, ``off_graph`` holds,
-    per point, the Q part of the graph point flowed for ``flow_t`` minus
-    the graph on the noise shifted by ``flow_t`` at the flowed P part.
+    ``translates`` maps each shift s the chart was asked for to the graph
+    values m_{tau+s} at the grid's points, keyed by s itself.  With a flow
+    time ``flow_t``, ``off_graph`` holds, per point, the Q part of the
+    graph point flowed for ``flow_t`` minus the graph on the noise shifted
+    by ``flow_t`` at the flowed P part.
     """
 
     tau: float
@@ -582,9 +584,10 @@ def _translated_value(x, ctx: LPContext, start: np.ndarray) -> np.ndarray:
     """Graph value m(P x) under ``ctx``, solved from ``start``.
 
     ``start`` is the final start of the same point's solve under an
-    operator that ``ctx`` translates.  At a translation by a period the
-    operator maps that start onto the fixed point, so the solve stops after
-    one application, at rounding level.
+    operator that ``ctx`` translates, in the chart's sweep, the one place
+    a translate is solved.  At a translation by a period the operator maps
+    that start onto the fixed point, so the solve stops after one
+    application, at rounding level.
     """
     return ctx.project_q(solve_fixed_point(ctx.project_p(x), ctx, start)[0][-1])
 
@@ -628,8 +631,9 @@ def build_chart(
     runs, and then both are dropped, so the chart holds values only:
 
     - the fixed-point residual (one extra operator application);
-    - the translate under each context of ``translates`` (the operator at
-      a translated tau on the same window, ``_translated_value``);
+    - the translate for each ``(s, ctx_s)`` of ``translates``, where
+      ``ctx_s`` is the operator translated by s on the same window
+      (``_translated_value``), kept under the key s;
     - with ``flow = (t, ctx_t)``, the invariance leg (``_flow_leg``), where
       ``ctx_t`` is the operator translated by t on the noise shifted by t.
       A ``ctx_t`` on another backward window raises RimlabError.
@@ -645,10 +649,13 @@ def build_chart(
 
     values, residuals, off_graph = [], [], []
     shifted = [[] for _ in translates]
-    for x, (xi, start) in zip(x_grid, _sweep(x_grid, ctx)):
+    sweep = _sweep(x_grid, ctx)
+    for x in x_grid:
+        # next(), not zip: zip keeps its last item while it asks for the next
+        xi, start = next(sweep)
         values.append(ctx.project_q(xi[-1]))
         residuals.append(ctx.s_norm(lp_apply(xi, x, ctx) - xi))
-        for rows, ctx_s in zip(shifted, translates):
+        for rows, (_, ctx_s) in zip(shifted, translates):
             rows.append(_translated_value(x, ctx_s, start))
         if flow is not None:
             off_graph.append(_flow_leg(x, values[-1], start, ctx, *flow))
@@ -673,7 +680,7 @@ def build_chart(
         cert=ctx.cert,
         tol=ctx.tol,
         t_back=ctx.t_back,
-        translates={c.tau: np.array(rows) for c, rows in zip(translates, shifted)},
+        translates={s: np.array(rows) for (s, _), rows in zip(translates, shifted)},
         flow_t=None if flow is None else flow[0],
         off_graph=None if flow is None else np.array(off_graph),
     )

@@ -9,17 +9,15 @@ forcing translation are built from here, so that every downstream object
 provably uses the same stored noise.  The backward window ``t_back`` and
 the solver tolerance ``tol`` are fixed per problem and passed to every
 context.
-Graph values on the stored OU table are solved at most once per (tau, base
-point), so checks that revisit the chart's points reuse its solves.  The
-store holds values only: a translate of a point is solved from the history
-that began the point's final Picard step while that history is live, in
-the chart's sweep or right after the base solve.
+A translate m_{tau+s} of the graph is solved only in a chart's sweep
+(``chart`` with ``shifts``), from the history that began each point's
+final Picard step while that history is live; the problem keeps no graph
+value, so which solves a check runs never depends on the checks before it.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +29,6 @@ from .lyapunov_perron import (
     LPContext,
     ManifoldChart,
     _sweep,
-    _translated_value,
     build_chart,
 )
 from .randomness import OUProcess, TimeGrid
@@ -50,7 +47,6 @@ class ModelProblem:
     t_back: float
     t_fwd: float
     tol: float
-    _graph: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.ou.values.shape[1] != self.spectrum.size:
@@ -95,62 +91,32 @@ class ModelProblem:
             tol=self.tol,
         )
 
-    def _graph_key(self, tau: float, x: np.ndarray) -> tuple:
-        return float(tau), x[: self.cert.n].tobytes()
-
     def chart(
         self, tau: float, x_grid: np.ndarray, shifts=(), flow_t: float | None = None
     ) -> ManifoldChart:
-        """``build_chart`` at translation tau, with the translates by each of
-        ``shifts`` and, at a ``flow_t``, the invariance leg on the noise
-        shifted by ``flow_t`` (``ou_for``).  Its values and translates join
-        the graph-value store."""
-        translates = tuple(self.lp_context(tau + s) for s in dict.fromkeys(shifts))
+        """``build_chart`` at translation tau, with the translate m_{tau+s} by
+        each s of ``shifts`` (``ManifoldChart.translates``, keyed by s) and,
+        at a ``flow_t``, the invariance leg on the noise shifted by
+        ``flow_t`` (``ou_for``)."""
+        translates = tuple((s, self.lp_context(tau + s)) for s in dict.fromkeys(shifts))
         flow = None
         if flow_t is not None:
             flow = flow_t, self.lp_context(tau + flow_t, ou=self.ou_for(flow_t))
-        chart = build_chart(x_grid, self.lp_context(tau), translates, flow)
-        for t, values in ((chart.tau, chart.values), *chart.translates.items()):
-            for x, m in zip(chart.x_grid, values):
-                self._graph[self._graph_key(t, x)] = m.copy()
-        return chart
+        return build_chart(x_grid, self.lp_context(tau), translates, flow)
 
-    def graph_values(
-        self, tau: float, x_grid: np.ndarray, shift: float | None = None
-    ) -> np.ndarray:
-        """Graph values m_tau(P x) over a grid of base points, each solved once.
+    def graph_values(self, tau: float, points: np.ndarray) -> np.ndarray:
+        """Graph values m_tau(P x) at the base points of ``points``, in the
+        caller's order.
 
-        Values are stored per (tau, P x); a context is built, and the missing
-        values solved as one ``_sweep`` in lexicographic order of their P
-        coordinates, only when some are missing.  Values come back in the
-        caller's order.  ``chart`` fills the same store, its translates
-        included.
-
-        With ``shift``, right after each missing value is solved, its
-        translate m_{tau+shift}(P x) is solved and stored too, unless it is
-        stored already, from the history that began the final Picard step
-        of the solve at tau.  At a translation by a period the operator maps
-        that start onto m_tau(P x)'s fixed point, so the translate stops
-        after one application, at rounding level.  The translate of a value
-        stored before the call is left to a later
-        ``graph_values(tau + shift, ...)``.
+        The points are solved as one ``_sweep`` in lexicographic order of
+        their P coordinates, so each solve starts on the secant through its
+        two predecessors; each final start is dropped before the next solve.
         """
-        points = np.atleast_2d(np.asarray(x_grid, dtype=float))
-        keys, missing = [], {}
-        for x in points:
-            keys.append(self._graph_key(tau, x))
-            if keys[-1] not in self._graph:
-                missing.setdefault(keys[-1], x)
-        if missing:
-            ctx = self.lp_context(tau)
-            shifted = functools.cache(lambda: self.lp_context(tau + shift))
-            order = sorted(missing, key=lambda key: tuple(missing[key][: self.cert.n]))
-            bases = [ctx.project_p(missing[key]) for key in order]
-            for key, x, (xi, start) in zip(order, bases, _sweep(bases, ctx)):
-                self._graph[key] = ctx.project_q(xi[-1])
-                if shift is not None:
-                    moved = self._graph_key(tau + shift, x)
-                    if moved not in self._graph:
-                        self._graph[moved] = _translated_value(x, shifted(), start)
-                del start  # a translate's start is held only while it is solved
-        return np.array([self._graph[key] for key in keys])
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        ctx = self.lp_context(tau)
+        order = sorted(range(points.shape[0]), key=lambda i: tuple(points[i, : self.cert.n]))
+        sweep = _sweep([ctx.project_p(points[i]) for i in order], ctx)
+        values = np.empty_like(points)
+        for i in order:
+            values[i] = ctx.project_q(next(sweep)[0][-1])  # the final start is dropped here
+        return values

@@ -253,7 +253,8 @@ def test_criterion_07_periodicity(problem_nl, chart_grid16):
     bound = 2.0 * TOL + 1e-4
     worst = 0.0
     for tau in (0.0, 1.0, 2.0):
-        report = rl.periodicity_defect(tau, period, chart_grid16, problem_nl)
+        chart = problem_nl.chart(tau, chart_grid16, (period,))
+        report = rl.periodicity_defect(chart, period, problem_nl)
         worst = max(worst, report.value)
     ok = worst <= bound
     assert _report(
@@ -281,7 +282,7 @@ def test_criterion_08_almost_periodicity(spectrum16, cov16, ou16, chart_grid16):
         tol=TOL,
     )
     tau0, eps_g = scan_almost_period(g2, spectrum16, 1e-3, 450.0, 0.01)
-    report = rl.ap_defect(0.0, tau0, chart_grid16[:3], problem)
+    report = rl.ap_defect(problem.chart(0.0, chart_grid16[:3], (tau0,)), tau0, problem)
     bound = 2.0 * eps_g / ((1.0 - cert.k) * cert.lambda_n) + 2.0 * TOL
     ok = eps_g <= 1e-3 and report.value <= bound
     assert _report(

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -19,14 +21,14 @@ from rimlab.analysis import (
 )
 from rimlab.errors import RimlabError
 from rimlab.lyapunov_perron import build_chart
+from rimlab.spectral import norm_alpha
 
 WORKHORSE = Path(__file__).resolve().parent.parent / "configs" / "dirichlet_nonlinear.ini"
 
 
 def flowed_chart(problem, grid, t):
-    """The chart at tau = 0 with its invariance leg at flow time t, on a
-    fresh graph-value store."""
-    return dataclasses.replace(problem).chart(0.0, grid, flow_t=t)
+    """The chart at tau = 0 with its invariance leg at flow time t."""
+    return problem.chart(0.0, grid, flow_t=t)
 
 
 @pytest.fixture(scope="module")
@@ -109,48 +111,58 @@ def test_invariance_reports_are_reproducible(problem_nl, chart_grid16):
     assert a.as_dict() == b.as_dict()
 
 
-def test_periodicity_requires_declared_period(problem_nl, chart_grid16):
+def test_periodicity_requires_declared_period(chart_nl, problem_nl):
     # trig forcing must declare the requested period (constants accept any)
     with pytest.raises(RimlabError, match="forcing has declared period"):
-        periodicity_defect(0.0, 3.0, chart_grid16[:2], problem_nl)
+        periodicity_defect(chart_nl, 3.0, problem_nl)
+
+
+def test_chart_holds_translates_by_their_shift(chart_nl, problem_nl, chart_grid16):
+    # A chart keys each translate by the shift it was asked for, so a
+    # reader never rebuilds tau + s (0.1 + 0.2 is not 0.3 in floating
+    # point).  Asked for a shift it holds no translate by, a check names
+    # the shift instead of solving it.
+    for check, shift in ((periodicity_defect, 2.0 * np.pi), (ap_defect, 1.0)):
+        with pytest.raises(RimlabError, match=re.escape(f"chart has no translate by s = {shift}")):
+            check(chart_nl, shift, problem_nl)
+    chart = problem_nl.chart(0.1, chart_grid16[:2], (0.2, 0.2))
+    assert list(chart.translates) == [0.2]
+    assert ap_defect(chart, 0.2, problem_nl).context["tau"] == 0.1
 
 
 def test_periodicity_linear_sine(problem_lin, chart_grid16):
-    report = periodicity_defect(0.0, 2.0 * np.pi, chart_grid16[:3], problem_lin)
+    period = 2.0 * np.pi
+    chart = problem_lin.chart(0.0, chart_grid16[:3], (period,))
+    report = periodicity_defect(chart, period, problem_lin)
     assert report.value <= 2.0 * problem_lin.tol
     assert report.passed
 
 
 def test_periodicity_nonlinear(problem_nl, chart_grid16):
+    period = 2.0 * np.pi
     for tau in (0.0, 1.0):
-        report = periodicity_defect(tau, 2.0 * np.pi, chart_grid16[:3], problem_nl)
+        chart = problem_nl.chart(tau, chart_grid16[:3], (period,))
+        report = periodicity_defect(chart, period, problem_nl)
         assert report.passed
         assert report.value <= 2.0 * problem_nl.tol + 1e-4
 
 
 def test_periodicity_reuses_chart_graph_values(problem_nl, chart_grid16, monkeypatch):
-    # The chart's solves fill the problem's graph-value store, its
-    # translates included, so the periodicity check at the chart's tau
-    # solves only the translates the chart was not asked for.
+    # The periodicity check reads the values and the translate that the
+    # chart's sweep solved: it runs no solve and builds no context.
     period = 2.0 * np.pi
-    grid = chart_grid16[::4]
-    uncached = periodicity_defect(0.0, period, grid, dataclasses.replace(problem_nl))
-    solved_taus = []
-    solve = lyapunov_perron.solve_fixed_point
-
-    def counting(x, ctx, *args, **kwargs):
-        solved_taus.append(ctx.tau)
-        return solve(x, ctx, *args, **kwargs)
-
-    _patch_solve(monkeypatch, counting)
-    for shifts, solved in (((), [period] * len(grid)), ((period,), [])):
-        problem = dataclasses.replace(problem_nl)
-        problem.chart(0.0, grid, shifts)
-        solved_taus.clear()
-        cached = periodicity_defect(0.0, period, grid, problem)
-        assert solved_taus == solved
-        assert cached.passed
-    assert cached.value == uncached.value
+    chart = problem_nl.chart(0.0, chart_grid16[::4], (period,))
+    solved, built = [], []
+    solve, init = lyapunov_perron.solve_fixed_point, lyapunov_perron.LPContext.__init__
+    _patch_solve(monkeypatch, lambda *a, **kw: solved.append(1) or solve(*a, **kw))
+    monkeypatch.setattr(
+        lyapunov_perron.LPContext, "__init__", lambda *a, **kw: built.append(1) or init(*a, **kw)
+    )
+    report = periodicity_defect(chart, period, problem_nl)
+    assert solved == [] and built == []
+    moved = norm_alpha(chart.translates[period] - chart.values, problem_nl.spectrum)
+    assert report.value == float(np.max(moved))
+    assert report.passed
 
 
 def _patch_solve(monkeypatch, solve):
@@ -181,25 +193,40 @@ def _applies_per_solve(monkeypatch):
 
 
 def test_period_shifted_solves_take_one_application(problem_nl, chart_grid16, monkeypatch):
-    # With m_tau not stored, each m_{tau+T}(x) starts from the history that
-    # began m_tau(x)'s final Picard step.  The operator at tau + T is the
-    # one at tau up to the last bit of the translated forcing cells, so it
-    # maps that start onto m_tau(x) and the solve stops after one application.
+    # Each m_{tau+T}(x) starts from the history that began m_tau(x)'s final
+    # Picard step in the chart's sweep.  The operator at tau + T is the one
+    # at tau up to the last bit of the translated forcing cells, so it maps
+    # that start onto m_tau(x) and the solve stops after one application.
     period = 2.0 * np.pi
-    problem = dataclasses.replace(problem_nl)
     solves = _applies_per_solve(monkeypatch)
-    report = periodicity_defect(1.0, period, chart_grid16, problem)
-    assert [n for tau, n, _ in solves if tau == 1.0 + period] == [1] * len(chart_grid16)
-    assert len(solves) == 2 * len(chart_grid16)
-    assert report.value <= 1e-15
-    # A chart asked for the translate solves it in its sweep from the same
-    # start, with the same effect, and the check at its tau solves nothing.
-    problem.chart(0.0, chart_grid16, (period,))
-    assert [n for tau, n, _ in solves if tau == period] == [1] * len(chart_grid16)
-    solves.clear()
-    report = periodicity_defect(0.0, period, chart_grid16, problem)
-    assert solves == []
-    assert report.value <= 1e-15
+    for tau in (0.0, 1.0):
+        solves.clear()
+        chart = problem_nl.chart(tau, chart_grid16, (period,))
+        assert [n for t, n, _ in solves if t == tau + period] == [1] * len(chart_grid16)
+        assert len(solves) == 2 * len(chart_grid16)
+        assert periodicity_defect(chart, period, problem_nl).value <= 1e-15
+
+
+def test_sweeps_hold_no_final_start_across_the_next_solve(problem_nl, chart_grid16, monkeypatch):
+    # A final start is a whole backward history.  graph_values, and the
+    # chart with its translate and invariance legs, drop each one before
+    # the sweep solves the next point.
+    refs, live = [], []
+    solve = lyapunov_perron.solve_fixed_point
+
+    def watched(x, ctx, start=None, *, final_start=False):
+        if final_start:  # a sweep's solve of its next point
+            live.append(sum(ref() is not None for ref in refs))
+        result = solve(x, ctx, start, final_start=final_start)
+        if final_start:
+            refs.append(weakref.ref(result[2]))
+        return result
+
+    _patch_solve(monkeypatch, watched)
+    grid = chart_grid16[:4]
+    problem_nl.graph_values(0.0, grid)
+    problem_nl.chart(0.0, grid, (2.0 * np.pi,), 0.5)
+    assert live == [0] * 8
 
 
 def test_verify_legs_start_from_their_chart_points_start(tmp_path, monkeypatch):
@@ -207,8 +234,8 @@ def test_verify_legs_start_from_their_chart_points_start(tmp_path, monkeypatch):
     # each leg starts from its chart point's final start: on the workhorse
     # the period translates take one application each, the invariance
     # solves (on the noise shifted by t) one each, and the near-period
-    # translates two each.  Tracking solves no graph-store value and is left
-    # out; every other graph value is solved once.
+    # translates two each.  Tracking is left out; every other graph value
+    # is solved once.
     text = WORKHORSE.read_text(encoding="utf-8").replace(
         "checks = invariance lipschitz tracking periodicity",
         "checks = invariance lipschitz periodicity almost_period containment",
@@ -233,51 +260,26 @@ def test_period_shifted_start_reproduces_base_bit_for_bit(problem_nl, chart_grid
     amps[1] = 1.0
     problem = dataclasses.replace(problem_nl, forcing=rl.ForcingSignal(amps.size, amps))
     solves = _applies_per_solve(monkeypatch)
-    report = periodicity_defect(0.5, 3.0, chart_grid16, problem)
+    chart = problem.chart(0.5, chart_grid16, (3.0,))
     assert [n for tau, n, _ in solves if tau == 3.5] == [1] * len(chart_grid16)
-    assert np.array_equal(problem.graph_values(3.5, chart_grid16), problem.graph_values(0.5, chart_grid16))
-    assert report.value == 0.0
+    assert np.array_equal(chart.translates[3.0], chart.values)
+    assert periodicity_defect(chart, 3.0, problem).value == 0.0
 
 
 def test_shifted_start_cannot_hide_a_non_period(problem_nl, chart_grid16):
-    # Shift 1.0 is not a period of the sine forcing.  The paired solves must
-    # still land within 2 tol of cold solves at both translations, so the
-    # warm start cannot make a non-period look periodic.  The same holds
-    # when a chart asked for the shift solves the translates in its sweep.
+    # Shift 1.0 is not a period of the sine forcing.  The chart's values and
+    # its translates, solved from their final starts, must still land within
+    # 2 tol of cold solves at both translations, so the warm start cannot
+    # make a non-period look periodic.
     cold = {}
     for tau in (0.0, 1.0):
         ctx = problem_nl.lp_context(tau)
         cold[tau] = np.array([manifold_point(ctx.project_p(x), ctx) for x in chart_grid16])
-    for stored in (False, True):
-        problem = dataclasses.replace(problem_nl)
-        if stored:
-            problem.chart(0.0, chart_grid16, (1.0,))
-        report = ap_defect(0.0, 1.0, chart_grid16, problem)
-        for tau in (0.0, 1.0):
-            got = problem.graph_values(tau, chart_grid16)
-            assert np.max(np.linalg.norm(got - cold[tau], axis=1)) <= 2.0 * problem.tol
-        assert report.value > 1e-3  # m_1 is far from m_0
-
-
-def test_graph_values_build_no_context_when_stored(problem_nl, chart_grid16, monkeypatch):
-    # Values the chart stored, keyed by tau and P x, are read back without
-    # building a context, whatever the Q part of the requested points.
-    problem = dataclasses.replace(problem_nl)
-    grid = chart_grid16[::4]
-    chart = problem.chart(0.0, grid)
-    built = []
-    init = lyapunov_perron.LPContext.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(kwargs.get("tau"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(lyapunov_perron.LPContext, "__init__", counting)
-    off_graph = grid.copy()
-    off_graph[:, 1:] = 0.5
-    for points in (grid, off_graph):
-        assert np.array_equal(problem.graph_values(0.0, points), chart.values)
-    assert built == []
+    chart = problem_nl.chart(0.0, chart_grid16, (1.0,))
+    report = ap_defect(chart, 1.0, problem_nl)
+    for tau, got in ((0.0, chart.values), (1.0, chart.translates[1.0])):
+        assert np.max(np.linalg.norm(got - cold[tau], axis=1)) <= 2.0 * problem_nl.tol
+    assert report.value > 1e-3  # m_1 is far from m_0
 
 
 def test_periodicity_two_resolution_ratio(spectrum16, sine_forcing, cov16):
@@ -298,12 +300,14 @@ def test_periodicity_two_resolution_ratio(spectrum16, sine_forcing, cov16):
             ou=rl.solve_ou(path, spectrum16),
             cert=cert, t_back=16.12, t_fwd=16.12, tol=tol,
         )
-        values.append(periodicity_defect(0.0, 2.0 * np.pi, grid, prob).value)
+        period = 2.0 * np.pi
+        values.append(periodicity_defect(prob.chart(0.0, grid, (period,)), period, prob).value)
     assert values[1] <= values[0] / 3.0 or values[1] < 1e-12
 
 
 def test_ap_defect_exact_period(problem_lin, chart_grid16):
-    report = ap_defect(0.0, 2.0 * np.pi, chart_grid16[:2], problem_lin)
+    period = 2.0 * np.pi
+    report = ap_defect(problem_lin.chart(0.0, chart_grid16[:2], (period,)), period, problem_lin)
     assert report.value <= 2.0 * problem_lin.tol + 1e-12
     assert report.passed
 
@@ -322,7 +326,7 @@ def test_ap_defect_zero_forcing(problem_lin_const, chart_grid16, spectrum16, ou1
         tol=1e-6,
     )
     for tau0 in (1.7, 12.3):
-        report = ap_defect(0.0, tau0, chart_grid16[:2], prob)
+        report = ap_defect(prob.chart(0.0, chart_grid16[:2], (tau0,)), tau0, prob)
         assert report.value <= 2.0 * prob.tol
 
 
@@ -440,6 +444,6 @@ def test_periodicity_zero_forcing_any_period(spectrum16, ou16):
     )
     grid = np.zeros((2, 16))
     grid[:, 0] = [-0.5, 0.5]
-    report = periodicity_defect(0.0, 2.0, grid, prob)
+    report = periodicity_defect(prob.chart(0.0, grid, (2.0,)), 2.0, prob)
     assert report.value <= 2.0 * prob.tol
     assert report.passed

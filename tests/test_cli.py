@@ -1,5 +1,6 @@
 import configparser
 import contextlib
+import dataclasses
 import io
 import json
 import re
@@ -422,6 +423,60 @@ def test_verify_reuses_the_chart_solves(tmp_path, monkeypatch):
     doc = json.loads((tmp_path / "out" / "verification.json").read_text())
     assert len(doc["reports"]) == 8
     assert len(calls) <= 83
+
+
+def test_verify_and_periodicity_command_agree_bit_for_bit(tmp_path, monkeypatch):
+    # One path for graph translates: with all six checks on the workhorse,
+    # verify reads the period translate off its chart at tau 0 and builds a
+    # chart with that translate at taus 1 and 2, as the periodicity command
+    # does at every tau, so their reports are equal bit for bit.  A problem
+    # keeps nothing beyond its fields, whichever checks ran on it.
+    build, problems = cli.build_problem, []
+    monkeypatch.setattr(cli, "build_problem", lambda *a: problems.append(build(*a)) or problems[-1])
+    text = (CONFIG_DIR / "dirichlet_nonlinear.ini").read_text(encoding="utf-8").replace(
+        "checks = invariance lipschitz tracking periodicity",
+        "checks = invariance lipschitz tracking periodicity almost_period containment",
+    )
+    cfg = tmp_path / "all_six.ini"
+    cfg.write_text(text, encoding="utf-8")
+    reports = {}
+    for command, name in (("verify", "verification.json"), ("periodicity", "periodicity.json")):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        doc = json.loads((out / name).read_text(encoding="utf-8"))
+        reports[command] = [r for r in doc["reports"] if r["kind"] == "periodicity"]
+    assert [r["context"]["tau"] for r in reports["verify"]] == [0.0, 1.0, 2.0]
+    assert reports["verify"] == reports["periodicity"]
+    fields = {f.name for f in dataclasses.fields(problems[0])}
+    assert len(problems) == 2 and all(set(vars(p)) == fields for p in problems)
+
+
+def test_periodicity_fails_translates_one_step_off(tmp_path, monkeypatch):
+    # Mutant: every translate is solved under the operator one step h late,
+    # at tau + s + h.  verify on the shipped configs then fails, on
+    # periodicity alone: linear_sine at its one tau, the workhorse at taus
+    # 0 and 1.  (The workhorse's tau 2 defect, 4.4e-5, passes under the
+    # bound's 1e-4 slack.)
+    from rimlab import problem as problem_module
+
+    build = problem_module.build_chart
+
+    def one_step_late(x_grid, ctx, translates=(), flow=None):
+        late = tuple(
+            (s, LPContext(c.spectrum, c.cert, c.nonlinearity, c.forcing, c.ou, c.tau + c.h,
+                          c.t_back, c.tol))
+            for s, c in translates
+        )
+        return build(x_grid, ctx, late, flow)
+
+    monkeypatch.setattr(problem_module, "build_chart", one_step_late)
+    for name, failed in (("linear_sine", [False]), ("dirichlet_nonlinear", [False, False])):
+        out = tmp_path / name
+        assert main(["verify", "--config", str(CONFIG_DIR / f"{name}.ini"), "--out", str(out)]) == 1
+        doc = json.loads((out / "verification.json").read_text(encoding="utf-8"))
+        periodic = [r["passed"] for r in doc["reports"] if r["kind"] == "periodicity"]
+        assert periodic[: len(failed)] == failed
+        assert all(r["passed"] for r in doc["reports"] if r["kind"] != "periodicity")
 
 
 def _solve_phase_peak(config: Path, out: Path, monkeypatch) -> int:

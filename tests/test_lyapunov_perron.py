@@ -778,8 +778,7 @@ def test_sorted_secant_sweep_saves_operator_applications(problem_nl, monkeypatch
     # The P spread of 0.3 is wider than that of a pulled-back ensemble
     # (about e^{-4} of its radius); over [-1, 1] the saving drops to about
     # 20 %, since the history far in the past is not smooth in x.
-    problem = dataclasses.replace(problem_nl)
-    ctx = problem.lp_context(0.0)
+    ctx = problem_nl.lp_context(0.0)
     xs = np.random.default_rng(11).uniform(-0.3, 0.3, (16, 16))
     bases = ctx.project_p(xs)
     rebased, xi, x_prev = 0, None, None
@@ -790,7 +789,7 @@ def test_sorted_secant_sweep_saves_operator_applications(problem_nl, monkeypatch
     calls = []
     apply = lyapunov_perron.lp_apply
     monkeypatch.setattr(lyapunov_perron, "lp_apply", lambda *a: calls.append(1) or apply(*a))
-    values = problem.graph_values(0.0, xs)
+    values = problem_nl.graph_values(0.0, xs)
     assert len(calls) <= 0.7 * rebased
     cold = np.array([manifold_point(x, ctx) for x in bases])
     assert np.max(np.linalg.norm(values - cold, axis=1)) <= 2.0 * ctx.tol
