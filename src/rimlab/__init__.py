@@ -16,7 +16,7 @@ from .analysis import (
     containment_defect,
     invariance_defect,
     lipschitz_defect,
-    periodicity_defect,
+    periodicity_bound,
     pullback_attractor,
     tracking_defects,
 )

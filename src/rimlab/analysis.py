@@ -8,10 +8,12 @@ Every check here compares objects computed on the same stored noise path;
 a time shift of the noise is the one OU table on a relabelled grid
 (``ModelProblem.ou_for``), never a fresh sample or solve, so each reported
 defect is a deterministic function of (seed, configuration).  The
-periodicity and almost-periodicity checks read the translates m_{tau+s}
-that their chart's sweep solved (``ModelProblem.chart`` with ``shifts``),
-and containment alone solves graph values of its own
-(``ModelProblem.graph_values``), so no check depends on which ran before it.
+almost-periodicity check reads the translates m_{tau+s} that its chart's
+sweep solved (``ModelProblem.chart`` with ``shifts``), periodicity is
+bounded from the forcing cells with no solve (``periodicity_bound``), and
+containment alone solves graph values of its own
+(``ModelProblem.graph_values``), so no check depends on which ran before
+it.
 Reported bounds carry the fixed slack constants below, so a configuration
 enters a bound only through the problem and its numerics (h, tol).  The
 continuum statements (defect exactly zero, containment exact) are only
@@ -28,7 +30,7 @@ import numpy as np
 from .dynamics import cocycle_phi
 from .errors import RimlabError
 from .forcing import almost_period_defect
-from .lyapunov_perron import ManifoldChart
+from .lyapunov_perron import LPContext, ManifoldChart, _duhamel
 from .problem import ModelProblem
 from .spectral import norm_alpha
 from .tracking import TrackingResult
@@ -44,7 +46,7 @@ __all__ = [
     "lipschitz_defect",
     "invariance_defect",
     "tracking_defects",
-    "periodicity_defect",
+    "periodicity_bound",
     "ap_defect",
     "pullback_attractor",
     "containment_defect",
@@ -212,29 +214,94 @@ def _translate_distance(chart: ManifoldChart, shift: float, problem: ModelProble
     return float(np.max(norm_alpha(chart.translates[shift] - chart.values, problem.spectrum)))
 
 
-def periodicity_defect(chart: ManifoldChart, period: float, problem: ModelProblem) -> DefectReport:
-    """Graph distance between the chart's tau and its translate by one
-    declared forcing period.
-
-    A signal without trig terms is periodic with every period; one with
-    terms must declare the requested one.
-    """
+def _check_period(problem: ModelProblem, period: float) -> None:
+    """A signal without trig terms is periodic with every period; one with
+    terms must declare the requested one, else RimlabError."""
     if problem.forcing.terms:
         declared = problem.forcing.declared_period
         if declared is None or abs(declared - period) > 1e-9 * max(1.0, period):
             raise RimlabError(f"forcing has declared period {declared!r}, check requested {period}")
-    value = _translate_distance(chart, period, problem)
+
+
+def _periodicity_report(
+    tau: float, period: float, value: float, problem: ModelProblem
+) -> DefectReport:
     return DefectReport(
         kind="periodicity",
         value=value,
         bound=2.0 * problem.tol + PERIODICITY_SLACK,
-        context={
-            "tau": chart.tau,
-            "period": period,
-            "slack": PERIODICITY_SLACK,
-            "tol": problem.tol,
-        },
+        context={"tau": tau, "period": period, "slack": PERIODICITY_SLACK, "tol": problem.tol},
     )
+
+
+def periodicity_defect(chart: ManifoldChart, period: float, problem: ModelProblem) -> DefectReport:
+    """Graph distance between the chart's tau and its translate by one
+    declared forcing period, as the chart's sweep solved it.
+
+    No command calls this: the periodicity check is ``periodicity_bound``,
+    which solves nothing.  It stays as the solved measurement that the
+    bound, and the contraction it assumes, are compared against.
+    """
+    _check_period(problem, period)
+    value = _translate_distance(chart, period, problem)
+    return _periodicity_report(chart.tau, period, value, problem)
+
+
+def _cell_bound(ctx: LPContext, ctx_s: LPContext) -> float:
+    """|D(G_s - G)|_S / (1 - k - ratio_slack) for two contexts on one
+    window and one noise path (``periodicity_bound``).  Without a
+    contraction to divide by, k + ratio_slack >= 1, RimlabError."""
+    kappa = ctx.cert.k + ctx.ratio_slack
+    if kappa >= 1.0:
+        raise RimlabError(f"no contraction to bound periodicity by: k + ratio_slack = {kappa:g}")
+    u = np.zeros((ctx.times.size - 1, ctx.spectrum.size), order="F")
+    u[:, ctx.forced] = ctx_s.gcells - ctx.gcells
+    return ctx.s_norm(_duhamel(u, ctx, 0.0)) / (1.0 - kappa)
+
+
+def periodicity_bound(tau: float, period: float, problem: ModelProblem) -> DefectReport:
+    """A bound on |m_{tau+T}(x) - m_tau(x)|_alpha at every x, for T one
+    declared forcing period, from the forcing cells alone: no graph is
+    solved.
+
+    Let T_a and T_b be the backward operators of ``problem.lp_context`` at
+    tau and at tau + T.  They share the window, the noise path, F and the
+    linear part; they differ only in their forcing cells G_a and G_b
+    (``LPContext.gcells``), which ``lp_apply`` adds to F's cell increments
+    before the Duhamel sums.  Those sums are linear, so for every history
+    xi and base point x
+
+        T_b(xi) - T_a(xi) = D(G_b - G_a),
+
+    with D the cell-rule Duhamel sum from a zero start (``_duhamel``), the
+    same for every xi and x.  The S-norm is the e^{mu t}-weighted sup of
+    the D(A^alpha) norm (``LPContext.s_norm``).
+
+    Premise: each discrete operator contracts in the S-norm with factor
+    kappa = k + ratio_slack < 1.  The certificate gives k for the
+    continuum operator; ratio_slack = 5 h lambda_{n+1} is a quadrature
+    allowance for the cell rule, not a proven constant.  ``_picard``
+    measures the ratios of consecutive distances of every solve against
+    kappa, which tests the premise along those iterates but does not
+    certify it, and no solve runs here.  Under the premise, with xi_a and
+    xi_b the fixed points at x,
+
+        |xi_b - xi_a|_S <= |T_b xi_b - T_b xi_a|_S + |T_b xi_a - T_a xi_a|_S
+                        <= kappa |xi_b - xi_a|_S + |D(G_b - G_a)|_S,
+
+    so |xi_b - xi_a|_S <= |D(G_b - G_a)|_S / (1 - kappa).  The graph value
+    is the Q part of a fixed point's node t = 0, where the weight e^{mu t}
+    is one, so the bound holds for m_{tau+T}(x) - m_tau(x) at every x at
+    once.  At a period the cells agree up to the rounding of the shifted
+    phases, so the bound reads at rounding level; a shift that is not a
+    period (a shift built off by a step) shows as the cells' difference.
+    The value bounds the distance between the exact discrete fixed points,
+    each of which a chart would solve to within tol; kappa >= 1 raises
+    RimlabError.
+    """
+    _check_period(problem, period)
+    value = _cell_bound(problem.lp_context(tau), problem.lp_context(tau + period))
+    return _periodicity_report(tau, period, value, problem)
 
 
 def ap_defect(chart: ManifoldChart, tau0: float, problem: ModelProblem) -> DefectReport:

@@ -26,14 +26,14 @@ from .analysis import (
     containment_defect,
     invariance_defect,
     lipschitz_defect,
-    periodicity_defect,
+    periodicity_bound,
     pullback_attractor,
     tracking_defects,
 )
 from .config import RunConfig, build_problem, load_config
 from .errors import CertificateError, ConfigError, InstabilityError, RimlabError
 from .forcing import scan_almost_period
-from .lyapunov_perron import scan_gap
+from .lyapunov_perron import quadrature_slack, scan_gap
 from .problem import ModelProblem
 from .tracking import base_orbit, track_phi
 
@@ -243,17 +243,10 @@ def _tracking(cfg: RunConfig, problem: ModelProblem, chart=None):
 
 
 def _periodicity(cfg: RunConfig, problem: ModelProblem, chart=None):
-    """One report per periodicity tau: verify's chart at its own tau (which
-    ``_chart_legs`` asks for the period), a chart with that one translate
-    at every other tau and in the periodicity command."""
+    """One report per periodicity tau, each bounded from the forcing cells
+    with no solve (``periodicity_bound``), so the check builds no chart."""
     period = cfg.forcing.declared_period  # _prepare_checks refused a signal without one
-    grid = _chart_grid(cfg)
-    reports = []
-    for tau in cfg.periodicity["taus"]:
-        own = chart is not None and tau == cfg.chart["tau"]
-        at_tau = chart() if own else problem.chart(tau, grid, (period,))
-        reports.append(periodicity_defect(at_tau, period, problem))
-    return reports, None
+    return [periodicity_bound(tau, period, problem) for tau in cfg.periodicity["taus"]], None
 
 
 def _almost_period(cfg: RunConfig, problem: ModelProblem, chart):
@@ -320,14 +313,9 @@ def cmd_build_manifold(args) -> int:
 
 def _chart_legs(cfg: RunConfig) -> tuple:
     """(shifts, flow time) that verify's enabled checks solve from the chart's
-    points: the declared period when the chart's tau is a periodicity tau,
-    the near-period, and the invariance flow time."""
-    checks, tau = cfg.verify["checks"], cfg.chart["tau"]
-    shifts = []
-    if "periodicity" in checks and tau in cfg.periodicity["taus"]:
-        shifts.append(cfg.forcing.declared_period)
-    if "almost_period" in checks:
-        shifts.append(cfg.almost_period["tau0"])
+    points: the near-period and the invariance flow time."""
+    checks = cfg.verify["checks"]
+    shifts = [cfg.almost_period["tau0"]] if "almost_period" in checks else []
     return shifts, cfg.verify["invariance_t"] if "invariance" in checks else None
 
 
@@ -335,9 +323,10 @@ def _prepare_checks(cfg: RunConfig, checks) -> RunConfig:
     """Make every refusal of ``checks`` that needs only the config, before
     any problem is built: the k >= 1/2 where tracking's delta >= 1, an
     open near-period that the scan cannot find, and a periodicity check
-    without a declared period.  Returns the config with the near-period
-    filled in when the almost-period check leaves it open, since the chart
-    solves the translates by it."""
+    without a declared period or without the contraction its bound divides
+    by (k + ratio_slack < 1, ``periodicity_bound``).  Returns the config
+    with the near-period filled in when the almost-period check leaves it
+    open, since the chart solves the translates by it."""
     if "tracking" in checks and cfg.gap_k >= 0.5:
         raise ConfigError(f"certificate.k: tracking requires k < 1/2 (got {cfg.gap_k:g})")
     ap = cfg.almost_period
@@ -349,8 +338,15 @@ def _prepare_checks(cfg: RunConfig, checks) -> RunConfig:
         except RimlabError as exc:
             raise ConfigError(f"almost_period.target: {exc}") from exc
         cfg = dataclasses.replace(cfg, almost_period={**ap, "tau0": tau0})
-    if "periodicity" in checks and cfg.forcing.declared_period is None:
-        raise ConfigError("forcing.period: the periodicity check needs a declared period")
+    if "periodicity" in checks:
+        if cfg.forcing.declared_period is None:
+            raise ConfigError("forcing.period: the periodicity check needs a declared period")
+        kappa = cfg.gap_k + quadrature_slack(cfg.h, float(cfg.spectrum.lambdas[cfg.gap_n]))
+        if kappa >= 1.0:
+            raise ConfigError(
+                f"numerics.h, certificate.k: the periodicity bound needs "
+                f"k + 5*h*lambda_(n+1) < 1 (got {kappa:g})"
+            )
     return cfg
 
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import Nonlinearity, integrate
-from .errors import CertificateError, RimlabError
+from .errors import CertificateError, InstabilityError, RimlabError
 from .forcing import ForcingSignal, _cell_columns, shift_forcing
 from .randomness import OUProcess, whole_steps
 from .spectral import Spectrum, _filter_modes, _mode_major, _node_norms, _step_weights, norm_alpha
@@ -51,6 +51,7 @@ __all__ = [
     "check_gap",
     "scan_gap",
     "weighted_factor",
+    "quadrature_slack",
     "backward_horizon",
     "LPContext",
     "lp_apply",
@@ -150,6 +151,13 @@ def scan_gap(s: Spectrum, lipschitz: float, k: float) -> list[dict]:
             row["delta"] = cert.delta
         rows.append(row)
     return rows
+
+
+def quadrature_slack(h: float, lambda_np1: float) -> float:
+    """Allowance 5 h lambda_{n+1} above the certificate's k for the cell
+    rule's contraction ratios (``LPContext.ratio_slack``): a quadrature
+    allowance that solves measure against, not a proven constant."""
+    return 5.0 * h * lambda_np1
 
 
 def weighted_factor(cert: GapCertificate, nu: float) -> float:
@@ -346,7 +354,7 @@ class LPContext:
         self.gcells = _mode_major(_cell_columns(g, spectrum, self.times[:-1], self.h, self.forced))
         # Per-P-mode backward flow e^{-lambda t} on the window (t <= 0).
         self.p_flow = _mode_major(np.exp(-np.outer(self.times, lam[: cert.n])))
-        self.ratio_slack = 5.0 * self.h * cert.lambda_np1
+        self.ratio_slack = quadrature_slack(self.h, cert.lambda_np1)
 
     # ---- helpers --------------------------------------------------------
 
@@ -431,7 +439,8 @@ def _picard(step, dist, starts: list, factor: float, slack: float, tol: float):
     to the fixed point by tol from any start.  Raises CertificateError
     when a measured ratio of consecutive distances reaches 1 or exceeds
     factor + slack (the quadrature slack), or when the a-priori iteration
-    cap set from the first distance is exceeded.  The fixed point returned
+    cap set from the first distance is exceeded; raises InstabilityError
+    when that first distance is not finite.  The fixed point returned
     is ``step`` of the final step's start, its last argument;
     ``solve_fixed_point`` hands that start back on request.
     """
@@ -450,6 +459,8 @@ def _picard(step, dist, starts: list, factor: float, slack: float, tol: float):
         if d <= thresh:
             return new, iterations
         if cap is None:
+            if not math.isfinite(d):
+                raise InstabilityError(f"first iterate distance {d} is not finite")
             cap = math.ceil(math.log(thresh / d) / math.log(rate)) + 1
         if d_prev is not None:
             ratio = d / d_prev
@@ -516,8 +527,11 @@ def _sweep_start(ctx: LPContext, x, done: list) -> np.ndarray | None:
     (x0, xi0), (x1, xi1) = done.pop(0), done[0]
     n = ctx.cert.n
     step = (x1 - x0)[:n]
-    norm2 = float(step @ step)
-    s = float((x - x1)[:n] @ step) / norm2 if norm2 > 0.0 else 0.0
+    # Base points near the float range overflow the secant.  No warning: the
+    # start is then not finite, and the solve refuses it by its first distance.
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm2 = float(step @ step)
+        s = float((x - x1)[:n] @ step) / norm2 if norm2 > 0.0 else 0.0
     start = ctx.rebase(xi1, x1 + s * (x1 - x0), x)
     diff = xi1 - xi0
     diff *= s

@@ -181,10 +181,12 @@ def _flush_tail(col: np.ndarray) -> None:
 
 def _decay_steps(y: float, a: float, tiny: float) -> float:
     """Steps of y <- a y (0 < |a| < 1) to take |y| >= tiny below tiny, plus
-    one; inf for a non-finite y, which the filter carries to the end."""
+    one; inf for a non-finite y, which the filter carries to the end.  The
+    logarithms are taken apart, since tiny / |y| is subnormal for |y| > 1
+    and underflows to 0 for |y| above about 9e15."""
     if not math.isfinite(y):
         return math.inf
-    return math.ceil(math.log(tiny / abs(y)) / math.log(abs(a))) + 1
+    return math.ceil((math.log(tiny) - math.log(abs(y))) / math.log(abs(a))) + 1
 
 
 def _node_norms(values: np.ndarray, wts: np.ndarray) -> np.ndarray:

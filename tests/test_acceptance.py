@@ -15,7 +15,12 @@ import pytest
 
 import rimlab as rl
 from conftest import coarsen_path, forward_apply, manifold_point, q_flow, track_alone
-from rimlab.analysis import containment_defect, invariance_defect, pullback_attractor
+from rimlab.analysis import (
+    containment_defect,
+    invariance_defect,
+    periodicity_defect,
+    pullback_attractor,
+)
 from rimlab.cli import main as cli_main
 from rimlab.dynamics import integrate
 from rimlab.forcing import scan_almost_period, shift_forcing
@@ -254,7 +259,7 @@ def test_criterion_07_periodicity(problem_nl, chart_grid16):
     worst = 0.0
     for tau in (0.0, 1.0, 2.0):
         chart = problem_nl.chart(tau, chart_grid16, (period,))
-        report = rl.periodicity_defect(chart, period, problem_nl)
+        report = periodicity_defect(chart, period, problem_nl)
         worst = max(worst, report.value)
     ok = worst <= bound
     assert _report(

@@ -9,16 +9,18 @@ import pytest
 
 import rimlab as rl
 from conftest import coarsen_path, manifold_point
-from rimlab import cli, dynamics, lyapunov_perron
+from rimlab import analysis, cli, dynamics, lyapunov_perron
 from rimlab.analysis import (
     AttractorCloud,
     DefectReport,
     ap_defect,
     containment_defect,
     invariance_defect,
+    periodicity_bound,
     periodicity_defect,
     pullback_attractor,
 )
+from rimlab.config import build_problem, load_config
 from rimlab.errors import RimlabError
 from rimlab.lyapunov_perron import build_chart
 from rimlab.spectral import norm_alpha
@@ -112,9 +114,12 @@ def test_invariance_reports_are_reproducible(problem_nl, chart_grid16):
 
 
 def test_periodicity_requires_declared_period(chart_nl, problem_nl):
-    # trig forcing must declare the requested period (constants accept any)
+    # trig forcing must declare the requested period (constants accept any),
+    # whether the report reads a chart or bounds the forcing cells
     with pytest.raises(RimlabError, match="forcing has declared period"):
         periodicity_defect(chart_nl, 3.0, problem_nl)
+    with pytest.raises(RimlabError, match="forcing has declared period"):
+        periodicity_bound(1.0, 3.0, problem_nl)
 
 
 def test_chart_holds_translates_by_their_shift(chart_nl, problem_nl, chart_grid16):
@@ -232,10 +237,11 @@ def test_sweeps_hold_no_final_start_across_the_next_solve(problem_nl, chart_grid
 def test_verify_legs_start_from_their_chart_points_start(tmp_path, monkeypatch):
     # verify hands the chart every shift and flow time its checks use, so
     # each leg starts from its chart point's final start: on the workhorse
-    # the period translates take one application each, the invariance
-    # solves (on the noise shifted by t) one each, and the near-period
-    # translates two each.  Tracking is left out; every other graph value
-    # is solved once.
+    # the invariance solves (on the noise shifted by t) take one
+    # application each and the near-period translates two each.
+    # Periodicity is bounded from the forcing cells, so no translate by the
+    # period is solved.  Tracking is left out; every other graph value is
+    # solved once.
     text = WORKHORSE.read_text(encoding="utf-8").replace(
         "checks = invariance lipschitz tracking periodicity",
         "checks = invariance lipschitz periodicity almost_period containment",
@@ -248,7 +254,7 @@ def test_verify_legs_start_from_their_chart_points_start(tmp_path, monkeypatch):
     (tau0,) = [r["context"]["tau0"] for r in doc["reports"] if r["kind"] == "almost_periodicity"]
     period, points = 2.0 * np.pi, 9
     noise = solves[0][2]  # the chart's own noise, unshifted
-    assert [n for tau, n, _ in solves if tau == period] == [1] * points
+    assert [n for tau, n, _ in solves if tau == period] == []
     assert [n for tau, n, i_min in solves if i_min != noise] == [1] * points
     assert [n for tau, n, _ in solves if tau == tau0] == [2] * points
 
@@ -280,6 +286,34 @@ def test_shifted_start_cannot_hide_a_non_period(problem_nl, chart_grid16):
     for tau, got in ((0.0, chart.values), (1.0, chart.translates[1.0])):
         assert np.max(np.linalg.norm(got - cold[tau], axis=1)) <= 2.0 * problem_nl.tol
     assert report.value > 1e-3  # m_1 is far from m_0
+
+
+def test_periodicity_bound_dominates_the_solved_distance(chart_grid16):
+    # The forcing-cell bound covers every x at once, so under a shift built
+    # one step late (tau + T + h) or one step early (tau + T - h) it stays
+    # at or above the distance a chart solves under that shift, less the
+    # 2 tol the two solves may each be off by.  At the period itself the
+    # cells agree up to rounding, and so does the bound.
+    problem = build_problem(load_config(WORKHORSE))
+    period, grid = 2.0 * np.pi, chart_grid16[::2]
+    for tau in (0.0, 1.0, 2.0):
+        ctx = problem.lp_context(tau)
+        report = periodicity_bound(tau, period, problem)
+        assert report.value <= 1e-15
+        for off in (problem.h, -problem.h):
+            ctx_s = problem.lp_context(tau + period + off)
+            solved = periodicity_defect(build_chart(grid, ctx, ((period, ctx_s),)), period, problem)
+            assert solved.value > 1e-5  # the shift shows in the solved graph
+            assert analysis._cell_bound(ctx, ctx_s) >= solved.value - 2.0 * problem.tol
+
+
+def test_periodicity_bound_needs_a_contraction(problem_nl):
+    # With k + ratio_slack >= 1 there is no contraction to divide the
+    # cells' difference by, so the bound refuses rather than report inf
+    # at a true period (where the cells still differ by rounding).
+    problem = dataclasses.replace(problem_nl, cert=dataclasses.replace(problem_nl.cert, k=0.99))
+    with pytest.raises(RimlabError, match="no contraction to bound periodicity by"):
+        periodicity_bound(1.0, 2.0 * np.pi, problem)
 
 
 def test_periodicity_two_resolution_ratio(spectrum16, sine_forcing, cov16):
@@ -447,3 +481,5 @@ def test_periodicity_zero_forcing_any_period(spectrum16, ou16):
     report = periodicity_defect(prob.chart(0.0, grid, (2.0,)), 2.0, prob)
     assert report.value <= 2.0 * prob.tol
     assert report.passed
+    # no forcing cells at all, so nothing to bound: exactly 0 at any tau
+    assert periodicity_bound(1.0, 2.0, prob).value == 0.0

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -407,8 +408,8 @@ ALL_SIX_CONFIG = SMALL_CONFIG.replace(
 
 
 def test_verify_reuses_the_chart_solves(tmp_path, monkeypatch):
-    # In the chart's sweep, the periodicity and almost-period legs at the
-    # chart's tau solve each translate from its point's final start, and
+    # In the chart's sweep, the almost-period leg at the chart's tau
+    # solves each translate from its point's final start, and
     # invariance starts each shifted solve from that start continued by the
     # flowed orbit.  All six checks then take at most 83 backward-operator
     # applications on this config (117 when those solves started from the
@@ -426,11 +427,11 @@ def test_verify_reuses_the_chart_solves(tmp_path, monkeypatch):
 
 
 def test_verify_and_periodicity_command_agree_bit_for_bit(tmp_path, monkeypatch):
-    # One path for graph translates: with all six checks on the workhorse,
-    # verify reads the period translate off its chart at tau 0 and builds a
-    # chart with that translate at taus 1 and 2, as the periodicity command
-    # does at every tau, so their reports are equal bit for bit.  A problem
-    # keeps nothing beyond its fields, whichever checks ran on it.
+    # One periodicity rule for both commands: with all six checks on the
+    # workhorse, verify bounds taus 0, 1 and 2 from the forcing cells with
+    # no solve, as the periodicity command does, so their reports are equal
+    # bit for bit.  A problem keeps nothing beyond its fields, whichever
+    # checks ran on it.
     build, problems = cli.build_problem, []
     monkeypatch.setattr(cli, "build_problem", lambda *a: problems.append(build(*a)) or problems[-1])
     text = (CONFIG_DIR / "dirichlet_nonlinear.ini").read_text(encoding="utf-8").replace(
@@ -452,24 +453,21 @@ def test_verify_and_periodicity_command_agree_bit_for_bit(tmp_path, monkeypatch)
 
 
 def test_periodicity_fails_translates_one_step_off(tmp_path, monkeypatch):
-    # Mutant: every translate is solved under the operator one step h late,
-    # at tau + s + h.  verify on the shipped configs then fails, on
-    # periodicity alone: linear_sine at its one tau, the workhorse at taus
-    # 0 and 1.  (The workhorse's tau 2 defect, 4.4e-5, passes under the
-    # bound's 1e-4 slack.)
-    from rimlab import problem as problem_module
+    # Mutant: every forcing-cell bound is built against the operator one
+    # step h late, at tau + T + h.  verify on the shipped configs then
+    # fails, on periodicity alone: linear_sine at its one tau, the
+    # workhorse at taus 0 and 1.  (The workhorse's tau 2 bound, 5.7e-5,
+    # passes under the bound's 1e-4 slack.)
+    from rimlab import analysis
 
-    build = problem_module.build_chart
+    cell_bound = analysis._cell_bound
 
-    def one_step_late(x_grid, ctx, translates=(), flow=None):
-        late = tuple(
-            (s, LPContext(c.spectrum, c.cert, c.nonlinearity, c.forcing, c.ou, c.tau + c.h,
-                          c.t_back, c.tol))
-            for s, c in translates
+    def late(c):
+        return LPContext(
+            c.spectrum, c.cert, c.nonlinearity, c.forcing, c.ou, c.tau + c.h, c.t_back, c.tol
         )
-        return build(x_grid, ctx, late, flow)
 
-    monkeypatch.setattr(problem_module, "build_chart", one_step_late)
+    monkeypatch.setattr(analysis, "_cell_bound", lambda ctx, ctx_s: cell_bound(ctx, late(ctx_s)))
     for name, failed in (("linear_sine", [False]), ("dirichlet_nonlinear", [False, False])):
         out = tmp_path / name
         assert main(["verify", "--config", str(CONFIG_DIR / f"{name}.ini"), "--out", str(out)]) == 1
@@ -477,6 +475,78 @@ def test_periodicity_fails_translates_one_step_off(tmp_path, monkeypatch):
         periodic = [r["passed"] for r in doc["reports"] if r["kind"] == "periodicity"]
         assert periodic[: len(failed)] == failed
         assert all(r["passed"] for r in doc["reports"] if r["kind"] != "periodicity")
+
+
+def test_periodicity_check_runs_no_solve(tmp_path, monkeypatch):
+    # Periodicity is bounded from the forcing cells at every tau.  verify
+    # with all six checks on the workhorse applies no operator during its
+    # periodicity check and asks its chart for no period translate (the
+    # near-period alone); the periodicity command builds no chart and
+    # applies no operator.
+    from rimlab import lyapunov_perron
+    from rimlab import problem as problem_module
+
+    apply, build = lyapunov_perron.lp_apply, problem_module.build_chart
+    applied, shifts, phase = [], [], ["set-up"]
+    monkeypatch.setattr(
+        lyapunov_perron, "lp_apply", lambda *a: applied.append(phase[0]) or apply(*a)
+    )
+
+    def recorded(x_grid, ctx, translates=(), flow=None):
+        shifts.append([s for s, _ in translates])
+        return build(x_grid, ctx, translates, flow)
+
+    def phased(name, check):
+        def run(*args):
+            phase[0] = name
+            return check(*args)
+
+        return run
+
+    monkeypatch.setattr(problem_module, "build_chart", recorded)
+    monkeypatch.setattr(cli, "_CHECKS", tuple((n, phased(n, c)) for n, c in cli._CHECKS))
+    text = (CONFIG_DIR / "dirichlet_nonlinear.ini").read_text(encoding="utf-8").replace(
+        "checks = invariance lipschitz tracking periodicity",
+        "checks = invariance lipschitz tracking periodicity almost_period containment",
+    )
+    cfg = tmp_path / "all_six.ini"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "verify")]) == 0
+    assert set(applied) == {"lipschitz", "tracking", "containment"}
+    doc = json.loads((tmp_path / "verify" / "verification.json").read_text(encoding="utf-8"))
+    (ap,) = [r for r in doc["reports"] if r["kind"] == "almost_periodicity"]
+    assert shifts == [[ap["context"]["tau0"]]]
+    applied.clear()
+    shifts.clear()
+    assert main(["periodicity", "--config", str(cfg), "--out", str(tmp_path / "periodicity")]) == 0
+    assert applied == [] and shifts == []
+
+
+def test_periodicity_refuses_a_config_without_contraction(tmp_path):
+    # The periodicity bound divides by 1 - k - 5 h lambda_(n+1).  A config
+    # that validation accepts can leave nothing to divide by: k = 0.97 with
+    # h = 1/640 (lambda_max h = 0.4 <= 0.5) on the workhorse gives
+    # 0.97 + 5 (1/640) (4) = 1.00125.  Both commands that run the check
+    # refuse it before any problem is built, naming the condition.
+    text = (CONFIG_DIR / "dirichlet_nonlinear.ini").read_text(encoding="utf-8")
+    text = text.replace("k = 0.2", "k = 0.97").replace("h = 0.001", "h = 0.0015625")
+    text = text.replace(
+        "checks = invariance lipschitz tracking periodicity",
+        "checks = invariance lipschitz periodicity",
+    )
+    cfg = tmp_path / "coarse.ini"
+    cfg.write_text(text, encoding="utf-8")
+    loaded = load_config(cfg)
+    assert (loaded.gap_k, loaded.h) == (0.97, 0.0015625)
+    for command in ("periodicity", "verify"):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(cfg), "--out", str(tmp_path / command)])
+        assert code == 2
+        assert err.getvalue() == (
+            "config error: numerics.h, certificate.k: the periodicity bound needs "
+            "k + 5*h*lambda_(n+1) < 1 (got 1.00125)\n"
+        )
 
 
 def _solve_phase_peak(config: Path, out: Path, monkeypatch) -> int:
@@ -1166,6 +1236,7 @@ def _check_mutation(path: Path, command: str, field, value):
         assert failed or err.getvalue().startswith("run failed:")
     if code in (2, 3):
         assert len(err.getvalue().strip().splitlines()) == 1
+    return code, err.getvalue()
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -1186,3 +1257,26 @@ def test_nonlinear_config_mutations_keep_exit_code_contract(field, value):
 @given(field=st.sampled_from(_fields(QUASI_PERIODIC)), value=st.sampled_from(FUZZ_VALUES))
 def test_quasi_periodic_config_mutations_keep_exit_code_contract(field, value):
     _check_mutation(QUASI_PERIODIC, "build-manifold", field, value)
+
+
+# Values beyond FUZZ_VALUES that once ended in a traceback: a tracking
+# radius whose subnormal-flush step count underflowed (tiny / |y| is 0 for
+# |y| above about 9e15), and chart points so large that the first Picard
+# distance is not finite.  Numpy warnings are errors here, so the message
+# is the whole of stderr.
+EXTREME_CASES = {
+    "track_radius_1e17": ("track", ("track", "radius"), "1e17", 0),
+    "chart_x_max_1e160": ("build-manifold", ("chart", "x_max"), "1e160", 1),
+    "chart_x_max_1e300": ("build-manifold", ("chart", "x_max"), "1e300", 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXTREME_CASES))
+def test_extreme_values_keep_exit_code_contract(case):
+    command, field, value, expected = EXTREME_CASES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = _check_mutation(DIRICHLET_NONLINEAR, command, field, value)
+    assert code == expected
+    if expected == 1:
+        assert err == "run failed: first iterate distance nan is not finite\n"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ import rimlab as rl
 from rimlab.errors import RimlabError
 from conftest import forward_apply, q_flow
 from rimlab.dynamics import Nonlinearity, integrate
-from rimlab.spectral import _filter_modes, _node_norms
+from rimlab.spectral import _decay_steps, _filter_modes, _node_norms
 from rimlab.tracking import _ForwardStencil, base_orbit
 
 
@@ -319,6 +321,23 @@ def test_filter_modes_flush_stops_a_stall():
         first = int(np.argmax(np.abs(plain) < tiny))
         assert np.array_equal(got[:first], plain[:first])
         assert not np.any(got[first:])
+
+
+def test_decay_steps_from_a_huge_state():
+    # tiny / |y| underflows to 0 once |y| is above about 9e15 (a tracking
+    # orbit of radius 1e17 starts the filter there), so the step count
+    # takes the two logarithms apart.  From 1e300 at a = 0.5 it is finite
+    # and exact, and the filter started there matches the plain recursion
+    # up to its first entry below tiny and is exactly 0 after.
+    tiny = np.finfo(float).tiny
+    steps = _decay_steps(1e300, 0.5, tiny)
+    assert math.isfinite(steps)
+    assert math.ldexp(1e300, -(steps - 1)) < tiny <= math.ldexp(1e300, -(steps - 2))
+    got = _filter_modes(np.zeros((3000, 1)), 0.5, 1e300)[:, 0]
+    plain = lfilter([1.0], [1.0, -0.5], np.zeros(3000), zi=[0.5e300])[0]
+    first = int(np.argmax(np.abs(plain) < tiny))
+    assert np.array_equal(got[:first], plain[:first])
+    assert not np.any(got[first:])
 
 
 def test_solved_tables_hold_no_subnormal(problem_nl):
