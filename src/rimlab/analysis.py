@@ -7,9 +7,12 @@ with its bound; no bound is written anywhere else.
 Every check here compares objects computed on the same stored noise path;
 a time shift of the noise is the one OU table on a relabelled grid
 (``ModelProblem.ou_for``), never a fresh sample or solve, so each reported
-defect is a deterministic function of (seed, configuration).  The
-almost-periodicity check reads the translates m_{tau+s} that its chart's
-sweep solved (``ModelProblem.chart`` with ``shifts``), periodicity is
+defect is a deterministic function of (seed, configuration).  Invariance
+and almost periodicity read one kind of measurement, a leg (t, s) that
+their chart's sweep solved (``ModelProblem.chart`` with ``legs``): the
+graph flowed for time t against the graph at tau + s on the noise shifted
+by t, read by ``_leg_distance``.  Invariance is the leg (t, t), a
+translate by a near-period tau0 the leg (0, tau0).  Periodicity is
 bounded from the forcing cells with no solve (``periodicity_bound``), and
 containment alone solves graph values of its own
 (``ModelProblem.graph_values``), so no check depends on which ran before
@@ -132,24 +135,32 @@ def lipschitz_defect(chart: ManifoldChart) -> DefectReport:
     )
 
 
+def _leg_distance(chart: ManifoldChart, t: float, s: float, problem: ModelProblem) -> float:
+    """Largest D(A^alpha) norm over the chart's points of its leg (t, s):
+    the Q part of the graph point flowed for time t minus the graph at
+    tau + s on the noise shifted by t (``build_chart``).  At t = 0 this is
+    the graph distance |m_tau(x) - m_{tau+s}(x)|_alpha.  A chart without
+    the leg raises RimlabError."""
+    if (t, s) not in chart.legs:
+        raise RimlabError(f"chart has no leg (t, s) = ({t}, {s}) (legs {sorted(chart.legs)})")
+    return float(np.max(norm_alpha(chart.legs[(t, s)], problem.spectrum)))
+
+
 def invariance_defect(chart: ManifoldChart, t: float, problem: ModelProblem) -> DefectReport:
     """Distance of the chart flowed for time t >= 0 to the shifted graph.
 
-    Reads the chart's invariance leg, solved in its sweep at flow time t
-    (``build_chart`` with ``flow``, ``ModelProblem.chart`` with ``flow_t``):
+    Reads the chart's leg (t, t) (``ModelProblem.chart`` with ``legs``):
     per point, the off-graph part of the flowed graph point against a
-    fixed-point solve at translated forcing on the shifted noise
+    fixed-point solve at forcing translated by t on the shifted noise
     ``ou_for(t)``.  Flow and graph share one cell rule at the problem's
     step, so this matched-resolution defect sits at the solver and
-    truncation floor, not at O(h).  A chart without a leg at t raises
+    truncation floor, not at O(h).  A chart without that leg raises
     RimlabError.
     """
-    if chart.flow_t != t:
-        raise RimlabError(f"chart has no invariance leg at t = {t} (flow time {chart.flow_t})")
     bound = INVARIANCE_CONSTANT * (problem.h + problem.tol)
     return DefectReport(
         kind="invariance",
-        value=float(np.max(norm_alpha(chart.off_graph, problem.spectrum))),
+        value=_leg_distance(chart, t, t, problem),
         bound=float(bound),
         context={
             "t": t,
@@ -197,23 +208,6 @@ def tracking_defects(
     ]
 
 
-def _translate_distance(chart: ManifoldChart, shift: float, problem: ModelProblem) -> float:
-    """Largest graph distance |m_{tau+shift}(x) - m_tau(x)|_alpha over the
-    chart's points.
-
-    Reads the translate by ``shift`` that the chart's sweep solved from
-    each point's final start (``ModelProblem.chart`` with ``shifts``); at a
-    translation by a period each translate then takes one operator
-    application and reproduces m_tau up to rounding.  A chart without a
-    translate by ``shift`` raises RimlabError.
-    """
-    if shift not in chart.translates:
-        raise RimlabError(
-            f"chart has no translate by s = {shift} (shifts {sorted(chart.translates)})"
-        )
-    return float(np.max(norm_alpha(chart.translates[shift] - chart.values, problem.spectrum)))
-
-
 def _check_period(problem: ModelProblem, period: float) -> None:
     """A signal without trig terms is periodic with every period; one with
     terms must declare the requested one, else RimlabError."""
@@ -236,14 +230,15 @@ def _periodicity_report(
 
 def periodicity_defect(chart: ManifoldChart, period: float, problem: ModelProblem) -> DefectReport:
     """Graph distance between the chart's tau and its translate by one
-    declared forcing period, as the chart's sweep solved it.
+    declared forcing period, the leg (0, period) that the chart's sweep
+    solved.
 
     No command calls this: the periodicity check is ``periodicity_bound``,
     which solves nothing.  It stays as the solved measurement that the
     bound, and the contraction it assumes, are compared against.
     """
     _check_period(problem, period)
-    value = _translate_distance(chart, period, problem)
+    value = _leg_distance(chart, 0.0, period, problem)
     return _periodicity_report(chart.tau, period, value, problem)
 
 
@@ -306,7 +301,7 @@ def periodicity_bound(tau: float, period: float, problem: ModelProblem) -> Defec
 
 def ap_defect(chart: ManifoldChart, tau0: float, problem: ModelProblem) -> DefectReport:
     """Graph distance between the chart's tau and its translate by a
-    measured near-period.
+    measured near-period, the leg (0, tau0) that the chart's sweep solved.
 
     A forcing defect eps_g over the translation tau0 propagates through the
     contraction to a graph defect of at most 2 eps_g / ((1-k) lambda_n).
@@ -314,7 +309,7 @@ def ap_defect(chart: ManifoldChart, tau0: float, problem: ModelProblem) -> Defec
     eps_g = almost_period_defect(problem.forcing, problem.spectrum, tau0)
     cert = problem.cert
     bound = 2.0 * eps_g / ((1.0 - cert.k) * cert.lambda_n) + 2.0 * problem.tol
-    value = _translate_distance(chart, tau0, problem)
+    value = _leg_distance(chart, 0.0, tau0, problem)
     return DefectReport(
         kind="almost_periodicity",
         value=value,

@@ -311,12 +311,16 @@ def cmd_build_manifold(args) -> int:
     return 0
 
 
-def _chart_legs(cfg: RunConfig) -> tuple:
-    """(shifts, flow time) that verify's enabled checks solve from the chart's
-    points: the near-period and the invariance flow time."""
+def _chart_legs(cfg: RunConfig) -> list:
+    """The legs (t, s) that verify's enabled checks solve from the chart's
+    points: the translate (0, tau0) by the near-period and the invariance
+    leg (t, t) at its flow time."""
     checks = cfg.verify["checks"]
-    shifts = [cfg.almost_period["tau0"]] if "almost_period" in checks else []
-    return shifts, cfg.verify["invariance_t"] if "invariance" in checks else None
+    legs = [(0.0, cfg.almost_period["tau0"])] if "almost_period" in checks else []
+    if "invariance" in checks:
+        t = cfg.verify["invariance_t"]
+        legs.append((t, t))
+    return legs
 
 
 def _prepare_checks(cfg: RunConfig, checks) -> RunConfig:
@@ -326,7 +330,7 @@ def _prepare_checks(cfg: RunConfig, checks) -> RunConfig:
     without a declared period or without the contraction its bound divides
     by (k + ratio_slack < 1, ``periodicity_bound``).  Returns the config
     with the near-period filled in when the almost-period check leaves it
-    open, since the chart solves the translates by it."""
+    open, since the chart solves its leg (0, tau0)."""
     if "tracking" in checks and cfg.gap_k >= 0.5:
         raise ConfigError(f"certificate.k: tracking requires k < 1/2 (got {cfg.gap_k:g})")
     ap = cfg.almost_period
@@ -355,7 +359,7 @@ def cmd_verify(args) -> int:
     cfg = _prepare_checks(cfg, cfg.verify["checks"])
     problem = build_problem(cfg, seed)
     chart = functools.cache(
-        lambda: problem.chart(cfg.chart["tau"], _chart_grid(cfg), *_chart_legs(cfg))
+        lambda: problem.chart(cfg.chart["tau"], _chart_grid(cfg), _chart_legs(cfg))
     )
     reports = []
     for name, check in _CHECKS:

@@ -173,9 +173,7 @@ def _parse_spectrum(sec: _Section) -> Spectrum:
 
 def _parse_nonlinearity(sec: _Section) -> Nonlinearity:
     kind = sec.str("kind", "zero", choices=("zero", "per_mode_sin"))
-    if kind == "zero":
-        return Nonlinearity.zero()
-    return Nonlinearity.per_mode_sin(sec.float("lipschitz", minimum=0.0))
+    return Nonlinearity(0.0 if kind == "zero" else sec.float("lipschitz", minimum=0.0))
 
 
 def _parse_forcing(sec: _Section, n_modes: int) -> ForcingSignal:

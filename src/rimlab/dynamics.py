@@ -38,26 +38,15 @@ __all__ = ["Nonlinearity", "integrate", "cocycle_psi", "cocycle_phi"]
 class Nonlinearity:
     """Globally Lipschitz map F: D(A^alpha) -> H with F(0) = 0.
 
-    ``per_mode_sin`` applies F_j(u) = L sin(lambda_j^alpha u_j), whose
-    Lipschitz constant in the weighted-to-plain sense is exactly L.
+    F_j(u) = L sin(lambda_j^alpha u_j), whose Lipschitz constant in the
+    weighted-to-plain sense is exactly L; L = 0 is the linear equation, F = 0.
     """
 
-    kind: str
-    lipschitz: float = 0.0
+    lipschitz: float
 
     def __post_init__(self):
-        if self.kind not in ("zero", "per_mode_sin"):
-            raise RimlabError(f"unknown nonlinearity kind {self.kind!r}")
         if self.lipschitz < 0.0:
             raise RimlabError("Lipschitz constant must be nonnegative")
-
-    @classmethod
-    def zero(cls) -> "Nonlinearity":
-        return cls("zero", 0.0)
-
-    @classmethod
-    def per_mode_sin(cls, lipschitz: float) -> "Nonlinearity":
-        return cls("per_mode_sin", lipschitz)
 
     def evaluator(self, s: Spectrum):
         """F as a function of the state alone, with the weights computed once.
@@ -66,7 +55,7 @@ class Nonlinearity:
         in place, and leaves its argument unchanged.  It does no shape
         check; ``apply`` is the checked entry point.
         """
-        if self.kind == "zero":
+        if self.lipschitz == 0.0:
             return np.zeros_like
         wts = s.weights_alpha()
         lip = self.lipschitz
@@ -128,10 +117,10 @@ def integrate(
     cells = cell_convolution(g, s, times[:-1], h)
     damp, w1 = _step_weights(s, h)
 
-    if f.kind == "zero":
-        # Linear case: the orbit of each state is one filter pass started at
-        # it (the Euler step with F = 0), so a batch member's orbit is
-        # bit-identical to that state's own.
+    if f.lipschitz == 0.0:
+        # Linear case, L = 0: the orbit of each state is one filter pass
+        # started at it (the Euler step with F = 0), so a batch member's
+        # orbit is bit-identical to that state's own.
         states = v.reshape(-1, s.size)
         if return_trajectory:
             values = np.empty((n_steps + 1,) + v.shape)

@@ -285,13 +285,13 @@ def weighted_sup_norm(wmu: np.ndarray, values: np.ndarray, wts_alpha: np.ndarray
 class LPContext:
     """Precomputed discretisation of the backward fixed-point operator.
 
-    Bundles the problem data (spectrum, certificate, nonlinearity, forcing
-    translated by tau, OU driver) with everything that does not change
-    between operator applications: the node set, the OU window, the exact
-    forcing cells (``gcells``, only the columns of the ``forced`` modes),
-    the per-mode filter coefficients and F itself.  The OU window ``z`` is
-    a read-only view of the driver's mode-major table, so every context on
-    one table shares its values and copies none.  The window ``t_back``
+    Bundles the problem data (spectrum, certificate, nonlinearity, the
+    forcing translated by tau as ``g``, OU driver) with everything that
+    does not change between operator applications: the node set, the OU
+    window, the exact forcing cells (``gcells``, only the columns of the
+    ``forced`` modes), the per-mode filter coefficients and F itself.  The
+    OU window ``z`` is a read-only view of the driver's mode-major table,
+    so every context on one table shares its values and copies none.  The window ``t_back``
     (rounded to whole steps) and the solver tolerance ``tol`` are fixed
     here; ``config.build_problem`` derives both, the window by
     ``backward_horizon``.  The solver's S-norm keeps the certified
@@ -322,9 +322,9 @@ class LPContext:
         self.spectrum = spectrum
         self.cert = cert
         self.nonlinearity = nonlinearity
-        self.forcing = forcing
         self.ou = ou
         self.tau = float(tau)
+        self.g = shift_forcing(forcing, self.tau)  # the forcing translated by tau, once
         self.tol = float(tol)
 
         self.h = ou.grid.h
@@ -348,7 +348,7 @@ class LPContext:
         self.wmu = np.exp(cert.mu * self.times)
         # Forcing cells on the forced modes only: every other column is zero,
         # so no other column is tabulated.
-        g = shift_forcing(forcing, self.tau)
+        g = self.g
         forced = {*np.flatnonzero(g.amplitudes).tolist(), *(term.mode - 1 for term in g.terms)}
         self.forced = sorted(forced)
         self.gcells = _mode_major(_cell_columns(g, spectrum, self.times[:-1], self.h, self.forced))
@@ -568,11 +568,11 @@ def _sweep(xs, ctx: LPContext):
 class ManifoldChart:
     """Sampled graph of the manifold over a grid of resolved-mode points.
 
-    ``translates`` maps each shift s the chart was asked for to the graph
-    values m_{tau+s} at the grid's points, keyed by s itself.  With a flow
-    time ``flow_t``, ``off_graph`` holds, per point, the Q part of the
-    graph point flowed for ``flow_t`` minus the graph on the noise shifted
-    by ``flow_t`` at the flowed P part.
+    ``legs`` maps each leg (t, s) the chart was asked for, keyed by the
+    pair itself, to its rows: per point, the Q part of the graph point
+    flowed for time t minus the graph at tau + s on the noise shifted by t
+    at the flowed P part (``build_chart``).  Invariance is the leg (t, t);
+    a translate by s is the leg (0, s), whose rows are m_tau - m_{tau+s}.
     """
 
     tau: float
@@ -583,9 +583,7 @@ class ManifoldChart:
     cert: GapCertificate
     tol: float
     t_back: float
-    translates: dict = field(default_factory=dict, repr=False, compare=False)
-    flow_t: float | None = None
-    off_graph: np.ndarray | None = field(default=None, repr=False, compare=False)
+    legs: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if np.any(self.residuals > self.tol * (1.0 + 1e-9)):
@@ -594,50 +592,35 @@ class ManifoldChart:
             )
 
 
-def _translated_value(x, ctx: LPContext, start: np.ndarray) -> np.ndarray:
-    """Graph value m(P x) under ``ctx``, solved from ``start``.
+def _leg(x, m, start, ctx: LPContext, t: float, ctx_ts: LPContext) -> np.ndarray:
+    """Q part of the graph point x + m flowed for time t, minus the graph at
+    its flowed P part under ``ctx_ts`` (translated by s, on the noise
+    shifted by t).
 
-    ``start`` is the final start of the same point's solve under an
-    operator that ``ctx`` translates, in the chart's sweep, the one place
-    a translate is solved.  At a translation by a period the operator maps
-    that start onto the fixed point, so the solve stops after one
+    The point is flowed by ``integrate`` with the chart's forcing ``ctx.g``.
+    By the cocycle property the chart history continued by the flowed
+    orbit is the fixed point under the context translated by t up to the
+    window's far end, so the solve starts from the last rows of the point's
+    final start followed by its orbit, copied into one mode-major history
+    that is handed to the solve.  The stop rule bounds the distance to the
+    fixed point by tol from any start, so a flow that leaves the discrete
+    graph only moves the start and still shows.  At t = 0 the orbit is the
+    point itself and the start is the final start as it is, so the row is
+    m_tau(x) - m_{tau+s}(x); at a translation by a period the operator maps
+    that start onto the fixed point, and the solve stops after one
     application, at rounding level.
     """
-    return ctx.project_q(solve_fixed_point(ctx.project_p(x), ctx, start)[0][-1])
-
-
-def _flow_leg(x, m, start, ctx: LPContext, t: float, ctx_t: LPContext) -> np.ndarray:
-    """Q part of the graph point x + m flowed for time t, minus the graph at
-    its flowed P part under ``ctx_t`` (translated by t, on the noise shifted
-    by t).
-
-    The point is flowed by ``integrate`` with the forcing translated by the
-    chart's tau.  By the cocycle property the chart history continued by
-    the flowed orbit is the fixed point under ``ctx_t`` up to the window's
-    far end, so the solve starts from the last rows of the point's final
-    start followed by its orbit, copied into one mode-major history that
-    is handed to the solve.  The stop rule bounds the distance to the
-    fixed point by tol from any start, so a flow that leaves the discrete
-    graph only moves the start and still shows.
-    """
-    orbit = integrate(
-        x + m, 0.0, t, ctx.ou, shift_forcing(ctx.forcing, ctx.tau), ctx.nonlinearity, ctx.spectrum
-    )
+    orbit = integrate(x + m, 0.0, t, ctx.ou, ctx.g, ctx.nonlinearity, ctx.spectrum)
     steps, size = orbit.shape[0] - 1, start.shape[0]
-    xi, _ = solve_fixed_point(
-        ctx_t.project_p(orbit[-1]),
-        ctx_t,
-        np.concatenate((start[steps:], orbit[1:][-size:]), out=np.empty(start.shape, order="F")),
-    )
-    return ctx_t.project_q(orbit[-1]) - ctx_t.project_q(xi[-1])
+    if steps:  # at t = 0 there is no orbit to append, and no copy is made
+        start = np.concatenate(
+            (start[steps:], orbit[1:][-size:]), out=np.empty(start.shape, order="F")
+        )
+    xi, _ = solve_fixed_point(ctx_ts.project_p(orbit[-1]), ctx_ts, start)
+    return ctx_ts.project_q(orbit[-1]) - ctx_ts.project_q(xi[-1])
 
 
-def build_chart(
-    x_grid: np.ndarray,
-    ctx: LPContext,
-    translates: tuple = (),
-    flow: tuple | None = None,
-) -> ManifoldChart:
+def build_chart(x_grid: np.ndarray, ctx: LPContext, legs: tuple = ()) -> ManifoldChart:
     """Evaluate the graph map over a grid of base points.
 
     The points are solved in grid order as one ``_sweep``.  While a point's
@@ -645,12 +628,10 @@ def build_chart(
     runs, and then both are dropped, so the chart holds values only:
 
     - the fixed-point residual (one extra operator application);
-    - the translate for each ``(s, ctx_s)`` of ``translates``, where
-      ``ctx_s`` is the operator translated by s on the same window
-      (``_translated_value``), kept under the key s;
-    - with ``flow = (t, ctx_t)``, the invariance leg (``_flow_leg``), where
-      ``ctx_t`` is the operator translated by t on the noise shifted by t.
-      A ``ctx_t`` on another backward window raises RimlabError.
+    - for each ``((t, s), ctx_ts)`` of ``legs``, the leg (``_leg``), kept
+      under the key (t, s), where ``ctx_ts`` is the operator translated by
+      s on the noise shifted by t.  A ``ctx_ts`` on another backward window
+      raises RimlabError.
 
     Also records the empirical Lipschitz constant over all grid pairs.
     """
@@ -658,21 +639,19 @@ def build_chart(
     if x_grid.shape[0] < 1:
         raise RimlabError("chart grid must contain at least one point")
     x_grid = np.array([ctx.project_p(x) for x in x_grid])
-    if flow is not None and (flow[1].t_back != ctx.t_back or flow[1].z.shape != ctx.z.shape):
-        raise RimlabError("flow context window differs from the chart's backward window")
+    if any(c.t_back != ctx.t_back or c.z.shape != ctx.z.shape for _, c in legs):
+        raise RimlabError("leg context window differs from the chart's backward window")
 
-    values, residuals, off_graph = [], [], []
-    shifted = [[] for _ in translates]
+    values, residuals = [], []
+    rows = [[] for _ in legs]
     sweep = _sweep(x_grid, ctx)
     for x in x_grid:
         # next(), not zip: zip keeps its last item while it asks for the next
         xi, start = next(sweep)
         values.append(ctx.project_q(xi[-1]))
         residuals.append(ctx.s_norm(lp_apply(xi, x, ctx) - xi))
-        for rows, (_, ctx_s) in zip(shifted, translates):
-            rows.append(_translated_value(x, ctx_s, start))
-        if flow is not None:
-            off_graph.append(_flow_leg(x, values[-1], start, ctx, *flow))
+        for leg_rows, ((t, _), ctx_ts) in zip(rows, legs):
+            leg_rows.append(_leg(x, values[-1], start, ctx, t, ctx_ts))
         del start  # hold no spare history while the sweep solves the next point
     values = np.array(values)
     residuals = np.array(residuals)
@@ -694,7 +673,5 @@ def build_chart(
         cert=ctx.cert,
         tol=ctx.tol,
         t_back=ctx.t_back,
-        translates={s: np.array(rows) for (s, _), rows in zip(translates, shifted)},
-        flow_t=None if flow is None else flow[0],
-        off_graph=None if flow is None else np.array(off_graph),
+        legs={key: np.array(leg_rows) for (key, _), leg_rows in zip(legs, rows)},
     )

@@ -9,10 +9,12 @@ forcing translation are built from here, so that every downstream object
 provably uses the same stored noise.  The backward window ``t_back`` and
 the solver tolerance ``tol`` are fixed per problem and passed to every
 context.
-A translate m_{tau+s} of the graph is solved only in a chart's sweep
-(``chart`` with ``shifts``), from the history that began each point's
-final Picard step while that history is live; the problem keeps no graph
-value, so which solves a check runs never depends on the checks before it.
+Every comparison of the graph at (tau, omega), flowed for a time t, with
+the graph at tau + s on theta_t omega is one leg (t, s) of a chart's sweep
+(``chart`` with ``legs``): invariance is (t, t), a translate by s is
+(0, s).  Each leg is solved from the history that began the point's final
+Picard step while that history is live; the problem keeps no graph value,
+so which solves a check runs never depends on the checks before it.
 """
 
 from __future__ import annotations
@@ -91,18 +93,15 @@ class ModelProblem:
             tol=self.tol,
         )
 
-    def chart(
-        self, tau: float, x_grid: np.ndarray, shifts=(), flow_t: float | None = None
-    ) -> ManifoldChart:
-        """``build_chart`` at translation tau, with the translate m_{tau+s} by
-        each s of ``shifts`` (``ManifoldChart.translates``, keyed by s) and,
-        at a ``flow_t``, the invariance leg on the noise shifted by
-        ``flow_t`` (``ou_for``)."""
-        translates = tuple((s, self.lp_context(tau + s)) for s in dict.fromkeys(shifts))
-        flow = None
-        if flow_t is not None:
-            flow = flow_t, self.lp_context(tau + flow_t, ou=self.ou_for(flow_t))
-        return build_chart(x_grid, self.lp_context(tau), translates, flow)
+    def chart(self, tau: float, x_grid: np.ndarray, legs=()) -> ManifoldChart:
+        """``build_chart`` at translation tau with each leg (t, s) of ``legs``
+        (``ManifoldChart.legs``, keyed by (t, s)), solved under the context
+        at tau + s on the noise shifted by t (``ou_for``).  A repeated leg
+        is solved once."""
+        contexts = tuple(
+            ((t, s), self.lp_context(tau + s, ou=self.ou_for(t))) for t, s in dict.fromkeys(legs)
+        )
+        return build_chart(x_grid, self.lp_context(tau), contexts)
 
     def graph_values(self, tau: float, points: np.ndarray) -> np.ndarray:
         """Graph values m_tau(P x) at the base points of ``points``, in the

@@ -40,7 +40,6 @@ import numpy as np
 
 from .dynamics import integrate
 from .errors import RimlabError
-from .forcing import shift_forcing
 from .lyapunov_perron import (
     LPContext,
     _duhamel,
@@ -173,7 +172,7 @@ def base_orbit(v0: np.ndarray, ctx: LPContext, t_fwd: float) -> np.ndarray:
         0.0,
         max(whole_steps(t_fwd, ctx.h), 2) * ctx.h,
         ctx.ou,
-        shift_forcing(ctx.forcing, ctx.tau),
+        ctx.g,
         ctx.nonlinearity,
         ctx.spectrum,
     )

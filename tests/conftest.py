@@ -27,7 +27,7 @@ import pytest
 
 import rimlab as rl
 from rimlab.errors import RimlabError
-from rimlab.forcing import almost_period_defect, cell_convolution, shift_forcing
+from rimlab.forcing import almost_period_defect, cell_convolution
 from rimlab.lyapunov_perron import _duhamel
 from rimlab.problem import ModelProblem
 from rimlab.spectral import _filter_modes
@@ -76,7 +76,7 @@ def problem_nl(spectrum16, sine_forcing, ou16):
     cert = rl.check_gap(spectrum16, 0.1, 0.2, 1)
     return ModelProblem(
         spectrum=spectrum16,
-        nonlinearity=rl.Nonlinearity.per_mode_sin(0.1),
+        nonlinearity=rl.Nonlinearity(0.1),
         forcing=sine_forcing,
         ou=ou16,
         cert=cert,
@@ -92,7 +92,7 @@ def problem_lin(spectrum16, sine_forcing, ou16):
     cert = rl.check_gap(spectrum16, 0.0, 0.2, 1)
     return ModelProblem(
         spectrum=spectrum16,
-        nonlinearity=rl.Nonlinearity.zero(),
+        nonlinearity=rl.Nonlinearity(0.0),
         forcing=sine_forcing,
         ou=ou16,
         cert=cert,
@@ -110,7 +110,7 @@ def problem_lin_const(spectrum16, ou16):
     amps[1] = 1.0
     return ModelProblem(
         spectrum=spectrum16,
-        nonlinearity=rl.Nonlinearity.zero(),
+        nonlinearity=rl.Nonlinearity(0.0),
         forcing=rl.ForcingSignal(amps.size, amps),
         ou=ou16,
         cert=cert,
@@ -157,10 +157,6 @@ class ModeCoupling(rl.Nonlinearity):
     mode-major output.
     """
 
-    def __post_init__(self):
-        if self.lipschitz < 0.0:
-            raise RimlabError("Lipschitz constant must be nonnegative")
-
     def evaluator(self, s):
         j = np.arange(1, s.size + 1)
         dst = np.sqrt(2.0 / (s.size + 1)) * np.sin(np.pi * np.outer(j, j) / (s.size + 1))
@@ -175,10 +171,6 @@ class Saturating(rl.Nonlinearity):
     L / lambda_1 lies beyond the float range overflows after finitely many
     steps, so ``integrate`` raises InstabilityError on it.
     """
-
-    def __post_init__(self):
-        if self.lipschitz < 0.0:
-            raise RimlabError("Lipschitz constant must be nonnegative")
 
     def evaluator(self, s):
         lip = self.lipschitz
@@ -196,7 +188,7 @@ def noise_problem(spectrum: rl.Spectrum, path: rl.WienerPath) -> ModelProblem:
     the OU driver and its shifts ``ou_for``."""
     return ModelProblem(
         spectrum=spectrum,
-        nonlinearity=rl.Nonlinearity.zero(),
+        nonlinearity=rl.Nonlinearity(0.0),
         forcing=rl.ForcingSignal(spectrum.size),
         ou=rl.solve_ou(path, spectrum),
         cert=rl.check_gap(spectrum, 0.0, 0.2, 1),
@@ -228,8 +220,7 @@ def manifold_point(x: np.ndarray, ctx: rl.LPContext) -> np.ndarray:
 
 def dense_cells(ctx: rl.LPContext) -> np.ndarray:
     """The context's forcing cells on every mode, shaped (cells, modes)."""
-    g = shift_forcing(ctx.forcing, ctx.tau)
-    return cell_convolution(g, ctx.spectrum, ctx.times[:-1], ctx.h)
+    return cell_convolution(ctx.g, ctx.spectrum, ctx.times[:-1], ctx.h)
 
 
 def q_flow(ctx: rl.LPContext, n_cells: int) -> np.ndarray:

@@ -69,7 +69,7 @@ def test_criterion_02_linear_closed_form(spectrum16, sine_forcing, cov16):
         path = rl.sample_wiener(seed, grid, cov16)
         problem = ModelProblem(
             spectrum=spectrum16,
-            nonlinearity=rl.Nonlinearity.zero(),
+            nonlinearity=rl.Nonlinearity(0.0),
             forcing=sine_forcing,
             ou=rl.solve_ou(path, spectrum16),
             cert=check_gap(spectrum16, 0.0, 0.2, 1),
@@ -167,7 +167,7 @@ def test_criterion_05_invariance(spectrum16, sine_forcing, cov16, chart_grid16):
     # the two resolutions, so single-path ratios scatter; the 3x reduction is
     # asserted on the RMS over a fixed ensemble of paths.
     cert = check_gap(spectrum16, 0.1, 0.2, 1)
-    f = rl.Nonlinearity.per_mode_sin(0.1)
+    f = rl.Nonlinearity(0.1)
     tol_run = TOL / 10.0
     tau, t = 0.0, 1.0
     x_grid = chart_grid16[::4]  # x in {-1, 0, 1}
@@ -186,7 +186,7 @@ def test_criterion_05_invariance(spectrum16, sine_forcing, cov16, chart_grid16):
                 t_back=16.12, t_fwd=16.12, tol=tol_run,
             )
             ctx = problem.lp_context(tau)
-            charts[label] = (problem, ctx, problem.chart(tau, x_grid, flow_t=t))
+            charts[label] = (problem, ctx, problem.chart(tau, x_grid, [(t, t)]))
         # Both charts' points flow together in one batch on the h/16 driver.
         flowed = integrate(
             np.vstack([chart.x_grid + chart.values for *_, chart in charts.values()]), 0.0, t,
@@ -207,7 +207,7 @@ def test_criterion_05_invariance(spectrum16, sine_forcing, cov16, chart_grid16):
             ))
             matched[label].append(invariance_defect(chart, t, problem).value)
             if seed == seeds[0] and label == "h":
-                zero_chart = problem.chart(tau, x_grid, flow_t=0.0)
+                zero_chart = problem.chart(tau, x_grid, [(0.0, 0.0)])
                 zero_time = invariance_defect(zero_chart, 0.0, problem).value
                 residual = float(np.max(chart.residuals))
 
@@ -258,7 +258,7 @@ def test_criterion_07_periodicity(problem_nl, chart_grid16):
     bound = 2.0 * TOL + 1e-4
     worst = 0.0
     for tau in (0.0, 1.0, 2.0):
-        chart = problem_nl.chart(tau, chart_grid16, (period,))
+        chart = problem_nl.chart(tau, chart_grid16, [(0.0, period)])
         report = periodicity_defect(chart, period, problem_nl)
         worst = max(worst, report.value)
     ok = worst <= bound
@@ -278,7 +278,7 @@ def test_criterion_08_almost_periodicity(spectrum16, cov16, ou16, chart_grid16):
     cert = check_gap(spectrum16, 0.1, 0.2, 1)
     problem = ModelProblem(
         spectrum=spectrum16,
-        nonlinearity=rl.Nonlinearity.per_mode_sin(0.1),
+        nonlinearity=rl.Nonlinearity(0.1),
         forcing=g2,
         ou=ou16,
         cert=cert,
@@ -287,7 +287,7 @@ def test_criterion_08_almost_periodicity(spectrum16, cov16, ou16, chart_grid16):
         tol=TOL,
     )
     tau0, eps_g = scan_almost_period(g2, spectrum16, 1e-3, 450.0, 0.01)
-    report = rl.ap_defect(problem.chart(0.0, chart_grid16[:3], (tau0,)), tau0, problem)
+    report = rl.ap_defect(problem.chart(0.0, chart_grid16[:3], [(0.0, tau0)]), tau0, problem)
     bound = 2.0 * eps_g / ((1.0 - cert.k) * cert.lambda_n) + 2.0 * TOL
     ok = eps_g <= 1e-3 and report.value <= bound
     assert _report(
@@ -346,7 +346,7 @@ def test_criterion_10_dichotomy_oracles():
         grid = rl.TimeGrid.from_times(-4.1, 4.1, 1e-3)
         ou = rl.solve_ou(rl.sample_wiener(0, grid, rl.CovarianceSpec.zero(16)), s)
         g0 = rl.ForcingSignal(16)
-        ctx = rl.LPContext(s, cert, rl.Nonlinearity.zero(), g0, ou, tau=0.0, t_back=4.0, tol=1e-6)
+        ctx = rl.LPContext(s, cert, rl.Nonlinearity(0.0), g0, ou, tau=0.0, t_back=4.0, tol=1e-6)
         n_cells = 4000
         stencil = _ForwardStencil(ctx, n_cells)
         q_decay = q_flow(ctx, n_cells)

@@ -30,7 +30,7 @@ WORKHORSE = Path(__file__).resolve().parent.parent / "configs" / "dirichlet_nonl
 
 def flowed_chart(problem, grid, t):
     """The chart at tau = 0 with its invariance leg at flow time t."""
-    return problem.chart(0.0, grid, flow_t=t)
+    return problem.chart(0.0, grid, [(t, t)])
 
 
 @pytest.fixture(scope="module")
@@ -90,19 +90,20 @@ def test_invariance_rejects_a_chart_on_another_window(problem_nl, chart_grid16):
         problem_nl.ou, tau=0.0, t_back=4.0, tol=problem_nl.tol,
     )
     assert short.t_back < ctx.t_back
-    flow = 0.5, problem_nl.lp_context(0.5, ou=problem_nl.ou_for(0.5))
-    with pytest.raises(RimlabError, match="flow context window differs"):
-        build_chart(chart_grid16[:2], short, flow=flow)
+    leg = (0.5, 0.5), problem_nl.lp_context(0.5, ou=problem_nl.ou_for(0.5))
+    with pytest.raises(RimlabError, match="leg context window differs"):
+        build_chart(chart_grid16[:2], short, (leg,))
 
 
 def test_invariance_needs_the_charts_flow_time(chart_nl, problem_nl, chart_grid16):
-    # A chart carries its invariance leg at one flow time; at another, or
-    # without a leg, there is nothing to read.
-    with pytest.raises(RimlabError, match="chart has no invariance leg"):
+    # A chart carries its invariance leg (t, t) at one flow time; at
+    # another, or without a leg, there is nothing to read, and the check
+    # names the leg it looked for.
+    with pytest.raises(RimlabError, match=re.escape("chart has no leg (t, s) = (0.5, 0.5)")):
         invariance_defect(chart_nl, 0.5, problem_nl)
     plain = build_chart(chart_grid16[:2], problem_nl.lp_context(0.0))
-    assert plain.flow_t is None and plain.off_graph is None and plain.translates == {}
-    with pytest.raises(RimlabError, match="chart has no invariance leg"):
+    assert plain.legs == {}
+    with pytest.raises(RimlabError, match=re.escape("chart has no leg (t, s) = (1.0, 1.0)")):
         invariance_defect(plain, 1.0, problem_nl)
 
 
@@ -123,21 +124,22 @@ def test_periodicity_requires_declared_period(chart_nl, problem_nl):
 
 
 def test_chart_holds_translates_by_their_shift(chart_nl, problem_nl, chart_grid16):
-    # A chart keys each translate by the shift it was asked for, so a
-    # reader never rebuilds tau + s (0.1 + 0.2 is not 0.3 in floating
-    # point).  Asked for a shift it holds no translate by, a check names
-    # the shift instead of solving it.
+    # A chart keys each translate, the leg (0, s), by the shift it was
+    # asked for, so a reader never rebuilds tau + s (0.1 + 0.2 is not 0.3
+    # in floating point).  Asked for a shift it holds no leg by, a check
+    # names the leg instead of solving it.
     for check, shift in ((periodicity_defect, 2.0 * np.pi), (ap_defect, 1.0)):
-        with pytest.raises(RimlabError, match=re.escape(f"chart has no translate by s = {shift}")):
+        missing = re.escape(f"chart has no leg (t, s) = (0.0, {shift})")
+        with pytest.raises(RimlabError, match=missing):
             check(chart_nl, shift, problem_nl)
-    chart = problem_nl.chart(0.1, chart_grid16[:2], (0.2, 0.2))
-    assert list(chart.translates) == [0.2]
+    chart = problem_nl.chart(0.1, chart_grid16[:2], [(0.0, 0.2), (0.0, 0.2)])
+    assert list(chart.legs) == [(0.0, 0.2)]
     assert ap_defect(chart, 0.2, problem_nl).context["tau"] == 0.1
 
 
 def test_periodicity_linear_sine(problem_lin, chart_grid16):
     period = 2.0 * np.pi
-    chart = problem_lin.chart(0.0, chart_grid16[:3], (period,))
+    chart = problem_lin.chart(0.0, chart_grid16[:3], [(0.0, period)])
     report = periodicity_defect(chart, period, problem_lin)
     assert report.value <= 2.0 * problem_lin.tol
     assert report.passed
@@ -146,7 +148,7 @@ def test_periodicity_linear_sine(problem_lin, chart_grid16):
 def test_periodicity_nonlinear(problem_nl, chart_grid16):
     period = 2.0 * np.pi
     for tau in (0.0, 1.0):
-        chart = problem_nl.chart(tau, chart_grid16[:3], (period,))
+        chart = problem_nl.chart(tau, chart_grid16[:3], [(0.0, period)])
         report = periodicity_defect(chart, period, problem_nl)
         assert report.passed
         assert report.value <= 2.0 * problem_nl.tol + 1e-4
@@ -156,7 +158,7 @@ def test_periodicity_reuses_chart_graph_values(problem_nl, chart_grid16, monkeyp
     # The periodicity check reads the values and the translate that the
     # chart's sweep solved: it runs no solve and builds no context.
     period = 2.0 * np.pi
-    chart = problem_nl.chart(0.0, chart_grid16[::4], (period,))
+    chart = problem_nl.chart(0.0, chart_grid16[::4], [(0.0, period)])
     solved, built = [], []
     solve, init = lyapunov_perron.solve_fixed_point, lyapunov_perron.LPContext.__init__
     _patch_solve(monkeypatch, lambda *a, **kw: solved.append(1) or solve(*a, **kw))
@@ -165,7 +167,7 @@ def test_periodicity_reuses_chart_graph_values(problem_nl, chart_grid16, monkeyp
     )
     report = periodicity_defect(chart, period, problem_nl)
     assert solved == [] and built == []
-    moved = norm_alpha(chart.translates[period] - chart.values, problem_nl.spectrum)
+    moved = norm_alpha(chart.legs[(0.0, period)], problem_nl.spectrum)
     assert report.value == float(np.max(moved))
     assert report.passed
 
@@ -206,16 +208,57 @@ def test_period_shifted_solves_take_one_application(problem_nl, chart_grid16, mo
     solves = _applies_per_solve(monkeypatch)
     for tau in (0.0, 1.0):
         solves.clear()
-        chart = problem_nl.chart(tau, chart_grid16, (period,))
+        chart = problem_nl.chart(tau, chart_grid16, [(0.0, period)])
         assert [n for t, n, _ in solves if t == tau + period] == [1] * len(chart_grid16)
         assert len(solves) == 2 * len(chart_grid16)
         assert periodicity_defect(chart, period, problem_nl).value <= 1e-15
 
 
+def test_translate_legs_match_cold_solves(problem_nl, chart_grid16):
+    # At flow time 0 a leg is a translate: its rows are m_tau - m_{tau+s},
+    # here against cold solves at both translations, at the period 2 pi
+    # and at the near-period 6.3 of the sine forcing.
+    grid, tau = chart_grid16[::2], 0.5
+    for s in (2.0 * np.pi, 6.3):
+        chart = problem_nl.chart(tau, grid, [(0.0, s)])
+        cold = [
+            np.array([manifold_point(x, problem_nl.lp_context(at)) for x in grid])
+            for at in (tau, tau + s)
+        ]
+        diff = chart.legs[(0.0, s)] - (cold[0] - cold[1])
+        assert np.max(np.linalg.norm(diff, axis=1)) <= 2.0 * problem_nl.tol
+
+
+def test_a_leg_answers_only_its_own_pair(problem_nl, chart_grid16):
+    # The invariance leg (t, t) and the translate (0, t) are different
+    # comparisons: a chart with one does not answer a check that reads the
+    # other, and the error names the leg the check looked for.
+    grid = chart_grid16[:2]
+    flowed = problem_nl.chart(0.0, grid, [(0.5, 0.5)])
+    shifted = problem_nl.chart(0.0, grid, [(0.0, 0.5)])
+    with pytest.raises(RimlabError, match=re.escape("chart has no leg (t, s) = (0.0, 0.5)")):
+        ap_defect(flowed, 0.5, problem_nl)
+    with pytest.raises(RimlabError, match=re.escape("chart has no leg (t, s) = (0.5, 0.5)")):
+        invariance_defect(shifted, 0.5, problem_nl)
+    assert invariance_defect(flowed, 0.5, problem_nl).passed
+
+
+def test_chart_solves_a_repeated_leg_once(problem_nl, chart_grid16, monkeypatch):
+    # Asked for a leg twice, a chart solves it once per point (the counter
+    # also asserts that no (tau, noise, P x) is solved twice) and keeps it
+    # under its one key.
+    grid = chart_grid16[:3]
+    solves = _applies_per_solve(monkeypatch)
+    legs = [(0.0, 1.0), (0.5, 0.5), (0.0, 1.0), (0.5, 0.5)]
+    chart = problem_nl.chart(0.0, grid, legs)
+    assert list(chart.legs) == [(0.0, 1.0), (0.5, 0.5)]
+    assert len(solves) == 3 * len(grid)
+
+
 def test_sweeps_hold_no_final_start_across_the_next_solve(problem_nl, chart_grid16, monkeypatch):
     # A final start is a whole backward history.  graph_values, and the
-    # chart with its translate and invariance legs, drop each one before
-    # the sweep solves the next point.
+    # chart with a translate leg (0, s) and an invariance leg (t, t), drop
+    # each one before the sweep solves the next point.
     refs, live = [], []
     solve = lyapunov_perron.solve_fixed_point
 
@@ -230,15 +273,15 @@ def test_sweeps_hold_no_final_start_across_the_next_solve(problem_nl, chart_grid
     _patch_solve(monkeypatch, watched)
     grid = chart_grid16[:4]
     problem_nl.graph_values(0.0, grid)
-    problem_nl.chart(0.0, grid, (2.0 * np.pi,), 0.5)
+    problem_nl.chart(0.0, grid, [(0.0, 2.0 * np.pi), (0.5, 0.5)])
     assert live == [0] * 8
 
 
 def test_verify_legs_start_from_their_chart_points_start(tmp_path, monkeypatch):
-    # verify hands the chart every shift and flow time its checks use, so
-    # each leg starts from its chart point's final start: on the workhorse
-    # the invariance solves (on the noise shifted by t) take one
-    # application each and the near-period translates two each.
+    # verify hands the chart every leg (t, s) its checks use, so each leg
+    # starts from its chart point's final start: on the workhorse the
+    # invariance solves (on the noise shifted by t) take one application
+    # each and the near-period translates two each.
     # Periodicity is bounded from the forcing cells, so no translate by the
     # period is solved.  Tracking is left out; every other graph value is
     # solved once.
@@ -266,9 +309,9 @@ def test_period_shifted_start_reproduces_base_bit_for_bit(problem_nl, chart_grid
     amps[1] = 1.0
     problem = dataclasses.replace(problem_nl, forcing=rl.ForcingSignal(amps.size, amps))
     solves = _applies_per_solve(monkeypatch)
-    chart = problem.chart(0.5, chart_grid16, (3.0,))
+    chart = problem.chart(0.5, chart_grid16, [(0.0, 3.0)])
     assert [n for tau, n, _ in solves if tau == 3.5] == [1] * len(chart_grid16)
-    assert np.array_equal(chart.translates[3.0], chart.values)
+    assert np.array_equal(chart.legs[(0.0, 3.0)], np.zeros_like(chart.values))
     assert periodicity_defect(chart, 3.0, problem).value == 0.0
 
 
@@ -281,9 +324,9 @@ def test_shifted_start_cannot_hide_a_non_period(problem_nl, chart_grid16):
     for tau in (0.0, 1.0):
         ctx = problem_nl.lp_context(tau)
         cold[tau] = np.array([manifold_point(ctx.project_p(x), ctx) for x in chart_grid16])
-    chart = problem_nl.chart(0.0, chart_grid16, (1.0,))
+    chart = problem_nl.chart(0.0, chart_grid16, [(0.0, 1.0)])
     report = ap_defect(chart, 1.0, problem_nl)
-    for tau, got in ((0.0, chart.values), (1.0, chart.translates[1.0])):
+    for tau, got in ((0.0, chart.values), (1.0, chart.values - chart.legs[(0.0, 1.0)])):
         assert np.max(np.linalg.norm(got - cold[tau], axis=1)) <= 2.0 * problem_nl.tol
     assert report.value > 1e-3  # m_1 is far from m_0
 
@@ -302,7 +345,8 @@ def test_periodicity_bound_dominates_the_solved_distance(chart_grid16):
         assert report.value <= 1e-15
         for off in (problem.h, -problem.h):
             ctx_s = problem.lp_context(tau + period + off)
-            solved = periodicity_defect(build_chart(grid, ctx, ((period, ctx_s),)), period, problem)
+            chart = build_chart(grid, ctx, (((0.0, period), ctx_s),))
+            solved = periodicity_defect(chart, period, problem)
             assert solved.value > 1e-5  # the shift shows in the solved graph
             assert analysis._cell_bound(ctx, ctx_s) >= solved.value - 2.0 * problem.tol
 
@@ -320,7 +364,7 @@ def test_periodicity_two_resolution_ratio(spectrum16, sine_forcing, cov16):
     # The defect vanishes with (h, tol): quartering both shrinks it >= 3x
     # (it is tolerance-dominated, so the reduction tracks tol).
     cert = rl.check_gap(spectrum16, 0.1, 0.2, 1)
-    f = rl.Nonlinearity.per_mode_sin(0.1)
+    f = rl.Nonlinearity(0.1)
     fine = rl.TimeGrid.from_times(-28.0, 1.0, 2.5e-4)
     w_fine = rl.sample_wiener(3, fine, cov16)
     grid = np.zeros((2, 16))
@@ -335,13 +379,15 @@ def test_periodicity_two_resolution_ratio(spectrum16, sine_forcing, cov16):
             cert=cert, t_back=16.12, t_fwd=16.12, tol=tol,
         )
         period = 2.0 * np.pi
-        values.append(periodicity_defect(prob.chart(0.0, grid, (period,)), period, prob).value)
+        chart = prob.chart(0.0, grid, [(0.0, period)])
+        values.append(periodicity_defect(chart, period, prob).value)
     assert values[1] <= values[0] / 3.0 or values[1] < 1e-12
 
 
 def test_ap_defect_exact_period(problem_lin, chart_grid16):
     period = 2.0 * np.pi
-    report = ap_defect(problem_lin.chart(0.0, chart_grid16[:2], (period,)), period, problem_lin)
+    chart = problem_lin.chart(0.0, chart_grid16[:2], [(0.0, period)])
+    report = ap_defect(chart, period, problem_lin)
     assert report.value <= 2.0 * problem_lin.tol + 1e-12
     assert report.passed
 
@@ -351,7 +397,7 @@ def test_ap_defect_zero_forcing(problem_lin_const, chart_grid16, spectrum16, ou1
 
     prob = ModelProblem(
         spectrum=spectrum16,
-        nonlinearity=rl.Nonlinearity.zero(),
+        nonlinearity=rl.Nonlinearity(0.0),
         forcing=rl.ForcingSignal(16),
         ou=ou16,
         cert=problem_lin_const.cert,
@@ -360,7 +406,7 @@ def test_ap_defect_zero_forcing(problem_lin_const, chart_grid16, spectrum16, ou1
         tol=1e-6,
     )
     for tau0 in (1.7, 12.3):
-        report = ap_defect(prob.chart(0.0, chart_grid16[:2], (tau0,)), tau0, prob)
+        report = ap_defect(prob.chart(0.0, chart_grid16[:2], [(0.0, tau0)]), tau0, prob)
         assert report.value <= 2.0 * prob.tol
 
 
@@ -374,7 +420,7 @@ def test_pullback_trivial_collapse(spectrum16, path16):
     cert = rl.check_gap(spectrum16, 0.0, 0.2, 1)
     prob = ModelProblem(
         spectrum=spectrum16,
-        nonlinearity=rl.Nonlinearity.zero(),
+        nonlinearity=rl.Nonlinearity(0.0),
         forcing=rl.ForcingSignal(16),
         ou=rl.solve_ou(w0, spectrum16),
         cert=cert,
@@ -423,7 +469,7 @@ def test_containment_trivial_zero(spectrum16):
     cert = rl.check_gap(spectrum16, 0.0, 0.2, 1)
     prob = ModelProblem(
         spectrum=spectrum16,
-        nonlinearity=rl.Nonlinearity.zero(),
+        nonlinearity=rl.Nonlinearity(0.0),
         forcing=rl.ForcingSignal(16),
         ou=rl.solve_ou(w0, spectrum16),
         cert=cert,
@@ -468,7 +514,7 @@ def test_periodicity_zero_forcing_any_period(spectrum16, ou16):
 
     prob = ModelProblem(
         spectrum=spectrum16,
-        nonlinearity=rl.Nonlinearity.per_mode_sin(0.1),
+        nonlinearity=rl.Nonlinearity(0.1),
         forcing=rl.ForcingSignal(16),
         ou=ou16,
         cert=rl.check_gap(spectrum16, 0.1, 0.2, 1),
@@ -478,7 +524,7 @@ def test_periodicity_zero_forcing_any_period(spectrum16, ou16):
     )
     grid = np.zeros((2, 16))
     grid[:, 0] = [-0.5, 0.5]
-    report = periodicity_defect(prob.chart(0.0, grid, (2.0,)), 2.0, prob)
+    report = periodicity_defect(prob.chart(0.0, grid, [(0.0, 2.0)]), 2.0, prob)
     assert report.value <= 2.0 * prob.tol
     assert report.passed
     # no forcing cells at all, so nothing to bound: exactly 0 at any tau

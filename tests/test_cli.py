@@ -463,9 +463,9 @@ def test_periodicity_fails_translates_one_step_off(tmp_path, monkeypatch):
     cell_bound = analysis._cell_bound
 
     def late(c):
-        return LPContext(
-            c.spectrum, c.cert, c.nonlinearity, c.forcing, c.ou, c.tau + c.h, c.t_back, c.tol
-        )
+        # c.g is the forcing translated by c.tau; translated by h more, it
+        # is the forcing at c.tau + h
+        return LPContext(c.spectrum, c.cert, c.nonlinearity, c.g, c.ou, c.h, c.t_back, c.tol)
 
     monkeypatch.setattr(analysis, "_cell_bound", lambda ctx, ctx_s: cell_bound(ctx, late(ctx_s)))
     for name, failed in (("linear_sine", [False]), ("dirichlet_nonlinear", [False, False])):
@@ -492,9 +492,9 @@ def test_periodicity_check_runs_no_solve(tmp_path, monkeypatch):
         lyapunov_perron, "lp_apply", lambda *a: applied.append(phase[0]) or apply(*a)
     )
 
-    def recorded(x_grid, ctx, translates=(), flow=None):
-        shifts.append([s for s, _ in translates])
-        return build(x_grid, ctx, translates, flow)
+    def recorded(x_grid, ctx, legs=()):
+        shifts.append([s for (t, s), _ in legs if t == 0.0])  # the translates
+        return build(x_grid, ctx, legs)
 
     def phased(name, check):
         def run(*args):
@@ -1228,8 +1228,12 @@ def _check_mutation(path: Path, command: str, field, value):
         with open(cfg, "w", encoding="utf-8") as fh:
             parser.write(fh)
         out, err = io.StringIO(), io.StringIO()
+        # in-process, a numpy warning is recorded, not printed; as an error it
+        # shows, so the message is the whole of what a real run prints
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main([command, "--config", str(cfg), "--out", str(Path(tmp) / "out")])
     assert code in (0, 1, 2, 3)
     if code == 1:
         failed = any(line.startswith("FAIL") for line in out.getvalue().splitlines())
@@ -1262,8 +1266,8 @@ def test_quasi_periodic_config_mutations_keep_exit_code_contract(field, value):
 # Values beyond FUZZ_VALUES that once ended in a traceback: a tracking
 # radius whose subnormal-flush step count underflowed (tiny / |y| is 0 for
 # |y| above about 9e15), and chart points so large that the first Picard
-# distance is not finite.  Numpy warnings are errors here, so the message
-# is the whole of stderr.
+# distance is not finite.  Numpy warnings are errors in every mutation
+# (``_check_mutation``), so the message is the whole of stderr.
 EXTREME_CASES = {
     "track_radius_1e17": ("track", ("track", "radius"), "1e17", 0),
     "chart_x_max_1e160": ("build-manifold", ("chart", "x_max"), "1e160", 1),
@@ -1274,9 +1278,7 @@ EXTREME_CASES = {
 @pytest.mark.parametrize("case", sorted(EXTREME_CASES))
 def test_extreme_values_keep_exit_code_contract(case):
     command, field, value, expected = EXTREME_CASES[case]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, err = _check_mutation(DIRICHLET_NONLINEAR, command, field, value)
+    code, err = _check_mutation(DIRICHLET_NONLINEAR, command, field, value)
     assert code == expected
     if expected == 1:
         assert err == "run failed: first iterate distance nan is not finite\n"

@@ -32,14 +32,14 @@ def noisy_ou(noisy_problem):
 
 
 def test_nonlinearity_validation():
-    with pytest.raises(RimlabError, match="unknown nonlinearity kind"):
-        Nonlinearity("nope")
+    with pytest.raises(RimlabError, match="nonnegative"):
+        Nonlinearity(-0.1)
 
 
 def test_nonlinearity_lipschitz_probes(spec8):
     # F(0) = 0 and the weighted Lipschitz bound on random probe pairs.
     rng = np.random.default_rng(3)
-    f = Nonlinearity.per_mode_sin(0.37)
+    f = Nonlinearity(0.37)
     assert np.array_equal(f.apply(np.zeros(8), spec8), np.zeros(8))
     wts = spec8.weights_alpha()
     for _ in range(1000):
@@ -56,14 +56,14 @@ def test_nonlinearity_lipschitz_probes(spec8):
 def test_linear_homogeneous_exact(spec8, quiet_ou):
     v0 = np.linspace(1.0, -1.0, 8)
     g = rl.ForcingSignal(8)
-    traj = integrate(v0, 0.0, 1.5, quiet_ou, g, Nonlinearity.zero(), spec8)
+    traj = integrate(v0, 0.0, 1.5, quiet_ou, g, Nonlinearity(0.0), spec8)
     exact = v0 * np.exp(-spec8.lambdas * 1.5)
     assert np.allclose(traj[-1], exact, rtol=1e-12, atol=0)
 
 
 def test_rest_state_stays_zero(spec8, quiet_ou):
     g = rl.ForcingSignal(8)
-    f = Nonlinearity.per_mode_sin(0.3)
+    f = Nonlinearity(0.3)
     traj = integrate(np.zeros(8), 0.0, 1.0, quiet_ou, g, f, spec8)
     assert np.array_equal(traj[-1], np.zeros(8))
 
@@ -71,7 +71,7 @@ def test_rest_state_stays_zero(spec8, quiet_ou):
 def test_cocycle_identity_at_zero(spec8, noisy_ou):
     g = rl.ForcingSignal(8, terms=[rl.TrigTerm(2, 1.0, 1.0, 0.0)])
     v0 = np.linspace(0.4, -0.4, 8)
-    out = cocycle_psi(0.0, 0.7, noisy_ou, v0, g, Nonlinearity.per_mode_sin(0.1), spec8)
+    out = cocycle_psi(0.0, 0.7, noisy_ou, v0, g, Nonlinearity(0.1), spec8)
     assert np.array_equal(out, v0)
 
 
@@ -81,7 +81,7 @@ def test_constant_forcing_closed_form(spec8, quiet_ou):
     amps[1] = c
     g = rl.ForcingSignal(amps.size, amps)
     t = 0.8
-    out = cocycle_psi(t, 0.0, quiet_ou, np.zeros(8), g, Nonlinearity.zero(), spec8)
+    out = cocycle_psi(t, 0.0, quiet_ou, np.zeros(8), g, Nonlinearity(0.0), spec8)
     lam2 = spec8.lambdas[1]
     assert out[1] == pytest.approx(c / lam2 * (1.0 - np.exp(-lam2 * t)), rel=1e-12)
     assert np.max(np.abs(out[[0, 2, 3, 4, 5, 6, 7]])) == 0.0
@@ -90,7 +90,7 @@ def test_constant_forcing_closed_form(spec8, quiet_ou):
 def test_cocycle_law(spec8, noisy_problem):
     ou = noisy_problem.ou
     g = rl.ForcingSignal(8, terms=[rl.TrigTerm(2, 1.0, 1.0, 0.0)])
-    f = Nonlinearity.per_mode_sin(0.1)
+    f = Nonlinearity(0.1)
     rng = np.random.default_rng(8)
     v0 = 0.5 * rng.standard_normal(8)
     s_leg, t_leg = 0.5, 0.7
@@ -103,7 +103,7 @@ def test_cocycle_law(spec8, noisy_problem):
 def test_phi_cocycle_law(spec8, noisy_problem):
     ou = noisy_problem.ou
     g = rl.ForcingSignal(8, terms=[rl.TrigTerm(2, 1.0, 1.0, 0.0)])
-    f = Nonlinearity.per_mode_sin(0.1)
+    f = Nonlinearity(0.1)
     u0 = np.linspace(0.6, -0.6, 8)
     s_leg, t_leg = 0.4, 0.9
     full = cocycle_phi(s_leg + t_leg, 0.0, ou, u0, g, f, spec8)
@@ -114,7 +114,7 @@ def test_phi_cocycle_law(spec8, noisy_problem):
 
 def test_phi_equals_psi_without_noise(spec8, quiet_ou):
     g = rl.ForcingSignal(8, terms=[rl.TrigTerm(2, 1.0, 1.0, 0.0)])
-    f = Nonlinearity.per_mode_sin(0.1)
+    f = Nonlinearity(0.1)
     u0 = np.linspace(0.6, -0.6, 8)
     a = cocycle_phi(1.0, 0.3, quiet_ou, u0, g, f, spec8)
     b = cocycle_psi(1.0, 0.3, quiet_ou, u0, g, f, spec8)
@@ -123,7 +123,7 @@ def test_phi_equals_psi_without_noise(spec8, quiet_ou):
 
 def test_phi_conjugacy_residual_exact(spec8, noisy_ou):
     g = rl.ForcingSignal(8, terms=[rl.TrigTerm(2, 1.0, 1.0, 0.0)])
-    f = Nonlinearity.per_mode_sin(0.1)
+    f = Nonlinearity(0.1)
     u0 = np.linspace(0.6, -0.6, 8)
     t = 1.2
     phi = cocycle_phi(t, 0.0, noisy_ou, u0, g, f, spec8)
@@ -137,7 +137,7 @@ def test_initial_condition_continuity(spec8):
     w = rl.sample_wiener(13, grid, rl.CovarianceSpec.power_law(8, 0.05, 2.0))
     ou5 = rl.solve_ou(w, spec8)
     g = rl.ForcingSignal(8, terms=[rl.TrigTerm(2, 1.0, 1.0, 0.0)])
-    f = Nonlinearity.per_mode_sin(0.1)
+    f = Nonlinearity(0.1)
     rng = np.random.default_rng(10)
     for _ in range(4):
         v0 = 0.5 * rng.standard_normal(8)
@@ -154,7 +154,7 @@ def test_self_convergence_order(spec8):
     grid = rl.TimeGrid.from_times(-1.0, 2.0, h0 / 16.0)
     w_fine = rl.sample_wiener(1, grid, rl.CovarianceSpec.zero(8))
     g = rl.ForcingSignal(8, terms=[rl.TrigTerm(2, 1.0, 1.0, 0.0)])
-    f = Nonlinearity.per_mode_sin(0.1)
+    f = Nonlinearity(0.1)
     v0 = np.linspace(0.5, -0.5, 8)
     ref = integrate(
         v0, 0.0, 2.0, rl.solve_ou(w_fine, spec8), g, f, spec8, return_trajectory=False
@@ -176,7 +176,7 @@ def test_self_convergence_with_noise(spec8):
     cov = rl.CovarianceSpec.power_law(8, 0.05, 2.0)
     w_fine = rl.sample_wiener(5, grid, cov)
     g = rl.ForcingSignal(8, terms=[rl.TrigTerm(2, 1.0, 1.0, 0.0)])
-    f = Nonlinearity.per_mode_sin(0.1)
+    f = Nonlinearity(0.1)
     v0 = np.linspace(0.5, -0.5, 8)
     ref = integrate(
         v0, 0.0, 2.0, rl.solve_ou(w_fine, spec8), g, f, spec8, return_trajectory=False
@@ -194,7 +194,7 @@ def test_step_stability_guard(quiet_ou):
     stiff = rl.Spectrum(np.arange(1.0, 9.0) ** 4)
     g = rl.ForcingSignal(8)
     with pytest.raises(RimlabError, match="exceeds the 0.5 stability budget"):
-        integrate(np.zeros(8), 0.0, 0.5, quiet_ou, g, Nonlinearity.zero(), stiff)
+        integrate(np.zeros(8), 0.0, 0.5, quiet_ou, g, Nonlinearity(0.0), stiff)
 
 
 def _first_nonfinite_step(v, ou, f, s, t_end):
@@ -222,7 +222,7 @@ def test_instability_reports_step():
     slow = rl.Spectrum(np.array([0.5, 2.0]))
     grid = rl.TimeGrid.from_times(-1.0, 3.0, 1e-3)
     ou = rl.solve_ou(rl.sample_wiener(1, grid, rl.CovarianceSpec.zero(2)), slow)
-    f = Saturating("saturating", 1.5e308)
+    f = Saturating(1.5e308)
     g = rl.ForcingSignal(2)
     times = np.arange(0, 3001) * 1e-3
     for v0 in (np.full(2, 1.0), np.array([[0.0, 0.0], [1.0, 1.0]])):
@@ -236,7 +236,7 @@ def test_instability_reports_step():
 
 def test_batched_integration_matches_loop(spec8, noisy_ou):
     g = rl.ForcingSignal(8, terms=[rl.TrigTerm(2, 1.0, 1.0, 0.0)])
-    f = Nonlinearity.per_mode_sin(0.1)
+    f = Nonlinearity(0.1)
     rng = np.random.default_rng(2)
     batch = 0.3 * rng.standard_normal((5, 8))
     ends = integrate(batch, 0.0, 1.0, noisy_ou, g, f, spec8, return_trajectory=False)
@@ -245,7 +245,7 @@ def test_batched_integration_matches_loop(spec8, noisy_ou):
         assert np.allclose(ends[i], single, rtol=0, atol=1e-14)
 
 
-@pytest.mark.parametrize("f", [Nonlinearity.per_mode_sin(0.1)], ids=["per_mode_sin"])
+@pytest.mark.parametrize("f", [Nonlinearity(0.1)], ids=["per_mode_sin"])
 def test_batched_trajectory_matches_single_calls(spec8, noisy_ou, f):
     # One batched integrate of B states reproduces B single-state histories.
     g = rl.ForcingSignal(8, terms=[rl.TrigTerm(2, 1.0, 1.0, 0.0)])
@@ -262,11 +262,11 @@ def test_batched_trajectory_matches_single_calls(spec8, noisy_ou, f):
 def test_phi_identity_at_zero(spec8, noisy_ou):
     g = rl.ForcingSignal(8, terms=[rl.TrigTerm(2, 1.0, 1.0, 0.0)])
     u0 = np.array([1e-20, 0.4, -0.2, 0.0, 0.1, 0.0, 0.0, 0.0])
-    out = cocycle_phi(0.0, 0.3, noisy_ou, u0, g, Nonlinearity.per_mode_sin(0.1), spec8)
+    out = cocycle_phi(0.0, 0.3, noisy_ou, u0, g, Nonlinearity(0.1), spec8)
     assert np.array_equal(out, u0)
 
 
-@pytest.mark.parametrize("f", [Nonlinearity.per_mode_sin(0.3)], ids=["per_mode_sin"])
+@pytest.mark.parametrize("f", [Nonlinearity(0.3)], ids=["per_mode_sin"])
 def test_evaluator_weights_only_when_alpha_positive(f):
     # At alpha = 0 the evaluator skips the all-ones weight multiply; that must
     # equal the weighted formula bit for bit (signed zeros and non-finite
@@ -287,7 +287,7 @@ def test_evaluator_weights_only_when_alpha_positive(f):
     assert not np.array_equal(got[1:], unweighted[1:])
 
 
-@pytest.mark.parametrize("f", [Nonlinearity.zero(), Nonlinearity.per_mode_sin(0.3)])
+@pytest.mark.parametrize("f", [Nonlinearity(0.0), Nonlinearity(0.3)])
 @pytest.mark.parametrize("alpha", [0.0, 0.25])
 def test_apply_leaves_its_argument_unchanged(f, alpha):
     # F computes its result in place in a new array, never in its argument.

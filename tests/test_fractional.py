@@ -34,7 +34,7 @@ def problem_frac():
     path = rl.sample_wiener(7, grid, cov)
     return ModelProblem(
         spectrum=s,
-        nonlinearity=rl.Nonlinearity.per_mode_sin(0.1),
+        nonlinearity=rl.Nonlinearity(0.1),
         forcing=g,
         ou=rl.solve_ou(path, s),
         cert=cert,
@@ -57,7 +57,7 @@ def test_fractional_linear_convolution(problem_frac):
     ctx = LPContext(
         problem_frac.spectrum,
         check_gap(problem_frac.spectrum, 0.0, 0.45, 1),
-        rl.Nonlinearity.zero(),
+        rl.Nonlinearity(0.0),
         problem_frac.forcing,
         problem_frac.ou,
         tau=0.0,

@@ -218,7 +218,7 @@ def test_graph_value_settled_at_horizon(instance, coupled):
     cov = rl.CovarianceSpec.power_law(n_total, scale, exponent)
     grid = rl.TimeGrid.from_times(-(3.0 * t_back + 10.0) - 0.1, 0.1, 1e-3)
     ou = rl.solve_ou(rl.sample_wiener(7, grid, cov), s)
-    f = ModeCoupling("mode_coupling", lip) if coupled else rl.Nonlinearity.per_mode_sin(lip)
+    f = ModeCoupling(lip) if coupled else rl.Nonlinearity(lip)
     short, long = (
         LPContext(s, cert, f, g, ou, 0.0, t_back=t, tol=tol / 1000) for t in (t_back, 3 * t_back)
     )
@@ -244,7 +244,7 @@ def test_lp_apply_pure_backward_flow(problem_lin):
     ctx = LPContext(
         problem_lin.spectrum,
         problem_lin.cert,
-        rl.Nonlinearity.zero(),
+        rl.Nonlinearity(0.0),
         g0,
         problem_lin.ou,
         tau=0.0,
@@ -388,7 +388,7 @@ def test_solver_one_iteration_when_constant(problem_lin):
     ctx = LPContext(
         problem_lin.spectrum,
         problem_lin.cert,
-        rl.Nonlinearity.zero(),
+        rl.Nonlinearity(0.0),
         g0,
         problem_lin.ou,
         tau=0.0,
@@ -454,7 +454,7 @@ def test_solver_detects_wrong_certificate(problem_nl):
     ctx = LPContext(
         problem_nl.spectrum,
         problem_nl.cert,  # certified for L = 0.1
-        rl.Nonlinearity.per_mode_sin(1.5),
+        rl.Nonlinearity(1.5),
         problem_nl.forcing,
         problem_nl.ou,
         tau=0.0,
@@ -570,7 +570,7 @@ def test_manifold_zero_without_data(problem_lin):
     ctx = LPContext(
         problem_lin.spectrum,
         problem_lin.cert,
-        rl.Nonlinearity.zero(),
+        rl.Nonlinearity(0.0),
         g0,
         problem_lin.ou,
         tau=0.0,
@@ -677,7 +677,7 @@ def test_chart_lipschitz_edge_cases(problem_nl):
     # A coupled F makes the graph depend on x.  One point has no pair, and
     # a repeated point's pair (dx = 0) has no quotient: the chart gives the
     # pairwise double loop's value, bit for bit.
-    coupled = dataclasses.replace(problem_nl, nonlinearity=ModeCoupling("mode_coupling", 0.1))
+    coupled = dataclasses.replace(problem_nl, nonlinearity=ModeCoupling(0.1))
     ctx = coupled.lp_context(0.0)
     assert build_chart(line_grid(16, 1), ctx).lipschitz == 0.0
     chart = build_chart(line_grid(16, 4)[[0, 1, 1, 2, 3]], ctx)
@@ -835,7 +835,7 @@ def test_graph_values_first_order_in_step():
     # step; acceptance criterion 5 sees it by flowing against an h/16 driver.)
     s = rl.dirichlet_laplacian(12, 0.0)
     cert = check_gap(s, 0.1, 0.2, 1)
-    f = rl.Nonlinearity.per_mode_sin(0.1)
+    f = rl.Nonlinearity(0.1)
     g = rl.ForcingSignal(12, terms=[rl.TrigTerm(2, 1.0, 1.0, 0.0)], declared_period=2 * np.pi)
     cov = rl.CovarianceSpec.power_law(12, 0.05, 2.0)
     from rimlab.problem import ModelProblem

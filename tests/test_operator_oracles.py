@@ -22,7 +22,7 @@ def setup():
     s = rl.dirichlet_laplacian(6, 0.25)
     cert = rl.check_gap(s, 0.1, 0.45, 1)
     g = rl.ForcingSignal(6, terms=[rl.TrigTerm(2, 1.0, 1.3, 0.2)])
-    f = rl.Nonlinearity.per_mode_sin(0.1)
+    f = rl.Nonlinearity(0.1)
     cov = rl.CovarianceSpec.power_law(6, 0.1, 2.0)
     grid = rl.TimeGrid.from_times(-4.0, 3.0, 0.01)
     path = rl.sample_wiener(5, grid, cov)

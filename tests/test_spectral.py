@@ -71,7 +71,7 @@ def flows():
     grid = rl.TimeGrid.from_times(-7.6, 1.2, H)
     ou = rl.solve_ou(rl.sample_wiener(0, grid, rl.CovarianceSpec.zero(8)), s)
     ctx = rl.LPContext(
-        s, rl.check_gap(s, 0.0, 0.2, 2), rl.Nonlinearity.zero(), rl.ForcingSignal(8), ou,
+        s, rl.check_gap(s, 0.0, 0.2, 2), rl.Nonlinearity(0.0), rl.ForcingSignal(8), ou,
         tau=0.0,
         t_back=7.5,
         tol=1e-6,
@@ -91,7 +91,7 @@ def test_semigroup_forward_p_block(flows):
     ctx, _ = flows
     v = np.zeros(8)
     v[:2] = [8.0, -3.0]
-    out = rl.integrate(v, 0.0, 0.7, ctx.ou, ctx.forcing, ctx.nonlinearity, ctx.spectrum)
+    out = rl.integrate(v, 0.0, 0.7, ctx.ou, ctx.g, ctx.nonlinearity, ctx.spectrum)
     end = out[-1]
     assert np.allclose(end[:2], v[:2] * np.exp(-ctx.spectrum.lambdas[:2] * 0.7), rtol=1e-14, atol=0)
     assert np.array_equal(end[2:], np.zeros(6))
@@ -110,7 +110,7 @@ def test_semigroup_rejects_backward_q(flows):
     # forward in time only.
     ctx, _ = flows
     with pytest.raises(RimlabError, match="integration requires r <= t_end"):
-        rl.integrate(np.ones(8), 0.5, 0.0, ctx.ou, ctx.forcing, ctx.nonlinearity, ctx.spectrum)
+        rl.integrate(np.ones(8), 0.5, 0.0, ctx.ou, ctx.g, ctx.nonlinearity, ctx.spectrum)
 
 
 def test_semigroup_rejects_bad_resolved_count(flows):
@@ -156,7 +156,7 @@ def _dichotomy_case(alpha):
     grid = rl.TimeGrid.from_times(-2.1, 3.1, 1e-3)
     ou = rl.solve_ou(rl.sample_wiener(0, grid, rl.CovarianceSpec.zero(12)), s)
     ctx = rl.LPContext(
-        s, rl.check_gap(s, 0.0, 0.2, n), rl.Nonlinearity.zero(), rl.ForcingSignal(12), ou,
+        s, rl.check_gap(s, 0.0, 0.2, n), rl.Nonlinearity(0.0), rl.ForcingSignal(12), ou,
         tau=0.0,
         t_back=2.0,
         tol=1e-6,
@@ -351,7 +351,7 @@ def test_solved_tables_hold_no_subnormal(problem_nl):
     spec = rl.dirichlet_laplacian(16)
     grid = rl.TimeGrid.from_times(-1.0, 7.0, 1e-3)
     ou = rl.solve_ou(rl.sample_wiener(3, grid, rl.CovarianceSpec.power_law(16, 0.05, 2.0)), spec)
-    lin = integrate(np.full(16, 0.3), 0.0, 6.0, ou, problem_nl.forcing, Nonlinearity.zero(), spec)
+    lin = integrate(np.full(16, 0.3), 0.0, 6.0, ou, problem_nl.forcing, Nonlinearity(0.0), spec)
     ctx = problem_nl.lp_context(0.0)
     v0 = np.full(16, 0.3)
     base = base_orbit(v0, ctx, problem_nl.t_fwd)

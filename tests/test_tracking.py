@@ -236,7 +236,7 @@ def test_tracking_detects_wrong_certificate(problem_nl):
     ctx = rl.LPContext(
         problem_nl.spectrum,
         problem_nl.cert,  # certified for L = 0.1
-        rl.Nonlinearity.per_mode_sin(1.5),
+        rl.Nonlinearity(1.5),
         problem_nl.forcing,
         problem_nl.ou,
         tau=0.0,
@@ -425,7 +425,7 @@ def test_coupled_shadowing_point_settled_at_forward_horizon():
     grid = rl.TimeGrid.from_times(-(t_back + 10.0) - 0.1, 3.0 * t_f + 0.1, 1e-3)
     problem = ModelProblem(
         spectrum=s,
-        nonlinearity=ModeCoupling("mode_coupling", 0.2),
+        nonlinearity=ModeCoupling(0.2),
         forcing=rl.ForcingSignal(
             16, terms=[rl.TrigTerm(2, 1.0, 1.0, 0.0)], declared_period=2 * np.pi
         ),
